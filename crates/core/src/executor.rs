@@ -9,7 +9,7 @@
 use crate::schedule::BatchSchedule;
 use crate::task::{select_sources, Task};
 use mtvc_cluster::{ClusterSpec, FaultPlan, MonetaryCost};
-use mtvc_engine::{EngineConfig, RunResult, Runner, SlabRecycler, SystemProfile};
+use mtvc_engine::{EngineConfig, Runner, SlabProgram, SlabRecycler, SystemProfile, LANES};
 use mtvc_graph::hash::mix64;
 use mtvc_graph::partition::Partition;
 use mtvc_graph::{Graph, VertexId};
@@ -19,8 +19,9 @@ use mtvc_tasks::bkhs::BkhsState;
 use mtvc_tasks::bppr::{BpprState, PushState};
 use mtvc_tasks::mssp::MsspState;
 use mtvc_tasks::{
-    BkhsBroadcastSlabProgram, BkhsSlabProgram, BpprPushSlabProgram, BpprSlabProgram,
-    MsspBroadcastSlabProgram, MsspSlabProgram, PushCell, SourceIndex,
+    BkhsBroadcastSlabProgram, BkhsLaneSlabProgram, BkhsSlabProgram, BpprPushSlabProgram,
+    BpprSlabProgram, MsspBroadcastSlabProgram, MsspLaneSlabProgram, MsspSlabProgram, PushCell,
+    SourceIndex,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -112,10 +113,44 @@ impl JobSpec {
     }
 }
 
+/// Which slab kernel executed a batch.
+///
+/// For point-to-point MSSP and BKHS the executor picks by the batch's
+/// width — a property of the input, not a setting: at least [`LANES`]
+/// queries run the lane-batched kernel (one envelope per eight adjacent
+/// queries), fewer the row kernel, which is faster there (a lone query
+/// would ship seven dead lanes per envelope). Every other program runs
+/// its row kernel. Both kernels put the same payload units on the wire
+/// and the router prices units, not envelopes, so under the shipped
+/// system profiles every other field of [`RunStats`] except the
+/// `shard_copy_bytes` counters is identical either way; this tag is
+/// the only place the choice is visible.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// One message per `(query, edge)`.
+    Row,
+    /// One message per `(chunk of LANES queries, edge)`.
+    Lane,
+}
+
+impl Kernel {
+    /// The kernel for a point-to-point MSSP/BKHS batch of `width`
+    /// queries.
+    fn for_width(width: usize) -> Kernel {
+        if width >= LANES {
+            Kernel::Lane
+        } else {
+            Kernel::Row
+        }
+    }
+}
+
 /// Outcome of one batch within a job.
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
     pub workload: u64,
+    /// The slab kernel that ran this batch.
+    pub kernel: Kernel,
     pub outcome: RunOutcome,
     pub time: SimTime,
     pub peak_memory: mtvc_metrics::Bytes,
@@ -216,6 +251,7 @@ pub fn run_job(graph: &Graph, spec: &JobSpec) -> JobResult {
         let done = !batch.outcome.is_completed();
         per_batch.push(BatchOutcome {
             workload: w,
+            kernel: batch.kernel,
             outcome: batch.outcome,
             time: batch.outcome.plot_time(),
             peak_memory: batch.stats.peak_memory,
@@ -253,6 +289,8 @@ pub fn run_job(graph: &Graph, spec: &JobSpec) -> JobResult {
 pub struct BatchExecution {
     /// Workload units executed in this batch.
     pub workload: u64,
+    /// The slab kernel that ran this batch.
+    pub kernel: Kernel,
     /// Completion / overload / overflow classification.
     pub outcome: RunOutcome,
     /// Simulated duration (cutoff height for failed runs).
@@ -428,6 +466,7 @@ impl BatchRunner {
         );
         BatchExecution {
             workload,
+            kernel: run.kernel,
             outcome: run.outcome,
             time: run.outcome.plot_time(),
             peak_memory: run.stats.peak_memory,
@@ -618,6 +657,7 @@ pub struct RecoveredBatch {
 }
 
 struct BatchRun {
+    kernel: Kernel,
     outcome: RunOutcome,
     stats: RunStats,
     residual_delta: Vec<u64>,
@@ -634,61 +674,48 @@ fn run_one_batch(
     sources: BatchSources<'_>,
     shared: &BatchShared,
 ) -> BatchRun {
+    use Kernel::{Lane, Row};
     let broadcast = system.is_broadcast();
     match task {
         Task::Bppr { alpha, .. } => {
             let n = graph.num_vertices();
             if broadcast {
+                // The row kernel on purpose: a job's push rows hold one
+                // cell per vertex and are sparse, where the lane push
+                // kernel measured 1.1–2× slower through `run_job`.
                 let prog = BpprPushSlabProgram::new(workload, alpha, n);
-                execute(
-                    graph,
-                    partition,
-                    cfg,
-                    |r| r.run_slab_recycled(&prog, &shared.push),
-                    |st: &PushState| {
-                        // Residual: fractional stop masses, one f64
-                        // record per (vertex, source) entry.
-                        st.mass.len() as u64 * 16
-                    },
-                )
+                // Residual: fractional stop masses, one f64 record per
+                // (vertex, source) entry.
+                let residual = |st: &PushState| st.mass.len() as u64 * 16;
+                execute(graph, partition, cfg, Row, &prog, &shared.push, residual)
             } else {
                 let prog = BpprSlabProgram::new(workload, alpha, n);
-                execute(
-                    graph,
-                    partition,
-                    cfg,
-                    |r| r.run_slab_recycled(&prog, &shared.words),
-                    |st: &BpprState| {
-                        // §5: "we need to store the ending nodes of
-                        // every random walk computed in each batch" —
-                        // residual scales with the walk count, not just
-                        // distinct entries.
-                        st.stops.values().sum::<u64>() * 8 + st.stops.len() as u64 * 16
-                    },
-                )
+                // §5: "we need to store the ending nodes of every
+                // random walk computed in each batch" — residual
+                // scales with the walk count, not just distinct
+                // entries.
+                let residual = |st: &BpprState| {
+                    st.stops.values().sum::<u64>() * 8 + st.stops.len() as u64 * 16
+                };
+                execute(graph, partition, cfg, Row, &prog, &shared.words, residual)
             }
         }
         Task::Mssp { .. } => {
             let (index, range) = sources.resolve();
             let residual = |st: &MsspState| st.dist.len() as u64 * 16;
-            if broadcast {
-                let prog = MsspBroadcastSlabProgram::batch(index, range);
-                execute(
-                    graph,
-                    partition,
-                    cfg,
-                    |r| r.run_slab_recycled(&prog, &shared.words),
-                    residual,
-                )
-            } else {
-                let prog = MsspSlabProgram::batch(index, range);
-                execute(
-                    graph,
-                    partition,
-                    cfg,
-                    |r| r.run_slab_recycled(&prog, &shared.words),
-                    residual,
-                )
+            match (broadcast, Kernel::for_width(range.len())) {
+                (true, _) => {
+                    let prog = MsspBroadcastSlabProgram::batch(index, range);
+                    execute(graph, partition, cfg, Row, &prog, &shared.words, residual)
+                }
+                (false, Lane) => {
+                    let prog = MsspLaneSlabProgram::batch(index, range);
+                    execute(graph, partition, cfg, Lane, &prog, &shared.words, residual)
+                }
+                (false, Row) => {
+                    let prog = MsspSlabProgram::batch(index, range);
+                    execute(graph, partition, cfg, Row, &prog, &shared.words, residual)
+                }
             }
         }
         Task::Bkhs { k, .. } => {
@@ -696,47 +723,44 @@ fn run_one_batch(
             // Residual: bitmap-encoded reach flags, ~1 byte per
             // (query, vertex) flag (see mtvc-tasks::bkhs docs).
             let residual = |st: &BkhsState| st.reached.len() as u64;
-            if broadcast {
-                let prog = BkhsBroadcastSlabProgram::batch(index, range, k);
-                execute(
-                    graph,
-                    partition,
-                    cfg,
-                    |r| r.run_slab_recycled(&prog, &shared.flags),
-                    residual,
-                )
-            } else {
-                let prog = BkhsSlabProgram::batch(index, range, k);
-                execute(
-                    graph,
-                    partition,
-                    cfg,
-                    |r| r.run_slab_recycled(&prog, &shared.flags),
-                    residual,
-                )
+            match (broadcast, Kernel::for_width(range.len())) {
+                (true, _) => {
+                    let prog = BkhsBroadcastSlabProgram::batch(index, range, k);
+                    execute(graph, partition, cfg, Row, &prog, &shared.flags, residual)
+                }
+                (false, Lane) => {
+                    let prog = BkhsLaneSlabProgram::batch(index, range, k);
+                    execute(graph, partition, cfg, Lane, &prog, &shared.flags, residual)
+                }
+                (false, Row) => {
+                    let prog = BkhsSlabProgram::batch(index, range, k);
+                    execute(graph, partition, cfg, Row, &prog, &shared.flags, residual)
+                }
             }
         }
     }
 }
 
-/// Run one batch (the `run` closure picks the program and state layout)
-/// and fold its extracted states into per-worker residual bytes.
-fn execute<S: Default + Clone + Send>(
+/// Run one batch of `program` on slabs drawn from `pool` and fold its
+/// extracted states into per-worker residual bytes.
+fn execute<P: SlabProgram>(
     graph: &Graph,
     partition: Partition,
     cfg: EngineConfig,
-    run: impl FnOnce(&Runner) -> RunResult<S>,
-    residual_of: impl Fn(&S) -> u64,
+    kernel: Kernel,
+    program: &P,
+    pool: &SlabRecycler<P::Cell>,
+    residual_of: impl Fn(&P::Out) -> u64,
 ) -> BatchRun {
     let workers = partition.num_workers();
     let owner: Vec<u16> = graph.vertices().map(|v| partition.owner_of(v)).collect();
-    let runner = Runner::with_partition(graph, partition, cfg);
-    let result = run(&runner);
+    let result = Runner::with_partition(graph, partition, cfg).run_slab_recycled(program, pool);
     let mut residual_delta = vec![0u64; workers];
     for (v, state) in result.states.iter().enumerate() {
         residual_delta[owner[v] as usize] += residual_of(state);
     }
     BatchRun {
+        kernel,
         outcome: result.outcome,
         stats: result.stats,
         residual_delta,
@@ -796,6 +820,7 @@ mod tests {
         s.system = SystemKind::PregelPlusMirror;
         let r = run_job(&g, &s);
         assert!(r.outcome.is_completed(), "{:?}", r.outcome);
+        assert!(r.per_batch.iter().all(|b| b.kernel == Kernel::Row));
     }
 
     #[test]
@@ -1044,24 +1069,136 @@ mod tests {
     #[test]
     fn injected_crashes_do_not_change_batch_results() {
         let g = Arc::new(small_graph());
-        let runner = BatchRunner::new(
-            Arc::clone(&g),
-            Task::bppr(8),
-            SystemKind::PregelPlus,
-            ClusterSpec::galaxy(4),
-        );
-        let clean = runner.run_batch(8, &[], &[0; 4], 7, OVERLOAD_CUTOFF);
-        let chaotic = runner
-            .clone()
-            .with_faults(FaultPlan::random(11, 4, 6, 2, 1))
-            .with_checkpoint_every(2)
-            .run_batch(8, &[], &[0; 4], 7, OVERLOAD_CUTOFF);
-        assert_eq!(clean.outcome, chaotic.outcome);
-        assert_eq!(clean.time, chaotic.time);
-        assert_eq!(clean.residual_delta, chaotic.residual_delta);
-        let mut scrubbed = chaotic.stats.clone();
-        scrubbed.faults = Default::default();
-        assert_eq!(scrubbed, clean.stats);
+        // BPPR on the row kernel; MSSP and BKHS wide enough for lanes
+        // (BKHS deep enough to still be running when the faults fire).
+        let bkhs = Task::Bkhs {
+            num_sources: 16,
+            k: 6,
+        };
+        for (task, kernel) in [
+            (Task::bppr(8), Kernel::Row),
+            (Task::mssp(16), Kernel::Lane),
+            (bkhs, Kernel::Lane),
+        ] {
+            let w = task.workload();
+            let sources = match task {
+                Task::Bppr { .. } => Vec::new(),
+                _ => select_sources(&g, w, 99),
+            };
+            let runner = BatchRunner::new(
+                Arc::clone(&g),
+                task,
+                SystemKind::PregelPlus,
+                ClusterSpec::galaxy(4),
+            );
+            let clean = runner.run_batch(w, &sources, &[0; 4], 7, OVERLOAD_CUTOFF);
+            let chaotic = runner
+                .clone()
+                .with_faults(FaultPlan::random(11, 4, 6, 2, 1))
+                .with_checkpoint_every(2)
+                .run_batch(w, &sources, &[0; 4], 7, OVERLOAD_CUTOFF);
+            assert_eq!(clean.kernel, kernel, "{task:?}");
+            assert_eq!(chaotic.kernel, kernel, "{task:?}");
+            assert!(
+                chaotic.stats.faults.replayed_rounds > 0,
+                "{task:?}: the plan must force a rollback"
+            );
+            assert_eq!(clean.outcome, chaotic.outcome, "{task:?}");
+            assert_eq!(clean.time, chaotic.time, "{task:?}");
+            assert_eq!(clean.residual_delta, chaotic.residual_delta, "{task:?}");
+            let mut scrubbed = chaotic.stats.clone();
+            scrubbed.faults = Default::default();
+            assert_eq!(scrubbed, clean.stats, "{task:?}");
+        }
+    }
+
+    /// `stats` without the envelope-copy counters — the one thing the
+    /// lane and row kernels are allowed to differ in.
+    fn sans_shard_copies(stats: &RunStats) -> RunStats {
+        let mut stats = stats.clone();
+        stats.total_shard_copy_bytes = Bytes::ZERO;
+        for round in &mut stats.per_round {
+            round.shard_copy_bytes = Bytes::ZERO;
+        }
+        stats
+    }
+
+    /// `run_job` and `BatchRunner::run_batch` on both sides of the
+    /// `LANES` threshold against a direct `Runner::run_slab` of the row
+    /// kernel: same outcome, statistics and residual, and the reported
+    /// kernel follows the width.
+    #[test]
+    fn width_dispatch_is_invisible_outside_the_kernel_tag() {
+        let g = Arc::new(small_graph());
+        let cluster = ClusterSpec::galaxy(4);
+        let seed = 0x0B57;
+        for system in [SystemKind::PregelPlus, SystemKind::GraphLab] {
+            let partition = system.partitioner().partition(&g, cluster.machines);
+            let profile = system.profile(&cluster.machine);
+            for (width, kernel) in [
+                (7u64, Kernel::Row),
+                (8, Kernel::Lane),
+                (9, Kernel::Lane),
+                (16, Kernel::Lane),
+            ] {
+                for task in [Task::mssp(width), Task::bkhs(width)] {
+                    let label = format!("{system} {task:?}");
+
+                    // The job's only batch: seed + 1, its own sources.
+                    let sources = select_sources(&g, width, seed ^ 0xA5A5);
+                    let mut cfg = EngineConfig::new(cluster.clone(), profile.clone());
+                    cfg.seed = seed + 1;
+                    cfg.cutoff = OVERLOAD_CUTOFF;
+                    cfg.residual_bytes = vec![0; cluster.machines];
+                    let row = Runner::with_partition(&g, partition.clone(), cfg);
+                    let mut want_residual = vec![0u64; cluster.machines];
+                    let mut add = |v: usize, bytes: u64| {
+                        want_residual[partition.owner_of(v as VertexId) as usize] += bytes;
+                    };
+                    let (want_outcome, want_stats) = match task {
+                        Task::Bkhs { k, .. } => {
+                            let r = row.run_slab(&BkhsSlabProgram::new(sources.clone(), k));
+                            for (v, st) in r.states.iter().enumerate() {
+                                add(v, st.reached.len() as u64);
+                            }
+                            (r.outcome, r.stats)
+                        }
+                        _ => {
+                            let r = row.run_slab(&MsspSlabProgram::new(sources.clone()));
+                            for (v, st) in r.states.iter().enumerate() {
+                                add(v, st.dist.len() as u64 * 16);
+                            }
+                            (r.outcome, r.stats)
+                        }
+                    };
+                    assert!(want_outcome.is_completed(), "{label}");
+
+                    let mut job_spec = spec(task, 1);
+                    job_spec.system = system;
+                    let job = run_job(&g, &job_spec);
+                    let batch = &job.per_batch[0];
+                    assert_eq!(batch.kernel, kernel, "{label}");
+                    assert_eq!(job.outcome, want_outcome, "{label}");
+                    assert_eq!(batch.residual_after, want_residual.iter().sum::<u64>());
+                    assert_eq!(
+                        sans_shard_copies(&job.stats),
+                        sans_shard_copies(&want_stats),
+                        "{label}"
+                    );
+
+                    let exec = BatchRunner::new(Arc::clone(&g), task, system, cluster.clone())
+                        .run_batch(width, &sources, &[0; 4], seed + 1, OVERLOAD_CUTOFF);
+                    assert_eq!(exec.kernel, kernel, "{label}");
+                    assert_eq!(exec.outcome, want_outcome, "{label}");
+                    assert_eq!(exec.residual_delta, want_residual, "{label}");
+                    assert_eq!(
+                        sans_shard_copies(&exec.stats),
+                        sans_shard_copies(&want_stats),
+                        "{label}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod unequal;
 pub mod whole_graph;
 
 pub use executor::{
-    run_job, BatchExecution, BatchOutcome, BatchRunner, JobResult, JobSpec, LadderStep,
+    run_job, BatchExecution, BatchOutcome, BatchRunner, JobResult, JobSpec, Kernel, LadderStep,
     RecoveredBatch, RecoveryPolicy,
 };
 pub use ppa::{check_ppa, PpaCriteria, PpaReport};

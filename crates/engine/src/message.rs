@@ -39,6 +39,14 @@ pub trait Message: Clone + Send + Sync {
     fn encoded_payload_bytes(&self) -> u64 {
         8
     }
+
+    /// Payload units (tuples) this envelope delivers once combined — the
+    /// unit the router's traffic accounting counts. A lane-batched
+    /// payload standing for several scalar messages returns its live
+    /// lane count, so the cost model sees the scalar kernel's traffic.
+    fn units(&self) -> u64 {
+        1
+    }
 }
 
 /// Unit payload for tests and simple notifications.

@@ -117,8 +117,9 @@ pub struct RoutingStats {
     /// paper's congestion numerator). Broadcasts count one message per
     /// receiving neighbor.
     pub sent_wire: u64,
-    /// Envelope count after combining (what a combining system
-    /// actually delivers and processes).
+    /// Payload units after combining (what a combining system actually
+    /// delivers and processes): one per scalar envelope,
+    /// [`Message::units`] per lane-batched one.
     pub delivered_tuples: u64,
     /// Per-worker wire messages delivered.
     pub in_wire: Vec<u64>,
@@ -334,7 +335,7 @@ impl<M> Inbox<M> {
         self.deliveries.is_empty()
     }
 
-    /// Delivered tuples in this inbox.
+    /// Delivered envelopes in this inbox.
     pub fn len(&self) -> usize {
         self.deliveries.len()
     }
@@ -763,6 +764,14 @@ fn shard_outbox<M: Message>(
     (sent_wire, emit_copies)
 }
 
+/// Tuples a (sender-combined) bucket delivers: payload units, not
+/// envelopes, so a folded lane envelope counts once per live lane and
+/// lane-batched traffic is priced exactly like the scalar messages it
+/// stands for. One per envelope for every scalar payload.
+fn bucket_units<M: Message>(bucket: &[Envelope<M>]) -> u64 {
+    bucket.iter().map(|env| env.msg.units()).sum()
+}
+
 /// Measure one shard's pair traffic after its content is final.
 ///
 /// Mirrored-broadcast envelopes must not ALSO pay per-envelope network
@@ -787,7 +796,7 @@ fn finish_shard<M: Message>(
     let copied = std::mem::take(&mut shard.copied);
     let mut flow = PairFlow::default();
     if !shard.bucket.is_empty() || prepaid_net != 0 {
-        let tuples = shard.bucket.len() as u64;
+        let tuples = bucket_units(&shard.bucket);
         flow.copy_bytes = copied;
         // Bytes on the wire: combining systems transmit tuples,
         // non-combining systems transmit every wire message.
@@ -1148,10 +1157,10 @@ pub fn route_with<M: Message>(
         for (dw, bucket) in buckets.into_iter().enumerate() {
             let mut flow = PairFlow::default();
             if !bucket.is_empty() || prepaid_net[dw] != 0 {
-                let tuples = bucket.len() as u64;
+                let tuples = bucket_units(&bucket);
                 // Shard-stage appends: merges never append, so the
                 // bucket length is exactly the appended-envelope count.
-                flow.copy_bytes = tuples * env_bytes;
+                flow.copy_bytes = bucket.len() as u64 * env_bytes;
                 let wire: u64 = bucket.iter().map(|e| e.mult).sum();
                 let payload_units = if combine { tuples } else { wire };
                 let buffer_bytes = payload_units * msg_bytes;
@@ -1853,6 +1862,77 @@ mod tests {
         // Sender combining keeps first-send order: Src(7) then Src(8).
         assert_eq!(inboxes[1].deliveries()[0].mult, 5);
         assert_eq!(inboxes[1].deliveries()[1].mult, 1);
+    }
+
+    /// A folded lane envelope is `popcount(mask)` tuples and tuple
+    /// bytes, a scalar message one — on the serial oracle and the grid
+    /// alike.
+    #[test]
+    fn folded_lane_envelope_counts_its_live_lanes() {
+        #[derive(Clone, Debug, PartialEq)]
+        struct Lanes {
+            chunk: u32,
+            mask: u8,
+        }
+        impl Message for Lanes {
+            fn combine_key(&self) -> Option<u64> {
+                Some(self.chunk as u64)
+            }
+            fn merge(&mut self, o: &Self) {
+                self.mask |= o.mask;
+            }
+            fn units(&self) -> u64 {
+                self.mask.count_ones() as u64
+            }
+        }
+        let lanes = |chunk, mask: u8| Lanes { chunk, mask };
+        let (g, p, l) = two_worker_setup();
+        let make_outboxes = || {
+            let mut ob0: Outbox<Lanes> = Outbox::new();
+            // Same (dest, chunk): folds to mask 0b0111 = 3 units.
+            ob0.sends.push(Envelope::new(5, lanes(0, 0b0011), 2));
+            ob0.sends.push(Envelope::new(5, lanes(0, 0b0110), 2));
+            ob0.sends.push(Envelope::new(5, lanes(1, 0b0001), 1)); // other chunk
+            ob0.sends.push(Envelope::new(1, lanes(0, 0b1111), 4)); // local
+            vec![ob0, Outbox::new()]
+        };
+        for combine in [false, true] {
+            let (inboxes, stats) = route(make_outboxes(), &g, &p, &l, None, combine, 16);
+            assert_eq!(stats.sent_wire, 9);
+            assert_eq!(stats.in_wire, vec![4, 5]);
+            // Unfolded envelopes are their multiplicity in units; the
+            // fold dedups the lane both envelopes carried.
+            let remote = if combine { 3 + 1 } else { 2 + 2 + 1 };
+            assert_eq!(stats.in_tuples, vec![4, remote], "combine={combine}");
+            assert_eq!(stats.delivered_tuples, 4 + remote);
+            assert_eq!(stats.net_in_bytes[1], remote * 16);
+            assert_eq!(stats.local_bytes, 4 * 16);
+            assert_eq!(inboxes[1].len(), if combine { 2 } else { 3 }, "envelopes");
+
+            let mut grid: RouteGrid<Lanes> = RouteGrid::new(2);
+            let mut outboxes = make_outboxes();
+            let mut grid_in: Vec<Inbox<Lanes>> = (0..2).map(|_| Inbox::new()).collect();
+            let grid_stats = grid.route_round(
+                None,
+                &mut outboxes,
+                &mut grid_in,
+                &g,
+                &p,
+                &l,
+                None,
+                combine,
+                16,
+            );
+            assert_eq!(grid_stats, &stats, "combine={combine}");
+            assert_eq!(grid_in, inboxes, "combine={combine}");
+        }
+
+        // A scalar message still contributes exactly one tuple.
+        let mut ob0: Outbox<Src> = Outbox::new();
+        ob0.sends.push(Envelope::new(5, Src(7), 5));
+        let (_, stats) = route(vec![ob0, Outbox::new()], &g, &p, &l, None, true, 16);
+        assert_eq!(stats.delivered_tuples, 1);
+        assert_eq!(stats.net_in_bytes[1], 16);
     }
 
     #[test]

@@ -84,6 +84,9 @@ impl Message for ReachLanesMsg {
     fn encoded_payload_bytes(&self) -> u64 {
         1 // the mask byte; the chunk id rides the query stream
     }
+    fn units(&self) -> u64 {
+        self.mask.count_ones() as u64 // live lanes
+    }
 }
 
 impl PayloadCodec for ReachLanesMsg {

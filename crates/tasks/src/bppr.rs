@@ -728,6 +728,9 @@ impl Message for PushLanesMsg {
     fn encoded_payload_bytes(&self) -> u64 {
         1 + 8 * self.mask.count_ones() as u64
     }
+    fn units(&self) -> u64 {
+        self.mask.count_ones() as u64 // live lanes
+    }
 }
 
 impl PayloadCodec for PushLanesMsg {

@@ -30,7 +30,10 @@
 //! [`MsspLaneSlabProgram`] lane-batches the slab kernel: one
 //! [`DistLanesMsg`] relaxes eight adjacent queries per envelope. BKHS
 //! and push-BPPR use the same scheme (`ReachLanesMsg`,
-//! `PushLanesMsg` in their modules).
+//! `PushLanesMsg` in their modules). `mtvc-core`'s executor runs the
+//! lane kernel on batches of at least `LANES` queries and the row
+//! kernel below; [`Message::units`] keeps the two indistinguishable to
+//! the router's traffic accounting.
 
 use crate::sources::SourceIndex;
 use mtvc_engine::wire::{read_varint, varint_len, write_varint};
@@ -82,8 +85,9 @@ impl PayloadCodec for DistMsg {
 /// Lane-batched distance message: one envelope relaxes a whole
 /// LANES-aligned chunk of the receiver's distance row. `mask` flags
 /// which lanes carry a live candidate; unset lanes hold `u64::MAX` and
-/// never relax anything. Multiplicity is `mask.count_ones()`, so wire
-/// accounting matches the scalar [`DistMsg`] traffic unit for unit.
+/// never relax anything. Multiplicity at emission and [`Message::units`]
+/// after any fold are `mask.count_ones()`, so wire and tuple accounting
+/// match the scalar [`DistMsg`] traffic unit for unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistLanesMsg {
     /// Chunk index: lanes cover queries `[chunk*LANES, chunk*LANES+LANES)`.
@@ -91,13 +95,6 @@ pub struct DistLanesMsg {
     /// Bit `l` set = lane `l` carries a candidate distance.
     pub mask: u8,
     pub dist: [u64; LANES],
-}
-
-impl DistLanesMsg {
-    /// Payload units this envelope represents (live lanes).
-    pub fn units(&self) -> u64 {
-        self.mask.count_ones() as u64
-    }
 }
 
 impl Message for DistLanesMsg {
@@ -125,6 +122,9 @@ impl Message for DistLanesMsg {
             bytes += set * varint_len(self.dist[l]);
         }
         bytes
+    }
+    fn units(&self) -> u64 {
+        self.mask.count_ones() as u64 // live lanes
     }
 }
 
@@ -509,10 +509,11 @@ fn send_improved_chunks(row: &mut SlabRowMut<'_, u64>, ctx: &mut Context<'_, Dis
 /// a time ([`SlabRowMut::relax_min_lanes`]) and the frontier drains by
 /// chunk ([`StateSlab::drain_chunks`]), so one envelope per (chunk,
 /// edge) replaces up to eight scalar [`DistMsg`]s. Payload units
-/// (envelope multiplicity) equal the scalar program's message count,
-/// so `sent_wire` — and therefore the cost model's traffic — is
-/// bit-identical to [`MsspSlabProgram`]; final distances are pinned
-/// equal by property tests.
+/// (envelope multiplicity, and live lanes after a fold) equal the
+/// scalar program's message and tuple counts, so everything the cost
+/// model prices is bit-identical to [`MsspSlabProgram`]; final
+/// distances and whole-run statistics are pinned equal by property
+/// tests.
 ///
 /// [`StateSlab::drain_chunks`]: mtvc_engine::StateSlab
 #[derive(Debug, Clone)]
