@@ -27,7 +27,7 @@
 use mtvc_cluster::ClusterSpec;
 use mtvc_engine::{
     Context, Delivery, EngineConfig, Message, OocConfig, PagingConfig, PartitionSchedule, Runner,
-    SlabProgram, SlabRowMut, StoreKind, SystemProfile,
+    SlabProgram, SlabRow, SlabRowMut, StoreKind, SystemProfile,
 };
 use mtvc_graph::datasets::{Dataset, OOC_DEMO_BUDGET, OOC_OVERCOMMIT};
 use mtvc_graph::generators;
@@ -104,7 +104,8 @@ impl Message for Hop {
 impl SlabProgram for HopFlood {
     type Message = Hop;
     type Cell = u64;
-    type Out = Vec<u64>;
+    /// `(lane, hop distance)` of every lane that reached the vertex.
+    type Out = Vec<(usize, u64)>;
 
     fn width(&self) -> usize {
         self.lanes
@@ -159,8 +160,8 @@ impl SlabProgram for HopFlood {
         }
     }
 
-    fn extract(&self, _v: VertexId, row: &[u64]) -> Vec<u64> {
-        row.to_vec()
+    fn extract(&self, _v: VertexId, row: SlabRow<'_, u64>) -> Vec<(usize, u64)> {
+        row.written().filter(|&(_, d)| d != u64::MAX).collect()
     }
 }
 
@@ -267,7 +268,7 @@ fn timed_schedule(
     g: &Graph,
     p: &Params,
     schedule: PartitionSchedule,
-) -> (ScheduleCell, RunStats, Vec<Vec<u64>>) {
+) -> (ScheduleCell, RunStats, Vec<Vec<(usize, u64)>>) {
     let program = HopFlood { lanes: 1 };
     let run = || {
         let cfg = paged_config(4, p.ring_budget, p.ring_partition, schedule, p.store);
@@ -410,4 +411,18 @@ fn main() {
     let mut f = std::fs::File::create("BENCH_pr10.json").expect("create BENCH_pr10.json");
     f.write_all(json.as_bytes()).expect("write BENCH_pr10.json");
     println!("-> BENCH_pr10.json");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Extraction contract: a row no mutator touched is never shown to
+    /// `extract`; its output is the default.
+    #[test]
+    fn unwritten_row_extracts_to_default() {
+        let flood = HopFlood { lanes: 3 };
+        let cells = [flood.empty_cell(); 3];
+        assert!(flood.extract(0, SlabRow::unwritten(&cells)).is_empty());
+    }
 }

@@ -25,7 +25,8 @@
 use mtvc_cluster::{ChaosMix, ClusterSpec, FaultPlan};
 use mtvc_core::Task;
 use mtvc_engine::{
-    Context, Delivery, EngineConfig, Message, Runner, SlabProgram, SlabRowMut, SystemProfile,
+    Context, Delivery, EngineConfig, Message, Runner, SlabProgram, SlabRow, SlabRowMut,
+    SystemProfile,
 };
 use mtvc_graph::generators;
 use mtvc_graph::partition::HashPartitioner;
@@ -122,7 +123,8 @@ impl Message for Hop {
 impl SlabProgram for WavefrontFlood {
     type Message = Hop;
     type Cell = u64;
-    type Out = Vec<u64>;
+    /// `(lane, hop distance)` of every lane that reached the vertex.
+    type Out = Vec<(usize, u64)>;
 
     fn width(&self) -> usize {
         self.lanes
@@ -177,8 +179,8 @@ impl SlabProgram for WavefrontFlood {
         }
     }
 
-    fn extract(&self, _v: VertexId, row: &[u64]) -> Vec<u64> {
-        row.to_vec()
+    fn extract(&self, _v: VertexId, row: SlabRow<'_, u64>) -> Vec<(usize, u64)> {
+        row.written().filter(|&(_, d)| d != u64::MAX).collect()
     }
 }
 
@@ -502,4 +504,18 @@ fn main() {
     f.write_all(json.as_bytes())
         .expect("write BENCH_chaos.json");
     println!("-> BENCH_chaos.json");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Extraction contract: a row no mutator touched is never shown to
+    /// `extract`; its output is the default.
+    #[test]
+    fn unwritten_row_extracts_to_default() {
+        let flood = WavefrontFlood { lanes: 3 };
+        let cells = [flood.empty_cell(); 3];
+        assert!(flood.extract(0, SlabRow::unwritten(&cells)).is_empty());
+    }
 }

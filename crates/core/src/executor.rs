@@ -9,9 +9,8 @@
 use crate::schedule::BatchSchedule;
 use crate::task::{select_sources, Task};
 use mtvc_cluster::{ClusterSpec, FaultPlan, MonetaryCost};
-use mtvc_engine::{EngineConfig, Runner, SlabProgram, SlabRecycler, SystemProfile, LANES};
+use mtvc_engine::{BatchParams, EngineConfig, Runner, SlabProgram, SlabRecycler, Topology, LANES};
 use mtvc_graph::hash::mix64;
-use mtvc_graph::partition::Partition;
 use mtvc_graph::{Graph, VertexId};
 use mtvc_metrics::{Bytes, RunOutcome, RunStats, SimTime, OVERLOAD_CUTOFF};
 use mtvc_systems::SystemKind;
@@ -45,6 +44,29 @@ impl Default for BatchShared {
             words: SlabRecycler::new(),
             flags: SlabRecycler::new(),
             push: SlabRecycler::new(),
+        }
+    }
+}
+
+/// What every batch of a job shares, built once (by [`run_job`] or
+/// [`BatchRunner::new`]) and borrowed by each batch's engine runner: the
+/// partition's indexes and the part of the engine configuration that
+/// does not change from batch to batch. Seed, cutoff, residual memory
+/// and the pool threshold travel separately as [`BatchParams`].
+#[derive(Debug, Clone)]
+struct JobEngine {
+    topology: Arc<Topology>,
+    config: EngineConfig,
+}
+
+impl JobEngine {
+    fn new(graph: &Graph, system: SystemKind, cluster: ClusterSpec) -> JobEngine {
+        let partition = system.partitioner().partition(graph, cluster.machines);
+        let profile = system.profile(&cluster.machine);
+        let topology = Arc::new(Topology::build(graph, partition, &profile));
+        JobEngine {
+            topology,
+            config: EngineConfig::new(cluster, profile),
         }
     }
 }
@@ -190,11 +212,10 @@ pub fn run_job(graph: &Graph, spec: &JobSpec) -> JobResult {
         "workload exceeds the graph's capacity for this task"
     );
 
-    let partition = spec
-        .system
-        .partitioner()
-        .partition(graph, spec.cluster.machines);
-    let profile = spec.system.profile(&spec.cluster.machine);
+    let engine = JobEngine::new(graph, spec.system, spec.cluster.clone());
+    let parallel_vertex_threshold = spec
+        .parallel_vertex_threshold
+        .unwrap_or(engine.config.parallel_vertex_threshold);
 
     // Source-based tasks: one global source pool, indexed once here and
     // sliced per batch so batches never repeat a unit task (and never
@@ -216,13 +237,12 @@ pub fn run_job(graph: &Graph, spec: &JobSpec) -> JobResult {
     let mut source_offset = 0usize;
 
     for (i, &w) in spec.schedule.batches().iter().enumerate() {
-        let mut cfg = EngineConfig::new(spec.cluster.clone(), profile.clone());
-        cfg.seed = spec.seed.wrapping_add(i as u64 + 1);
-        cfg.cutoff = spec.cutoff - elapsed;
-        cfg.residual_bytes = residual.clone();
-        if let Some(t) = spec.parallel_vertex_threshold {
-            cfg.parallel_vertex_threshold = t;
-        }
+        let params = BatchParams {
+            seed: spec.seed.wrapping_add(i as u64 + 1),
+            cutoff: spec.cutoff - elapsed,
+            residual_bytes: &residual,
+            parallel_vertex_threshold,
+        };
 
         let batch_sources = match spec.task {
             Task::Bppr { .. } => BatchSources::Slice(&[]),
@@ -235,8 +255,8 @@ pub fn run_job(graph: &Graph, spec: &JobSpec) -> JobResult {
 
         let batch = run_one_batch(
             graph,
-            partition.clone(),
-            cfg,
+            &engine,
+            params,
             spec.system,
             spec.task,
             w,
@@ -316,14 +336,12 @@ pub struct BatchExecution {
 #[derive(Debug, Clone)]
 pub struct BatchRunner {
     graph: Arc<Graph>,
-    partition: Partition,
-    profile: SystemProfile,
+    /// Partition indexes and the engine configuration every batch runs
+    /// under (cluster, profile, fault plan, checkpoint cadence, default
+    /// pool threshold).
+    engine: JobEngine,
     system: SystemKind,
-    cluster: ClusterSpec,
     task: Task,
-    parallel_vertex_threshold: Option<usize>,
-    faults: Option<FaultPlan>,
-    checkpoint_every: Option<usize>,
     /// Slab pools recycled across every batch this runner (and its
     /// clones) executes.
     shared: Arc<BatchShared>,
@@ -334,18 +352,12 @@ impl BatchRunner {
     /// `cluster`. The workload inside `task` is ignored; each call to
     /// [`BatchRunner::run_batch`] supplies its own.
     pub fn new(graph: Arc<Graph>, task: Task, system: SystemKind, cluster: ClusterSpec) -> Self {
-        let partition = system.partitioner().partition(&graph, cluster.machines);
-        let profile = system.profile(&cluster.machine);
+        let engine = JobEngine::new(&graph, system, cluster);
         BatchRunner {
             graph,
-            partition,
-            profile,
+            engine,
             system,
-            cluster,
             task,
-            parallel_vertex_threshold: None,
-            faults: None,
-            checkpoint_every: None,
             shared: Arc::new(BatchShared::default()),
         }
     }
@@ -353,7 +365,7 @@ impl BatchRunner {
     /// Override the vertex count at which batches execute on the
     /// engine's persistent worker pool.
     pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_vertex_threshold = Some(threshold);
+        self.engine.config.parallel_vertex_threshold = threshold;
         self
     }
 
@@ -362,25 +374,25 @@ impl BatchRunner {
     /// for crashes and delivery failures, and the hard OOM kill if the
     /// plan arms it).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.engine.config.faults = Some(plan);
         self
     }
 
     /// Override the engine's checkpoint cadence for fault-tolerant
     /// batches (ignored without [`BatchRunner::with_faults`]).
     pub fn with_checkpoint_every(mut self, every: usize) -> Self {
-        self.checkpoint_every = Some(every);
+        self.engine.config.checkpoint_every = every;
         self
     }
 
     /// Number of machines batches run on.
     pub fn machines(&self) -> usize {
-        self.cluster.machines
+        self.engine.config.cluster.machines
     }
 
     /// The cluster batches are priced against.
     pub fn cluster(&self) -> &ClusterSpec {
-        &self.cluster
+        &self.engine.config.cluster
     }
 
     /// The task shape this runner executes.
@@ -431,7 +443,7 @@ impl BatchRunner {
         assert!(workload >= 1, "batch workload must be positive");
         assert_eq!(
             residual.len(),
-            self.cluster.machines,
+            self.machines(),
             "residual vector must have one entry per machine"
         );
         if !matches!(self.task, Task::Bppr { .. }) {
@@ -441,23 +453,17 @@ impl BatchRunner {
                 "source-based batches need exactly `workload` sources"
             );
         }
-        let mut cfg = EngineConfig::new(self.cluster.clone(), self.profile.clone());
-        cfg.seed = seed;
-        cfg.cutoff = cutoff;
-        cfg.residual_bytes = residual.to_vec();
-        if let Some(t) = parallel_threshold.or(self.parallel_vertex_threshold) {
-            cfg.parallel_vertex_threshold = t;
-        }
-        if let Some(plan) = &self.faults {
-            cfg.faults = Some(plan.clone());
-        }
-        if let Some(every) = self.checkpoint_every {
-            cfg.checkpoint_every = every;
-        }
+        let params = BatchParams {
+            seed,
+            cutoff,
+            residual_bytes: residual,
+            parallel_vertex_threshold: parallel_threshold
+                .unwrap_or(self.engine.config.parallel_vertex_threshold),
+        };
         let run = run_one_batch(
             &self.graph,
-            self.partition.clone(),
-            cfg,
+            &self.engine,
+            params,
             self.system,
             self.task,
             workload,
@@ -524,7 +530,7 @@ impl BatchRunner {
         let mut censored = Vec::new();
         let mut peak = Bytes::ZERO;
         let mut total = SimTime::ZERO;
-        let mut residual_delta = vec![0u64; self.cluster.machines];
+        let mut residual_delta = vec![0u64; self.machines()];
         let mut index = 0u64;
         let mut outcome = RunOutcome::Completed(SimTime::ZERO);
 
@@ -666,8 +672,8 @@ struct BatchRun {
 #[allow(clippy::too_many_arguments)]
 fn run_one_batch(
     graph: &Graph,
-    partition: Partition,
-    cfg: EngineConfig,
+    engine: &JobEngine,
+    params: BatchParams<'_>,
     system: SystemKind,
     task: Task,
     workload: u64,
@@ -687,7 +693,7 @@ fn run_one_batch(
                 // Residual: fractional stop masses, one f64 record per
                 // (vertex, source) entry.
                 let residual = |st: &PushState| st.mass.len() as u64 * 16;
-                execute(graph, partition, cfg, Row, &prog, &shared.push, residual)
+                execute(graph, engine, params, Row, &prog, &shared.push, residual)
             } else {
                 let prog = BpprSlabProgram::new(workload, alpha, n);
                 // §5: "we need to store the ending nodes of every
@@ -697,7 +703,7 @@ fn run_one_batch(
                 let residual = |st: &BpprState| {
                     st.stops.values().sum::<u64>() * 8 + st.stops.len() as u64 * 16
                 };
-                execute(graph, partition, cfg, Row, &prog, &shared.words, residual)
+                execute(graph, engine, params, Row, &prog, &shared.words, residual)
             }
         }
         Task::Mssp { .. } => {
@@ -706,15 +712,15 @@ fn run_one_batch(
             match (broadcast, Kernel::for_width(range.len())) {
                 (true, _) => {
                     let prog = MsspBroadcastSlabProgram::batch(index, range);
-                    execute(graph, partition, cfg, Row, &prog, &shared.words, residual)
+                    execute(graph, engine, params, Row, &prog, &shared.words, residual)
                 }
                 (false, Lane) => {
                     let prog = MsspLaneSlabProgram::batch(index, range);
-                    execute(graph, partition, cfg, Lane, &prog, &shared.words, residual)
+                    execute(graph, engine, params, Lane, &prog, &shared.words, residual)
                 }
                 (false, Row) => {
                     let prog = MsspSlabProgram::batch(index, range);
-                    execute(graph, partition, cfg, Row, &prog, &shared.words, residual)
+                    execute(graph, engine, params, Row, &prog, &shared.words, residual)
                 }
             }
         }
@@ -726,39 +732,40 @@ fn run_one_batch(
             match (broadcast, Kernel::for_width(range.len())) {
                 (true, _) => {
                     let prog = BkhsBroadcastSlabProgram::batch(index, range, k);
-                    execute(graph, partition, cfg, Row, &prog, &shared.flags, residual)
+                    execute(graph, engine, params, Row, &prog, &shared.flags, residual)
                 }
                 (false, Lane) => {
                     let prog = BkhsLaneSlabProgram::batch(index, range, k);
-                    execute(graph, partition, cfg, Lane, &prog, &shared.flags, residual)
+                    execute(graph, engine, params, Lane, &prog, &shared.flags, residual)
                 }
                 (false, Row) => {
                     let prog = BkhsSlabProgram::batch(index, range, k);
-                    execute(graph, partition, cfg, Row, &prog, &shared.flags, residual)
+                    execute(graph, engine, params, Row, &prog, &shared.flags, residual)
                 }
             }
         }
     }
 }
 
-/// Run one batch of `program` on slabs drawn from `pool` and fold its
-/// extracted states into per-worker residual bytes.
+/// Run one batch of `program` on slabs drawn from `pool` and fold the
+/// outputs of the rows it wrote into per-worker residual bytes (an
+/// unwritten row's output is the default, whose residual is zero).
 fn execute<P: SlabProgram>(
     graph: &Graph,
-    partition: Partition,
-    cfg: EngineConfig,
+    engine: &JobEngine,
+    params: BatchParams<'_>,
     kernel: Kernel,
     program: &P,
     pool: &SlabRecycler<P::Cell>,
     residual_of: impl Fn(&P::Out) -> u64,
 ) -> BatchRun {
-    let workers = partition.num_workers();
-    let owner: Vec<u16> = graph.vertices().map(|v| partition.owner_of(v)).collect();
-    let result = Runner::with_partition(graph, partition, cfg).run_slab_recycled(program, pool);
-    let mut residual_delta = vec![0u64; workers];
-    for (v, state) in result.states.iter().enumerate() {
-        residual_delta[owner[v] as usize] += residual_of(state);
-    }
+    let result = Runner::for_batch(graph, &engine.topology, &engine.config, params)
+        .run_slab_sparse(program, pool);
+    let residual_delta = result
+        .outputs
+        .iter()
+        .map(|outs| outs.iter().map(|(_, state)| residual_of(state)).sum())
+        .collect();
     BatchRun {
         kernel,
         outcome: result.outcome,

@@ -29,6 +29,7 @@ pub mod router;
 pub mod runner;
 pub mod sampling;
 pub mod slab;
+pub mod topology;
 pub mod wire;
 
 pub use message::{Delivery, Envelope, Message};
@@ -44,8 +45,13 @@ pub use program::{
 pub use router::{
     route, route_with, Inbox, LocalIndex, RouteGrid, RoutePolicy, RoutingStats, Run, ShardedOutbox,
 };
-pub use runner::{vertex_rng, EngineConfig, RunResult, Runner, PARALLEL_VERTEX_THRESHOLD};
-pub use slab::{
-    PageableCell, PerSlab, SlabDelta, SlabProgram, SlabRecycler, SlabRowMut, StateSlab, LANES,
+pub use runner::{
+    vertex_rng, BatchParams, EngineConfig, RunResult, Runner, SparseRunResult,
+    PARALLEL_VERTEX_THRESHOLD,
 };
+pub use slab::{
+    PageableCell, PerSlab, SlabDelta, SlabProgram, SlabRecycler, SlabRow, SlabRowMut, StateSlab,
+    LANES,
+};
+pub use topology::Topology;
 pub use wire::{PayloadCodec, WireError, WireFormat, FRAME_HEADER_BYTES};

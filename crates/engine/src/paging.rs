@@ -43,9 +43,11 @@ use mtvc_graph::ooc::{
 use mtvc_graph::{Graph, VertexId};
 use std::sync::Arc;
 
-/// The per-run paged-adjacency layout: the partitioned on-store
-/// adjacency plus the paging configuration, shared by every run of a
-/// [`Runner`](crate::runner::Runner).
+/// The paged-adjacency layout: the partitioned on-store adjacency plus
+/// the paging configuration. Part of a [`Topology`](crate::Topology),
+/// so it is encoded once per job and shared by every batch's run — the
+/// runs only read it; each run's pagers keep their slab-state pages
+/// under a key namespace of their own.
 pub struct PagedLayout {
     adjacency: Arc<PartitionedAdjacency>,
     config: PagingConfig,

@@ -344,6 +344,14 @@ pub trait ProgramCore: Sync {
         None
     }
 
+    /// The vertices whose round-0 [`ProgramCore::init_vertex`] can do
+    /// anything; `None` means every vertex. The round loop visits only
+    /// these at round 0 (`init_vertex` anywhere else is a no-op), while
+    /// still counting every vertex active.
+    fn seeds(&self) -> Option<&[VertexId]> {
+        None
+    }
+
     /// Build (or recycle) the store for a worker owning `vertices`,
     /// listed in local-index order.
     fn make_store(&self, vertices: &[VertexId]) -> Self::Store;
@@ -377,8 +385,17 @@ pub trait ProgramCore: Sync {
         ctx: &mut Context<'_, Self::Message>,
     );
 
-    /// Extract vertex `v`'s final output (cold path, once per run).
-    fn take_out(&self, v: VertexId, li: u32, store: &mut Self::Store) -> Self::Out;
+    /// Extract a worker's final outputs (cold path, once per run): hand
+    /// `sink` the `(vertex, output)` pair of every vertex in `vertices`
+    /// (the worker's list, local-index order) whose output can differ
+    /// from `Out::default()`, ascending by local index. Stores that
+    /// know which rows were written (slabs) skip the rest.
+    fn take_outs(
+        &self,
+        vertices: &[VertexId],
+        store: &mut Self::Store,
+        sink: impl FnMut(VertexId, Self::Out),
+    );
 
     /// Hand the run's stores back after extraction, e.g. to a
     /// recycler pool. Default: drop them.
@@ -461,8 +478,15 @@ impl<P: VertexProgram> ProgramCore for PerVertex<'_, P> {
         self.0.compute(v, &mut store[li as usize], inbox, ctx);
     }
 
-    fn take_out(&self, _v: VertexId, li: u32, store: &mut Self::Store) -> Self::Out {
-        std::mem::take(&mut store[li as usize])
+    fn take_outs(
+        &self,
+        vertices: &[VertexId],
+        store: &mut Self::Store,
+        mut sink: impl FnMut(VertexId, Self::Out),
+    ) {
+        for (&v, state) in vertices.iter().zip(store) {
+            sink(v, std::mem::take(state));
+        }
     }
 }
 

@@ -226,9 +226,9 @@ impl RoutingStats {
 /// Vertex ↔ (worker, local index) addressing for one partition.
 ///
 /// The shard stage uses `local_of` to histogram destinations; the merge
-/// stage uses `vertex_at` to label the grouped runs. Built once per run
-/// (the [`Runner`](crate::Runner) owns one) and shared read-only by
-/// every routing stage.
+/// stage uses `vertex_at` to label the grouped runs. Built once per
+/// partition (a [`Topology`](crate::Topology) owns one) and shared
+/// read-only by every routing stage of every run over it.
 #[derive(Debug, Clone)]
 pub struct LocalIndex {
     /// vertex id → index within its owner's vertex list.

@@ -15,15 +15,15 @@
 //! across rounds, so a steady-state round is allocation-free on the
 //! envelope path.
 
-use crate::mirror::MirrorIndex;
 use crate::paging::{PagedLayout, PagerRound, PagerSnapshot, WorkerPager};
 use crate::pool::WorkerPool;
-use crate::profile::{ExecutionMode, SyncMode, SystemProfile};
+use crate::profile::{SyncMode, SystemProfile};
 use crate::program::{
     Context, EmitSink, Outbox, PagedNeighbors, PerVertex, ProgramCore, VertexProgram,
 };
-use crate::router::{Inbox, LocalIndex, RouteGrid, RoutingStats};
+use crate::router::{Inbox, RouteGrid, RoutingStats};
 use crate::slab::{PerSlab, SlabProgram, SlabRecycler};
+use crate::topology::Topology;
 use crate::wire::WireFormat;
 use mtvc_cluster::{
     ChargeError, ClusterSpec, CostModel, FaultInjector, FaultKind, FaultPlan, RoundDemand,
@@ -34,6 +34,8 @@ use mtvc_graph::{Graph, VertexId};
 use mtvc_metrics::{Bytes, RoundStats, RunOutcome, RunStats, SimTime, OVERLOAD_CUTOFF};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Default vertex count below which the thread fan-out costs more than
 /// it saves; smaller graphs run workers sequentially on the calling
@@ -134,6 +136,24 @@ impl EngineConfig {
     }
 }
 
+/// What changes from one batch of a job to the next: the per-batch
+/// counterparts of the same-named [`EngineConfig`] fields. A job keeps
+/// one `EngineConfig` for everything else and hands each batch's runner
+/// these by reference ([`Runner::for_batch`]), so nothing is cloned per
+/// batch.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchParams<'a> {
+    /// Seed for all per-vertex randomness of this batch.
+    pub seed: u64,
+    /// Simulated-time cutoff left for this batch.
+    pub cutoff: SimTime,
+    /// Residual memory per worker left behind by earlier batches;
+    /// empty = zeros.
+    pub residual_bytes: &'a [u64],
+    /// Vertex count at which this batch runs on a worker pool.
+    pub parallel_vertex_threshold: usize,
+}
+
 /// Result of one run.
 #[derive(Debug, Clone)]
 pub struct RunResult<S> {
@@ -143,6 +163,34 @@ pub struct RunResult<S> {
     /// Overload (partial progress); empty only if the run overflowed
     /// before round 0 completed.
     pub states: Vec<S>,
+}
+
+/// Result of one run with the outputs left sparse: what the dense
+/// [`RunResult`] is scattered from.
+#[derive(Debug, Clone)]
+pub struct SparseRunResult<S> {
+    pub outcome: RunOutcome,
+    pub stats: RunStats,
+    /// Per worker, `(vertex, output)` for every vertex whose output can
+    /// differ from `S::default()` — for slab programs, the rows the
+    /// batch wrote — ascending by local index.
+    pub outputs: Vec<Vec<(VertexId, S)>>,
+}
+
+impl<S: Default + Clone> SparseRunResult<S> {
+    /// Scatter into per-vertex states indexed by vertex id; vertices
+    /// the run never wrote get `S::default()`.
+    pub fn into_dense(self, num_vertices: usize) -> RunResult<S> {
+        let mut states = vec![S::default(); num_vertices];
+        for (v, out) in self.outputs.into_iter().flatten() {
+            states[v as usize] = out;
+        }
+        RunResult {
+            outcome: self.outcome,
+            stats: self.stats,
+            states,
+        }
+    }
 }
 
 /// Snapshot of everything the round loop needs to re-enter a superstep:
@@ -251,25 +299,19 @@ struct DeltaRecord<D, M> {
 }
 
 /// A prepared executor bound to a graph, partition, and configuration.
+///
+/// The graph-proportional half — partition indexes, mirrors, the paged
+/// layout — lives in a shared [`Topology`]; a runner adds the
+/// configuration and, for large runs, a worker pool, so preparing one
+/// per batch is cheap.
 pub struct Runner<'g> {
     graph: &'g Graph,
-    partition: Partition,
-    mirrors: Option<MirrorIndex>,
-    config: EngineConfig,
-    /// Vertex ↔ (worker, local index) addressing, shared by the compute
-    /// phase (state vectors, inbox runs) and the routing pipeline
-    /// (shard histograms, grouped merge).
-    locals: LocalIndex,
-    /// Adjacency bytes per worker (resident unless streamed).
-    graph_bytes: Vec<u64>,
-    /// The real out-of-core layout: adjacency partitioned, encoded, and
-    /// written to a backing store at construction time. Present iff the
-    /// profile carries an [`OocConfig`](crate::profile::OocConfig) with
-    /// a `paging` config and the mode is point-to-point; each run then
-    /// streams partitions through budget-bounded per-worker caches and
-    /// the demand assembly uses *measured* load/spill bytes instead of
-    /// the resident-graph estimate.
-    paged: Option<PagedLayout>,
+    topology: Arc<Topology>,
+    config: Cow<'g, EngineConfig>,
+    /// Per-batch values taking precedence over the same-named `config`
+    /// fields; `None` for a stand-alone runner, which reads its own
+    /// config.
+    batch: Option<BatchParams<'g>>,
     /// Persistent worker threads, present iff the run qualifies for
     /// parallel execution. Spawned once here — never per round.
     pool: Option<WorkerPool>,
@@ -287,67 +329,87 @@ impl<'g> Runner<'g> {
         Self::with_partition(graph, partition, config)
     }
 
-    /// Prepare a runner with a pre-built partition.
+    /// Prepare a runner with a pre-built partition: build the
+    /// [`Topology`], then use it.
     pub fn with_partition(
         graph: &'g Graph,
         partition: Partition,
         config: EngineConfig,
     ) -> Runner<'g> {
+        let topology = Arc::new(Topology::build(graph, partition, &config.profile));
+        Self::assemble(graph, topology, Cow::Owned(config), None)
+    }
+
+    /// Prepare the runner of one batch of a job. `topology` (built for
+    /// `config.profile`) and `config` are the job's, made once; `batch`
+    /// carries what differs per batch and overrides the same-named
+    /// fields of `config`.
+    pub fn for_batch(
+        graph: &'g Graph,
+        topology: &Arc<Topology>,
+        config: &'g EngineConfig,
+        batch: BatchParams<'g>,
+    ) -> Runner<'g> {
+        Self::assemble(
+            graph,
+            Arc::clone(topology),
+            Cow::Borrowed(config),
+            Some(batch),
+        )
+    }
+
+    fn assemble(
+        graph: &'g Graph,
+        topology: Arc<Topology>,
+        config: Cow<'g, EngineConfig>,
+        batch: Option<BatchParams<'g>>,
+    ) -> Runner<'g> {
+        let workers = topology.partition.num_workers();
         assert_eq!(
-            partition.num_workers(),
-            config.cluster.machines,
+            workers, config.cluster.machines,
             "partition workers must match cluster machines"
         );
-        assert_eq!(partition.num_vertices(), graph.num_vertices());
+        assert_eq!(topology.partition.num_vertices(), graph.num_vertices());
+        let (residual, threshold) = match &batch {
+            Some(b) => (b.residual_bytes, b.parallel_vertex_threshold),
+            None => (
+                config.residual_bytes.as_slice(),
+                config.parallel_vertex_threshold,
+            ),
+        };
         assert!(
-            config.residual_bytes.is_empty()
-                || config.residual_bytes.len() == partition.num_workers(),
+            residual.is_empty() || residual.len() == workers,
             "residual_bytes must be empty or per-worker"
         );
-        let mirrors = match config.profile.mode {
-            ExecutionMode::Broadcast { mirror_threshold } => {
-                Some(MirrorIndex::build(graph, &partition, mirror_threshold))
-            }
-            ExecutionMode::PointToPoint => None,
-        };
-        let locals = LocalIndex::build(&partition);
-        let weighted = graph.is_weighted();
-        let graph_bytes = locals
-            .worker_vertices()
-            .iter()
-            .map(|list| {
-                list.iter()
-                    .map(|&v| 16 + graph.degree(v) as u64 * if weighted { 8 } else { 4 })
-                    .sum()
-            })
-            .collect();
-        // Broadcast mode reads mirror adjacency during routing, so the
-        // paged path (which serves neighbors from decoded chunks) is
-        // restricted to point-to-point profiles; anything else keeps
-        // the demand-based estimate.
-        let paged = match (&mirrors, config.profile.out_of_core.and_then(|o| o.paging)) {
-            (None, Some(pcfg)) => Some(PagedLayout::build(graph, locals.worker_vertices(), pcfg)),
-            _ => None,
-        };
-        let pool = (partition.num_workers() > 1
-            && graph.num_vertices() >= config.parallel_vertex_threshold)
-            .then(|| WorkerPool::new(partition.num_workers()));
+        let pool =
+            (workers > 1 && graph.num_vertices() >= threshold).then(|| WorkerPool::new(workers));
         Runner {
             graph,
-            partition,
-            mirrors,
+            topology,
             config,
-            locals,
-            graph_bytes,
-            paged,
+            batch,
             pool,
         }
     }
 
-    pub fn partition(&self) -> &Partition {
-        &self.partition
+    /// Seed, cutoff, residual and pool threshold this runner executes
+    /// under: the batch's, or the config's own.
+    fn batch_params(&self) -> BatchParams<'_> {
+        self.batch.unwrap_or(BatchParams {
+            seed: self.config.seed,
+            cutoff: self.config.cutoff,
+            residual_bytes: &self.config.residual_bytes,
+            parallel_vertex_threshold: self.config.parallel_vertex_threshold,
+        })
     }
 
+    pub fn partition(&self) -> &Partition {
+        &self.topology.partition
+    }
+
+    /// The configuration this runner executes under. A batch runner
+    /// ([`Runner::for_batch`]) returns its job's: the batch's own seed,
+    /// cutoff, residual and pool threshold are not in it.
     pub fn config(&self) -> &EngineConfig {
         &self.config
     }
@@ -362,13 +424,14 @@ impl<'g> Runner<'g> {
     /// The paged-adjacency layout, if this runner executes the real
     /// out-of-core path (see [`PagedLayout`]).
     pub fn paged_layout(&self) -> Option<&PagedLayout> {
-        self.paged.as_ref()
+        self.topology.paged.as_ref()
     }
 
     /// Execute `program` to completion (quiescence, fixed round bound,
     /// overload cutoff, or overflow).
     pub fn run<P: VertexProgram>(&self, program: &P) -> RunResult<P::State> {
         self.run_core(&PerVertex(program))
+            .into_dense(self.graph.num_vertices())
     }
 
     /// Execute a slab-backed program ([`SlabProgram`]): one dense
@@ -376,6 +439,7 @@ impl<'g> Runner<'g> {
     /// per-vertex state values, with exact state-byte accounting.
     pub fn run_slab<P: SlabProgram>(&self, program: &P) -> RunResult<P::Out> {
         self.run_core(&PerSlab::new(program))
+            .into_dense(self.graph.num_vertices())
     }
 
     /// [`Runner::run_slab`], drawing worker slabs from (and retiring
@@ -385,6 +449,19 @@ impl<'g> Runner<'g> {
         program: &P,
         recycler: &SlabRecycler<P::Cell>,
     ) -> RunResult<P::Out> {
+        self.run_slab_sparse(program, recycler)
+            .into_dense(self.graph.num_vertices())
+    }
+
+    /// [`Runner::run_slab_recycled`] without the dense scatter: the
+    /// outputs of the rows the batch wrote, per worker. Callers that
+    /// only fold the outputs (residual-memory accounting) never pay for
+    /// one `Out` per vertex.
+    pub fn run_slab_sparse<P: SlabProgram>(
+        &self,
+        program: &P,
+        recycler: &SlabRecycler<P::Cell>,
+    ) -> SparseRunResult<P::Out> {
         self.run_core(&PerSlab::with_recycler(program, recycler))
     }
 
@@ -392,16 +469,24 @@ impl<'g> Runner<'g> {
     /// ([`ProgramCore`]). Everything observable — traffic, pricing,
     /// checkpointing, fault recovery — is identical across store
     /// shapes; only state addressing and accounting differ.
-    fn run_core<C: ProgramCore>(&self, program: &C) -> RunResult<C::Out> {
-        let workers = self.partition.num_workers();
+    fn run_core<C: ProgramCore>(&self, program: &C) -> SparseRunResult<C::Out> {
+        let Topology {
+            partition,
+            locals,
+            mirrors,
+            paged,
+            ..
+        } = &*self.topology;
+        let workers = partition.num_workers();
         let profile = &self.config.profile;
         let cost = &self.config.cost;
         let spec = &self.config.cluster.machine;
+        let batch = self.batch_params();
         let msg_bytes = program.message_bytes();
         let async_mode = matches!(profile.sync, SyncMode::Asynchronous);
 
-        let mut states: Vec<C::Store> = self
-            .locals
+        let seeds = self.seed_locals(program.seeds());
+        let mut states: Vec<C::Store> = locals
             .worker_vertices()
             .iter()
             .map(|list| program.make_store(list))
@@ -409,8 +494,7 @@ impl<'g> Runner<'g> {
         // Exactly-accounted programs (slabs) report resident capacity;
         // ledger programs start from the per-vertex baseline and
         // accumulate `add_state_bytes` deltas.
-        let mut state_bytes: Vec<u64> = self
-            .locals
+        let mut state_bytes: Vec<u64> = locals
             .worker_vertices()
             .iter()
             .zip(&states)
@@ -443,7 +527,7 @@ impl<'g> Runner<'g> {
         // for this run. Slab-state paging is disabled whenever a fault
         // plan is armed — checkpoints snapshot states by value and must
         // see every row resident.
-        let mut pagers: Option<Vec<WorkerPager>> = self.paged.as_ref().map(|l| l.make_pagers());
+        let mut pagers: Option<Vec<WorkerPager>> = paged.as_ref().map(|l| l.make_pagers());
         if self.config.faults.is_some() {
             if let Some(ps) = pagers.as_mut() {
                 for p in ps.iter_mut() {
@@ -665,10 +749,12 @@ impl<'g> Runner<'g> {
             grid.set_replay(replaying);
             let fold_at_send = profile.fold_at_send;
             let (active, state_added) = if fold_at_send {
-                grid.begin_round(profile.combiner, &self.locals);
+                grid.begin_round(profile.combiner, locals);
                 self.compute_phase_presharded(
                     program,
                     round,
+                    batch.seed,
+                    &seeds,
                     &mut inboxes,
                     &mut grid,
                     &mut states,
@@ -679,6 +765,8 @@ impl<'g> Runner<'g> {
                 let active = self.compute_phase(
                     program,
                     round,
+                    batch.seed,
+                    &seeds,
                     &mut inboxes,
                     &mut outboxes,
                     &mut states,
@@ -726,7 +814,7 @@ impl<'g> Runner<'g> {
                 grid.route_presharded(
                     self.pool.as_ref(),
                     &mut inboxes,
-                    &self.locals,
+                    locals,
                     msg_bytes,
                     profile.combiner,
                 )
@@ -736,9 +824,9 @@ impl<'g> Runner<'g> {
                     &mut outboxes,
                     &mut inboxes,
                     self.graph,
-                    &self.partition,
-                    &self.locals,
-                    self.mirrors.as_ref(),
+                    partition,
+                    locals,
+                    mirrors.as_ref(),
                     profile.combiner,
                     msg_bytes,
                 )
@@ -769,6 +857,7 @@ impl<'g> Runner<'g> {
                 &prev_in_bytes,
                 routing,
                 &state_bytes,
+                batch.residual_bytes,
                 msg_bytes,
                 async_mode,
                 paged_rounds.as_deref(),
@@ -903,7 +992,7 @@ impl<'g> Runner<'g> {
                             disk_busy: charge.disk_busy,
                             io_queue_len: charge.io_queue_len,
                         });
-                        if total > self.config.cutoff {
+                        if total > batch.cutoff {
                             outcome = Some(RunOutcome::Overload);
                             break;
                         }
@@ -918,8 +1007,8 @@ impl<'g> Runner<'g> {
             round += 1;
         }
 
-        // Page back any slab state still on the store so the flattened
-        // outputs see every row. This is post-run repatriation, not
+        // Page back any slab state still on the store so extraction
+        // sees every row. This is post-run repatriation, not
         // round traffic — it lands in no counter.
         if let Some(ps) = pagers.as_mut() {
             let mut buf = Vec::new();
@@ -936,12 +1025,48 @@ impl<'g> Runner<'g> {
             }
         }
 
-        let outcome = outcome.unwrap_or(RunOutcome::Completed(total));
-        let states_flat = self.flatten_states(program, states);
-        RunResult {
-            outcome,
+        let outputs = locals
+            .worker_vertices()
+            .iter()
+            .zip(&mut states)
+            .map(|(list, store)| {
+                let mut outs = Vec::new();
+                program.take_outs(list, store, |v, out| outs.push((v, out)));
+                outs
+            })
+            .collect();
+        program.recycle(states);
+        SparseRunResult {
+            outcome: outcome.unwrap_or(RunOutcome::Completed(total)),
             stats,
-            states: states_flat,
+            outputs,
+        }
+    }
+
+    /// Per worker, the local indices round 0 initializes, ascending and
+    /// distinct: the program's seed vertices, or every local index when
+    /// it names none — one list either way, so round 0 has one loop.
+    fn seed_locals(&self, seeds: Option<&[VertexId]>) -> Vec<Vec<u32>> {
+        let Topology {
+            partition, locals, ..
+        } = &*self.topology;
+        let lists = locals.worker_vertices();
+        match seeds {
+            None => lists
+                .iter()
+                .map(|list| (0..list.len() as u32).collect())
+                .collect(),
+            Some(seeds) => {
+                let mut per_worker = vec![Vec::new(); lists.len()];
+                for &v in seeds {
+                    per_worker[partition.owner_of(v) as usize].push(locals.local_of(v));
+                }
+                for list in &mut per_worker {
+                    list.sort_unstable();
+                    list.dedup();
+                }
+                per_worker
+            }
         }
     }
 
@@ -949,16 +1074,19 @@ impl<'g> Runner<'g> {
     /// into its worker's outbox; returns per-worker active-vertex
     /// counts. With a pool, worker `w` always executes on pool thread
     /// `w`.
+    #[allow(clippy::too_many_arguments)]
     fn compute_phase<C: ProgramCore>(
         &self,
         program: &C,
         round: usize,
+        seed: u64,
+        seeds: &[Vec<u32>],
         inboxes: &mut [Inbox<C::Message>],
         outboxes: &mut [Outbox<C::Message>],
         states: &mut [C::Store],
         pagers: Option<&mut Vec<WorkerPager>>,
     ) -> Vec<u64> {
-        let seed = self.config.seed;
+        let worker_vertices = self.topology.locals.worker_vertices();
         let mut active = vec![0u64; states.len()];
         let slots = pager_slots(pagers, states.len());
         match &self.pool {
@@ -973,7 +1101,7 @@ impl<'g> Runner<'g> {
                         .enumerate()
                     {
                         let graph = self.graph;
-                        let vertices = &self.locals.worker_vertices()[w];
+                        let (vertices, seeds) = (&worker_vertices[w], &seeds[w]);
                         s.run_on(w, move || {
                             outbox.clear();
                             *slot = match pager {
@@ -983,6 +1111,7 @@ impl<'g> Runner<'g> {
                                     round,
                                     seed,
                                     vertices,
+                                    seeds,
                                     inbox,
                                     outbox,
                                     worker_states,
@@ -994,6 +1123,7 @@ impl<'g> Runner<'g> {
                                     round,
                                     seed,
                                     vertices,
+                                    seeds,
                                     inbox,
                                     outbox,
                                     worker_states,
@@ -1013,7 +1143,7 @@ impl<'g> Runner<'g> {
                     .enumerate()
                 {
                     outbox.clear();
-                    let vertices = &self.locals.worker_vertices()[w];
+                    let (vertices, seeds) = (&worker_vertices[w], &seeds[w]);
                     *slot = match pager {
                         Some(pager) => worker_pass_paged(
                             program,
@@ -1021,6 +1151,7 @@ impl<'g> Runner<'g> {
                             round,
                             seed,
                             vertices,
+                            seeds,
                             inbox,
                             outbox,
                             worker_states,
@@ -1032,6 +1163,7 @@ impl<'g> Runner<'g> {
                             round,
                             seed,
                             vertices,
+                            seeds,
                             inbox,
                             outbox,
                             worker_states,
@@ -1055,21 +1187,23 @@ impl<'g> Runner<'g> {
         &self,
         program: &C,
         round: usize,
+        seed: u64,
+        seeds: &[Vec<u32>],
         inboxes: &mut [Inbox<C::Message>],
         grid: &mut RouteGrid<C::Message>,
         states: &mut [C::Store],
         msg_bytes: u64,
         pagers: Option<&mut Vec<WorkerPager>>,
     ) -> (Vec<u64>, Vec<u64>) {
-        let seed = self.config.seed;
+        let worker_vertices = self.topology.locals.worker_vertices();
         let mut active = vec![0u64; states.len()];
         let mut state_added = vec![0u64; states.len()];
         let slots = pager_slots(pagers, states.len());
         let sinks = grid.emit_sinks(
             self.graph,
-            &self.partition,
-            &self.locals,
-            self.mirrors.as_ref(),
+            &self.topology.partition,
+            &self.topology.locals,
+            self.topology.mirrors.as_ref(),
             msg_bytes,
         );
         match &self.pool {
@@ -1085,7 +1219,7 @@ impl<'g> Runner<'g> {
                         .enumerate()
                     {
                         let graph = self.graph;
-                        let vertices = &self.locals.worker_vertices()[w];
+                        let (vertices, seeds) = (&worker_vertices[w], &seeds[w]);
                         s.run_on(w, move || {
                             *slot = match pager {
                                 Some(pager) => worker_pass_paged(
@@ -1094,6 +1228,7 @@ impl<'g> Runner<'g> {
                                     round,
                                     seed,
                                     vertices,
+                                    seeds,
                                     inbox,
                                     &mut sink,
                                     worker_states,
@@ -1105,6 +1240,7 @@ impl<'g> Runner<'g> {
                                     round,
                                     seed,
                                     vertices,
+                                    seeds,
                                     inbox,
                                     &mut sink,
                                     worker_states,
@@ -1125,7 +1261,7 @@ impl<'g> Runner<'g> {
                     .zip(slots)
                     .enumerate()
                 {
-                    let vertices = &self.locals.worker_vertices()[w];
+                    let (vertices, seeds) = (&worker_vertices[w], &seeds[w]);
                     *slot = match pager {
                         Some(pager) => worker_pass_paged(
                             program,
@@ -1133,6 +1269,7 @@ impl<'g> Runner<'g> {
                             round,
                             seed,
                             vertices,
+                            seeds,
                             inbox,
                             &mut sink,
                             worker_states,
@@ -1144,6 +1281,7 @@ impl<'g> Runner<'g> {
                             round,
                             seed,
                             vertices,
+                            seeds,
                             inbox,
                             &mut sink,
                             worker_states,
@@ -1168,11 +1306,13 @@ impl<'g> Runner<'g> {
         prev_in_bytes: &[u64],
         routing: &RoutingStats,
         state_bytes: &[u64],
+        residual_bytes: &[u64],
         msg_bytes: u64,
         async_mode: bool,
         paged: Option<&[(PagerRound, u64)]>,
     ) -> RoundDemand {
         let workers = active.len();
+        let graph_bytes = &self.topology.graph_bytes;
         let mut demand = RoundDemand::zeros(workers, false);
         let mut total_processed = 0u64;
         for w in 0..workers {
@@ -1203,8 +1343,8 @@ impl<'g> Runner<'g> {
             let resident_state =
                 state_bytes[w].saturating_sub(paged_w.map_or(0, |(_, evicted)| evicted));
             let mut memory = (resident_state as f64 * profile.mem_overhead_factor) as u64;
-            if !self.config.residual_bytes.is_empty() {
-                memory += self.config.residual_bytes[w];
+            if !residual_bytes.is_empty() {
+                memory += residual_bytes[w];
             }
             match profile.out_of_core {
                 Some(ooc) => {
@@ -1228,17 +1368,16 @@ impl<'g> Runner<'g> {
                         None => {
                             demand.spill[w] = Bytes(msg_spill);
                             if ooc.stream_edges {
-                                demand.stream[w] = Bytes(self.graph_bytes[w]);
+                                demand.stream[w] = Bytes(graph_bytes[w]);
                             } else {
-                                memory +=
-                                    (self.graph_bytes[w] as f64 * profile.graph_mem_factor) as u64;
+                                memory += (graph_bytes[w] as f64 * profile.graph_mem_factor) as u64;
                             }
                         }
                     }
                 }
                 None => {
                     memory += (msg_buffer as f64 * profile.mem_overhead_factor) as u64;
-                    memory += (self.graph_bytes[w] as f64 * profile.graph_mem_factor) as u64;
+                    memory += (graph_bytes[w] as f64 * profile.graph_mem_factor) as u64;
                 }
             }
             demand.memory[w] = Bytes(memory);
@@ -1249,21 +1388,6 @@ impl<'g> Runner<'g> {
             0.0
         };
         demand
-    }
-
-    fn flatten_states<C: ProgramCore>(
-        &self,
-        program: &C,
-        mut states: Vec<C::Store>,
-    ) -> Vec<C::Out> {
-        let mut out = vec![C::Out::default(); self.graph.num_vertices()];
-        for (w, list) in self.locals.worker_vertices().iter().enumerate() {
-            for (i, &v) in list.iter().enumerate() {
-                out[v as usize] = program.take_out(v, i as u32, &mut states[w]);
-            }
-        }
-        program.recycle(states);
-        out
     }
 }
 
@@ -1283,18 +1407,23 @@ fn worker_pass<C: ProgramCore>(
     round: usize,
     seed: u64,
     vertices: &[VertexId],
+    seeds: &[u32],
     inbox: &mut Inbox<C::Message>,
     sink: &mut dyn EmitSink<C::Message>,
     store: &mut C::Store,
 ) -> u64 {
     let active;
     if round == 0 {
-        // A worker's vertex list is in local-index order, so position
-        // IS the state index.
-        for (li, &v) in vertices.iter().enumerate() {
+        // Only seed vertices can do anything in `init`; the rest are
+        // skipped but still count as active — the cost model prices a
+        // full superstep over the worker's vertices. A worker's vertex
+        // list is in local-index order, so the local index IS the
+        // position.
+        for &li in seeds {
+            let v = vertices[li as usize];
             let mut rng = vertex_rng(seed, round, v);
             let mut ctx = Context::new(v, round, graph, &mut rng, sink);
-            program.init_vertex(v, li as u32, store, &mut ctx);
+            program.init_vertex(v, li, store, &mut ctx);
         }
         active = vertices.len() as u64;
     } else {
@@ -1332,6 +1461,7 @@ fn worker_pass_paged<C: ProgramCore>(
     round: usize,
     seed: u64,
     vertices: &[VertexId],
+    seeds: &[u32],
     inbox: &mut Inbox<C::Message>,
     sink: &mut dyn EmitSink<C::Message>,
     store: &mut C::Store,
@@ -1340,13 +1470,16 @@ fn worker_pass_paged<C: ProgramCore>(
     let mut state_buf = Vec::new();
     let active;
     if round == 0 {
-        // Every vertex initializes, so every partition streams through
-        // the cache regardless of schedule.
+        // Round 0 is a full superstep to the model — every vertex is
+        // active — so every partition streams through the cache
+        // regardless of schedule, though only the seeds (ascending, so
+        // one cursor walks them) run `init`.
+        let mut next = seeds.iter().copied().peekable();
         for p in 0..pager.partitions() {
             pager.ensure_resident(p);
-            let (lo, hi) = pager.partition_range(p);
+            let (_, hi) = pager.partition_range(p);
             let chunk = pager.chunk(p);
-            for li in lo..hi {
+            while let Some(li) = next.next_if(|&li| li < hi) {
                 let v = vertices[li as usize];
                 let paged = PagedNeighbors {
                     neighbors: chunk.neighbors_of(li),
@@ -1490,6 +1623,7 @@ pub fn vertex_rng(seed: u64, round: usize, v: VertexId) -> SmallRng {
 mod tests {
     use super::*;
     use crate::message::{Delivery, Message};
+    use crate::profile::ExecutionMode;
     use mtvc_cluster::ChaosMix;
     use mtvc_graph::generators;
     use mtvc_graph::partition::HashPartitioner;
@@ -2520,7 +2654,8 @@ mod tests {
     impl crate::slab::SlabProgram for SlabFlood {
         type Message = LaneHop;
         type Cell = u64;
-        type Out = Vec<u64>;
+        /// `(lane, hop distance)` of every lane that reached the vertex.
+        type Out = Vec<(usize, u64)>;
 
         fn width(&self) -> usize {
             self.width
@@ -2580,9 +2715,69 @@ mod tests {
             }
         }
 
-        fn extract(&self, _v: VertexId, row: &[u64]) -> Vec<u64> {
-            row.to_vec()
+        fn extract(&self, _v: VertexId, row: crate::slab::SlabRow<'_, u64>) -> Vec<(usize, u64)> {
+            row.written().filter(|&(_, d)| d != u64::MAX).collect()
         }
+    }
+
+    /// Job-scoped topology: batches borrowing one shared [`Topology`]
+    /// (paged layout included) and one config, with seed, cutoff,
+    /// residual and threshold handed over as [`BatchParams`], equal
+    /// stand-alone runners that each build their own from a config
+    /// carrying the same four values.
+    #[test]
+    fn for_batch_over_a_shared_topology_equals_with_partition() {
+        let g = generators::grid(10, 10);
+        let program = SlabFlood { width: 3 };
+        let mut resident = config(4);
+        resident.profile.combiner = true;
+        let mut paged = config(4);
+        paged.profile.out_of_core = Some(ooc_paged(
+            512,
+            1024,
+            256,
+            crate::profile::PartitionSchedule::FrontierDensity,
+        ));
+        for base in [resident, paged] {
+            let partition = HashPartitioner::default().partition(&g, 4);
+            let topology = Arc::new(Topology::build(&g, partition.clone(), &base.profile));
+            assert_eq!(topology.paged.is_some(), base.profile.out_of_core.is_some());
+            let recycler = SlabRecycler::new();
+            for (i, residual) in [vec![], vec![1 << 20, 0, 3 << 20, 0]].iter().enumerate() {
+                let batch = BatchParams {
+                    seed: 40 + i as u64,
+                    cutoff: SimTime::secs(1e9),
+                    residual_bytes: residual,
+                    parallel_vertex_threshold: if i == 0 { usize::MAX } else { 0 },
+                };
+                let shared = Runner::for_batch(&g, &topology, &base, batch);
+                assert_eq!(shared.pool().is_some(), i == 1);
+                let got = shared.run_slab_sparse(&program, &recycler);
+
+                let mut own = base.clone();
+                own.seed = batch.seed;
+                own.cutoff = batch.cutoff;
+                own.residual_bytes = residual.clone();
+                own.parallel_vertex_threshold = batch.parallel_vertex_threshold;
+                let want = Runner::with_partition(&g, partition.clone(), own).run_slab(&program);
+                assert!(want.outcome.is_completed());
+                assert_eq!(got.outputs.len(), 4, "one output list per worker");
+                let got = got.into_dense(g.num_vertices());
+                assert_eq!(got.outcome, want.outcome);
+                assert_eq!(got.stats, want.stats);
+                assert_eq!(got.states, want.states);
+            }
+        }
+    }
+
+    /// Extraction contract: a row no mutator touched is never shown to
+    /// `extract`; its output is the default.
+    #[test]
+    fn slab_flood_unwritten_row_extracts_to_default() {
+        use crate::slab::{SlabProgram, SlabRow};
+        let flood = SlabFlood { width: 3 };
+        let cells = [flood.empty_cell(); 3];
+        assert!(flood.extract(0, SlabRow::unwritten(&cells)).is_empty());
     }
 
     #[test]

@@ -15,10 +15,22 @@
 //! resident capacity per superstep instead of trusting manual
 //! `add_state_bytes` calls.
 //!
-//! Slabs are recycled across batches through a [`SlabRecycler`]:
-//! [`StateSlab::reset`] re-stamps the cells to the empty sentinel and
-//! clears the frontier without releasing capacity, so back-to-back
-//! batches of similar shape perform no state allocation at all.
+//! A slab also records **which 64-cell words were ever written**: every
+//! [`SlabRowMut`] mutator sets the word's bit in a bitmap (one bit per
+//! 64 cells, a branchless OR beside the frontier update). Everything
+//! outside the written words holds the empty sentinel, so the per-batch
+//! passes cost what the batch touched, not `rows × width`: output
+//! extraction visits written rows and, inside a row, written words
+//! ([`StateSlab::for_each_written_row`]), and a used slab is cleaned by
+//! re-stamping exactly those words. Finding them is a scan of the
+//! bitmap — `rows × ⌈width/64⌉ / 64` loads.
+//!
+//! Slabs are recycled across batches through a [`SlabRecycler`]: the
+//! next batch's [`StateSlab::reset`] cleans what the previous one wrote
+//! and re-shapes the then uniformly empty buffer, so back-to-back
+//! batches of similar shape perform neither state allocation nor an
+//! `O(rows × width)` re-stamp (and a slab nobody reuses is never
+//! cleaned at all).
 
 use crate::message::{Delivery, Message};
 use crate::program::{Context, ProgramCore};
@@ -39,7 +51,15 @@ pub const LANES: usize = 8;
 /// ```text
 /// cells:    [ v0: q0 q1 .. qW-1 | v1: q0 q1 .. qW-1 | ... ]
 /// frontier: [ v0: ceil(W/64) words | v1: ... ]               (1 bit/cell)
+/// written:  one bit per frontier word, same numbering       (1 bit/64 cells)
 /// ```
+///
+/// Invariant: a cell whose word is not flagged in `written` holds
+/// `empty`, and its frontier word is zero. Only [`SlabRowMut`]
+/// mutators (and the restore paths [`StateSlab::apply_delta`] /
+/// [`StateSlab::page_in_rows`]) write cells, and each flags the word it
+/// touches. The bitmap is host bookkeeping, not modelled state:
+/// [`StateSlab::resident_bytes`] does not count it.
 #[derive(Debug)]
 pub struct StateSlab<C> {
     width: usize,
@@ -48,9 +68,46 @@ pub struct StateSlab<C> {
     empty: C,
     cells: Vec<C>,
     frontier: Vec<u64>,
+    /// Bit `w` set = word `w` (row-major, `words_per_row` per row) was
+    /// touched by a mutator since the slab was last clean.
+    written: Vec<u64>,
 }
 
-impl<C: Copy> StateSlab<C> {
+/// Flag `word` as written.
+#[inline]
+fn touch(written: &mut [u64], word: usize) {
+    written[word >> 6] |= 1u64 << (word & 63);
+}
+
+/// The first flagged word in `[from, end)`, scanning the bitmap a
+/// `u64` at a time.
+fn next_written(written: &[u64], from: usize, end: usize) -> Option<usize> {
+    let mut at = from;
+    while at < end {
+        // Bits of this bitmap word at or above `at`.
+        let bits = written[at >> 6] >> (at & 63);
+        if bits != 0 {
+            let word = at + bits.trailing_zeros() as usize;
+            return (word < end).then_some(word);
+        }
+        at = (at | 63) + 1;
+    }
+    None
+}
+
+/// Bring `buf`, whose elements all equal `fill`, to length `len`. A
+/// buffer that never allocated is built with `vec!`, which asks the
+/// allocator for zeroed memory when `fill` is all-zero bits — pages a
+/// fresh slab then never touches unless a cell in them is written.
+fn reshape<T: Clone>(buf: &mut Vec<T>, len: usize, fill: T) {
+    if buf.capacity() == 0 {
+        *buf = vec![fill; len];
+    } else {
+        buf.resize(len, fill);
+    }
+}
+
+impl<C: Copy + PartialEq> StateSlab<C> {
     /// Build a slab of `rows × width` cells, all set to `empty`.
     pub fn new(rows: usize, width: usize, empty: C) -> StateSlab<C> {
         let mut slab = StateSlab {
@@ -60,24 +117,100 @@ impl<C: Copy> StateSlab<C> {
             empty,
             cells: Vec::new(),
             frontier: Vec::new(),
+            written: Vec::new(),
         };
         slab.reset(rows, width, empty);
         slab
     }
 
     /// Re-shape for a new batch, **reusing the existing allocation**:
-    /// cells are re-stamped to the empty sentinel and the frontier is
-    /// cleared, but capacity is never released. This is what makes
+    /// the words the previous batch wrote are re-stamped, after which
+    /// the buffer is uniformly empty and only needs its length adjusted;
+    /// capacity is never released. A sentinel that differs (by `==`)
+    /// from the previous one re-stamps every cell. This is what makes
     /// slabs recyclable across batches.
     pub fn reset(&mut self, rows: usize, width: usize, empty: C) {
+        self.clean();
+        if empty != self.empty {
+            self.cells.clear();
+        }
         self.width = width;
         self.words_per_row = width.div_ceil(64);
         self.rows = rows;
         self.empty = empty;
-        self.cells.clear();
-        self.cells.resize(rows * width, empty);
-        self.frontier.clear();
-        self.frontier.resize(rows * self.words_per_row, 0);
+        let words = rows * self.words_per_row;
+        reshape(&mut self.cells, rows * width, empty);
+        reshape(&mut self.frontier, words, 0);
+        reshape(&mut self.written, words.div_ceil(64), 0);
+    }
+
+    /// Slab-wide word count.
+    fn words(&self) -> usize {
+        self.rows * self.words_per_row
+    }
+
+    /// Cell range of word `word`.
+    fn word_cells(&self, word: usize) -> std::ops::Range<usize> {
+        let (row, wi) = (word / self.words_per_row, word % self.words_per_row);
+        let lo = row * self.width + wi * 64;
+        lo..(lo + 64).min((row + 1) * self.width)
+    }
+
+    /// Return the slab to the uniformly empty state by re-stamping the
+    /// written words only: their cells to the sentinel, their frontier
+    /// words and written flags to zero.
+    fn clean(&mut self) {
+        let mut from = 0;
+        while let Some(word) = next_written(&self.written, from, self.words()) {
+            let cells = self.word_cells(word);
+            self.cells[cells].fill(self.empty);
+            self.frontier[word] = 0;
+            from = word + 1;
+        }
+        self.written.fill(0);
+        debug_assert!(
+            self.unwritten_is_empty(),
+            "cleaning must leave every cell empty"
+        );
+    }
+
+    /// Whether every cell outside the written words holds the sentinel
+    /// and every frontier word there is zero — the slab's invariant.
+    /// O(rows × width): debug assertions only.
+    fn unwritten_is_empty(&self) -> bool {
+        (0..self.words()).all(|word| {
+            self.written[word >> 6] >> (word & 63) & 1 != 0
+                || (self.frontier[word] == 0
+                    && self.cells[self.word_cells(word)]
+                        .iter()
+                        .all(|&c| c == self.empty))
+        })
+    }
+
+    /// Visit every row a mutator touched, in ascending local-index
+    /// order, as a [`SlabRow`] that knows which of the row's words were
+    /// written. Rows never touched are skipped — they hold nothing but
+    /// the sentinel. This is the output-extraction pass of a finished
+    /// run.
+    pub fn for_each_written_row(&self, mut f: impl FnMut(u32, SlabRow<'_, C>)) {
+        debug_assert!(
+            self.unwritten_is_empty(),
+            "a cell outside the written words is not empty"
+        );
+        let mut from = 0;
+        while let Some(word) = next_written(&self.written, from, self.words()) {
+            let li = word / self.words_per_row;
+            let first_word = li * self.words_per_row;
+            from = first_word + self.words_per_row;
+            f(
+                li as u32,
+                SlabRow {
+                    cells: &self.cells[li * self.width..(li + 1) * self.width],
+                    written: &self.written,
+                    words: first_word..from,
+                },
+            );
+        }
     }
 
     /// Cells per row (the batch width `W`).
@@ -119,6 +252,8 @@ impl<C: Copy> StateSlab<C> {
         SlabRowMut {
             cells: &mut self.cells[li * self.width..(li + 1) * self.width],
             front: &mut self.frontier[li * self.words_per_row..(li + 1) * self.words_per_row],
+            written: &mut self.written,
+            first_word: li * self.words_per_row,
         }
     }
 }
@@ -168,7 +303,8 @@ impl<C: PageableCell> StateSlab<C> {
     /// empty sentinel / zero words. The bytes are real state movement —
     /// failing to [`page_in_rows`](Self::page_in_rows) them back before
     /// the rows are touched again loses the state. Returns the encoded
-    /// size.
+    /// size. The range's written flags stay set (a blanked word is
+    /// still safe to visit), so the encoding is cells and frontier only.
     pub fn page_out_rows(&mut self, start: u32, end: u32, out: &mut Vec<u8>) -> u64 {
         out.clear();
         let (cs, ce) = (start as usize * self.width, end as usize * self.width);
@@ -189,21 +325,32 @@ impl<C: PageableCell> StateSlab<C> {
 
     /// Restore rows `[start, end)` from bytes produced by
     /// [`page_out_rows`](Self::page_out_rows) over the same range and
-    /// shape. Bit-identical by construction.
+    /// shape. Bit-identical by construction; every word that receives a
+    /// non-empty cell or a frontier bit is flagged written.
     pub fn page_in_rows(&mut self, start: u32, end: u32, bytes: &[u8]) {
-        let (cs, ce) = (start as usize * self.width, end as usize * self.width);
         let mut pos = 0usize;
-        for cell in &mut self.cells[cs..ce] {
-            *cell = C::read_from(&bytes[pos..]);
-            pos += C::CELL_BYTES;
+        for row in start as usize..end as usize {
+            let first_word = row * self.words_per_row;
+            for q in 0..self.width {
+                let cell = C::read_from(&bytes[pos..]);
+                pos += C::CELL_BYTES;
+                self.cells[row * self.width + q] = cell;
+                if cell != self.empty {
+                    touch(&mut self.written, first_word + (q >> 6));
+                }
+            }
         }
         let (fs, fe) = (
             start as usize * self.words_per_row,
             end as usize * self.words_per_row,
         );
-        for w in &mut self.frontier[fs..fe] {
-            *w = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
+        for word in fs..fe {
+            let bits = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
             pos += 8;
+            self.frontier[word] = bits;
+            if bits != 0 {
+                touch(&mut self.written, word);
+            }
         }
         debug_assert_eq!(pos, bytes.len(), "page-in bytes must match the range");
     }
@@ -266,13 +413,18 @@ impl<C: Copy + PartialEq> StateSlab<C> {
     }
 
     /// Replay a delta produced by [`StateSlab::diff`] onto this slab
-    /// (which must have the shape of the diff's `prev`).
+    /// (which must have the shape of the diff's `prev`). Every word a
+    /// change lands in is flagged written.
     pub fn apply_delta(&mut self, delta: &SlabDelta<C>) {
         for &(i, c) in &delta.cell_changes {
-            self.cells[i as usize] = c;
+            let i = i as usize;
+            self.cells[i] = c;
+            let (row, q) = (i / self.width, i % self.width);
+            touch(&mut self.written, row * self.words_per_row + (q >> 6));
         }
         for &(i, w) in &delta.front_changes {
             self.frontier[i as usize] = w;
+            touch(&mut self.written, i as usize);
         }
     }
 }
@@ -286,6 +438,7 @@ impl<C: Copy> Clone for StateSlab<C> {
             empty: self.empty,
             cells: self.cells.clone(),
             frontier: self.frontier.clone(),
+            written: self.written.clone(),
         }
     }
 
@@ -299,19 +452,33 @@ impl<C: Copy> Clone for StateSlab<C> {
         self.empty = src.empty;
         self.cells.clone_from(&src.cells);
         self.frontier.clone_from(&src.frontier);
+        self.written.clone_from(&src.written);
     }
 }
 
 /// Mutable view of one vertex's slab row: `W` cells plus the row's
-/// frontier words. Handed to [`SlabProgram::init`] / [`compute`].
+/// frontier words. Handed to [`SlabProgram::init`] / [`compute`]. Every
+/// method that can change a cell or a frontier bit flags the 64-cell
+/// word it lands in as written (conservatively: handing out `&mut` to a
+/// cell counts), which is what lets extraction and cleaning skip the
+/// rest of the slab.
 ///
 /// [`compute`]: SlabProgram::compute
 pub struct SlabRowMut<'a, C> {
     cells: &'a mut [C],
     front: &'a mut [u64],
+    written: &'a mut [u64],
+    /// Slab-wide index of this row's first word.
+    first_word: usize,
 }
 
 impl<C: Copy> SlabRowMut<'_, C> {
+    /// Flag the word holding cell `q` as written.
+    #[inline]
+    fn touch(&mut self, q: usize) {
+        touch(self.written, self.first_word + (q >> 6));
+    }
+
     /// Cells in this row (the batch width `W`).
     #[inline]
     pub fn width(&self) -> usize {
@@ -327,18 +494,21 @@ impl<C: Copy> SlabRowMut<'_, C> {
     /// Overwrite cell `q` without touching the frontier.
     #[inline]
     pub fn set(&mut self, q: usize, value: C) {
+        self.touch(q);
         self.cells[q] = value;
     }
 
     /// Mutable access to cell `q` (in-place accumulation).
     #[inline]
     pub fn cell_mut(&mut self, q: usize) -> &mut C {
+        self.touch(q);
         &mut self.cells[q]
     }
 
     /// Mark cell `q` dirty in the frontier.
     #[inline]
     pub fn mark(&mut self, q: usize) {
+        self.touch(q);
         self.front[q >> 6] |= 1u64 << (q & 63);
     }
 
@@ -350,7 +520,8 @@ impl<C: Copy> SlabRowMut<'_, C> {
 
     /// Visit every marked cell in ascending `q` order, clearing the
     /// marks as it goes. The visitor gets mutable cell access so push
-    /// kernels can settle residuals in place.
+    /// kernels can settle residuals in place. (A marked cell's word is
+    /// already flagged written — marking did that.)
     #[inline]
     pub fn drain(&mut self, mut f: impl FnMut(usize, &mut C)) {
         for (wi, word) in self.front.iter_mut().enumerate() {
@@ -402,6 +573,7 @@ impl SlabRowMut<'_, u64> {
     /// marking the frontier iff it did. The MSSP inner loop.
     #[inline]
     pub fn relax_min(&mut self, q: usize, cand: u64) {
+        self.touch(q);
         let cur = self.cells[q];
         let better = cand < cur;
         self.cells[q] = if better { cand } else { cur };
@@ -420,6 +592,7 @@ impl SlabRowMut<'_, u64> {
     #[inline]
     pub fn relax_min_lanes(&mut self, base: usize, cand: &[u64; LANES]) {
         debug_assert_eq!(base % LANES, 0, "chunk base must be LANES-aligned");
+        self.touch(base);
         let n = LANES.min(self.cells.len() - base);
         let mut mask = 0u64;
         if n == LANES {
@@ -472,6 +645,7 @@ impl SlabRowMut<'_, u8> {
     #[inline]
     pub fn absorb_lanes(&mut self, base: usize, mask: u8) -> u8 {
         debug_assert_eq!(base % LANES, 0, "chunk base must be LANES-aligned");
+        self.touch(base);
         let n = LANES.min(self.cells.len() - base);
         let mut fresh = 0u8;
         if n == LANES {
@@ -494,6 +668,46 @@ impl SlabRowMut<'_, u8> {
         // 8 aligned lanes never straddle a frontier word.
         self.front[base >> 6] |= (fresh as u64) << (base & 63);
         fresh
+    }
+}
+
+/// Read-only view of one slab row for output extraction: the row's
+/// cells plus which of its 64-cell words were ever written. Cells
+/// outside those words hold the empty sentinel, so
+/// [`SlabRow::written`] is all an extractor needs to read.
+#[derive(Debug)]
+pub struct SlabRow<'a, C> {
+    cells: &'a [C],
+    /// The slab's written-word bitmap.
+    written: &'a [u64],
+    /// This row's words, as slab-wide indices.
+    words: std::ops::Range<usize>,
+}
+
+impl<'a, C: Copy> SlabRow<'a, C> {
+    /// A row no mutator ever touched (every cell is the sentinel).
+    pub fn unwritten(cells: &'a [C]) -> SlabRow<'a, C> {
+        SlabRow {
+            cells,
+            written: &[],
+            words: 0..0,
+        }
+    }
+
+    /// `(q, cell)` for every cell of every written word, ascending by
+    /// `q` — at most 64 cells per written word, whatever the row width.
+    pub fn written(&self) -> impl Iterator<Item = (usize, C)> + 'a {
+        let (cells, written, words) = (self.cells, self.written, self.words.clone());
+        let mut from = words.start;
+        std::iter::from_fn(move || {
+            let word = next_written(written, from, words.end)?;
+            from = word + 1;
+            Some(word - words.start)
+        })
+        .flat_map(move |wi| {
+            let hi = (wi * 64 + 64).min(cells.len());
+            (wi * 64..hi).map(move |q| (q, cells[q]))
+        })
     }
 }
 
@@ -524,6 +738,16 @@ pub trait SlabProgram: Sync {
     /// Bytes of one wire message.
     fn message_bytes(&self) -> u64;
 
+    /// The vertices whose [`init`](SlabProgram::init) can do anything
+    /// (write a cell, draw from the RNG, emit): a batch's sources. Round
+    /// 0 calls `init` on these alone, in ascending local-index order;
+    /// duplicates are fine. `None` — the default — means every vertex.
+    /// `init` on a vertex outside the list must be a no-op, so naming
+    /// the list changes no emission and no statistic.
+    fn seeds(&self) -> Option<&[VertexId]> {
+        None
+    }
+
     /// Round 0: activate sources, seed initial messages.
     fn init(
         &self,
@@ -541,8 +765,11 @@ pub trait SlabProgram: Sync {
         ctx: &mut Context<'_, Self::Message>,
     );
 
-    /// Materialize vertex `v`'s final output from its row.
-    fn extract(&self, v: VertexId, row: &[Self::Cell]) -> Self::Out;
+    /// Materialize vertex `v`'s final output from its row. Called once
+    /// per row some mutator touched; a row nobody touched is never
+    /// extracted and its output is `Out::default()`, which is also what
+    /// this must return for a row holding only empty cells.
+    fn extract(&self, v: VertexId, row: SlabRow<'_, Self::Cell>) -> Self::Out;
 
     /// Fixed round bound; `None` runs to quiescence.
     fn max_rounds(&self) -> Option<usize> {
@@ -554,8 +781,8 @@ pub trait SlabProgram: Sync {
 /// threads). Runs started via
 /// [`Runner::run_slab_recycled`](crate::runner::Runner::run_slab_recycled)
 /// draw their worker slabs from here and return them after output
-/// extraction, so consecutive batches re-stamp existing buffers
-/// instead of allocating new ones.
+/// extraction, so consecutive batches clean and re-shape existing
+/// buffers instead of allocating and stamping new ones.
 pub struct SlabRecycler<C> {
     pool: Mutex<Vec<StateSlab<C>>>,
 }
@@ -650,6 +877,10 @@ impl<P: SlabProgram> ProgramCore for PerSlab<'_, P> {
         self.program.max_rounds()
     }
 
+    fn seeds(&self) -> Option<&[VertexId]> {
+        self.program.seeds()
+    }
+
     fn make_store(&self, vertices: &[VertexId]) -> Self::Store {
         let width = self.program.width();
         let empty = self.program.empty_cell();
@@ -700,8 +931,16 @@ impl<P: SlabProgram> ProgramCore for PerSlab<'_, P> {
         self.program.compute(v, store.row_mut(li), inbox, ctx);
     }
 
-    fn take_out(&self, v: VertexId, li: u32, store: &mut Self::Store) -> Self::Out {
-        self.program.extract(v, store.row(li))
+    fn take_outs(
+        &self,
+        vertices: &[VertexId],
+        store: &mut Self::Store,
+        mut sink: impl FnMut(VertexId, Self::Out),
+    ) {
+        store.for_each_written_row(|li, row| {
+            let v = vertices[li as usize];
+            sink(v, self.program.extract(v, row));
+        });
     }
 
     fn recycle(&self, stores: Vec<Self::Store>) {
@@ -799,6 +1038,147 @@ mod tests {
         let mut none = Vec::new();
         slab.row_mut(10).drain(|q, _| none.push(q));
         assert!(none.is_empty(), "frontier cleared by reset");
+    }
+
+    /// `(local index, [(q, cell)])` of every written row.
+    fn written_rows(slab: &StateSlab<u64>) -> Vec<(u32, Vec<(usize, u64)>)> {
+        let mut rows = Vec::new();
+        slab.for_each_written_row(|li, row| rows.push((li, row.written().collect())));
+        rows
+    }
+
+    #[test]
+    fn mutators_flag_words_and_extraction_visits_only_those() {
+        // 130 cells = 3 words per row (64 + 64 + 2).
+        let mut slab: StateSlab<u64> = StateSlab::new(5, 130, u64::MAX);
+        slab.row_mut(3).relax_min(129, 7); // row 3, word 2 (2 cells)
+        slab.row_mut(1).set(64, 9); // row 1, word 1
+        slab.row_mut(3).mark(0); // row 3, word 0: a mark alone counts
+        slab.row_mut(1).relax_min(65, 4); // same word again
+        let flagged: Vec<usize> = (0..15)
+            .filter(|&w| next_written(&slab.written, w, w + 1).is_some())
+            .collect();
+        assert_eq!(flagged, vec![3 + 1, 3 * 3, 3 * 3 + 2]);
+        let rows = written_rows(&slab);
+        assert_eq!(rows.len(), 2, "rows 0, 2 and 4 are never visited");
+        assert_eq!(rows[0].0, 1);
+        assert_eq!(rows[0].1.len(), 64, "one written word of row 1");
+        assert_eq!(rows[0].1[0], (64, 9));
+        assert_eq!(rows[0].1[1], (65, 4));
+        assert_eq!(rows[1].0, 3);
+        assert_eq!(rows[1].1.len(), 64 + 2, "word 0 and the 2-cell tail word");
+        assert_eq!(rows[1].1.last(), Some(&(129, 7)));
+        // A row nobody wrote reads as nothing at all.
+        assert_eq!(SlabRow::unwritten(slab.row(0)).written().count(), 0);
+    }
+
+    #[test]
+    fn clean_restamps_written_words_and_reset_reshapes() {
+        let mut slab: StateSlab<u64> = StateSlab::new(6, 70, u64::MAX);
+        slab.row_mut(2).relax_min(69, 1);
+        slab.row_mut(5).set(3, 2);
+        slab.clean();
+        assert!(slab.written.iter().all(|&w| w == 0));
+        assert!(slab.cells.iter().all(|&c| c == u64::MAX));
+        assert!(slab.frontier.iter().all(|&w| w == 0));
+        // A dirty slab re-shaped to another width, then to another
+        // sentinel: no cell of the old contents survives either way.
+        slab.row_mut(4).relax_min(0, 5);
+        slab.reset(9, 3, u64::MAX);
+        assert_eq!((slab.rows(), slab.width()), (9, 3));
+        assert!(slab.cells.iter().all(|&c| c == u64::MAX));
+        slab.row_mut(8).set(2, 11);
+        slab.reset(4, 130, 0);
+        assert_eq!(slab.cells.len(), 4 * 130);
+        assert!(
+            slab.cells.iter().all(|&c| c == 0),
+            "sentinel change re-stamps"
+        );
+        assert_eq!(slab.frontier.len(), 4 * 3);
+        assert!(written_rows(&slab).is_empty());
+    }
+
+    #[test]
+    fn written_words_travel_through_clone_delta_and_paging() {
+        let mut base: StateSlab<u64> = StateSlab::new(8, 70, u64::MAX);
+        base.row_mut(1).relax_min(5, 40);
+        let mut cur = base.clone();
+        assert_eq!(written_rows(&cur), written_rows(&base), "clone");
+        cur.row_mut(6).relax_min(69, 3);
+        cur.row_mut(1).relax_min(5, 2);
+        let want = written_rows(&cur);
+
+        // Delta replay flags every word a change lands in.
+        let delta = cur.diff(&base).unwrap();
+        let mut rebuilt = base.clone();
+        rebuilt.apply_delta(&delta);
+        assert_eq!(written_rows(&rebuilt), want, "apply_delta");
+        let mut recycled: StateSlab<u64> = StateSlab::new(1, 1, 0);
+        recycled.clone_from(&cur);
+        assert_eq!(written_rows(&recycled), want, "clone_from");
+
+        // Page-out blanks the range; page-in flags what it restores —
+        // even on a slab that never saw the original writes.
+        let mut bytes = Vec::new();
+        cur.page_out_rows(4, 8, &mut bytes);
+        assert_eq!(cur.row(6)[69], u64::MAX);
+        let mut other = base.clone();
+        other.row_mut(1).relax_min(5, 2);
+        other.page_in_rows(4, 8, &bytes);
+        assert_eq!(written_rows(&other), want, "page_in_rows");
+        cur.page_in_rows(4, 8, &bytes);
+        assert_eq!(written_rows(&cur), want);
+    }
+
+    #[test]
+    fn sparse_extraction_and_reuse_through_a_recycler() {
+        struct Nop;
+        #[derive(Clone, Debug)]
+        struct NoMsg;
+        impl Message for NoMsg {
+            fn combine_key(&self) -> Option<u64> {
+                None
+            }
+            fn merge(&mut self, _o: &Self) {}
+        }
+        impl SlabProgram for Nop {
+            type Message = NoMsg;
+            type Cell = u64;
+            type Out = ();
+            fn width(&self) -> usize {
+                2
+            }
+            fn empty_cell(&self) -> u64 {
+                7
+            }
+            fn message_bytes(&self) -> u64 {
+                8
+            }
+            fn init(&self, _v: VertexId, _row: SlabRowMut<'_, u64>, _ctx: &mut Context<'_, NoMsg>) {
+            }
+            fn compute(
+                &self,
+                _v: VertexId,
+                _row: SlabRowMut<'_, u64>,
+                _inbox: &[Delivery<NoMsg>],
+                _ctx: &mut Context<'_, NoMsg>,
+            ) {
+            }
+            fn extract(&self, _v: VertexId, _row: SlabRow<'_, u64>) {}
+        }
+        let recycler = SlabRecycler::new();
+        let core = PerSlab::with_recycler(&Nop, &recycler);
+        let mut store = core.make_store(&[0, 1, 2]);
+        store.row_mut(1).set(0, 99);
+        let mut seen = Vec::new();
+        core.take_outs(&[10, 11, 12], &mut store, |v, ()| seen.push(v));
+        assert_eq!(seen, vec![11], "only the written row is extracted");
+        core.recycle(vec![store]);
+        // The next batch re-shapes the pooled slab; nothing survives.
+        let store = core.make_store(&[0, 1, 2, 3]);
+        assert_eq!(recycler.pooled(), 0, "the pooled slab was reused");
+        assert!(store.written.iter().all(|&w| w == 0));
+        assert!(store.cells.len() == 8 && store.cells.iter().all(|&c| c == 7));
     }
 
     #[test]

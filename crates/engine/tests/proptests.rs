@@ -6,13 +6,14 @@ use mtvc_engine::sampling::{binomial, multinomial_uniform};
 use mtvc_engine::{
     route_with, wire, Context, Delivery, EmitSink, EngineConfig, Envelope, Inbox, LocalIndex,
     Message, MirrorIndex, OocConfig, Outbox, PagingConfig, PartitionSchedule, PayloadCodec,
-    RouteGrid, RoutePolicy, Runner, SlabProgram, SlabRecycler, SlabRowMut, StateSlab, StoreKind,
-    SystemProfile, VertexProgram, WireFormat, WorkerPool, LANES,
+    RouteGrid, RoutePolicy, Runner, SlabProgram, SlabRecycler, SlabRow, SlabRowMut, StateSlab,
+    StoreKind, SystemProfile, VertexProgram, WireFormat, WorkerPool, LANES,
 };
 use mtvc_graph::partition::{HashPartitioner, Partitioner};
 use mtvc_graph::{generators, VertexId};
 use mtvc_metrics::{Bytes, SimTime};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -764,15 +765,129 @@ impl SlabProgram for MiniSlabMssp {
         });
     }
 
-    fn extract(&self, _v: VertexId, row: &[u64]) -> DistMap {
+    fn seeds(&self) -> Option<&[VertexId]> {
+        Some(&self.sources)
+    }
+
+    fn extract(&self, _v: VertexId, row: SlabRow<'_, u64>) -> DistMap {
         let mut out = DistMap::default();
-        for (q, &d) in row.iter().enumerate() {
+        for (q, d) in row.written() {
             if d != u64::MAX {
                 out.dist.insert(q as u32, d);
             }
         }
         out
     }
+}
+
+/// Token counting on a slab whose empty sentinel is `0`
+/// ([`MiniSlabMssp`]'s is `u64::MAX`): lane `q`'s source floods a token
+/// and every vertex counts the tokens it receives per lane, forwarding
+/// on the first. A cell left over from a distance slab would read as
+/// "already counted" and overflow the add.
+struct MiniSlabCount {
+    sources: Vec<VertexId>,
+}
+
+impl SlabProgram for MiniSlabCount {
+    type Message = Dist;
+    type Cell = u64;
+    type Out = DistMap;
+
+    fn width(&self) -> usize {
+        self.sources.len()
+    }
+
+    fn empty_cell(&self) -> u64 {
+        0
+    }
+
+    fn message_bytes(&self) -> u64 {
+        16
+    }
+
+    fn seeds(&self) -> Option<&[VertexId]> {
+        Some(&self.sources)
+    }
+
+    fn init(&self, v: VertexId, _row: SlabRowMut<'_, u64>, ctx: &mut Context<'_, Dist>) {
+        for (q, &s) in self.sources.iter().enumerate() {
+            if s == v {
+                for &t in ctx.neighbors() {
+                    ctx.send(t, Dist { q: q as u32, d: 0 }, 1);
+                }
+            }
+        }
+    }
+
+    fn compute(
+        &self,
+        _v: VertexId,
+        mut row: SlabRowMut<'_, u64>,
+        inbox: &[Delivery<Dist>],
+        ctx: &mut Context<'_, Dist>,
+    ) {
+        for d in inbox {
+            let cell = row.cell_mut(d.msg.q as usize);
+            let first = *cell == 0;
+            *cell += d.mult;
+            if first {
+                for &t in ctx.neighbors() {
+                    ctx.send(t, Dist { q: d.msg.q, d: 0 }, 1);
+                }
+            }
+        }
+    }
+
+    fn extract(&self, _v: VertexId, row: SlabRow<'_, u64>) -> DistMap {
+        DistMap {
+            dist: row
+                .written()
+                .filter(|&(_, count)| count != 0)
+                .map(|(q, count)| (q as u32, count))
+                .collect(),
+        }
+    }
+}
+
+/// Extraction contract: a row no mutator touched is never shown to
+/// `extract`; its output is the default.
+#[test]
+fn mini_slab_unwritten_rows_extract_to_default() {
+    let sources = vec![0, 3, 3];
+    let mssp = MiniSlabMssp {
+        sources: sources.clone(),
+    };
+    assert_eq!(
+        mssp.extract(0, SlabRow::unwritten(&[u64::MAX; 3])),
+        DistMap::default()
+    );
+    let count = MiniSlabCount { sources };
+    assert_eq!(
+        count.extract(0, SlabRow::unwritten(&[0; 3])),
+        DistMap::default()
+    );
+}
+
+/// Run `prog` under `cfg` on fresh slabs and on slabs drawn from
+/// `recycler`: same outcome, statistics and per-vertex outputs.
+/// Returns the outcome.
+fn assert_recycled_equals_fresh<P>(
+    g: &mtvc_graph::Graph,
+    part: &HashPartitioner,
+    cfg: EngineConfig,
+    prog: &P,
+    recycler: &SlabRecycler<u64>,
+) -> Result<mtvc_metrics::RunOutcome, TestCaseError>
+where
+    P: SlabProgram<Cell = u64, Out = DistMap>,
+{
+    let fresh = Runner::new(g, part, cfg.clone()).run_slab(prog);
+    let recycled = Runner::new(g, part, cfg).run_slab_recycled(prog, recycler);
+    prop_assert_eq!(&fresh.outcome, &recycled.outcome);
+    prop_assert_eq!(&fresh.stats, &recycled.stats);
+    prop_assert_eq!(&fresh.states, &recycled.states);
+    Ok(fresh.outcome)
 }
 
 /// Scrub the state-accounting fields that legitimately differ between
@@ -835,36 +950,87 @@ proptest! {
         prop_assert!(slab.stats.peak_state_bytes.get() > 0);
     }
 
-    /// Slab runs are recyclable: executing the same batch through a
-    /// shared `SlabRecycler` re-fills pooled slabs in place and yields
-    /// results identical to fresh allocation.
+    /// Slab runs are recyclable: a *sequence* of different batches
+    /// through one shared `SlabRecycler` re-shapes the pooled slabs in
+    /// place and every one of them equals a run on fresh slabs. The
+    /// sequence walks the ways a retired slab could carry stale cells
+    /// into the next batch now that slabs are cleaned by written word
+    /// rather than re-stamped whole: widths shrinking and growing
+    /// (1 → 64 → 7 → 1), the sentinel changing (`u64::MAX` distances,
+    /// then `0` counters, on the same pool), a run aborted by Overflow
+    /// with its round's writes in place, rollbacks from a full and from
+    /// an incremental checkpoint, and slab-state paging.
     #[test]
     fn recycled_slab_run_equals_fresh_run(
         n in 16usize..80,
         workers in 1usize..5,
-        width in 1usize..7,
         seed in any::<u64>(),
     ) {
         let g = generators::power_law(n, n * 4, 2.4, seed);
-        let sources: Vec<VertexId> =
-            (0..width).map(|q| ((q * 5 + 1) % n) as VertexId).collect();
-        let mut cfg = EngineConfig::new(ClusterSpec::galaxy(workers), SystemProfile::base("t"));
-        cfg.cutoff = SimTime::secs(1e12);
-        let runner = Runner::new(&g, &HashPartitioner { salt: seed }, cfg);
-        let prog = MiniSlabMssp { sources };
-
-        let fresh = runner.run_slab(&prog);
+        let sources = |width: usize| -> Vec<VertexId> {
+            (0..width).map(|q| ((q * 5 + 1) % n) as VertexId).collect()
+        };
+        let base = || {
+            let mut cfg = EngineConfig::new(ClusterSpec::galaxy(workers), SystemProfile::base("t"));
+            cfg.cutoff = SimTime::secs(1e12);
+            cfg
+        };
         let recycler: SlabRecycler<u64> = SlabRecycler::new();
-        let first = runner.run_slab_recycled(&prog, &recycler);
-        prop_assert_eq!(recycler.pooled(), workers, "all slabs returned");
-        let second = runner.run_slab_recycled(&prog, &recycler);
-        prop_assert_eq!(recycler.pooled(), workers, "pool is stable");
+        let part = HashPartitioner { salt: seed };
 
-        prop_assert_eq!(&fresh.stats, &first.stats);
-        prop_assert_eq!(&fresh.stats, &second.stats);
-        for v in 0..n {
-            prop_assert_eq!(&fresh.states[v].dist, &second.states[v].dist, "vertex {}", v);
+        // Distances: every width of the walk, recycled ≡ fresh.
+        for width in [1, 64, 7, 1] {
+            let prog = MiniSlabMssp { sources: sources(width) };
+            assert_recycled_equals_fresh(&g, &part, base(), &prog, &recycler)?;
+            prop_assert_eq!(recycler.pooled(), workers, "all slabs returned");
         }
+        // Counters: same pool, sentinel 0 — then distances again.
+        let counters = MiniSlabCount { sources: sources(5) };
+        assert_recycled_equals_fresh(&g, &part, base(), &counters, &recycler)?;
+        let after = MiniSlabMssp { sources: sources(7) };
+        assert_recycled_equals_fresh(&g, &part, base(), &after, &recycler)?;
+
+        // A run OOM-killed at the round whose memory demand is the
+        // run's largest: its slabs retire with that round's writes.
+        let wide = MiniSlabMssp { sources: sources(64) };
+        let clean = Runner::new(&g, &part, base()).run_slab(&wide);
+        let peak = clean.stats.per_round.iter().map(|r| r.peak_machine_memory.get()).max().unwrap();
+        let mut tight = base().with_faults(FaultPlan::none().with_hard_oom());
+        tight.cluster.machine.memory = Bytes::new(peak - 1);
+        let killed = assert_recycled_equals_fresh(&g, &part, tight, &wide, &recycler)?;
+        prop_assert!(killed.is_overflow(), "{:?}", killed);
+        assert_recycled_equals_fresh(&g, &part, base(), &after, &recycler)?;
+
+        // Rollback from a full snapshot, then from base + deltas.
+        let plan = FaultPlan::none().with_crash(2, 0).with_delivery_failure(3, 0);
+        let full = base().with_checkpoint_every(2).with_faults(plan.clone());
+        let rolled = Runner::new(&g, &part, full.clone()).run_slab_recycled(&wide, &recycler);
+        prop_assert!(rolled.stats.faults.replayed_rounds > 0, "the plan must force a rollback");
+        assert_recycled_equals_fresh(&g, &part, full, &wide, &recycler)?;
+        assert_recycled_equals_fresh(&g, &part, base(), &counters, &recycler)?;
+        let incremental = base()
+            .with_checkpoint_every(1)
+            .with_incremental_checkpoints(3)
+            .with_faults(plan);
+        assert_recycled_equals_fresh(&g, &part, incremental, &after, &recycler)?;
+        assert_recycled_equals_fresh(&g, &part, base(), &after, &recycler)?;
+
+        // Slab-state paging: rows leave for the store and come back.
+        let mut paged = base();
+        paged.profile.out_of_core = Some(OocConfig {
+            message_budget: Bytes::new(512),
+            stream_edges: true,
+            paging: Some(PagingConfig {
+                budget: Bytes::new(1024),
+                partition_bytes: Bytes::new(256),
+                schedule: PartitionSchedule::FrontierDensity,
+                page_state: true,
+                store: StoreKind::Memory,
+            }),
+        });
+        assert_recycled_equals_fresh(&g, &part, paged, &after, &recycler)?;
+        assert_recycled_equals_fresh(&g, &part, base(), &counters, &recycler)?;
+        prop_assert_eq!(recycler.pooled(), workers, "pool is stable");
     }
 
     /// Chaos regression for slab state: superstep checkpoints snapshot

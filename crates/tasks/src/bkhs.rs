@@ -21,7 +21,8 @@
 use crate::mssp::QueryId;
 use crate::sources::SourceIndex;
 use mtvc_engine::{
-    Context, Delivery, Message, PayloadCodec, SlabProgram, SlabRowMut, VertexProgram, LANES,
+    Context, Delivery, Message, PayloadCodec, SlabProgram, SlabRow, SlabRowMut, VertexProgram,
+    LANES,
 };
 use mtvc_graph::hash::FastSet;
 use mtvc_graph::VertexId;
@@ -264,9 +265,9 @@ impl VertexProgram for BkhsBroadcastProgram {
 // ---------------------------------------------------------------------
 
 /// Reconstruct the sparse reach set from a dense flag row.
-fn extract_reached(row: &[u8]) -> BkhsState {
+fn extract_reached(row: SlabRow<'_, u8>) -> BkhsState {
     let mut state = BkhsState::default();
-    for (q, &flag) in row.iter().enumerate() {
+    for (q, flag) in row.written() {
         if flag != 0 {
             state.reached.insert(q as QueryId);
         }
@@ -330,6 +331,10 @@ impl SlabProgram for BkhsSlabProgram {
         12
     }
 
+    fn seeds(&self) -> Option<&[VertexId]> {
+        Some(self.sources())
+    }
+
     fn init(&self, v: VertexId, mut row: SlabRowMut<'_, u8>, ctx: &mut Context<'_, ReachMsg>) {
         for q in self.index.batch_queries_at(v, &self.range) {
             *row.cell_mut(q as usize) = 1;
@@ -357,7 +362,7 @@ impl SlabProgram for BkhsSlabProgram {
         }
     }
 
-    fn extract(&self, _v: VertexId, row: &[u8]) -> BkhsState {
+    fn extract(&self, _v: VertexId, row: SlabRow<'_, u8>) -> BkhsState {
         extract_reached(row)
     }
 
@@ -405,6 +410,10 @@ impl SlabProgram for BkhsBroadcastSlabProgram {
         8
     }
 
+    fn seeds(&self) -> Option<&[VertexId]> {
+        self.inner.seeds()
+    }
+
     fn init(&self, v: VertexId, mut row: SlabRowMut<'_, u8>, ctx: &mut Context<'_, ReachMsg>) {
         for q in self.inner.index.batch_queries_at(v, &self.inner.range) {
             *row.cell_mut(q as usize) = 1;
@@ -428,7 +437,7 @@ impl SlabProgram for BkhsBroadcastSlabProgram {
         }
     }
 
-    fn extract(&self, _v: VertexId, row: &[u8]) -> BkhsState {
+    fn extract(&self, _v: VertexId, row: SlabRow<'_, u8>) -> BkhsState {
         extract_reached(row)
     }
 
@@ -501,6 +510,10 @@ impl SlabProgram for BkhsLaneSlabProgram {
         12
     }
 
+    fn seeds(&self) -> Option<&[VertexId]> {
+        self.inner.seeds()
+    }
+
     fn init(&self, v: VertexId, mut row: SlabRowMut<'_, u8>, ctx: &mut Context<'_, ReachLanesMsg>) {
         let mut any = false;
         for q in self.inner.index.batch_queries_at(v, &self.inner.range) {
@@ -526,7 +539,7 @@ impl SlabProgram for BkhsLaneSlabProgram {
         send_reached_chunks(&mut row, ctx);
     }
 
-    fn extract(&self, _v: VertexId, row: &[u8]) -> BkhsState {
+    fn extract(&self, _v: VertexId, row: SlabRow<'_, u8>) -> BkhsState {
         extract_reached(row)
     }
 
@@ -599,7 +612,11 @@ mod tests {
 
     #[test]
     fn extract_inverts_flag_rows() {
-        let st = extract_reached(&[1, 0, 1]);
+        let mut slab = mtvc_engine::StateSlab::new(1, 3, 0u8);
+        *slab.row_mut(0).cell_mut(0) = 1;
+        *slab.row_mut(0).cell_mut(2) = 1;
+        let mut st = BkhsState::default();
+        slab.for_each_written_row(|_, row| st = extract_reached(row));
         assert!(st.reached.contains(&0));
         assert!(!st.reached.contains(&1));
         assert!(st.reached.contains(&2));

@@ -36,8 +36,8 @@
 //! batching — its per-envelope RNG draws pin it to scalar traffic).
 
 use mtvc_engine::{
-    Context, Delivery, Message, PageableCell, PayloadCodec, SlabProgram, SlabRowMut, VertexProgram,
-    LANES,
+    Context, Delivery, Message, PageableCell, PayloadCodec, SlabProgram, SlabRow, SlabRowMut,
+    VertexProgram, LANES,
 };
 use mtvc_graph::hash::FastMap;
 use mtvc_graph::VertexId;
@@ -94,6 +94,15 @@ impl SourceSet {
         match self {
             SourceSet::AllVertices => slot as VertexId,
             SourceSet::Subset(s) => s[slot],
+        }
+    }
+
+    /// The sources as a slab program's round-0 seed list: the subset,
+    /// or `None` (every vertex) for [`SourceSet::AllVertices`].
+    fn seeds(&self) -> Option<&[VertexId]> {
+        match self {
+            SourceSet::AllVertices => None,
+            SourceSet::Subset(s) => Some(s),
         }
     }
 }
@@ -293,6 +302,10 @@ impl SlabProgram for BpprSlabProgram {
         16
     }
 
+    fn seeds(&self) -> Option<&[VertexId]> {
+        self.sources.seeds()
+    }
+
     fn init(&self, v: VertexId, mut row: SlabRowMut<'_, u64>, ctx: &mut Context<'_, WalkMsg>) {
         if self.sources.contains(v) {
             self.step_walks(v, self.walks_per_node, &mut row, ctx);
@@ -311,9 +324,9 @@ impl SlabProgram for BpprSlabProgram {
         }
     }
 
-    fn extract(&self, _v: VertexId, row: &[u64]) -> BpprState {
+    fn extract(&self, _v: VertexId, row: SlabRow<'_, u64>) -> BpprState {
         let mut state = BpprState::default();
-        for (slot, &count) in row.iter().enumerate() {
+        for (slot, count) in row.written() {
             if count > 0 {
                 state.stops.insert(self.sources.source_at(slot), count);
             }
@@ -657,6 +670,10 @@ impl SlabProgram for BpprPushSlabProgram {
         20
     }
 
+    fn seeds(&self) -> Option<&[VertexId]> {
+        self.sources.seeds()
+    }
+
     fn init(&self, v: VertexId, mut row: SlabRowMut<'_, PushCell>, ctx: &mut Context<'_, PushMsg>) {
         if self.sources.contains(v) {
             let slot = self.sources.slot_of(v).expect("source without slot");
@@ -685,9 +702,9 @@ impl SlabProgram for BpprPushSlabProgram {
         });
     }
 
-    fn extract(&self, _v: VertexId, row: &[PushCell]) -> PushState {
+    fn extract(&self, _v: VertexId, row: SlabRow<'_, PushCell>) -> PushState {
         let mut state = PushState::default();
-        for (slot, cell) in row.iter().enumerate() {
+        for (slot, cell) in row.written() {
             if cell.mass != 0.0 {
                 state.mass.insert(self.sources.source_at(slot), cell.mass);
             }
@@ -857,6 +874,10 @@ impl SlabProgram for BpprPushLaneSlabProgram {
         20
     }
 
+    fn seeds(&self) -> Option<&[VertexId]> {
+        self.inner.seeds()
+    }
+
     fn init(
         &self,
         v: VertexId,
@@ -894,8 +915,8 @@ impl SlabProgram for BpprPushLaneSlabProgram {
         row.drain_chunks(|chunk, mask, cells| self.settle_chunk(chunk, mask, cells, ctx));
     }
 
-    fn extract(&self, _v: VertexId, row: &[PushCell]) -> PushState {
-        self.inner.extract(_v, row)
+    fn extract(&self, v: VertexId, row: SlabRow<'_, PushCell>) -> PushState {
+        self.inner.extract(v, row)
     }
 }
 
@@ -1005,7 +1026,10 @@ mod tests {
     #[test]
     fn slab_extract_maps_slots_to_sources() {
         let p = BpprSlabProgram::new(8, 0.2, 4).with_sources(SourceSet::subset(vec![9, 2]));
-        let st = p.extract(0, &[3, 0]);
+        let mut slab = mtvc_engine::StateSlab::new(1, 2, 0u64);
+        *slab.row_mut(0).cell_mut(0) = 3;
+        let mut st = BpprState::default();
+        slab.for_each_written_row(|_, row| st = p.extract(0, row));
         assert_eq!(st.stops.get(&2), Some(&3), "slot 0 = source 2");
         assert_eq!(st.stops.get(&9), None, "zero counts are skipped");
     }

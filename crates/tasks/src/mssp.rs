@@ -38,7 +38,8 @@
 use crate::sources::SourceIndex;
 use mtvc_engine::wire::{read_varint, varint_len, write_varint};
 use mtvc_engine::{
-    Context, Delivery, Message, PayloadCodec, SlabProgram, SlabRowMut, VertexProgram, LANES,
+    Context, Delivery, Message, PayloadCodec, SlabProgram, SlabRow, SlabRowMut, VertexProgram,
+    LANES,
 };
 use mtvc_graph::hash::FastMap;
 use mtvc_graph::VertexId;
@@ -359,9 +360,9 @@ impl VertexProgram for MsspBroadcastProgram {
 
 /// Extract the sparse [`MsspState`] from a dense distance row —
 /// untouched cells hold `u64::MAX`.
-fn extract_dists(row: &[u64]) -> MsspState {
+fn extract_dists(row: SlabRow<'_, u64>) -> MsspState {
     let mut state = MsspState::default();
-    for (q, &d) in row.iter().enumerate() {
+    for (q, d) in row.written() {
         if d != u64::MAX {
             state.dist.insert(q as QueryId, d);
         }
@@ -420,6 +421,10 @@ impl SlabProgram for MsspSlabProgram {
         20 // same wire format as the hash-map baseline
     }
 
+    fn seeds(&self) -> Option<&[VertexId]> {
+        Some(&self.index.sources()[self.range.clone()])
+    }
+
     fn init(&self, v: VertexId, mut row: SlabRowMut<'_, u64>, ctx: &mut Context<'_, DistMsg>) {
         for q in self.index.batch_queries_at(v, &self.range) {
             row.set(q as usize, 0);
@@ -465,7 +470,7 @@ impl SlabProgram for MsspSlabProgram {
         });
     }
 
-    fn extract(&self, _v: VertexId, row: &[u64]) -> MsspState {
+    fn extract(&self, _v: VertexId, row: SlabRow<'_, u64>) -> MsspState {
         extract_dists(row)
     }
 }
@@ -563,6 +568,10 @@ impl SlabProgram for MsspLaneSlabProgram {
         20 // per payload unit — same wire estimate as the scalar kernel
     }
 
+    fn seeds(&self) -> Option<&[VertexId]> {
+        Some(self.sources())
+    }
+
     fn init(&self, v: VertexId, mut row: SlabRowMut<'_, u64>, ctx: &mut Context<'_, DistLanesMsg>) {
         let mut any = false;
         for q in self.index.batch_queries_at(v, &self.range) {
@@ -589,7 +598,7 @@ impl SlabProgram for MsspLaneSlabProgram {
         send_improved_chunks(&mut row, ctx);
     }
 
-    fn extract(&self, _v: VertexId, row: &[u64]) -> MsspState {
+    fn extract(&self, _v: VertexId, row: SlabRow<'_, u64>) -> MsspState {
         extract_dists(row)
     }
 }
@@ -635,6 +644,10 @@ impl SlabProgram for MsspBroadcastSlabProgram {
         12
     }
 
+    fn seeds(&self) -> Option<&[VertexId]> {
+        Some(&self.index.sources()[self.range.clone()])
+    }
+
     fn init(&self, v: VertexId, mut row: SlabRowMut<'_, u64>, ctx: &mut Context<'_, DistMsg>) {
         for q in self.index.batch_queries_at(v, &self.range) {
             row.set(q as usize, 0);
@@ -664,7 +677,7 @@ impl SlabProgram for MsspBroadcastSlabProgram {
         });
     }
 
-    fn extract(&self, _v: VertexId, row: &[u64]) -> MsspState {
+    fn extract(&self, _v: VertexId, row: SlabRow<'_, u64>) -> MsspState {
         extract_dists(row)
     }
 }
@@ -801,7 +814,11 @@ mod tests {
 
     #[test]
     fn extract_skips_untouched_cells() {
-        let st = extract_dists(&[u64::MAX, 5, u64::MAX, 0]);
+        let mut slab = mtvc_engine::StateSlab::new(1, 4, u64::MAX);
+        slab.row_mut(0).set(1, 5);
+        slab.row_mut(0).set(3, 0);
+        let mut st = MsspState::default();
+        slab.for_each_written_row(|_, row| st = extract_dists(row));
         assert_eq!(st.dist.len(), 2);
         assert_eq!(st.dist.get(&1), Some(&5));
         assert_eq!(st.dist.get(&3), Some(&0));

@@ -4,22 +4,24 @@
 //! (b) be bit-identical to the hash-map baseline programs — same
 //! per-vertex results, same message traffic, same RNG consumption.
 
-use mtvc_cluster::ClusterSpec;
+use mtvc_cluster::{ClusterSpec, FaultPlan};
 use mtvc_engine::{
-    EngineConfig, ExecutionMode, RunResult, Runner, SlabProgram, SystemProfile, WireFormat,
+    Context, Delivery, EngineConfig, ExecutionMode, OocConfig, PagingConfig, PartitionSchedule,
+    RunResult, Runner, SlabProgram, SlabRow, SlabRowMut, StoreKind, SystemProfile, WireFormat,
 };
-use mtvc_graph::partition::HashPartitioner;
+use mtvc_graph::partition::{HashPartitioner, Partitioner};
 use mtvc_graph::{generators, reference as gref, Graph, VertexId};
 use mtvc_metrics::{Bytes, RunStats, SimTime};
 use mtvc_tasks::bppr::{BpprState, PushState};
 use mtvc_tasks::{
-    BkhsLaneSlabProgram, BkhsProgram, BkhsSlabProgram, BpprProgram, BpprPushLaneSlabProgram,
-    BpprPushProgram, BpprPushSlabProgram, BpprSlabProgram, MsspBroadcastProgram,
-    MsspBroadcastSlabProgram, MsspLaneSlabProgram, MsspProgram, MsspSlabProgram, SourceIndex,
-    SourceSet,
+    BkhsBroadcastSlabProgram, BkhsLaneSlabProgram, BkhsProgram, BkhsSlabProgram, BpprProgram,
+    BpprPushLaneSlabProgram, BpprPushProgram, BpprPushSlabProgram, BpprSlabProgram,
+    MsspBroadcastProgram, MsspBroadcastSlabProgram, MsspLaneSlabProgram, MsspProgram,
+    MsspSlabProgram, SourceIndex, SourceSet,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 fn roomy_config(machines: usize, seed: u64, combine: bool) -> EngineConfig {
@@ -128,6 +130,187 @@ where
         }
     }
     Ok(())
+}
+
+/// `P` observed from outside: counts what a batch's fixed steps cost
+/// (`init` calls, `extract` calls, the cells extraction was shown) and,
+/// when `full_scan` is set, withholds `P`'s seed list so round 0 calls
+/// `init` on every vertex — the scan the seed list replaces.
+struct Probe<P> {
+    inner: P,
+    full_scan: bool,
+    inits: AtomicU64,
+    extracts: AtomicU64,
+    cells_shown: AtomicU64,
+}
+
+impl<P> Probe<P> {
+    fn new(inner: P, full_scan: bool) -> Self {
+        Probe {
+            inner,
+            full_scan,
+            inits: AtomicU64::new(0),
+            extracts: AtomicU64::new(0),
+            cells_shown: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<P: SlabProgram> SlabProgram for Probe<P> {
+    type Message = P::Message;
+    type Cell = P::Cell;
+    type Out = P::Out;
+
+    fn width(&self) -> usize {
+        self.inner.width()
+    }
+    fn empty_cell(&self) -> P::Cell {
+        self.inner.empty_cell()
+    }
+    fn message_bytes(&self) -> u64 {
+        self.inner.message_bytes()
+    }
+    fn seeds(&self) -> Option<&[VertexId]> {
+        self.inner.seeds().filter(|_| !self.full_scan)
+    }
+    fn init(&self, v: VertexId, row: SlabRowMut<'_, P::Cell>, ctx: &mut Context<'_, P::Message>) {
+        self.inits.fetch_add(1, Relaxed);
+        self.inner.init(v, row, ctx);
+    }
+    fn compute(
+        &self,
+        v: VertexId,
+        row: SlabRowMut<'_, P::Cell>,
+        inbox: &[Delivery<P::Message>],
+        ctx: &mut Context<'_, P::Message>,
+    ) {
+        self.inner.compute(v, row, inbox, ctx);
+    }
+    fn extract(&self, v: VertexId, row: SlabRow<'_, P::Cell>) -> P::Out {
+        self.extracts.fetch_add(1, Relaxed);
+        self.cells_shown
+            .fetch_add(row.written().count() as u64, Relaxed);
+        self.inner.extract(v, row)
+    }
+    fn max_rounds(&self) -> Option<usize> {
+        self.inner.max_rounds()
+    }
+}
+
+/// Where a seeded-round-0 cell keeps its adjacency.
+#[derive(Debug, Clone, Copy)]
+enum Storage {
+    Resident,
+    Mirrored,
+    Paged(PartitionSchedule),
+}
+
+/// Naming the seed vertices must change nothing a run reports: whole
+/// `RunStats` (fault ledger included) and dense states of `program`
+/// equal those of the same program scanning every vertex at round 0,
+/// at every cell of combiner × resident/mirrored/paged (both schedules,
+/// slab-state paging on) × tuple/compact wire × fault-free/rollback
+/// with a checkpoint every 2 rounds.
+fn assert_seeded_equals_full_scan<P>(
+    g: &Graph,
+    workers: usize,
+    seed: u64,
+    program: P,
+) -> Result<(), TestCaseError>
+where
+    P: SlabProgram,
+    P::Out: PartialEq + std::fmt::Debug,
+{
+    prop_assert!(program.seeds().is_some(), "the kernel must name its seeds");
+    let full = Probe::new(program, true);
+    let storages = [
+        Storage::Resident,
+        Storage::Mirrored,
+        Storage::Paged(PartitionSchedule::RoundRobin),
+        Storage::Paged(PartitionSchedule::FrontierDensity),
+    ];
+    let on_off = [false, true];
+    for storage in storages {
+        for (combine, compact, faults) in on_off
+            .iter()
+            .flat_map(|&a| on_off.iter().flat_map(move |&b| on_off.map(|c| (a, b, c))))
+        {
+            let mut cfg = match storage {
+                Storage::Mirrored => broadcast_config(workers, seed, combine),
+                _ => roomy_config(workers, seed, combine),
+            };
+            if let Storage::Paged(schedule) = storage {
+                cfg.profile.out_of_core = Some(OocConfig {
+                    message_budget: Bytes::new(512),
+                    stream_edges: true,
+                    paging: Some(PagingConfig {
+                        budget: Bytes::new(1024),
+                        partition_bytes: Bytes::new(256),
+                        schedule,
+                        page_state: true,
+                        store: StoreKind::Memory,
+                    }),
+                });
+            }
+            if compact {
+                cfg.profile.wire_format = WireFormat::Compact;
+            }
+            if faults {
+                cfg = cfg.with_checkpoint_every(2).with_faults(FaultPlan::random(
+                    seed ^ 0x5EED,
+                    workers,
+                    4,
+                    2,
+                    1,
+                ));
+            }
+            let cell = format!("{storage:?} combine={combine} compact={compact} faults={faults}");
+            let seeded = runner(g, cfg.clone()).run_slab(&full.inner);
+            let scanned = runner(g, cfg).run_slab(&full);
+            completed(&seeded);
+            prop_assert_eq!(&seeded.outcome, &scanned.outcome, "{}", cell);
+            prop_assert_eq!(&seeded.stats, &scanned.stats, "{}", cell);
+            prop_assert_eq!(&seeded.states, &scanned.states, "{}", cell);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Seeded round 0 ≡ the all-vertices round 0, for every MSSP/BKHS
+    /// slab kernel (row, lane, broadcast), with source lists that
+    /// repeat a vertex and with one whose sources all live on a single
+    /// worker (every other worker's seed list is empty).
+    #[test]
+    fn seeded_round0_equals_full_scan(
+        n in 20usize..70,
+        k in 1u32..4,
+        workers in 2usize..5,
+        seed in any::<u64>(),
+    ) {
+        let base = generators::power_law(n, n * 4, 2.3, seed);
+        let g = generators::with_random_weights(&base, 1, 9, seed ^ 3);
+        // Nine picks, the first repeated twice more: duplicates on one
+        // vertex, and a width on the far side of one lane chunk.
+        let mut scattered = pick_sources(n, 9, seed ^ 31);
+        scattered.extend([scattered[0], scattered[0]]);
+        // Every source on worker 0 (the runner's partition).
+        let owned = HashPartitioner::default().partition(&g, workers).worker_vertices();
+        let one_worker: Vec<VertexId> = owned[0].iter().copied().take(3).collect();
+        for sources in [scattered, one_worker] {
+            if sources.is_empty() {
+                continue;
+            }
+            assert_seeded_equals_full_scan(&g, workers, seed, MsspSlabProgram::new(sources.clone()))?;
+            assert_seeded_equals_full_scan(&g, workers, seed, MsspLaneSlabProgram::new(sources.clone()))?;
+            assert_seeded_equals_full_scan(&g, workers, seed, MsspBroadcastSlabProgram::new(sources.clone()))?;
+            assert_seeded_equals_full_scan(&g, workers, seed, BkhsSlabProgram::new(sources.clone(), k))?;
+            assert_seeded_equals_full_scan(&g, workers, seed, BkhsLaneSlabProgram::new(sources.clone(), k))?;
+            assert_seeded_equals_full_scan(&g, workers, seed, BkhsBroadcastSlabProgram::new(sources, k))?;
+        }
+    }
 }
 
 proptest! {
@@ -437,4 +620,89 @@ proptest! {
             prop_assert_eq!(&merged, &full.states[v as usize].dist, "v={}", v);
         }
     }
+}
+
+/// Extraction contract of the sparse slab lifecycle: the runner never
+/// extracts a row no mutator touched and fills its output with
+/// `Out::default()`, so that is what `extract` must return for one.
+fn assert_unwritten_row_is_default<P>(program: &P)
+where
+    P: SlabProgram,
+    P::Out: PartialEq + std::fmt::Debug,
+{
+    let cells = vec![program.empty_cell(); program.width()];
+    assert_eq!(
+        program.extract(0, SlabRow::unwritten(&cells)),
+        P::Out::default()
+    );
+}
+
+#[test]
+fn unwritten_rows_extract_to_the_default_output() {
+    let sources: Vec<VertexId> = vec![3, 9, 3, 70, 1, 2, 4, 5, 6];
+    assert_unwritten_row_is_default(&MsspSlabProgram::new(sources.clone()));
+    assert_unwritten_row_is_default(&MsspLaneSlabProgram::new(sources.clone()));
+    assert_unwritten_row_is_default(&MsspBroadcastSlabProgram::new(sources.clone()));
+    assert_unwritten_row_is_default(&BkhsSlabProgram::new(sources.clone(), 2));
+    assert_unwritten_row_is_default(&BkhsLaneSlabProgram::new(sources.clone(), 2));
+    assert_unwritten_row_is_default(&BkhsBroadcastSlabProgram::new(sources.clone(), 2));
+    for set in [SourceSet::AllVertices, SourceSet::subset(sources)] {
+        assert_unwritten_row_is_default(
+            &BpprSlabProgram::new(4, 0.2, 100).with_sources(set.clone()),
+        );
+        assert_unwritten_row_is_default(
+            &BpprPushSlabProgram::new(4, 0.2, 100).with_sources(set.clone()),
+        );
+        assert_unwritten_row_is_default(
+            &BpprPushLaneSlabProgram::new(4, 0.2, 100).with_sources(set),
+        );
+    }
+}
+
+/// Cost guard, in counts so it cannot flake: a narrow batch's fixed
+/// steps are proportional to what it touches, not to the graph. A
+/// one-query BKHS batch on 20 000 vertices initializes its one source
+/// and extracts exactly the rows of its k-hop ball; a one-walk BPPR
+/// batch, whose rows are as wide as the graph, is shown at most the
+/// 64-cell words holding a stopped walk.
+#[test]
+fn narrow_batches_cost_what_they_touch() {
+    let g = generators::power_law(20_000, 80_000, 2.4, 11);
+    for sources in [vec![15_017], vec![15_017, 19_242, 15_017]] {
+        let distinct = if sources.len() == 1 { 1 } else { 2 };
+        let bkhs = Probe::new(BkhsSlabProgram::new(sources, 2), false);
+        let r = runner(&g, roomy_config(4, 7, false)).run_slab(&bkhs);
+        completed(&r);
+        let reached = r.states.iter().filter(|st| !st.reached.is_empty()).count() as u64;
+        assert!(reached > 1 && reached < 20_000 / 2, "{reached}");
+        assert_eq!(
+            bkhs.inits.load(Relaxed),
+            distinct,
+            "one init per distinct source"
+        );
+        assert_eq!(
+            bkhs.extracts.load(Relaxed),
+            reached,
+            "one extract per written row"
+        );
+    }
+
+    let n = 1_500;
+    let g = generators::power_law(n, n * 4, 2.4, 13);
+    let bppr = Probe::new(BpprSlabProgram::new(1, 0.2, n), false);
+    let r = runner(&g, roomy_config(4, 7, false)).run_slab(&bppr);
+    completed(&r);
+    let stopped: u64 = r.states.iter().flat_map(|st| st.stops.values()).sum();
+    assert_eq!(stopped, n as u64, "every walk stops somewhere");
+    assert_eq!(
+        bppr.inits.load(Relaxed),
+        n as u64,
+        "every vertex is a source"
+    );
+    let shown = bppr.cells_shown.load(Relaxed);
+    assert!(
+        shown < 64 * stopped,
+        "extraction was shown {shown} cells for {stopped} stopped walks ({} in the slab)",
+        n * n
+    );
 }
