@@ -176,7 +176,6 @@ fn paged_config(
     cfg.seed = SEED;
     cfg.profile.out_of_core = Some(OocConfig {
         message_budget: Bytes::mib(64),
-        stream_edges: true,
         paging: Some(PagingConfig {
             budget: Bytes::new(budget),
             partition_bytes: Bytes::new(partition_bytes),

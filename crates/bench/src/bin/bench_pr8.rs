@@ -1,16 +1,13 @@
 //! PR 8 perf snapshot: fold-at-send pre-sharded outboxes + lane-batched
-//! BKHS/BPPR kernels. Emits `BENCH_pr8.json` in the working directory.
+//! BKHS kernels. Emits `BENCH_pr8.json` in the working directory.
 //!
-//! Three cell families, same graph/partition setup as `bench_pr5`/`pr7`:
+//! Two cell families, same graph/partition setup as `bench_pr5`/`pr7`:
 //!
 //! * `bkhs_{scalar,lane}_w{W}` — [`BkhsSlabProgram`] vs
 //!   [`BkhsLaneSlabProgram`] (one envelope absorbs eight query lanes'
 //!   hop sets), W ∈ {8, 64}, combiner on. Same policy both sides, so
 //!   the timing delta isolates lane batching; rounds and `sent_wire`
 //!   are pinned equal.
-//! * `bppr_push_{scalar,lane}_w64` — [`BpprPushSlabProgram`] vs
-//!   [`BpprPushLaneSlabProgram`] (one broadcast forwards eight query
-//!   lanes' residues), combiner on, pinned the same way.
 //! * `mssp_{flat,presharded}_combine_w16` — the recycled-slab MSSP
 //!   combining workload on the flat two-stage routing path
 //!   ([`drive_core_policy`]) vs the fold-at-send pre-sharded path
@@ -33,11 +30,7 @@ use mtvc_engine::{LocalIndex, PerSlab, RoutePolicy, SlabProgram, SlabRecycler};
 use mtvc_graph::partition::Partition;
 use mtvc_graph::partition::{HashPartitioner, Partitioner};
 use mtvc_graph::{generators, Graph, VertexId};
-use mtvc_tasks::bppr::SourceSet;
-use mtvc_tasks::{
-    BkhsLaneSlabProgram, BkhsSlabProgram, BpprPushLaneSlabProgram, BpprPushSlabProgram,
-    MsspSlabProgram,
-};
+use mtvc_tasks::{BkhsLaneSlabProgram, BkhsSlabProgram, MsspSlabProgram};
 use std::io::Write;
 
 #[global_allocator]
@@ -170,39 +163,6 @@ fn main() {
             lane.rounds_per_sec,
         ));
         summary.push(format!("  \"lane_bkhs_speedup_w{width}\": {speedup:.3}"));
-    }
-
-    // BPPR forward push: scalar vs lane residue forwarding, W=64.
-    {
-        let sources: Vec<VertexId> = (0..64u32)
-            .map(|s| (s * 613) % params.vertices as VertexId)
-            .collect();
-        let scalar_prog = BpprPushSlabProgram::new(64, 0.2, g.num_vertices())
-            .with_sources(SourceSet::subset(sources.clone()));
-        let lane_prog = BpprPushLaneSlabProgram::new(64, 0.2, g.num_vertices())
-            .with_sources(SourceSet::subset(sources));
-        let scalar_d = || run_slab(&scalar_prog, &g, &part, &locals, true, &policy);
-        let lane_d = || run_slab(&lane_prog, &g, &part, &locals, true, &policy);
-        let mut results = measure_all(params.reps, &[&scalar_d, &lane_d]);
-        let lane = results.pop().expect("lane");
-        let scalar = results.pop().expect("scalar");
-        assert_lane_parity("bppr push w64", &scalar, &lane);
-        let speedup = lane.rounds_per_sec / scalar.rounds_per_sec;
-        println!(
-            "bppr_push_w64: lane {:.1} rounds/s vs scalar {:.1} rounds/s ({speedup:.2}x)",
-            lane.rounds_per_sec, scalar.rounds_per_sec
-        );
-        cells.push(json_cell(
-            "bppr_push_scalar_w64",
-            &scalar.report,
-            scalar.rounds_per_sec,
-        ));
-        cells.push(json_cell(
-            "bppr_push_lane_w64",
-            &lane.report,
-            lane.rounds_per_sec,
-        ));
-        summary.push(format!("  \"lane_bppr_speedup_w64\": {speedup:.3}"));
     }
 
     // MSSP combining: flat two-stage routing vs fold-at-send

@@ -686,9 +686,8 @@ fn run_one_batch(
         Task::Bppr { alpha, .. } => {
             let n = graph.num_vertices();
             if broadcast {
-                // The row kernel on purpose: a job's push rows hold one
-                // cell per vertex and are sparse, where the lane push
-                // kernel measured 1.1–2× slower through `run_job`.
+                // No lane push kernel exists: on a job's graph-wide sparse
+                // rows it was slower through `run_job` (PR 13: 48 → 89 ms).
                 let prog = BpprPushSlabProgram::new(workload, alpha, n);
                 // Residual: fractional stop masses, one f64 record per
                 // (vertex, source) entry.

@@ -4,8 +4,7 @@
 //! When a profile's [`OocConfig`](crate::profile::OocConfig) carries a
 //! [`PagingConfig`], the runner stops *estimating* disk traffic and
 //! starts *measuring* it: at partition time the graph's adjacency is
-//! sliced into contiguous-CSR chunks and written to a
-//! [`BackingStore`](mtvc_graph::ooc::BackingStore)
+//! sliced into contiguous-CSR chunks and written to a [`BackingStore`]
 //! ([`PagedLayout::build`]), and each worker streams partitions through
 //! a budget-bounded [`WorkerPager`] cache every round. Compute reads
 //! neighbors from the decoded chunks (via

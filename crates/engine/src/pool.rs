@@ -167,6 +167,32 @@ impl<'pool, 'env> PoolScope<'pool, 'env> {
     }
 }
 
+/// Run `f(i, item)` for every item, `i` counting from 0: with a pool,
+/// item `i` runs on lane `i % pool.workers()` — the identity for a
+/// partition-sized pool, and still correct for a smaller one — and the
+/// call returns once every item has finished, re-raising a panic as
+/// [`WorkerPool::scope`] does; without one, inline in index order. The
+/// one place the round pipeline chooses between the two.
+pub(crate) fn dispatch<T, F>(pool: Option<&WorkerPool>, items: impl IntoIterator<Item = T>, f: F)
+where
+    T: Send,
+    F: Fn(usize, T) + Sync,
+{
+    let f = &f;
+    match pool {
+        Some(pool) => pool.scope(|s| {
+            let lanes = pool.workers();
+            for (i, item) in items.into_iter().enumerate() {
+                s.run_on(i % lanes, move || f(i, item));
+            }
+        }),
+        None => items
+            .into_iter()
+            .enumerate()
+            .for_each(|(i, item)| f(i, item)),
+    }
+}
+
 /// Completion tracking for one scope: a pending-job count plus the
 /// first panic payload observed.
 struct ScopeState {
@@ -314,5 +340,51 @@ mod tests {
         let mut ok = false;
         pool.scope(|s| s.run_on(1, || ok = true));
         assert!(ok);
+    }
+
+    #[test]
+    fn dispatch_inline_visits_items_in_index_order() {
+        let log = Mutex::new(Vec::new());
+        dispatch(None, ["a", "b", "c", "d"], |i, item| {
+            log.lock().unwrap().push((i, item, thread::current().id()));
+        });
+        let here = thread::current().id();
+        assert_eq!(
+            *log.lock().unwrap(),
+            vec![
+                (0, "a", here),
+                (1, "b", here),
+                (2, "c", here),
+                (3, "d", here)
+            ]
+        );
+    }
+
+    #[test]
+    fn dispatch_pooled_runs_item_i_on_lane_i_mod_workers() {
+        let pool = WorkerPool::new(3);
+        // More items than lanes: lanes wrap around.
+        let mut seen: Vec<Option<(usize, ThreadId)>> = vec![None; 8];
+        dispatch(Some(&pool), seen.iter_mut(), |i, slot| {
+            *slot = Some((i, thread::current().id()));
+        });
+        for (i, slot) in seen.into_iter().enumerate() {
+            assert_eq!(slot, Some((i, pool.thread_ids()[i % 3])));
+        }
+    }
+
+    #[test]
+    fn dispatch_propagates_an_item_panic_like_scope() {
+        let pool = WorkerPool::new(2);
+        for pool in [Some(&pool), None] {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                dispatch(pool, 0..4, |i, _| assert_ne!(i, 2, "boom"));
+            }));
+            assert!(result.is_err());
+        }
+        // As with `scope`, the lanes survive.
+        let mut ok = [false; 2];
+        dispatch(Some(&pool), ok.iter_mut(), |_, slot| *slot = true);
+        assert_eq!(ok, [true; 2]);
     }
 }

@@ -53,14 +53,13 @@ pub struct OocConfig {
     /// spill to disk ("writes excessive messages whose total size is
     /// greater than a predefined memory budget").
     pub message_budget: Bytes,
-    /// Whether edges are streamed from disk every round (GraphD's
-    /// distributed semi-streaming model keeps only vertex state
-    /// resident).
-    pub stream_edges: bool,
     /// Real paging path: adjacency partitioned onto a backing store and
     /// moved through a bounded cache, with every load/evict byte
     /// measured. `None` keeps the historical demand-based accounting
-    /// estimate (retained as an oracle for the measured path).
+    /// estimate (retained as an oracle for the measured path), which
+    /// charges a full edge stream from disk every round — GraphD's
+    /// distributed semi-streaming model keeps only vertex state
+    /// resident.
     #[serde(default)]
     pub paging: Option<PagingConfig>,
 }
@@ -165,13 +164,6 @@ pub struct SystemProfile {
     /// broadcast origins (0 = off); see
     /// [`RoutePolicy::respond_cache_threshold`].
     pub respond_cache_threshold: u32,
-    /// Emit straight into pre-sharded per-destination buckets (folding
-    /// at emission time) instead of materialising a flat outbox that
-    /// the shard stage re-walks. On by default ([`Self::base`]) —
-    /// bit-identical traffic and statistics either way; this knob only
-    /// exists so benchmarks can measure the copy elimination against
-    /// the two-stage baseline.
-    pub fold_at_send: bool,
 }
 
 impl SystemProfile {
@@ -192,7 +184,6 @@ impl SystemProfile {
             wire_format: WireFormat::Tuples,
             adaptive_combiner: false,
             respond_cache_threshold: 0,
-            fold_at_send: true,
         }
     }
 

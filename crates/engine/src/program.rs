@@ -18,13 +18,14 @@ pub struct PagedNeighbors<'a> {
     pub weights: Option<&'a [u32]>,
 }
 
-/// Where a [`Context`] delivers emissions. Two implementations exist:
-/// the flat [`Outbox`] (queue now, shard in the routing stage — the
-/// historic pipeline and the serial oracle's input) and the router's
-/// [`ShardedOutbox`](crate::router::ShardedOutbox), which routes each
-/// emission into its destination shard at emit time and runs the
-/// sender-side combiner's fold probe there, so folded envelopes are
-/// never materialised (fold-at-send). Programs are oblivious: they call
+/// Where a [`Context`] delivers emissions. The runner's sink is the
+/// router's [`ShardedOutbox`](crate::router::ShardedOutbox), which
+/// routes each emission into its destination shard at emit time and
+/// runs the sender-side combiner's fold probe there, so folded
+/// envelopes are never materialised (fold-at-send). The flat [`Outbox`]
+/// (queue now, shard in a routing stage) is the input of the two-stage
+/// and serial routing oracles and of harnesses driving programs
+/// directly. Programs are oblivious: they call
 /// [`Context::send`]/[`Context::broadcast`] either way.
 ///
 /// The methods are raw — multiplicity-0 and degree-0 filtering happens
@@ -42,10 +43,10 @@ pub trait EmitSink<M> {
     fn add_state_bytes(&mut self, bytes: u64);
 }
 
-/// Per-worker send buffer, reused across compute calls *and* across
-/// rounds: the routing pipeline drains `sends`/`broadcasts` in place,
-/// so the vectors keep their capacity and a steady-state round
-/// performs no outbox allocation.
+/// Flat per-worker send buffer, reusable across compute calls *and*
+/// across rounds: [`RouteGrid::route_round`](crate::RouteGrid::route_round)
+/// drains `sends`/`broadcasts` in place, so the vectors keep their
+/// capacity. The runner does not use one (see [`EmitSink`]).
 ///
 /// Public so benches and property tests can drive
 /// [`route`](crate::router::route) / [`RouteGrid`](crate::RouteGrid)
@@ -99,11 +100,10 @@ impl<M> EmitSink<M> for Outbox<M> {
 /// Execution context handed to `compute`. Borrow-scoped to one vertex
 /// activation: sends are attributed to [`Context::vertex`].
 ///
-/// Emissions flow to an [`EmitSink`] — a flat [`Outbox`] on the
-/// two-stage routing path, a pre-sharded
-/// [`ShardedOutbox`](crate::router::ShardedOutbox) on the fold-at-send
-/// path. The dynamic dispatch is one perfectly-predicted indirect call
-/// per emission (the sink never changes within a round).
+/// Emissions flow to an [`EmitSink`] — in a run, the worker's
+/// pre-sharded [`ShardedOutbox`](crate::router::ShardedOutbox). The
+/// dynamic dispatch is one perfectly-predicted indirect call per
+/// emission (the sink never changes within a round).
 pub struct Context<'a, M: Message> {
     vertex: VertexId,
     round: usize,

@@ -2,9 +2,9 @@
 //! combining, broadcast expansion, mirroring-aware wire accounting, and
 //! per-worker traffic statistics.
 //!
-//! Routing runs as a two-stage **shard-then-merge** pipeline:
+//! Routing is a **shard-then-merge** pipeline:
 //!
-//! 1. **Shard** — each *source* worker buckets its outbox into one
+//! 1. **Shard** — each *source* worker buckets its emissions into one
 //!    [`Shard`] per destination worker. When the system profile enables
 //!    combining, envelopes with equal `(dest, combine_key)` are folded
 //!    *here*, at the source, through a recycled slot map — before any
@@ -12,7 +12,7 @@
 //!    already combined (sender-side combining, the Pregel+ technique).
 //!    Each shard additionally keeps a histogram of destination local
 //!    indices, and since a shard's content is final after this stage,
-//!    its traffic ([`PairFlow`]) is measured here too. Shards of
+//!    its per-pair traffic is measured here too. Shards of
 //!    different sources are independent, so this stage parallelizes
 //!    over source workers.
 //! 2. **Merge** — each *destination* worker folds its column of shards
@@ -33,10 +33,19 @@
 //! matrix, slot maps, and offset buffers and recycles all of them
 //! across rounds, so a steady-state round performs zero allocations and
 //! zero message clones between `send()` and `compute()`.
+//!
+//! In a run, stage 1 happens *at emission time*: the compute phase
+//! writes through one [`ShardedOutbox`] per worker
+//! ([`RouteGrid::begin_round`] → [`RouteGrid::emit_sinks`] →
+//! [`RouteGrid::route_presharded`]), so no flat outbox is ever
+//! materialised. [`RouteGrid::route_round`], which shards flat
+//! [`Outbox`]es in a stage of its own, is kept as the two-stage oracle:
+//! property tests pin the two bit-identical, and harnesses route
+//! synthetic traffic through it.
 
 use crate::message::{Delivery, Envelope, Message};
 use crate::mirror::MirrorIndex;
-use crate::pool::WorkerPool;
+use crate::pool::{dispatch, WorkerPool};
 use crate::program::{EmitSink, Outbox};
 use crate::wire::{self, WireFormat};
 use mtvc_graph::hash::FastMap;
@@ -637,7 +646,7 @@ fn push_broadcast<M: Message>(
 /// Reset one source's shard row for a new round of appends: refresh the
 /// destination vertex counts, size the histograms, and (when combining)
 /// advance the dense fold tables' epoch. Shared by the flat
-/// [`shard_outbox`] prologue and [`RouteGrid::begin_round`] (the
+/// `shard_outbox` prologue and [`RouteGrid::begin_round`] (the
 /// fold-at-send path, which must prepare the row *before* the compute
 /// phase starts emitting into it).
 fn prepare_shards<M>(shards: &mut [Shard<M>], locals: &LocalIndex, combine: bool) {
@@ -1358,46 +1367,22 @@ impl<M: Message> RouteGrid<M> {
         let policy = self.policy;
 
         // ---- stage 1: shard + combine, parallel over sources --------
-        // Lane assignment is `worker % pool.workers()`: normally the
-        // pool is partition-sized and this is the identity, but it also
-        // keeps a smaller pool (fewer cores than workers) correct.
-        match pool {
-            Some(pool) => pool.scope(|s| {
-                let lanes = pool.workers();
-                for (src, (((((outbox, row), sent), copied), slots), &dec)) in outboxes
-                    .iter_mut()
-                    .zip(self.rows.iter_mut())
-                    .zip(self.sent.iter_mut())
-                    .zip(self.copied.iter_mut())
-                    .zip(self.slots.iter_mut())
-                    .zip(self.decisions.iter())
-                    .enumerate()
-                {
-                    s.run_on(src % lanes, move || {
-                        (*sent, *copied) = shard_outbox(
-                            src, outbox, graph, part, locals, mirrors, dec, msg_bytes, &policy,
-                            row, slots,
-                        );
-                    });
-                }
-            }),
-            None => {
-                for (src, (((((outbox, row), sent), copied), slots), &dec)) in outboxes
-                    .iter_mut()
-                    .zip(self.rows.iter_mut())
-                    .zip(self.sent.iter_mut())
-                    .zip(self.copied.iter_mut())
-                    .zip(self.slots.iter_mut())
-                    .zip(self.decisions.iter())
-                    .enumerate()
-                {
-                    (*sent, *copied) = shard_outbox(
-                        src, outbox, graph, part, locals, mirrors, dec, msg_bytes, &policy, row,
-                        slots,
-                    );
-                }
-            }
-        }
+        let sources = outboxes
+            .iter_mut()
+            .zip(self.rows.iter_mut())
+            .zip(self.sent.iter_mut())
+            .zip(self.copied.iter_mut())
+            .zip(self.slots.iter_mut())
+            .zip(self.decisions.iter());
+        dispatch(
+            pool,
+            sources,
+            |src, (((((outbox, row), sent), copied), slots), &dec)| {
+                (*sent, *copied) = shard_outbox(
+                    src, outbox, graph, part, locals, mirrors, dec, msg_bytes, &policy, row, slots,
+                );
+            },
+        );
 
         self.adaptive_update(combine);
         self.merge_and_reduce(pool, inboxes, locals)
@@ -1491,37 +1476,20 @@ impl<M: Message> RouteGrid<M> {
         }
 
         // ---- stage 2: grouped merge, parallel over destinations ----
-        match pool {
-            Some(pool) => pool.scope(|s| {
-                let lanes = pool.workers();
-                for (dst, ((((col, inbox), flows), counts), active)) in self
-                    .cols
-                    .iter_mut()
-                    .zip(inboxes.iter_mut())
-                    .zip(self.flows.chunks_mut(workers))
-                    .zip(self.counts.iter_mut())
-                    .zip(self.active.iter_mut())
-                    .enumerate()
-                {
-                    s.run_on(dst % lanes, move || {
-                        merge_column(dst, col, locals, counts, active, inbox, flows);
-                    });
-                }
-            }),
-            None => {
-                for (dst, ((((col, inbox), flows), counts), active)) in self
-                    .cols
-                    .iter_mut()
-                    .zip(inboxes.iter_mut())
-                    .zip(self.flows.chunks_mut(workers))
-                    .zip(self.counts.iter_mut())
-                    .zip(self.active.iter_mut())
-                    .enumerate()
-                {
-                    merge_column(dst, col, locals, counts, active, inbox, flows);
-                }
-            }
-        }
+        let columns = self
+            .cols
+            .iter_mut()
+            .zip(inboxes.iter_mut())
+            .zip(self.flows.chunks_mut(workers))
+            .zip(self.counts.iter_mut())
+            .zip(self.active.iter_mut());
+        dispatch(
+            pool,
+            columns,
+            |dst, ((((col, inbox), flows), counts), active)| {
+                merge_column(dst, col, locals, counts, active, inbox, flows);
+            },
+        );
 
         // ---- transpose back: return drained shards (and their
         // capacity) to the stage-1 layout for the next round ---------
@@ -1551,7 +1519,7 @@ impl<M: Message> RouteGrid<M> {
     /// matrix by the compute phase (via [`Self::emit_sinks`]) instead
     /// of through flat outboxes. Computes the round's combining
     /// decisions and readies every source's shard row and slot map —
-    /// work [`shard_outbox`] does lazily at the top of stage 1, which
+    /// work `shard_outbox` does lazily at the top of stage 1, which
     /// here must happen before `compute()` runs. Call once per round,
     /// before handing out sinks.
     pub fn begin_round(&mut self, combine: bool, locals: &LocalIndex) {
@@ -1636,29 +1604,12 @@ impl<M: Message> RouteGrid<M> {
         // Stage-1 epilogue: shard content is final once compute ended,
         // so measure each pair's flow. Parallel over sources, like the
         // stage it completes.
-        match pool {
-            Some(pool) => pool.scope(|s| {
-                let lanes = pool.workers();
-                for (src, (row, &dec)) in
-                    self.rows.iter_mut().zip(self.decisions.iter()).enumerate()
-                {
-                    s.run_on(src % lanes, move || {
-                        for (dst, shard) in row.iter_mut().enumerate() {
-                            finish_shard(src, dst, shard, dec, msg_bytes, &policy);
-                        }
-                    });
-                }
-            }),
-            None => {
-                for (src, (row, &dec)) in
-                    self.rows.iter_mut().zip(self.decisions.iter()).enumerate()
-                {
-                    for (dst, shard) in row.iter_mut().enumerate() {
-                        finish_shard(src, dst, shard, dec, msg_bytes, &policy);
-                    }
-                }
+        let rows = self.rows.iter_mut().zip(self.decisions.iter());
+        dispatch(pool, rows, |src, (row, &dec)| {
+            for (dst, shard) in row.iter_mut().enumerate() {
+                finish_shard(src, dst, shard, dec, msg_bytes, &policy);
             }
-        }
+        });
 
         self.adaptive_update(combine);
         self.merge_and_reduce(pool, inboxes, locals)
@@ -1669,7 +1620,7 @@ impl<M: Message> RouteGrid<M> {
 /// compute phase's `send()`/`broadcast()` land here and are routed
 /// straight into the destination worker's [`Shard`] — probing the fold
 /// table at emission time — instead of being materialised in a flat
-/// [`Outbox`] for [`shard_outbox`] to re-walk. Folded envelopes are
+/// [`Outbox`] for `shard_outbox` to re-walk. Folded envelopes are
 /// never written anywhere; survivors are written exactly once. All
 /// accounting (`sent_wire`, prepaid mirror bytes, the request-respond
 /// cache, fold-yield counters) is the same code the flat path runs, so

@@ -9,18 +9,16 @@
 //!
 //! Large runs execute on a persistent [`WorkerPool`] owned by the
 //! runner: one long-lived thread per partition worker, onto which both
-//! the compute phase and the two routing stages are dispatched each
-//! round. No thread is ever spawned inside the round loop, and the
-//! round buffers (inboxes, outboxes, routing shards) are recycled
-//! across rounds, so a steady-state round is allocation-free on the
-//! envelope path.
+//! the compute phase and the routing stages are dispatched each round.
+//! No thread is ever spawned inside the round loop, and the round
+//! buffers (inboxes, routing shards) are recycled across rounds, so a
+//! steady-state round is allocation-free on the envelope path.
 
+use crate::message::Message;
 use crate::paging::{PagedLayout, PagerRound, PagerSnapshot, WorkerPager};
-use crate::pool::WorkerPool;
+use crate::pool::{dispatch, WorkerPool};
 use crate::profile::{SyncMode, SystemProfile};
-use crate::program::{
-    Context, EmitSink, Outbox, PagedNeighbors, PerVertex, ProgramCore, VertexProgram,
-};
+use crate::program::{Context, EmitSink, PagedNeighbors, PerVertex, ProgramCore, VertexProgram};
 use crate::router::{Inbox, RouteGrid, RoutingStats};
 use crate::slab::{PerSlab, SlabProgram, SlabRecycler};
 use crate::topology::Topology;
@@ -29,6 +27,7 @@ use mtvc_cluster::{
     ChargeError, ClusterSpec, CostModel, FaultInjector, FaultKind, FaultPlan, RoundDemand,
 };
 use mtvc_graph::hash::mix64;
+use mtvc_graph::ooc::DecodedChunk;
 use mtvc_graph::partition::{Partition, Partitioner};
 use mtvc_graph::{Graph, VertexId};
 use mtvc_metrics::{Bytes, RoundStats, RunOutcome, RunStats, SimTime, OVERLOAD_CUTOFF};
@@ -193,25 +192,19 @@ impl<S: Default + Clone> SparseRunResult<S> {
     }
 }
 
-/// Snapshot of everything the round loop needs to re-enter a superstep:
-/// per-worker vertex states, the grouped inboxes holding the in-flight
-/// messages of the checkpointed round, the state-size accumulators, and
-/// the previous round's delivery aggregates that feed demand assembly.
-/// One buffer per run, refilled in place every cadence round
-/// (`clone_from` reuses capacity), so steady-state checkpointing
-/// allocates only when traffic grows.
-struct Checkpoint<S, M> {
-    round: usize,
-    states: Vec<S>,
+/// What one round hands the next besides the vertex states: the
+/// grouped inboxes holding the in-flight messages, the state-size
+/// accumulators, and the previous routing step's delivery aggregates —
+/// those messages are processed (and their buffers are resident) in
+/// the *current* round, so they feed its demand assembly. Checkpoints
+/// copy it whole.
+#[derive(Clone)]
+struct RoundCarry<M> {
     inboxes: Vec<Inbox<M>>,
     state_bytes: Vec<u64>,
     prev_in_wire: Vec<u64>,
     prev_in_tuples: Vec<u64>,
     prev_in_bytes: Vec<u64>,
-    /// Per-worker pager resident sets (empty on fully-resident runs):
-    /// rollback restores the partition caches to this exact state so
-    /// replayed rounds evolve them identically to the first execution.
-    pagers: Vec<PagerSnapshot>,
 }
 
 /// `dst.clone_from(src)` for vectors, guaranteed to reuse both the
@@ -225,76 +218,80 @@ fn recycle_into<T: Clone>(dst: &mut Vec<T>, src: &[T]) {
     dst.extend(src[shared..].iter().cloned());
 }
 
+impl<M: Clone> RoundCarry<M> {
+    /// The carry into round 0: nothing in flight, nothing delivered,
+    /// and each worker's initial `state_bytes`.
+    fn new(state_bytes: Vec<u64>) -> Self {
+        let workers = state_bytes.len();
+        RoundCarry {
+            inboxes: (0..workers).map(|_| Inbox::new()).collect(),
+            state_bytes,
+            prev_in_wire: vec![0; workers],
+            prev_in_tuples: vec![0; workers],
+            prev_in_bytes: vec![0; workers],
+        }
+    }
+
+    /// `self.clone_from(src)` by field-wise [`recycle_into`]: a
+    /// checkpoint refilled every cadence round allocates only when
+    /// traffic grows.
+    fn recycle_from(&mut self, src: &Self) {
+        recycle_into(&mut self.inboxes, &src.inboxes);
+        recycle_into(&mut self.state_bytes, &src.state_bytes);
+        recycle_into(&mut self.prev_in_wire, &src.prev_in_wire);
+        recycle_into(&mut self.prev_in_tuples, &src.prev_in_tuples);
+        recycle_into(&mut self.prev_in_bytes, &src.prev_in_bytes);
+    }
+}
+
+/// Snapshot of everything the round loop needs to re-enter a superstep:
+/// per-worker vertex states and the [`RoundCarry`] of the checkpointed
+/// round. One buffer per run, refilled in place every cadence round, so
+/// steady-state checkpointing allocates only when traffic grows.
+struct Checkpoint<S, M> {
+    round: usize,
+    states: Vec<S>,
+    carry: RoundCarry<M>,
+    /// Per-worker pager resident sets (empty on fully-resident runs):
+    /// rollback restores the partition caches to this exact state so
+    /// replayed rounds evolve them identically to the first execution.
+    pagers: Vec<PagerSnapshot>,
+}
+
 impl<S: Clone, M: Clone> Checkpoint<S, M> {
     fn empty() -> Self {
         Checkpoint {
             round: 0,
             states: Vec::new(),
-            inboxes: Vec::new(),
-            state_bytes: Vec::new(),
-            prev_in_wire: Vec::new(),
-            prev_in_tuples: Vec::new(),
-            prev_in_bytes: Vec::new(),
+            carry: RoundCarry::new(Vec::new()),
             pagers: Vec::new(),
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn save(
         &mut self,
         round: usize,
         states: &[S],
-        inboxes: &[Inbox<M>],
-        state_bytes: &[u64],
-        prev_in_wire: &[u64],
-        prev_in_tuples: &[u64],
-        prev_in_bytes: &[u64],
+        carry: &RoundCarry<M>,
         pagers: Vec<PagerSnapshot>,
     ) {
         self.round = round;
         recycle_into(&mut self.states, states);
-        recycle_into(&mut self.inboxes, inboxes);
-        recycle_into(&mut self.state_bytes, state_bytes);
-        recycle_into(&mut self.prev_in_wire, prev_in_wire);
-        recycle_into(&mut self.prev_in_tuples, prev_in_tuples);
-        recycle_into(&mut self.prev_in_bytes, prev_in_bytes);
+        self.carry.recycle_from(carry);
         self.pagers = pagers;
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn restore(
-        &self,
-        states: &mut Vec<S>,
-        inboxes: &mut Vec<Inbox<M>>,
-        state_bytes: &mut Vec<u64>,
-        prev_in_wire: &mut Vec<u64>,
-        prev_in_tuples: &mut Vec<u64>,
-        prev_in_bytes: &mut Vec<u64>,
-    ) -> usize {
-        recycle_into(states, &self.states);
-        recycle_into(inboxes, &self.inboxes);
-        recycle_into(state_bytes, &self.state_bytes);
-        recycle_into(prev_in_wire, &self.prev_in_wire);
-        recycle_into(prev_in_tuples, &self.prev_in_tuples);
-        recycle_into(prev_in_bytes, &self.prev_in_bytes);
-        self.round
     }
 }
 
 /// One incremental checkpoint: per-worker sparse state deltas since
-/// the previous checkpoint (base snapshot or earlier delta) plus full
-/// copies of the small round-loop aggregates. Rollback reconstructs
-/// the state by cloning the base [`Checkpoint`] and replaying every
-/// delta in order — bit-identical to a full snapshot of the same
-/// round, but storing only the cells the frontier actually touched.
+/// the previous checkpoint (base snapshot or earlier delta) plus a full
+/// copy of the small [`RoundCarry`]. Rollback reconstructs the state by
+/// cloning the base [`Checkpoint`] and replaying every delta in order —
+/// bit-identical to a full snapshot of the same round, but storing only
+/// the cells the frontier actually touched.
 struct DeltaRecord<D, M> {
     round: usize,
     diffs: Vec<D>,
-    inboxes: Vec<Inbox<M>>,
-    state_bytes: Vec<u64>,
-    prev_in_wire: Vec<u64>,
-    prev_in_tuples: Vec<u64>,
-    prev_in_bytes: Vec<u64>,
+    carry: RoundCarry<M>,
     pagers: Vec<PagerSnapshot>,
 }
 
@@ -473,7 +470,6 @@ impl<'g> Runner<'g> {
         let Topology {
             partition,
             locals,
-            mirrors,
             paged,
             ..
         } = &*self.topology;
@@ -483,7 +479,6 @@ impl<'g> Runner<'g> {
         let spec = &self.config.cluster.machine;
         let batch = self.batch_params();
         let msg_bytes = program.message_bytes();
-        let async_mode = matches!(profile.sync, SyncMode::Asynchronous);
 
         let seeds = self.seed_locals(program.seeds());
         let mut states: Vec<C::Store> = locals
@@ -494,7 +489,7 @@ impl<'g> Runner<'g> {
         // Exactly-accounted programs (slabs) report resident capacity;
         // ledger programs start from the per-vertex baseline and
         // accumulate `add_state_bytes` deltas.
-        let mut state_bytes: Vec<u64> = locals
+        let state_bytes: Vec<u64> = locals
             .worker_vertices()
             .iter()
             .zip(&states)
@@ -508,19 +503,12 @@ impl<'g> Runner<'g> {
         let mut stats = RunStats::new();
         let mut total = SimTime::ZERO;
         // Round buffers, all recycled across rounds: the compute phase
-        // drains the inboxes in place, the shard stage drains the
-        // outboxes in place, and the merge stage refills the inboxes —
-        // every Vec keeps the capacity last round's traffic shaped.
-        let mut inboxes: Vec<Inbox<C::Message>> = (0..workers).map(|_| Inbox::new()).collect();
-        let mut outboxes: Vec<Outbox<C::Message>> = (0..workers).map(|_| Outbox::new()).collect();
+        // drains the inboxes in place while emitting into the grid's
+        // shard matrix, and the merge stage refills the inboxes — every
+        // Vec keeps the capacity last round's traffic shaped.
+        let mut carry: RoundCarry<C::Message> = RoundCarry::new(state_bytes);
         let mut grid: RouteGrid<C::Message> = RouteGrid::new(workers);
         grid.set_policy(profile.route_policy(self.config.faults.is_some()));
-        // Delivered-message statistics of the previous routing step:
-        // those messages are processed (and their buffers are resident)
-        // in the *current* round.
-        let mut prev_in_wire: Vec<u64> = vec![0; workers];
-        let mut prev_in_tuples: Vec<u64> = vec![0; workers];
-        let mut prev_in_bytes: Vec<u64> = vec![0; workers];
         let mut outcome: Option<RunOutcome> = None;
 
         // Real paging path: fresh (cold) per-worker partition caches
@@ -559,7 +547,7 @@ impl<'g> Runner<'g> {
         let mut round = 0usize;
         loop {
             if round > 0 {
-                if inboxes.iter().all(|i| i.is_empty()) {
+                if carry.inboxes.iter().all(|i| i.is_empty()) {
                     break; // quiescent
                 }
                 if let Some(max) = program.max_rounds() {
@@ -601,28 +589,15 @@ impl<'g> Runner<'g> {
                         deltas.push(DeltaRecord {
                             round,
                             diffs,
-                            inboxes: inboxes.clone(),
-                            state_bytes: state_bytes.clone(),
-                            prev_in_wire: prev_in_wire.clone(),
-                            prev_in_tuples: prev_in_tuples.clone(),
-                            prev_in_bytes: prev_in_bytes.clone(),
+                            carry: carry.clone(),
                             pagers: pager_snaps(&pagers),
                         });
                         stats.faults.delta_checkpoints += 1;
                         stats.faults.checkpoint_delta_bytes += Bytes(delta_bytes);
                     } else {
                         let ckpt = checkpoint.get_or_insert_with(Checkpoint::empty);
-                        ckpt.save(
-                            round,
-                            &states,
-                            &inboxes,
-                            &state_bytes,
-                            &prev_in_wire,
-                            &prev_in_tuples,
-                            &prev_in_bytes,
-                            pager_snaps(&pagers),
-                        );
-                        stats.faults.checkpoint_full_bytes += Bytes(state_bytes.iter().sum());
+                        ckpt.save(round, &states, &carry, pager_snaps(&pagers));
+                        stats.faults.checkpoint_full_bytes += Bytes(carry.state_bytes.iter().sum());
                         if incremental.is_some() {
                             deltas.clear();
                             recycle_into(&mut shadow, &states);
@@ -686,7 +661,7 @@ impl<'g> Runner<'g> {
                             // buffer bytes.
                             stats.faults.corrupted_buckets += u64::from(flips);
                             stats.faults.retransmitted_buckets += u64::from(flips);
-                            let inbound = prev_in_bytes.get(machine).copied().unwrap_or(0);
+                            let inbound = carry.prev_in_bytes.get(machine).copied().unwrap_or(0);
                             let peers = (workers as u64 - 1).max(1);
                             let bytes = u64::from(flips) * (inbound / peers);
                             stats.faults.retransmitted_bytes += Bytes(bytes);
@@ -707,74 +682,48 @@ impl<'g> Runner<'g> {
                         .as_ref()
                         .expect("a checkpoint is saved at round 0 before any fault can fire");
                     replay_until = replay_until.max(round);
-                    round = if let Some(rec) = deltas.last() {
-                        // Incremental restore: clone the base snapshot
-                        // and replay every delta in order — the result
-                        // is bit-identical to a full snapshot of the
-                        // last checkpointed round.
-                        recycle_into(&mut states, &ckpt.states);
-                        for rec in &deltas {
-                            for (s, d) in states.iter_mut().zip(&rec.diffs) {
-                                program.apply_store_delta(s, d);
-                            }
+                    // Restore the base snapshot and replay every delta
+                    // taken since, in order — the result is bit-
+                    // identical to a full snapshot of the last
+                    // checkpointed round, whose carry and pager sets
+                    // the newest record (or, with none, the base) holds.
+                    recycle_into(&mut states, &ckpt.states);
+                    for rec in &deltas {
+                        for (s, d) in states.iter_mut().zip(&rec.diffs) {
+                            program.apply_store_delta(s, d);
                         }
-                        recycle_into(&mut inboxes, &rec.inboxes);
-                        recycle_into(&mut state_bytes, &rec.state_bytes);
-                        recycle_into(&mut prev_in_wire, &rec.prev_in_wire);
-                        recycle_into(&mut prev_in_tuples, &rec.prev_in_tuples);
-                        recycle_into(&mut prev_in_bytes, &rec.prev_in_bytes);
-                        restore_pagers(&mut pagers, &rec.pagers);
-                        rec.round
-                    } else {
-                        restore_pagers(&mut pagers, &ckpt.pagers);
-                        ckpt.restore(
-                            &mut states,
-                            &mut inboxes,
-                            &mut state_bytes,
-                            &mut prev_in_wire,
-                            &mut prev_in_tuples,
-                            &mut prev_in_bytes,
-                        )
+                    }
+                    let (at, saved, snaps) = match deltas.last() {
+                        Some(rec) => (rec.round, &rec.carry, &rec.pagers),
+                        None => (ckpt.round, &ckpt.carry, &ckpt.pagers),
                     };
+                    carry.recycle_from(saved);
+                    if let Some(ps) = pagers.as_mut() {
+                        for (pager, snap) in ps.iter_mut().zip(snaps) {
+                            pager.restore(snap);
+                        }
+                    }
+                    round = at;
                     continue; // re-enter the loop at the restored round
                 }
             }
 
             // ---- compute phase -------------------------------------
-            // Fold-at-send profiles emit straight into the prepared
-            // shard matrix; the two-stage baseline emits into flat
-            // outboxes that the routing stage re-walks. Same traffic,
-            // same statistics (minus the copies the former never
-            // performs).
+            // Workers emit straight into the prepared shard matrix,
+            // folding at emission time.
             grid.set_replay(replaying);
-            let fold_at_send = profile.fold_at_send;
-            let (active, state_added) = if fold_at_send {
-                grid.begin_round(profile.combiner, locals);
-                self.compute_phase_presharded(
-                    program,
-                    round,
-                    batch.seed,
-                    &seeds,
-                    &mut inboxes,
-                    &mut grid,
-                    &mut states,
-                    msg_bytes,
-                    pagers.as_mut(),
-                )
-            } else {
-                let active = self.compute_phase(
-                    program,
-                    round,
-                    batch.seed,
-                    &seeds,
-                    &mut inboxes,
-                    &mut outboxes,
-                    &mut states,
-                    pagers.as_mut(),
-                );
-                let added = outboxes.iter().map(|ob| ob.state_bytes_added).collect();
-                (active, added)
-            };
+            grid.begin_round(profile.combiner, locals);
+            let (active, state_added) = self.compute_phase(
+                program,
+                round,
+                batch.seed,
+                &seeds,
+                &mut carry.inboxes,
+                &mut grid,
+                &mut states,
+                msg_bytes,
+                pagers.as_mut(),
+            );
 
             // Harvest the pagers' measured movement: loaded and spilled
             // bytes feed the cost model's disk terms in place of the
@@ -803,63 +752,42 @@ impl<'g> Runner<'g> {
                             added, 0,
                             "exactly-accounted programs must not call add_state_bytes"
                         );
-                        state_bytes[w] = exact;
+                        carry.state_bytes[w] = exact;
                     }
-                    None => state_bytes[w] += added,
+                    None => carry.state_bytes[w] += added,
                 }
             }
 
             // ---- routing phase -------------------------------------
-            let routing = if fold_at_send {
-                grid.route_presharded(
-                    self.pool.as_ref(),
-                    &mut inboxes,
-                    locals,
-                    msg_bytes,
-                    profile.combiner,
-                )
-            } else {
-                grid.route_round(
-                    self.pool.as_ref(),
-                    &mut outboxes,
-                    &mut inboxes,
-                    self.graph,
-                    partition,
-                    locals,
-                    mirrors.as_ref(),
-                    profile.combiner,
-                    msg_bytes,
-                )
-            };
-            if fold_at_send {
-                // Conservation pins for the pre-sharded path, matching
-                // the grid path's property-test guarantees: nothing is
-                // dropped between emission and delivery, and every
-                // encoded byte sent is an encoded byte received.
-                debug_assert_eq!(
-                    routing.sent_wire,
-                    routing.delivered_wire(),
-                    "pre-sharded routing must deliver every wire message"
-                );
-                debug_assert_eq!(
-                    routing.encoded_out_bytes.iter().sum::<u64>(),
-                    routing.encoded_in_bytes.iter().sum::<u64>(),
-                    "pre-sharded routing must conserve encoded wire bytes"
-                );
-            }
+            let routing = grid.route_presharded(
+                self.pool.as_ref(),
+                &mut carry.inboxes,
+                locals,
+                msg_bytes,
+                profile.combiner,
+            );
+            // Conservation pins, matching the two-stage oracle's
+            // property-test guarantees: nothing is dropped between
+            // emission and delivery, and every encoded byte sent is an
+            // encoded byte received.
+            debug_assert_eq!(
+                routing.sent_wire,
+                routing.delivered_wire(),
+                "routing must deliver every wire message"
+            );
+            debug_assert_eq!(
+                routing.encoded_out_bytes.iter().sum::<u64>(),
+                routing.encoded_in_bytes.iter().sum::<u64>(),
+                "routing must conserve encoded wire bytes"
+            );
 
             // ---- demand assembly -----------------------------------
             let demand = self.assemble_demand(
-                profile,
                 &active,
-                &prev_in_wire,
-                &prev_in_tuples,
-                &prev_in_bytes,
+                &carry,
                 routing,
-                &state_bytes,
                 batch.residual_bytes,
                 msg_bytes,
-                async_mode,
                 paged_rounds.as_deref(),
             );
 
@@ -869,33 +797,11 @@ impl<'g> Runner<'g> {
             // thrashing grace up to the cost model's overflow limit.
             // Replay rounds completed under capacity on their first
             // run, so they cannot trip this.
-            if hard_oom && !replaying && demand.memory.iter().any(|&m| m > spec.memory) {
-                let peak = demand.memory.iter().copied().max().unwrap_or(Bytes::ZERO);
-                stats.record_round(RoundStats {
-                    round,
-                    peak_machine_memory: peak,
-                    ..RoundStats::default()
-                });
-                stats.faults.oom_kills += 1;
-                outcome = Some(RunOutcome::Overflow);
-                break;
-            }
+            let oom_kill = hard_oom && !replaying && demand.memory.iter().any(|&m| m > spec.memory);
 
             // ---- pricing -------------------------------------------
             match cost.charge(spec, &demand) {
-                Err(ChargeError::MemoryOverflow { .. }) => {
-                    // Record the failed round's memory pressure so
-                    // reports can show what blew up, then abort.
-                    let peak = demand.memory.iter().copied().max().unwrap_or(Bytes::ZERO);
-                    stats.record_round(RoundStats {
-                        round,
-                        peak_machine_memory: peak,
-                        ..RoundStats::default()
-                    });
-                    outcome = Some(RunOutcome::Overflow);
-                    break;
-                }
-                Ok(charge) => {
+                Ok(charge) if !oom_kill => {
                     let barrier_t = profile.barrier_scale()
                         * (cost.barrier_base + cost.barrier_per_machine * workers as f64);
                     let duration = charge.duration + SimTime::secs(barrier_t);
@@ -980,7 +886,9 @@ impl<'g> Runner<'g> {
                             shard_copy_bytes: Bytes(routing.shard_copy_bytes),
                             active_vertices: active.iter().sum(),
                             peak_machine_memory: charge.peak_memory,
-                            state_bytes: Bytes(state_bytes.iter().copied().max().unwrap_or(0)),
+                            state_bytes: Bytes(
+                                carry.state_bytes.iter().copied().max().unwrap_or(0),
+                            ),
                             spilled_bytes: Bytes(demand.spill.iter().map(|b| b.get()).sum()),
                             loaded_bytes: Bytes(loaded),
                             partition_loads: loads,
@@ -998,12 +906,28 @@ impl<'g> Runner<'g> {
                         }
                     }
                 }
+                Ok(_) | Err(ChargeError::MemoryOverflow { .. }) => {
+                    // Killed, or over the model's overflow limit:
+                    // record the failed round's memory pressure so
+                    // reports can show what blew up, then abort.
+                    let peak = demand.memory.iter().copied().max().unwrap_or(Bytes::ZERO);
+                    stats.record_round(RoundStats {
+                        round,
+                        peak_machine_memory: peak,
+                        ..RoundStats::default()
+                    });
+                    stats.faults.oom_kills += u64::from(oom_kill);
+                    outcome = Some(RunOutcome::Overflow);
+                    break;
+                }
             }
 
             // ---- advance -------------------------------------------
-            prev_in_wire.copy_from_slice(&routing.in_wire);
-            prev_in_tuples.copy_from_slice(&routing.in_tuples);
-            prev_in_bytes.copy_from_slice(&routing.in_buffer_bytes);
+            carry.prev_in_wire.copy_from_slice(&routing.in_wire);
+            carry.prev_in_tuples.copy_from_slice(&routing.in_tuples);
+            carry
+                .prev_in_bytes
+                .copy_from_slice(&routing.in_buffer_bytes);
             round += 1;
         }
 
@@ -1014,13 +938,7 @@ impl<'g> Runner<'g> {
             let mut buf = Vec::new();
             for (w, pager) in ps.iter_mut().enumerate() {
                 for p in pager.state_paged_partitions() {
-                    let (lo, hi) = pager.partition_range(p);
-                    let key = pager.state_key(p);
-                    let found = pager.store().get(key, &mut buf);
-                    debug_assert!(found, "paged-out state rows must be on the store");
-                    program.page_in_rows(&mut states[w], lo, hi, &buf);
-                    pager.store().remove(key);
-                    pager.note_state_paged_in(p);
+                    page_state_in(program, &mut states[w], pager, p, &mut buf);
                 }
             }
         }
@@ -1070,120 +988,14 @@ impl<'g> Runner<'g> {
         }
     }
 
-    /// Run every worker's compute for one round, draining each inbox
-    /// into its worker's outbox; returns per-worker active-vertex
-    /// counts. With a pool, worker `w` always executes on pool thread
-    /// `w`.
+    /// Run every worker's compute for one round: each worker drains its
+    /// inbox and emits through its [`ShardedOutbox`](crate::ShardedOutbox)
+    /// sink (obtained from the prepared `grid`), so envelopes land
+    /// pre-sharded — and pre-folded — as they are produced. Returns
+    /// per-worker `(active vertices, state bytes added)`. With a pool,
+    /// worker `w` always executes on pool thread `w`.
     #[allow(clippy::too_many_arguments)]
     fn compute_phase<C: ProgramCore>(
-        &self,
-        program: &C,
-        round: usize,
-        seed: u64,
-        seeds: &[Vec<u32>],
-        inboxes: &mut [Inbox<C::Message>],
-        outboxes: &mut [Outbox<C::Message>],
-        states: &mut [C::Store],
-        pagers: Option<&mut Vec<WorkerPager>>,
-    ) -> Vec<u64> {
-        let worker_vertices = self.topology.locals.worker_vertices();
-        let mut active = vec![0u64; states.len()];
-        let slots = pager_slots(pagers, states.len());
-        match &self.pool {
-            Some(pool) => {
-                pool.scope(|s| {
-                    for (w, ((((inbox, outbox), worker_states), slot), pager)) in inboxes
-                        .iter_mut()
-                        .zip(outboxes.iter_mut())
-                        .zip(states.iter_mut())
-                        .zip(active.iter_mut())
-                        .zip(slots)
-                        .enumerate()
-                    {
-                        let graph = self.graph;
-                        let (vertices, seeds) = (&worker_vertices[w], &seeds[w]);
-                        s.run_on(w, move || {
-                            outbox.clear();
-                            *slot = match pager {
-                                Some(pager) => worker_pass_paged(
-                                    program,
-                                    graph,
-                                    round,
-                                    seed,
-                                    vertices,
-                                    seeds,
-                                    inbox,
-                                    outbox,
-                                    worker_states,
-                                    pager,
-                                ),
-                                None => worker_pass(
-                                    program,
-                                    graph,
-                                    round,
-                                    seed,
-                                    vertices,
-                                    seeds,
-                                    inbox,
-                                    outbox,
-                                    worker_states,
-                                ),
-                            };
-                        });
-                    }
-                });
-            }
-            None => {
-                for (w, ((((inbox, outbox), worker_states), slot), pager)) in inboxes
-                    .iter_mut()
-                    .zip(outboxes.iter_mut())
-                    .zip(states.iter_mut())
-                    .zip(active.iter_mut())
-                    .zip(slots)
-                    .enumerate()
-                {
-                    outbox.clear();
-                    let (vertices, seeds) = (&worker_vertices[w], &seeds[w]);
-                    *slot = match pager {
-                        Some(pager) => worker_pass_paged(
-                            program,
-                            self.graph,
-                            round,
-                            seed,
-                            vertices,
-                            seeds,
-                            inbox,
-                            outbox,
-                            worker_states,
-                            pager,
-                        ),
-                        None => worker_pass(
-                            program,
-                            self.graph,
-                            round,
-                            seed,
-                            vertices,
-                            seeds,
-                            inbox,
-                            outbox,
-                            worker_states,
-                        ),
-                    };
-                }
-            }
-        }
-        active
-    }
-
-    /// [`Self::compute_phase`] for the fold-at-send path: each worker
-    /// emits through its [`ShardedOutbox`](crate::ShardedOutbox) sink
-    /// (obtained from the prepared `grid`) instead of a flat outbox, so
-    /// envelopes land pre-sharded — and pre-folded — as they are
-    /// produced. Returns per-worker `(active vertices, state bytes
-    /// added)`; the latter replaces the flat outbox's
-    /// `state_bytes_added` ledger.
-    #[allow(clippy::too_many_arguments)]
-    fn compute_phase_presharded<C: ProgramCore>(
         &self,
         program: &C,
         round: usize,
@@ -1195,131 +1007,70 @@ impl<'g> Runner<'g> {
         msg_bytes: u64,
         pagers: Option<&mut Vec<WorkerPager>>,
     ) -> (Vec<u64>, Vec<u64>) {
+        let graph = self.graph;
         let worker_vertices = self.topology.locals.worker_vertices();
         let mut active = vec![0u64; states.len()];
         let mut state_added = vec![0u64; states.len()];
-        let slots = pager_slots(pagers, states.len());
         let sinks = grid.emit_sinks(
-            self.graph,
+            graph,
             &self.topology.partition,
             &self.topology.locals,
             self.topology.mirrors.as_ref(),
             msg_bytes,
         );
-        match &self.pool {
-            Some(pool) => {
-                pool.scope(|s| {
-                    for (w, (((((inbox, mut sink), worker_states), slot), added), pager)) in inboxes
-                        .iter_mut()
-                        .zip(sinks)
-                        .zip(states.iter_mut())
-                        .zip(active.iter_mut())
-                        .zip(state_added.iter_mut())
-                        .zip(slots)
-                        .enumerate()
-                    {
-                        let graph = self.graph;
-                        let (vertices, seeds) = (&worker_vertices[w], &seeds[w]);
-                        s.run_on(w, move || {
-                            *slot = match pager {
-                                Some(pager) => worker_pass_paged(
-                                    program,
-                                    graph,
-                                    round,
-                                    seed,
-                                    vertices,
-                                    seeds,
-                                    inbox,
-                                    &mut sink,
-                                    worker_states,
-                                    pager,
-                                ),
-                                None => worker_pass(
-                                    program,
-                                    graph,
-                                    round,
-                                    seed,
-                                    vertices,
-                                    seeds,
-                                    inbox,
-                                    &mut sink,
-                                    worker_states,
-                                ),
-                            };
-                            *added = sink.state_bytes_added;
-                        });
-                    }
-                });
-            }
-            None => {
-                for (w, (((((inbox, mut sink), worker_states), slot), added), pager)) in inboxes
-                    .iter_mut()
-                    .zip(sinks)
-                    .zip(states.iter_mut())
-                    .zip(active.iter_mut())
-                    .zip(state_added.iter_mut())
-                    .zip(slots)
-                    .enumerate()
-                {
-                    let (vertices, seeds) = (&worker_vertices[w], &seeds[w]);
-                    *slot = match pager {
-                        Some(pager) => worker_pass_paged(
-                            program,
-                            self.graph,
-                            round,
-                            seed,
-                            vertices,
-                            seeds,
-                            inbox,
-                            &mut sink,
-                            worker_states,
-                            pager,
-                        ),
-                        None => worker_pass(
-                            program,
-                            self.graph,
-                            round,
-                            seed,
-                            vertices,
-                            seeds,
-                            inbox,
-                            &mut sink,
-                            worker_states,
-                        ),
-                    };
-                    *added = sink.state_bytes_added;
-                }
-            }
-        }
+        // Each worker's own pager on a paged run, `None` for all on a
+        // resident one.
+        let mut pagers = pagers.map(|ps| ps.iter_mut());
+        let per_worker = inboxes
+            .iter_mut()
+            .zip(sinks)
+            .zip(states.iter_mut())
+            .zip(active.iter_mut())
+            .zip(state_added.iter_mut())
+            .map(|item| (item, pagers.as_mut().and_then(Iterator::next)));
+        dispatch(
+            self.pool.as_ref(),
+            per_worker,
+            |w, (((((inbox, mut sink), store), slot), added), pager)| {
+                *slot = worker_pass(
+                    program,
+                    graph,
+                    round,
+                    seed,
+                    &worker_vertices[w],
+                    &seeds[w],
+                    inbox,
+                    &mut sink,
+                    store,
+                    pager,
+                );
+                *added = sink.state_bytes_added;
+            },
+        );
         (active, state_added)
     }
 
     /// Build the [`RoundDemand`] for the cost model from this round's
     /// measurements (see DESIGN.md §4 for the formulas).
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_demand(
+    fn assemble_demand<M>(
         &self,
-        profile: &SystemProfile,
         active: &[u64],
-        prev_in_wire: &[u64],
-        prev_in_tuples: &[u64],
-        prev_in_bytes: &[u64],
+        carry: &RoundCarry<M>,
         routing: &RoutingStats,
-        state_bytes: &[u64],
         residual_bytes: &[u64],
         msg_bytes: u64,
-        async_mode: bool,
         paged: Option<&[(PagerRound, u64)]>,
     ) -> RoundDemand {
+        let profile = &self.config.profile;
         let workers = active.len();
         let graph_bytes = &self.topology.graph_bytes;
         let mut demand = RoundDemand::zeros(workers, false);
         let mut total_processed = 0u64;
         for w in 0..workers {
             let processed = if profile.combiner {
-                prev_in_tuples[w]
+                carry.prev_in_tuples[w]
             } else {
-                prev_in_wire[w]
+                carry.prev_in_wire[w]
             };
             total_processed += processed;
             demand.compute_ops[w] = (active[w] as f64 * profile.per_vertex_ops
@@ -1336,12 +1087,12 @@ impl<'g> Runner<'g> {
                 demand.net_in[w] = Bytes(routing.net_in_bytes[w]);
             }
 
-            let msg_buffer = prev_in_bytes[w] + routing.out_buffer_bytes[w];
+            let msg_buffer = carry.prev_in_bytes[w] + routing.out_buffer_bytes[w];
             let paged_w = paged.map(|p| p[w]);
             // Slab-state rows paged out to the store are not resident;
             // the ledger charges only what stayed in memory.
             let resident_state =
-                state_bytes[w].saturating_sub(paged_w.map_or(0, |(_, evicted)| evicted));
+                carry.state_bytes[w].saturating_sub(paged_w.map_or(0, |(_, evicted)| evicted));
             let mut memory = (resident_state as f64 * profile.mem_overhead_factor) as u64;
             if !residual_bytes.is_empty() {
                 memory += residual_bytes[w];
@@ -1367,11 +1118,7 @@ impl<'g> Runner<'g> {
                         }
                         None => {
                             demand.spill[w] = Bytes(msg_spill);
-                            if ooc.stream_edges {
-                                demand.stream[w] = Bytes(graph_bytes[w]);
-                            } else {
-                                memory += (graph_bytes[w] as f64 * profile.graph_mem_factor) as u64;
-                            }
+                            demand.stream[w] = Bytes(graph_bytes[w]);
                         }
                     }
                 }
@@ -1382,7 +1129,7 @@ impl<'g> Runner<'g> {
             }
             demand.memory[w] = Bytes(memory);
         }
-        demand.lock_ops = if async_mode {
+        demand.lock_ops = if matches!(profile.sync, SyncMode::Asynchronous) {
             total_processed as f64
         } else {
             0.0
@@ -1397,9 +1144,21 @@ impl<'g> Runner<'g> {
 /// messages are handed to `compute` as a borrowed slice, with no
 /// sorting, no clones, and no per-round allocation. The inbox is
 /// cleared afterwards (capacity retained for the next routing round).
-/// Emissions land in `sink` — a (cleared) flat [`Outbox`] on the
-/// two-stage grid path, a [`ShardedOutbox`](crate::ShardedOutbox) on
-/// the fold-at-send path; both observe the identical emission sequence.
+/// Emissions land in `sink`.
+///
+/// The pass is partition-major: a resident worker (`pager: None`) is
+/// the one-partition case, its single range `0..vertices.len()` served
+/// by the resident [`Graph`]. On the real out-of-core path neighbors
+/// are served from decoded partition chunks streamed through `pager`'s
+/// bounded cache instead. Partitions are visited in ascending
+/// local-index order and the inbox's runs are ascending by local index,
+/// so the compute sequence — and therefore every emission and state
+/// update — is the same either way; the pager only changes which bytes
+/// move. Under the frontier-density schedule, partitions with no
+/// delivered runs this round are skipped outright (nothing loaded,
+/// nothing visited); with slab-state paging on, the skipped partitions'
+/// state rows are encoded to the store and blanked (measured spill),
+/// and paged back in before their next compute.
 #[allow(clippy::too_many_arguments)]
 fn worker_pass<C: ProgramCore>(
     program: &C,
@@ -1411,106 +1170,55 @@ fn worker_pass<C: ProgramCore>(
     inbox: &mut Inbox<C::Message>,
     sink: &mut dyn EmitSink<C::Message>,
     store: &mut C::Store,
+    mut pager: Option<&mut WorkerPager>,
 ) -> u64 {
-    let active;
+    let partitions = pager.as_ref().map_or(1, |p| p.partitions());
+    let all = vertices.len() as u32;
     if round == 0 {
-        // Only seed vertices can do anything in `init`; the rest are
-        // skipped but still count as active — the cost model prices a
-        // full superstep over the worker's vertices. A worker's vertex
-        // list is in local-index order, so the local index IS the
-        // position.
-        for &li in seeds {
-            let v = vertices[li as usize];
-            let mut rng = vertex_rng(seed, round, v);
-            let mut ctx = Context::new(v, round, graph, &mut rng, sink);
-            program.init_vertex(v, li, store, &mut ctx);
-        }
-        active = vertices.len() as u64;
-    } else {
-        active = inbox.runs().len() as u64;
-        let mut start = 0usize;
-        for run in inbox.runs() {
-            let msgs = &inbox.deliveries()[start..run.end as usize];
-            start = run.end as usize;
-            let mut rng = vertex_rng(seed, round, run.dest);
-            let mut ctx = Context::new(run.dest, round, graph, &mut rng, sink);
-            program.compute_vertex(run.dest, run.local, store, msgs, &mut ctx);
-        }
-        // Recycle: the routing merge stage refills this inbox, reusing
-        // the capacity this round's traffic established.
-        inbox.clear();
-    }
-    active
-}
-
-/// [`worker_pass`] on the real out-of-core path: neighbors are served
-/// from decoded partition chunks streamed through `pager`'s bounded
-/// cache, never from the resident [`Graph`]. Partitions are visited in
-/// ascending local-index order and the inbox's runs are ascending by
-/// local index, so the compute sequence — and therefore every emission
-/// and state update — is bit-identical to [`worker_pass`]; the pager
-/// only changes which bytes move. Under the frontier-density schedule,
-/// partitions with no delivered runs this round are skipped outright
-/// (nothing loaded, nothing visited); with slab-state paging on, the
-/// skipped partitions' state rows are encoded to the store and blanked
-/// (measured spill), and paged back in before their next compute.
-#[allow(clippy::too_many_arguments)]
-fn worker_pass_paged<C: ProgramCore>(
-    program: &C,
-    graph: &Graph,
-    round: usize,
-    seed: u64,
-    vertices: &[VertexId],
-    seeds: &[u32],
-    inbox: &mut Inbox<C::Message>,
-    sink: &mut dyn EmitSink<C::Message>,
-    store: &mut C::Store,
-    pager: &mut WorkerPager,
-) -> u64 {
-    let mut state_buf = Vec::new();
-    let active;
-    if round == 0 {
-        // Round 0 is a full superstep to the model — every vertex is
-        // active — so every partition streams through the cache
-        // regardless of schedule, though only the seeds (ascending, so
-        // one cursor walks them) run `init`.
+        // Round 0 is a full superstep to the model — every vertex
+        // counts as active, and on a paged run every partition streams
+        // through the cache regardless of schedule — though only the
+        // seeds (ascending, so one cursor walks them) can do anything
+        // in `init`. A worker's vertex list is in local-index order, so
+        // the local index IS the position.
         let mut next = seeds.iter().copied().peekable();
-        for p in 0..pager.partitions() {
-            pager.ensure_resident(p);
-            let (_, hi) = pager.partition_range(p);
-            let chunk = pager.chunk(p);
+        for p in 0..partitions {
+            let hi = pager.as_deref_mut().map_or(all, |pager| {
+                pager.ensure_resident(p);
+                pager.partition_range(p).1
+            });
+            let chunk = pager.as_deref().map(|pager| pager.chunk(p));
             while let Some(li) = next.next_if(|&li| li < hi) {
                 let v = vertices[li as usize];
-                let paged = PagedNeighbors {
-                    neighbors: chunk.neighbors_of(li),
-                    weights: chunk.weights_of(li),
-                };
                 let mut rng = vertex_rng(seed, round, v);
-                let mut ctx = Context::new_paged(v, round, graph, paged, &mut rng, sink);
+                let mut ctx = vertex_context(v, li, round, graph, chunk, &mut rng, sink);
                 program.init_vertex(v, li, store, &mut ctx);
             }
         }
-        active = vertices.len() as u64;
-    } else {
+        return all as u64;
+    }
+
+    let mut state_buf = Vec::new();
+    if let Some(pager) = pager.as_deref_mut() {
         // Frontier densities: count delivered runs per partition. Runs
         // ascend by local index and partitions are contiguous
         // local-index ranges, so one forward scan suffices.
         pager.clear_density();
-        {
-            let mut p = 0usize;
-            for run in inbox.runs() {
-                while pager.partition_range(p).1 <= run.local {
-                    p += 1;
-                }
-                pager.bump_density(p);
+        let mut p = 0usize;
+        for run in inbox.runs() {
+            while pager.partition_range(p).1 <= run.local {
+                p += 1;
             }
+            pager.bump_density(p);
         }
-        active = inbox.runs().len() as u64;
-        let runs = inbox.runs();
-        let deliveries = inbox.deliveries();
-        let mut ri = 0usize;
-        let mut start = 0usize;
-        for p in 0..pager.partitions() {
+    }
+    let runs = inbox.runs();
+    let deliveries = inbox.deliveries();
+    let mut ri = 0usize;
+    let mut start = 0usize;
+    for p in 0..partitions {
+        let mut hi = all;
+        if let Some(pager) = pager.as_deref_mut() {
             if pager.should_skip(p) {
                 // Empty frontier: zero runs land here, so skipping
                 // moves no bytes and visits no vertices.
@@ -1519,44 +1227,66 @@ fn worker_pass_paged<C: ProgramCore>(
             }
             pager.ensure_resident(p);
             page_state_in(program, store, pager, p, &mut state_buf);
-            let (_, hi) = pager.partition_range(p);
-            while ri < runs.len() && runs[ri].local < hi {
-                let run = runs[ri];
-                let msgs = &deliveries[start..run.end as usize];
-                start = run.end as usize;
-                ri += 1;
-                let chunk = pager.chunk(p);
-                let paged = PagedNeighbors {
-                    neighbors: chunk.neighbors_of(run.local),
-                    weights: chunk.weights_of(run.local),
-                };
-                let mut rng = vertex_rng(seed, round, run.dest);
-                let mut ctx = Context::new_paged(run.dest, round, graph, paged, &mut rng, sink);
-                program.compute_vertex(run.dest, run.local, store, msgs, &mut ctx);
-            }
+            hi = pager.partition_range(p).1;
         }
-        debug_assert_eq!(ri, runs.len(), "every delivered run must compute");
-        inbox.clear();
-        // Slab-state paging: rows of partitions the frontier left
-        // behind this round move to the store until messages return.
-        if pager.pages_state() {
-            for p in 0..pager.partitions() {
-                if pager.density(p) == 0 && pager.state_paged_out(p).is_none() {
-                    let (lo, hi) = pager.partition_range(p);
-                    match program.page_out_rows(store, lo, hi, &mut state_buf) {
-                        Some(bytes) => {
-                            pager.store().put(pager.state_key(p), &state_buf);
-                            pager.note_state_paged_out(p, bytes);
-                        }
-                        // The program keeps no pageable rows
-                        // (per-vertex ledger store): nothing to move.
-                        None => break,
+        let chunk = pager.as_deref().map(|pager| pager.chunk(p));
+        while ri < runs.len() && runs[ri].local < hi {
+            let run = runs[ri];
+            let msgs = &deliveries[start..run.end as usize];
+            start = run.end as usize;
+            ri += 1;
+            let mut rng = vertex_rng(seed, round, run.dest);
+            let mut ctx = vertex_context(run.dest, run.local, round, graph, chunk, &mut rng, sink);
+            program.compute_vertex(run.dest, run.local, store, msgs, &mut ctx);
+        }
+    }
+    debug_assert_eq!(ri, runs.len(), "every delivered run must compute");
+    let active = runs.len() as u64;
+    // Recycle: the routing merge stage refills this inbox, reusing the
+    // capacity this round's traffic established.
+    inbox.clear();
+    // Slab-state paging: rows of partitions the frontier left behind
+    // this round move to the store until messages return.
+    if let Some(pager) = pager.filter(|pager| pager.pages_state()) {
+        for p in 0..pager.partitions() {
+            if pager.density(p) == 0 && pager.state_paged_out(p).is_none() {
+                let (lo, hi) = pager.partition_range(p);
+                match program.page_out_rows(store, lo, hi, &mut state_buf) {
+                    Some(bytes) => {
+                        pager.store().put(pager.state_key(p), &state_buf);
+                        pager.note_state_paged_out(p, bytes);
                     }
+                    // The program keeps no pageable rows
+                    // (per-vertex ledger store): nothing to move.
+                    None => break,
                 }
             }
         }
     }
     active
+}
+
+/// The [`Context`] of one vertex activation: adjacency from the pinned
+/// `chunk` on a paged pass, from the resident `graph` otherwise.
+fn vertex_context<'a, M: Message>(
+    v: VertexId,
+    li: u32,
+    round: usize,
+    graph: &'a Graph,
+    chunk: Option<&'a DecodedChunk>,
+    rng: &'a mut SmallRng,
+    sink: &'a mut dyn EmitSink<M>,
+) -> Context<'a, M> {
+    match chunk {
+        Some(chunk) => {
+            let paged = PagedNeighbors {
+                neighbors: chunk.neighbors_of(li),
+                weights: chunk.weights_of(li),
+            };
+            Context::new_paged(v, round, graph, paged, rng, sink)
+        }
+        None => Context::new(v, round, graph, rng, sink),
+    }
 }
 
 /// Restore partition `p`'s slab-state rows from the store if they are
@@ -1580,18 +1310,6 @@ fn page_state_in<C: ProgramCore>(
     pager.note_state_paged_in(p);
 }
 
-/// One `Option<&mut WorkerPager>` per worker, so the zipped compute
-/// loops hand each worker its own pager without sharing a borrow.
-fn pager_slots(
-    pagers: Option<&mut Vec<WorkerPager>>,
-    workers: usize,
-) -> Vec<Option<&mut WorkerPager>> {
-    match pagers {
-        Some(v) => v.iter_mut().map(Some).collect(),
-        None => (0..workers).map(|_| None).collect(),
-    }
-}
-
 /// Capture every worker pager's resident set for a checkpoint (empty
 /// when the run is fully resident).
 fn pager_snaps(pagers: &Option<Vec<WorkerPager>>) -> Vec<PagerSnapshot> {
@@ -1599,15 +1317,6 @@ fn pager_snaps(pagers: &Option<Vec<WorkerPager>>) -> Vec<PagerSnapshot> {
         .as_ref()
         .map(|ps| ps.iter().map(WorkerPager::snapshot).collect())
         .unwrap_or_default()
-}
-
-/// Roll every worker pager back to a checkpoint's resident sets.
-fn restore_pagers(pagers: &mut Option<Vec<WorkerPager>>, snaps: &[PagerSnapshot]) {
-    if let Some(ps) = pagers.as_mut() {
-        for (pager, snap) in ps.iter_mut().zip(snaps) {
-            pager.restore(snap);
-        }
-    }
 }
 
 /// Deterministic per-(round, vertex) RNG: thread scheduling cannot
@@ -1769,39 +1478,6 @@ mod tests {
     }
 
     #[test]
-    fn fold_at_send_matches_flat_and_halves_copy_traffic() {
-        let g = generators::power_law(300, 1200, 2.3, 5);
-        let pre = Runner::new(&g, &HashPartitioner::default(), config(4)).run(&Flood);
-        let mut cfg = config(4);
-        cfg.profile.fold_at_send = false;
-        let flat = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
-        // Pre-sharded emission changes where envelopes are copied,
-        // never what is delivered: same rounds, counts, and levels.
-        assert_eq!(pre.stats.rounds, flat.stats.rounds);
-        assert_eq!(
-            pre.stats.total_messages_sent,
-            flat.stats.total_messages_sent
-        );
-        assert_eq!(
-            pre.stats.total_messages_delivered,
-            flat.stats.total_messages_delivered
-        );
-        for (a, b) in pre.states.iter().zip(flat.states.iter()) {
-            assert_eq!(a.0, b.0);
-        }
-        // The flat path materialises each surviving envelope in an
-        // outbox and copies it again into its shard bucket; the
-        // pre-sharded path writes it once.
-        assert!(pre.stats.total_shard_copy_bytes.get() > 0);
-        assert!(
-            pre.stats.total_shard_copy_bytes < flat.stats.total_shard_copy_bytes,
-            "presharded {} vs flat {}",
-            pre.stats.total_shard_copy_bytes.get(),
-            flat.stats.total_shard_copy_bytes.get()
-        );
-    }
-
-    #[test]
     fn adaptive_combiner_run_matches_static_outputs() {
         let g = generators::complete(24);
         let mut on = config(4);
@@ -1873,7 +1549,6 @@ mod tests {
     fn ooc_estimated(message_budget: u64) -> crate::profile::OocConfig {
         crate::profile::OocConfig {
             message_budget: Bytes::new(message_budget),
-            stream_edges: true,
             paging: None,
         }
     }
@@ -1889,7 +1564,6 @@ mod tests {
     ) -> crate::profile::OocConfig {
         crate::profile::OocConfig {
             message_budget: Bytes::new(message_budget),
-            stream_edges: true,
             paging: Some(crate::profile::PagingConfig {
                 budget: Bytes::new(page_budget),
                 partition_bytes: Bytes::new(partition_bytes),

@@ -1019,7 +1019,6 @@ proptest! {
         let mut paged = base();
         paged.profile.out_of_core = Some(OocConfig {
             message_budget: Bytes::new(512),
-            stream_edges: true,
             paging: Some(PagingConfig {
                 budget: Bytes::new(1024),
                 partition_bytes: Bytes::new(256),
@@ -1185,7 +1184,6 @@ proptest! {
             cfg.faults = faults;
             cfg.profile.out_of_core = Some(OocConfig {
                 message_budget: Bytes::new(512),
-                stream_edges: true,
                 paging: Some(PagingConfig {
                     budget: Bytes::new(1024),
                     partition_bytes: Bytes::new(256),

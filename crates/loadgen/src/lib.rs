@@ -25,7 +25,7 @@
 //!   diurnal cycle, burst episodes, shape/class mix.
 //! * [`Trace`] / [`generate`] — materialised arrival events, with a
 //!   [`Trace::fingerprint`] for determinism checks.
-//! * [`drive`] — open-loop replay; [`DriveReport`] counts sheds
+//! * [`drive()`] — open-loop replay; [`DriveReport`] counts sheds
 //!   (queue-full refusals) per class instead of silently retrying.
 
 #![deny(missing_docs)]

@@ -112,7 +112,6 @@ impl SystemKind {
                 let budget = m.usable_memory().scaled(0.02);
                 p.out_of_core = Some(OocConfig {
                     message_budget: budget,
-                    stream_edges: true,
                     paging: Some(PagingConfig::with_budget(budget)),
                 });
             }
@@ -190,7 +189,6 @@ mod tests {
         let p = SystemKind::GraphD.profile(&spec());
         let ooc = p.out_of_core.unwrap();
         assert_eq!(ooc.message_budget, spec().usable_memory().scaled(0.02));
-        assert!(ooc.stream_edges);
         let paging = ooc.paging.expect("GraphD takes the real paging path");
         assert_eq!(paging.budget, ooc.message_budget);
         assert_eq!(paging.schedule, mtvc_engine::PartitionSchedule::RoundRobin);

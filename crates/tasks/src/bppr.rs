@@ -29,15 +29,10 @@
 //! the sources that actually received mass. Message traffic, RNG
 //! consumption and f64 summation order are bit-identical to the
 //! hash-map baselines.
-//!
-//! [`BpprPushLaneSlabProgram`] lane-batches the push: one
-//! [`PushLanesMsg`] moves the surviving mass of up to eight adjacent
-//! source slots (the Monte-Carlo variant is excluded from lane
-//! batching — its per-envelope RNG draws pin it to scalar traffic).
 
 use mtvc_engine::{
     Context, Delivery, Message, PageableCell, PayloadCodec, SlabProgram, SlabRow, SlabRowMut,
-    VertexProgram, LANES,
+    VertexProgram,
 };
 use mtvc_graph::hash::FastMap;
 use mtvc_graph::VertexId;
@@ -710,213 +705,6 @@ impl SlabProgram for BpprPushSlabProgram {
             }
         }
         state
-    }
-}
-
-/// Lane-batched push message: the surviving walk mass of up to
-/// [`LANES`] adjacent source slots in one envelope. `mask` flags the
-/// live lanes; dead lanes carry `0.0`, so merging can add lanewise
-/// unconditionally — per-lane f64 sums accumulate in the same emission
-/// order the scalar [`PushMsg`] combiner uses. The wire payload is the
-/// mask byte plus one fixed-width f64 per live lane.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PushLanesMsg {
-    /// Chunk index: lanes cover slots `[chunk*LANES, chunk*LANES+LANES)`.
-    pub chunk: u32,
-    /// Bit `l` set = lane `l` carries walk mass.
-    pub mask: u8,
-    /// Per-lane walk mass; `0.0` on dead lanes.
-    pub amount: [f64; LANES],
-}
-
-impl Message for PushLanesMsg {
-    fn combine_key(&self) -> Option<u64> {
-        Some(self.chunk as u64)
-    }
-    fn merge(&mut self, other: &Self) {
-        self.mask |= other.mask;
-        for (a, b) in self.amount.iter_mut().zip(other.amount.iter()) {
-            *a += b; // dead lanes hold 0.0 on both sides
-        }
-    }
-    fn wire_query(&self) -> Option<u64> {
-        Some(self.chunk as u64)
-    }
-    fn encoded_payload_bytes(&self) -> u64 {
-        1 + 8 * self.mask.count_ones() as u64
-    }
-    fn units(&self) -> u64 {
-        self.mask.count_ones() as u64 // live lanes
-    }
-}
-
-impl PayloadCodec for PushLanesMsg {
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        out.push(self.mask);
-        for l in 0..LANES {
-            if self.mask & (1 << l) != 0 {
-                out.extend_from_slice(&self.amount[l].to_le_bytes());
-            }
-        }
-    }
-    fn decode_payload(wire_query: Option<u64>, buf: &[u8], pos: &mut usize) -> Self {
-        let mask = buf[*pos];
-        *pos += 1;
-        let mut amount = [0.0f64; LANES];
-        for (l, a) in amount.iter_mut().enumerate() {
-            if mask & (1 << l) != 0 {
-                *a = f64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
-                *pos += 8;
-            }
-        }
-        PushLanesMsg {
-            chunk: wire_query.expect("PushLanesMsg always carries its chunk") as u32,
-            mask,
-            amount,
-        }
-    }
-}
-
-/// Lane-batched forward-push BPPR: eight source slots settle per
-/// envelope. Arrivals add their live lanes into the residue cells in
-/// inbox order (each sender contributes to a given cell at most once
-/// per round, so per-cell f64 summation order matches
-/// [`BpprPushSlabProgram`]); settling drains dirty chunks ascending —
-/// the same slot order as the scalar drain — and broadcasts one
-/// message per chunk whose multiplicity is the number of lanes that
-/// forwarded. Rounds, mult-weighted traffic and final states are
-/// bit-identical to the scalar program — pinned by proptest.
-#[derive(Debug, Clone)]
-pub struct BpprPushLaneSlabProgram {
-    inner: BpprPushSlabProgram,
-}
-
-impl BpprPushLaneSlabProgram {
-    /// `num_vertices` sizes the slab row for [`SourceSet::AllVertices`].
-    pub fn new(walks_per_node: u64, alpha: f64, num_vertices: usize) -> BpprPushLaneSlabProgram {
-        BpprPushLaneSlabProgram {
-            inner: BpprPushSlabProgram::new(walks_per_node, alpha, num_vertices),
-        }
-    }
-
-    pub fn with_sources(mut self, sources: SourceSet) -> Self {
-        self.inner = self.inner.with_sources(sources);
-        self
-    }
-
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.inner = self.inner.with_epsilon(epsilon);
-        self
-    }
-
-    /// Settle every live lane of one dirty chunk, then broadcast the
-    /// survivors as a single [`PushLanesMsg`]. Lane-for-lane the same
-    /// arithmetic as [`BpprPushSlabProgram::settle`].
-    fn settle_chunk(
-        &self,
-        chunk: usize,
-        in_mask: u8,
-        cells: &mut [PushCell],
-        ctx: &mut Context<'_, PushLanesMsg>,
-    ) {
-        let degree = ctx.degree();
-        let mut out_mask = 0u8;
-        let mut amount = [0.0f64; LANES];
-        for (l, cell) in cells.iter_mut().enumerate() {
-            if in_mask & (1 << l) == 0 {
-                continue;
-            }
-            let residue = std::mem::replace(&mut cell.residue, 0.0);
-            if residue <= 0.0 {
-                continue;
-            }
-            if degree == 0 {
-                cell.mass += residue;
-                continue;
-            }
-            let stopped = self.inner.alpha * residue;
-            cell.mass += stopped;
-            let forward = residue - stopped;
-            if forward < self.inner.epsilon {
-                cell.mass += forward;
-            } else {
-                amount[l] = forward / degree as f64;
-                out_mask |= 1 << l;
-            }
-        }
-        if out_mask != 0 {
-            ctx.broadcast(
-                PushLanesMsg {
-                    chunk: chunk as u32,
-                    mask: out_mask,
-                    amount,
-                },
-                out_mask.count_ones() as u64,
-            );
-        }
-    }
-}
-
-impl SlabProgram for BpprPushLaneSlabProgram {
-    type Message = PushLanesMsg;
-    type Cell = PushCell;
-    type Out = PushState;
-
-    fn width(&self) -> usize {
-        self.inner.width()
-    }
-
-    fn empty_cell(&self) -> PushCell {
-        PushCell::default()
-    }
-
-    fn message_bytes(&self) -> u64 {
-        20
-    }
-
-    fn seeds(&self) -> Option<&[VertexId]> {
-        self.inner.seeds()
-    }
-
-    fn init(
-        &self,
-        v: VertexId,
-        mut row: SlabRowMut<'_, PushCell>,
-        ctx: &mut Context<'_, PushLanesMsg>,
-    ) {
-        if self.inner.sources.contains(v) {
-            let slot = self.inner.sources.slot_of(v).expect("source without slot");
-            row.cell_mut(slot).residue = self.inner.walks_per_node as f64;
-            row.mark(slot);
-            row.drain_chunks(|chunk, mask, cells| self.settle_chunk(chunk, mask, cells, ctx));
-        }
-    }
-
-    fn compute(
-        &self,
-        _v: VertexId,
-        mut row: SlabRowMut<'_, PushCell>,
-        inbox: &[Delivery<PushLanesMsg>],
-        ctx: &mut Context<'_, PushLanesMsg>,
-    ) {
-        // Accumulate in place, inbox order: each sender touches a cell
-        // at most once per round, so per-cell f64 order matches the
-        // scalar program.
-        for d in inbox {
-            let base = d.msg.chunk as usize * LANES;
-            for l in 0..LANES {
-                if d.msg.mask & (1 << l) != 0 {
-                    row.cell_mut(base + l).residue += d.msg.amount[l];
-                    row.mark(base + l);
-                }
-            }
-        }
-        // Settle dirty chunks ascending — lane order == slot order.
-        row.drain_chunks(|chunk, mask, cells| self.settle_chunk(chunk, mask, cells, ctx));
-    }
-
-    fn extract(&self, v: VertexId, row: SlabRow<'_, PushCell>) -> PushState {
-        self.inner.extract(v, row)
     }
 }
 

@@ -25,7 +25,7 @@
 //! §4.8 sync-vs-async comparison (Table 4), **Connected Components**
 //! ([`cc::ConnectedComponentsProgram`]) — §2.4's example of a task that
 //! *does* admit a Practical Pregel Algorithm — and exact sequential
-//! references ([`reference`]) the engine implementations are validated
+//! references ([`mod@reference`]) the engine implementations are validated
 //! against.
 
 pub mod bkhs;
@@ -46,8 +46,7 @@ pub use bkhs::{
     BkhsSlabProgram, ReachLanesMsg,
 };
 pub use bppr::{
-    BpprProgram, BpprPushLaneSlabProgram, BpprPushProgram, BpprPushSlabProgram, BpprSlabProgram,
-    PushCell, PushLanesMsg, SourceSet,
+    BpprProgram, BpprPushProgram, BpprPushSlabProgram, BpprSlabProgram, PushCell, SourceSet,
 };
 pub use cc::ConnectedComponentsProgram;
 pub use mssp::{

@@ -29,11 +29,11 @@
 //!
 //! [`MsspLaneSlabProgram`] lane-batches the slab kernel: one
 //! [`DistLanesMsg`] relaxes eight adjacent queries per envelope. BKHS
-//! and push-BPPR use the same scheme (`ReachLanesMsg`,
-//! `PushLanesMsg` in their modules). `mtvc-core`'s executor runs the
-//! lane kernel on batches of at least `LANES` queries and the row
-//! kernel below; [`Message::units`] keeps the two indistinguishable to
-//! the router's traffic accounting.
+//! uses the same scheme (`ReachLanesMsg` in its module); BPPR has no
+//! lane kernel. `mtvc-core`'s executor runs the lane kernel on batches
+//! of at least `LANES` queries and the row kernel below;
+//! [`Message::units`] keeps the two indistinguishable to the router's
+//! traffic accounting.
 
 use crate::sources::SourceIndex;
 use mtvc_engine::wire::{read_varint, varint_len, write_varint};

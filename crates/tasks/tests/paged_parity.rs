@@ -5,7 +5,7 @@
 //! order is unchanged; only the bytes moved differ. Checked across
 //! partition sizes (budget ⇒ partition count), cache budgets, both
 //! partition schedules, combining on/off, and both wire formats, for
-//! all six slab kernels.
+//! five slab kernels.
 
 use mtvc_cluster::ClusterSpec;
 use mtvc_engine::{
@@ -16,8 +16,8 @@ use mtvc_graph::partition::HashPartitioner;
 use mtvc_graph::{generators, Graph, VertexId};
 use mtvc_metrics::{Bytes, SimTime};
 use mtvc_tasks::{
-    BkhsLaneSlabProgram, BkhsSlabProgram, BpprPushLaneSlabProgram, BpprSlabProgram,
-    MsspLaneSlabProgram, MsspSlabProgram, SourceSet,
+    BkhsLaneSlabProgram, BkhsSlabProgram, BpprSlabProgram, MsspLaneSlabProgram, MsspSlabProgram,
+    SourceSet,
 };
 use proptest::prelude::*;
 
@@ -51,7 +51,6 @@ fn paged_config(
         // Roomy message budget: message spill is pure accounting and
         // orthogonal to what this suite pins down.
         message_budget: Bytes::gib(4),
-        stream_edges: true,
         paging: Some(PagingConfig {
             budget: Bytes::new(budget),
             partition_bytes: Bytes::new(partition_bytes),
@@ -204,23 +203,6 @@ proptest! {
         let g = generators::power_law(n, n * 4, 2.3, seed);
         let sources = SourceSet::subset(pick_sources(n, 4, seed ^ 19));
         let program = BpprSlabProgram::new(walks, 0.2, n).with_sources(sources);
-        assert_parity(&g, &program, workers, combine, compact, budget_sel);
-    }
-
-    /// Lane-batched forward-push BPPR (exact f64 masses).
-    #[test]
-    fn paged_bppr_push_lane(
-        n in 24usize..70,
-        walks in 1u64..120,
-        workers in 1usize..5,
-        combine in any::<bool>(),
-        compact in any::<bool>(),
-        budget_sel in 0usize..3,
-        seed in any::<u64>(),
-    ) {
-        let g = generators::power_law(n, n * 4, 2.3, seed);
-        let sources = SourceSet::subset(pick_sources(n, 8, seed ^ 23));
-        let program = BpprPushLaneSlabProgram::new(walks, 0.2, n).with_sources(sources);
         assert_parity(&g, &program, workers, combine, compact, budget_sel);
     }
 }

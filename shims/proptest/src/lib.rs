@@ -133,7 +133,7 @@ pub mod collection {
 
     use super::{SmallRng, Strategy};
 
-    /// Length range for [`vec`].
+    /// Length range for [`vec()`].
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
