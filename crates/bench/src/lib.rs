@@ -5,9 +5,6 @@
 //! DESIGN.md §2), runs the multi-task jobs, and prints the paper-style
 //! rows. CSV copies land in `target/experiments/`.
 
-pub mod measure;
-pub mod round_loop;
-
 use mtvc_cluster::ClusterSpec;
 use mtvc_core::{run_job, BatchSchedule, JobResult, JobSpec, Task};
 use mtvc_graph::{Dataset, Graph};

@@ -869,6 +869,44 @@ fn mini_slab_unwritten_rows_extract_to_default() {
     );
 }
 
+/// An adjacency several times the page-cache budget still runs to
+/// completion: the cache is really used (peak > 0) yet never exceeds
+/// its budget, and the pager streams more bytes than the adjacency
+/// holds — evicted partitions were loaded again, so the graph truly
+/// did not fit.
+#[test]
+fn over_budget_paged_run_restreams_and_stays_within_budget() {
+    const BUDGET: u64 = 2048;
+    let workers = 2;
+    let g = generators::power_law(600, 3000, 2.3, 11);
+    assert!(g.adjacency_bytes() >= 4 * workers as u64 * BUDGET);
+    let mut cfg = EngineConfig::new(ClusterSpec::galaxy(workers), SystemProfile::base("t"));
+    cfg.profile.out_of_core = Some(OocConfig {
+        message_budget: Bytes::mib(64),
+        paging: Some(PagingConfig {
+            budget: Bytes::new(BUDGET),
+            partition_bytes: Bytes::new(BUDGET / 8),
+            schedule: PartitionSchedule::RoundRobin,
+            page_state: false,
+            store: StoreKind::Memory,
+        }),
+    });
+    let run = Runner::new(&g, &HashPartitioner::default(), cfg).run(&TokenFlood { rounds: 3 });
+    assert!(run.outcome.is_completed(), "{:?}", run.outcome);
+    let peak = run.stats.peak_paged_resident_bytes.get();
+    assert!(peak > 0, "ledger never observed a resident partition");
+    assert!(
+        peak <= BUDGET,
+        "cache peak {peak} B over the {BUDGET} B budget"
+    );
+    assert!(
+        run.stats.total_loaded_bytes.get() > g.adjacency_bytes(),
+        "loaded {} B of a {} B adjacency: nothing was re-streamed",
+        run.stats.total_loaded_bytes.get(),
+        g.adjacency_bytes()
+    );
+}
+
 /// Run `prog` under `cfg` on fresh slabs and on slabs drawn from
 /// `recycler`: same outcome, statistics and per-vertex outputs.
 /// Returns the outcome.

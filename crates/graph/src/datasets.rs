@@ -12,19 +12,6 @@ use crate::csr::Graph;
 use crate::generators;
 use serde::{Deserialize, Serialize};
 
-/// The paging budget (bytes) that [`Dataset::generate_over_budget`]
-/// presets deliberately exceed: small enough that even the scaled
-/// stand-ins cannot be held resident, yet large enough to hold a few
-/// partitions at the default `partition_bytes = budget / 4` split.
-/// Out-of-core tests and the pr10 bench feed this value into
-/// `OocConfig`'s `PagingConfig::with_budget`.
-pub const OOC_DEMO_BUDGET: u64 = 64 * 1024;
-
-/// How many times larger than [`OOC_DEMO_BUDGET`] the over-budget
-/// presets must be (adjacency bytes), so eviction is forced rather
-/// than marginal.
-pub const OOC_OVERCOMMIT: u64 = 4;
-
 /// The six datasets of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Dataset {
@@ -157,50 +144,6 @@ impl Dataset {
         self.generate(self.info().default_scale)
     }
 
-    /// Scale divisor at which this dataset's stand-in comfortably
-    /// exceeds [`OOC_DEMO_BUDGET`]: the adjacency estimate (CSR
-    /// offsets + directed targets) is at least
-    /// [`OOC_OVERCOMMIT`]× the budget, so a pager confined to the
-    /// budget *must* evict and re-load partitions to finish. Walks down
-    /// from the default scale (smaller divisor ⇒ bigger graph); the
-    /// estimate is conservative (ignores dedup losses) so the generated
-    /// graph may land slightly under — callers that need a hard
-    /// guarantee use [`Dataset::generate_over_budget`], which checks
-    /// the real graph.
-    pub fn over_budget_scale(self) -> u64 {
-        let mut scale = self.info().default_scale;
-        while scale > 1 && self.estimated_adjacency_bytes(scale) < OOC_DEMO_BUDGET * OOC_OVERCOMMIT
-        {
-            scale /= 2;
-        }
-        scale
-    }
-
-    /// Conservative adjacency-size estimate at divisor `scale`, in
-    /// bytes, mirroring [`Graph::adjacency_bytes`] (u64 offsets + u32
-    /// directed targets; the generators emit both directions of each
-    /// sampled undirected edge).
-    pub fn estimated_adjacency_bytes(self, scale: u64) -> u64 {
-        let n = self.scaled_nodes(scale) as u64;
-        let m = self.scaled_edges(scale) as u64;
-        (n + 1) * 8 + 2 * m * 4
-    }
-
-    /// Generate a stand-in guaranteed to exceed [`OOC_DEMO_BUDGET`] by
-    /// at least [`OOC_OVERCOMMIT`]×, halving the scale divisor until
-    /// the *generated* graph (post-dedup) clears the bar. Deterministic
-    /// like [`Dataset::generate`].
-    pub fn generate_over_budget(self) -> Graph {
-        let mut scale = self.over_budget_scale();
-        loop {
-            let g = self.generate(scale);
-            if g.adjacency_bytes() >= OOC_DEMO_BUDGET * OOC_OVERCOMMIT || scale == 1 {
-                return g;
-            }
-            scale /= 2;
-        }
-    }
-
     /// Generate the synthetic stand-in at scale divisor `scale`.
     ///
     /// Deterministic: the seed is derived from the dataset identity and
@@ -283,30 +226,6 @@ mod tests {
             assert!(g.num_vertices() >= 64, "{d} too small");
             assert!(g.num_edges() > 0, "{d} has no edges");
         }
-    }
-
-    #[test]
-    fn over_budget_preset_exceeds_demo_budget() {
-        // The preset must really overcommit the paging budget (that is
-        // its whole purpose) while staying test-sized.
-        let g = Dataset::WebSt.generate_over_budget();
-        assert!(
-            g.adjacency_bytes() >= OOC_DEMO_BUDGET * OOC_OVERCOMMIT,
-            "adjacency {} under budget {} x {}",
-            g.adjacency_bytes(),
-            OOC_DEMO_BUDGET,
-            OOC_OVERCOMMIT
-        );
-        assert!(
-            g.adjacency_bytes() < OOC_DEMO_BUDGET * OOC_OVERCOMMIT * 64,
-            "preset ballooned: {} bytes",
-            g.adjacency_bytes()
-        );
-        // Deterministic like every other preset.
-        assert_eq!(
-            Dataset::WebSt.generate_over_budget(),
-            Dataset::WebSt.generate_over_budget()
-        );
     }
 
     #[test]

@@ -31,11 +31,9 @@ pub struct RoundStats {
     /// caches this round, and the payloads shipped to prime them.
     pub respond_cache_hits: u64,
     pub respond_cache_misses: u64,
-    /// Bytes of surviving envelopes memcpy'd into shard buckets this
-    /// round. The flat emit path pays this twice per envelope (outbox
-    /// materialisation + bucket append); fold-at-send pre-sharded
-    /// outboxes pay it once, so this counter is how the copy saving
-    /// shows up in reports.
+    /// Bytes of surviving envelopes appended to shard buckets this
+    /// round (an envelope folded into an earlier one at send appends
+    /// nothing).
     pub shard_copy_bytes: Bytes,
     /// Vertices whose `compute` ran this round.
     pub active_vertices: u64,

@@ -148,15 +148,6 @@ impl Histogram {
         )
     }
 
-    /// The tail triple the serving benchmarks report.
-    pub fn p50_p99_p999(&self) -> (u64, u64, u64) {
-        (
-            self.quantile(0.50),
-            self.quantile(0.99),
-            self.quantile(0.999),
-        )
-    }
-
     /// Fold `other` into `self` (for per-thread histogram sharding).
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {

@@ -8,19 +8,19 @@
 //!   consumes. Wide batches amortise superstep overhead (the paper's
 //!   core effect) but serialise behind each other; narrow batches keep
 //!   more workers busy concurrently.
-//! * **Intra-task parallelism** — whether a batch executes on the
-//!   engine's persistent worker pool (wide) or serially on its own
-//!   thread (narrow), via the per-batch parallel-vertex-threshold
-//!   override.
+//! * **Intra-task parallelism** — whether a batch may execute on the
+//!   engine's persistent worker pool (wide: the engine's own parallel
+//!   cutover decides) or is forced serial on its own thread (narrow),
+//!   via the per-batch parallel-vertex-threshold override.
 //!
 //! [`JointController`] couples the two to the observed queue depth:
 //! a **deep** queue means latency is dominated by waiting, so it forms
 //! *more, smaller* concurrent batches (cap ≈ headroom / workers) and
 //! runs each serially so the worker threads do not fight over the
 //! engine pool; a **shallow** queue means the cluster is
-//! under-committed, so it forms one wide batch and lets it fan out on
-//! the engine pool. Between the two extremes it interpolates linearly
-//! in the queue occupancy.
+//! under-committed, so it forms one wide batch and leaves the engine's
+//! cutover alone. Between the two extremes it interpolates linearly in
+//! the queue occupancy.
 //!
 //! Independently, when the head request carries a deadline and the
 //! [`OnlineLatencyModel`] has a fit, the controller caps the batch at
@@ -73,17 +73,6 @@ pub struct ControllerCfg {
     /// Fraction of the head request's remaining deadline slack the
     /// latency model may budget for its carrying batch.
     pub slack_fraction: f64,
-    /// Smallest batch cap worth fanning out on the engine pool; below
-    /// it a "wide" decision keeps the engine default instead of
-    /// forcing the pool (whose per-batch coordination overhead would
-    /// swamp a tiny batch).
-    pub wide_min_workload: u64,
-    /// The parallel-cutover override a "wide" decision applies:
-    /// `Some(0)` forces the engine pool, `None` (the default) keeps
-    /// the engine's own cutover. Deployments with idle cores should
-    /// set `Some(0)`; on a saturated box forcing the pool for every
-    /// shallow-queue batch only adds coordination overhead.
-    pub wide_threshold: Option<usize>,
 }
 
 impl ControllerCfg {
@@ -95,8 +84,6 @@ impl ControllerCfg {
             deep_depth: 64,
             narrow_occupancy: 0.5,
             slack_fraction: 0.5,
-            wide_min_workload: 32,
-            wide_threshold: None,
         }
     }
 }
@@ -107,9 +94,9 @@ pub struct Decision {
     /// Workload cap for this batch (≤ the admissible headroom the
     /// controller was given, ≥ 1).
     pub batch_cap: u64,
-    /// Per-batch parallel-cutover override: `Some(0)` forces the
-    /// engine worker pool (wide), `Some(usize::MAX)` forces serial
-    /// execution (narrow), `None` keeps the engine default.
+    /// Per-batch parallel-cutover override: `Some(usize::MAX)` forces
+    /// serial execution (narrow), `None` keeps the engine default
+    /// (wide).
     pub parallel_threshold: Option<usize>,
 }
 
@@ -121,7 +108,8 @@ pub struct ControllerStats {
     pub decisions: u64,
     /// Decisions that forced serial execution (deep queue).
     pub narrowed: u64,
-    /// Decisions that forced the engine pool (shallow queue).
+    /// Decisions that left the engine's own cutover in place (shallow
+    /// queue).
     pub widened: u64,
     /// Decisions where the latency model's deadline cap bound the
     /// batch below the occupancy-interpolated size.
@@ -199,11 +187,7 @@ impl JointController {
             Some(usize::MAX) // serial: keep workers independent
         } else {
             self.stats.widened += 1;
-            if cap >= self.cfg.wide_min_workload {
-                self.cfg.wide_threshold
-            } else {
-                None // tiny batch: not worth fanning out anywhere
-            }
+            None // the engine's own cutover decides
         };
         Decision {
             batch_cap: cap,
@@ -227,21 +211,12 @@ mod tests {
 
     #[test]
     fn shallow_queue_goes_wide_and_full() {
-        let mut cfg = ControllerCfg::new(4);
-        cfg.wide_threshold = Some(0);
-        let mut c = JointController::new(cfg);
+        let mut c = JointController::new(ControllerCfg::new(4));
         let d = c.decide(0, 1000, None, &OnlineLatencyModel::new());
         assert_eq!(d.batch_cap, 1000);
-        assert_eq!(d.parallel_threshold, Some(0));
-        assert_eq!(c.stats().widened, 1);
-        // Below the wide minimum the engine default is kept.
-        let tiny = c.decide(0, 8, None, &OnlineLatencyModel::new());
-        assert_eq!(tiny.parallel_threshold, None);
-        // And with the default config, widening defers to the engine.
-        let mut default = JointController::new(ControllerCfg::new(4));
-        let d = default.decide(0, 1000, None, &OnlineLatencyModel::new());
+        // Widening defers to the engine's own cutover.
         assert_eq!(d.parallel_threshold, None);
-        assert_eq!(default.stats().widened, 1);
+        assert_eq!(c.stats().widened, 1);
     }
 
     #[test]

@@ -684,11 +684,6 @@ impl TaskService {
         }
     }
 
-    /// Requests currently queued.
-    pub fn queue_len(&self) -> usize {
-        self.shared.queue.len()
-    }
-
     /// Largest workload a `shape` batch could carry right now, given
     /// current residual and in-flight reservations. Errs typed when no
     /// model is registered for the shape.

@@ -38,7 +38,8 @@ fn main() {
     // popularity skew, ~150 req/s baseline with correlated burst
     // episodes, three task shapes at different widths, and the three
     // SLO classes with deadlines generous enough that the whole trace
-    // completes (the tight-deadline story lives in `bench_pr6`).
+    // completes (tight deadlines are the canonical benchmark's
+    // `serve-overload` workload).
     let scenario = Scenario::new("serve-demo", 9, 150.0, Duration::from_millis(600))
         .with_zipf_exponent(1.2)
         .with_bursts(Duration::from_millis(200), Duration::from_millis(80), 2.0)
