@@ -52,9 +52,6 @@ pub struct RoundDemand {
     /// Peak memory demand per worker during the round.
     pub memory: Vec<Bytes>,
     /// Message bytes spilled to disk (out-of-core over-budget traffic).
-    /// Under partition paging this also carries the slab-state bytes
-    /// the pager actually wrote out, so the disk term prices measured
-    /// traffic rather than the demand-based estimate.
     pub spill: Vec<Bytes>,
     /// Number of spilled messages (for I/O queue accounting).
     pub spill_messages: Vec<u64>,

@@ -37,7 +37,7 @@ pub use mirror::MirrorIndex;
 pub use paging::{PagedLayout, PagerSnapshot, WorkerPager};
 pub use pool::WorkerPool;
 pub use profile::{
-    ExecutionMode, OocConfig, PagingConfig, PartitionSchedule, StoreKind, SyncMode, SystemProfile,
+    ExecutionMode, OocConfig, PagingConfig, PartitionSchedule, SyncMode, SystemProfile,
 };
 pub use program::{
     Context, EmitSink, Outbox, PagedNeighbors, PerVertex, ProgramCore, VertexProgram,
@@ -50,8 +50,7 @@ pub use runner::{
     PARALLEL_VERTEX_THRESHOLD,
 };
 pub use slab::{
-    PageableCell, PerSlab, SlabDelta, SlabProgram, SlabRecycler, SlabRow, SlabRowMut, StateSlab,
-    LANES,
+    PerSlab, SlabDelta, SlabProgram, SlabRecycler, SlabRow, SlabRowMut, StateSlab, LANES,
 };
 pub use topology::Topology;
 pub use wire::{PayloadCodec, WireError, WireFormat, FRAME_HEADER_BYTES};

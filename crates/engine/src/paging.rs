@@ -1,10 +1,10 @@
-//! The partition pager: real out-of-core adjacency (and slab-state)
-//! movement for over-budget runs.
+//! The partition pager: real out-of-core adjacency movement for
+//! over-budget runs.
 //!
 //! When a profile's [`OocConfig`](crate::profile::OocConfig) carries a
 //! [`PagingConfig`], the runner stops *estimating* disk traffic and
 //! starts *measuring* it: at partition time the graph's adjacency is
-//! sliced into contiguous-CSR chunks and written to a [`BackingStore`]
+//! sliced into contiguous-CSR chunks and written to a [`MemStore`]
 //! ([`PagedLayout::build`]), and each worker streams partitions through
 //! a budget-bounded [`WorkerPager`] cache every round. Compute reads
 //! neighbors from the decoded chunks (via
@@ -35,18 +35,15 @@
 //! the cache identically to the first execution and every post-replay
 //! round sees identical load/skip counters.
 
-use crate::profile::{PagingConfig, PartitionSchedule, StoreKind};
-use mtvc_graph::ooc::{
-    alloc_key_namespace, BackingStore, DecodedChunk, FileStore, MemStore, PartitionedAdjacency,
-};
+use crate::profile::{PagingConfig, PartitionSchedule};
+use mtvc_graph::ooc::{DecodedChunk, MemStore, PartitionedAdjacency};
 use mtvc_graph::{Graph, VertexId};
 use std::sync::Arc;
 
 /// The paged-adjacency layout: the partitioned on-store adjacency plus
 /// the paging configuration. Part of a [`Topology`](crate::Topology),
 /// so it is encoded once per job and shared by every batch's run — the
-/// runs only read it; each run's pagers keep their slab-state pages
-/// under a key namespace of their own.
+/// runs only read it.
 pub struct PagedLayout {
     adjacency: Arc<PartitionedAdjacency>,
     config: PagingConfig,
@@ -64,21 +61,16 @@ impl std::fmt::Debug for PagedLayout {
 impl PagedLayout {
     /// Partition `graph`'s adjacency along `locals` (each worker's
     /// vertex list in local-index order), encode every partition, and
-    /// write them to the store `config` selects. After this the store
-    /// holds the copy the pagers read; the resident [`Graph`] is no
-    /// longer consulted for neighbors on the paged path.
+    /// write them to a fresh [`MemStore`]. After this the store holds
+    /// the copy the pagers read; the resident [`Graph`] is no longer
+    /// consulted for neighbors on the paged path. The benchmark's
+    /// decode probe calls this and [`Self::adjacency`].
     pub fn build(graph: &Graph, locals: &[Vec<VertexId>], config: PagingConfig) -> PagedLayout {
-        let store: Arc<dyn BackingStore> = match config.store {
-            StoreKind::Memory => Arc::new(MemStore::new()),
-            StoreKind::TempFile => {
-                Arc::new(FileStore::new_temp().expect("create temp dir for paging store"))
-            }
-        };
         let adjacency = Arc::new(PartitionedAdjacency::build(
             graph,
             locals,
             config.partition_bytes.get(),
-            store,
+            Arc::new(MemStore::new()),
         ));
         PagedLayout { adjacency, config }
     }
@@ -104,16 +96,12 @@ impl PagedLayout {
 /// model's disk terms and the round's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PagerRound {
-    /// Encoded bytes read from the store this round (adjacency loads
-    /// plus slab-state page-ins).
+    /// Encoded adjacency bytes read from the store this round.
     pub loaded_bytes: u64,
     /// Adjacency partitions loaded.
     pub partition_loads: u64,
     /// Partitions skipped outright (frontier-density schedule only).
     pub partitions_skipped: u64,
-    /// Slab-state bytes paged *out* to the store this round — measured
-    /// spill.
-    pub state_spill_bytes: u64,
     /// Peak decoded adjacency bytes resident in the cache this round —
     /// what the memory ledger charges instead of the
     /// `graph_bytes × graph_mem_factor` estimate.
@@ -137,7 +125,6 @@ pub struct WorkerPager {
     worker: usize,
     budget: u64,
     schedule: PartitionSchedule,
-    page_state: bool,
     resident: Vec<Option<DecodedChunk>>,
     /// Partition ids, least recently used first.
     recency: Vec<u32>,
@@ -146,11 +133,6 @@ pub struct WorkerPager {
     raw: Vec<u8>,
     /// Delivered-run count per partition, this round.
     density: Vec<u32>,
-    /// Per partition: encoded size of its paged-out slab-state rows,
-    /// if currently on the store.
-    state_out: Vec<Option<u64>>,
-    state_out_total: u64,
-    state_ns: u64,
     round: PagerRound,
 }
 
@@ -172,16 +154,12 @@ impl WorkerPager {
             worker,
             budget: config.budget.get(),
             schedule: config.schedule,
-            page_state: config.page_state,
             resident: (0..nparts).map(|_| None).collect(),
             recency: Vec::with_capacity(nparts),
             resident_bytes: 0,
             free_chunks: Vec::new(),
             raw: Vec::new(),
             density: vec![0; nparts],
-            state_out: vec![None; nparts],
-            state_out_total: 0,
-            state_ns: alloc_key_namespace(),
             round: PagerRound::default(),
         }
     }
@@ -197,17 +175,6 @@ impl WorkerPager {
         (m.li_start, m.li_end)
     }
 
-    /// Whether slab-state paging is enabled for this run.
-    pub fn pages_state(&self) -> bool {
-        self.page_state
-    }
-
-    /// Turn slab-state paging off for this run (checkpointed runs
-    /// snapshot states by value and must see every row resident).
-    pub fn disable_state_paging(&mut self) {
-        self.page_state = false;
-    }
-
     /// Reset this round's frontier densities (call before
     /// [`Self::bump_density`] over the round's runs).
     pub fn clear_density(&mut self) {
@@ -217,11 +184,6 @@ impl WorkerPager {
     /// Count one delivered run landing in partition `p`.
     pub fn bump_density(&mut self, p: usize) {
         self.density[p] += 1;
-    }
-
-    /// Frontier density (delivered runs) of partition `p` this round.
-    pub fn density(&self, p: usize) -> u32 {
-        self.density[p]
     }
 
     /// Whether the schedule skips partition `p` this round (empty
@@ -313,57 +275,6 @@ impl WorkerPager {
         }
     }
 
-    /// Key under which partition `p`'s slab-state rows live on the
-    /// store while paged out.
-    pub fn state_key(&self, p: usize) -> u64 {
-        self.state_ns | ((self.worker as u64) << 24) | p as u64
-    }
-
-    /// Encoded size of `p`'s paged-out state rows, if they are on the
-    /// store.
-    pub fn state_paged_out(&self, p: usize) -> Option<u64> {
-        self.state_out[p]
-    }
-
-    /// Record that `p`'s state rows were written to the store
-    /// (`bytes` encoded) — measured spill.
-    pub fn note_state_paged_out(&mut self, p: usize, bytes: u64) {
-        debug_assert!(self.state_out[p].is_none());
-        self.state_out[p] = Some(bytes);
-        self.state_out_total += bytes;
-        self.round.state_spill_bytes += bytes;
-    }
-
-    /// Record that `p`'s state rows were read back and restored;
-    /// returns the bytes read.
-    pub fn note_state_paged_in(&mut self, p: usize) -> u64 {
-        let bytes = self.state_out[p].take().expect("state not paged out");
-        self.state_out_total -= bytes;
-        self.round.loaded_bytes += bytes;
-        bytes
-    }
-
-    /// Partitions whose state rows are currently on the store, in
-    /// ascending order.
-    pub fn state_paged_partitions(&self) -> Vec<usize> {
-        self.state_out
-            .iter()
-            .enumerate()
-            .filter_map(|(p, b)| b.map(|_| p))
-            .collect()
-    }
-
-    /// Total slab-state bytes currently living on the store instead of
-    /// in memory — subtracted from the worker's state ledger.
-    pub fn state_evicted_bytes(&self) -> u64 {
-        self.state_out_total
-    }
-
-    /// The shared backing store (state page-outs write through this).
-    pub fn store(&self) -> Arc<dyn BackingStore> {
-        self.adj.store().clone()
-    }
-
     /// Decoded adjacency bytes currently resident.
     pub fn resident_bytes(&self) -> u64 {
         self.resident_bytes
@@ -411,10 +322,6 @@ impl WorkerPager {
             peak_resident_bytes: self.resident_bytes,
             ..PagerRound::default()
         };
-        debug_assert!(
-            self.state_out.iter().all(Option::is_none),
-            "state paging never coexists with checkpoints"
-        );
     }
 }
 
@@ -434,8 +341,6 @@ mod tests {
             budget: Bytes::new(budget),
             partition_bytes: Bytes::new(512),
             schedule,
-            page_state: false,
-            store: StoreKind::Memory,
         };
         (PagedLayout::build(&g, &locals, config), locals)
     }
@@ -488,8 +393,6 @@ mod tests {
             budget: Bytes::new(d(0) + d(2) + d(3) - 1),
             partition_bytes: Bytes::new(512),
             schedule: PartitionSchedule::FrontierDensity,
-            page_state: false,
-            store: StoreKind::Memory,
         };
         let mut pager = WorkerPager::new(layout.adjacency().clone(), 0, config);
         pager.clear_density();
@@ -535,23 +438,5 @@ mod tests {
         assert_eq!(pager.snapshot(), snap, "recency order restored exactly");
         let round = pager.take_round();
         assert_eq!(round.loaded_bytes, 0, "restore traffic is recorded nowhere");
-    }
-
-    #[test]
-    fn state_page_bookkeeping_tracks_spill_and_readback() {
-        let (layout, _) = layout(4096, PartitionSchedule::FrontierDensity);
-        let mut pager = layout.make_pagers().remove(0);
-        assert_eq!(pager.state_evicted_bytes(), 0);
-        pager.note_state_paged_out(1, 640);
-        pager.note_state_paged_out(3, 320);
-        assert_eq!(pager.state_evicted_bytes(), 960);
-        assert_eq!(pager.state_paged_partitions(), vec![1, 3]);
-        assert_eq!(pager.state_paged_out(1), Some(640));
-        assert_eq!(pager.note_state_paged_in(1), 640);
-        assert_eq!(pager.state_evicted_bytes(), 320);
-        let round = pager.take_round();
-        assert_eq!(round.state_spill_bytes, 960);
-        assert_eq!(round.loaded_bytes, 640, "state read-back is measured");
-        assert_ne!(pager.state_key(0), pager.state_key(1));
     }
 }

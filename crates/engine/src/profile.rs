@@ -78,21 +78,7 @@ pub enum PartitionSchedule {
     FrontierDensity,
 }
 
-/// Which [`mtvc_graph::ooc::BackingStore`] the engine constructs for a
-/// paged run. An enum rather than a trait object so [`SystemProfile`]
-/// stays `Serialize`/`Deserialize`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum StoreKind {
-    /// Deterministic in-memory byte store — tests and CI, no disk
-    /// fixtures, but the same real encode/write/read/decode traffic.
-    #[default]
-    Memory,
-    /// One file per partition under a private temp dir — benches, so
-    /// paging exercises the real filesystem.
-    TempFile,
-}
-
-/// Configuration of the real adjacency/state paging path.
+/// Configuration of the real adjacency paging path.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PagingConfig {
     /// Decoded-byte budget of the per-worker partition cache. The
@@ -104,23 +90,17 @@ pub struct PagingConfig {
     pub partition_bytes: Bytes,
     /// Load order / skip policy.
     pub schedule: PartitionSchedule,
-    /// Also page slab state rows of inactive partitions out to the
-    /// store (only effective for slab programs on fault-free runs).
-    pub page_state: bool,
-    /// Backing store implementation.
-    pub store: StoreKind,
 }
 
 impl PagingConfig {
-    /// A small-budget paging setup suitable for tests: in-memory store,
-    /// round-robin streaming, no state paging.
+    /// Paging under `budget`: partitions of a quarter of the budget,
+    /// round-robin streaming. GraphD's profile and the benchmark's
+    /// decode probe build their configs with this.
     pub fn with_budget(budget: Bytes) -> PagingConfig {
         PagingConfig {
             budget,
             partition_bytes: Bytes::new(budget.get().div_ceil(4).max(1)),
             schedule: PartitionSchedule::RoundRobin,
-            page_state: false,
-            store: StoreKind::Memory,
         }
     }
 }
@@ -156,14 +136,6 @@ pub struct SystemProfile {
     /// [`WireFormat::Compact`] charges real post-codec bucket bytes
     /// instead of `payload_units * msg_bytes`.
     pub wire_format: WireFormat,
-    /// With `combiner`, toggle sender-side combining per (worker,
-    /// round) from the observed slot hit rate instead of running it
-    /// unconditionally.
-    pub adaptive_combiner: bool,
-    /// Receiver-side request-respond cache threshold for unmirrored
-    /// broadcast origins (0 = off); see
-    /// [`RoutePolicy::respond_cache_threshold`].
-    pub respond_cache_threshold: u32,
 }
 
 impl SystemProfile {
@@ -182,21 +154,16 @@ impl SystemProfile {
             per_msg_ops: 1.0,
             per_vertex_ops: 2.0,
             wire_format: WireFormat::Tuples,
-            adaptive_combiner: false,
-            respond_cache_threshold: 0,
         }
     }
 
-    /// The routing-pipeline policy this profile implies. Adaptive
-    /// combining is disabled while fault injection is armed: the grid's
-    /// toggle state is not checkpointed, so rollback-replay rounds must
-    /// route with static decisions to stay bit-identical.
-    pub fn route_policy(&self, faults_armed: bool) -> RoutePolicy {
+    /// The routing-pipeline policy this profile implies: its wire
+    /// format. The argument is unused — no policy depends on whether
+    /// faults are armed — and stays only because the benchmark calls
+    /// `route_policy(false)`.
+    pub fn route_policy(&self, _faults_armed: bool) -> RoutePolicy {
         RoutePolicy {
             wire_format: self.wire_format,
-            adaptive_combine: self.adaptive_combiner && !faults_armed,
-            respond_cache_threshold: self.respond_cache_threshold,
-            ..RoutePolicy::default()
         }
     }
 

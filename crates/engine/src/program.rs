@@ -402,26 +402,6 @@ pub trait ProgramCore: Sync {
     fn recycle(&self, stores: Vec<Self::Store>) {
         drop(stores);
     }
-
-    /// Page local-index rows `[start, end)` of the store out: encode
-    /// them into `out` and blank the range, returning the encoded size.
-    /// `None` means the store cannot page state (the [`PerVertex`]
-    /// ledger path) — the runner then pages adjacency only.
-    fn page_out_rows(
-        &self,
-        _store: &mut Self::Store,
-        _start: u32,
-        _end: u32,
-        _out: &mut Vec<u8>,
-    ) -> Option<u64> {
-        None
-    }
-
-    /// Restore rows paged out by [`ProgramCore::page_out_rows`]. Only
-    /// called with bytes this program produced over the same range.
-    fn page_in_rows(&self, _store: &mut Self::Store, _start: u32, _end: u32, _bytes: &[u8]) {
-        unreachable!("page_in_rows on a program that never pages out")
-    }
 }
 
 /// [`ProgramCore`] adapter for classic [`VertexProgram`]s: the store is

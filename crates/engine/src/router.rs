@@ -58,65 +58,15 @@ use std::collections::hash_map::Entry;
 /// flag. (Tuples mode charges `msg_bytes` per transfer instead.)
 const MIRROR_ENC_OVERHEAD: u64 = 2;
 
-/// Adaptive combining keeps a source worker's combiner on only while
-/// the observed fold yield — payload units merged away per slot probe
-/// — stays at or above `ADAPTIVE_HIT_RATE_NUM / ADAPTIVE_HIT_RATE_DEN`.
-/// For scalar (mult 1) messages this is the plain hit rate: merging
-/// must fold at least 3 of every 4 keyed envelopes to pay for the
-/// per-envelope probes. Batched envelopes (e.g. lane-chunked MSSP)
-/// weigh each fold by its multiplicity, since one merge then saves a
-/// whole chunk of downstream copy and delivery work. A single
-/// sub-threshold round does not turn the combiner off: frontier
-/// algorithms ramp through sparse low-yield rounds before saturating,
-/// so eviction takes [`ADAPTIVE_OFF_STRIKES`] consecutive bad verdicts
-/// (a re-probed worker re-enters one strike short — the prior evidence
-/// still counts). While off, the combiner re-probes one round out of
-/// every [`ADAPTIVE_PROBE_PERIOD`] in case the traffic shape changed.
-const ADAPTIVE_HIT_RATE_NUM: u64 = 3;
-const ADAPTIVE_HIT_RATE_DEN: u64 = 4;
-const ADAPTIVE_PROBE_PERIOD: u32 = 8;
-const ADAPTIVE_OFF_STRIKES: u32 = 2;
-
-/// Routing behaviour knobs beyond the per-round `combine` flag: the
-/// wire format the accounting assumes, whether sender-side combining
-/// adapts per (worker, round), and the receiver-side request-respond
-/// cache threshold. The default policy reproduces the historic
-/// pipeline bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Routing behaviour beyond the per-round `combine` flag: the wire
+/// format the accounting assumes. The default policy reproduces the
+/// historic pipeline bit-for-bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoutePolicy {
     /// Network accounting representation; [`WireFormat::Compact`]
     /// measures real encoded bucket bytes instead of
     /// `payload_units * msg_bytes`.
     pub wire_format: WireFormat,
-    /// When set (and the profile enables combining at all), each source
-    /// worker toggles its combiner per round from the observed fold
-    /// yield — the fix for combining that costs more than it saves at
-    /// wide batch widths. Decisions land in [`RoutingStats::combine_on`].
-    pub adaptive_combine: bool,
-    /// Rounds whose combiner probed fewer keyed envelopes than this
-    /// keep the combiner armed instead of updating the adaptive toggle:
-    /// a near-empty round (init traffic, a draining frontier) carries
-    /// no statistical signal, and letting it shut combining off wastes
-    /// the following full-size rounds until the next re-probe.
-    pub adaptive_min_tries: u64,
-    /// Receiver-side request-respond cache (Yan et al.): an unmirrored
-    /// broadcast origin with at least this many neighbors sends each
-    /// destination worker its payload once; further copies to the same
-    /// worker ship index-only and are served from the receiver's cache.
-    /// `0` disables the cache. Bytes shrink only under
-    /// [`WireFormat::Compact`]; hit/miss counters accrue regardless.
-    pub respond_cache_threshold: u32,
-}
-
-impl Default for RoutePolicy {
-    fn default() -> Self {
-        RoutePolicy {
-            wire_format: WireFormat::default(),
-            adaptive_combine: false,
-            adaptive_min_tries: 1024,
-            respond_cache_threshold: 0,
-        }
-    }
 }
 
 /// Traffic measured while routing one round's messages.
@@ -154,14 +104,6 @@ pub struct RoutingStats {
     pub encoded_out_bytes: Vec<u64>,
     /// Per-worker post-codec bytes received from other machines.
     pub encoded_in_bytes: Vec<u64>,
-    /// Per-source-worker combining decision this round (static profiles
-    /// repeat the profile flag; adaptive combining varies it).
-    pub combine_on: Vec<bool>,
-    /// Broadcast copies served from receiver-side request-respond
-    /// caches (payload not re-shipped).
-    pub respond_hits: u64,
-    /// Broadcast payloads shipped to prime a receiver's cache.
-    pub respond_misses: u64,
     /// Bytes of envelopes materialised in routing buffers *before*
     /// encode: every envelope written into a flat outbox at emit time
     /// plus every envelope appended to a shard bucket. The two-stage
@@ -193,9 +135,6 @@ impl RoutingStats {
             encoded_wire_bytes: 0,
             encoded_out_bytes: vec![0; workers],
             encoded_in_bytes: vec![0; workers],
-            combine_on: vec![false; workers],
-            respond_hits: 0,
-            respond_misses: 0,
             shard_copy_bytes: 0,
             replay: false,
         }
@@ -207,8 +146,6 @@ impl RoutingStats {
         self.delivered_tuples = 0;
         self.local_bytes = 0;
         self.encoded_wire_bytes = 0;
-        self.respond_hits = 0;
-        self.respond_misses = 0;
         self.shard_copy_bytes = 0;
         self.replay = false;
         for v in [
@@ -223,7 +160,6 @@ impl RoutingStats {
         ] {
             v.iter_mut().for_each(|x| *x = 0);
         }
-        self.combine_on.iter_mut().for_each(|x| *x = false);
     }
 
     /// Total wire messages delivered (= sent; nothing is dropped).
@@ -391,9 +327,6 @@ struct PairFlow {
     /// Post-codec bytes actually crossing machines (mirror-prepaid
     /// transfers replace the prepaid fraction).
     encoded_net_bytes: u64,
-    /// Request-respond cache hits / primes on this pair.
-    respond_hits: u64,
-    respond_misses: u64,
     /// Envelope bytes appended to this pair's bucket (the shard-stage
     /// half of [`RoutingStats::shard_copy_bytes`]).
     copy_bytes: u64,
@@ -434,11 +367,6 @@ pub struct Shard<M> {
     /// Post-codec bytes already paid as mirror transfers (compact
     /// analogue of `prepaid_net`).
     prepaid_net_encoded: u64,
-    /// Payload bytes the request-respond cache elides from this pair's
-    /// encoded bucket, plus the hit/prime counts behind them.
-    cached_payload: u64,
-    respond_hits: u64,
-    respond_misses: u64,
     /// Compact-measure scratch: per-local-index write cursors (all-zero
     /// between rounds, like `hist`) and the bucket's query keys in
     /// delivery order.
@@ -474,9 +402,6 @@ impl<M> Default for Shard<M> {
             prepaid_net: 0,
             prepaid_wire: 0,
             prepaid_net_encoded: 0,
-            cached_payload: 0,
-            respond_hits: 0,
-            respond_misses: 0,
             cursors: Vec::new(),
             qkeys: Vec::new(),
             fold_slots: Vec::new(),
@@ -500,25 +425,12 @@ const FOLD_SLOT_EMPTY: u64 = 0;
 
 /// Sender-side combining state for one source worker: maps
 /// `(dest, combine_key)` to the envelope's position within the
-/// destination shard's bucket, plus the round's slot probe/hit counters
-/// (the adaptive-combining signal) and the request-respond cache's
-/// seen-worker scratch. Recycled across rounds (cleared, never
-/// dropped), so steady-state combining allocates nothing.
+/// destination shard's bucket, for keys past the dense fold table.
+/// Recycled across rounds (cleared, never dropped), so steady-state
+/// combining allocates nothing.
 #[derive(Debug, Default)]
 pub struct SenderSlots {
     map: FastMap<(VertexId, u64), u32>,
-    /// Keyed envelopes probed this round, and the payload units folded
-    /// away by slot hits (valid for rounds the combiner actually ran).
-    /// Hits are **unit-weighted**: folding a lane-batched envelope of
-    /// multiplicity 8 saves eight payload units of downstream copy and
-    /// delivery work for one probe, so it counts 8 — for scalar
-    /// (mult 1) messages this is exactly the envelope hit count.
-    tries: u64,
-    hits: u64,
-    /// Request-respond scratch: `seen[dw] == epoch` marks a destination
-    /// worker already primed by the current broadcast origin.
-    seen: Vec<u64>,
-    epoch: u64,
 }
 
 /// Append `env` to `shard`, maintaining the wire count and the
@@ -593,10 +505,8 @@ fn push_send<M: Message>(
     let li = locals.local_of(env.dest);
     if combine {
         if let Some(key) = env.msg.combine_key() {
-            slots.tries += 1;
             let shard = &mut shards[dw];
             if let Some(pos) = fold_probe(shard, &mut slots.map, env.dest, li, key) {
-                slots.hits += env.mult;
                 let slot = &mut shard.bucket[pos as usize];
                 slot.msg.merge(&env.msg);
                 slot.mult += env.mult;
@@ -610,8 +520,6 @@ fn push_send<M: Message>(
 
 /// Route one broadcast-expanded message. On a combining hit the clone
 /// is skipped entirely — the borrowed payload merges into the slot.
-/// Returns whether a new envelope was appended (false on a combining
-/// hit) — the request-respond cache only accounts appended copies.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn push_broadcast<M: Message>(
@@ -623,24 +531,21 @@ fn push_broadcast<M: Message>(
     combine: bool,
     shards: &mut [Shard<M>],
     slots: &mut SenderSlots,
-) -> bool {
+) {
     let li = locals.local_of(dest);
     if combine {
         if let Some(key) = msg.combine_key() {
-            slots.tries += 1;
             let shard = &mut shards[dw];
             if let Some(pos) = fold_probe(shard, &mut slots.map, dest, li, key) {
-                slots.hits += mult;
                 let slot = &mut shard.bucket[pos as usize];
                 slot.msg.merge(msg);
                 slot.mult += mult;
                 shard.wire += mult;
-                return false;
+                return;
             }
         }
     }
     append_env(&mut shards[dw], li, Envelope::new(dest, msg.clone(), mult));
-    true
 }
 
 /// Reset one source's shard row for a new round of appends: refresh the
@@ -670,14 +575,9 @@ fn prepare_shards<M>(shards: &mut [Shard<M>], locals: &LocalIndex, combine: bool
 
 /// Reset one source's sender-combining slots for a new round (companion
 /// to [`prepare_shards`], same two call sites).
-fn prepare_slots(slots: &mut SenderSlots, combine: bool, workers: usize) {
+fn prepare_slots(slots: &mut SenderSlots, combine: bool) {
     if combine {
         slots.map.clear();
-        slots.tries = 0;
-        slots.hits = 0;
-    }
-    if slots.seen.len() < workers {
-        slots.seen.resize(workers, 0);
     }
 }
 
@@ -704,7 +604,7 @@ fn shard_outbox<M: Message>(
     slots: &mut SenderSlots,
 ) -> (u64, u64) {
     prepare_shards(shards, locals, combine);
-    prepare_slots(slots, combine, shards.len());
+    prepare_slots(slots, combine);
     let compact = policy.wire_format == WireFormat::Compact;
     let emit_copies = (outbox.sends.len() + outbox.broadcasts.len()) as u64
         * std::mem::size_of::<Envelope<M>>() as u64;
@@ -739,29 +639,11 @@ fn shard_outbox<M: Message>(
                     push_broadcast(t, &msg, mult, dw, locals, combine, shards, slots);
                 }
             }
+            // Unmirrored broadcast: ordinary per-neighbor sends.
             None => {
-                // Unmirrored broadcast: ordinary per-neighbor sends,
-                // with the request-respond cache eliding repeat
-                // payloads to the same remote worker for high-degree
-                // origins.
-                let caching = policy.respond_cache_threshold != 0
-                    && degree >= policy.respond_cache_threshold as u64;
-                if caching {
-                    slots.epoch += 1;
-                }
                 for &t in graph.neighbors(origin) {
                     let dw = part.owner_of(t) as usize;
-                    let appended =
-                        push_broadcast(t, &msg, mult, dw, locals, combine, shards, slots);
-                    if caching && dw != src_worker && appended {
-                        if slots.seen[dw] == slots.epoch {
-                            shards[dw].respond_hits += 1;
-                            shards[dw].cached_payload += msg.encoded_payload_bytes();
-                        } else {
-                            slots.seen[dw] = slots.epoch;
-                            shards[dw].respond_misses += 1;
-                        }
-                    }
+                    push_broadcast(t, &msg, mult, dw, locals, combine, shards, slots);
                 }
             }
         }
@@ -798,9 +680,6 @@ fn finish_shard<M: Message>(
     let prepaid_net = std::mem::take(&mut shard.prepaid_net);
     let prepaid_wire = std::mem::take(&mut shard.prepaid_wire);
     let prepaid_net_enc = std::mem::take(&mut shard.prepaid_net_encoded);
-    let cached_payload = std::mem::take(&mut shard.cached_payload);
-    let respond_hits = std::mem::take(&mut shard.respond_hits);
-    let respond_misses = std::mem::take(&mut shard.respond_misses);
     let wire = std::mem::take(&mut shard.wire);
     let copied = std::mem::take(&mut shard.copied);
     let mut flow = PairFlow::default();
@@ -814,13 +693,11 @@ fn finish_shard<M: Message>(
         flow.buffer_bytes = buffer_bytes;
         flow.wire = wire;
         flow.tuples = tuples;
-        flow.respond_hits = respond_hits;
-        flow.respond_misses = respond_misses;
         // The codec models wire serialization, so only cross-worker
         // buckets are measured: local delivery hands envelopes over by
         // pointer and never encodes.
         if policy.wire_format == WireFormat::Compact && dst != src {
-            let enc = measure_shard_encoded(shard).saturating_sub(cached_payload);
+            let enc = measure_shard_encoded(shard);
             flow.encoded_bytes = enc;
             // Prepaid wire messages already crossed as mirror
             // transfers; keep only the unpaid fraction of the
@@ -1019,8 +896,6 @@ fn apply_flow(stats: &mut RoutingStats, src: usize, dst: usize, flow: &PairFlow)
     stats.encoded_wire_bytes += flow.encoded_bytes;
     stats.encoded_out_bytes[src] += flow.encoded_net_bytes;
     stats.encoded_in_bytes[dst] += flow.encoded_net_bytes;
-    stats.respond_hits += flow.respond_hits;
-    stats.respond_misses += flow.respond_misses;
     stats.shard_copy_bytes += flow.copy_bytes;
 }
 
@@ -1062,10 +937,7 @@ pub fn route<M: Message>(
 }
 
 /// [`route`] with an explicit [`RoutePolicy`]: the serial oracle for
-/// the compact wire format and the request-respond cache. Combining
-/// stays static here (`policy.adaptive_combine` is ignored — the
-/// adaptive toggle is per-grid state, covered by its own determinism
-/// and conservation properties).
+/// the compact wire format.
 #[allow(clippy::too_many_arguments)]
 pub fn route_with<M: Message>(
     mut outboxes: Vec<Outbox<M>>,
@@ -1077,12 +949,11 @@ pub fn route_with<M: Message>(
     msg_bytes: u64,
     policy: &RoutePolicy,
 ) -> (Vec<Inbox<M>>, RoutingStats) {
-    use std::collections::{HashMap, HashSet};
+    use std::collections::HashMap;
 
     let workers = part.num_workers();
     let compact = policy.wire_format == WireFormat::Compact;
     let mut stats = RoutingStats::new(workers);
-    stats.combine_on.iter_mut().for_each(|c| *c = combine);
     // columns[dst][src]: combined envelope buckets in source order.
     let mut columns: Vec<Vec<Vec<Envelope<M>>>> =
         (0..workers).map(|_| Vec::with_capacity(workers)).collect();
@@ -1096,18 +967,13 @@ pub fn route_with<M: Message>(
         let mut prepaid_net = vec![0u64; workers];
         let mut prepaid_wire = vec![0u64; workers];
         let mut prepaid_net_enc = vec![0u64; workers];
-        let mut cached_payload = vec![0u64; workers];
-        let mut respond_hits = vec![0u64; workers];
-        let mut respond_misses = vec![0u64; workers];
         let mut slots: HashMap<(VertexId, u64), usize> = HashMap::new();
 
-        // Returns whether a new envelope was appended (false = merged).
         let deposit = |buckets: &mut Vec<Vec<Envelope<M>>>,
                        slots: &mut HashMap<(VertexId, u64), usize>,
                        dest: VertexId,
                        msg: &M,
-                       mult: u64|
-         -> bool {
+                       mult: u64| {
             let dw = part.owner_of(dest) as usize;
             if combine {
                 if let Some(key) = msg.combine_key() {
@@ -1115,13 +981,12 @@ pub fn route_with<M: Message>(
                         let slot = &mut buckets[dw][pos];
                         slot.msg.merge(msg);
                         slot.mult += mult;
-                        return false;
+                        return;
                     }
                     slots.insert((dest, key), buckets[dw].len());
                 }
             }
             buckets[dw].push(Envelope::new(dest, msg.clone(), mult));
-            true
         };
 
         for env in outbox.sends.drain(..) {
@@ -1141,25 +1006,12 @@ pub fn route_with<M: Message>(
                     }
                 }
             }
-            let caching = fanout.is_none()
-                && policy.respond_cache_threshold != 0
-                && degree >= policy.respond_cache_threshold as u64;
-            let mut primed: HashSet<usize> = HashSet::new();
             for &t in graph.neighbors(origin) {
                 let dw = part.owner_of(t) as usize;
                 if fanout.is_some() && dw != src {
                     prepaid_wire[dw] += mult;
                 }
-                let appended = deposit(&mut buckets, &mut slots, t, &msg, mult);
-                if caching && dw != src && appended {
-                    if primed.contains(&dw) {
-                        respond_hits[dw] += 1;
-                        cached_payload[dw] += msg.encoded_payload_bytes();
-                    } else {
-                        primed.insert(dw);
-                        respond_misses[dw] += 1;
-                    }
-                }
+                deposit(&mut buckets, &mut slots, t, &msg, mult);
             }
         }
 
@@ -1176,13 +1028,10 @@ pub fn route_with<M: Message>(
                 flow.buffer_bytes = buffer_bytes;
                 flow.wire = wire;
                 flow.tuples = tuples;
-                flow.respond_hits = respond_hits[dw];
-                flow.respond_misses = respond_misses[dw];
                 // Wire-only, matching `finish_shard`: local buckets
                 // never serialize.
                 if compact && dw != src {
-                    let enc = wire::measure_bucket(&bucket, |v| locals.local_of(v))
-                        .saturating_sub(cached_payload[dw]);
+                    let enc = wire::measure_bucket(&bucket, |v| locals.local_of(v));
                     flow.encoded_bytes = enc;
                     let prepaid_units = prepaid_wire[dw].min(wire);
                     let kept = (enc * prepaid_units)
@@ -1262,25 +1111,12 @@ pub struct RouteGrid<M> {
     /// Per-destination active-local-index scratch.
     active: Vec<Vec<u32>>,
     stats: RoutingStats,
-    /// Routing behaviour (wire format, adaptive combining, respond
-    /// cache). Default reproduces the historic pipeline bit-for-bit.
+    /// Routing behaviour (the wire format). Default reproduces the
+    /// historic pipeline bit-for-bit.
     policy: RoutePolicy,
-    /// Adaptive combining state: next-round decision per source worker,
-    /// rounds spent off since the last probe, and the payload-unit
-    /// volume observed in the round that last voted the combiner off
-    /// (frontier-driven workloads are non-stationary, so a traffic
-    /// regime shift while sitting out forces an immediate re-probe).
-    combine_next: Vec<bool>,
-    since_probe: Vec<u32>,
-    off_sent: Vec<u64>,
-    off_streak: Vec<u32>,
-    /// Previous round's per-source payload units: rounds whose traffic
-    /// more than doubles over it are still ramping, and their fold
-    /// yields don't predict the saturated regime's — no verdict is
-    /// taken from them.
-    prev_sent: Vec<u64>,
-    /// This round's effective per-source combining decisions.
-    decisions: Vec<bool>,
+    /// Whether the round [`Self::begin_round`] prepared combines: the
+    /// sinks fold at emission exactly when it is set.
+    combine: bool,
     /// When set, rounds routed by this grid are tagged as
     /// rollback-replay retransmissions in their [`RoutingStats`].
     replay: bool,
@@ -1306,12 +1142,7 @@ impl<M: Message> RouteGrid<M> {
             active: (0..workers).map(|_| Vec::new()).collect(),
             stats: RoutingStats::new(workers),
             policy: RoutePolicy::default(),
-            combine_next: vec![true; workers],
-            since_probe: vec![0; workers],
-            off_sent: vec![0; workers],
-            off_streak: vec![0; workers],
-            prev_sent: vec![0; workers],
-            decisions: vec![false; workers],
+            combine: false,
             replay: false,
         }
     }
@@ -1322,16 +1153,10 @@ impl<M: Message> RouteGrid<M> {
         self.replay = replay;
     }
 
-    /// Install a routing policy for subsequent rounds, resetting the
-    /// adaptive-combining state (combiners start on and must earn their
-    /// keep).
+    /// Install a routing policy for subsequent rounds (the benchmark's
+    /// replica calls this too).
     pub fn set_policy(&mut self, policy: RoutePolicy) {
         self.policy = policy;
-        self.combine_next.iter_mut().for_each(|c| *c = true);
-        self.since_probe.iter_mut().for_each(|p| *p = 0);
-        self.off_sent.iter_mut().for_each(|s| *s = 0);
-        self.off_streak.iter_mut().for_each(|s| *s = 0);
-        self.prev_sent.iter_mut().for_each(|s| *s = 0);
     }
 
     /// The active routing policy.
@@ -1363,7 +1188,6 @@ impl<M: Message> RouteGrid<M> {
         assert_eq!(outboxes.len(), workers, "one outbox per worker");
         assert_eq!(inboxes.len(), workers, "one inbox per worker");
 
-        self.compute_decisions(combine);
         let policy = self.policy;
 
         // ---- stage 1: shard + combine, parallel over sources --------
@@ -1372,88 +1196,19 @@ impl<M: Message> RouteGrid<M> {
             .zip(self.rows.iter_mut())
             .zip(self.sent.iter_mut())
             .zip(self.copied.iter_mut())
-            .zip(self.slots.iter_mut())
-            .zip(self.decisions.iter());
+            .zip(self.slots.iter_mut());
         dispatch(
             pool,
             sources,
-            |src, (((((outbox, row), sent), copied), slots), &dec)| {
+            |src, ((((outbox, row), sent), copied), slots)| {
                 (*sent, *copied) = shard_outbox(
-                    src, outbox, graph, part, locals, mirrors, dec, msg_bytes, &policy, row, slots,
+                    src, outbox, graph, part, locals, mirrors, combine, msg_bytes, &policy, row,
+                    slots,
                 );
             },
         );
 
-        self.adaptive_update(combine);
         self.merge_and_reduce(pool, inboxes, locals)
-    }
-
-    /// Compute this round's effective per-source combining decisions:
-    /// the profile flag, gated by the adaptive toggle's last verdict
-    /// when enabled. Called at the top of [`Self::route_round`], and by
-    /// [`Self::begin_round`] on the fold-at-send path — in both cases
-    /// *before* any traffic of the round is observed, so the two paths
-    /// see identical decisions (adaptive state only changes during
-    /// routing).
-    fn compute_decisions(&mut self, combine: bool) {
-        for (src, dec) in self.decisions.iter_mut().enumerate() {
-            *dec = combine && (!self.policy.adaptive_combine || self.combine_next[src]);
-        }
-    }
-
-    /// Adaptive update: a source that combined this round keeps its
-    /// combiner iff the fold yield met the threshold; a source that
-    /// sat out re-probes every ADAPTIVE_PROBE_PERIOD rounds, or
-    /// immediately once its payload-unit volume grows past twice
-    /// what the OFF-voting round saw — frontier algorithms ramp from
-    /// sparse (low-yield) early rounds into dense (high-yield)
-    /// saturation, and waiting out the full period there forfeits
-    /// the combiner's best rounds. Pure per-source arithmetic on
-    /// stage-1 counters, so pooled and serial execution decide
-    /// identically (and the fold-at-send path, whose counters accrue
-    /// during compute instead, decides identically too).
-    fn adaptive_update(&mut self, combine: bool) {
-        let workers = self.workers;
-        if combine && self.policy.adaptive_combine {
-            let min_tries = self.policy.adaptive_min_tries.max(1);
-            for src in 0..workers {
-                // A round whose traffic more than doubled is still
-                // ramping: its fold yield reflects a sparse frontier,
-                // not the saturated regime the decision is for, so it
-                // casts no verdict (and round one always ramps).
-                let ramping = self.sent[src] > self.prev_sent[src].saturating_mul(2);
-                if self.decisions[src] {
-                    let (h, t) = (self.slots[src].hits, self.slots[src].tries);
-                    // Below the probe floor (idle workers included) the
-                    // round has no signal: stay armed.
-                    if t < min_tries || ramping {
-                        self.combine_next[src] = true;
-                    } else if h * ADAPTIVE_HIT_RATE_DEN >= t * ADAPTIVE_HIT_RATE_NUM {
-                        self.combine_next[src] = true;
-                        self.off_streak[src] = 0;
-                    } else {
-                        self.off_streak[src] += 1;
-                        self.combine_next[src] = self.off_streak[src] < ADAPTIVE_OFF_STRIKES;
-                        if !self.combine_next[src] {
-                            self.off_sent[src] = self.sent[src].max(1);
-                        }
-                    }
-                    self.since_probe[src] = 0;
-                } else {
-                    self.since_probe[src] += 1;
-                    let regime_shift = self.sent[src] > self.off_sent[src].saturating_mul(2);
-                    if self.since_probe[src] >= ADAPTIVE_PROBE_PERIOD || regime_shift {
-                        // Re-enter one strike short: the evidence that
-                        // evicted this worker still stands, so one bad
-                        // probe round sends it straight back off.
-                        self.combine_next[src] = true;
-                        self.since_probe[src] = 0;
-                        self.off_streak[src] = ADAPTIVE_OFF_STRIKES - 1;
-                    }
-                }
-                self.prev_sent[src] = self.sent[src];
-            }
-        }
     }
 
     /// Stage 2 plus reduction, shared by both routing paths: transpose
@@ -1504,7 +1259,6 @@ impl<M: Message> RouteGrid<M> {
         self.stats.replay = self.replay;
         self.stats.sent_wire = self.sent.iter().sum();
         self.stats.shard_copy_bytes = self.copied.iter().sum();
-        self.stats.combine_on.copy_from_slice(&self.decisions);
         for src in 0..workers {
             for dst in 0..workers {
                 let flow = self.flows[dst * workers + src];
@@ -1517,26 +1271,21 @@ impl<M: Message> RouteGrid<M> {
     /// Fold-at-send entry point, part 1 of 3: prepare the grid for a
     /// round whose envelopes will be emitted straight into the shard
     /// matrix by the compute phase (via [`Self::emit_sinks`]) instead
-    /// of through flat outboxes. Computes the round's combining
-    /// decisions and readies every source's shard row and slot map —
-    /// work `shard_outbox` does lazily at the top of stage 1, which
-    /// here must happen before `compute()` runs. Call once per round,
-    /// before handing out sinks.
+    /// of through flat outboxes. Records the round's `combine` flag and
+    /// readies every source's shard row and slot map — work
+    /// `shard_outbox` does lazily at the top of stage 1, which here
+    /// must happen before `compute()` runs. Call once per round, before
+    /// handing out sinks. The benchmark's round-loop replica drives all
+    /// three parts, so their signatures stay as they are.
     pub fn begin_round(&mut self, combine: bool, locals: &LocalIndex) {
-        self.compute_decisions(combine);
-        let workers = self.workers;
-        for ((row, slots), &dec) in self
-            .rows
-            .iter_mut()
-            .zip(self.slots.iter_mut())
-            .zip(self.decisions.iter())
-        {
+        self.combine = combine;
+        for (row, slots) in self.rows.iter_mut().zip(self.slots.iter_mut()) {
             debug_assert!(
                 row.iter().all(|s| s.bucket.is_empty()),
                 "shard rows must be drained between rounds"
             );
-            prepare_shards(row, locals, dec);
-            prepare_slots(slots, dec, workers);
+            prepare_shards(row, locals, combine);
+            prepare_slots(slots, combine);
         }
         self.sent.iter_mut().for_each(|s| *s = 0);
         // No flat outbox exists on this path, so no emit-
@@ -1559,13 +1308,13 @@ impl<M: Message> RouteGrid<M> {
         msg_bytes: u64,
     ) -> impl Iterator<Item = ShardedOutbox<'a, M>> + 'a {
         let policy = self.policy;
+        let combine = self.combine;
         self.rows
             .iter_mut()
             .zip(self.slots.iter_mut())
             .zip(self.sent.iter_mut())
-            .zip(self.decisions.iter())
             .enumerate()
-            .map(move |(src, (((row, slots), sent), &dec))| ShardedOutbox {
+            .map(move |(src, ((row, slots), sent))| ShardedOutbox {
                 src,
                 shards: row.as_mut_slice(),
                 slots,
@@ -1574,7 +1323,7 @@ impl<M: Message> RouteGrid<M> {
                 part,
                 locals,
                 mirrors,
-                combine: dec,
+                combine,
                 msg_bytes,
                 policy,
                 state_bytes_added: 0,
@@ -1583,12 +1332,13 @@ impl<M: Message> RouteGrid<M> {
 
     /// Fold-at-send entry point, part 3 of 3: finish the round after
     /// the compute phase filled the shard matrix through its sinks.
-    /// Measures every pair's flow (the stage-1 epilogue), updates the
-    /// adaptive-combining state, and runs the shared merge + reduction
-    /// — bit-identical inboxes and statistics to routing the same
-    /// emissions through [`Self::route_round`], except that
-    /// [`RoutingStats::shard_copy_bytes`] reflects the copies this
-    /// path never performed.
+    /// Measures every pair's flow (the stage-1 epilogue) and runs the
+    /// shared merge + reduction — bit-identical inboxes and statistics
+    /// to routing the same emissions through [`Self::route_round`],
+    /// except that [`RoutingStats::shard_copy_bytes`] reflects the
+    /// copies this path never performed. The round combines as
+    /// [`Self::begin_round`] said; `combine` must repeat that flag and
+    /// stays in the signature because the benchmark calls it.
     pub fn route_presharded(
         &mut self,
         pool: Option<&WorkerPool>,
@@ -1599,19 +1349,18 @@ impl<M: Message> RouteGrid<M> {
     ) -> &RoutingStats {
         let workers = self.workers;
         assert_eq!(inboxes.len(), workers, "one inbox per worker");
-        let policy = self.policy;
+        debug_assert_eq!(combine, self.combine, "combine flag changed mid-round");
+        let (policy, combine) = (self.policy, self.combine);
 
         // Stage-1 epilogue: shard content is final once compute ended,
         // so measure each pair's flow. Parallel over sources, like the
         // stage it completes.
-        let rows = self.rows.iter_mut().zip(self.decisions.iter());
-        dispatch(pool, rows, |src, (row, &dec)| {
+        dispatch(pool, self.rows.iter_mut(), |src, row| {
             for (dst, shard) in row.iter_mut().enumerate() {
-                finish_shard(src, dst, shard, dec, msg_bytes, &policy);
+                finish_shard(src, dst, shard, combine, msg_bytes, &policy);
             }
         });
 
-        self.adaptive_update(combine);
         self.merge_and_reduce(pool, inboxes, locals)
     }
 }
@@ -1622,9 +1371,9 @@ impl<M: Message> RouteGrid<M> {
 /// table at emission time — instead of being materialised in a flat
 /// [`Outbox`] for `shard_outbox` to re-walk. Folded envelopes are
 /// never written anywhere; survivors are written exactly once. All
-/// accounting (`sent_wire`, prepaid mirror bytes, the request-respond
-/// cache, fold-yield counters) is the same code the flat path runs, so
-/// the two paths stay bit-identical in traffic and statistics.
+/// accounting (`sent_wire`, prepaid mirror bytes) is the same code the
+/// flat path runs, so the two paths stay bit-identical in traffic and
+/// statistics.
 ///
 /// Obtained from [`RouteGrid::emit_sinks`] after
 /// [`RouteGrid::begin_round`]; handed to the compute phase as its
@@ -1638,7 +1387,7 @@ pub struct ShardedOutbox<'a, M: Message> {
     part: &'a Partition,
     locals: &'a LocalIndex,
     mirrors: Option<&'a MirrorIndex>,
-    /// This source's effective combining decision for the round.
+    /// The round's combining flag.
     combine: bool,
     msg_bytes: u64,
     policy: RoutePolicy,
@@ -1696,19 +1445,11 @@ impl<M: Message> EmitSink<M> for ShardedOutbox<'_, M> {
                     );
                 }
             }
+            // Unmirrored broadcast: ordinary per-neighbor sends.
             None => {
-                // Unmirrored broadcast: ordinary per-neighbor sends,
-                // with the request-respond cache eliding repeat
-                // payloads to the same remote worker for high-degree
-                // origins.
-                let caching = self.policy.respond_cache_threshold != 0
-                    && degree >= self.policy.respond_cache_threshold as u64;
-                if caching {
-                    self.slots.epoch += 1;
-                }
                 for &t in self.graph.neighbors(origin) {
                     let dw = self.part.owner_of(t) as usize;
-                    let appended = push_broadcast(
+                    push_broadcast(
                         t,
                         &msg,
                         mult,
@@ -1718,15 +1459,6 @@ impl<M: Message> EmitSink<M> for ShardedOutbox<'_, M> {
                         self.shards,
                         self.slots,
                     );
-                    if caching && dw != self.src && appended {
-                        if self.slots.seen[dw] == self.slots.epoch {
-                            self.shards[dw].respond_hits += 1;
-                            self.shards[dw].cached_payload += msg.encoded_payload_bytes();
-                        } else {
-                            self.slots.seen[dw] = self.slots.epoch;
-                            self.shards[dw].respond_misses += 1;
-                        }
-                    }
                 }
             }
         }
@@ -2122,7 +1854,6 @@ mod tests {
         let idx = MirrorIndex::build(&g, &p, 4);
         let policy = RoutePolicy {
             wire_format: WireFormat::Compact,
-            ..RoutePolicy::default()
         };
         let make_outboxes = || {
             let mut ob0: Outbox<Src> = Outbox::new();
@@ -2169,109 +1900,6 @@ mod tests {
             );
             assert_eq!(stats, &want_stats, "combine={combine}");
             assert_eq!(inboxes, want_in, "combine={combine}");
-        }
-    }
-
-    #[test]
-    fn respond_cache_counts_hits_and_elides_payload() {
-        // Unmirrored star broadcast: hub 0 fans 16 copies to 4 workers;
-        // each remote worker gets 1 prime + 3 cache hits.
-        let g = generators::star(17);
-        let p = RangePartitioner.partition(&g, 4);
-        let l = LocalIndex::build(&p);
-        let policy = |threshold| RoutePolicy {
-            wire_format: WireFormat::Compact,
-            respond_cache_threshold: threshold,
-            ..RoutePolicy::default()
-        };
-        let run = |pol: RoutePolicy| {
-            let mut ob0: Outbox<Src> = Outbox::new();
-            ob0.broadcasts.push((0, Src(0), 1));
-            let mut obs = vec![ob0];
-            obs.extend((1..4).map(|_| Outbox::new()));
-            route_with(obs, &g, &p, &l, None, false, 16, &pol)
-        };
-        let (in_off, off) = run(policy(0));
-        let (in_on, on) = run(policy(8));
-        assert_eq!(in_on, in_off, "the cache is accounting-only");
-        assert_eq!(off.respond_hits, 0);
-        assert_eq!(off.respond_misses, 0);
-        // Worker 0 owns hub + leaves 1..4 (local, uncached); workers
-        // 1..3 each receive 4 copies: 1 miss + 3 hits.
-        assert_eq!(on.respond_misses, 3);
-        assert_eq!(on.respond_hits, 9);
-        // Each hit elides one 8-byte default payload.
-        assert_eq!(on.encoded_wire_bytes + 9 * 8, off.encoded_wire_bytes);
-        assert_eq!(on.sent_wire, off.sent_wire, "wire count never changes");
-        // A threshold above the hub degree leaves the cache cold.
-        let (_, over) = run(policy(64));
-        assert_eq!(over.respond_hits, 0);
-        assert_eq!(over.encoded_wire_bytes, off.encoded_wire_bytes);
-    }
-
-    #[test]
-    fn adaptive_combining_turns_off_on_low_hit_rate_and_reprobes() {
-        // All-distinct destinations: combining probes every envelope
-        // and never merges (fold yield 0), so the adaptive toggle must
-        // shut it off after two strikes and re-probe later. The probe
-        // floor drops to 1 so these eight-envelope rounds count as
-        // full-signal rounds; constant traffic volume means round 0 is
-        // the only ramp round (no verdict) and no regime-shift
-        // re-probe fires while the combiner sits out.
-        let (g, p, l) = two_worker_setup();
-        let mut grid: RouteGrid<Src> = RouteGrid::new(2);
-        grid.set_policy(RoutePolicy {
-            adaptive_combine: true,
-            adaptive_min_tries: 1,
-            ..RoutePolicy::default()
-        });
-        let mut inboxes: Vec<Inbox<Src>> = (0..2).map(|_| Inbox::new()).collect();
-        let mut on_rounds = Vec::new();
-        for _round in 0..ADAPTIVE_PROBE_PERIOD + 4 {
-            let mut obs: Vec<Outbox<Src>> = vec![Outbox::new(), Outbox::new()];
-            for d in 0..8u32 {
-                obs[0].sends.push(Envelope::new(d, Src(d), 1));
-            }
-            let stats = grid.route_round(None, &mut obs, &mut inboxes, &g, &p, &l, None, true, 8);
-            assert_eq!(stats.sent_wire, 8);
-            assert_eq!(stats.delivered_tuples, 8);
-            on_rounds.push(stats.combine_on[0]);
-            // An idle worker observes no probes (t == 0) and keeps its
-            // combiner armed.
-            assert!(stats.combine_on[1]);
-            inboxes.iter_mut().for_each(|i| i.clear());
-        }
-        // Round 0 ramps (no verdict), rounds 1-2 strike, rounds
-        // 3..PROBE_PERIOD+3 stay OFF, then one probe round turns it
-        // back ON — and, re-entering one strike short, a single bad
-        // verdict would evict it again.
-        assert!(on_rounds[0] && on_rounds[1] && on_rounds[2]);
-        assert!(on_rounds[3..ADAPTIVE_PROBE_PERIOD as usize + 3]
-            .iter()
-            .all(|&c| !c));
-        assert!(on_rounds[ADAPTIVE_PROBE_PERIOD as usize + 3]);
-    }
-
-    #[test]
-    fn adaptive_combining_stays_on_at_high_hit_rate() {
-        let (g, p, l) = two_worker_setup();
-        let mut grid: RouteGrid<Src> = RouteGrid::new(2);
-        grid.set_policy(RoutePolicy {
-            adaptive_combine: true,
-            adaptive_min_tries: 1,
-            ..RoutePolicy::default()
-        });
-        let mut inboxes: Vec<Inbox<Src>> = (0..2).map(|_| Inbox::new()).collect();
-        for round in 0..4 {
-            let mut obs: Vec<Outbox<Src>> = vec![Outbox::new(), Outbox::new()];
-            // 8 sends, one destination+key: 7/8 fold yield ≥ 3/4.
-            for _ in 0..8 {
-                obs[0].sends.push(Envelope::new(5, Src(1), 1));
-            }
-            let stats = grid.route_round(None, &mut obs, &mut inboxes, &g, &p, &l, None, true, 8);
-            assert!(stats.combine_on[0], "round {round} stays combined");
-            assert_eq!(stats.delivered_tuples, 1);
-            inboxes.iter_mut().for_each(|i| i.clear());
         }
     }
 

@@ -60,8 +60,7 @@ pub struct EngineConfig {
     /// Vertex count at which (with more than one worker) the runner
     /// builds its persistent [`WorkerPool`] and executes the compute
     /// and routing phases in parallel. `0` forces the pool on, and
-    /// `usize::MAX` forces the serial path — benches sweep this
-    /// cutover.
+    /// `usize::MAX` forces the serial path.
     pub parallel_vertex_threshold: usize,
     /// Checkpoint cadence for fault-tolerant runs: with `faults` set, a
     /// snapshot of vertex states and in-flight aggregates is taken
@@ -508,21 +507,12 @@ impl<'g> Runner<'g> {
         // Vec keeps the capacity last round's traffic shaped.
         let mut carry: RoundCarry<C::Message> = RoundCarry::new(state_bytes);
         let mut grid: RouteGrid<C::Message> = RouteGrid::new(workers);
-        grid.set_policy(profile.route_policy(self.config.faults.is_some()));
+        grid.set_policy(profile.route_policy(false));
         let mut outcome: Option<RunOutcome> = None;
 
         // Real paging path: fresh (cold) per-worker partition caches
-        // for this run. Slab-state paging is disabled whenever a fault
-        // plan is armed — checkpoints snapshot states by value and must
-        // see every row resident.
+        // for this run.
         let mut pagers: Option<Vec<WorkerPager>> = paged.as_ref().map(|l| l.make_pagers());
-        if self.config.faults.is_some() {
-            if let Some(ps) = pagers.as_mut() {
-                for p in ps.iter_mut() {
-                    p.disable_state_paging();
-                }
-            }
-        }
 
         // Fault machinery, armed only when a plan is present — the
         // clean path takes no snapshots and pays no per-round checks.
@@ -725,21 +715,16 @@ impl<'g> Runner<'g> {
                 pagers.as_mut(),
             );
 
-            // Harvest the pagers' measured movement: loaded and spilled
-            // bytes feed the cost model's disk terms in place of the
-            // demand-based estimate, and the cache's decoded peak feeds
-            // the memory ledger in place of resident-graph bytes. The
-            // second element is each worker's slab-state bytes
-            // currently living on the store (subtracted from its state
-            // ledger below).
-            let paged_rounds: Option<Vec<(PagerRound, u64)>> = pagers.as_mut().map(|ps| {
-                ps.iter_mut()
-                    .map(|p| {
-                        let evicted = p.state_evicted_bytes();
-                        (p.take_round(), evicted)
-                    })
-                    .collect()
-            });
+            // Harvest the pagers' measured movement (empty on a
+            // resident run): loaded bytes feed the cost model's disk
+            // terms in place of the demand-based estimate, and the
+            // cache's decoded peak feeds the memory ledger in place of
+            // resident-graph bytes.
+            let paged_rounds: Vec<PagerRound> = pagers
+                .iter_mut()
+                .flatten()
+                .map(WorkerPager::take_round)
+                .collect();
 
             // Persist state growth before pricing the round: the new
             // state is resident while the round runs. Exact stores
@@ -788,7 +773,7 @@ impl<'g> Runner<'g> {
                 routing,
                 batch.residual_bytes,
                 msg_bytes,
-                paged_rounds.as_deref(),
+                &paged_rounds,
             );
 
             // ---- hard OOM kill -------------------------------------
@@ -864,15 +849,13 @@ impl<'g> Runner<'g> {
                         // Replay rounds never reach this branch, so the
                         // recorded pager counters are first-run only.
                         let (loaded, loads, skipped, paged_peak) =
-                            paged_rounds.as_deref().map_or((0, 0, 0, 0), |ps| {
-                                ps.iter().fold((0, 0, 0, 0), |(b, l, s, m), (pr, _)| {
-                                    (
-                                        b + pr.loaded_bytes,
-                                        l + pr.partition_loads,
-                                        s + pr.partitions_skipped,
-                                        m.max(pr.peak_resident_bytes),
-                                    )
-                                })
+                            paged_rounds.iter().fold((0, 0, 0, 0), |(b, l, s, m), pr| {
+                                (
+                                    b + pr.loaded_bytes,
+                                    l + pr.partition_loads,
+                                    s + pr.partitions_skipped,
+                                    m.max(pr.peak_resident_bytes),
+                                )
                             });
                         stats.record_round(RoundStats {
                             round,
@@ -881,8 +864,6 @@ impl<'g> Runner<'g> {
                             network_bytes,
                             local_bytes: Bytes(routing.local_bytes),
                             encoded_wire_bytes: Bytes(routing.encoded_wire_bytes),
-                            respond_cache_hits: routing.respond_hits,
-                            respond_cache_misses: routing.respond_misses,
                             shard_copy_bytes: Bytes(routing.shard_copy_bytes),
                             active_vertices: active.iter().sum(),
                             peak_machine_memory: charge.peak_memory,
@@ -929,18 +910,6 @@ impl<'g> Runner<'g> {
                 .prev_in_bytes
                 .copy_from_slice(&routing.in_buffer_bytes);
             round += 1;
-        }
-
-        // Page back any slab state still on the store so extraction
-        // sees every row. This is post-run repatriation, not
-        // round traffic — it lands in no counter.
-        if let Some(ps) = pagers.as_mut() {
-            let mut buf = Vec::new();
-            for (w, pager) in ps.iter_mut().enumerate() {
-                for p in pager.state_paged_partitions() {
-                    page_state_in(program, &mut states[w], pager, p, &mut buf);
-                }
-            }
         }
 
         let outputs = locals
@@ -1051,7 +1020,9 @@ impl<'g> Runner<'g> {
     }
 
     /// Build the [`RoundDemand`] for the cost model from this round's
-    /// measurements (see DESIGN.md §4 for the formulas).
+    /// measurements (see DESIGN.md §4 for the formulas). `paged` holds
+    /// each worker's measured pager round, and is empty on a resident
+    /// run.
     fn assemble_demand<M>(
         &self,
         active: &[u64],
@@ -1059,7 +1030,7 @@ impl<'g> Runner<'g> {
         routing: &RoutingStats,
         residual_bytes: &[u64],
         msg_bytes: u64,
-        paged: Option<&[(PagerRound, u64)]>,
+        paged: &[PagerRound],
     ) -> RoundDemand {
         let profile = &self.config.profile;
         let workers = active.len();
@@ -1088,12 +1059,7 @@ impl<'g> Runner<'g> {
             }
 
             let msg_buffer = carry.prev_in_bytes[w] + routing.out_buffer_bytes[w];
-            let paged_w = paged.map(|p| p[w]);
-            // Slab-state rows paged out to the store are not resident;
-            // the ledger charges only what stayed in memory.
-            let resident_state =
-                carry.state_bytes[w].saturating_sub(paged_w.map_or(0, |(_, evicted)| evicted));
-            let mut memory = (resident_state as f64 * profile.mem_overhead_factor) as u64;
+            let mut memory = (carry.state_bytes[w] as f64 * profile.mem_overhead_factor) as u64;
             if !residual_bytes.is_empty() {
                 memory += residual_bytes[w];
             }
@@ -1105,14 +1071,14 @@ impl<'g> Runner<'g> {
                     let msg_spill = overhead_buf.saturating_sub(budget);
                     memory += resident;
                     demand.spill_messages[w] = msg_spill.checked_div(msg_bytes).unwrap_or(0);
-                    match paged_w {
+                    match paged.get(w) {
                         // Real paging path: the disk terms are fed the
                         // bytes that actually moved this round, and
                         // memory is charged the cache's decoded peak —
                         // measurements, not the demand-based estimate
                         // of the `None` arm below (kept as the oracle).
-                        Some((pr, _)) => {
-                            demand.spill[w] = Bytes(msg_spill + pr.state_spill_bytes);
+                        Some(pr) => {
+                            demand.spill[w] = Bytes(msg_spill);
                             demand.stream[w] = Bytes(pr.loaded_bytes);
                             memory += pr.peak_resident_bytes;
                         }
@@ -1156,9 +1122,7 @@ impl<'g> Runner<'g> {
 /// update — is the same either way; the pager only changes which bytes
 /// move. Under the frontier-density schedule, partitions with no
 /// delivered runs this round are skipped outright (nothing loaded,
-/// nothing visited); with slab-state paging on, the skipped partitions'
-/// state rows are encoded to the store and blanked (measured spill),
-/// and paged back in before their next compute.
+/// nothing visited).
 #[allow(clippy::too_many_arguments)]
 fn worker_pass<C: ProgramCore>(
     program: &C,
@@ -1198,7 +1162,6 @@ fn worker_pass<C: ProgramCore>(
         return all as u64;
     }
 
-    let mut state_buf = Vec::new();
     if let Some(pager) = pager.as_deref_mut() {
         // Frontier densities: count delivered runs per partition. Runs
         // ascend by local index and partitions are contiguous
@@ -1226,7 +1189,6 @@ fn worker_pass<C: ProgramCore>(
                 continue;
             }
             pager.ensure_resident(p);
-            page_state_in(program, store, pager, p, &mut state_buf);
             hi = pager.partition_range(p).1;
         }
         let chunk = pager.as_deref().map(|pager| pager.chunk(p));
@@ -1245,24 +1207,6 @@ fn worker_pass<C: ProgramCore>(
     // Recycle: the routing merge stage refills this inbox, reusing the
     // capacity this round's traffic established.
     inbox.clear();
-    // Slab-state paging: rows of partitions the frontier left behind
-    // this round move to the store until messages return.
-    if let Some(pager) = pager.filter(|pager| pager.pages_state()) {
-        for p in 0..pager.partitions() {
-            if pager.density(p) == 0 && pager.state_paged_out(p).is_none() {
-                let (lo, hi) = pager.partition_range(p);
-                match program.page_out_rows(store, lo, hi, &mut state_buf) {
-                    Some(bytes) => {
-                        pager.store().put(pager.state_key(p), &state_buf);
-                        pager.note_state_paged_out(p, bytes);
-                    }
-                    // The program keeps no pageable rows
-                    // (per-vertex ledger store): nothing to move.
-                    None => break,
-                }
-            }
-        }
-    }
     active
 }
 
@@ -1287,27 +1231,6 @@ fn vertex_context<'a, M: Message>(
         }
         None => Context::new(v, round, graph, rng, sink),
     }
-}
-
-/// Restore partition `p`'s slab-state rows from the store if they are
-/// paged out there, so its vertices compute on real state.
-fn page_state_in<C: ProgramCore>(
-    program: &C,
-    store: &mut C::Store,
-    pager: &mut WorkerPager,
-    p: usize,
-    buf: &mut Vec<u8>,
-) {
-    if pager.state_paged_out(p).is_none() {
-        return;
-    }
-    let (lo, hi) = pager.partition_range(p);
-    let key = pager.state_key(p);
-    let found = pager.store().get(key, buf);
-    debug_assert!(found, "paged-out state rows must be on the store");
-    program.page_in_rows(store, lo, hi, buf);
-    pager.store().remove(key);
-    pager.note_state_paged_in(p);
 }
 
 /// Capture every worker pager's resident set for a checkpoint (empty
@@ -1458,7 +1381,6 @@ mod tests {
         let tuples = Runner::new(&g, &HashPartitioner::default(), config(4)).run(&Flood);
         let mut cfg = config(4);
         cfg.profile.wire_format = WireFormat::Compact;
-        cfg.profile.respond_cache_threshold = 8;
         let compact = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
         // The codec changes accounting, never delivery: same rounds,
         // same message counts, same final levels.
@@ -1472,28 +1394,6 @@ mod tests {
         }
         assert!(compact.stats.total_encoded_wire_bytes.get() > 0);
         assert_eq!(tuples.stats.total_encoded_wire_bytes.get(), 0);
-        // Flood sends point-to-point, so the (broadcast-only) respond
-        // cache stays cold; its hit path is pinned by router tests.
-        assert_eq!(compact.stats.respond_cache_hits, 0);
-    }
-
-    #[test]
-    fn adaptive_combiner_run_matches_static_outputs() {
-        let g = generators::complete(24);
-        let mut on = config(4);
-        on.profile.combiner = true;
-        on.profile.adaptive_combiner = true;
-        let mut off = config(4);
-        off.profile.combiner = true;
-        let a = Runner::new(&g, &HashPartitioner::default(), on).run(&Flood);
-        let b = Runner::new(&g, &HashPartitioner::default(), off).run(&Flood);
-        // Adaptive toggling changes when the combiner runs, never what
-        // is computed: sends and final states are invariant.
-        assert_eq!(a.stats.total_messages_sent, b.stats.total_messages_sent);
-        assert_eq!(a.stats.rounds, b.stats.rounds);
-        for (x, y) in a.states.iter().zip(b.states.iter()) {
-            assert_eq!(x.0, y.0);
-        }
     }
 
     #[test]
@@ -1568,8 +1468,6 @@ mod tests {
                 budget: Bytes::new(page_budget),
                 partition_bytes: Bytes::new(partition_bytes),
                 schedule,
-                page_state: false,
-                store: crate::profile::StoreKind::Memory,
             }),
         }
     }
@@ -1766,40 +1664,6 @@ mod tests {
         // first-run round's pager counters — and everything else —
         // match the fault-free run bit for bit.
         assert_eq!(without_faults(chaos.stats), without_faults(clean.stats));
-    }
-
-    #[test]
-    fn slab_state_paging_moves_state_and_preserves_results() {
-        let g = generators::ring(256, false);
-        let program = SlabFlood { width: 4 };
-        let resident = Runner::new(&g, &HashPartitioner::default(), config(4)).run_slab(&program);
-        let mut cfg = config(4);
-        // Huge message budget isolates the measured state spill: any
-        // spilled byte below is a slab row that really moved.
-        let mut ooc = ooc_paged(
-            1 << 30,
-            2048,
-            512,
-            crate::profile::PartitionSchedule::FrontierDensity,
-        );
-        ooc.paging.as_mut().unwrap().page_state = true;
-        cfg.profile.out_of_core = Some(ooc);
-        let paged = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&program);
-        assert_eq!(
-            resident.outcome.is_completed(),
-            paged.outcome.is_completed()
-        );
-        for v in g.vertices() {
-            assert_eq!(
-                resident.states[v as usize], paged.states[v as usize],
-                "vertex {v}"
-            );
-        }
-        assert!(
-            paged.stats.total_spilled_bytes > Bytes::ZERO,
-            "inactive partitions' slab rows must page out"
-        );
-        assert!(paged.stats.total_partitions_skipped > 0);
     }
 
     #[test]

@@ -56,10 +56,10 @@ pub const LANES: usize = 8;
 ///
 /// Invariant: a cell whose word is not flagged in `written` holds
 /// `empty`, and its frontier word is zero. Only [`SlabRowMut`]
-/// mutators (and the restore paths [`StateSlab::apply_delta`] /
-/// [`StateSlab::page_in_rows`]) write cells, and each flags the word it
-/// touches. The bitmap is host bookkeeping, not modelled state:
-/// [`StateSlab::resident_bytes`] does not count it.
+/// mutators (and the restore path [`StateSlab::apply_delta`]) write
+/// cells, and each flags the word it touches. The bitmap is host
+/// bookkeeping, not modelled state: [`StateSlab::resident_bytes`] does
+/// not count it.
 #[derive(Debug)]
 pub struct StateSlab<C> {
     width: usize,
@@ -255,104 +255,6 @@ impl<C: Copy + PartialEq> StateSlab<C> {
             written: &mut self.written,
             first_word: li * self.words_per_row,
         }
-    }
-}
-
-/// A slab cell with a fixed, explicit byte encoding, so whole row
-/// ranges can be paged out to a byte store and restored bit-identically
-/// ([`StateSlab::page_out_rows`] / [`StateSlab::page_in_rows`]).
-/// Little-endian fixed width; floats go through their IEEE-754 bit
-/// patterns so `decode(encode(x)) == x` for every value (NaN payloads
-/// included).
-pub trait PageableCell: Copy + PartialEq + Send + Sync + 'static {
-    /// Encoded bytes per cell.
-    const CELL_BYTES: usize;
-
-    /// Append this cell's encoding to `out` (exactly
-    /// [`Self::CELL_BYTES`] bytes).
-    fn write_to(self, out: &mut Vec<u8>);
-
-    /// Decode one cell from the front of `buf`
-    /// (`buf.len() >= CELL_BYTES`).
-    fn read_from(buf: &[u8]) -> Self;
-}
-
-macro_rules! impl_pageable_uint {
-    ($($t:ty),*) => {$(
-        impl PageableCell for $t {
-            const CELL_BYTES: usize = std::mem::size_of::<$t>();
-
-            #[inline]
-            fn write_to(self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
-            }
-
-            #[inline]
-            fn read_from(buf: &[u8]) -> Self {
-                <$t>::from_le_bytes(buf[..Self::CELL_BYTES].try_into().unwrap())
-            }
-        }
-    )*};
-}
-
-impl_pageable_uint!(u8, u16, u32, u64);
-
-impl<C: PageableCell> StateSlab<C> {
-    /// Page rows `[start, end)` out: encode their cells and frontier
-    /// words into `out` (cleared first), then re-stamp the range to the
-    /// empty sentinel / zero words. The bytes are real state movement —
-    /// failing to [`page_in_rows`](Self::page_in_rows) them back before
-    /// the rows are touched again loses the state. Returns the encoded
-    /// size. The range's written flags stay set (a blanked word is
-    /// still safe to visit), so the encoding is cells and frontier only.
-    pub fn page_out_rows(&mut self, start: u32, end: u32, out: &mut Vec<u8>) -> u64 {
-        out.clear();
-        let (cs, ce) = (start as usize * self.width, end as usize * self.width);
-        for cell in &self.cells[cs..ce] {
-            cell.write_to(out);
-        }
-        let (fs, fe) = (
-            start as usize * self.words_per_row,
-            end as usize * self.words_per_row,
-        );
-        for &w in &self.frontier[fs..fe] {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        self.cells[cs..ce].fill(self.empty);
-        self.frontier[fs..fe].fill(0);
-        out.len() as u64
-    }
-
-    /// Restore rows `[start, end)` from bytes produced by
-    /// [`page_out_rows`](Self::page_out_rows) over the same range and
-    /// shape. Bit-identical by construction; every word that receives a
-    /// non-empty cell or a frontier bit is flagged written.
-    pub fn page_in_rows(&mut self, start: u32, end: u32, bytes: &[u8]) {
-        let mut pos = 0usize;
-        for row in start as usize..end as usize {
-            let first_word = row * self.words_per_row;
-            for q in 0..self.width {
-                let cell = C::read_from(&bytes[pos..]);
-                pos += C::CELL_BYTES;
-                self.cells[row * self.width + q] = cell;
-                if cell != self.empty {
-                    touch(&mut self.written, first_word + (q >> 6));
-                }
-            }
-        }
-        let (fs, fe) = (
-            start as usize * self.words_per_row,
-            end as usize * self.words_per_row,
-        );
-        for word in fs..fe {
-            let bits = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
-            pos += 8;
-            self.frontier[word] = bits;
-            if bits != 0 {
-                touch(&mut self.written, word);
-            }
-        }
-        debug_assert_eq!(pos, bytes.len(), "page-in bytes must match the range");
     }
 }
 
@@ -722,9 +624,8 @@ impl<'a, C: Copy> SlabRow<'a, C> {
 pub trait SlabProgram: Sync {
     /// Wire message payload.
     type Message: Message;
-    /// One `(vertex, query)` state cell. [`PageableCell`] so inactive
-    /// row ranges can be paged to the out-of-core backing store.
-    type Cell: PageableCell;
+    /// One `(vertex, query)` state cell.
+    type Cell: Copy + PartialEq + Send + Sync + 'static;
     /// Per-vertex output extracted once after the run (cold path);
     /// usually the sparse state type downstream consumers already use.
     type Out: Default + Clone + Send;
@@ -806,9 +707,17 @@ impl<C: Copy> SlabRecycler<C> {
         self.pool.lock().pop()
     }
 
-    /// Return slabs after a run.
+    /// Return slabs after a run, in worker order. [`Self::take`] hands
+    /// them back in that same order, so worker `w` of the next batch
+    /// draws the slab worker `w` retired — already sized for its
+    /// partition.
     pub fn put_all(&self, slabs: impl IntoIterator<Item = StateSlab<C>>) {
-        self.pool.lock().extend(slabs);
+        let mut pool = self.pool.lock();
+        let start = pool.len();
+        pool.extend(slabs);
+        // `take` pops from the end: reverse this run's slabs so the
+        // first one retired is the first one taken.
+        pool[start..].reverse();
     }
 
     /// Retired slabs currently pooled.
@@ -947,20 +856,6 @@ impl<P: SlabProgram> ProgramCore for PerSlab<'_, P> {
         if let Some(recycler) = self.recycler {
             recycler.put_all(stores);
         }
-    }
-
-    fn page_out_rows(
-        &self,
-        store: &mut Self::Store,
-        start: u32,
-        end: u32,
-        out: &mut Vec<u8>,
-    ) -> Option<u64> {
-        Some(store.page_out_rows(start, end, out))
-    }
-
-    fn page_in_rows(&self, store: &mut Self::Store, start: u32, end: u32, bytes: &[u8]) {
-        store.page_in_rows(start, end, bytes);
     }
 }
 
@@ -1116,18 +1011,6 @@ mod tests {
         let mut recycled: StateSlab<u64> = StateSlab::new(1, 1, 0);
         recycled.clone_from(&cur);
         assert_eq!(written_rows(&recycled), want, "clone_from");
-
-        // Page-out blanks the range; page-in flags what it restores —
-        // even on a slab that never saw the original writes.
-        let mut bytes = Vec::new();
-        cur.page_out_rows(4, 8, &mut bytes);
-        assert_eq!(cur.row(6)[69], u64::MAX);
-        let mut other = base.clone();
-        other.row_mut(1).relax_min(5, 2);
-        other.page_in_rows(4, 8, &bytes);
-        assert_eq!(written_rows(&other), want, "page_in_rows");
-        cur.page_in_rows(4, 8, &bytes);
-        assert_eq!(written_rows(&cur), want);
     }
 
     #[test]
@@ -1314,41 +1197,6 @@ mod tests {
     }
 
     #[test]
-    fn page_out_in_roundtrips_and_really_moves_state() {
-        let mut slab: StateSlab<u64> = StateSlab::new(8, 70, u64::MAX);
-        slab.row_mut(3).relax_min(5, 17);
-        slab.row_mut(4).relax_min(69, 2);
-        slab.row_mut(6).relax_min(0, 9);
-        let reference = slab.clone();
-        let mut bytes = Vec::new();
-        let n = slab.page_out_rows(3, 5, &mut bytes);
-        // 2 rows × (70 cells × 8B + 2 frontier words × 8B).
-        assert_eq!(n, 2 * (70 * 8 + 2 * 8));
-        assert_eq!(n as usize, bytes.len());
-        // The range really left the slab: cells back to the sentinel,
-        // frontier cleared; untouched rows intact.
-        assert!(slab.row(3).iter().all(|&c| c == u64::MAX));
-        assert!(slab.row(4).iter().all(|&c| c == u64::MAX));
-        assert!(!slab.row_mut(4).is_marked(69));
-        assert_eq!(slab.row(6)[0], 9);
-        slab.page_in_rows(3, 5, &bytes);
-        assert_eq!(slab.cells, reference.cells);
-        assert_eq!(slab.frontier, reference.frontier);
-    }
-
-    #[test]
-    fn pageable_cells_encode_fixed_width() {
-        let mut out = Vec::new();
-        7u8.write_to(&mut out);
-        0xDEAD_BEEFu32.write_to(&mut out);
-        u64::MAX.write_to(&mut out);
-        assert_eq!(out.len(), 1 + 4 + 8);
-        assert_eq!(u8::read_from(&out), 7);
-        assert_eq!(u32::read_from(&out[1..]), 0xDEAD_BEEF);
-        assert_eq!(u64::read_from(&out[5..]), u64::MAX);
-    }
-
-    #[test]
     fn recycler_round_trips_slabs() {
         let recycler: SlabRecycler<u64> = SlabRecycler::new();
         assert!(recycler.take().is_none());
@@ -1358,5 +1206,14 @@ mod tests {
         assert_eq!(recycler.pooled(), 1);
         recycler.put_all([slab]);
         assert_eq!(recycler.pooled(), 2);
+    }
+
+    #[test]
+    fn recycler_takes_in_retirement_order() {
+        let recycler: SlabRecycler<u64> = SlabRecycler::new();
+        // Workers a, b, c retire slabs shaped by their partitions.
+        recycler.put_all([1, 2, 3].map(|rows| StateSlab::new(rows, 4, 0)));
+        let taken: Vec<usize> = (0..3).map(|_| recycler.take().unwrap().rows()).collect();
+        assert_eq!(taken, vec![1, 2, 3], "worker w draws worker w's slab");
     }
 }

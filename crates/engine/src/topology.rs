@@ -19,8 +19,7 @@ use mtvc_graph::Graph;
 /// A graph's partition together with the indexes the round loop reads
 /// every round. Read-only once built, so batches — concurrent ones
 /// included — share it freely: pagers made from the shared
-/// [`PagedLayout`] only read its adjacency partitions and write slab
-/// state under a key namespace of their own.
+/// [`PagedLayout`] only read its adjacency partitions.
 #[derive(Debug)]
 pub struct Topology {
     pub(crate) partition: Partition,
@@ -36,7 +35,7 @@ pub struct Topology {
     /// [`OocConfig`](crate::profile::OocConfig) with a `paging` config
     /// and the mode is point-to-point; each run then streams partitions
     /// through budget-bounded per-worker caches and the demand assembly
-    /// uses *measured* load/spill bytes instead of the resident-graph
+    /// uses *measured* load bytes instead of the resident-graph
     /// estimate.
     pub(crate) paged: Option<PagedLayout>,
 }

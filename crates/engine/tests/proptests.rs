@@ -7,7 +7,7 @@ use mtvc_engine::{
     route_with, wire, Context, Delivery, EmitSink, EngineConfig, Envelope, Inbox, LocalIndex,
     Message, MirrorIndex, OocConfig, Outbox, PagingConfig, PartitionSchedule, PayloadCodec,
     RouteGrid, RoutePolicy, Runner, SlabProgram, SlabRecycler, SlabRow, SlabRowMut, StateSlab,
-    StoreKind, SystemProfile, VertexProgram, WireFormat, WorkerPool, LANES,
+    SystemProfile, VertexProgram, WireFormat, WorkerPool, LANES,
 };
 use mtvc_graph::partition::{HashPartitioner, Partitioner};
 use mtvc_graph::{generators, VertexId};
@@ -247,7 +247,6 @@ proptest! {
         combine in any::<bool>(),
         mirrored in any::<bool>(),
         compact in any::<bool>(),
-        caching in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let g = generators::erdos_renyi(n, n * 3, seed);
@@ -258,8 +257,6 @@ proptest! {
         let msg_bytes = 16;
         let policy = RoutePolicy {
             wire_format: if compact { WireFormat::Compact } else { WireFormat::Tuples },
-            respond_cache_threshold: if caching { 4 } else { 0 },
-            ..RoutePolicy::default()
         };
 
         // Total wire messages entering the router, counted from the raw
@@ -302,9 +299,6 @@ proptest! {
         if !compact {
             prop_assert_eq!(serial_stats.encoded_wire_bytes, 0);
             prop_assert_eq!(enc_out, 0);
-        }
-        if !caching {
-            prop_assert_eq!(serial_stats.respond_hits + serial_stats.respond_misses, 0);
         }
 
         // Grouped-delivery invariants: runs ascend by local index, end
@@ -366,7 +360,6 @@ proptest! {
         combine in any::<bool>(),
         mirrored in any::<bool>(),
         compact in any::<bool>(),
-        caching in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let g = generators::erdos_renyi(n, n * 3, seed);
@@ -377,8 +370,6 @@ proptest! {
         let msg_bytes = 16;
         let policy = RoutePolicy {
             wire_format: if compact { WireFormat::Compact } else { WireFormat::Tuples },
-            respond_cache_threshold: if caching { 4 } else { 0 },
-            ..RoutePolicy::default()
         };
         let pool = WorkerPool::new(workers.min(4));
 
@@ -887,8 +878,6 @@ fn over_budget_paged_run_restreams_and_stays_within_budget() {
             budget: Bytes::new(BUDGET),
             partition_bytes: Bytes::new(BUDGET / 8),
             schedule: PartitionSchedule::RoundRobin,
-            page_state: false,
-            store: StoreKind::Memory,
         }),
     });
     let run = Runner::new(&g, &HashPartitioner::default(), cfg).run(&TokenFlood { rounds: 3 });
@@ -996,8 +985,8 @@ proptest! {
     /// rather than re-stamped whole: widths shrinking and growing
     /// (1 → 64 → 7 → 1), the sentinel changing (`u64::MAX` distances,
     /// then `0` counters, on the same pool), a run aborted by Overflow
-    /// with its round's writes in place, rollbacks from a full and from
-    /// an incremental checkpoint, and slab-state paging.
+    /// with its round's writes in place, and rollbacks from a full and
+    /// from an incremental checkpoint.
     #[test]
     fn recycled_slab_run_equals_fresh_run(
         n in 16usize..80,
@@ -1052,20 +1041,6 @@ proptest! {
             .with_faults(plan);
         assert_recycled_equals_fresh(&g, &part, incremental, &after, &recycler)?;
         assert_recycled_equals_fresh(&g, &part, base(), &after, &recycler)?;
-
-        // Slab-state paging: rows leave for the store and come back.
-        let mut paged = base();
-        paged.profile.out_of_core = Some(OocConfig {
-            message_budget: Bytes::new(512),
-            paging: Some(PagingConfig {
-                budget: Bytes::new(1024),
-                partition_bytes: Bytes::new(256),
-                schedule: PartitionSchedule::FrontierDensity,
-                page_state: true,
-                store: StoreKind::Memory,
-            }),
-        });
-        assert_recycled_equals_fresh(&g, &part, paged, &after, &recycler)?;
         assert_recycled_equals_fresh(&g, &part, base(), &counters, &recycler)?;
         prop_assert_eq!(recycler.pooled(), workers, "pool is stable");
     }
@@ -1226,8 +1201,6 @@ proptest! {
                     budget: Bytes::new(1024),
                     partition_bytes: Bytes::new(256),
                     schedule,
-                    page_state: false,
-                    store: StoreKind::Memory,
                 }),
             });
             let runner = Runner::new(&g, &HashPartitioner { salt: seed }, cfg);

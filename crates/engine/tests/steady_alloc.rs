@@ -130,7 +130,7 @@ const WORKERS: usize = 4;
 const RING: usize = 512;
 
 /// `(rounds, bytes allocated)` of one `run_slab_recycled` over a
-/// directed ring of `len` vertices, once warm-up runs have pooled the
+/// directed ring of `len` vertices, once a warm-up run has pooled the
 /// worker slabs at their final capacity.
 fn measured_run(len: usize, lanes: usize) -> (u64, u64) {
     let g = generators::ring(len, false);
@@ -138,11 +138,6 @@ fn measured_run(len: usize, lanes: usize) -> (u64, u64) {
     let runner = Runner::new(&g, &HashPartitioner::default(), cfg);
     let program = HopSweep { lanes };
     let recycler: SlabRecycler<u64> = SlabRecycler::new();
-    // Two warm-up runs: the pool is LIFO, so each worker draws a slab
-    // another worker retired, and hash partitions are unequal — only
-    // after the second pass has every pooled slab grown to the larger
-    // of the two row counts it alternates between.
-    runner.run_slab_recycled(&program, &recycler);
     let warm = runner.run_slab_recycled(&program, &recycler);
     assert!(warm.outcome.is_completed());
     assert_eq!(recycler.pooled(), WORKERS, "warm-up must pool every slab");

@@ -22,8 +22,6 @@ pub mod varint;
 pub use builder::GraphBuilder;
 pub use csr::{Graph, VertexId};
 pub use datasets::{Dataset, DatasetInfo};
-pub use ooc::{
-    BackingStore, DecodedChunk, FileStore, MemStore, PartitionMeta, PartitionedAdjacency,
-};
+pub use ooc::{DecodedChunk, MemStore, PartitionMeta, PartitionedAdjacency};
 pub use partition::{HashPartitioner, Partition, Partitioner, RangePartitioner};
 pub use stats::DegreeStats;

@@ -1,5 +1,5 @@
 //! Out-of-core adjacency substrate: partitioned, sequential-friendly
-//! on-"disk" layout behind a pluggable byte store.
+//! on-"disk" layout behind a byte store.
 //!
 //! GraphD's distributed semi-streaming model (paper §2.2, §4.4) keeps
 //! only vertex state resident and streams adjacency from disk. This
@@ -7,10 +7,9 @@
 //! local-index-ordered vertex list is sliced into **contiguous CSR
 //! chunks** (partitions), each chunk encoded with delta-varint
 //! neighbor compression ([`crate::varint`]) and written to a
-//! [`BackingStore`] — real files under a temp dir for benches
-//! ([`FileStore`]), a deterministic in-memory byte map for tests/CI
-//! ([`MemStore`]). Every byte the engine's partition pager moves is a
-//! byte that really crossed this store, not an estimate.
+//! [`MemStore`], a deterministic in-memory byte map. Every byte the
+//! engine's partition pager moves is a byte that really crossed this
+//! store, not an estimate.
 //!
 //! The chunk codec preserves CSR neighbor order exactly (neighbor
 //! order is observable: programs iterate `ctx.neighbors()` and
@@ -20,41 +19,15 @@
 use crate::csr::{Graph, VertexId};
 use crate::varint::{read_varint, unzigzag, write_varint, zigzag};
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Default target encoded bytes per adjacency partition.
 pub const DEFAULT_PARTITION_BYTES: u64 = 64 * 1024;
 
-/// A flat keyed byte store the pager moves partitions through. Keys
-/// are opaque `u64`s; callers namespace them via
-/// [`alloc_key_namespace`] so several paged structures can share one
-/// store.
-pub trait BackingStore: Send + Sync {
-    /// Store `bytes` under `key`, replacing any previous value.
-    fn put(&self, key: u64, bytes: &[u8]);
-
-    /// Read `key` into `out` (cleared first). Returns `false` when the
-    /// key is absent.
-    fn get(&self, key: u64, out: &mut Vec<u8>) -> bool;
-
-    /// Drop `key` if present.
-    fn remove(&self, key: u64);
-}
-
-static NAMESPACE: AtomicU64 = AtomicU64::new(1);
-
-/// Allocate a fresh key namespace (high bits of the key space) so
-/// independent paged structures sharing one [`BackingStore`] can never
-/// collide.
-pub fn alloc_key_namespace() -> u64 {
-    NAMESPACE.fetch_add(1, Ordering::Relaxed) << 40
-}
-
-/// Deterministic in-memory byte store for tests and CI: no disk
-/// fixtures, but the same real encode/write/read/decode traffic as the
-/// file-backed store.
+/// The flat keyed byte store the pager moves partitions through: a
+/// deterministic in-memory map with no disk fixtures, but real
+/// encode/write/read/decode traffic. Keys are opaque `u64`s.
 #[derive(Default)]
 pub struct MemStore {
     map: Mutex<HashMap<u64, Vec<u8>>>,
@@ -67,12 +40,12 @@ impl MemStore {
         MemStore::default()
     }
 
-    /// Total bytes ever written through [`BackingStore::put`].
+    /// Total bytes ever written through [`MemStore::put`].
     pub fn bytes_written(&self) -> u64 {
         self.written.load(Ordering::Relaxed)
     }
 
-    /// Total bytes ever read through [`BackingStore::get`].
+    /// Total bytes ever read through [`MemStore::get`].
     pub fn bytes_read(&self) -> u64 {
         self.read.load(Ordering::Relaxed)
     }
@@ -86,16 +59,17 @@ impl MemStore {
             .map(|v| v.len() as u64)
             .sum()
     }
-}
 
-impl BackingStore for MemStore {
-    fn put(&self, key: u64, bytes: &[u8]) {
+    /// Store `bytes` under `key`, replacing any previous value.
+    pub fn put(&self, key: u64, bytes: &[u8]) {
         self.written
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
         self.map.lock().unwrap().insert(key, bytes.to_vec());
     }
 
-    fn get(&self, key: u64, out: &mut Vec<u8>) -> bool {
+    /// Read `key` into `out` (cleared first). Returns `false` when the
+    /// key is absent.
+    pub fn get(&self, key: u64, out: &mut Vec<u8>) -> bool {
         out.clear();
         match self.map.lock().unwrap().get(&key) {
             Some(bytes) => {
@@ -105,63 +79,6 @@ impl BackingStore for MemStore {
             }
             None => false,
         }
-    }
-
-    fn remove(&self, key: u64) {
-        self.map.lock().unwrap().remove(&key);
-    }
-}
-
-static FILE_STORE_ID: AtomicU64 = AtomicU64::new(0);
-
-/// File-backed store: one file per key under a private directory in
-/// the system temp dir, removed on drop. This is what benches use so
-/// paging exercises the real filesystem.
-pub struct FileStore {
-    dir: PathBuf,
-}
-
-impl FileStore {
-    /// Create a fresh store directory under [`std::env::temp_dir`].
-    pub fn new_temp() -> std::io::Result<FileStore> {
-        let dir = std::env::temp_dir().join(format!(
-            "mtvc-ooc-{}-{}",
-            std::process::id(),
-            FILE_STORE_ID.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir)?;
-        Ok(FileStore { dir })
-    }
-
-    fn path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}.bin"))
-    }
-}
-
-impl BackingStore for FileStore {
-    fn put(&self, key: u64, bytes: &[u8]) {
-        std::fs::write(self.path(key), bytes).expect("FileStore write");
-    }
-
-    fn get(&self, key: u64, out: &mut Vec<u8>) -> bool {
-        out.clear();
-        match std::fs::read(self.path(key)) {
-            Ok(bytes) => {
-                *out = bytes;
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    fn remove(&self, key: u64) {
-        let _ = std::fs::remove_file(self.path(key));
-    }
-}
-
-impl Drop for FileStore {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
@@ -296,11 +213,10 @@ pub struct PartitionMeta {
 
 /// The partitioned on-"disk" adjacency of one run: per worker, an
 /// ordered list of contiguous CSR chunks, each resident only in the
-/// backing store until a pager loads it.
+/// store until a pager loads it.
 pub struct PartitionedAdjacency {
-    store: Arc<dyn BackingStore>,
+    store: Arc<MemStore>,
     parts: Vec<Vec<PartitionMeta>>,
-    key_base: u64,
 }
 
 impl std::fmt::Debug for PartitionedAdjacency {
@@ -319,15 +235,16 @@ impl PartitionedAdjacency {
     /// Slice `worker_vertices` (each list in local-index order) into
     /// partitions of roughly `partition_bytes` encoded bytes, encode
     /// each, and write them all to `store`. After this the store holds
-    /// the only copy the pager ever reads.
+    /// the only copy the pager ever reads. Keys are `(worker,
+    /// partition)` only, so `store` must not be shared with another
+    /// layout.
     pub fn build(
         graph: &Graph,
         worker_vertices: &[Vec<VertexId>],
         partition_bytes: u64,
-        store: Arc<dyn BackingStore>,
+        store: Arc<MemStore>,
     ) -> PartitionedAdjacency {
         let target = partition_bytes.max(1);
-        let key_base = alloc_key_namespace();
         let mut buf = Vec::new();
         let parts = worker_vertices
             .iter()
@@ -354,7 +271,7 @@ impl PartitionedAdjacency {
                     let decoded = ((end - start + 1) * 4) as u64
                         + edges * if graph.is_weighted() { 8 } else { 4 };
                     let p = metas.len();
-                    store.put(chunk_key(key_base, w, p), &buf);
+                    store.put(chunk_key(w, p), &buf);
                     metas.push(PartitionMeta {
                         li_start: start as u32,
                         li_end: end as u32,
@@ -367,11 +284,7 @@ impl PartitionedAdjacency {
                 metas
             })
             .collect();
-        PartitionedAdjacency {
-            store,
-            parts,
-            key_base,
-        }
+        PartitionedAdjacency { store, parts }
     }
 
     pub fn workers(&self) -> usize {
@@ -393,11 +306,6 @@ impl PartitionedAdjacency {
         self.parts[w].iter().map(|m| m.decoded_bytes).sum()
     }
 
-    /// The shared backing store.
-    pub fn store(&self) -> &Arc<dyn BackingStore> {
-        &self.store
-    }
-
     /// Read partition `(w, p)` from the store and decode it into
     /// `chunk` (buffers reused). Returns the encoded bytes actually
     /// read — the measured load traffic.
@@ -409,7 +317,7 @@ impl PartitionedAdjacency {
         chunk: &mut DecodedChunk,
     ) -> u64 {
         let meta = self.parts[w][p];
-        let found = self.store.get(chunk_key(self.key_base, w, p), raw);
+        let found = self.store.get(chunk_key(w, p), raw);
         assert!(found, "adjacency partition ({w},{p}) missing from store");
         debug_assert_eq!(raw.len() as u64, meta.encoded_bytes);
         decode_chunk_into(raw, meta.li_start, chunk);
@@ -419,8 +327,8 @@ impl PartitionedAdjacency {
 }
 
 #[inline]
-fn chunk_key(base: u64, w: usize, p: usize) -> u64 {
-    base | ((w as u64) << 24) | p as u64
+fn chunk_key(w: usize, p: usize) -> u64 {
+    ((w as u64) << 24) | p as u64
 }
 
 #[cfg(test)]
@@ -506,29 +414,5 @@ mod tests {
             encoded < raw,
             "delta-varint {encoded}B must beat raw {raw}B"
         );
-    }
-
-    #[test]
-    fn file_store_roundtrips_and_cleans_up() {
-        let store = FileStore::new_temp().unwrap();
-        let dir = store.dir.clone();
-        store.put(7, b"hello paging");
-        let mut out = Vec::new();
-        assert!(store.get(7, &mut out));
-        assert_eq!(out, b"hello paging");
-        assert!(!store.get(8, &mut out), "missing keys report absent");
-        store.remove(7);
-        assert!(!store.get(7, &mut out));
-        assert!(dir.exists());
-        drop(store);
-        assert!(!dir.exists(), "drop removes the store directory");
-    }
-
-    #[test]
-    fn namespaces_never_collide() {
-        let a = alloc_key_namespace();
-        let b = alloc_key_namespace();
-        assert_ne!(a, b);
-        assert_eq!(a & 0xFF_FFFF_FFFF, 0, "low 40 bits stay free for keys");
     }
 }

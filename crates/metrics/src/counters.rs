@@ -27,10 +27,6 @@ pub struct RoundStats {
     /// Post-codec bytes of the round's message buckets under the
     /// compact wire format (zero for profiles shipping full tuples).
     pub encoded_wire_bytes: Bytes,
-    /// Broadcast copies served from receiver-side request-respond
-    /// caches this round, and the payloads shipped to prime them.
-    pub respond_cache_hits: u64,
-    pub respond_cache_misses: u64,
     /// Bytes of surviving envelopes appended to shard buckets this
     /// round (an envelope folded into an earlier one at send appends
     /// nothing).
@@ -46,8 +42,7 @@ pub struct RoundStats {
     /// Bytes streamed to disk by out-of-core execution this round.
     pub spilled_bytes: Bytes,
     /// Encoded bytes read back from the backing store by the partition
-    /// pager this round (adjacency loads plus slab-state read-backs);
-    /// zero on fully-resident runs.
+    /// pager this round (adjacency loads); zero on fully-resident runs.
     #[serde(default)]
     pub loaded_bytes: Bytes,
     /// Adjacency partitions loaded by the pager this round.
@@ -105,9 +100,6 @@ pub struct RunStats {
     /// Post-codec bucket bytes across the run (see
     /// [`RoundStats::encoded_wire_bytes`]).
     pub total_encoded_wire_bytes: Bytes,
-    /// Request-respond cache totals across the run.
-    pub respond_cache_hits: u64,
-    pub respond_cache_misses: u64,
     /// Shard-bucket copy traffic across the run (see
     /// [`RoundStats::shard_copy_bytes`]).
     pub total_shard_copy_bytes: Bytes,
@@ -153,8 +145,6 @@ impl RunStats {
         self.total_messages_delivered += round.messages_delivered;
         self.total_network_bytes += round.network_bytes;
         self.total_encoded_wire_bytes += round.encoded_wire_bytes;
-        self.respond_cache_hits += round.respond_cache_hits;
-        self.respond_cache_misses += round.respond_cache_misses;
         self.total_shard_copy_bytes += round.shard_copy_bytes;
         self.total_spilled_bytes += round.spilled_bytes;
         self.total_loaded_bytes += round.loaded_bytes;
@@ -180,8 +170,6 @@ impl RunStats {
         self.total_messages_delivered += other.total_messages_delivered;
         self.total_network_bytes += other.total_network_bytes;
         self.total_encoded_wire_bytes += other.total_encoded_wire_bytes;
-        self.respond_cache_hits += other.respond_cache_hits;
-        self.respond_cache_misses += other.respond_cache_misses;
         self.total_shard_copy_bytes += other.total_shard_copy_bytes;
         self.total_spilled_bytes += other.total_spilled_bytes;
         self.total_loaded_bytes += other.total_loaded_bytes;

@@ -60,10 +60,6 @@ pub struct ServiceConfig {
     pub training_workload: u64,
     /// Seed for training, source selection, and batch execution.
     pub seed: u64,
-    /// Override for the engine's parallel cutover (vertex count at
-    /// which batches execute on the engine's persistent worker pool);
-    /// `None` keeps [`mtvc_engine::PARALLEL_VERTEX_THRESHOLD`].
-    pub parallel_vertex_threshold: Option<usize>,
     /// Times a request whose carrying batch failed is re-queued before
     /// the failure becomes terminal.
     pub retry_budget: u32,
@@ -111,7 +107,6 @@ impl ServiceConfig {
             max_batch: 1 << 20,
             training_workload: 256,
             seed: 0x5EED,
-            parallel_vertex_threshold: None,
             retry_budget: 2,
             retry_backoff: Duration::from_micros(500),
             retry_backoff_cap: Duration::from_millis(20),
@@ -126,13 +121,6 @@ impl ServiceConfig {
     /// Pick the scheduler policy.
     pub fn with_scheduler(mut self, scheduler: SchedulerPolicy) -> Self {
         self.scheduler = scheduler;
-        self
-    }
-
-    /// Override the vertex count at which batches execute on the
-    /// engine's persistent worker pool.
-    pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_vertex_threshold = Some(threshold);
         self
     }
 
@@ -377,8 +365,8 @@ pub struct ServiceReport {
     pub retransmitted_buckets: u64,
     /// Bytes re-sent by those retransmissions (simulated traffic).
     pub retransmitted_bytes: Bytes,
-    /// Out-of-core spill traffic across all batches (messages plus
-    /// paged-out slab state), summed from each batch's
+    /// Out-of-core message spill traffic across all batches, summed
+    /// from each batch's
     /// `RunStats::total_spilled_bytes`.
     pub total_spilled_bytes: Bytes,
     /// Partition bytes streamed in by the pager across all batches
@@ -566,9 +554,6 @@ impl TaskService {
             let mut runner =
                 BatchRunner::new(graph.clone(), shape, cfg.system, cfg.cluster.clone())
                     .with_checkpoint_every(cfg.checkpoint_every);
-            if let Some(t) = cfg.parallel_vertex_threshold {
-                runner = runner.with_parallel_threshold(t);
-            }
             if let Some(plan) = &cfg.chaos {
                 runner = runner.with_faults(plan.clone());
             }

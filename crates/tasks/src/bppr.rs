@@ -31,8 +31,7 @@
 //! hash-map baselines.
 
 use mtvc_engine::{
-    Context, Delivery, Message, PageableCell, PayloadCodec, SlabProgram, SlabRow, SlabRowMut,
-    VertexProgram,
+    Context, Delivery, Message, PayloadCodec, SlabProgram, SlabRow, SlabRowMut, VertexProgram,
 };
 use mtvc_graph::hash::FastMap;
 use mtvc_graph::VertexId;
@@ -553,25 +552,6 @@ impl VertexProgram for BpprPushProgram {
 pub struct PushCell {
     pub mass: f64,
     pub residue: f64,
-}
-
-impl PageableCell for PushCell {
-    const CELL_BYTES: usize = 16;
-
-    fn write_to(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.mass.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.residue.to_bits().to_le_bytes());
-    }
-
-    fn read_from(buf: &[u8]) -> Self {
-        let bits = |range: std::ops::Range<usize>| {
-            f64::from_bits(u64::from_le_bytes(buf[range].try_into().unwrap()))
-        };
-        PushCell {
-            mass: bits(0..8),
-            residue: bits(8..16),
-        }
-    }
 }
 
 /// Forward-push BPPR on a dense state slab: `(mass, residue)` per

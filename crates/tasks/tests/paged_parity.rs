@@ -9,8 +9,7 @@
 
 use mtvc_cluster::ClusterSpec;
 use mtvc_engine::{
-    EngineConfig, PagingConfig, PartitionSchedule, Runner, SlabProgram, StoreKind, SystemProfile,
-    WireFormat,
+    EngineConfig, PagingConfig, PartitionSchedule, Runner, SlabProgram, SystemProfile, WireFormat,
 };
 use mtvc_graph::partition::HashPartitioner;
 use mtvc_graph::{generators, Graph, VertexId};
@@ -55,8 +54,6 @@ fn paged_config(
             budget: Bytes::new(budget),
             partition_bytes: Bytes::new(partition_bytes),
             schedule,
-            page_state: false,
-            store: StoreKind::Memory,
         }),
     });
     cfg

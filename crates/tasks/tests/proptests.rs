@@ -7,7 +7,7 @@
 use mtvc_cluster::{ClusterSpec, FaultPlan};
 use mtvc_engine::{
     Context, Delivery, EngineConfig, ExecutionMode, OocConfig, PagingConfig, PartitionSchedule,
-    RunResult, Runner, SlabProgram, SlabRow, SlabRowMut, StoreKind, SystemProfile, WireFormat,
+    RunResult, Runner, SlabProgram, SlabRow, SlabRowMut, SystemProfile, WireFormat,
 };
 use mtvc_graph::partition::{HashPartitioner, Partitioner};
 use mtvc_graph::{generators, reference as gref, Graph, VertexId};
@@ -208,9 +208,9 @@ enum Storage {
 /// Naming the seed vertices must change nothing a run reports: whole
 /// `RunStats` (fault ledger included) and dense states of `program`
 /// equal those of the same program scanning every vertex at round 0,
-/// at every cell of combiner × resident/mirrored/paged (both schedules,
-/// slab-state paging on) × tuple/compact wire × fault-free/rollback
-/// with a checkpoint every 2 rounds.
+/// at every cell of combiner × resident/mirrored/paged (both schedules)
+/// × tuple/compact wire × fault-free/rollback with a checkpoint every 2
+/// rounds.
 fn assert_seeded_equals_full_scan<P>(
     g: &Graph,
     workers: usize,
@@ -246,8 +246,6 @@ where
                         budget: Bytes::new(1024),
                         partition_bytes: Bytes::new(256),
                         schedule,
-                        page_state: true,
-                        store: StoreKind::Memory,
                     }),
                 });
             }
