@@ -25,8 +25,8 @@
 //!   engine runs with partition paging enabled, the `spill`/`stream`
 //!   demand entering these terms is *measured* by the pager (exact
 //!   bytes written out and streamed in per round) instead of the
-//!   whole-graph demand estimate, so schedule choices (round-robin vs
-//!   frontier-density) change the priced disk time.
+//!   whole-graph demand estimate, so the pager's cache budget changes
+//!   the priced disk time.
 //! * **network overuse** (§4.3, §4.4): a round's message burst saturates
 //!   the NIC for `bytes/bandwidth` seconds; sustained saturation beyond
 //!   a floor counts as overuse, so smaller per-round bursts (more
@@ -58,8 +58,9 @@ pub struct RoundDemand {
     /// Unconditional disk streaming per round. Without paging this is
     /// the estimate-path value (e.g. GraphD streams the whole edge
     /// list from disk every round); with paging active it is the exact
-    /// partition bytes the pager loaded this round, so frontier-density
-    /// scheduling shows up directly as a smaller disk term.
+    /// partition bytes the pager loaded this round, so a cache that
+    /// keeps more partitions resident shows up directly as a smaller
+    /// disk term.
     pub stream: Vec<Bytes>,
     /// Whether a synchronization barrier ends this round.
     pub barrier: bool,

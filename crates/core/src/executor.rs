@@ -99,9 +99,6 @@ pub struct JobSpec {
     pub seed: u64,
     /// Whole-job time cutoff (the paper's 6000 s).
     pub cutoff: SimTime,
-    /// Override for the engine's parallel cutover
-    /// ([`mtvc_engine::PARALLEL_VERTEX_THRESHOLD`] when `None`).
-    pub parallel_vertex_threshold: Option<usize>,
 }
 
 impl JobSpec {
@@ -118,19 +115,11 @@ impl JobSpec {
             schedule,
             seed: 0x0B57,
             cutoff: OVERLOAD_CUTOFF,
-            parallel_vertex_threshold: None,
         }
     }
 
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Override the vertex count at which batches execute on the
-    /// engine's persistent worker pool.
-    pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_vertex_threshold = Some(threshold);
         self
     }
 }
@@ -213,9 +202,6 @@ pub fn run_job(graph: &Graph, spec: &JobSpec) -> JobResult {
     );
 
     let engine = JobEngine::new(graph, spec.system, spec.cluster.clone());
-    let parallel_vertex_threshold = spec
-        .parallel_vertex_threshold
-        .unwrap_or(engine.config.parallel_vertex_threshold);
 
     // Source-based tasks: one global source pool, indexed once here and
     // sliced per batch so batches never repeat a unit task (and never
@@ -241,7 +227,7 @@ pub fn run_job(graph: &Graph, spec: &JobSpec) -> JobResult {
             seed: spec.seed.wrapping_add(i as u64 + 1),
             cutoff: spec.cutoff - elapsed,
             residual_bytes: &residual,
-            parallel_vertex_threshold,
+            parallel_threshold: None,
         };
 
         let batch_sources = match spec.task {
@@ -362,13 +348,6 @@ impl BatchRunner {
         }
     }
 
-    /// Override the vertex count at which batches execute on the
-    /// engine's persistent worker pool.
-    pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
-        self.engine.config.parallel_vertex_threshold = threshold;
-        self
-    }
-
     /// Arm an injected-fault schedule: every batch this runner executes
     /// runs under `plan` (checkpointed, with rollback-replay recovery
     /// for crashes and delivery failures, and the hard OOM kill if the
@@ -425,12 +404,12 @@ impl BatchRunner {
 
     /// [`BatchRunner::run_batch`] with a per-batch override of the
     /// parallel cutover: `parallel_threshold = Some(t)` executes this
-    /// batch as if the runner were built with
-    /// [`BatchRunner::with_parallel_threshold`]`(t)`, without touching
-    /// the runner's configuration. The serve layer's joint parallelism
-    /// controller uses this to widen intra-task parallelism for lone
-    /// wide batches and narrow it when many small batches run
-    /// concurrently.
+    /// batch on the engine's worker pool from `t` vertices up (see
+    /// [`BatchParams::parallel_threshold`]), without touching the
+    /// runner's configuration. The serve layer's
+    /// joint parallelism controller uses this to widen intra-task
+    /// parallelism for lone wide batches and narrow it when many small
+    /// batches run concurrently.
     pub fn run_batch_at(
         &self,
         workload: u64,
@@ -457,8 +436,7 @@ impl BatchRunner {
             seed,
             cutoff,
             residual_bytes: residual,
-            parallel_vertex_threshold: parallel_threshold
-                .unwrap_or(self.engine.config.parallel_vertex_threshold),
+            parallel_threshold,
         };
         let run = run_one_batch(
             &self.graph,
@@ -940,26 +918,21 @@ mod tests {
 
     #[test]
     fn parallel_threshold_does_not_change_results() {
-        let g = small_graph();
-        let serial = run_job(&g, &spec(Task::bppr(16), 2));
-        let mut s = spec(Task::bppr(16), 2);
-        s = s.with_parallel_threshold(1); // force the pooled pipeline
-        let pooled = run_job(&g, &s);
+        let runner = BatchRunner::new(
+            Arc::new(small_graph()),
+            Task::bppr(16),
+            SystemKind::PregelPlus,
+            ClusterSpec::galaxy(4),
+        );
+        let run = |threshold| runner.run_batch_at(16, &[], &[0; 4], 7, OVERLOAD_CUTOFF, threshold);
+        let serial = run(Some(usize::MAX));
+        let pooled = run(Some(1)); // force the pooled pipeline
+        assert!(pooled.outcome.is_completed());
         assert_eq!(
             serial.stats.total_messages_sent,
             pooled.stats.total_messages_sent
         );
-        assert_eq!(serial.plot_time(), pooled.plot_time());
-
-        let runner = BatchRunner::new(
-            Arc::new(small_graph()),
-            Task::bppr(8),
-            SystemKind::PregelPlus,
-            ClusterSpec::galaxy(4),
-        )
-        .with_parallel_threshold(1);
-        let e = runner.run_batch(8, &[], &[0; 4], 7, OVERLOAD_CUTOFF);
-        assert!(e.outcome.is_completed());
+        assert_eq!(serial.time, pooled.time);
     }
 
     #[test]

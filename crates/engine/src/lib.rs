@@ -36,21 +36,17 @@ pub use message::{Delivery, Envelope, Message};
 pub use mirror::MirrorIndex;
 pub use paging::{PagedLayout, PagerSnapshot, WorkerPager};
 pub use pool::WorkerPool;
-pub use profile::{
-    ExecutionMode, OocConfig, PagingConfig, PartitionSchedule, SyncMode, SystemProfile,
-};
+pub use profile::{ExecutionMode, OocConfig, PagingConfig, SyncMode, SystemProfile};
 pub use program::{
     Context, EmitSink, Outbox, PagedNeighbors, PerVertex, ProgramCore, VertexProgram,
 };
 pub use router::{
-    route, route_with, Inbox, LocalIndex, RouteGrid, RoutePolicy, RoutingStats, Run, ShardedOutbox,
+    route, Inbox, LocalIndex, RouteGrid, RoutePolicy, RoutingStats, Run, ShardedOutbox,
 };
 pub use runner::{
     vertex_rng, BatchParams, EngineConfig, RunResult, Runner, SparseRunResult,
     PARALLEL_VERTEX_THRESHOLD,
 };
-pub use slab::{
-    PerSlab, SlabDelta, SlabProgram, SlabRecycler, SlabRow, SlabRowMut, StateSlab, LANES,
-};
+pub use slab::{PerSlab, SlabProgram, SlabRecycler, SlabRow, SlabRowMut, StateSlab, LANES};
 pub use topology::Topology;
-pub use wire::{PayloadCodec, WireError, WireFormat, FRAME_HEADER_BYTES};
+pub use wire::{PayloadCodec, WireError, FRAME_HEADER_BYTES};

@@ -12,8 +12,10 @@ use mtvc_graph::VertexId;
 
 /// Payload trait. Combinable payloads expose a key: the engine merges
 /// envelopes with equal `(destination, key)` when the active system
-/// profile enables combining (GraphLab(sync)-style).
-pub trait Message: Clone + Send + Sync {
+/// profile enables combining (GraphLab(sync)-style). Payloads own their
+/// data (`'static`), so a run's message buffers can outlive it and
+/// serve the next batch.
+pub trait Message: Clone + Send + Sync + 'static {
     /// Combining key within a destination vertex; `None` disables
     /// combining for this payload entirely.
     fn combine_key(&self) -> Option<u64>;
@@ -23,21 +25,12 @@ pub trait Message: Clone + Send + Sync {
     /// engine separately.
     fn merge(&mut self, other: &Self);
 
-    /// Query/group id carried by the compact wire format's run-length
-    /// stream (`engine::wire`) instead of inside each payload. Payloads
+    /// Query/group id carried by the wire codec's run-length stream
+    /// (`engine::wire`) instead of inside each payload. Payloads
     /// without a natural grouping id return `None` and ride a one-byte
     /// flag per run.
     fn wire_query(&self) -> Option<u64> {
         None
-    }
-
-    /// Size of this payload under the compact wire format, **excluding**
-    /// the destination index and [`wire_query`] (both carried by shared
-    /// bucket streams). The default is a conservative fixed-width word.
-    ///
-    /// [`wire_query`]: Message::wire_query
-    fn encoded_payload_bytes(&self) -> u64 {
-        8
     }
 
     /// Payload units (tuples) this envelope delivers once combined — the
@@ -55,9 +48,6 @@ impl Message for () {
         None
     }
     fn merge(&mut self, _other: &Self) {}
-    fn encoded_payload_bytes(&self) -> u64 {
-        0
-    }
 }
 
 /// A routed message.

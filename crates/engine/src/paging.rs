@@ -12,30 +12,22 @@
 //! path is the *hot path*, not an accounting shadow — a codec or cache
 //! bug breaks results.
 //!
-//! Two schedules ([`PartitionSchedule`]):
-//!
-//! * **RoundRobin** — every partition is loaded every round in
-//!   local-index order: GraphD's semi-streaming full edge pass (§2.2).
-//! * **FrontierDensity** — partitions whose frontier is empty (zero
-//!   delivered runs this round) are skipped entirely, and cache
-//!   eviction prefers the *sparsest* resident partition (fewest active
-//!   vertices this round, ties by least recent use), so dense
-//!   partitions stay resident as BFS/MSSP frontiers shrink.
-//!
-//! Compute order is unaffected by either schedule — vertices always run
-//! in ascending local-index order — so a paged run is bit-identical to
-//! a fully-resident run by construction; the schedule only changes
-//! which bytes move.
+//! Every round streams every partition in local-index order — GraphD's
+//! semi-streaming full edge pass (§2.2) — and a load that would
+//! overflow the budget first evicts the least recently used resident
+//! partition. Vertices run in ascending local-index order, exactly as
+//! on a resident worker, so a paged run is bit-identical to a
+//! fully-resident run by construction; the pager only changes which
+//! bytes move.
 //!
 //! **Determinism / replay**: eviction decisions are pure functions of
-//! the cache's recency order and the current round's frontier
-//! densities. Checkpoints capture a [`PagerSnapshot`] (resident
-//! partition ids in recency order — metadata, not decoded bytes);
-//! rollback restores that exact cache state, so replayed rounds evolve
-//! the cache identically to the first execution and every post-replay
-//! round sees identical load/skip counters.
+//! the cache's recency order. Checkpoints capture a [`PagerSnapshot`]
+//! (resident partition ids in recency order — metadata, not decoded
+//! bytes); rollback restores that exact cache state, so replayed rounds
+//! evolve the cache identically to the first execution and every
+//! post-replay round sees identical load counters.
 
-use crate::profile::{PagingConfig, PartitionSchedule};
+use crate::profile::PagingConfig;
 use mtvc_graph::ooc::{DecodedChunk, MemStore, PartitionedAdjacency};
 use mtvc_graph::{Graph, VertexId};
 use std::sync::Arc;
@@ -100,8 +92,6 @@ pub struct PagerRound {
     pub loaded_bytes: u64,
     /// Adjacency partitions loaded.
     pub partition_loads: u64,
-    /// Partitions skipped outright (frontier-density schedule only).
-    pub partitions_skipped: u64,
     /// Peak decoded adjacency bytes resident in the cache this round —
     /// what the memory ledger charges instead of the
     /// `graph_bytes × graph_mem_factor` estimate.
@@ -124,15 +114,12 @@ pub struct WorkerPager {
     adj: Arc<PartitionedAdjacency>,
     worker: usize,
     budget: u64,
-    schedule: PartitionSchedule,
     resident: Vec<Option<DecodedChunk>>,
     /// Partition ids, least recently used first.
     recency: Vec<u32>,
     resident_bytes: u64,
     free_chunks: Vec<DecodedChunk>,
     raw: Vec<u8>,
-    /// Delivered-run count per partition, this round.
-    density: Vec<u32>,
     round: PagerRound,
 }
 
@@ -153,13 +140,11 @@ impl WorkerPager {
             adj,
             worker,
             budget: config.budget.get(),
-            schedule: config.schedule,
             resident: (0..nparts).map(|_| None).collect(),
             recency: Vec::with_capacity(nparts),
             resident_bytes: 0,
             free_chunks: Vec::new(),
             raw: Vec::new(),
-            density: vec![0; nparts],
             round: PagerRound::default(),
         }
     }
@@ -173,29 +158,6 @@ impl WorkerPager {
     pub fn partition_range(&self, p: usize) -> (u32, u32) {
         let m = self.adj.partitions(self.worker)[p];
         (m.li_start, m.li_end)
-    }
-
-    /// Reset this round's frontier densities (call before
-    /// [`Self::bump_density`] over the round's runs).
-    pub fn clear_density(&mut self) {
-        self.density.fill(0);
-    }
-
-    /// Count one delivered run landing in partition `p`.
-    pub fn bump_density(&mut self, p: usize) {
-        self.density[p] += 1;
-    }
-
-    /// Whether the schedule skips partition `p` this round (empty
-    /// frontier under [`PartitionSchedule::FrontierDensity`]; round 0
-    /// never consults this — every vertex initializes).
-    pub fn should_skip(&self, p: usize) -> bool {
-        self.schedule == PartitionSchedule::FrontierDensity && self.density[p] == 0
-    }
-
-    /// Record a skipped partition.
-    pub fn note_skip(&mut self) {
-        self.round.partitions_skipped += 1;
     }
 
     /// Make partition `p` resident (loading and decoding it from the
@@ -243,26 +205,14 @@ impl WorkerPager {
         }
     }
 
-    /// Eviction victim among residents other than the pinned `keep`:
-    /// plain LRU under RoundRobin; under FrontierDensity the sparsest
-    /// partition this round (ties by least recent use), so dense
-    /// partitions survive as frontiers shrink. Pure in recency order +
-    /// densities, which is what makes replay evolve the cache
-    /// identically.
+    /// Eviction victim: the least recently used resident other than
+    /// the pinned `keep`. Pure in recency order, which is what makes
+    /// replay evolve the cache identically.
     fn pick_victim(&self, keep: usize) -> Option<usize> {
-        let candidates = self
-            .recency
+        self.recency
             .iter()
             .map(|&q| q as usize)
-            .filter(|&q| q != keep);
-        match self.schedule {
-            PartitionSchedule::RoundRobin => candidates
-                .min_by_key(|&q| self.recency.iter().position(|&r| r as usize == q).unwrap()),
-            PartitionSchedule::FrontierDensity => candidates.min_by_key(|&q| {
-                let pos = self.recency.iter().position(|&r| r as usize == q).unwrap();
-                (self.density[q], pos)
-            }),
-        }
+            .find(|&q| q != keep)
     }
 
     fn evict(&mut self, p: usize) {
@@ -332,7 +282,7 @@ mod tests {
     use mtvc_graph::partition::{HashPartitioner, Partitioner};
     use mtvc_metrics::Bytes;
 
-    fn layout(budget: u64, schedule: PartitionSchedule) -> (PagedLayout, Vec<Vec<VertexId>>) {
+    fn layout(budget: u64) -> (PagedLayout, Vec<Vec<VertexId>>) {
         let g = generators::power_law(600, 3000, 2.3, 11);
         let locals = HashPartitioner::default()
             .partition(&g, 2)
@@ -340,14 +290,13 @@ mod tests {
         let config = PagingConfig {
             budget: Bytes::new(budget),
             partition_bytes: Bytes::new(512),
-            schedule,
         };
         (PagedLayout::build(&g, &locals, config), locals)
     }
 
     #[test]
     fn cache_respects_budget_and_counts_real_bytes() {
-        let (layout, _) = layout(4096, PartitionSchedule::RoundRobin);
+        let (layout, _) = layout(4096);
         let mut pagers = layout.make_pagers();
         let pager = &mut pagers[0];
         let nparts = pager.partitions();
@@ -367,7 +316,7 @@ mod tests {
 
     #[test]
     fn revisiting_resident_partition_loads_nothing() {
-        let (layout, _) = layout(1 << 20, PartitionSchedule::RoundRobin);
+        let (layout, _) = layout(1 << 20);
         let mut pager = layout.make_pagers().remove(0);
         pager.ensure_resident(0);
         pager.ensure_resident(1);
@@ -382,43 +331,44 @@ mod tests {
     }
 
     #[test]
-    fn frontier_density_skips_and_evicts_sparse_first() {
-        let (layout, _) = layout(4096, PartitionSchedule::FrontierDensity);
+    fn lru_evicts_least_recently_used_first() {
+        let (layout, _) = layout(4096);
         let metas = layout.adjacency().partitions(0);
         assert!(metas.len() >= 4, "graph must split into several partitions");
         let d = |p: usize| metas[p].decoded_bytes;
-        // Budget fits {0, 2} exactly; loading 3 then forces one
-        // eviction, and the sparsest resident must be the victim.
+        // The budget fits {0, 2} but not {0, 2, 3}: loading 3 forces
+        // exactly one eviction.
         let config = PagingConfig {
             budget: Bytes::new(d(0) + d(2) + d(3) - 1),
             partition_bytes: Bytes::new(512),
-            schedule: PartitionSchedule::FrontierDensity,
         };
         let mut pager = WorkerPager::new(layout.adjacency().clone(), 0, config);
-        pager.clear_density();
-        pager.bump_density(0);
-        pager.bump_density(0);
-        pager.bump_density(2);
-        assert!(!pager.should_skip(0));
-        assert!(pager.should_skip(1), "zero-density partition is skipped");
-        assert!(!pager.should_skip(2));
         pager.ensure_resident(0);
         pager.ensure_resident(2);
-        assert!(pager.resident[0].is_some() && pager.resident[2].is_some());
+        pager.ensure_resident(0); // 2 is now the least recently used
         pager.ensure_resident(3);
-        assert!(
-            pager.resident[2].is_none(),
-            "sparsest resident is evicted first"
-        );
-        assert!(
-            pager.resident[0].is_some(),
-            "denser partition must outlive sparser one in cache"
-        );
+        assert!(pager.resident[2].is_none(), "LRU partition 2 is evicted");
+        assert!(pager.resident[0].is_some(), "recently used 0 survives");
+        assert!(pager.resident[3].is_some(), "the loaded partition stays");
+        assert_eq!(pager.snapshot().resident, vec![0, 3]);
+
+        // A budget below any one partition: each load evicts every
+        // other resident, never itself.
+        let config = PagingConfig {
+            budget: Bytes::new(1),
+            partition_bytes: Bytes::new(512),
+        };
+        let mut pager = WorkerPager::new(layout.adjacency().clone(), 0, config);
+        pager.ensure_resident(0);
+        pager.ensure_resident(3);
+        assert!(pager.resident[0].is_none());
+        assert_eq!(pager.snapshot().resident, vec![3]);
+        assert_eq!(pager.resident_bytes(), d(3));
     }
 
     #[test]
     fn snapshot_restore_reproduces_resident_set() {
-        let (layout, _) = layout(8192, PartitionSchedule::RoundRobin);
+        let (layout, _) = layout(8192);
         let mut pager = layout.make_pagers().remove(0);
         for p in 0..pager.partitions() {
             pager.ensure_resident(p);

@@ -6,7 +6,6 @@
 //! provides the seven concrete presets; this module defines the axes.
 
 use crate::router::RoutePolicy;
-use crate::wire::WireFormat;
 use mtvc_metrics::Bytes;
 use serde::{Deserialize, Serialize};
 
@@ -64,21 +63,9 @@ pub struct OocConfig {
     pub paging: Option<PagingConfig>,
 }
 
-/// How the pager orders and prunes partition loads each round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum PartitionSchedule {
-    /// Stream every partition every round in local-index order —
-    /// GraphD's semi-streaming baseline (the full edge pass the paper's
-    /// §2.2 describes).
-    #[default]
-    RoundRobin,
-    /// Order retention by per-partition active-vertex count and skip
-    /// partitions whose frontier is empty entirely (PartitionedVC-style
-    /// frontier-density scheduling).
-    FrontierDensity,
-}
-
-/// Configuration of the real adjacency paging path.
+/// Configuration of the real adjacency paging path. Every round streams
+/// every partition in local-index order — GraphD's semi-streaming full
+/// edge pass (§2.2) — through a least-recently-used cache.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PagingConfig {
     /// Decoded-byte budget of the per-worker partition cache. The
@@ -88,19 +75,16 @@ pub struct PagingConfig {
     pub budget: Bytes,
     /// Target encoded bytes per adjacency partition.
     pub partition_bytes: Bytes,
-    /// Load order / skip policy.
-    pub schedule: PartitionSchedule,
 }
 
 impl PagingConfig {
-    /// Paging under `budget`: partitions of a quarter of the budget,
-    /// round-robin streaming. GraphD's profile and the benchmark's
-    /// decode probe build their configs with this.
+    /// Paging under `budget`: partitions of a quarter of the budget.
+    /// GraphD's profile and the benchmark's decode probe build their
+    /// configs with this.
     pub fn with_budget(budget: Bytes) -> PagingConfig {
         PagingConfig {
             budget,
             partition_bytes: Bytes::new(budget.get().div_ceil(4).max(1)),
-            schedule: PartitionSchedule::RoundRobin,
         }
     }
 }
@@ -132,10 +116,6 @@ pub struct SystemProfile {
     pub per_msg_ops: f64,
     /// Abstract CPU operations to activate one vertex.
     pub per_vertex_ops: f64,
-    /// Wire representation the network accounting assumes:
-    /// [`WireFormat::Compact`] charges real post-codec bucket bytes
-    /// instead of `payload_units * msg_bytes`.
-    pub wire_format: WireFormat,
 }
 
 impl SystemProfile {
@@ -153,18 +133,15 @@ impl SystemProfile {
             out_of_core: None,
             per_msg_ops: 1.0,
             per_vertex_ops: 2.0,
-            wire_format: WireFormat::Tuples,
         }
     }
 
-    /// The routing-pipeline policy this profile implies: its wire
-    /// format. The argument is unused — no policy depends on whether
-    /// faults are armed — and stays only because the benchmark calls
-    /// `route_policy(false)`.
+    /// The routing-pipeline policy this profile implies. Every profile
+    /// routes the same way, so this is always the field-less
+    /// [`RoutePolicy`]; the method and its unused argument stay only
+    /// because the benchmark calls `route_policy(false)`.
     pub fn route_policy(&self, _faults_armed: bool) -> RoutePolicy {
-        RoutePolicy {
-            wire_format: self.wire_format,
-        }
+        RoutePolicy
     }
 
     /// True when rounds end with a synchronization barrier.

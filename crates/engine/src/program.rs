@@ -262,7 +262,7 @@ pub trait VertexProgram: Sync {
     /// Wire message payload.
     type Message: Message;
     /// Per-vertex persistent state.
-    type State: Default + Clone + Send;
+    type State: Default + Clone + Send + 'static;
 
     /// Bytes of one wire message (the paper's footnote: "a message
     /// contains a constant number of integers").
@@ -306,39 +306,13 @@ pub trait ProgramCore: Sync {
     /// Wire message payload.
     type Message: Message;
     /// One worker's state container. `Clone` must recycle via
-    /// `clone_from` (checkpointing relies on it).
-    type Store: Clone + Send;
+    /// `clone_from` (checkpointing relies on it), and it owns its data
+    /// (`'static`) because checkpoint copies outlive the run.
+    type Store: Clone + Send + 'static;
     /// Per-vertex output extracted after the run.
     type Out: Default + Clone + Send;
-    /// Difference between two stores of the same shape, for
-    /// incremental checkpoints. Programs without a compact diff use
-    /// `()` and leave [`ProgramCore::store_delta`] at its `None`
-    /// default (the runner then falls back to full snapshots).
-    type Delta: Clone + Send;
 
     fn message_bytes(&self) -> u64;
-
-    /// Diff `cur` against `prev`, producing a delta that
-    /// [`ProgramCore::apply_store_delta`] replays onto a clone of
-    /// `prev` to reconstruct `cur` **bit-identically**. Return `None`
-    /// when no compact diff exists (shape mismatch, or the program
-    /// does not support deltas) — the runner falls back to a full
-    /// snapshot.
-    fn store_delta(&self, _prev: &Self::Store, _cur: &Self::Store) -> Option<Self::Delta> {
-        None
-    }
-
-    /// Replay a delta produced by [`ProgramCore::store_delta`]. Only
-    /// called with deltas this program produced; the default is
-    /// unreachable for programs that never produce one.
-    fn apply_store_delta(&self, _store: &mut Self::Store, _delta: &Self::Delta) {
-        unreachable!("apply_store_delta on a program that never produces deltas")
-    }
-
-    /// Stored size of a delta in bytes, for checkpoint accounting.
-    fn delta_bytes(&self, _delta: &Self::Delta) -> u64 {
-        0
-    }
 
     fn max_rounds(&self) -> Option<usize> {
         None
@@ -415,7 +389,6 @@ impl<P: VertexProgram> ProgramCore for PerVertex<'_, P> {
     type Message = P::Message;
     type Store = Vec<P::State>;
     type Out = P::State;
-    type Delta = ();
 
     fn message_bytes(&self) -> u64 {
         self.0.message_bytes()

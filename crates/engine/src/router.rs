@@ -47,27 +47,17 @@ use crate::message::{Delivery, Envelope, Message};
 use crate::mirror::MirrorIndex;
 use crate::pool::{dispatch, WorkerPool};
 use crate::program::{EmitSink, Outbox};
-use crate::wire::{self, WireFormat};
 use mtvc_graph::hash::FastMap;
 use mtvc_graph::partition::Partition;
 use mtvc_graph::{Graph, VertexId};
 use std::collections::hash_map::Entry;
 
-/// Encoded bytes of one mirror transfer under the compact wire format,
-/// on top of the payload: the mirrored origin's index plus the stream
-/// flag. (Tuples mode charges `msg_bytes` per transfer instead.)
-const MIRROR_ENC_OVERHEAD: u64 = 2;
-
-/// Routing behaviour beyond the per-round `combine` flag: the wire
-/// format the accounting assumes. The default policy reproduces the
-/// historic pipeline bit-for-bit.
+/// Routing behaviour beyond the per-round `combine` flag. Every
+/// profile routes the same way, so the policy carries nothing; the type
+/// and [`RouteGrid::set_policy`] stay only because the benchmark's
+/// round-loop replica installs one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RoutePolicy {
-    /// Network accounting representation; [`WireFormat::Compact`]
-    /// measures real encoded bucket bytes instead of
-    /// `payload_units * msg_bytes`.
-    pub wire_format: WireFormat,
-}
+pub struct RoutePolicy;
 
 /// Traffic measured while routing one round's messages.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -95,15 +85,6 @@ pub struct RoutingStats {
     pub out_buffer_bytes: Vec<u64>,
     /// Per-worker bytes of message buffers *received* (local + remote).
     pub in_buffer_bytes: Vec<u64>,
-    /// Post-codec bytes of every cross-worker shard bucket produced
-    /// this round, under the compact wire format. Local buckets are
-    /// delivered by pointer and never serialize, so they contribute
-    /// nothing. Zero in [`WireFormat::Tuples`] mode.
-    pub encoded_wire_bytes: u64,
-    /// Per-worker post-codec bytes sent to other machines.
-    pub encoded_out_bytes: Vec<u64>,
-    /// Per-worker post-codec bytes received from other machines.
-    pub encoded_in_bytes: Vec<u64>,
     /// Bytes of envelopes materialised in routing buffers *before*
     /// encode: every envelope written into a flat outbox at emit time
     /// plus every envelope appended to a shard bucket. The two-stage
@@ -132,9 +113,6 @@ impl RoutingStats {
             local_bytes: 0,
             out_buffer_bytes: vec![0; workers],
             in_buffer_bytes: vec![0; workers],
-            encoded_wire_bytes: 0,
-            encoded_out_bytes: vec![0; workers],
-            encoded_in_bytes: vec![0; workers],
             shard_copy_bytes: 0,
             replay: false,
         }
@@ -145,7 +123,6 @@ impl RoutingStats {
         self.sent_wire = 0;
         self.delivered_tuples = 0;
         self.local_bytes = 0;
-        self.encoded_wire_bytes = 0;
         self.shard_copy_bytes = 0;
         self.replay = false;
         for v in [
@@ -155,8 +132,6 @@ impl RoutingStats {
             &mut self.net_in_bytes,
             &mut self.out_buffer_bytes,
             &mut self.in_buffer_bytes,
-            &mut self.encoded_out_bytes,
-            &mut self.encoded_in_bytes,
         ] {
             v.iter_mut().for_each(|x| *x = 0);
         }
@@ -322,11 +297,6 @@ struct PairFlow {
     local_bytes: u64,
     wire: u64,
     tuples: u64,
-    /// Post-codec bucket bytes (compact wire format only).
-    encoded_bytes: u64,
-    /// Post-codec bytes actually crossing machines (mirror-prepaid
-    /// transfers replace the prepaid fraction).
-    encoded_net_bytes: u64,
     /// Envelope bytes appended to this pair's bucket (the shard-stage
     /// half of [`RoutingStats::shard_copy_bytes`]).
     copy_bytes: u64,
@@ -340,9 +310,9 @@ struct PairFlow {
 pub struct Shard<M> {
     bucket: Vec<Envelope<M>>,
     /// Destination local index of each bucket envelope (parallel to
-    /// `bucket`): computed once at append time so the compact-measure
-    /// and merge scatters read it sequentially instead of re-deriving
-    /// it with a random `LocalIndex` lookup per envelope.
+    /// `bucket`): computed once at append time so the merge scatter
+    /// reads it sequentially instead of re-deriving it with a random
+    /// `LocalIndex` lookup per envelope.
     lis: Vec<u32>,
     /// Envelopes per destination local index (len = destination
     /// worker's vertex count; all-zero outside the pipeline).
@@ -364,14 +334,6 @@ pub struct Shard<M> {
     /// Wire messages whose network cost is prepaid (count NOT to be
     /// charged per-envelope).
     prepaid_wire: u64,
-    /// Post-codec bytes already paid as mirror transfers (compact
-    /// analogue of `prepaid_net`).
-    prepaid_net_encoded: u64,
-    /// Compact-measure scratch: per-local-index write cursors (all-zero
-    /// between rounds, like `hist`) and the bucket's query keys in
-    /// delivery order.
-    cursors: Vec<u32>,
-    qkeys: Vec<(bool, u64)>,
     /// Dense sender-combining table for small combine keys: slot
     /// `key * nloc + li` holds `epoch << 32 | bucket position` for
     /// that `(destination, key)` pair, valid when the epoch half
@@ -401,9 +363,6 @@ impl<M> Default for Shard<M> {
             copied: 0,
             prepaid_net: 0,
             prepaid_wire: 0,
-            prepaid_net_encoded: 0,
-            cursors: Vec::new(),
-            qkeys: Vec::new(),
             fold_slots: Vec::new(),
             fold_round: 0,
             nloc: 0,
@@ -599,13 +558,11 @@ fn shard_outbox<M: Message>(
     mirrors: Option<&MirrorIndex>,
     combine: bool,
     msg_bytes: u64,
-    policy: &RoutePolicy,
     shards: &mut [Shard<M>],
     slots: &mut SenderSlots,
 ) -> (u64, u64) {
     prepare_shards(shards, locals, combine);
     prepare_slots(slots, combine);
-    let compact = policy.wire_format == WireFormat::Compact;
     let emit_copies = (outbox.sends.len() + outbox.broadcasts.len()) as u64
         * std::mem::size_of::<Envelope<M>>() as u64;
 
@@ -622,14 +579,8 @@ fn shard_outbox<M: Message>(
             Some(mirror_workers) => {
                 // One wire transfer per remote mirror worker replaces
                 // the per-neighbor wire cost of all remote fan-outs.
-                let enc_xfer = if compact {
-                    (MIRROR_ENC_OVERHEAD + msg.encoded_payload_bytes()) * mult
-                } else {
-                    0
-                };
                 for &mw in mirror_workers {
                     shards[mw as usize].prepaid_net += msg_bytes * mult;
-                    shards[mw as usize].prepaid_net_encoded += enc_xfer;
                 }
                 for &t in graph.neighbors(origin) {
                     let dw = part.owner_of(t) as usize;
@@ -650,7 +601,7 @@ fn shard_outbox<M: Message>(
     }
 
     for (dw, shard) in shards.iter_mut().enumerate() {
-        finish_shard(src_worker, dw, shard, combine, msg_bytes, policy);
+        finish_shard(src_worker, dw, shard, combine, msg_bytes);
     }
     (sent_wire, emit_copies)
 }
@@ -675,11 +626,9 @@ fn finish_shard<M: Message>(
     shard: &mut Shard<M>,
     combine: bool,
     msg_bytes: u64,
-    policy: &RoutePolicy,
 ) {
     let prepaid_net = std::mem::take(&mut shard.prepaid_net);
     let prepaid_wire = std::mem::take(&mut shard.prepaid_wire);
-    let prepaid_net_enc = std::mem::take(&mut shard.prepaid_net_encoded);
     let wire = std::mem::take(&mut shard.wire);
     let copied = std::mem::take(&mut shard.copied);
     let mut flow = PairFlow::default();
@@ -693,22 +642,6 @@ fn finish_shard<M: Message>(
         flow.buffer_bytes = buffer_bytes;
         flow.wire = wire;
         flow.tuples = tuples;
-        // The codec models wire serialization, so only cross-worker
-        // buckets are measured: local delivery hands envelopes over by
-        // pointer and never encodes.
-        if policy.wire_format == WireFormat::Compact && dst != src {
-            let enc = measure_shard_encoded(shard);
-            flow.encoded_bytes = enc;
-            // Prepaid wire messages already crossed as mirror
-            // transfers; keep only the unpaid fraction of the
-            // encoded bucket (integer scaling by wire share).
-            let prepaid_units = prepaid_wire.min(wire);
-            // `wire == 0` means an empty bucket, so `enc` is 0 too.
-            let kept = (enc * prepaid_units)
-                .checked_div(wire)
-                .map_or(0, |folded| enc - folded);
-            flow.encoded_net_bytes = kept + prepaid_net_enc;
-        }
         if dst != src {
             // Replace the prepaid portion: those wire messages crossed
             // as mirror transfers already counted.
@@ -719,76 +652,6 @@ fn finish_shard<M: Message>(
         }
     }
     shard.flow = flow;
-}
-
-/// Compact-format size of one shard bucket, computed **without sorting
-/// the bucket**: the directory comes from the (sorted) touched list and
-/// histogram, order-independent streams from one bucket pass, and the
-/// query run-length stream from a counting scatter of the query keys
-/// into delivery order — the same permutation the merge stage will
-/// apply. Must equal [`wire::measure_bucket`] (the serial oracle's
-/// sort-based measurement); pinned by the routing property tests.
-fn measure_shard_encoded<M: Message>(shard: &mut Shard<M>) -> u64 {
-    let n = shard.bucket.len();
-    if n == 0 {
-        return 0;
-    }
-    // Sorting `touched` is safe: the merge stage treats it as a set.
-    shard.touched.sort_unstable();
-    if shard.cursors.len() < shard.hist.len() {
-        shard.cursors.resize(shard.hist.len(), 0);
-    }
-    let mut bytes = wire::varint_len(n as u64) + wire::varint_len(shard.touched.len() as u64);
-    let mut prev = 0u32;
-    let mut running = 0u32;
-    for &li in &shard.touched {
-        let h = shard.hist[li as usize];
-        bytes += wire::varint_len((li - prev) as u64) + wire::varint_len(h as u64);
-        prev = li;
-        shard.cursors[li as usize] = running;
-        running += h;
-    }
-    // The counting scatter writes every slot in 0..n exactly once (the
-    // histogram sums to the bucket length), so the buffer only ever
-    // needs to grow — no per-round fill.
-    if shard.qkeys.len() < n {
-        shard.qkeys.resize(n, (false, 0));
-    }
-    for (env, &li) in shard.bucket.iter().zip(&shard.lis) {
-        let slot = shard.cursors[li as usize] as usize;
-        shard.cursors[li as usize] += 1;
-        shard.qkeys[slot] = match env.msg.wire_query() {
-            Some(q) => (true, q),
-            None => (false, 0),
-        };
-        bytes += wire::varint_len(env.mult) + env.msg.encoded_payload_bytes();
-    }
-    // Restore the all-zero cursor buffer for the next round.
-    for &li in &shard.touched {
-        shard.cursors[li as usize] = 0;
-    }
-    // Query-RLE size, accumulated branchlessly: lane-chunk traffic
-    // makes runs short and boundaries effectively random, so a
-    // run-at-a-time loop pays a branch mispredict per envelope. Each
-    // run costs varint_len(len) + flag byte + optional key varint;
-    // varint_len(len) is 1 plus one extra byte per 7-bit threshold the
-    // running length crosses, so every component is a masked add.
-    let mut prev = shard.qkeys[0];
-    let mut run_len = 1u64;
-    let mut runs = 1u64;
-    let mut key_bytes = 1 + if prev.0 { wire::varint_len(prev.1) } else { 0 };
-    let mut long_extra = 0u64;
-    for &key in &shard.qkeys[1..n] {
-        let boundary = (key != prev) as u64;
-        runs += boundary;
-        key_bytes += boundary * (1 + key.0 as u64 * wire::varint_len(key.1));
-        run_len = run_len * (1 - boundary) + 1;
-        long_extra += (run_len.count_ones() == 1
-            && run_len.trailing_zeros().is_multiple_of(7)
-            && run_len > 1) as u64;
-        prev = key;
-    }
-    bytes + runs + key_bytes + long_extra
 }
 
 /// Stage 2: fold one destination's shard column (in source order) into
@@ -893,9 +756,6 @@ fn apply_flow(stats: &mut RoutingStats, src: usize, dst: usize, flow: &PairFlow)
     stats.in_wire[dst] += flow.wire;
     stats.in_tuples[dst] += flow.tuples;
     stats.delivered_tuples += flow.tuples;
-    stats.encoded_wire_bytes += flow.encoded_bytes;
-    stats.encoded_out_bytes[src] += flow.encoded_net_bytes;
-    stats.encoded_in_bytes[dst] += flow.encoded_net_bytes;
     stats.shard_copy_bytes += flow.copy_bytes;
 }
 
@@ -916,30 +776,6 @@ fn apply_flow(stats: &mut RoutingStats, src: usize, dst: usize, flow: &PairFlow)
 ///   combiners work. Multiplicities sum; payloads merge in send order.
 /// * `msg_bytes`: wire size of one message.
 pub fn route<M: Message>(
-    outboxes: Vec<Outbox<M>>,
-    graph: &Graph,
-    part: &Partition,
-    locals: &LocalIndex,
-    mirrors: Option<&MirrorIndex>,
-    combine: bool,
-    msg_bytes: u64,
-) -> (Vec<Inbox<M>>, RoutingStats) {
-    route_with(
-        outboxes,
-        graph,
-        part,
-        locals,
-        mirrors,
-        combine,
-        msg_bytes,
-        &RoutePolicy::default(),
-    )
-}
-
-/// [`route`] with an explicit [`RoutePolicy`]: the serial oracle for
-/// the compact wire format.
-#[allow(clippy::too_many_arguments)]
-pub fn route_with<M: Message>(
     mut outboxes: Vec<Outbox<M>>,
     graph: &Graph,
     part: &Partition,
@@ -947,12 +783,10 @@ pub fn route_with<M: Message>(
     mirrors: Option<&MirrorIndex>,
     combine: bool,
     msg_bytes: u64,
-    policy: &RoutePolicy,
 ) -> (Vec<Inbox<M>>, RoutingStats) {
     use std::collections::HashMap;
 
     let workers = part.num_workers();
-    let compact = policy.wire_format == WireFormat::Compact;
     let mut stats = RoutingStats::new(workers);
     // columns[dst][src]: combined envelope buckets in source order.
     let mut columns: Vec<Vec<Vec<Envelope<M>>>> =
@@ -966,7 +800,6 @@ pub fn route_with<M: Message>(
         let mut buckets: Vec<Vec<Envelope<M>>> = (0..workers).map(|_| Vec::new()).collect();
         let mut prepaid_net = vec![0u64; workers];
         let mut prepaid_wire = vec![0u64; workers];
-        let mut prepaid_net_enc = vec![0u64; workers];
         let mut slots: HashMap<(VertexId, u64), usize> = HashMap::new();
 
         let deposit = |buckets: &mut Vec<Vec<Envelope<M>>>,
@@ -1000,10 +833,6 @@ pub fn route_with<M: Message>(
             if let Some(mirror_workers) = fanout {
                 for &mw in mirror_workers {
                     prepaid_net[mw as usize] += msg_bytes * mult;
-                    if compact {
-                        prepaid_net_enc[mw as usize] +=
-                            (MIRROR_ENC_OVERHEAD + msg.encoded_payload_bytes()) * mult;
-                    }
                 }
             }
             for &t in graph.neighbors(origin) {
@@ -1028,17 +857,6 @@ pub fn route_with<M: Message>(
                 flow.buffer_bytes = buffer_bytes;
                 flow.wire = wire;
                 flow.tuples = tuples;
-                // Wire-only, matching `finish_shard`: local buckets
-                // never serialize.
-                if compact && dw != src {
-                    let enc = wire::measure_bucket(&bucket, |v| locals.local_of(v));
-                    flow.encoded_bytes = enc;
-                    let prepaid_units = prepaid_wire[dw].min(wire);
-                    let kept = (enc * prepaid_units)
-                        .checked_div(wire)
-                        .map_or(0, |folded| enc - folded);
-                    flow.encoded_net_bytes = kept + prepaid_net_enc[dw];
-                }
                 if dw != src {
                     let prepaid_units = prepaid_wire[dw].min(payload_units);
                     flow.net_bytes =
@@ -1111,9 +929,6 @@ pub struct RouteGrid<M> {
     /// Per-destination active-local-index scratch.
     active: Vec<Vec<u32>>,
     stats: RoutingStats,
-    /// Routing behaviour (the wire format). Default reproduces the
-    /// historic pipeline bit-for-bit.
-    policy: RoutePolicy,
     /// Whether the round [`Self::begin_round`] prepared combines: the
     /// sinks fold at emission exactly when it is set.
     combine: bool,
@@ -1141,7 +956,6 @@ impl<M: Message> RouteGrid<M> {
             counts: (0..workers).map(|_| Vec::new()).collect(),
             active: (0..workers).map(|_| Vec::new()).collect(),
             stats: RoutingStats::new(workers),
-            policy: RoutePolicy::default(),
             combine: false,
             replay: false,
         }
@@ -1153,16 +967,10 @@ impl<M: Message> RouteGrid<M> {
         self.replay = replay;
     }
 
-    /// Install a routing policy for subsequent rounds (the benchmark's
-    /// replica calls this too).
-    pub fn set_policy(&mut self, policy: RoutePolicy) {
-        self.policy = policy;
-    }
-
-    /// The active routing policy.
-    pub fn policy(&self) -> RoutePolicy {
-        self.policy
-    }
+    /// Install a routing policy for subsequent rounds: a no-op, since
+    /// [`RoutePolicy`] carries nothing. Kept because the benchmark's
+    /// replica calls it.
+    pub fn set_policy(&mut self, _policy: RoutePolicy) {}
 
     /// Route one round of traffic: drain `outboxes` into the grouped
     /// `inboxes` (which must arrive empty; capacity is reused) and
@@ -1188,8 +996,6 @@ impl<M: Message> RouteGrid<M> {
         assert_eq!(outboxes.len(), workers, "one outbox per worker");
         assert_eq!(inboxes.len(), workers, "one inbox per worker");
 
-        let policy = self.policy;
-
         // ---- stage 1: shard + combine, parallel over sources --------
         let sources = outboxes
             .iter_mut()
@@ -1202,8 +1008,7 @@ impl<M: Message> RouteGrid<M> {
             sources,
             |src, ((((outbox, row), sent), copied), slots)| {
                 (*sent, *copied) = shard_outbox(
-                    src, outbox, graph, part, locals, mirrors, combine, msg_bytes, &policy, row,
-                    slots,
+                    src, outbox, graph, part, locals, mirrors, combine, msg_bytes, row, slots,
                 );
             },
         );
@@ -1307,7 +1112,6 @@ impl<M: Message> RouteGrid<M> {
         mirrors: Option<&'a MirrorIndex>,
         msg_bytes: u64,
     ) -> impl Iterator<Item = ShardedOutbox<'a, M>> + 'a {
-        let policy = self.policy;
         let combine = self.combine;
         self.rows
             .iter_mut()
@@ -1325,7 +1129,6 @@ impl<M: Message> RouteGrid<M> {
                 mirrors,
                 combine,
                 msg_bytes,
-                policy,
                 state_bytes_added: 0,
             })
     }
@@ -1350,14 +1153,14 @@ impl<M: Message> RouteGrid<M> {
         let workers = self.workers;
         assert_eq!(inboxes.len(), workers, "one inbox per worker");
         debug_assert_eq!(combine, self.combine, "combine flag changed mid-round");
-        let (policy, combine) = (self.policy, self.combine);
+        let combine = self.combine;
 
         // Stage-1 epilogue: shard content is final once compute ended,
         // so measure each pair's flow. Parallel over sources, like the
         // stage it completes.
         dispatch(pool, self.rows.iter_mut(), |src, row| {
             for (dst, shard) in row.iter_mut().enumerate() {
-                finish_shard(src, dst, shard, combine, msg_bytes, &policy);
+                finish_shard(src, dst, shard, combine, msg_bytes);
             }
         });
 
@@ -1390,7 +1193,6 @@ pub struct ShardedOutbox<'a, M: Message> {
     /// The round's combining flag.
     combine: bool,
     msg_bytes: u64,
-    policy: RoutePolicy,
     /// Exact-store-bytes escape hatch, mirroring
     /// [`Outbox::state_bytes_added`]: the runner reads it back after
     /// the compute phase.
@@ -1414,19 +1216,12 @@ impl<M: Message> EmitSink<M> for ShardedOutbox<'_, M> {
     fn emit_broadcast(&mut self, origin: VertexId, msg: M, mult: u64) {
         let degree = self.graph.degree(origin) as u64;
         *self.sent += degree * mult;
-        let compact = self.policy.wire_format == WireFormat::Compact;
         match self.mirrors.and_then(|m| m.fanout(origin)) {
             Some(mirror_workers) => {
                 // One wire transfer per remote mirror worker replaces
                 // the per-neighbor wire cost of all remote fan-outs.
-                let enc_xfer = if compact {
-                    (MIRROR_ENC_OVERHEAD + msg.encoded_payload_bytes()) * mult
-                } else {
-                    0
-                };
                 for &mw in mirror_workers {
                     self.shards[mw as usize].prepaid_net += self.msg_bytes * mult;
-                    self.shards[mw as usize].prepaid_net_encoded += enc_xfer;
                 }
                 for &t in self.graph.neighbors(origin) {
                     let dw = self.part.owner_of(t) as usize;
@@ -1843,63 +1638,6 @@ mod tests {
                 assert_eq!(stats, &want_stats, "combine={combine} pooled={pooled}");
                 assert_eq!(inboxes, want_in, "combine={combine} pooled={pooled}");
             }
-        }
-    }
-
-    #[test]
-    fn compact_grid_matches_serial_and_shrinks_bytes() {
-        let g = generators::star(17);
-        let p = RangePartitioner.partition(&g, 4);
-        let l = LocalIndex::build(&p);
-        let idx = MirrorIndex::build(&g, &p, 4);
-        let policy = RoutePolicy {
-            wire_format: WireFormat::Compact,
-        };
-        let make_outboxes = || {
-            let mut ob0: Outbox<Src> = Outbox::new();
-            ob0.broadcasts.push((0, Src(0), 1));
-            ob0.sends.push(Envelope::new(16, Src(9), 2));
-            ob0.sends.push(Envelope::new(12, Src(9), 3));
-            let mut obs = vec![ob0];
-            obs.extend((1..4).map(|_| Outbox::new()));
-            obs
-        };
-        for combine in [false, true] {
-            let (want_in, want_stats) = route_with(
-                make_outboxes(),
-                &g,
-                &p,
-                &l,
-                Some(&idx),
-                combine,
-                16,
-                &policy,
-            );
-            assert!(want_stats.encoded_wire_bytes > 0);
-            let estimate: u64 = want_stats.out_buffer_bytes.iter().sum();
-            assert!(
-                want_stats.encoded_wire_bytes < estimate,
-                "encoded {} must undercut the {} byte estimate",
-                want_stats.encoded_wire_bytes,
-                estimate
-            );
-            let mut grid: RouteGrid<Src> = RouteGrid::new(4);
-            grid.set_policy(policy);
-            let mut outboxes = make_outboxes();
-            let mut inboxes: Vec<Inbox<Src>> = (0..4).map(|_| Inbox::new()).collect();
-            let stats = grid.route_round(
-                None,
-                &mut outboxes,
-                &mut inboxes,
-                &g,
-                &p,
-                &l,
-                Some(&idx),
-                combine,
-                16,
-            );
-            assert_eq!(stats, &want_stats, "combine={combine}");
-            assert_eq!(inboxes, want_in, "combine={combine}");
         }
     }
 

@@ -22,7 +22,6 @@ use crate::program::{Context, EmitSink, PagedNeighbors, PerVertex, ProgramCore, 
 use crate::router::{Inbox, RouteGrid, RoutingStats};
 use crate::slab::{PerSlab, SlabProgram, SlabRecycler};
 use crate::topology::Topology;
-use crate::wire::WireFormat;
 use mtvc_cluster::{
     ChargeError, ClusterSpec, CostModel, FaultInjector, FaultKind, FaultPlan, RoundDemand,
 };
@@ -63,21 +62,13 @@ pub struct EngineConfig {
     /// `usize::MAX` forces the serial path.
     pub parallel_vertex_threshold: usize,
     /// Checkpoint cadence for fault-tolerant runs: with `faults` set, a
-    /// snapshot of vertex states and in-flight aggregates is taken
+    /// full snapshot of vertex states and in-flight aggregates is taken
     /// before round 0 and thereafter every `checkpoint_every` rounds
-    /// (values `0` and `1` both mean every round). Fault-free runs
-    /// never checkpoint, so the clean path stays snapshot-free.
+    /// (values `0` and `1` both mean every round), and a rollback
+    /// restores the latest one. Its bytes are `FaultStats`'s
+    /// `checkpoint_full_bytes`. Fault-free runs never checkpoint, so
+    /// the clean path stays snapshot-free.
     pub checkpoint_every: usize,
-    /// Incremental checkpoint mode: `Some(k)` stores a sparse state
-    /// delta (the cells touched since the previous checkpoint, via
-    /// [`ProgramCore::store_delta`]) at the cadence, taking a fresh
-    /// full snapshot every `k` deltas. Programs that do not produce
-    /// deltas (per-vertex ledger stores) fall back to full snapshots
-    /// transparently. `None` (the default) is PR 4's full-snapshot
-    /// path. Rollback reconstructs the state bit-identically either
-    /// way; only the stored bytes differ (`FaultStats`'s
-    /// `checkpoint_full_bytes` / `checkpoint_delta_bytes`).
-    pub incremental_checkpoints: Option<usize>,
     /// Injected-fault schedule; `None` = fault-free run. With a plan
     /// set, the runner checkpoints and recovers injected crashes,
     /// delivery failures, and network partitions by rollback-replay;
@@ -101,7 +92,6 @@ impl EngineConfig {
             residual_bytes: Vec::new(),
             parallel_vertex_threshold: PARALLEL_VERTEX_THRESHOLD,
             checkpoint_every: 8,
-            incremental_checkpoints: None,
             faults: None,
         }
     }
@@ -118,15 +108,6 @@ impl EngineConfig {
         self
     }
 
-    /// Store sparse deltas at the checkpoint cadence, with a full
-    /// snapshot every `k` deltas
-    /// ([`EngineConfig::incremental_checkpoints`]).
-    pub fn with_incremental_checkpoints(mut self, k: usize) -> Self {
-        assert!(k >= 1, "incremental checkpoints need k >= 1");
-        self.incremental_checkpoints = Some(k);
-        self
-    }
-
     /// Arm an injected-fault schedule ([`EngineConfig::faults`]).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
@@ -135,7 +116,7 @@ impl EngineConfig {
 }
 
 /// What changes from one batch of a job to the next: the per-batch
-/// counterparts of the same-named [`EngineConfig`] fields. A job keeps
+/// counterparts of [`EngineConfig`] fields. A job keeps
 /// one `EngineConfig` for everything else and hands each batch's runner
 /// these by reference ([`Runner::for_batch`]), so nothing is cloned per
 /// batch.
@@ -148,8 +129,9 @@ pub struct BatchParams<'a> {
     /// Residual memory per worker left behind by earlier batches;
     /// empty = zeros.
     pub residual_bytes: &'a [u64],
-    /// Vertex count at which this batch runs on a worker pool.
-    pub parallel_vertex_threshold: usize,
+    /// Vertex count at which this batch runs on a worker pool; `None`
+    /// keeps the config's [`EngineConfig::parallel_vertex_threshold`].
+    pub parallel_threshold: Option<usize>,
 }
 
 /// Result of one run.
@@ -197,7 +179,6 @@ impl<S: Default + Clone> SparseRunResult<S> {
 /// those messages are processed (and their buffers are resident) in
 /// the *current* round, so they feed its demand assembly. Checkpoints
 /// copy it whole.
-#[derive(Clone)]
 struct RoundCarry<M> {
     inboxes: Vec<Inbox<M>>,
     state_bytes: Vec<u64>,
@@ -219,11 +200,14 @@ fn recycle_into<T: Clone>(dst: &mut Vec<T>, src: &[T]) {
 
 impl<M: Clone> RoundCarry<M> {
     /// The carry into round 0: nothing in flight, nothing delivered,
-    /// and each worker's initial `state_bytes`.
-    fn new(state_bytes: Vec<u64>) -> Self {
+    /// and each worker's initial `state_bytes`. The inboxes are
+    /// `inboxes`, emptied, keeping their capacity.
+    fn new(mut inboxes: Vec<Inbox<M>>, state_bytes: Vec<u64>) -> Self {
         let workers = state_bytes.len();
+        inboxes.resize_with(workers, Inbox::new);
+        inboxes.iter_mut().for_each(Inbox::clear);
         RoundCarry {
-            inboxes: (0..workers).map(|_| Inbox::new()).collect(),
+            inboxes,
             state_bytes,
             prev_in_wire: vec![0; workers],
             prev_in_tuples: vec![0; workers],
@@ -262,7 +246,7 @@ impl<S: Clone, M: Clone> Checkpoint<S, M> {
         Checkpoint {
             round: 0,
             states: Vec::new(),
-            carry: RoundCarry::new(Vec::new()),
+            carry: RoundCarry::new(Vec::new(), Vec::new()),
             pagers: Vec::new(),
         }
     }
@@ -281,17 +265,17 @@ impl<S: Clone, M: Clone> Checkpoint<S, M> {
     }
 }
 
-/// One incremental checkpoint: per-worker sparse state deltas since
-/// the previous checkpoint (base snapshot or earlier delta) plus a full
-/// copy of the small [`RoundCarry`]. Rollback reconstructs the state by
-/// cloning the base [`Checkpoint`] and replaying every delta in order —
-/// bit-identical to a full snapshot of the same round, but storing only
-/// the cells the frontier actually touched.
-struct DeltaRecord<D, M> {
-    round: usize,
-    diffs: Vec<D>,
-    carry: RoundCarry<M>,
-    pagers: Vec<PagerSnapshot>,
+/// The round loop's traffic-sized buffers — route grid, inboxes and
+/// checkpoint. A run recycles them across its rounds, then parks them
+/// ([`Topology::park_spare`]) so the next batch of the job on the same
+/// thread starts with the capacity (and the memory pages) the last one
+/// grew, instead of growing megabytes afresh — which costs page faults
+/// that come and go with the allocator's choice to keep or return
+/// freed memory.
+struct RoundBuffers<S, M> {
+    grid: RouteGrid<M>,
+    inboxes: Vec<Inbox<M>>,
+    checkpoint: Option<Checkpoint<S, M>>,
 }
 
 /// A prepared executor bound to a graph, partition, and configuration.
@@ -367,7 +351,11 @@ impl<'g> Runner<'g> {
         );
         assert_eq!(topology.partition.num_vertices(), graph.num_vertices());
         let (residual, threshold) = match &batch {
-            Some(b) => (b.residual_bytes, b.parallel_vertex_threshold),
+            Some(b) => (
+                b.residual_bytes,
+                b.parallel_threshold
+                    .unwrap_or(config.parallel_vertex_threshold),
+            ),
             None => (
                 config.residual_bytes.as_slice(),
                 config.parallel_vertex_threshold,
@@ -388,14 +376,14 @@ impl<'g> Runner<'g> {
         }
     }
 
-    /// Seed, cutoff, residual and pool threshold this runner executes
-    /// under: the batch's, or the config's own.
+    /// Seed, cutoff and residual this runner executes under: the
+    /// batch's, or the config's own.
     fn batch_params(&self) -> BatchParams<'_> {
         self.batch.unwrap_or(BatchParams {
             seed: self.config.seed,
             cutoff: self.config.cutoff,
             residual_bytes: &self.config.residual_bytes,
-            parallel_vertex_threshold: self.config.parallel_vertex_threshold,
+            parallel_threshold: None,
         })
     }
 
@@ -504,10 +492,15 @@ impl<'g> Runner<'g> {
         // Round buffers, all recycled across rounds: the compute phase
         // drains the inboxes in place while emitting into the grid's
         // shard matrix, and the merge stage refills the inboxes — every
-        // Vec keeps the capacity last round's traffic shaped.
-        let mut carry: RoundCarry<C::Message> = RoundCarry::new(state_bytes);
-        let mut grid: RouteGrid<C::Message> = RouteGrid::new(workers);
-        grid.set_policy(profile.route_policy(false));
+        // Vec keeps the capacity last round's traffic shaped. They start
+        // as the buffers the previous run on this thread parked, if it
+        // ran over this topology: a drained grid is as good as new.
+        let spare: Option<RoundBuffers<C::Store, C::Message>> = self.topology.take_spare();
+        let (mut grid, inboxes, mut spare_checkpoint) = match spare {
+            Some(b) => (b.grid, b.inboxes, b.checkpoint),
+            None => (RouteGrid::new(workers), Vec::new(), None),
+        };
+        let mut carry: RoundCarry<C::Message> = RoundCarry::new(inboxes, state_bytes);
         let mut outcome: Option<RunOutcome> = None;
 
         // Real paging path: fresh (cold) per-worker partition caches
@@ -519,13 +512,7 @@ impl<'g> Runner<'g> {
         let mut injector = self.config.faults.as_ref().map(FaultInjector::new);
         let hard_oom = injector.as_ref().is_some_and(|i| i.hard_oom());
         let ckpt_every = self.config.checkpoint_every.max(1);
-        let incremental = self.config.incremental_checkpoints;
         let mut checkpoint: Option<Checkpoint<C::Store, C::Message>> = None;
-        // Incremental mode: deltas since the base snapshot, plus a
-        // shadow store mirroring "base + all deltas" so each new delta
-        // diffs against the previously checkpointed state.
-        let mut deltas: Vec<DeltaRecord<C::Delta, C::Message>> = Vec::new();
-        let mut shadow: Vec<C::Store> = Vec::new();
         // Rounds below this index were already executed (and recorded)
         // before a rollback; re-running them is replay, not first-run.
         let mut replay_until = 0usize;
@@ -558,41 +545,11 @@ impl<'g> Runner<'g> {
                 // touches anything — but never during replay (the saved
                 // snapshot already covers the replay window).
                 if !replaying && round.is_multiple_of(ckpt_every) {
-                    // Incremental mode stores a sparse delta against
-                    // the previously checkpointed state (mirrored in
-                    // `shadow`), falling back to a full snapshot every
-                    // `k` deltas or whenever the program declines to
-                    // produce one (shape change, non-delta store).
-                    let diffs: Option<Vec<C::Delta>> = match incremental {
-                        Some(k) if checkpoint.is_some() && deltas.len() < k => shadow
-                            .iter()
-                            .zip(&states)
-                            .map(|(prev, cur)| program.store_delta(prev, cur))
-                            .collect(),
-                        _ => None,
-                    };
-                    if let Some(diffs) = diffs {
-                        let delta_bytes: u64 = diffs.iter().map(|d| program.delta_bytes(d)).sum();
-                        for (s, d) in shadow.iter_mut().zip(&diffs) {
-                            program.apply_store_delta(s, d);
-                        }
-                        deltas.push(DeltaRecord {
-                            round,
-                            diffs,
-                            carry: carry.clone(),
-                            pagers: pager_snaps(&pagers),
-                        });
-                        stats.faults.delta_checkpoints += 1;
-                        stats.faults.checkpoint_delta_bytes += Bytes(delta_bytes);
-                    } else {
-                        let ckpt = checkpoint.get_or_insert_with(Checkpoint::empty);
-                        ckpt.save(round, &states, &carry, pager_snaps(&pagers));
-                        stats.faults.checkpoint_full_bytes += Bytes(carry.state_bytes.iter().sum());
-                        if incremental.is_some() {
-                            deltas.clear();
-                            recycle_into(&mut shadow, &states);
-                        }
-                    }
+                    let ckpt = checkpoint.get_or_insert_with(|| {
+                        spare_checkpoint.take().unwrap_or_else(Checkpoint::empty)
+                    });
+                    ckpt.save(round, &states, &carry, pager_snaps(&pagers));
+                    stats.faults.checkpoint_full_bytes += Bytes(carry.state_bytes.iter().sum());
                     stats.faults.checkpoints += 1;
                 }
                 // ---- fault firing ----------------------------------
@@ -672,28 +629,14 @@ impl<'g> Runner<'g> {
                         .as_ref()
                         .expect("a checkpoint is saved at round 0 before any fault can fire");
                     replay_until = replay_until.max(round);
-                    // Restore the base snapshot and replay every delta
-                    // taken since, in order — the result is bit-
-                    // identical to a full snapshot of the last
-                    // checkpointed round, whose carry and pager sets
-                    // the newest record (or, with none, the base) holds.
                     recycle_into(&mut states, &ckpt.states);
-                    for rec in &deltas {
-                        for (s, d) in states.iter_mut().zip(&rec.diffs) {
-                            program.apply_store_delta(s, d);
-                        }
-                    }
-                    let (at, saved, snaps) = match deltas.last() {
-                        Some(rec) => (rec.round, &rec.carry, &rec.pagers),
-                        None => (ckpt.round, &ckpt.carry, &ckpt.pagers),
-                    };
-                    carry.recycle_from(saved);
+                    carry.recycle_from(&ckpt.carry);
                     if let Some(ps) = pagers.as_mut() {
-                        for (pager, snap) in ps.iter_mut().zip(snaps) {
+                        for (pager, snap) in ps.iter_mut().zip(&ckpt.pagers) {
                             pager.restore(snap);
                         }
                     }
-                    round = at;
+                    round = ckpt.round;
                     continue; // re-enter the loop at the restored round
                 }
             }
@@ -751,19 +694,13 @@ impl<'g> Runner<'g> {
                 msg_bytes,
                 profile.combiner,
             );
-            // Conservation pins, matching the two-stage oracle's
-            // property-test guarantees: nothing is dropped between
-            // emission and delivery, and every encoded byte sent is an
-            // encoded byte received.
+            // Conservation pin, matching the two-stage oracle's
+            // property-test guarantee: nothing is dropped between
+            // emission and delivery.
             debug_assert_eq!(
                 routing.sent_wire,
                 routing.delivered_wire(),
                 "routing must deliver every wire message"
-            );
-            debug_assert_eq!(
-                routing.encoded_out_bytes.iter().sum::<u64>(),
-                routing.encoded_in_bytes.iter().sum::<u64>(),
-                "routing must conserve encoded wire bytes"
             );
 
             // ---- demand assembly -----------------------------------
@@ -836,24 +773,13 @@ impl<'g> Runner<'g> {
                         } else {
                             routing.delivered_wire()
                         };
-                        // Under the compact wire format the cross-
-                        // machine traffic that actually hits the
-                        // network is the post-codec byte count, so
-                        // that is what the round records (and what the
-                        // cost model was charged above).
-                        let network_bytes = if profile.wire_format == WireFormat::Compact {
-                            Bytes(routing.encoded_out_bytes.iter().sum())
-                        } else {
-                            Bytes(routing.net_out_bytes.iter().sum())
-                        };
                         // Replay rounds never reach this branch, so the
                         // recorded pager counters are first-run only.
-                        let (loaded, loads, skipped, paged_peak) =
-                            paged_rounds.iter().fold((0, 0, 0, 0), |(b, l, s, m), pr| {
+                        let (loaded, loads, paged_peak) =
+                            paged_rounds.iter().fold((0, 0, 0), |(b, l, m), pr| {
                                 (
                                     b + pr.loaded_bytes,
                                     l + pr.partition_loads,
-                                    s + pr.partitions_skipped,
                                     m.max(pr.peak_resident_bytes),
                                 )
                             });
@@ -861,9 +787,8 @@ impl<'g> Runner<'g> {
                             round,
                             messages_sent: routing.sent_wire,
                             messages_delivered: delivered,
-                            network_bytes,
+                            network_bytes: Bytes(routing.net_out_bytes.iter().sum()),
                             local_bytes: Bytes(routing.local_bytes),
-                            encoded_wire_bytes: Bytes(routing.encoded_wire_bytes),
                             shard_copy_bytes: Bytes(routing.shard_copy_bytes),
                             active_vertices: active.iter().sum(),
                             peak_machine_memory: charge.peak_memory,
@@ -873,7 +798,6 @@ impl<'g> Runner<'g> {
                             spilled_bytes: Bytes(demand.spill.iter().map(|b| b.get()).sum()),
                             loaded_bytes: Bytes(loaded),
                             partition_loads: loads,
-                            partitions_skipped: skipped,
                             paged_resident_bytes: Bytes(paged_peak),
                             duration,
                             network_overuse: charge.network_overuse,
@@ -923,6 +847,13 @@ impl<'g> Runner<'g> {
             })
             .collect();
         program.recycle(states);
+        // Every exit follows a merge (or precedes any compute), so the
+        // grid is drained; `RoundCarry::new` empties the inboxes.
+        self.topology.park_spare(RoundBuffers {
+            grid,
+            inboxes: carry.inboxes,
+            checkpoint: checkpoint.or(spare_checkpoint),
+        });
         SparseRunResult {
             outcome: outcome.unwrap_or(RunOutcome::Completed(total)),
             stats,
@@ -1047,16 +978,8 @@ impl<'g> Runner<'g> {
             demand.compute_ops[w] = (active[w] as f64 * profile.per_vertex_ops
                 + processed as f64 * profile.per_msg_ops)
                 * profile.lang_cpu_factor;
-            // The compact wire format replaces the size_of-based
-            // traffic estimate with real post-codec bucket bytes; the
-            // cost model then prices what actually crosses the wire.
-            if profile.wire_format == WireFormat::Compact {
-                demand.net_out[w] = Bytes(routing.encoded_out_bytes[w]);
-                demand.net_in[w] = Bytes(routing.encoded_in_bytes[w]);
-            } else {
-                demand.net_out[w] = Bytes(routing.net_out_bytes[w]);
-                demand.net_in[w] = Bytes(routing.net_in_bytes[w]);
-            }
+            demand.net_out[w] = Bytes(routing.net_out_bytes[w]);
+            demand.net_in[w] = Bytes(routing.net_in_bytes[w]);
 
             let msg_buffer = carry.prev_in_bytes[w] + routing.out_buffer_bytes[w];
             let mut memory = (carry.state_bytes[w] as f64 * profile.mem_overhead_factor) as u64;
@@ -1120,9 +1043,8 @@ impl<'g> Runner<'g> {
 /// local-index order and the inbox's runs are ascending by local index,
 /// so the compute sequence — and therefore every emission and state
 /// update — is the same either way; the pager only changes which bytes
-/// move. Under the frontier-density schedule, partitions with no
-/// delivered runs this round are skipped outright (nothing loaded,
-/// nothing visited).
+/// move. Every round streams every partition, whether or not a run
+/// lands in it: GraphD's full edge pass.
 #[allow(clippy::too_many_arguments)]
 fn worker_pass<C: ProgramCore>(
     program: &C,
@@ -1141,7 +1063,7 @@ fn worker_pass<C: ProgramCore>(
     if round == 0 {
         // Round 0 is a full superstep to the model — every vertex
         // counts as active, and on a paged run every partition streams
-        // through the cache regardless of schedule — though only the
+        // through the cache — though only the
         // seeds (ascending, so one cursor walks them) can do anything
         // in `init`. A worker's vertex list is in local-index order, so
         // the local index IS the position.
@@ -1162,35 +1084,15 @@ fn worker_pass<C: ProgramCore>(
         return all as u64;
     }
 
-    if let Some(pager) = pager.as_deref_mut() {
-        // Frontier densities: count delivered runs per partition. Runs
-        // ascend by local index and partitions are contiguous
-        // local-index ranges, so one forward scan suffices.
-        pager.clear_density();
-        let mut p = 0usize;
-        for run in inbox.runs() {
-            while pager.partition_range(p).1 <= run.local {
-                p += 1;
-            }
-            pager.bump_density(p);
-        }
-    }
     let runs = inbox.runs();
     let deliveries = inbox.deliveries();
     let mut ri = 0usize;
     let mut start = 0usize;
     for p in 0..partitions {
-        let mut hi = all;
-        if let Some(pager) = pager.as_deref_mut() {
-            if pager.should_skip(p) {
-                // Empty frontier: zero runs land here, so skipping
-                // moves no bytes and visits no vertices.
-                pager.note_skip();
-                continue;
-            }
+        let hi = pager.as_deref_mut().map_or(all, |pager| {
             pager.ensure_resident(p);
-            hi = pager.partition_range(p).1;
-        }
+            pager.partition_range(p).1
+        });
         let chunk = pager.as_deref().map(|pager| pager.chunk(p));
         while ri < runs.len() && runs[ri].local < hi {
             let run = runs[ri];
@@ -1376,27 +1278,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_profile_matches_tuples_and_records_encoded_bytes() {
-        let g = generators::power_law(300, 1200, 2.3, 5);
-        let tuples = Runner::new(&g, &HashPartitioner::default(), config(4)).run(&Flood);
-        let mut cfg = config(4);
-        cfg.profile.wire_format = WireFormat::Compact;
-        let compact = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
-        // The codec changes accounting, never delivery: same rounds,
-        // same message counts, same final levels.
-        assert_eq!(compact.stats.rounds, tuples.stats.rounds);
-        assert_eq!(
-            compact.stats.total_messages_sent,
-            tuples.stats.total_messages_sent
-        );
-        for (a, b) in compact.states.iter().zip(tuples.states.iter()) {
-            assert_eq!(a.0, b.0);
-        }
-        assert!(compact.stats.total_encoded_wire_bytes.get() > 0);
-        assert_eq!(tuples.stats.total_encoded_wire_bytes.get(), 0);
-    }
-
-    #[test]
     fn cutoff_yields_overload() {
         let g = generators::grid(20, 20);
         let mut cfg = config(2);
@@ -1460,14 +1341,12 @@ mod tests {
         message_budget: u64,
         page_budget: u64,
         partition_bytes: u64,
-        schedule: crate::profile::PartitionSchedule,
     ) -> crate::profile::OocConfig {
         crate::profile::OocConfig {
             message_budget: Bytes::new(message_budget),
             paging: Some(crate::profile::PagingConfig {
                 budget: Bytes::new(page_budget),
                 partition_bytes: Bytes::new(partition_bytes),
-                schedule,
             }),
         }
     }
@@ -1498,38 +1377,33 @@ mod tests {
     fn paged_run_matches_resident_run_bit_identical() {
         let g = generators::grid(12, 12);
         let resident = Runner::new(&g, &HashPartitioner::default(), config(4)).run(&Flood);
-        for schedule in [
-            crate::profile::PartitionSchedule::RoundRobin,
-            crate::profile::PartitionSchedule::FrontierDensity,
-        ] {
-            let mut cfg = config(4);
-            cfg.profile.out_of_core = Some(ooc_paged(1 << 20, 1024, 256, schedule));
-            let runner = Runner::new(&g, &HashPartitioner::default(), cfg);
-            assert!(runner.paged_layout().is_some(), "paging path must engage");
-            let paged = runner.run(&Flood);
+        let mut cfg = config(4);
+        cfg.profile.out_of_core = Some(ooc_paged(1 << 20, 1024, 256));
+        let runner = Runner::new(&g, &HashPartitioner::default(), cfg);
+        assert!(runner.paged_layout().is_some(), "paging path must engage");
+        let paged = runner.run(&Flood);
+        assert_eq!(
+            resident.outcome.is_completed(),
+            paged.outcome.is_completed()
+        );
+        for v in g.vertices() {
             assert_eq!(
-                resident.outcome.is_completed(),
-                paged.outcome.is_completed()
-            );
-            for v in g.vertices() {
-                assert_eq!(
-                    resident.states[v as usize].0, paged.states[v as usize].0,
-                    "vertex {v} under {schedule:?}"
-                );
-            }
-            // Identical compute ⇒ identical traffic; only I/O differs.
-            assert_eq!(
-                resident.stats.total_messages_sent,
-                paged.stats.total_messages_sent
-            );
-            assert_eq!(resident.stats.rounds, paged.stats.rounds);
-            assert!(paged.stats.total_loaded_bytes > Bytes::ZERO, "real loads");
-            assert!(paged.stats.total_partition_loads > 0);
-            assert!(
-                paged.stats.peak_paged_resident_bytes <= Bytes::new(1024),
-                "cache never exceeds its budget"
+                resident.states[v as usize].0, paged.states[v as usize].0,
+                "vertex {v}"
             );
         }
+        // Identical compute ⇒ identical traffic; only I/O differs.
+        assert_eq!(
+            resident.stats.total_messages_sent,
+            paged.stats.total_messages_sent
+        );
+        assert_eq!(resident.stats.rounds, paged.stats.rounds);
+        assert!(paged.stats.total_loaded_bytes > Bytes::ZERO, "real loads");
+        assert!(paged.stats.total_partition_loads > 0);
+        assert!(
+            paged.stats.peak_paged_resident_bytes <= Bytes::new(1024),
+            "cache never exceeds its budget"
+        );
     }
 
     #[test]
@@ -1537,12 +1411,7 @@ mod tests {
         let g = generators::grid(12, 12);
         let make = |threshold: usize| {
             let mut cfg = config(4).with_parallel_threshold(threshold);
-            cfg.profile.out_of_core = Some(ooc_paged(
-                1 << 20,
-                1024,
-                256,
-                crate::profile::PartitionSchedule::FrontierDensity,
-            ));
+            cfg.profile.out_of_core = Some(ooc_paged(1 << 20, 1024, 256));
             Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood)
         };
         let serial = make(usize::MAX);
@@ -1558,41 +1427,6 @@ mod tests {
     }
 
     #[test]
-    fn frontier_density_skips_partitions_and_loads_fewer_bytes() {
-        // A long path keeps a one-vertex frontier for hundreds of
-        // rounds — the frontier-density scheduler's best case.
-        let g = generators::ring(512, false);
-        // A budget well under one worker's decoded adjacency, so the
-        // round-robin full pass re-streams evicted partitions every
-        // round while frontier-density touches only the live one.
-        let run = |schedule| {
-            let mut cfg = config(4);
-            cfg.profile.out_of_core = Some(ooc_paged(1 << 20, 384, 96, schedule));
-            Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood)
-        };
-        let rr = run(crate::profile::PartitionSchedule::RoundRobin);
-        let fd = run(crate::profile::PartitionSchedule::FrontierDensity);
-        assert!(rr.outcome.is_completed() && fd.outcome.is_completed());
-        for v in g.vertices() {
-            assert_eq!(rr.states[v as usize].0, fd.states[v as usize].0);
-        }
-        assert_eq!(
-            rr.stats.total_partitions_skipped, 0,
-            "round-robin never skips"
-        );
-        assert!(
-            fd.stats.total_partitions_skipped > 0,
-            "sparse frontiers skip"
-        );
-        assert!(
-            fd.stats.total_loaded_bytes < rr.stats.total_loaded_bytes,
-            "frontier-density must move strictly fewer bytes ({} vs {})",
-            fd.stats.total_loaded_bytes.get(),
-            rr.stats.total_loaded_bytes.get()
-        );
-    }
-
-    #[test]
     fn measured_spill_matches_estimate_regimes() {
         // The old demand-based estimate stays alive as the oracle: in
         // the budget-tiny regime both paths spill, in the ample regime
@@ -1604,21 +1438,11 @@ mod tests {
             Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood)
         };
         let tiny_est = run(ooc_estimated(64));
-        let tiny_paged = run(ooc_paged(
-            64,
-            4096,
-            1024,
-            crate::profile::PartitionSchedule::RoundRobin,
-        ));
+        let tiny_paged = run(ooc_paged(64, 4096, 1024));
         assert!(tiny_est.stats.total_spilled_bytes > Bytes::ZERO);
         assert!(tiny_paged.stats.total_spilled_bytes > Bytes::ZERO);
         let ample_est = run(ooc_estimated(1 << 30));
-        let ample_paged = run(ooc_paged(
-            1 << 30,
-            1 << 30,
-            1 << 16,
-            crate::profile::PartitionSchedule::RoundRobin,
-        ));
+        let ample_paged = run(ooc_paged(1 << 30, 1 << 30, 1 << 16));
         assert_eq!(ample_est.stats.total_spilled_bytes, Bytes::ZERO);
         assert_eq!(ample_paged.stats.total_spilled_bytes, Bytes::ZERO);
         // Same message-overflow arithmetic on both paths.
@@ -1637,12 +1461,7 @@ mod tests {
         let g = generators::grid(12, 12);
         let base = || {
             let mut cfg = config(4);
-            cfg.profile.out_of_core = Some(ooc_paged(
-                1 << 20,
-                1024,
-                256,
-                crate::profile::PartitionSchedule::FrontierDensity,
-            ));
+            cfg.profile.out_of_core = Some(ooc_paged(1 << 20, 1024, 256));
             cfg
         };
         let clean = Runner::new(&g, &HashPartitioner::default(), base()).run(&Flood);
@@ -2169,8 +1988,7 @@ mod tests {
     }
 
     /// Multi-lane flood over a state slab: lane `q` floods hop counts
-    /// from source vertex `q`. Exercises the slab delta path of
-    /// incremental checkpoints.
+    /// from source vertex `q`.
     struct SlabFlood {
         width: usize,
     }
@@ -2270,23 +2088,19 @@ mod tests {
         let mut resident = config(4);
         resident.profile.combiner = true;
         let mut paged = config(4);
-        paged.profile.out_of_core = Some(ooc_paged(
-            512,
-            1024,
-            256,
-            crate::profile::PartitionSchedule::FrontierDensity,
-        ));
+        paged.profile.out_of_core = Some(ooc_paged(512, 1024, 256));
         for base in [resident, paged] {
             let partition = HashPartitioner::default().partition(&g, 4);
             let topology = Arc::new(Topology::build(&g, partition.clone(), &base.profile));
             assert_eq!(topology.paged.is_some(), base.profile.out_of_core.is_some());
             let recycler = SlabRecycler::new();
             for (i, residual) in [vec![], vec![1 << 20, 0, 3 << 20, 0]].iter().enumerate() {
+                let threshold = if i == 0 { usize::MAX } else { 0 };
                 let batch = BatchParams {
                     seed: 40 + i as u64,
                     cutoff: SimTime::secs(1e9),
                     residual_bytes: residual,
-                    parallel_vertex_threshold: if i == 0 { usize::MAX } else { 0 },
+                    parallel_threshold: Some(threshold),
                 };
                 let shared = Runner::for_batch(&g, &topology, &base, batch);
                 assert_eq!(shared.pool().is_some(), i == 1);
@@ -2296,7 +2110,7 @@ mod tests {
                 own.seed = batch.seed;
                 own.cutoff = batch.cutoff;
                 own.residual_bytes = residual.clone();
-                own.parallel_vertex_threshold = batch.parallel_vertex_threshold;
+                own.parallel_vertex_threshold = threshold;
                 let want = Runner::with_partition(&g, partition.clone(), own).run_slab(&program);
                 assert!(want.outcome.is_completed());
                 assert_eq!(got.outputs.len(), 4, "one output list per worker");
@@ -2308,6 +2122,69 @@ mod tests {
         }
     }
 
+    /// Consecutive runs over one topology hand their round buffers on.
+    /// Whatever the last run left in them — traffic a cutoff stopped in
+    /// flight, a checkpoint of another width — the next run equals one
+    /// on a fresh topology. Dropping the topology drops its buffers.
+    #[test]
+    fn spare_round_buffers_leave_no_trace() {
+        type Spare = RoundBuffers<crate::slab::StateSlab<u64>, LaneHop>;
+        let g = generators::grid(12, 12);
+        let clean = config(4);
+        let plan = FaultPlan::none()
+            .with_crash(5, 1)
+            .with_delivery_failure(9, 0);
+        let faulted = config(4).with_checkpoint_every(2).with_faults(plan);
+        let partition = HashPartitioner::default().partition(&g, 4);
+        let (cut, open) = (SimTime::secs(1e-12), SimTime::secs(1e9));
+        let runs = [
+            (&clean, 3, cut),
+            (&faulted, 5, open),
+            (&faulted, 3, open),
+            (&clean, 3, open),
+        ];
+        // Each twin runs over a topology of its own, so the shared
+        // topology's runs below follow one another uninterrupted.
+        let wants: Vec<_> = runs
+            .iter()
+            .map(|&(config, width, cutoff)| {
+                let mut own = config.clone();
+                own.seed = 9;
+                own.cutoff = cutoff;
+                Runner::with_partition(&g, partition.clone(), own).run_slab(&SlabFlood { width })
+            })
+            .collect();
+        assert!(
+            !crate::topology::thread_holds_spare(),
+            "twins take theirs along"
+        );
+
+        let topology = Arc::new(Topology::build(&g, partition, &clean.profile));
+        let recycler = SlabRecycler::new();
+        for (i, ((config, width, cutoff), want)) in runs.into_iter().zip(&wants).enumerate() {
+            let batch = BatchParams {
+                seed: 9,
+                cutoff,
+                residual_bytes: &[],
+                parallel_threshold: None,
+            };
+            let got = Runner::for_batch(&g, &topology, config, batch)
+                .run_slab_sparse(&SlabFlood { width }, &recycler)
+                .into_dense(g.num_vertices());
+            assert_eq!(got.outcome, want.outcome, "run {i}");
+            assert_eq!(got.stats, want.stats, "run {i}");
+            assert_eq!(got.states, want.states, "run {i}");
+            assert!(topology.holds_spare::<Spare>(), "run {i} parks its buffers");
+            match i {
+                0 => assert_eq!(want.outcome, RunOutcome::Overload),
+                1 | 2 => assert!(want.stats.faults.replayed_rounds > 0),
+                _ => assert!(want.outcome.is_completed()),
+            }
+        }
+        drop(topology);
+        assert!(!crate::topology::thread_holds_spare());
+    }
+
     /// Extraction contract: a row no mutator touched is never shown to
     /// `extract`; its output is the default.
     #[test]
@@ -2316,60 +2193,5 @@ mod tests {
         let flood = SlabFlood { width: 3 };
         let cells = [flood.empty_cell(); 3];
         assert!(flood.extract(0, SlabRow::unwritten(&cells)).is_empty());
-    }
-
-    #[test]
-    fn incremental_checkpoints_match_full_and_store_less() {
-        let g = generators::grid(12, 12);
-        let program = SlabFlood { width: 4 };
-        let plan = FaultPlan::none()
-            .with_crash(5, 1)
-            .with_delivery_failure(9, 0);
-        let base = || config(4).with_checkpoint_every(2).with_faults(plan.clone());
-        let clean = Runner::new(&g, &HashPartitioner::default(), config(4)).run_slab(&program);
-        let full = Runner::new(&g, &HashPartitioner::default(), base()).run_slab(&program);
-        let incr = Runner::new(
-            &g,
-            &HashPartitioner::default(),
-            base().with_incremental_checkpoints(4),
-        )
-        .run_slab(&program);
-
-        assert_eq!(full.outcome, incr.outcome);
-        assert_eq!(clean.outcome, incr.outcome);
-        for v in g.vertices() {
-            assert_eq!(
-                full.states[v as usize], incr.states[v as usize],
-                "vertex {v}"
-            );
-            assert_eq!(
-                clean.states[v as usize], incr.states[v as usize],
-                "vertex {v}"
-            );
-        }
-        assert_eq!(
-            without_faults(full.stats.clone()),
-            without_faults(incr.stats.clone()),
-            "delta storage must not change execution"
-        );
-        let fi = &incr.stats.faults;
-        let ff = &full.stats.faults;
-        assert!(fi.delta_checkpoints > 0, "cadence rounds store deltas");
-        assert!(fi.checkpoint_delta_bytes.get() > 0);
-        assert!(fi.checkpoint_full_bytes.get() > 0, "base snapshots remain");
-        assert_eq!(fi.checkpoints, ff.checkpoints, "same cadence either way");
-        assert_eq!(ff.delta_checkpoints, 0);
-        assert!(
-            fi.checkpoint_full_bytes < ff.checkpoint_full_bytes,
-            "deltas displace full snapshots"
-        );
-        // On the sparse wavefront a delta is far smaller than a full
-        // snapshot of the same round.
-        let per_delta = fi.checkpoint_delta_bytes.get() / fi.delta_checkpoints;
-        let per_full = ff.checkpoint_full_bytes.get() / ff.checkpoints;
-        assert!(
-            per_delta < per_full,
-            "delta {per_delta}B per checkpoint vs full {per_full}B"
-        );
     }
 }

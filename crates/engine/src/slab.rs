@@ -56,8 +56,7 @@ pub const LANES: usize = 8;
 ///
 /// Invariant: a cell whose word is not flagged in `written` holds
 /// `empty`, and its frontier word is zero. Only [`SlabRowMut`]
-/// mutators (and the restore path [`StateSlab::apply_delta`]) write
-/// cells, and each flags the word it touches. The bitmap is host
+/// mutators write cells, and each flags the word it touches. The bitmap is host
 /// bookkeeping, not modelled state: [`StateSlab::resident_bytes`] does
 /// not count it.
 #[derive(Debug)]
@@ -254,79 +253,6 @@ impl<C: Copy + PartialEq> StateSlab<C> {
             front: &mut self.frontier[li * self.words_per_row..(li + 1) * self.words_per_row],
             written: &mut self.written,
             first_word: li * self.words_per_row,
-        }
-    }
-}
-
-/// A sparse difference between two same-shape [`StateSlab`]s: the cells
-/// and frontier words that changed, by flat index. Produced by
-/// [`StateSlab::diff`] and replayed by [`StateSlab::apply_delta`] —
-/// the storage unit of the runner's incremental checkpoints. On
-/// sparse-frontier rounds (a BSP wavefront touches few rows) a delta is
-/// orders of magnitude smaller than the full `rows × width` snapshot.
-#[derive(Debug, Clone)]
-pub struct SlabDelta<C> {
-    /// `(flat cell index, new value)` for every changed cell.
-    pub cell_changes: Vec<(u32, C)>,
-    /// `(frontier word index, new word)` for every changed word.
-    pub front_changes: Vec<(u32, u64)>,
-}
-
-impl<C> SlabDelta<C> {
-    /// Stored size of the delta: 4 index bytes + the cell payload per
-    /// cell change, 4 + 8 per frontier-word change.
-    pub fn stored_bytes(&self) -> u64 {
-        (self.cell_changes.len() * (4 + std::mem::size_of::<C>()) + self.front_changes.len() * 12)
-            as u64
-    }
-}
-
-impl<C: Copy + PartialEq> StateSlab<C> {
-    /// Diff `cur` (self) against `prev`, producing a [`SlabDelta`] that
-    /// [`StateSlab::apply_delta`] replays onto a clone of `prev` to
-    /// reconstruct `self` bit-identically. Returns `None` when the two
-    /// slabs differ in shape (or the slab is too large for 32-bit flat
-    /// indices) — callers fall back to a full snapshot.
-    pub fn diff(&self, prev: &StateSlab<C>) -> Option<SlabDelta<C>> {
-        if self.width != prev.width
-            || self.rows != prev.rows
-            || self.words_per_row != prev.words_per_row
-            || self.cells.len() != prev.cells.len()
-            || self.frontier.len() != prev.frontier.len()
-            || self.cells.len() > u32::MAX as usize
-        {
-            return None;
-        }
-        let mut delta = SlabDelta {
-            cell_changes: Vec::new(),
-            front_changes: Vec::new(),
-        };
-        for (i, (cur, old)) in self.cells.iter().zip(&prev.cells).enumerate() {
-            if cur != old {
-                delta.cell_changes.push((i as u32, *cur));
-            }
-        }
-        for (i, (cur, old)) in self.frontier.iter().zip(&prev.frontier).enumerate() {
-            if cur != old {
-                delta.front_changes.push((i as u32, *cur));
-            }
-        }
-        Some(delta)
-    }
-
-    /// Replay a delta produced by [`StateSlab::diff`] onto this slab
-    /// (which must have the shape of the diff's `prev`). Every word a
-    /// change lands in is flagged written.
-    pub fn apply_delta(&mut self, delta: &SlabDelta<C>) {
-        for &(i, c) in &delta.cell_changes {
-            let i = i as usize;
-            self.cells[i] = c;
-            let (row, q) = (i / self.width, i % self.width);
-            touch(&mut self.written, row * self.words_per_row + (q >> 6));
-        }
-        for &(i, w) in &delta.front_changes {
-            self.frontier[i as usize] = w;
-            touch(&mut self.written, i as usize);
         }
     }
 }
@@ -764,22 +690,9 @@ impl<P: SlabProgram> ProgramCore for PerSlab<'_, P> {
     type Message = P::Message;
     type Store = StateSlab<P::Cell>;
     type Out = P::Out;
-    type Delta = SlabDelta<P::Cell>;
 
     fn message_bytes(&self) -> u64 {
         self.program.message_bytes()
-    }
-
-    fn store_delta(&self, prev: &Self::Store, cur: &Self::Store) -> Option<Self::Delta> {
-        cur.diff(prev)
-    }
-
-    fn apply_store_delta(&self, store: &mut Self::Store, delta: &Self::Delta) {
-        store.apply_delta(delta);
-    }
-
-    fn delta_bytes(&self, delta: &Self::Delta) -> u64 {
-        delta.stored_bytes()
     }
 
     fn max_rounds(&self) -> Option<usize> {
@@ -1003,11 +916,6 @@ mod tests {
         cur.row_mut(1).relax_min(5, 2);
         let want = written_rows(&cur);
 
-        // Delta replay flags every word a change lands in.
-        let delta = cur.diff(&base).unwrap();
-        let mut rebuilt = base.clone();
-        rebuilt.apply_delta(&delta);
-        assert_eq!(written_rows(&rebuilt), want, "apply_delta");
         let mut recycled: StateSlab<u64> = StateSlab::new(1, 1, 0);
         recycled.clone_from(&cur);
         assert_eq!(written_rows(&recycled), want, "clone_from");
@@ -1161,39 +1069,6 @@ mod tests {
         lanes.row_mut(0).drain(|q, c| a.push((q, *c)));
         scalar.row_mut(0).drain(|q, c| b.push((q, *c)));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn diff_apply_reconstructs_bit_identically() {
-        let mut prev: StateSlab<u64> = StateSlab::new(6, 9, u64::MAX);
-        prev.row_mut(1).relax_min(2, 40);
-        let mut cur = prev.clone();
-        cur.row_mut(1).relax_min(2, 7);
-        cur.row_mut(4).relax_min(8, 3);
-        cur.row_mut(0).set(0, 99);
-        let delta = cur.diff(&prev).expect("same shape diffs");
-        // 3 cells changed; two frontier words (rows 1 and 4) — row 1's
-        // word was already dirty in prev, so only row 4's word differs.
-        assert_eq!(delta.cell_changes.len(), 3);
-        assert_eq!(delta.front_changes.len(), 1);
-        assert!(delta.stored_bytes() < StateSlab::<u64>::capacity_bytes(6, 9));
-        let mut rebuilt = prev.clone();
-        rebuilt.apply_delta(&delta);
-        assert_eq!(rebuilt.cells, cur.cells);
-        assert_eq!(rebuilt.frontier, cur.frontier);
-        // No changes → empty delta.
-        let none = cur.diff(&cur.clone()).unwrap();
-        assert!(none.cell_changes.is_empty() && none.front_changes.is_empty());
-        assert_eq!(none.stored_bytes(), 0);
-    }
-
-    #[test]
-    fn diff_refuses_shape_mismatch() {
-        let a: StateSlab<u64> = StateSlab::new(4, 3, 0);
-        let b: StateSlab<u64> = StateSlab::new(4, 5, 0);
-        assert!(a.diff(&b).is_none());
-        let c: StateSlab<u64> = StateSlab::new(5, 3, 0);
-        assert!(a.diff(&c).is_none());
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! not to a batch. A job therefore builds one [`Topology`] and every
 //! batch's runner borrows it ([`Runner::for_batch`](crate::Runner::for_batch));
 //! [`Runner::with_partition`](crate::Runner::with_partition) is the
-//! stand-alone form that builds one and uses it.
+//! stand-alone form that builds one and uses it. A run's round buffers
+//! outlive it in a per-thread slot tagged with its topology, so the
+//! next batch of the job on that thread starts from them; dropping the
+//! topology drops them.
 
 use crate::mirror::MirrorIndex;
 use crate::paging::PagedLayout;
@@ -15,6 +18,9 @@ use crate::profile::{ExecutionMode, SystemProfile};
 use crate::router::LocalIndex;
 use mtvc_graph::partition::Partition;
 use mtvc_graph::Graph;
+use std::any::Any;
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A graph's partition together with the indexes the round loop reads
 /// every round. Read-only once built, so batches — concurrent ones
@@ -38,6 +44,18 @@ pub struct Topology {
     /// uses *measured* load bytes instead of the resident-graph
     /// estimate.
     pub(crate) paged: Option<PagedLayout>,
+    /// Process-unique tag of this topology: spare round buffers carry
+    /// the id of the topology they were sized for.
+    id: u64,
+}
+
+/// Source of [`Topology`] ids.
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The round buffers the last run on this thread left behind, with
+    /// the id of the topology they belong to.
+    static SPARE: RefCell<Option<(u64, Box<dyn Any>)>> = const { RefCell::new(None) };
 }
 
 impl Topology {
@@ -76,6 +94,50 @@ impl Topology {
             mirrors,
             graph_bytes,
             paged,
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// The buffers of type `T` that the last run on this thread parked,
+    /// if that run was over this topology. Whatever else is parked is
+    /// dropped, so a thread never keeps buffers its next run cannot use
+    /// (a service alternating between shapes keeps none idle).
+    pub(crate) fn take_spare<T: Any>(&self) -> Option<T> {
+        let (id, spare) = SPARE.with_borrow_mut(Option::take)?;
+        if id != self.id {
+            return None;
+        }
+        spare.downcast().ok().map(|spare| *spare)
+    }
+
+    /// Park what a run over this topology leaves, for the next run on
+    /// this thread, in place of whatever was parked.
+    pub(crate) fn park_spare<T: Any>(&self, spare: T) {
+        let replaced = SPARE.with_borrow_mut(|slot| slot.replace((self.id, Box::new(spare))));
+        drop(replaced);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn holds_spare<T: Any>(&self) -> bool {
+        SPARE.with_borrow(|slot| {
+            slot.as_ref()
+                .is_some_and(|(id, spare)| *id == self.id && spare.is::<T>())
+        })
+    }
+}
+
+/// Whether this thread has round buffers parked, for any topology.
+#[cfg(test)]
+pub(crate) fn thread_holds_spare() -> bool {
+    SPARE.with_borrow(Option::is_some)
+}
+
+/// A job's buffers go with its topology: dropping it drops what this
+/// thread parked for it.
+impl Drop for Topology {
+    fn drop(&mut self) {
+        // `try_with`: a thread tearing down its locals has none to free.
+        let parked = SPARE.try_with(|slot| slot.borrow_mut().take_if(|(id, _)| *id == self.id));
+        drop(parked);
     }
 }

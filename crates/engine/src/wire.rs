@@ -1,12 +1,12 @@
-//! Compact wire format for shard buckets.
+//! Wire codec for shard buckets.
 //!
-//! The router's default accounting charges `payload_units * msg_bytes`
-//! per (source, destination) pair — a `size_of`-style estimate that
-//! ships a full `(VertexId u64, query, payload u64)` tuple for every
-//! unit. This module defines the **compact struct-of-arrays encoding**
-//! one shard bucket takes on the wire instead, and the measurement the
-//! routing pipeline feeds to the cost model when a profile selects
-//! [`WireFormat::Compact`]:
+//! The router's accounting charges `payload_units * msg_bytes` per
+//! (source, destination) pair — a `size_of`-style estimate that ships a
+//! full `(VertexId u64, query, payload u64)` tuple for every unit, as
+//! the paper's systems do. This module defines the **compact
+//! struct-of-arrays encoding** a shard bucket takes inside a checksummed
+//! frame. It is not on the routing path and never feeds the cost model;
+//! the property tests and the benchmark's wire probe exercise it:
 //!
 //! ```text
 //! header     varint(n_tuples)  varint(n_runs)
@@ -26,11 +26,6 @@
 //! their own representation through [`PayloadCodec`] (fixed-width for
 //! float residues, varints for distances and ids).
 //!
-//! [`measure_bucket`] computes the encoded size of a bucket without
-//! materializing bytes; it is the serial router oracle's measurement and
-//! is pinned `== encode_bucket(..).len()` by property tests (the grid
-//! computes the same quantity a third way, from its histogram scatter).
-//!
 //! # Integrity frames
 //!
 //! On the wire a bucket travels inside a checksummed frame
@@ -39,26 +34,12 @@
 //! [`try_decode_bucket`] parse, so a corrupted bucket is *detected* as a
 //! typed [`WireError`] — never a panic or a silently wrong decode — and
 //! repaired by per-bucket retransmission from the sender's retained
-//! shard buffers. Header bytes are excluded from the cost model's
-//! encoded-byte accounting (see [`FRAME_HEADER_BYTES`]).
+//! shard buffers.
 //!
 //! [`Message::wire_query`]: crate::message::Message::wire_query
 
 use crate::message::{Envelope, Message};
 use mtvc_graph::VertexId;
-
-/// Which wire representation a profile's network accounting assumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum WireFormat {
-    /// Full tuples: every payload unit costs `msg_bytes` (the paper's
-    /// baseline systems, and the default).
-    #[default]
-    Tuples,
-    /// Struct-of-arrays shard buckets: delta-varint index directory,
-    /// query run-length groups, per-payload codecs. Network bytes are
-    /// the real encoded size.
-    Compact,
-}
 
 // The LEB128 varint primitives live in `mtvc_graph::varint` (shared
 // with the out-of-core chunk codec, which sits below this crate in the
@@ -127,10 +108,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Size of the integrity frame header: an 8-byte little-endian body
 /// length followed by an 8-byte little-endian FNV-1a checksum of the
-/// body. Frame header bytes are *not* part of the cost model's encoded
-/// wire accounting ([`measure_bucket`] stays `== encode_bucket().len()`);
-/// they model the per-bucket transport envelope whose cost is already
-/// folded into the cost model's per-message overhead.
+/// body. The header models the per-bucket transport envelope, whose
+/// cost the cost model's per-message overhead already covers.
 pub const FRAME_HEADER_BYTES: usize = 16;
 
 /// Wrap an encoded bucket body in the checksummed integrity frame.
@@ -303,8 +282,7 @@ pub fn try_decode_bucket<M: PayloadCodec>(
 /// A message payload that knows its own compact byte representation.
 /// The encoded bytes must **exclude** the destination (carried by the
 /// bucket directory) and the query id (carried by the run-length
-/// stream); `encode_payload` must write exactly
-/// [`Message::encoded_payload_bytes`] bytes.
+/// stream).
 pub trait PayloadCodec: Message {
     /// Append this payload's bytes to `out`.
     fn encode_payload(&self, out: &mut Vec<u8>);
@@ -315,74 +293,12 @@ pub trait PayloadCodec: Message {
     fn decode_payload(wire_query: Option<u64>, buf: &[u8], pos: &mut usize) -> Self;
 }
 
-/// Bytes of the query-stream entry for one run of `key`.
-#[inline]
-fn query_run_len(key: Option<u64>) -> u64 {
-    // varint(run_len) is added by the caller; this is flag + payload.
-    1 + key.map_or(0, varint_len)
-}
-
 /// Stable order of bucket positions by destination local index — the
 /// canonical transmission (and delivery) order.
 fn sorted_order<M>(envs: &[Envelope<M>], li_of: &impl Fn(VertexId) -> u32) -> Vec<u32> {
     let mut order: Vec<u32> = (0..envs.len() as u32).collect();
     order.sort_by_key(|&i| li_of(envs[i as usize].dest));
     order
-}
-
-/// Encoded size of `envs` as one compact bucket, in bytes, without
-/// materializing the encoding. An empty bucket measures 0.
-pub fn measure_bucket<M: Message>(envs: &[Envelope<M>], li_of: impl Fn(VertexId) -> u32) -> u64 {
-    if envs.is_empty() {
-        return 0;
-    }
-    let order = sorted_order(envs, &li_of);
-    let mut bytes = varint_len(envs.len() as u64);
-
-    // Directory: delta-sorted distinct local indices with run lengths.
-    let mut runs = 0u64;
-    let mut dir_bytes = 0u64;
-    let mut prev_li = 0u32;
-    let mut run_len = 0u64;
-    let mut cur_li: Option<u32> = None;
-    for &i in &order {
-        let li = li_of(envs[i as usize].dest);
-        if cur_li == Some(li) {
-            run_len += 1;
-        } else {
-            if let Some(last) = cur_li {
-                dir_bytes += varint_len((last - prev_li) as u64) + varint_len(run_len);
-                prev_li = last;
-            }
-            cur_li = Some(li);
-            run_len = 1;
-            runs += 1;
-        }
-    }
-    if let Some(last) = cur_li {
-        dir_bytes += varint_len((last - prev_li) as u64) + varint_len(run_len);
-    }
-    bytes += varint_len(runs) + dir_bytes;
-
-    // Mults and payloads: order-independent sums.
-    for e in envs {
-        bytes += varint_len(e.mult) + e.msg.encoded_payload_bytes();
-    }
-
-    // Query stream: run-length groups over the sorted order.
-    let mut i = 0usize;
-    while i < order.len() {
-        let key = envs[order[i] as usize].msg.wire_query();
-        let mut len = 1u64;
-        while i + (len as usize) < order.len()
-            && envs[order[i + len as usize] as usize].msg.wire_query() == key
-        {
-            len += 1;
-        }
-        bytes += varint_len(len) + query_run_len(key);
-        i += len as usize;
-    }
-    bytes
 }
 
 /// Encode `envs` as one compact bucket. An empty bucket encodes to an
@@ -443,14 +359,7 @@ pub fn encode_bucket<M: PayloadCodec>(
 
     // Payload stream.
     for &i in &order {
-        let msg = &envs[i as usize].msg;
-        let before = out.len();
-        msg.encode_payload(&mut out);
-        debug_assert_eq!(
-            (out.len() - before) as u64,
-            msg.encoded_payload_bytes(),
-            "encode_payload must write exactly encoded_payload_bytes"
-        );
+        envs[i as usize].msg.encode_payload(&mut out);
     }
     out
 }
@@ -531,9 +440,6 @@ mod tests {
         fn wire_query(&self) -> Option<u64> {
             self.q
         }
-        fn encoded_payload_bytes(&self) -> u64 {
-            varint_len(self.val)
-        }
     }
 
     impl PayloadCodec for P {
@@ -567,7 +473,6 @@ mod tests {
     #[test]
     fn empty_bucket_is_empty() {
         let envs: Vec<Envelope<P>> = Vec::new();
-        assert_eq!(measure_bucket(&envs, |v| v), 0);
         assert!(encode_bucket(&envs, |v| v).is_empty());
         assert!(decode_bucket::<P>(&[], |li| li as VertexId).is_empty());
     }
@@ -582,7 +487,6 @@ mod tests {
             env(2, Some(9), 2, 2),
         ];
         let buf = encode_bucket(&envs, |v| v);
-        assert_eq!(buf.len() as u64, measure_bucket(&envs, |v| v));
         let back = decode_bucket::<P>(&buf, |li| li as VertexId);
         let mut want = envs.clone();
         want.sort_by_key(|e| e.dest); // stable: canonical delivery order
@@ -591,15 +495,13 @@ mod tests {
 
     /// Every tuple its own destination: the directory degenerates to
     /// one run per tuple and the query stream to one group per tuple —
-    /// the per-run overhead paths must still measure and decode
-    /// exactly.
+    /// the per-run overhead paths must still decode exactly.
     #[test]
     fn single_entry_runs_roundtrip() {
         let envs: Vec<Envelope<P>> = (0..9)
             .map(|i| env(i * 3, Some(i as u64), 100 + i as u64, 1 + i as u64))
             .collect();
         let buf = encode_bucket(&envs, |v| v);
-        assert_eq!(buf.len() as u64, measure_bucket(&envs, |v| v));
         let back = decode_bucket::<P>(&buf, |li| li as VertexId);
         assert_eq!(back, envs); // already li-sorted: order preserved
     }
@@ -616,7 +518,6 @@ mod tests {
             vec![env(0, None, 1, 1), env(far, Some(7), 9, 4)],
         ] {
             let buf = encode_bucket(&envs, |v| v);
-            assert_eq!(buf.len() as u64, measure_bucket(&envs, |v| v));
             let back = decode_bucket::<P>(&buf, |li| li as VertexId);
             assert_eq!(back, envs);
         }
@@ -640,9 +541,6 @@ mod tests {
             fn wire_query(&self) -> Option<u64> {
                 Some(self.q)
             }
-            fn encoded_payload_bytes(&self) -> u64 {
-                0
-            }
         }
         impl PayloadCodec for Tag {
             fn encode_payload(&self, _out: &mut Vec<u8>) {}
@@ -656,7 +554,6 @@ mod tests {
             .map(|i| Envelope::new((i % 3) as VertexId, Tag { q: i as u64 % 2 }, 1))
             .collect();
         let buf = encode_bucket(&envs, |v| v);
-        assert_eq!(buf.len() as u64, measure_bucket(&envs, |v| v));
         let back = decode_bucket::<Tag>(&buf, |li| li as VertexId);
         let mut want = envs.clone();
         want.sort_by_key(|e| e.dest);
@@ -682,7 +579,7 @@ mod tests {
         let frame = encode_frame(&envs, |v| v);
         assert_eq!(
             frame.len(),
-            FRAME_HEADER_BYTES + measure_bucket(&envs, |v| v) as usize
+            FRAME_HEADER_BYTES + encode_bucket(&envs, |v| v).len()
         );
         let back = decode_frame::<P>(&frame, |li| li as VertexId).unwrap();
         assert_eq!(
@@ -774,18 +671,5 @@ mod tests {
         let mut pos = 0usize;
         let _ = read_varint(&all_cont, &mut pos);
         assert!(pos > all_cont.len());
-    }
-
-    #[test]
-    fn compact_beats_fixed_width_estimate() {
-        // 64 tuples of a 20-byte fixed format: estimate 1280 bytes.
-        let envs: Vec<Envelope<P>> = (0..64)
-            .map(|i| env(i % 8, Some(i as u64 / 8), i as u64, 1))
-            .collect();
-        let encoded = measure_bucket(&envs, |v| v);
-        assert!(
-            encoded * 10 < 1280 * 6,
-            "encoded {encoded} must undercut the estimate by >40%"
-        );
     }
 }

@@ -4,10 +4,9 @@
 use mtvc_cluster::{ChaosMix, ClusterSpec, FaultPlan};
 use mtvc_engine::sampling::{binomial, multinomial_uniform};
 use mtvc_engine::{
-    route_with, wire, Context, Delivery, EmitSink, EngineConfig, Envelope, Inbox, LocalIndex,
-    Message, MirrorIndex, OocConfig, Outbox, PagingConfig, PartitionSchedule, PayloadCodec,
-    RouteGrid, RoutePolicy, Runner, SlabProgram, SlabRecycler, SlabRow, SlabRowMut, StateSlab,
-    SystemProfile, VertexProgram, WireFormat, WorkerPool, LANES,
+    route, wire, Context, Delivery, EmitSink, EngineConfig, Envelope, Inbox, LocalIndex, Message,
+    MirrorIndex, OocConfig, Outbox, PagingConfig, PayloadCodec, RouteGrid, Runner, SlabProgram,
+    SlabRecycler, SlabRow, SlabRowMut, StateSlab, SystemProfile, VertexProgram, WorkerPool, LANES,
 };
 use mtvc_graph::partition::{HashPartitioner, Partitioner};
 use mtvc_graph::{generators, VertexId};
@@ -174,9 +173,6 @@ impl Message for Keyed {
     fn wire_query(&self) -> Option<u64> {
         self.key
     }
-    fn encoded_payload_bytes(&self) -> u64 {
-        wire::varint_len(self.val)
-    }
 }
 impl PayloadCodec for Keyed {
     fn encode_payload(&self, out: &mut Vec<u8>) {
@@ -246,7 +242,6 @@ proptest! {
         workers in 1usize..9,
         combine in any::<bool>(),
         mirrored in any::<bool>(),
-        compact in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let g = generators::erdos_renyi(n, n * 3, seed);
@@ -255,9 +250,6 @@ proptest! {
         let mirrors = mirrored.then(|| MirrorIndex::build(&g, &part, 4));
         let outboxes = synthetic_outboxes(&g, &part, seed ^ 0xD1CE, 40, 6);
         let msg_bytes = 16;
-        let policy = RoutePolicy {
-            wire_format: if compact { WireFormat::Compact } else { WireFormat::Tuples },
-        };
 
         // Total wire messages entering the router, counted from the raw
         // traffic — conservation baseline for the accounting checks.
@@ -268,8 +260,8 @@ proptest! {
                     .sum::<u64>()
         }).sum();
 
-        let (serial_inboxes, serial_stats) = route_with(
-            outboxes.clone(), &g, &part, &locals, mirrors.as_ref(), combine, msg_bytes, &policy,
+        let (serial_inboxes, serial_stats) = route(
+            outboxes.clone(), &g, &part, &locals, mirrors.as_ref(), combine, msg_bytes,
         );
 
         // Wire accounting must be invariant under combining: combiners
@@ -284,22 +276,6 @@ proptest! {
             .map(|d| d.mult)
             .sum();
         prop_assert_eq!(delivered_mult, raw_wire);
-
-        // Encoded-byte conservation: every post-codec byte sent to
-        // another worker is received by exactly one worker, and without
-        // mirroring (whose prepaid mirror transfers shift bytes between
-        // the two views) the per-worker totals are exactly the summed
-        // cross-worker bucket encodings.
-        let enc_out: u64 = serial_stats.encoded_out_bytes.iter().sum();
-        let enc_in: u64 = serial_stats.encoded_in_bytes.iter().sum();
-        prop_assert_eq!(enc_out, enc_in);
-        if !mirrored {
-            prop_assert_eq!(enc_out, serial_stats.encoded_wire_bytes);
-        }
-        if !compact {
-            prop_assert_eq!(serial_stats.encoded_wire_bytes, 0);
-            prop_assert_eq!(enc_out, 0);
-        }
 
         // Grouped-delivery invariants: runs ascend by local index, end
         // offsets are strictly monotone and partition the buffer, and
@@ -323,7 +299,6 @@ proptest! {
         // buffer reuse across rounds.
         let pool = WorkerPool::new(workers.min(4));
         let mut grid: RouteGrid<Keyed> = RouteGrid::new(workers);
-        grid.set_policy(policy);
         let mut grid_inboxes: Vec<Inbox<Keyed>> =
             (0..workers).map(|_| Inbox::new()).collect();
         for _ in 0..2 {
@@ -359,7 +334,6 @@ proptest! {
         workers in 1usize..9,
         combine in any::<bool>(),
         mirrored in any::<bool>(),
-        compact in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let g = generators::erdos_renyi(n, n * 3, seed);
@@ -368,14 +342,10 @@ proptest! {
         let mirrors = mirrored.then(|| MirrorIndex::build(&g, &part, 4));
         let outboxes = synthetic_outboxes(&g, &part, seed ^ 0xF01D, 40, 6);
         let msg_bytes = 16;
-        let policy = RoutePolicy {
-            wire_format: if compact { WireFormat::Compact } else { WireFormat::Tuples },
-        };
         let pool = WorkerPool::new(workers.min(4));
 
         // Baseline: the two-stage grid over a flat outbox.
         let mut flat_grid: RouteGrid<Keyed> = RouteGrid::new(workers);
-        flat_grid.set_policy(policy);
         let mut flat_inboxes: Vec<Inbox<Keyed>> =
             (0..workers).map(|_| Inbox::new()).collect();
         let mut working = outboxes.clone();
@@ -394,7 +364,6 @@ proptest! {
         // Pre-sharded: feed the identical traffic straight into the
         // per-destination shards, twice to exercise buffer reuse.
         let mut grid: RouteGrid<Keyed> = RouteGrid::new(workers);
-        grid.set_policy(policy);
         let mut inboxes: Vec<Inbox<Keyed>> =
             (0..workers).map(|_| Inbox::new()).collect();
         for _ in 0..2 {
@@ -432,10 +401,9 @@ proptest! {
         prop_assert_eq!(&inboxes, &flat_inboxes);
     }
 
-    /// The compact codec is lossless and exactly self-measuring: for
-    /// any envelope bucket, `measure_bucket` equals the real encoded
-    /// byte length and decoding restores the bucket in the canonical
-    /// (local-index-sorted, stable) order with every field intact.
+    /// The compact codec is lossless: for any envelope bucket, decoding
+    /// restores it in the canonical (local-index-sorted, stable) order
+    /// with every field intact.
     #[test]
     fn codec_roundtrip_and_measure_parity(
         len in 0usize..60,
@@ -460,7 +428,6 @@ proptest! {
         let li_of = |v: VertexId| v;
 
         let buf = wire::encode_bucket(&envs, li_of);
-        prop_assert_eq!(wire::measure_bucket(&envs, li_of), buf.len() as u64);
 
         let decoded: Vec<Envelope<Keyed>> = wire::decode_bucket(&buf, |li| li);
         let mut order: Vec<usize> = (0..envs.len()).collect();
@@ -877,7 +844,6 @@ fn over_budget_paged_run_restreams_and_stays_within_budget() {
         paging: Some(PagingConfig {
             budget: Bytes::new(BUDGET),
             partition_bytes: Bytes::new(BUDGET / 8),
-            schedule: PartitionSchedule::RoundRobin,
         }),
     });
     let run = Runner::new(&g, &HashPartitioner::default(), cfg).run(&TokenFlood { rounds: 3 });
@@ -985,8 +951,8 @@ proptest! {
     /// rather than re-stamped whole: widths shrinking and growing
     /// (1 → 64 → 7 → 1), the sentinel changing (`u64::MAX` distances,
     /// then `0` counters, on the same pool), a run aborted by Overflow
-    /// with its round's writes in place, and rollbacks from a full and
-    /// from an incremental checkpoint.
+    /// with its round's writes in place, and a rollback from a
+    /// checkpoint.
     #[test]
     fn recycled_slab_run_equals_fresh_run(
         n in 16usize..80,
@@ -1028,18 +994,13 @@ proptest! {
         prop_assert!(killed.is_overflow(), "{:?}", killed);
         assert_recycled_equals_fresh(&g, &part, base(), &after, &recycler)?;
 
-        // Rollback from a full snapshot, then from base + deltas.
+        // Rollback from a checkpoint.
         let plan = FaultPlan::none().with_crash(2, 0).with_delivery_failure(3, 0);
-        let full = base().with_checkpoint_every(2).with_faults(plan.clone());
+        let full = base().with_checkpoint_every(2).with_faults(plan);
         let rolled = Runner::new(&g, &part, full.clone()).run_slab_recycled(&wide, &recycler);
         prop_assert!(rolled.stats.faults.replayed_rounds > 0, "the plan must force a rollback");
         assert_recycled_equals_fresh(&g, &part, full, &wide, &recycler)?;
         assert_recycled_equals_fresh(&g, &part, base(), &counters, &recycler)?;
-        let incremental = base()
-            .with_checkpoint_every(1)
-            .with_incremental_checkpoints(3)
-            .with_faults(plan);
-        assert_recycled_equals_fresh(&g, &part, incremental, &after, &recycler)?;
         assert_recycled_equals_fresh(&g, &part, base(), &after, &recycler)?;
         assert_recycled_equals_fresh(&g, &part, base(), &counters, &recycler)?;
         prop_assert_eq!(recycler.pooled(), workers, "pool is stable");
@@ -1107,8 +1068,7 @@ proptest! {
     /// PR 9 tentpole property: a run under the full fault taxonomy —
     /// crashes, delivery failures, stragglers, network partitions, and
     /// payload corruption, several of which may land on the same round
-    /// — recovers task outputs bit-identical to the fault-free run on
-    /// both checkpoint paths (full snapshots and incremental deltas).
+    /// — recovers task outputs bit-identical to the fault-free run.
     /// Every cost of recovering — replay, stalls, slow rounds,
     /// retransmissions — lives in `stats.faults` and nowhere else.
     #[test]
@@ -1117,7 +1077,6 @@ proptest! {
         workers in 2usize..6,
         pooled in any::<bool>(),
         checkpoint_every in 1usize..6,
-        incremental in any::<bool>(),
         crashes in 0usize..2,
         losses in 0usize..2,
         stragglers in 0usize..3,
@@ -1135,9 +1094,6 @@ proptest! {
             cfg.cutoff = SimTime::secs(1e12);
             cfg.parallel_vertex_threshold = if pooled { 0 } else { usize::MAX };
             cfg.checkpoint_every = checkpoint_every;
-            if incremental {
-                cfg.incremental_checkpoints = Some(3);
-            }
             cfg.faults = faults;
             let runner = Runner::new(&g, &HashPartitioner { salt: seed }, cfg);
             runner.run_slab(&MiniSlabMssp { sources: sources.clone() })
@@ -1160,15 +1116,13 @@ proptest! {
     /// the pager's cache state and reload evicted partitions so the
     /// run stays bit-identical to the fault-free paged run — outcomes,
     /// per-vertex states, and every non-fault statistic including the
-    /// measured spill/load/skip counters.
+    /// measured spill/load counters.
     #[test]
     fn chaos_paged_run_equals_fault_free_paged_run(
         n in 16usize..100,
         workers in 2usize..6,
         pooled in any::<bool>(),
         checkpoint_every in 1usize..6,
-        incremental in any::<bool>(),
-        frontier_density in any::<bool>(),
         crashes in 0usize..2,
         losses in 0usize..2,
         stragglers in 0usize..3,
@@ -1178,11 +1132,6 @@ proptest! {
     ) {
         let g = generators::power_law(n, n * 4, 2.4, seed);
         let sources = vec![0 as VertexId, (n / 2) as VertexId];
-        let schedule = if frontier_density {
-            PartitionSchedule::FrontierDensity
-        } else {
-            PartitionSchedule::RoundRobin
-        };
         let run = |faults: Option<FaultPlan>| {
             let mut cfg = EngineConfig::new(
                 ClusterSpec::galaxy(workers),
@@ -1191,16 +1140,12 @@ proptest! {
             cfg.cutoff = SimTime::secs(1e12);
             cfg.parallel_vertex_threshold = if pooled { 0 } else { usize::MAX };
             cfg.checkpoint_every = checkpoint_every;
-            if incremental {
-                cfg.incremental_checkpoints = Some(3);
-            }
             cfg.faults = faults;
             cfg.profile.out_of_core = Some(OocConfig {
                 message_budget: Bytes::new(512),
                 paging: Some(PagingConfig {
                     budget: Bytes::new(1024),
                     partition_bytes: Bytes::new(256),
-                    schedule,
                 }),
             });
             let runner = Runner::new(&g, &HashPartitioner { salt: seed }, cfg);
@@ -1219,50 +1164,6 @@ proptest! {
         for v in 0..n {
             prop_assert_eq!(&clean.states[v].dist, &chaos.states[v].dist, "vertex {}", v);
         }
-    }
-
-    /// Incremental checkpoints are an exact drop-in for full snapshots:
-    /// under the same chaos plan both modes produce identical outcomes,
-    /// identical non-fault statistics, and identical per-vertex states —
-    /// while never storing more full-snapshot bytes than the full mode.
-    #[test]
-    fn incremental_checkpoints_equal_full_checkpoints(
-        n in 16usize..100,
-        workers in 2usize..6,
-        checkpoint_every in 1usize..5,
-        full_every in 2usize..6,
-        crashes in 0usize..3,
-        losses in 0usize..3,
-        seed in any::<u64>(),
-    ) {
-        let g = generators::power_law(n, n * 4, 2.4, seed);
-        let sources = vec![0 as VertexId, (n / 2) as VertexId];
-        let plan = FaultPlan::random(seed ^ 0xDE17A, workers, 8, crashes, losses);
-        let run = |incremental: Option<usize>| {
-            let mut cfg = EngineConfig::new(
-                ClusterSpec::galaxy(workers),
-                SystemProfile::base("t"),
-            );
-            cfg.cutoff = SimTime::secs(1e12);
-            cfg.checkpoint_every = checkpoint_every;
-            cfg.incremental_checkpoints = incremental;
-            cfg.faults = Some(plan.clone());
-            let runner = Runner::new(&g, &HashPartitioner { salt: seed }, cfg);
-            runner.run_slab(&MiniSlabMssp { sources: sources.clone() })
-        };
-        let full = run(None);
-        let incr = run(Some(full_every));
-        prop_assert_eq!(&full.outcome, &incr.outcome);
-        prop_assert_eq!(scrub_faults(&full.stats), scrub_faults(&incr.stats));
-        for v in 0..n {
-            prop_assert_eq!(&full.states[v].dist, &incr.states[v].dist, "vertex {}", v);
-        }
-        // Deltas displace full snapshots at the same cadence.
-        let ff = &full.stats.faults;
-        let fi = &incr.stats.faults;
-        prop_assert_eq!(fi.checkpoints, ff.checkpoints);
-        prop_assert_eq!(ff.delta_checkpoints, 0);
-        prop_assert!(fi.checkpoint_full_bytes <= ff.checkpoint_full_bytes);
     }
 
     /// Checkpoint-cadence edges: `0` (the documented alias for "every

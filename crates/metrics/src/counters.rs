@@ -24,9 +24,6 @@ pub struct RoundStats {
     pub network_bytes: Bytes,
     /// Bytes of message traffic staying within a machine.
     pub local_bytes: Bytes,
-    /// Post-codec bytes of the round's message buckets under the
-    /// compact wire format (zero for profiles shipping full tuples).
-    pub encoded_wire_bytes: Bytes,
     /// Bytes of surviving envelopes appended to shard buckets this
     /// round (an envelope folded into an earlier one at send appends
     /// nothing).
@@ -48,10 +45,6 @@ pub struct RoundStats {
     /// Adjacency partitions loaded by the pager this round.
     #[serde(default)]
     pub partition_loads: u64,
-    /// Partitions skipped outright by the frontier-density schedule
-    /// (empty frontier — no bytes moved, no vertices visited).
-    #[serde(default)]
-    pub partitions_skipped: u64,
     /// Peak decoded adjacency bytes resident in the busiest worker's
     /// partition cache this round (the measured replacement for the
     /// resident-graph memory estimate).
@@ -97,8 +90,8 @@ pub struct RunStats {
     pub total_messages_sent: u64,
     pub total_messages_delivered: u64,
     pub total_network_bytes: Bytes,
-    /// Post-codec bucket bytes across the run (see
-    /// [`RoundStats::encoded_wire_bytes`]).
+    /// Always zero: the engine no longer measures codec bytes. Kept
+    /// because the benchmark reads it.
     pub total_encoded_wire_bytes: Bytes,
     /// Shard-bucket copy traffic across the run (see
     /// [`RoundStats::shard_copy_bytes`]).
@@ -110,6 +103,8 @@ pub struct RunStats {
     pub total_loaded_bytes: Bytes,
     #[serde(default)]
     pub total_partition_loads: u64,
+    /// Always zero: the pager streams every partition every round.
+    /// Kept because the benchmark reads it.
     #[serde(default)]
     pub total_partitions_skipped: u64,
     /// High-water mark of decoded partition-cache bytes (see
@@ -144,12 +139,10 @@ impl RunStats {
         self.total_messages_sent += round.messages_sent;
         self.total_messages_delivered += round.messages_delivered;
         self.total_network_bytes += round.network_bytes;
-        self.total_encoded_wire_bytes += round.encoded_wire_bytes;
         self.total_shard_copy_bytes += round.shard_copy_bytes;
         self.total_spilled_bytes += round.spilled_bytes;
         self.total_loaded_bytes += round.loaded_bytes;
         self.total_partition_loads += round.partition_loads;
-        self.total_partitions_skipped += round.partitions_skipped;
         self.peak_paged_resident_bytes = self
             .peak_paged_resident_bytes
             .max(round.paged_resident_bytes);
@@ -254,26 +247,22 @@ mod tests {
         s.record_round(RoundStats {
             loaded_bytes: Bytes(100),
             partition_loads: 4,
-            partitions_skipped: 1,
             paged_resident_bytes: Bytes(700),
             ..RoundStats::default()
         });
         s.record_round(RoundStats {
             loaded_bytes: Bytes(50),
             partition_loads: 2,
-            partitions_skipped: 5,
             paged_resident_bytes: Bytes(300),
             ..RoundStats::default()
         });
         assert_eq!(s.total_loaded_bytes, Bytes(150));
         assert_eq!(s.total_partition_loads, 6);
-        assert_eq!(s.total_partitions_skipped, 6);
         assert_eq!(s.peak_paged_resident_bytes, Bytes(700));
         let mut merged = RunStats::new();
         merged.absorb(&s);
         merged.absorb(&s);
         assert_eq!(merged.total_loaded_bytes, Bytes(300));
-        assert_eq!(merged.total_partitions_skipped, 12);
         assert_eq!(merged.peak_paged_resident_bytes, Bytes(700));
     }
 

@@ -33,17 +33,13 @@ pub struct FaultStats {
     /// Hard OOM kills (memory demand exceeded physical capacity while
     /// the hard-OOM fault was armed). These abort the run.
     pub oom_kills: u64,
-    /// Checkpoints taken (snapshots of vertex state + in-flight
-    /// messages at superstep boundaries). Includes both full snapshots
-    /// and incremental deltas; `delta_checkpoints` counts the latter.
+    /// Checkpoints taken (full snapshots of vertex state + in-flight
+    /// messages at superstep boundaries).
     pub checkpoints: u64,
-    /// Checkpoints among `checkpoints` stored as incremental deltas
-    /// (only cells touched since the previous checkpoint).
-    pub delta_checkpoints: u64,
-    /// Bytes stored by full checkpoint snapshots.
+    /// Bytes stored by checkpoint snapshots.
     pub checkpoint_full_bytes: Bytes,
-    /// Bytes stored by incremental delta checkpoints (cell diffs +
-    /// frontier-word diffs only).
+    /// Always zero: every checkpoint is a full snapshot. Kept because
+    /// the benchmark reads it.
     pub checkpoint_delta_bytes: Bytes,
     /// Supersteps re-executed during rollback-replay recovery.
     pub replayed_rounds: u64,
@@ -86,7 +82,6 @@ impl FaultStats {
         self.partitions += other.partitions;
         self.oom_kills += other.oom_kills;
         self.checkpoints += other.checkpoints;
-        self.delta_checkpoints += other.delta_checkpoints;
         self.checkpoint_full_bytes += other.checkpoint_full_bytes;
         self.checkpoint_delta_bytes += other.checkpoint_delta_bytes;
         self.replayed_rounds += other.replayed_rounds;
@@ -119,7 +114,6 @@ mod tests {
             partitions: 0,
             oom_kills: 0,
             checkpoints: 3,
-            delta_checkpoints: 2,
             checkpoint_full_bytes: Bytes(1000),
             checkpoint_delta_bytes: Bytes(80),
             replayed_rounds: 4,
@@ -139,7 +133,6 @@ mod tests {
             partitions: 1,
             oom_kills: 1,
             checkpoints: 2,
-            delta_checkpoints: 1,
             checkpoint_full_bytes: Bytes(500),
             checkpoint_delta_bytes: Bytes(20),
             replayed_rounds: 2,
@@ -159,7 +152,6 @@ mod tests {
         assert_eq!(a.partitions, 1);
         assert_eq!(a.oom_kills, 1);
         assert_eq!(a.checkpoints, 5);
-        assert_eq!(a.delta_checkpoints, 3);
         assert_eq!(a.checkpoint_full_bytes, Bytes(1500));
         assert_eq!(a.checkpoint_delta_bytes, Bytes(100));
         assert_eq!(a.replayed_rounds, 6);

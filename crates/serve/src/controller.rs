@@ -25,7 +25,7 @@
 //! Independently, when the head request carries a deadline and the
 //! [`OnlineLatencyModel`] has a fit, the controller caps the batch at
 //! the largest workload the model predicts can finish inside a
-//! configured fraction of the remaining slack — EDF ordering gets the
+//! fixed fraction of the remaining slack — EDF ordering gets the
 //! urgent request into the *next* batch, this cap keeps that batch
 //! small enough to land in time.
 //!
@@ -59,34 +59,17 @@ impl SchedulerPolicy {
     }
 }
 
-/// Tunables of the [`JointController`].
-#[derive(Debug, Clone, Copy)]
-pub struct ControllerCfg {
-    /// Worker threads the narrow end divides the headroom across.
-    pub workers: usize,
-    /// Queue depth (requests) treated as fully "deep"; occupancy is
-    /// `depth / deep_depth`, clamped to 1.
-    pub deep_depth: usize,
-    /// Occupancy at or above which batches run serially (narrow
-    /// intra-task parallelism) instead of on the engine pool.
-    pub narrow_occupancy: f64,
-    /// Fraction of the head request's remaining deadline slack the
-    /// latency model may budget for its carrying batch.
-    pub slack_fraction: f64,
-}
+/// Queue depth (requests) treated as fully "deep"; occupancy is
+/// `depth / DEEP_DEPTH`, clamped to 1.
+const DEEP_DEPTH: usize = 64;
 
-impl ControllerCfg {
-    /// Defaults: deep at 64 queued requests, go serial above 50 %
-    /// occupancy, budget half the head slack.
-    pub fn new(workers: usize) -> ControllerCfg {
-        ControllerCfg {
-            workers: workers.max(1),
-            deep_depth: 64,
-            narrow_occupancy: 0.5,
-            slack_fraction: 0.5,
-        }
-    }
-}
+/// Occupancy at or above which batches run serially (narrow intra-task
+/// parallelism) instead of on the engine pool.
+const NARROW_OCCUPANCY: f64 = 0.5;
+
+/// Fraction of the head request's remaining deadline slack the latency
+/// model may budget for its carrying batch.
+const SLACK_FRACTION: f64 = 0.5;
 
 /// One sizing decision for the batch about to be formed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,15 +104,16 @@ pub struct ControllerStats {
 /// consumer).
 #[derive(Debug)]
 pub struct JointController {
-    cfg: ControllerCfg,
+    /// Worker threads the narrow end divides the headroom across.
+    workers: usize,
     stats: ControllerStats,
 }
 
 impl JointController {
-    /// A controller with the given tunables and zeroed counters.
-    pub fn new(cfg: ControllerCfg) -> JointController {
+    /// A controller for `workers` worker threads, with zeroed counters.
+    pub fn new(workers: usize) -> JointController {
         JointController {
-            cfg,
+            workers: workers.max(1),
             stats: ControllerStats::default(),
         }
     }
@@ -157,22 +141,18 @@ impl JointController {
         model: &OnlineLatencyModel,
     ) -> Decision {
         self.stats.decisions += 1;
-        let occupancy = if self.cfg.deep_depth == 0 {
-            1.0
-        } else {
-            (depth as f64 / self.cfg.deep_depth as f64).min(1.0)
-        };
+        let occupancy = (depth as f64 / DEEP_DEPTH as f64).min(1.0);
         // Interpolate the cap between the wide end (all headroom in
         // one batch) and the narrow end (headroom split across the
         // worker pool).
-        let narrow = (w_max / self.cfg.workers as u64).max(1);
+        let narrow = (w_max / self.workers as u64).max(1);
         let span = w_max.saturating_sub(narrow) as f64;
         let mut cap = w_max.saturating_sub((span * occupancy).round() as u64);
 
         // Deadline sizing: bound the batch to what the model predicts
         // finishes within the budgeted slice of the head's slack.
         if let Some(slack) = head_slack {
-            let budget = slack.as_secs_f64() * self.cfg.slack_fraction;
+            let budget = slack.as_secs_f64() * SLACK_FRACTION;
             if let Some(w) = model.invert(budget) {
                 if w < cap {
                     cap = w;
@@ -182,7 +162,7 @@ impl JointController {
         }
 
         let cap = cap.clamp(1, w_max.max(1));
-        let parallel_threshold = if occupancy >= self.cfg.narrow_occupancy {
+        let parallel_threshold = if occupancy >= NARROW_OCCUPANCY {
             self.stats.narrowed += 1;
             Some(usize::MAX) // serial: keep workers independent
         } else {
@@ -211,7 +191,7 @@ mod tests {
 
     #[test]
     fn shallow_queue_goes_wide_and_full() {
-        let mut c = JointController::new(ControllerCfg::new(4));
+        let mut c = JointController::new(4);
         let d = c.decide(0, 1000, None, &OnlineLatencyModel::new());
         assert_eq!(d.batch_cap, 1000);
         // Widening defers to the engine's own cutover.
@@ -221,7 +201,7 @@ mod tests {
 
     #[test]
     fn deep_queue_splits_headroom_and_goes_serial() {
-        let mut c = JointController::new(ControllerCfg::new(4));
+        let mut c = JointController::new(4);
         let d = c.decide(500, 1000, None, &OnlineLatencyModel::new());
         assert_eq!(d.batch_cap, 250); // w_max / workers
         assert_eq!(d.parallel_threshold, Some(usize::MAX));
@@ -230,7 +210,7 @@ mod tests {
 
     #[test]
     fn occupancy_interpolates_between_extremes() {
-        let mut c = JointController::new(ControllerCfg::new(4));
+        let mut c = JointController::new(4);
         let d = c.decide(32, 1000, None, &OnlineLatencyModel::new());
         // Half occupancy: halfway between 1000 and 250.
         assert_eq!(d.batch_cap, 625);
@@ -238,7 +218,7 @@ mod tests {
 
     #[test]
     fn deadline_cap_binds_when_model_is_fitted() {
-        let mut c = JointController::new(ControllerCfg::new(2));
+        let mut c = JointController::new(2);
         let model = fitted_model();
         // Slack 0.4 s, half budgeted → 0.2 s → w ≈ (0.2 − 0.1)/0.01 = 10.
         let d = c.decide(0, 1000, Some(Duration::from_millis(400)), &model);
@@ -249,7 +229,7 @@ mod tests {
 
     #[test]
     fn unfitted_model_never_caps() {
-        let mut c = JointController::new(ControllerCfg::new(2));
+        let mut c = JointController::new(2);
         let d = c.decide(
             0,
             800,
@@ -263,7 +243,7 @@ mod tests {
     #[test]
     fn decisions_are_deterministic() {
         let run = || {
-            let mut c = JointController::new(ControllerCfg::new(3));
+            let mut c = JointController::new(3);
             let model = fitted_model();
             (0..50)
                 .map(|i| {

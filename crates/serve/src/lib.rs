@@ -62,7 +62,7 @@ pub mod request;
 pub mod service;
 
 pub use admission::{AdmissionController, AdmissionError, BatchId};
-pub use controller::{ControllerCfg, ControllerStats, Decision, JointController, SchedulerPolicy};
+pub use controller::{ControllerStats, Decision, JointController, SchedulerPolicy};
 pub use health::{
     BrownoutCfg, BrownoutDecision, BrownoutLadder, BrownoutLevel, BrownoutReport, BrownoutState,
     CircuitBreaker, CircuitState, HealthTracker,

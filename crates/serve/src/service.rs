@@ -15,7 +15,7 @@
 //! [`ServiceReport`].
 
 use crate::admission::{AdmissionController, AdmissionError};
-use crate::controller::{ControllerCfg, ControllerStats, JointController, SchedulerPolicy};
+use crate::controller::{ControllerStats, JointController, SchedulerPolicy};
 use crate::health::{BrownoutCfg, BrownoutDecision, BrownoutReport, BrownoutState};
 use crate::queue::{same_shape, DrrQueue, QueuePolicy, SubmitError};
 use crate::request::{Completion, QueuedRequest, RequestId, RequestOutcome, SloClass, TaskRequest};
@@ -577,7 +577,7 @@ impl TaskService {
             metrics: Mutex::new(MetricsState::new()),
             shapes,
             latency_models,
-            controller: Mutex::new(JointController::new(ControllerCfg::new(cfg.workers))),
+            controller: Mutex::new(JointController::new(cfg.workers)),
             scheduler: cfg.scheduler,
             brownout: cfg
                 .brownout
@@ -1377,7 +1377,7 @@ mod tests {
             metrics: Mutex::new(MetricsState::new()),
             shapes: vec![Task::mssp(1)],
             latency_models: vec![Mutex::new(OnlineLatencyModel::new())],
-            controller: Mutex::new(JointController::new(ControllerCfg::new(2))),
+            controller: Mutex::new(JointController::new(2)),
             scheduler: SchedulerPolicy::BaselineDrr,
             brownout: None,
             started: Instant::now(),

@@ -5,8 +5,8 @@
 
 use mtvc_core::Task;
 use mtvc_serve::{
-    ControllerCfg, DrrQueue, JointController, QueuePolicy, QueuedRequest, RequestId, SloClass,
-    SubmitError, TaskRequest, TenantId,
+    DrrQueue, JointController, QueuePolicy, QueuedRequest, RequestId, SloClass, SubmitError,
+    TaskRequest, TenantId,
 };
 use mtvc_tune::OnlineLatencyModel;
 use proptest::prelude::*;
@@ -199,7 +199,7 @@ proptest! {
         let run = || {
             let mut model = OnlineLatencyModel::new();
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut c = JointController::new(ControllerCfg::new(workers));
+            let mut c = JointController::new(workers);
             (0..steps)
                 .map(|_| {
                     // Interleave observations so the model's fit (and

@@ -191,7 +191,6 @@ mod tests {
         assert_eq!(ooc.message_budget, spec().usable_memory().scaled(0.02));
         let paging = ooc.paging.expect("GraphD takes the real paging path");
         assert_eq!(paging.budget, ooc.message_budget);
-        assert_eq!(paging.schedule, mtvc_engine::PartitionSchedule::RoundRobin);
         let small = spec().scaled(256.0);
         let p2 = SystemKind::GraphD.profile(&small);
         assert!(p2.out_of_core.unwrap().message_budget < ooc.message_budget);

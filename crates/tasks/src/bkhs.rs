@@ -43,13 +43,12 @@ impl Message for ReachMsg {
     fn wire_query(&self) -> Option<u64> {
         Some(self.query as u64)
     }
-    fn encoded_payload_bytes(&self) -> u64 {
-        0 // the query id *is* the message — it rides the query stream
-    }
 }
 
 impl PayloadCodec for ReachMsg {
-    fn encode_payload(&self, _out: &mut Vec<u8>) {}
+    fn encode_payload(&self, _out: &mut Vec<u8>) {
+        // The query id *is* the message — it rides the query stream.
+    }
     fn decode_payload(wire_query: Option<u64>, _buf: &[u8], _pos: &mut usize) -> Self {
         ReachMsg {
             query: wire_query.expect("ReachMsg always carries a query id") as QueryId,
@@ -81,9 +80,6 @@ impl Message for ReachLanesMsg {
     }
     fn wire_query(&self) -> Option<u64> {
         Some(self.chunk as u64)
-    }
-    fn encoded_payload_bytes(&self) -> u64 {
-        1 // the mask byte; the chunk id rides the query stream
     }
     fn units(&self) -> u64 {
         self.mask.count_ones() as u64 // live lanes

@@ -116,13 +116,12 @@ impl Message for WalkMsg {
     fn wire_query(&self) -> Option<u64> {
         Some(self.source as u64)
     }
-    fn encoded_payload_bytes(&self) -> u64 {
-        0 // the source id *is* the walk token — it rides the query stream
-    }
 }
 
 impl PayloadCodec for WalkMsg {
-    fn encode_payload(&self, _out: &mut Vec<u8>) {}
+    fn encode_payload(&self, _out: &mut Vec<u8>) {
+        // The source id *is* the walk token — it rides the query stream.
+    }
     fn decode_payload(wire_query: Option<u64>, _buf: &[u8], _pos: &mut usize) -> Self {
         WalkMsg {
             source: wire_query.expect("WalkMsg always carries its source") as VertexId,
@@ -409,13 +408,11 @@ impl Message for PushMsg {
     fn wire_query(&self) -> Option<u64> {
         Some(self.source as u64)
     }
-    fn encoded_payload_bytes(&self) -> u64 {
-        8 // fractional residue: fixed-width f64 bits, never varint
-    }
 }
 
 impl PayloadCodec for PushMsg {
     fn encode_payload(&self, out: &mut Vec<u8>) {
+        // Fractional residue: fixed-width f64 bits, never varint.
         out.extend_from_slice(&self.amount.to_le_bytes());
     }
     fn decode_payload(wire_query: Option<u64>, buf: &[u8], pos: &mut usize) -> Self {

@@ -36,7 +36,7 @@
 //! traffic accounting.
 
 use crate::sources::SourceIndex;
-use mtvc_engine::wire::{read_varint, varint_len, write_varint};
+use mtvc_engine::wire::{read_varint, write_varint};
 use mtvc_engine::{
     Context, Delivery, Message, PayloadCodec, SlabProgram, SlabRow, SlabRowMut, VertexProgram,
     LANES,
@@ -65,9 +65,6 @@ impl Message for DistMsg {
     }
     fn wire_query(&self) -> Option<u64> {
         Some(self.query as u64)
-    }
-    fn encoded_payload_bytes(&self) -> u64 {
-        varint_len(self.dist)
     }
 }
 
@@ -112,17 +109,6 @@ impl Message for DistLanesMsg {
     }
     fn wire_query(&self) -> Option<u64> {
         Some(self.chunk as u64)
-    }
-    fn encoded_payload_bytes(&self) -> u64 {
-        // Masked accumulation instead of a per-lane branch: the lane
-        // occupancy is data-dependent, so testing each bit costs a
-        // mispredict per lane on the compact measurement pass.
-        let mut bytes = 1; // mask byte
-        for l in 0..LANES {
-            let set = ((self.mask >> l) & 1) as u64;
-            bytes += set * varint_len(self.dist[l]);
-        }
-        bytes
     }
     fn units(&self) -> u64 {
         self.mask.count_ones() as u64 // live lanes
@@ -787,7 +773,7 @@ mod tests {
 
     #[test]
     fn lane_msg_codec_roundtrips() {
-        use mtvc_engine::wire::{encode_bucket, measure_bucket};
+        use mtvc_engine::wire::encode_bucket;
         use mtvc_engine::Envelope;
         let msg = DistLanesMsg {
             chunk: 9,
@@ -804,10 +790,11 @@ mod tests {
             ],
         };
         // mask byte + varint(300)=2 + varint(2)=1
-        assert_eq!(msg.encoded_payload_bytes(), 4);
+        let mut payload = Vec::new();
+        msg.encode_payload(&mut payload);
+        assert_eq!(payload.len(), 4);
         let envs = vec![Envelope::new(5, msg, 2)];
         let buf = encode_bucket(&envs, |v| v);
-        assert_eq!(buf.len() as u64, measure_bucket(&envs, |v| v));
         let back = mtvc_engine::wire::decode_bucket::<DistLanesMsg>(&buf, |li| li as VertexId);
         assert_eq!(back, envs);
     }

@@ -6,8 +6,8 @@
 
 use mtvc_cluster::{ClusterSpec, FaultPlan};
 use mtvc_engine::{
-    Context, Delivery, EngineConfig, ExecutionMode, OocConfig, PagingConfig, PartitionSchedule,
-    RunResult, Runner, SlabProgram, SlabRow, SlabRowMut, SystemProfile, WireFormat,
+    Context, Delivery, EngineConfig, ExecutionMode, OocConfig, PagingConfig, RunResult, Runner,
+    SlabProgram, SlabRow, SlabRowMut, SystemProfile,
 };
 use mtvc_graph::partition::{HashPartitioner, Partitioner};
 use mtvc_graph::{generators, reference as gref, Graph, VertexId};
@@ -61,13 +61,10 @@ fn pick_sources(n: usize, width: usize, seed: u64) -> Vec<VertexId> {
 const LANE_WIDTHS: [usize; 5] = [1, 7, 8, 9, 64];
 
 /// The lane kernels' contract with the cost model, checked at every
-/// cell of combiner off/on × point-to-point/mirrored × tuple/compact
-/// wire format: a lane run extracts the scalar run's states bit for bit
-/// and, under the tuple format every system profile uses, reports its
+/// cell of combiner off/on × point-to-point/mirrored: a lane run
+/// extracts the scalar run's states bit for bit and reports its
 /// statistics in every field but the envelope-copy counters (fewer,
-/// fatter envelopes are the point of the kernel). The compact codec
-/// sizes real envelopes, so under it only rounds and wire messages are
-/// pinned besides the states.
+/// fatter envelopes are the point of the kernel).
 fn assert_lane_matches_scalar<S, L>(
     g: &Graph,
     workers: usize,
@@ -88,46 +85,24 @@ where
         }
         stats
     };
-    for (combine, mirror, compact) in [
-        (false, false, false),
-        (true, false, false),
-        (false, true, false),
-        (true, true, false),
-        (false, false, true),
-        (true, false, true),
-        (false, true, true),
-        (true, true, true),
-    ] {
-        let mut cfg = if mirror {
+    for (combine, mirror) in [(false, false), (true, false), (false, true), (true, true)] {
+        let cfg = if mirror {
             broadcast_config(workers, seed, combine)
         } else {
             roomy_config(workers, seed, combine)
         };
-        if compact {
-            cfg.profile.wire_format = WireFormat::Compact;
-        }
-        let cell = format!("combine={combine} mirror={mirror} compact={compact}");
+        let cell = format!("combine={combine} mirror={mirror}");
         let scalar = runner(g, cfg.clone()).run_slab(scalar);
         let lane = runner(g, cfg).run_slab(lane);
         completed(&scalar);
         completed(&lane);
         prop_assert_eq!(&lane.states, &scalar.states, "{}", cell);
-        if compact {
-            prop_assert_eq!(lane.stats.rounds, scalar.stats.rounds, "{}", cell);
-            prop_assert_eq!(
-                lane.stats.total_messages_sent,
-                scalar.stats.total_messages_sent,
-                "{}",
-                cell
-            );
-        } else {
-            prop_assert_eq!(
-                sans_copies(&lane.stats),
-                sans_copies(&scalar.stats),
-                "{}",
-                cell
-            );
-        }
+        prop_assert_eq!(
+            sans_copies(&lane.stats),
+            sans_copies(&scalar.stats),
+            "{}",
+            cell
+        );
     }
     Ok(())
 }
@@ -202,15 +177,14 @@ impl<P: SlabProgram> SlabProgram for Probe<P> {
 enum Storage {
     Resident,
     Mirrored,
-    Paged(PartitionSchedule),
+    Paged,
 }
 
 /// Naming the seed vertices must change nothing a run reports: whole
 /// `RunStats` (fault ledger included) and dense states of `program`
 /// equal those of the same program scanning every vertex at round 0,
-/// at every cell of combiner × resident/mirrored/paged (both schedules)
-/// × tuple/compact wire × fault-free/rollback with a checkpoint every 2
-/// rounds.
+/// at every cell of combiner × resident/mirrored/paged × fault-free/
+/// rollback with a checkpoint every 2 rounds.
 fn assert_seeded_equals_full_scan<P>(
     g: &Graph,
     workers: usize,
@@ -223,34 +197,22 @@ where
 {
     prop_assert!(program.seeds().is_some(), "the kernel must name its seeds");
     let full = Probe::new(program, true);
-    let storages = [
-        Storage::Resident,
-        Storage::Mirrored,
-        Storage::Paged(PartitionSchedule::RoundRobin),
-        Storage::Paged(PartitionSchedule::FrontierDensity),
-    ];
+    let storages = [Storage::Resident, Storage::Mirrored, Storage::Paged];
     let on_off = [false, true];
     for storage in storages {
-        for (combine, compact, faults) in on_off
-            .iter()
-            .flat_map(|&a| on_off.iter().flat_map(move |&b| on_off.map(|c| (a, b, c))))
-        {
+        for (combine, faults) in on_off.iter().flat_map(|&a| on_off.map(|b| (a, b))) {
             let mut cfg = match storage {
                 Storage::Mirrored => broadcast_config(workers, seed, combine),
                 _ => roomy_config(workers, seed, combine),
             };
-            if let Storage::Paged(schedule) = storage {
+            if let Storage::Paged = storage {
                 cfg.profile.out_of_core = Some(OocConfig {
                     message_budget: Bytes::new(512),
                     paging: Some(PagingConfig {
                         budget: Bytes::new(1024),
                         partition_bytes: Bytes::new(256),
-                        schedule,
                     }),
                 });
-            }
-            if compact {
-                cfg.profile.wire_format = WireFormat::Compact;
             }
             if faults {
                 cfg = cfg.with_checkpoint_every(2).with_faults(FaultPlan::random(
@@ -261,7 +223,7 @@ where
                     1,
                 ));
             }
-            let cell = format!("{storage:?} combine={combine} compact={compact} faults={faults}");
+            let cell = format!("{storage:?} combine={combine} faults={faults}");
             let seeded = runner(g, cfg.clone()).run_slab(&full.inner);
             let scanned = runner(g, cfg).run_slab(&full);
             completed(&seeded);
