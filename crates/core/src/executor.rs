@@ -27,8 +27,9 @@ use std::sync::Arc;
 
 /// Slab pools shared by every batch of a job (or of a [`BatchRunner`]'s
 /// lifetime): a finished batch returns its per-worker state slabs here
-/// and the next batch re-fills them in place — zeroed via reset, never
-/// re-allocated — so steady-state batching performs no slab allocation.
+/// and the next batch re-shapes them: `reset` drops the previous
+/// batch's blocks and keeps every buffer's capacity, so a batch that
+/// writes no more words than an earlier one allocates no slab memory.
 /// One pool per cell type; MSSP distance rows and BPPR walk counters
 /// share the `u64` pool.
 #[derive(Debug)]

@@ -2191,7 +2191,6 @@ mod tests {
     fn slab_flood_unwritten_row_extracts_to_default() {
         use crate::slab::{SlabProgram, SlabRow};
         let flood = SlabFlood { width: 3 };
-        let cells = [flood.empty_cell(); 3];
-        assert!(flood.extract(0, SlabRow::unwritten(&cells)).is_empty());
+        assert!(flood.extract(0, SlabRow::unwritten()).is_empty());
     }
 }

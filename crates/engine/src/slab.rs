@@ -1,35 +1,40 @@
-//! Dense batch-state slabs: hash-free multi-task vertex state.
+//! Batch-state slabs: hash-free multi-task vertex state, allocated on
+//! first write.
 //!
-//! A [`StateSlab`] stores one fixed-size **row of `W` cells per local
-//! vertex**, local-index-major, so the compute hot loop addresses the
-//! state of `(vertex, query)` with one multiply instead of a hash
-//! probe. A companion **frontier bitset** (one bit per cell, row-major)
-//! marks the cells a round actually improved, so a program's send phase
+//! A [`StateSlab`] gives every local vertex a **row of `W` cells**, one
+//! per query of the batch, so the compute hot loop addresses the state
+//! of `(vertex, query)` by local index and column instead of a hash
+//! probe. A row is cut into 64-cell **words**. A word's cells live in a
+//! **block** of `min(W, 64)` cells that is allocated, filled with the
+//! empty sentinel, the first time a [`SlabRowMut`] mutator writes into
+//! the word; a word without a block reads as the sentinel. Host memory
+//! therefore follows what a batch wrote — the k-hop ball of a narrow
+//! MSSP/BKHS batch, the walk support of an all-sources BPPR batch — not
+//! `rows × W`. Each block carries one **frontier** word (one bit per
+//! cell) marking the cells a round improved, so a program's send phase
 //! walks only the dirty cells — the GraphLab/Ligra layout (DESIGN.md
 //! §4.2) adapted to multi-task batches.
 //!
 //! Programs opt in by implementing [`SlabProgram`] instead of
 //! [`VertexProgram`](crate::program::VertexProgram) and running via
 //! [`Runner::run_slab`](crate::runner::Runner::run_slab). Slab-backed
-//! state is accounted **exactly**: the runner reports the slab's
-//! resident capacity per superstep instead of trusting manual
-//! `add_state_bytes` calls.
+//! state is accounted **as the dense layout**: the runner reports
+//! `rows × W` cells plus one frontier bit per cell each superstep
+//! ([`StateSlab::resident_bytes`]), the per-vertex state the paper's
+//! memory model describes, whatever the host allocated.
 //!
-//! A slab also records **which 64-cell words were ever written**: every
-//! [`SlabRowMut`] mutator sets the word's bit in a bitmap (one bit per
-//! 64 cells, a branchless OR beside the frontier update). Everything
-//! outside the written words holds the empty sentinel, so the per-batch
-//! passes cost what the batch touched, not `rows × width`: output
-//! extraction visits written rows and, inside a row, written words
-//! ([`StateSlab::for_each_written_row`]), and a used slab is cleaned by
-//! re-stamping exactly those words. Finding them is a scan of the
-//! bitmap — `rows × ⌈width/64⌉ / 64` loads.
+//! A bitmap with one bit per word flags the words that have a block,
+//! so the per-batch passes cost what the batch touched, not
+//! `rows × width`: output extraction visits written rows and, inside a
+//! row, written words ([`StateSlab::for_each_written_row`]), and a used
+//! slab is cleaned by zeroing exactly those words' table entries.
+//! Finding them is a scan of the bitmap — `rows × ⌈width/64⌉ / 64`
+//! loads.
 //!
 //! Slabs are recycled across batches through a [`SlabRecycler`]: the
-//! next batch's [`StateSlab::reset`] cleans what the previous one wrote
-//! and re-shapes the then uniformly empty buffer, so back-to-back
-//! batches of similar shape perform neither state allocation nor an
-//! `O(rows × width)` re-stamp (and a slab nobody reuses is never
+//! next batch's [`StateSlab::reset`] drops what the previous one wrote
+//! and keeps every buffer's capacity, so back-to-back batches of similar
+//! shape perform no state allocation (and a slab nobody reuses is never
 //! cleaned at all).
 
 use crate::message::{Delivery, Message};
@@ -44,32 +49,50 @@ use parking_lot::Mutex;
 /// chunk's mask update is one shifted OR.
 pub const LANES: usize = 8;
 
-/// One dense state slab: `rows × width` cells plus a frontier bitset.
+/// One batch-state slab: `rows × width` cells plus a frontier bit per
+/// cell, stored in blocks allocated on first write.
 ///
-/// Layout (local-index-major, unpadded):
+/// Layout (a word is 64 consecutive cells of a row, so a row has
+/// `⌈W/64⌉` words, numbered slab-wide row-major):
 ///
 /// ```text
-/// cells:    [ v0: q0 q1 .. qW-1 | v1: q0 q1 .. qW-1 | ... ]
-/// frontier: [ v0: ceil(W/64) words | v1: ... ]               (1 bit/cell)
-/// written:  one bit per frontier word, same numbering       (1 bit/64 cells)
+/// table:    [ v0: ceil(W/64) entries | v1: ... ]    0 = no block, else 1-based block number
+/// blocks:   [ b0: min(W,64) cells | b1: ... ]       in first-write order
+/// frontier: [ b0 | b1 | ... ]                       one u64 per block (1 bit/cell)
+/// written:  one bit per word, set iff its table entry is non-zero
 /// ```
 ///
-/// Invariant: a cell whose word is not flagged in `written` holds
-/// `empty`, and its frontier word is zero. Only [`SlabRowMut`]
-/// mutators write cells, and each flags the word it touches. The bitmap is host
-/// bookkeeping, not modelled state: [`StateSlab::resident_bytes`] does
-/// not count it.
+/// Cell `q` of row `li` is cell `q % 64` of the block that table entry
+/// `li × ⌈W/64⌉ + q / 64` names. Only [`SlabRowMut`] mutators allocate
+/// blocks, so a block exists exactly for the words some mutator wrote.
+/// The block store never grows past one block per word, so a slab's
+/// host bytes are at most the dense layout's (rows rounded up to whole
+/// words) plus the table, whatever it writes. Table and bitmap are host
+/// bookkeeping; [`StateSlab::resident_bytes`] reports the dense layout.
 #[derive(Debug)]
 pub struct StateSlab<C> {
     width: usize,
     words_per_row: usize,
     rows: usize,
-    empty: C,
-    cells: Vec<C>,
-    frontier: Vec<u64>,
-    /// Bit `w` set = word `w` (row-major, `words_per_row` per row) was
-    /// touched by a mutator since the slab was last clean.
+    /// Per word: 0 if absent, else the 1-based number of its block.
+    table: Vec<u32>,
+    /// Bit `w` set = word `w` has a block.
     written: Vec<u64>,
+    blocks: Blocks<C>,
+}
+
+/// The cells and frontier words of a slab's allocated blocks.
+#[derive(Debug, Clone)]
+struct Blocks<C> {
+    /// Cells per block: `min(W, 64)`.
+    size: usize,
+    /// Most blocks the slab's shape can need: one per word.
+    limit: usize,
+    empty: C,
+    /// `size` cells per block, block-major.
+    cells: Vec<C>,
+    /// One frontier word per block.
+    frontier: Vec<u64>,
 }
 
 /// Flag `word` as written.
@@ -94,53 +117,102 @@ fn next_written(written: &[u64], from: usize, end: usize) -> Option<usize> {
     None
 }
 
-/// Bring `buf`, whose elements all equal `fill`, to length `len`. A
-/// buffer that never allocated is built with `vec!`, which asks the
-/// allocator for zeroed memory when `fill` is all-zero bits — pages a
-/// fresh slab then never touches unless a cell in them is written.
-fn reshape<T: Clone>(buf: &mut Vec<T>, len: usize, fill: T) {
+/// Bring `buf`, whose elements are all zero, to length `len`. A buffer
+/// that never allocated is built with `vec!`, which asks the allocator
+/// for zeroed memory — pages a fresh slab then never touches unless a
+/// word in them is written.
+fn reshape<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
     if buf.capacity() == 0 {
-        *buf = vec![fill; len];
+        *buf = vec![T::default(); len];
     } else {
-        buf.resize(len, fill);
+        buf.resize(len, T::default());
     }
 }
 
-impl<C: Copy + PartialEq> StateSlab<C> {
-    /// Build a slab of `rows × width` cells, all set to `empty`.
+/// Make room for `extra` more elements, doubling the capacity but never
+/// past `limit` elements.
+fn reserve_capped<T>(buf: &mut Vec<T>, extra: usize, limit: usize) {
+    let need = buf.len() + extra;
+    if need > buf.capacity() {
+        let target = (2 * buf.capacity()).min(limit).max(need);
+        buf.reserve_exact(target - buf.len());
+    }
+}
+
+/// `*dst = src`, reusing `dst`'s allocation and growing it to exactly
+/// what `src` holds when it must grow (`Vec::clone_from` would double).
+fn copy_exact<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
+    dst.clear();
+    dst.reserve_exact(src.len());
+    dst.extend_from_slice(src);
+}
+
+impl<C: Copy> Blocks<C> {
+    /// Append a block of sentinel cells with a clear frontier word and
+    /// return its index.
+    fn push(&mut self) -> usize {
+        let b = self.frontier.len();
+        reserve_capped(&mut self.frontier, 1, self.limit);
+        reserve_capped(&mut self.cells, self.size, self.limit * self.size);
+        self.cells.resize(self.cells.len() + self.size, self.empty);
+        self.frontier.push(0);
+        b
+    }
+
+    #[inline]
+    fn cells(&self, b: usize) -> &[C] {
+        &self.cells[b * self.size..(b + 1) * self.size]
+    }
+
+    #[inline]
+    fn cells_mut(&mut self, b: usize) -> &mut [C] {
+        &mut self.cells[b * self.size..(b + 1) * self.size]
+    }
+}
+
+impl<C: Copy> StateSlab<C> {
+    /// Build a slab of `rows × width` cells, all reading as `empty`.
+    /// Nothing but the (zeroed) table and bitmap is allocated.
     pub fn new(rows: usize, width: usize, empty: C) -> StateSlab<C> {
         let mut slab = StateSlab {
             width: 0,
             words_per_row: 0,
             rows: 0,
-            empty,
-            cells: Vec::new(),
-            frontier: Vec::new(),
+            table: Vec::new(),
             written: Vec::new(),
+            blocks: Blocks {
+                size: 0,
+                limit: 0,
+                empty,
+                cells: Vec::new(),
+                frontier: Vec::new(),
+            },
         };
         slab.reset(rows, width, empty);
         slab
     }
 
     /// Re-shape for a new batch, **reusing the existing allocation**:
-    /// the words the previous batch wrote are re-stamped, after which
-    /// the buffer is uniformly empty and only needs its length adjusted;
-    /// capacity is never released. A sentinel that differs (by `==`)
-    /// from the previous one re-stamps every cell. This is what makes
-    /// slabs recyclable across batches.
+    /// the previous batch's blocks are dropped — their table entries
+    /// zeroed, the block store truncated — and no buffer releases
+    /// capacity. A new sentinel needs nothing more, since blocks are
+    /// filled with it when they are allocated. This is what makes slabs
+    /// recyclable across batches.
     pub fn reset(&mut self, rows: usize, width: usize, empty: C) {
         self.clean();
-        if empty != self.empty {
-            self.cells.clear();
-        }
         self.width = width;
         self.words_per_row = width.div_ceil(64);
         self.rows = rows;
-        self.empty = empty;
-        let words = rows * self.words_per_row;
-        reshape(&mut self.cells, rows * width, empty);
-        reshape(&mut self.frontier, words, 0);
-        reshape(&mut self.written, words.div_ceil(64), 0);
+        let words = self.words();
+        assert!(
+            u32::try_from(words).is_ok(),
+            "a slab of {words} words overflows its block table"
+        );
+        self.blocks.size = width.min(64);
+        self.blocks.limit = words;
+        self.blocks.empty = empty;
+        reshape(&mut self.table, words);
+        reshape(&mut self.written, words.div_ceil(64));
     }
 
     /// Slab-wide word count.
@@ -148,54 +220,24 @@ impl<C: Copy + PartialEq> StateSlab<C> {
         self.rows * self.words_per_row
     }
 
-    /// Cell range of word `word`.
-    fn word_cells(&self, word: usize) -> std::ops::Range<usize> {
-        let (row, wi) = (word / self.words_per_row, word % self.words_per_row);
-        let lo = row * self.width + wi * 64;
-        lo..(lo + 64).min((row + 1) * self.width)
-    }
-
-    /// Return the slab to the uniformly empty state by re-stamping the
-    /// written words only: their cells to the sentinel, their frontier
-    /// words and written flags to zero.
+    /// Drop every block: zero the written words' table entries and
+    /// flags, and truncate the block store, keeping its capacity.
     fn clean(&mut self) {
         let mut from = 0;
         while let Some(word) = next_written(&self.written, from, self.words()) {
-            let cells = self.word_cells(word);
-            self.cells[cells].fill(self.empty);
-            self.frontier[word] = 0;
+            self.table[word] = 0;
             from = word + 1;
         }
         self.written.fill(0);
-        debug_assert!(
-            self.unwritten_is_empty(),
-            "cleaning must leave every cell empty"
-        );
-    }
-
-    /// Whether every cell outside the written words holds the sentinel
-    /// and every frontier word there is zero — the slab's invariant.
-    /// O(rows × width): debug assertions only.
-    fn unwritten_is_empty(&self) -> bool {
-        (0..self.words()).all(|word| {
-            self.written[word >> 6] >> (word & 63) & 1 != 0
-                || (self.frontier[word] == 0
-                    && self.cells[self.word_cells(word)]
-                        .iter()
-                        .all(|&c| c == self.empty))
-        })
+        self.blocks.cells.clear();
+        self.blocks.frontier.clear();
     }
 
     /// Visit every row a mutator touched, in ascending local-index
-    /// order, as a [`SlabRow`] that knows which of the row's words were
-    /// written. Rows never touched are skipped — they hold nothing but
-    /// the sentinel. This is the output-extraction pass of a finished
-    /// run.
+    /// order, as a [`SlabRow`] that shows the row's written words.
+    /// Rows never touched are skipped — they read as nothing but the
+    /// sentinel. This is the output-extraction pass of a finished run.
     pub fn for_each_written_row(&self, mut f: impl FnMut(u32, SlabRow<'_, C>)) {
-        debug_assert!(
-            self.unwritten_is_empty(),
-            "a cell outside the written words is not empty"
-        );
         let mut from = 0;
         while let Some(word) = next_written(&self.written, from, self.words()) {
             let li = word / self.words_per_row;
@@ -204,9 +246,10 @@ impl<C: Copy + PartialEq> StateSlab<C> {
             f(
                 li as u32,
                 SlabRow {
-                    cells: &self.cells[li * self.width..(li + 1) * self.width],
-                    written: &self.written,
-                    words: first_word..from,
+                    table: &self.table[first_word..from],
+                    cells: &self.blocks.cells,
+                    size: self.blocks.size,
+                    width: self.width,
                 },
             );
         }
@@ -224,35 +267,33 @@ impl<C: Copy + PartialEq> StateSlab<C> {
 
     /// The empty-cell sentinel.
     pub fn empty_cell(&self) -> C {
-        self.empty
+        self.blocks.empty
     }
 
-    /// Exact resident bytes of this slab (cells + frontier). This is
-    /// what the runner reports to the memory ledger each superstep.
+    /// Resident bytes of this slab as the memory model sees it: the
+    /// dense `rows × width` cells plus frontier bits
+    /// ([`StateSlab::capacity_bytes`]), however few blocks the host
+    /// allocated. This is what the runner reports to the memory ledger
+    /// each superstep.
     pub fn resident_bytes(&self) -> u64 {
-        (self.cells.len() * std::mem::size_of::<C>() + self.frontier.len() * 8) as u64
+        Self::capacity_bytes(self.rows, self.width)
     }
 
-    /// The resident bytes a `rows × width` slab must report — the
-    /// debug-build cross-check for exact state accounting.
+    /// Bytes of a dense `rows × width` slab: every cell plus one
+    /// frontier word per 64 cells of a row.
     pub fn capacity_bytes(rows: usize, width: usize) -> u64 {
         (rows * width * std::mem::size_of::<C>() + rows * width.div_ceil(64) * 8) as u64
     }
 
-    /// Immutable view of one vertex's row.
-    pub fn row(&self, li: u32) -> &[C] {
-        let li = li as usize;
-        &self.cells[li * self.width..(li + 1) * self.width]
-    }
-
-    /// Mutable row view with its frontier words.
+    /// Mutable view of one vertex's row.
     pub fn row_mut(&mut self, li: u32) -> SlabRowMut<'_, C> {
-        let li = li as usize;
+        let first_word = li as usize * self.words_per_row;
         SlabRowMut {
-            cells: &mut self.cells[li * self.width..(li + 1) * self.width],
-            front: &mut self.frontier[li * self.words_per_row..(li + 1) * self.words_per_row],
+            table: &mut self.table[first_word..first_word + self.words_per_row],
             written: &mut self.written,
-            first_word: li * self.words_per_row,
+            blocks: &mut self.blocks,
+            first_word,
+            width: self.width,
         }
     }
 }
@@ -263,10 +304,9 @@ impl<C: Copy> Clone for StateSlab<C> {
             width: self.width,
             words_per_row: self.words_per_row,
             rows: self.rows,
-            empty: self.empty,
-            cells: self.cells.clone(),
-            frontier: self.frontier.clone(),
+            table: self.table.clone(),
             written: self.written.clone(),
+            blocks: self.blocks.clone(),
         }
     }
 
@@ -277,88 +317,109 @@ impl<C: Copy> Clone for StateSlab<C> {
         self.width = src.width;
         self.words_per_row = src.words_per_row;
         self.rows = src.rows;
-        self.empty = src.empty;
-        self.cells.clone_from(&src.cells);
-        self.frontier.clone_from(&src.frontier);
-        self.written.clone_from(&src.written);
+        copy_exact(&mut self.table, &src.table);
+        copy_exact(&mut self.written, &src.written);
+        let (dst, src) = (&mut self.blocks, &src.blocks);
+        dst.size = src.size;
+        dst.limit = src.limit;
+        dst.empty = src.empty;
+        copy_exact(&mut dst.cells, &src.cells);
+        copy_exact(&mut dst.frontier, &src.frontier);
     }
 }
 
-/// Mutable view of one vertex's slab row: `W` cells plus the row's
-/// frontier words. Handed to [`SlabProgram::init`] / [`compute`]. Every
-/// method that can change a cell or a frontier bit flags the 64-cell
-/// word it lands in as written (conservatively: handing out `&mut` to a
-/// cell counts), which is what lets extraction and cleaning skip the
-/// rest of the slab.
+/// Mutable view of one vertex's slab row. Handed to
+/// [`SlabProgram::init`] / [`compute`]. Every method that can change a
+/// cell or a frontier bit first resolves the block of the 64-cell word
+/// it lands in, allocating it (sentinel-filled, flagged written) if the
+/// word has none — conservatively: handing out `&mut` to a cell counts.
+/// Reads ([`get`](SlabRowMut::get)) allocate nothing.
 ///
 /// [`compute`]: SlabProgram::compute
 pub struct SlabRowMut<'a, C> {
-    cells: &'a mut [C],
-    front: &'a mut [u64],
+    /// This row's table entries.
+    table: &'a mut [u32],
     written: &'a mut [u64],
+    blocks: &'a mut Blocks<C>,
     /// Slab-wide index of this row's first word.
     first_word: usize,
+    width: usize,
 }
 
 impl<C: Copy> SlabRowMut<'_, C> {
-    /// Flag the word holding cell `q` as written.
+    /// The block holding cell `q`, allocated if its word has none.
     #[inline]
-    fn touch(&mut self, q: usize) {
-        touch(self.written, self.first_word + (q >> 6));
+    fn block(&mut self, q: usize) -> usize {
+        debug_assert!(q < self.width, "cell {q} of a {}-cell row", self.width);
+        match self.table[q >> 6] {
+            0 => self.allocate(q >> 6),
+            n => n as usize - 1,
+        }
+    }
+
+    /// Give word `wi` of this row a fresh block.
+    #[cold]
+    #[inline(never)]
+    fn allocate(&mut self, wi: usize) -> usize {
+        let b = self.blocks.push();
+        // `reset` bounds the word count by `u32::MAX`, and a word gets
+        // one block at most, so `b + 1` fits.
+        self.table[wi] = b as u32 + 1;
+        touch(self.written, self.first_word + wi);
+        b
     }
 
     /// Cells in this row (the batch width `W`).
     #[inline]
     pub fn width(&self) -> usize {
-        self.cells.len()
+        self.width
     }
 
-    /// Read cell `q`.
+    /// Read cell `q`: the sentinel if its word has no block.
     #[inline]
     pub fn get(&self, q: usize) -> C {
-        self.cells[q]
+        match self.table[q >> 6] {
+            0 => self.blocks.empty,
+            n => self.blocks.cells(n as usize - 1)[q & 63],
+        }
     }
 
     /// Overwrite cell `q` without touching the frontier.
     #[inline]
     pub fn set(&mut self, q: usize, value: C) {
-        self.touch(q);
-        self.cells[q] = value;
+        *self.cell_mut(q) = value;
     }
 
     /// Mutable access to cell `q` (in-place accumulation).
     #[inline]
     pub fn cell_mut(&mut self, q: usize) -> &mut C {
-        self.touch(q);
-        &mut self.cells[q]
+        let b = self.block(q);
+        &mut self.blocks.cells_mut(b)[q & 63]
     }
 
     /// Mark cell `q` dirty in the frontier.
     #[inline]
     pub fn mark(&mut self, q: usize) {
-        self.touch(q);
-        self.front[q >> 6] |= 1u64 << (q & 63);
-    }
-
-    /// Whether cell `q` is currently marked.
-    #[inline]
-    pub fn is_marked(&self, q: usize) -> bool {
-        self.front[q >> 6] >> (q & 63) & 1 != 0
+        let b = self.block(q);
+        self.blocks.frontier[b] |= 1u64 << (q & 63);
     }
 
     /// Visit every marked cell in ascending `q` order, clearing the
     /// marks as it goes. The visitor gets mutable cell access so push
-    /// kernels can settle residuals in place. (A marked cell's word is
-    /// already flagged written — marking did that.)
+    /// kernels can settle residuals in place. (A marked cell's word
+    /// already has a block — marking allocated it.)
     #[inline]
     pub fn drain(&mut self, mut f: impl FnMut(usize, &mut C)) {
-        for (wi, word) in self.front.iter_mut().enumerate() {
-            let mut bits = *word;
-            *word = 0;
+        for (wi, &n) in self.table.iter().enumerate() {
+            let Some(b) = (n as usize).checked_sub(1) else {
+                continue;
+            };
+            let mut bits = std::mem::take(&mut self.blocks.frontier[b]);
+            let cells = self.blocks.cells_mut(b);
             while bits != 0 {
-                let q = wi * 64 + bits.trailing_zeros() as usize;
+                let i = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                f(q, &mut self.cells[q]);
+                f(wi * 64 + i, &mut cells[i]);
             }
         }
     }
@@ -369,30 +430,27 @@ impl<C: Copy> SlabRowMut<'_, C> {
     /// marked, and mutable access to the chunk's cells (the final chunk
     /// of a non-multiple-of-8 row is a short slice). Frontier words are
     /// scanned a word at a time — a row with no marks costs
-    /// `ceil(W/64)` word loads, never a per-bit probe.
+    /// `ceil(W/64)` table loads, never a per-bit probe.
     #[inline]
     pub fn drain_chunks(&mut self, mut f: impl FnMut(usize, u8, &mut [C])) {
-        let len = self.cells.len();
-        for (wi, word) in self.front.iter_mut().enumerate() {
-            let mut bits = *word;
-            *word = 0;
+        for (wi, &n) in self.table.iter().enumerate() {
+            let Some(b) = (n as usize).checked_sub(1) else {
+                continue;
+            };
+            let mut bits = std::mem::take(&mut self.blocks.frontier[b]);
+            // Cells of this word: 64, or fewer in a row's last word.
+            let len = (self.width - wi * 64).min(64);
+            let cells = self.blocks.cells_mut(b);
             while bits != 0 {
                 // Jump straight to the next dirty byte of the word.
                 let byte = bits.trailing_zeros() as usize >> 3;
                 let mask = (bits >> (byte * 8)) as u8;
                 bits &= !(0xFFu64 << (byte * 8));
-                let chunk = wi * 8 + byte;
-                let start = chunk * LANES;
+                let start = byte * LANES;
                 let end = (start + LANES).min(len);
-                f(chunk, mask, &mut self.cells[start..end]);
+                f(wi * 8 + byte, mask, &mut cells[start..end]);
             }
         }
-    }
-
-    /// The raw cell slice.
-    #[inline]
-    pub fn cells(&self) -> &[C] {
-        self.cells
     }
 }
 
@@ -401,11 +459,12 @@ impl SlabRowMut<'_, u64> {
     /// marking the frontier iff it did. The MSSP inner loop.
     #[inline]
     pub fn relax_min(&mut self, q: usize, cand: u64) {
-        self.touch(q);
-        let cur = self.cells[q];
+        let b = self.block(q);
+        let cell = &mut self.blocks.cells_mut(b)[q & 63];
+        let cur = *cell;
         let better = cand < cur;
-        self.cells[q] = if better { cand } else { cur };
-        self.front[q >> 6] |= (better as u64) << (q & 63);
+        *cell = if better { cand } else { cur };
+        self.blocks.frontier[b] |= (better as u64) << (q & 63);
     }
 
     /// Relax one [`LANES`]-wide chunk of cells against `cand`,
@@ -420,13 +479,16 @@ impl SlabRowMut<'_, u64> {
     #[inline]
     pub fn relax_min_lanes(&mut self, base: usize, cand: &[u64; LANES]) {
         debug_assert_eq!(base % LANES, 0, "chunk base must be LANES-aligned");
-        self.touch(base);
-        let n = LANES.min(self.cells.len() - base);
+        let n = LANES.min(self.width - base);
+        let b = self.block(base);
+        // 8 aligned lanes never straddle a word.
+        let off = base & 63;
+        let cells = self.blocks.cells_mut(b);
         let mut mask = 0u64;
         if n == LANES {
             // Fixed-width slice: one bounds check, then the compiler
             // vectorizes the branchless min/mask body.
-            let row: &mut [u64] = &mut self.cells[base..base + LANES];
+            let row: &mut [u64] = &mut cells[off..off + LANES];
             for (l, cell) in row.iter_mut().enumerate() {
                 let cur = *cell;
                 let c = cand[l];
@@ -436,14 +498,13 @@ impl SlabRowMut<'_, u64> {
             }
         } else {
             for (l, &c) in cand.iter().enumerate().take(n) {
-                let cur = self.cells[base + l];
+                let cur = cells[off + l];
                 let better = c < cur;
-                self.cells[base + l] = if better { c } else { cur };
+                cells[off + l] = if better { c } else { cur };
                 mask |= (better as u64) << l;
             }
         }
-        // 8 aligned lanes never straddle a frontier word.
-        self.front[base >> 6] |= mask << (base & 63);
+        self.blocks.frontier[b] |= mask << off;
     }
 
     /// Relax the whole row against a candidate slice (`cands.len()`
@@ -451,7 +512,7 @@ impl SlabRowMut<'_, u64> {
     /// scalar [`relax_min`](SlabRowMut::relax_min) calls.
     #[inline]
     pub fn relax_min_row(&mut self, cands: &[u64]) {
-        debug_assert_eq!(cands.len(), self.cells.len());
+        debug_assert_eq!(cands.len(), self.width);
         let mut chunk = [u64::MAX; LANES];
         for (ci, block) in cands.chunks(LANES).enumerate() {
             chunk[..block.len()].copy_from_slice(block);
@@ -473,12 +534,15 @@ impl SlabRowMut<'_, u8> {
     #[inline]
     pub fn absorb_lanes(&mut self, base: usize, mask: u8) -> u8 {
         debug_assert_eq!(base % LANES, 0, "chunk base must be LANES-aligned");
-        self.touch(base);
-        let n = LANES.min(self.cells.len() - base);
+        let n = LANES.min(self.width - base);
+        let b = self.block(base);
+        // 8 aligned lanes never straddle a word.
+        let off = base & 63;
+        let cells = self.blocks.cells_mut(b);
         let mut fresh = 0u8;
         if n == LANES {
             // Fixed-width slice: one bounds check, branchless body.
-            let row: &mut [u8] = &mut self.cells[base..base + LANES];
+            let row: &mut [u8] = &mut cells[off..off + LANES];
             for (l, cell) in row.iter_mut().enumerate() {
                 let arriving = (mask >> l) & 1;
                 let newly = arriving & (*cell == 0) as u8;
@@ -488,65 +552,68 @@ impl SlabRowMut<'_, u8> {
         } else {
             for l in 0..n {
                 let arriving = (mask >> l) & 1;
-                let newly = arriving & (self.cells[base + l] == 0) as u8;
-                self.cells[base + l] |= arriving;
+                let newly = arriving & (cells[off + l] == 0) as u8;
+                cells[off + l] |= arriving;
                 fresh |= newly << l;
             }
         }
-        // 8 aligned lanes never straddle a frontier word.
-        self.front[base >> 6] |= (fresh as u64) << (base & 63);
+        self.blocks.frontier[b] |= (fresh as u64) << off;
         fresh
     }
 }
 
-/// Read-only view of one slab row for output extraction: the row's
-/// cells plus which of its 64-cell words were ever written. Cells
-/// outside those words hold the empty sentinel, so
-/// [`SlabRow::written`] is all an extractor needs to read.
+/// Read-only view of one slab row for output extraction: the cells of
+/// the row's written words. Every other cell holds the empty sentinel,
+/// so [`SlabRow::written`] is all an extractor needs to read.
 #[derive(Debug)]
 pub struct SlabRow<'a, C> {
+    /// This row's table entries.
+    table: &'a [u32],
+    /// The slab's block cells.
     cells: &'a [C],
-    /// The slab's written-word bitmap.
-    written: &'a [u64],
-    /// This row's words, as slab-wide indices.
-    words: std::ops::Range<usize>,
+    /// Cells per block.
+    size: usize,
+    width: usize,
 }
 
 impl<'a, C: Copy> SlabRow<'a, C> {
     /// A row no mutator ever touched (every cell is the sentinel).
-    pub fn unwritten(cells: &'a [C]) -> SlabRow<'a, C> {
+    pub fn unwritten() -> SlabRow<'a, C> {
         SlabRow {
-            cells,
-            written: &[],
-            words: 0..0,
+            table: &[],
+            cells: &[],
+            size: 0,
+            width: 0,
         }
     }
 
     /// `(q, cell)` for every cell of every written word, ascending by
     /// `q` — at most 64 cells per written word, whatever the row width.
     pub fn written(&self) -> impl Iterator<Item = (usize, C)> + 'a {
-        let (cells, written, words) = (self.cells, self.written, self.words.clone());
-        let mut from = words.start;
-        std::iter::from_fn(move || {
-            let word = next_written(written, from, words.end)?;
-            from = word + 1;
-            Some(word - words.start)
-        })
-        .flat_map(move |wi| {
-            let hi = (wi * 64 + 64).min(cells.len());
-            (wi * 64..hi).map(move |q| (q, cells[q]))
-        })
+        let (table, cells, size, width) = (self.table, self.cells, self.size, self.width);
+        table
+            .iter()
+            .enumerate()
+            .filter_map(|(wi, &n)| Some((wi, (n as usize).checked_sub(1)?)))
+            .flat_map(move |(wi, b)| {
+                // A row's last word may hold fewer than 64 cells.
+                let block = &cells[b * size..][..(width - wi * 64).min(64)];
+                block
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, &c)| (wi * 64 + i, c))
+            })
     }
 }
 
-/// A vertex program whose per-vertex state is one dense slab row of
-/// `W` cells instead of an owned `State` value. Semantics otherwise
+/// A vertex program whose per-vertex state is one slab row of `W`
+/// cells instead of an owned `State` value. Semantics otherwise
 /// match [`VertexProgram`](crate::program::VertexProgram): `init` runs
 /// at round 0, `compute` per delivered run, determinism per the
 /// context RNG.
 ///
 /// Slab programs never call `Context::add_state_bytes` — the runner
-/// accounts the slab's resident capacity exactly, each superstep.
+/// accounts the slab's dense size, each superstep.
 pub trait SlabProgram: Sync {
     /// Wire message payload.
     type Message: Message;
@@ -716,16 +783,7 @@ impl<P: SlabProgram> ProgramCore for PerSlab<'_, P> {
     }
 
     fn exact_store_bytes(&self, store: &Self::Store) -> Option<u64> {
-        let bytes = store.resident_bytes();
-        // Satellite check: the bytes reported to the ledger must equal
-        // the slab's nominal capacity — accounting cannot drift from
-        // the layout.
-        debug_assert_eq!(
-            bytes,
-            StateSlab::<P::Cell>::capacity_bytes(store.rows(), self.program.width()),
-            "slab resident bytes must equal rows x width capacity"
-        );
-        Some(bytes)
+        Some(store.resident_bytes())
     }
 
     fn initial_state_bytes(&self) -> u64 {
@@ -775,21 +833,39 @@ impl<P: SlabProgram> ProgramCore for PerSlab<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Row `li`'s cells, read through `get`.
+    fn cells<C: Copy>(slab: &mut StateSlab<C>, li: u32) -> Vec<C> {
+        let row = slab.row_mut(li);
+        (0..row.width()).map(|q| row.get(q)).collect()
+    }
+
+    /// Blocks the slab has allocated.
+    fn blocks<C>(slab: &StateSlab<C>) -> usize {
+        slab.blocks.frontier.len()
+    }
 
     #[test]
     fn slab_layout_and_rows() {
         let mut slab: StateSlab<u64> = StateSlab::new(3, 5, u64::MAX);
         assert_eq!(slab.rows(), 3);
         assert_eq!(slab.width(), 5);
-        assert!(slab.row(2).iter().all(|&c| c == u64::MAX));
+        assert!(cells(&mut slab, 2).iter().all(|&c| c == u64::MAX));
+        assert_eq!(blocks(&slab), 0, "reading allocates nothing");
         {
             let mut row = slab.row_mut(1);
             row.set(4, 7);
             assert_eq!(row.get(4), 7);
         }
-        assert_eq!(slab.row(1)[4], 7);
-        assert_eq!(slab.row(0)[4], u64::MAX); // rows are disjoint
-        assert_eq!(slab.row(2)[4], u64::MAX);
+        assert_eq!(
+            cells(&mut slab, 1),
+            [u64::MAX, u64::MAX, u64::MAX, u64::MAX, 7]
+        );
+        assert_eq!(cells(&mut slab, 0)[4], u64::MAX); // rows are disjoint
+        assert_eq!(cells(&mut slab, 2)[4], u64::MAX);
+        assert_eq!(blocks(&slab), 1, "one block for the one written word");
     }
 
     #[test]
@@ -800,14 +876,12 @@ mod tests {
             row.set(q, q as u64 + 1);
             row.mark(q);
         }
-        assert!(row.is_marked(64));
         let mut seen = Vec::new();
         row.drain(|q, cell| {
             seen.push((q, *cell));
             *cell += 100;
         });
         assert_eq!(seen, vec![(3, 4), (63, 64), (64, 65), (129, 130)]);
-        assert!(!row.is_marked(64));
         let mut again = Vec::new();
         row.drain(|q, _| again.push(q));
         assert!(again.is_empty(), "drain clears the frontier");
@@ -837,19 +911,19 @@ mod tests {
         let mut slab: StateSlab<u64> = StateSlab::new(100, 64, u64::MAX);
         slab.row_mut(10).set(3, 42);
         slab.row_mut(10).mark(3);
-        let cap_before = slab.cells.capacity();
+        let cap_before = slab.blocks.cells.capacity();
         slab.reset(50, 8, u64::MAX);
-        assert_eq!(slab.cells.capacity(), cap_before, "no reallocation");
+        assert_eq!(slab.blocks.cells.capacity(), cap_before, "no reallocation");
         assert_eq!(slab.rows(), 50);
         assert_eq!(slab.width(), 8);
-        assert!(slab.row(10).iter().all(|&c| c == u64::MAX));
+        assert!(cells(&mut slab, 10).iter().all(|&c| c == u64::MAX));
         let mut none = Vec::new();
         slab.row_mut(10).drain(|q, _| none.push(q));
         assert!(none.is_empty(), "frontier cleared by reset");
     }
 
     /// `(local index, [(q, cell)])` of every written row.
-    fn written_rows(slab: &StateSlab<u64>) -> Vec<(u32, Vec<(usize, u64)>)> {
+    fn written_rows<C: Copy>(slab: &StateSlab<C>) -> Vec<(u32, Vec<(usize, C)>)> {
         let mut rows = Vec::new();
         slab.for_each_written_row(|li, row| rows.push((li, row.written().collect())));
         rows
@@ -867,6 +941,7 @@ mod tests {
             .filter(|&w| next_written(&slab.written, w, w + 1).is_some())
             .collect();
         assert_eq!(flagged, vec![3 + 1, 3 * 3, 3 * 3 + 2]);
+        assert_eq!(blocks(&slab), 3, "one block per flagged word");
         let rows = written_rows(&slab);
         assert_eq!(rows.len(), 2, "rows 0, 2 and 4 are never visited");
         assert_eq!(rows[0].0, 1);
@@ -877,7 +952,7 @@ mod tests {
         assert_eq!(rows[1].1.len(), 64 + 2, "word 0 and the 2-cell tail word");
         assert_eq!(rows[1].1.last(), Some(&(129, 7)));
         // A row nobody wrote reads as nothing at all.
-        assert_eq!(SlabRow::unwritten(slab.row(0)).written().count(), 0);
+        assert_eq!(SlabRow::<u64>::unwritten().written().count(), 0);
     }
 
     #[test]
@@ -887,23 +962,28 @@ mod tests {
         slab.row_mut(5).set(3, 2);
         slab.clean();
         assert!(slab.written.iter().all(|&w| w == 0));
-        assert!(slab.cells.iter().all(|&c| c == u64::MAX));
-        assert!(slab.frontier.iter().all(|&w| w == 0));
+        assert!(slab.table.iter().all(|&b| b == 0));
+        assert_eq!(blocks(&slab), 0);
+        assert!(slab.blocks.cells.is_empty());
         // A dirty slab re-shaped to another width, then to another
         // sentinel: no cell of the old contents survives either way.
         slab.row_mut(4).relax_min(0, 5);
         slab.reset(9, 3, u64::MAX);
         assert_eq!((slab.rows(), slab.width()), (9, 3));
-        assert!(slab.cells.iter().all(|&c| c == u64::MAX));
+        assert!((0..9).all(|li| cells(&mut slab, li) == [u64::MAX; 3]));
         slab.row_mut(8).set(2, 11);
         slab.reset(4, 130, 0);
-        assert_eq!(slab.cells.len(), 4 * 130);
+        assert_eq!(slab.table.len(), 4 * 3);
         assert!(
-            slab.cells.iter().all(|&c| c == 0),
-            "sentinel change re-stamps"
+            (0..4).all(|li| cells(&mut slab, li) == [0; 130]),
+            "a new sentinel reads everywhere"
         );
-        assert_eq!(slab.frontier.len(), 4 * 3);
-        assert!(written_rows(&slab).is_empty());
+        slab.row_mut(1).set(100, 5);
+        assert_eq!(
+            written_rows(&slab),
+            vec![(1, (64..128).map(|q| (q, 5 * (q == 100) as u64)).collect())],
+            "a fresh block holds the new sentinel"
+        );
     }
 
     #[test]
@@ -966,20 +1046,24 @@ mod tests {
         assert_eq!(seen, vec![11], "only the written row is extracted");
         core.recycle(vec![store]);
         // The next batch re-shapes the pooled slab; nothing survives.
-        let store = core.make_store(&[0, 1, 2, 3]);
+        let mut store = core.make_store(&[0, 1, 2, 3]);
         assert_eq!(recycler.pooled(), 0, "the pooled slab was reused");
         assert!(store.written.iter().all(|&w| w == 0));
-        assert!(store.cells.len() == 8 && store.cells.iter().all(|&c| c == 7));
+        assert_eq!(blocks(&store), 0);
+        assert!((0..4).all(|li| cells(&mut store, li) == [7, 7]));
     }
 
     #[test]
     fn resident_bytes_match_capacity_formula() {
-        let slab: StateSlab<u64> = StateSlab::new(7, 65, 0);
+        let mut slab: StateSlab<u64> = StateSlab::new(7, 65, 0);
         assert_eq!(
             slab.resident_bytes(),
             StateSlab::<u64>::capacity_bytes(7, 65)
         );
         // 65 cells need 2 frontier words per row.
+        assert_eq!(slab.resident_bytes(), 7 * 65 * 8 + 7 * 2 * 8);
+        // The ledger sees the dense layout, whatever is allocated.
+        slab.row_mut(3).set(64, 1);
         assert_eq!(slab.resident_bytes(), 7 * 65 * 8 + 7 * 2 * 8);
     }
 
@@ -988,10 +1072,10 @@ mod tests {
         let mut a: StateSlab<u64> = StateSlab::new(4, 3, u64::MAX);
         a.row_mut(2).relax_min(1, 5);
         let mut b = a.clone();
-        assert_eq!(b.row(2)[1], 5);
+        assert_eq!(b.row_mut(2).get(1), 5);
         a.row_mut(2).relax_min(1, 2);
         b.clone_from(&a);
-        assert_eq!(b.row(2)[1], 2);
+        assert_eq!(b.row_mut(2).get(1), 2);
         let mut marks = Vec::new();
         b.row_mut(2).drain(|q, _| marks.push(q));
         assert_eq!(marks, vec![1], "frontier words travel with the clone");
@@ -1010,7 +1094,7 @@ mod tests {
                 row.relax_min(q, c);
             }
         }
-        assert_eq!(lanes.row(0), scalar.row(0));
+        assert_eq!(cells(&mut lanes, 0), cells(&mut scalar, 0));
         let mut a = Vec::new();
         let mut b = Vec::new();
         lanes.row_mut(0).drain(|q, c| a.push((q, *c)));
@@ -1063,7 +1147,7 @@ mod tests {
                 row.relax_min(q, c);
             }
         }
-        assert_eq!(lanes.row(0), scalar.row(0));
+        assert_eq!(cells(&mut lanes, 0), cells(&mut scalar, 0));
         let mut a = Vec::new();
         let mut b = Vec::new();
         lanes.row_mut(0).drain(|q, c| a.push((q, *c)));
@@ -1090,5 +1174,228 @@ mod tests {
         recycler.put_all([1, 2, 3].map(|rows| StateSlab::new(rows, 4, 0)));
         let taken: Vec<usize> = (0..3).map(|_| recycler.take().unwrap().rows()).collect();
         assert_eq!(taken, vec![1, 2, 3], "worker w draws worker w's slab");
+    }
+
+    /// The dense layout the block store replaced, as a reference: every
+    /// cell and frontier bit materialised, plus which words a mutator
+    /// touched.
+    struct Dense<C> {
+        width: usize,
+        cells: Vec<C>,
+        marks: Vec<bool>,
+        written: Vec<bool>,
+    }
+
+    impl<C: Copy + PartialEq + std::fmt::Debug> Dense<C> {
+        fn new(rows: usize, width: usize, empty: C) -> Self {
+            Dense {
+                width,
+                cells: vec![empty; rows * width],
+                marks: vec![false; rows * width],
+                written: vec![false; rows * width.div_ceil(64)],
+            }
+        }
+
+        fn rows(&self) -> usize {
+            self.cells.len() / self.width
+        }
+
+        /// Cell `(li, q)`'s index, flagging its word as a mutator does.
+        fn touch(&mut self, li: usize, q: usize) -> usize {
+            self.written[li * self.width.div_ceil(64) + q / 64] = true;
+            li * self.width + q
+        }
+
+        /// Marked cells of row `li`, ascending, clearing the marks.
+        fn drain(&mut self, li: usize) -> Vec<usize> {
+            let row = li * self.width..(li + 1) * self.width;
+            let marked = row.filter(|&i| std::mem::take(&mut self.marks[i]));
+            marked.map(|i| i - li * self.width).collect()
+        }
+
+        /// What `drain_chunks` must show for row `li`: `(chunk, mask,
+        /// cells)`, ascending, clearing the marks.
+        fn drain_chunks(&mut self, li: usize) -> Vec<(usize, u8, Vec<C>)> {
+            let mut chunks: Vec<(usize, u8, Vec<C>)> = Vec::new();
+            for q in self.drain(li) {
+                let chunk = q / LANES;
+                match chunks.last_mut() {
+                    Some(last) if last.0 == chunk => last.1 |= 1 << (q % LANES),
+                    _ => {
+                        let lo = li * self.width + chunk * LANES;
+                        let hi = lo + LANES.min(self.width - chunk * LANES);
+                        chunks.push((chunk, 1 << (q % LANES), self.cells[lo..hi].to_vec()));
+                    }
+                }
+            }
+            chunks
+        }
+
+        /// `slab` reads as this model: every cell, the rows and words
+        /// extraction shows, and exactly one block per written word.
+        fn check(&self, slab: &mut StateSlab<C>) {
+            assert_eq!((slab.rows(), slab.width()), (self.rows(), self.width));
+            let allocated = blocks(slab);
+            for li in 0..self.rows() {
+                let row = &self.cells[li * self.width..(li + 1) * self.width];
+                assert_eq!(cells(slab, li as u32), row, "row {li}");
+            }
+            assert_eq!(blocks(slab), allocated, "get allocates no block");
+            let words = self.width.div_ceil(64);
+            let want: Vec<(u32, Vec<(usize, C)>)> = (0..self.rows())
+                .filter_map(|li| {
+                    let shown: Vec<(usize, C)> = (0..self.width)
+                        .filter(|q| self.written[li * words + q / 64])
+                        .map(|q| (q, self.cells[li * self.width + q]))
+                        .collect();
+                    (!shown.is_empty()).then_some((li as u32, shown))
+                })
+                .collect();
+            assert_eq!(written_rows(slab), want, "ascending rows, written words");
+            let written = self.written.iter().filter(|&&w| w).count();
+            assert_eq!(allocated, written, "one block per written word");
+            assert!(allocated <= slab.rows() * words);
+        }
+    }
+
+    /// Random sequences of every `SlabRowMut` operation, `reset` (with
+    /// sentinel changes), `clone` and `clone_from`, checked step by step
+    /// against the dense model, at widths on and off the lane and word
+    /// boundaries.
+    #[test]
+    fn block_store_matches_a_dense_model() {
+        for width in [1, 7, 8, 63, 64, 65, 130] {
+            let mut rng = SmallRng::seed_from_u64(width as u64);
+            let mut empty = u64::MAX;
+            let mut slab: StateSlab<u64> = StateSlab::new(5, width, empty);
+            let mut model = Dense::new(5, width, empty);
+            for _ in 0..300 {
+                let li = rng.gen_range(0..model.rows());
+                let q = rng.gen_range(0..width);
+                let v = rng.gen_range(0..1000u64);
+                let mut row = slab.row_mut(li as u32);
+                match rng.gen_range(0..11u32) {
+                    0 => {
+                        row.set(q, v);
+                        let i = model.touch(li, q);
+                        model.cells[i] = v;
+                    }
+                    1 => {
+                        *row.cell_mut(q) ^= v;
+                        let i = model.touch(li, q);
+                        model.cells[i] ^= v;
+                    }
+                    2 => {
+                        row.mark(q);
+                        let i = model.touch(li, q);
+                        model.marks[i] = true;
+                    }
+                    3 | 4 => {
+                        // Scalar relax, or a chunk of them.
+                        let base = q / LANES * LANES;
+                        let mut cand = [u64::MAX; LANES];
+                        for c in &mut cand {
+                            if rng.gen_bool(0.7) {
+                                *c = rng.gen_range(0..1000);
+                            }
+                        }
+                        if v % 2 == 0 {
+                            row.relax_min(q, v);
+                            cand = [u64::MAX; LANES];
+                            cand[q - base] = v;
+                        } else {
+                            row.relax_min_lanes(base, &cand);
+                        }
+                        model.touch(li, base);
+                        for (l, &c) in cand.iter().enumerate().take(width - base) {
+                            let i = li * width + base + l;
+                            if c < model.cells[i] {
+                                model.cells[i] = c;
+                                model.marks[i] = true;
+                            }
+                        }
+                    }
+                    5 => {
+                        let mut got = Vec::new();
+                        row.drain(|q, c| {
+                            got.push((q, *c));
+                            *c ^= 1;
+                        });
+                        let mut want = Vec::new();
+                        for q in model.drain(li) {
+                            let cell = &mut model.cells[li * width + q];
+                            want.push((q, *cell));
+                            *cell ^= 1;
+                        }
+                        assert_eq!(got, want, "drain");
+                    }
+                    6 => {
+                        let mut got = Vec::new();
+                        row.drain_chunks(|chunk, mask, cells| {
+                            got.push((chunk, mask, cells.to_vec()));
+                            cells[mask.trailing_zeros() as usize] ^= 2;
+                        });
+                        let want = model.drain_chunks(li);
+                        for &(chunk, mask, _) in &want {
+                            model.cells
+                                [li * width + chunk * LANES + mask.trailing_zeros() as usize] ^= 2;
+                        }
+                        assert_eq!(got, want, "drain_chunks");
+                    }
+                    7 => {
+                        let rows = rng.gen_range(1..7);
+                        if rng.gen_bool(0.5) {
+                            empty = if empty == 0 { u64::MAX } else { 0 };
+                        }
+                        slab.reset(rows, width, empty);
+                        model = Dense::new(rows, width, empty);
+                    }
+                    8 => slab = slab.clone(),
+                    9 => {
+                        let mut other = StateSlab::new(3, 100, 7);
+                        other.row_mut(2).set(99, 1);
+                        other.clone_from(&slab);
+                        slab = other;
+                    }
+                    _ => assert_eq!(row.get(q), model.cells[li * width + q]),
+                }
+                model.check(&mut slab);
+            }
+        }
+    }
+
+    /// `absorb_lanes`, the `u8` mutator, against the same model.
+    #[test]
+    fn absorb_lanes_matches_a_dense_model() {
+        for width in [1, 7, 8, 63, 64, 65, 130] {
+            let mut rng = SmallRng::seed_from_u64(width as u64);
+            let mut slab: StateSlab<u8> = StateSlab::new(4, width, 0);
+            let mut model = Dense::new(4, width, 0u8);
+            for _ in 0..200 {
+                let li = rng.gen_range(0..4);
+                let base = rng.gen_range(0..width) / LANES * LANES;
+                let mut row = slab.row_mut(li as u32);
+                if rng.gen_bool(0.8) {
+                    let mask: u8 = rng.gen();
+                    let fresh = row.absorb_lanes(base, mask);
+                    model.touch(li, base);
+                    let mut want = 0u8;
+                    for l in (0..LANES.min(width - base)).filter(|l| mask >> l & 1 != 0) {
+                        let i = li * width + base + l;
+                        if model.cells[i] == 0 {
+                            model.cells[i] = 1;
+                            model.marks[i] = true;
+                            want |= 1 << l;
+                        }
+                    }
+                    assert_eq!(fresh, want, "newly reached lanes");
+                } else {
+                    let mut got = Vec::new();
+                    row.drain_chunks(|chunk, mask, cells| got.push((chunk, mask, cells.to_vec())));
+                    assert_eq!(got, model.drain_chunks(li), "drain_chunks");
+                }
+                model.check(&mut slab);
+            }
+        }
     }
 }

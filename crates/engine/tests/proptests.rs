@@ -477,7 +477,10 @@ proptest! {
             }
         }
         for li in 0..rows as u32 {
-            prop_assert_eq!(lane.row(li), scalar.row(li));
+            let (lane, scalar) = (lane.row_mut(li), scalar.row_mut(li));
+            for q in 0..width {
+                prop_assert_eq!(lane.get(q), scalar.get(q));
+            }
         }
 
         // Same dirty sets, visited in the same ascending order, and
@@ -816,15 +819,9 @@ fn mini_slab_unwritten_rows_extract_to_default() {
     let mssp = MiniSlabMssp {
         sources: sources.clone(),
     };
-    assert_eq!(
-        mssp.extract(0, SlabRow::unwritten(&[u64::MAX; 3])),
-        DistMap::default()
-    );
+    assert_eq!(mssp.extract(0, SlabRow::unwritten()), DistMap::default());
     let count = MiniSlabCount { sources };
-    assert_eq!(
-        count.extract(0, SlabRow::unwritten(&[0; 3])),
-        DistMap::default()
-    );
+    assert_eq!(count.extract(0, SlabRow::unwritten()), DistMap::default());
 }
 
 /// An adjacency several times the page-cache budget still runs to

@@ -1,0 +1,139 @@
+//! Host-footprint guard for the state slab: an all-sources BPPR batch
+//! holds the words its walks wrote, not `n × n` cells, and a batch that
+//! writes every word holds no more than the dense layout plus the block
+//! table. Bytes, not time — and its own test binary, because the
+//! counting allocator must be the process's only one.
+
+use mtvc_cluster::ClusterSpec;
+use mtvc_engine::{EngineConfig, Runner, SlabRecycler, StateSlab, SystemProfile};
+use mtvc_graph::partition::HashPartitioner;
+use mtvc_graph::{generators, Graph, VertexId};
+use mtvc_tasks::{BpprSlabProgram, MsspSlabProgram};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Tracks live bytes and their high-water mark (a realloc counts its
+/// growth or shrinkage).
+struct CountingAlloc;
+
+// Statistics only: none of these publishes other data, so `Relaxed`.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grow(bytes: u64) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: u64) {
+    LIVE.fetch_sub(bytes, Ordering::Relaxed);
+}
+
+fn live() -> u64 {
+    LIVE.load(Ordering::Relaxed)
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counters never touch the memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's layout is passed through as is.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            grow(layout.size() as u64);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: as for `alloc`.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            grow(layout.size() as u64);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` for this layout.
+        unsafe { System.dealloc(ptr, layout) };
+        shrink(layout.size() as u64);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr` was returned by `System` for this layout.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            let (old, new) = (layout.size() as u64, new_size as u64);
+            if new >= old {
+                grow(new - old);
+            } else {
+                shrink(old - new);
+            }
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn runner(g: &Graph, machines: usize) -> Runner<'_> {
+    let cfg = EngineConfig::new(
+        ClusterSpec::galaxy(machines),
+        SystemProfile::base("footprint"),
+    );
+    Runner::new(g, &HashPartitioner::default(), cfg)
+}
+
+#[test]
+fn slab_host_bytes_follow_the_words_a_batch_writes() {
+    // All-sources BPPR, one walk per source: the slab is n × n cells,
+    // of which the walks' stops write a few per row.
+    const N: usize = 2_000;
+    let g = generators::power_law(N, 8_000, 2.4, 7);
+    let runner4 = runner(&g, 4);
+    let bppr = BpprSlabProgram::new(1, 0.2, N);
+    let recycler = SlabRecycler::new();
+    let base = live();
+    PEAK.store(base, Ordering::Relaxed);
+    let run = runner4.run_slab_sparse(&bppr, &recycler);
+    let peak = PEAK.load(Ordering::Relaxed) - base;
+    assert!(run.outcome.is_completed());
+    let walks: u64 = run
+        .outputs
+        .iter()
+        .flatten()
+        .map(|(_, s)| s.stops.values().sum::<u64>())
+        .sum();
+    assert_eq!(walks, N as u64, "every walk stops exactly once");
+    let dense = (N * N * 8) as u64;
+    assert!(
+        peak < dense / 8,
+        "an all-sources BPPR batch peaked {peak} B above its base; the dense slab is {dense} B"
+    );
+
+    // W = 8 MSSP over a connected grid on one worker writes every word,
+    // so the block store reaches its cap: 2 070 rows is just past 2 048,
+    // where doubling alone would grow it to 4 096 blocks.
+    let grid = generators::grid(45, 46);
+    let rows = grid.num_vertices();
+    let runner1 = runner(&grid, 1);
+    let sources: Vec<VertexId> = (0..8).map(|i| i * 251).collect();
+    let mssp = MsspSlabProgram::new(sources);
+    let recycler = SlabRecycler::new();
+    let run = runner1.run_slab_sparse(&mssp, &recycler);
+    assert!(run.outcome.is_completed());
+    assert_eq!(run.outputs[0].len(), rows, "the flood reaches every row");
+    drop(run);
+    let held = live();
+    drop(recycler);
+    let slab = held - live();
+    // One table entry (`u32`) per word; a W = 8 row is one word.
+    let table = (rows * 4) as u64;
+    let bound = (StateSlab::<u64>::capacity_bytes(rows, 8) + table) * 11 / 10;
+    assert!(
+        slab <= bound,
+        "a full W = 8 slab of {rows} rows holds {slab} B, over dense + table + 10 % = {bound} B"
+    );
+}
