@@ -73,7 +73,7 @@ pub struct AdmissionController {
 
 impl AdmissionController {
     /// An admission controller for `cluster` with overload threshold
-    /// `p` (the paper's 0.85 default lives in the service config) that
+    /// `p` (the service passes the paper's 0.85) that
     /// ships aggregated results — releasing residual memory — every
     /// `flush_every` completed batches.
     pub fn new(cluster: &ClusterSpec, p: f64, flush_every: usize) -> AdmissionController {
@@ -264,11 +264,6 @@ impl AdmissionController {
     /// Completed flush epochs.
     pub fn flushes(&self) -> u64 {
         self.flushes
-    }
-
-    /// Batches dispatched so far.
-    pub fn batches(&self) -> u64 {
-        self.batches
     }
 
     /// Total online model refits across shapes.

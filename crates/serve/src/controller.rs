@@ -49,16 +49,6 @@ pub enum SchedulerPolicy {
     SloAware,
 }
 
-impl SchedulerPolicy {
-    /// Stable label for reports and JSON keys.
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedulerPolicy::BaselineDrr => "baseline_drr",
-            SchedulerPolicy::SloAware => "slo_aware",
-        }
-    }
-}
-
 /// Queue depth (requests) treated as fully "deep"; occupancy is
 /// `depth / DEEP_DEPTH`, clamped to 1.
 const DEEP_DEPTH: usize = 64;

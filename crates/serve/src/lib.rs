@@ -30,7 +30,8 @@
 //!   `M*`/`M_r*` curves, refreshed from observed per-batch peaks.
 //! * [`TaskService`] — ties it together: training at startup, a batch
 //!   former thread, a worker pool, latency histograms, graceful
-//!   drain-on-shutdown.
+//!   drain-on-shutdown. A failed batch's requests retry under a fixed
+//!   budget (see [`service`]).
 //!
 //! # Example
 //!
@@ -56,17 +57,12 @@
 
 pub mod admission;
 pub mod controller;
-pub mod health;
 pub mod queue;
 pub mod request;
 pub mod service;
 
 pub use admission::{AdmissionController, AdmissionError, BatchId};
 pub use controller::{ControllerStats, Decision, JointController, SchedulerPolicy};
-pub use health::{
-    BrownoutCfg, BrownoutDecision, BrownoutLadder, BrownoutLevel, BrownoutReport, BrownoutState,
-    CircuitBreaker, CircuitState, HealthTracker,
-};
 pub use queue::{same_shape, DrrQueue, ExpiredRequest, QueuePolicy, SubmitError, TakenBatch};
 pub use request::{
     Completion, QueuedRequest, RequestId, RequestOutcome, SloClass, TaskRequest, TenantId,

@@ -302,11 +302,6 @@ impl DrrQueue {
         self.len() == 0
     }
 
-    /// The DRR quantum in workload units.
-    pub fn quantum(&self) -> u64 {
-        self.quantum
-    }
-
     /// Live queue-depth gauge (with high-water mark).
     pub fn depth(&self) -> Gauge {
         self.depth.clone()
@@ -320,11 +315,6 @@ impl DrrQueue {
         drop(st);
         self.not_full.notify_all();
         self.not_empty.notify_all();
-    }
-
-    /// Whether [`DrrQueue::close`] was called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap().closed
     }
 
     /// Enqueue without blocking. The capacity a submission sees is
@@ -411,18 +401,6 @@ impl DrrQueue {
         head.slack(now)
     }
 
-    /// SLO class of the front-lane head request if it matches `shape`.
-    /// The former consults this when a masked [`DrrQueue::take_batch_classes`]
-    /// round comes back empty, to tell "head is shed by the brownout
-    /// ladder" (park and let health recover) apart from "head does not
-    /// fit the headroom" (wait for completions).
-    pub fn head_class(&self, shape: &Task) -> Option<SloClass> {
-        let st = self.state.lock().unwrap();
-        let lane = self.front_lane(&st)?;
-        let head = st.lanes[lane].requests.front()?;
-        same_shape(&head.request.task, shape).then_some(head.request.class)
-    }
-
     /// Remove and return the front-lane head request if it matches
     /// `shape` — the path the former uses to reject a request that can
     /// never be admitted.
@@ -459,23 +437,6 @@ impl DrrQueue {
     /// earliest-deadline first instead of ring rotation; every
     /// backlogged lane is still visited exactly once.
     pub fn take_batch(&self, shape: &Task, max_units: u64, now: Instant) -> TakenBatch {
-        self.take_batch_classes(shape, max_units, now, [true; 3])
-    }
-
-    /// [`DrrQueue::take_batch`] restricted to the SLO classes enabled
-    /// in `allowed` (indexed by [`SloClass::index`]) — the brownout
-    /// ladder's shedding hook. A lane whose head belongs to a masked
-    /// class is *deferred*: it is not paid a quantum (no deficit banks
-    /// up while shed, so recovery cannot burst) and takes nothing this
-    /// round, but it still rotates and its expired heads are still
-    /// swept out.
-    pub fn take_batch_classes(
-        &self,
-        shape: &Task,
-        max_units: u64,
-        now: Instant,
-        allowed: [bool; 3],
-    ) -> TakenBatch {
         let mut out = TakenBatch::default();
         let mut budget = max_units;
         let mut removed = 0usize;
@@ -503,9 +464,10 @@ impl DrrQueue {
                 });
                 removed += 1;
             }
-            let head_matches = l.requests.front().is_some_and(|h| {
-                same_shape(&h.request.task, shape) && allowed[h.request.class.index()]
-            });
+            let head_matches = l
+                .requests
+                .front()
+                .is_some_and(|h| same_shape(&h.request.task, shape));
             if head_matches {
                 let weight = self
                     .policy
@@ -523,9 +485,7 @@ impl DrrQueue {
                         removed += 1;
                         continue;
                     }
-                    if !same_shape(&head.request.task, shape)
-                        || !allowed[head.request.class.index()]
-                    {
+                    if !same_shape(&head.request.task, shape) {
                         break;
                     }
                     let w = head.workload();
@@ -691,45 +651,6 @@ mod tests {
         assert!(q.pop_head(&Task::mssp(1)).is_none());
         let r = q.pop_head(&Task::bppr(1)).unwrap();
         assert_eq!(r.id.0, 7);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn class_mask_defers_shed_classes_without_losing_them() {
-        let q = DrrQueue::new(16, 100);
-        let mut batch = req(0, 0, Task::mssp(1));
-        batch.request.class = SloClass::Batch;
-        q.try_submit(batch).unwrap();
-        let mut inter = req(1, 1, Task::mssp(1));
-        inter.request.class = SloClass::Interactive;
-        q.try_submit(inter).unwrap();
-        // Batch shed: only the interactive request is taken; the shed
-        // one stays queued (deferral, not loss).
-        let b = q.take_batch_classes(&Task::mssp(1), 100, Instant::now(), [true, true, false]);
-        assert_eq!(b.taken.len(), 1);
-        assert_eq!(b.taken[0].id.0, 1);
-        assert!(b.expired.is_empty());
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.head_class(&Task::mssp(1)), Some(SloClass::Batch));
-        // A shed lane banks no deficit: lifting the mask serves it
-        // from its normal quantum, not a windfall.
-        let b = q.take_batch(&Task::mssp(1), 100, Instant::now());
-        assert_eq!(b.taken.len(), 1);
-        assert_eq!(b.taken[0].id.0, 0);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn masked_rounds_still_sweep_expired_heads() {
-        let q = DrrQueue::new(16, 100);
-        let mut stale = req(0, 0, Task::mssp(1));
-        stale.request.class = SloClass::Batch;
-        stale.request.deadline = Some(Duration::from_millis(1));
-        stale.submitted = Instant::now() - Duration::from_millis(50);
-        q.try_submit(stale).unwrap();
-        let b = q.take_batch_classes(&Task::mssp(1), 100, Instant::now(), [true, false, false]);
-        assert!(b.taken.is_empty());
-        assert_eq!(b.expired.len(), 1);
         assert!(q.is_empty());
     }
 

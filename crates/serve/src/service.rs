@@ -13,10 +13,16 @@
 //! [`TaskService::shutdown`] closes the queue, drains everything still
 //! queued or in flight, joins the threads, and returns the final
 //! [`ServiceReport`].
+//!
+//! A batch that overloads or overflows past the engine's OOM
+//! bisection re-queues its requests, up to `RETRY_BUDGET` (2) times
+//! with capped exponential backoff, before they fail typed. Admission
+//! runs at the paper's overload threshold `OVERLOAD_P` (0.85) and
+//! flushes residual memory every `FLUSH_EVERY` (4) batches. These are
+//! constants of this module, not configuration.
 
 use crate::admission::{AdmissionController, AdmissionError};
 use crate::controller::{ControllerStats, JointController, SchedulerPolicy};
-use crate::health::{BrownoutCfg, BrownoutDecision, BrownoutReport, BrownoutState};
 use crate::queue::{same_shape, DrrQueue, QueuePolicy, SubmitError};
 use crate::request::{Completion, QueuedRequest, RequestId, RequestOutcome, SloClass, TaskRequest};
 use mtvc_cluster::{ClusterSpec, FaultPlan};
@@ -31,6 +37,25 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Overload threshold `p` of Eq. 1–2: the fraction of usable memory a
+/// machine may reach before a run counts as strained.
+const OVERLOAD_P: f64 = 0.85;
+
+/// Completed batches per flush epoch: results aggregate and residual
+/// memory releases every this many batches.
+const FLUSH_EVERY: usize = 4;
+
+/// Times a request whose carrying batch failed is re-queued before the
+/// failure becomes terminal.
+const RETRY_BUDGET: u32 = 2;
+
+/// Base delay of the exponential retry backoff (doubles per attempt,
+/// plus deterministic jitter).
+const RETRY_BACKOFF: Duration = Duration::from_micros(500);
+
+/// Hard cap on a single retry's backoff delay.
+const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(20);
 
 /// Configuration of a [`TaskService`].
 #[derive(Debug, Clone)]
@@ -48,52 +73,28 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// DRR quantum in workload units per tenant per round.
     pub quantum: u64,
-    /// Overload threshold `p` of Eq. 1–2 (fraction of usable memory a
-    /// machine may reach before the run is considered strained).
-    pub overload_p: f64,
-    /// Completed batches per flush epoch: results aggregate and
-    /// residual memory releases every this many batches.
-    pub flush_every: usize,
     /// Hard cap on a single batch's workload, independent of headroom.
     pub max_batch: u64,
     /// Workload the training phase probes towards (`2^r ≤ max(8, this/4)`).
     pub training_workload: u64,
     /// Seed for training, source selection, and batch execution.
     pub seed: u64,
-    /// Times a request whose carrying batch failed is re-queued before
-    /// the failure becomes terminal.
-    pub retry_budget: u32,
-    /// Base delay of the exponential retry backoff (doubles per
-    /// attempt, plus deterministic jitter).
-    pub retry_backoff: Duration,
-    /// Hard cap on a single retry's backoff delay.
-    pub retry_backoff_cap: Duration,
     /// Engine checkpoint cadence: rounds between superstep snapshots
     /// inside every batch (drives rollback-and-replay recovery).
     pub checkpoint_every: usize,
     /// Fault plan injected into every batch — chaos testing. `None`
     /// runs fault-free.
     pub chaos: Option<FaultPlan>,
-    /// Maximum bisection depth of the OOM degradation ladder: a killed
-    /// batch shrinks to at most `workload / 2^ladder_depth` before the
-    /// overflow becomes terminal.
-    pub ladder_depth: u32,
     /// Which scheduler forms batches: the PR-1 baseline or the
     /// SLO-aware scheduler (EDF-within-DRR, class-weighted quanta, and
     /// the joint batching/parallelism controller).
     pub scheduler: SchedulerPolicy,
-    /// Brownout ladder configuration: with `Some`, per-worker health
-    /// tracking and a circuit breaker drive a degradation ladder that
-    /// defers [`SloClass::Batch`], then [`SloClass::Standard`], then
-    /// narrows the batch budget — protecting
-    /// [`SloClass::Interactive`] deadlines under sustained faults.
-    /// `None` (the default) serves every class unconditionally.
-    pub brownout: Option<BrownoutCfg>,
 }
 
 impl ServiceConfig {
-    /// Defaults mirroring the paper's tuner: `p = 0.85`, light training
-    /// probes, two workers, a 256-request queue.
+    /// Light training probes, two workers, a 256-request queue.
+    /// [`TaskService::start`] refuses `workers`, `queue_capacity`,
+    /// `quantum` or `max_batch` of zero.
     pub fn new(system: SystemKind, cluster: ClusterSpec) -> ServiceConfig {
         ServiceConfig {
             system,
@@ -102,19 +103,12 @@ impl ServiceConfig {
             workers: 2,
             queue_capacity: 256,
             quantum: 8,
-            overload_p: 0.85,
-            flush_every: 4,
             max_batch: 1 << 20,
             training_workload: 256,
             seed: 0x5EED,
-            retry_budget: 2,
-            retry_backoff: Duration::from_micros(500),
-            retry_backoff_cap: Duration::from_millis(20),
             checkpoint_every: 8,
             chaos: None,
-            ladder_depth: 4,
             scheduler: SchedulerPolicy::BaselineDrr,
-            brownout: None,
         }
     }
 
@@ -132,7 +126,6 @@ impl ServiceConfig {
 
     /// Set the worker-pool size.
     pub fn with_workers(mut self, workers: usize) -> Self {
-        assert!(workers >= 1);
         self.workers = workers;
         self
     }
@@ -149,21 +142,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Set the overload threshold `p`.
-    pub fn with_overload_p(mut self, p: f64) -> Self {
-        self.overload_p = p;
-        self
-    }
-
-    /// Set the flush-epoch length in batches.
-    pub fn with_flush_every(mut self, every: usize) -> Self {
-        self.flush_every = every;
-        self
-    }
-
     /// Set the per-batch workload cap.
     pub fn with_max_batch(mut self, cap: u64) -> Self {
-        assert!(cap >= 1);
         self.max_batch = cap;
         self
     }
@@ -171,19 +151,6 @@ impl ServiceConfig {
     /// Set the base seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Set the per-request retry budget for failed batches.
-    pub fn with_retry_budget(mut self, budget: u32) -> Self {
-        self.retry_budget = budget;
-        self
-    }
-
-    /// Set the retry backoff base and cap.
-    pub fn with_retry_backoff(mut self, base: Duration, cap: Duration) -> Self {
-        self.retry_backoff = base;
-        self.retry_backoff_cap = cap;
         self
     }
 
@@ -198,18 +165,6 @@ impl ServiceConfig {
         self.chaos = Some(plan);
         self
     }
-
-    /// Set the OOM degradation ladder's maximum bisection depth.
-    pub fn with_ladder_depth(mut self, depth: u32) -> Self {
-        self.ladder_depth = depth;
-        self
-    }
-
-    /// Arm the brownout ladder ([`ServiceConfig::brownout`]).
-    pub fn with_brownout(mut self, cfg: BrownoutCfg) -> Self {
-        self.brownout = Some(cfg);
-        self
-    }
 }
 
 /// Why [`TaskService::start`] failed.
@@ -217,6 +172,10 @@ impl ServiceConfig {
 pub enum StartError {
     /// `shapes` was empty.
     NoShapes,
+    /// A sizing field that must be at least 1 was 0: `workers`,
+    /// `queue_capacity`, `quantum` or `max_batch` (the name is
+    /// carried). Such a service could never serve a request.
+    ZeroField(&'static str),
     /// The memory-model fit for a shape did not converge.
     Fit {
         /// The shape whose training data could not be fitted.
@@ -230,6 +189,7 @@ impl std::fmt::Display for StartError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StartError::NoShapes => write!(f, "service needs at least one task shape"),
+            StartError::ZeroField(field) => write!(f, "ServiceConfig::{field} must be at least 1"),
             StartError::Fit { shape, source } => {
                 write!(f, "memory-model fit failed for {shape}: {source}")
             }
@@ -302,15 +262,6 @@ pub struct ClassReport {
     pub queue_wait: Histogram,
 }
 
-impl ClassReport {
-    /// Fraction of this class's deadline-carrying requests that were
-    /// served in time (`NaN` when none carried a deadline).
-    pub fn deadline_hit_rate(&self) -> f64 {
-        let total = self.deadline_met + self.deadline;
-        self.deadline_met as f64 / total as f64
-    }
-}
-
 /// Final statistics returned by [`TaskService::shutdown`].
 #[derive(Debug, Clone)]
 pub struct ServiceReport {
@@ -372,9 +323,6 @@ pub struct ServiceReport {
     /// Partition bytes streamed in by the pager across all batches
     /// (zero when paging is off).
     pub total_loaded_bytes: Bytes,
-    /// What the brownout ladder did (`enabled == false` when
-    /// [`ServiceConfig::brownout`] was `None`).
-    pub brownout: BrownoutReport,
     /// Per-[`SloClass`] breakdown, indexed by [`SloClass::index`].
     pub class: [ClassReport; 3],
     /// Queue depth over time: `(seconds since start, requests)`
@@ -476,10 +424,6 @@ struct Shared {
     /// the lock exists so `shutdown` can read the stats).
     controller: Mutex<JointController>,
     scheduler: SchedulerPolicy,
-    /// Brownout subsystem (health tracker + circuit breaker + ladder):
-    /// workers feed batch health in, the former steps the ladder each
-    /// iteration. `None` when brownouts are not configured.
-    brownout: Option<Mutex<BrownoutState>>,
     /// Epoch for the queue-depth time series.
     started: Instant,
 }
@@ -491,16 +435,6 @@ impl Shared {
             .position(|s| same_shape(s, shape))
             .map(|i| &self.latency_models[i])
     }
-}
-
-/// Per-worker execution knobs, cloned into every worker thread.
-#[derive(Clone)]
-struct WorkerCfg {
-    seed: u64,
-    policy: RecoveryPolicy,
-    retry_budget: u32,
-    backoff: Duration,
-    backoff_cap: Duration,
 }
 
 /// A batch formed by the scheduler, in flight to a worker.
@@ -534,7 +468,17 @@ impl TaskService {
         if cfg.shapes.is_empty() {
             return Err(StartError::NoShapes);
         }
-        let mut admission = AdmissionController::new(&cfg.cluster, cfg.overload_p, cfg.flush_every);
+        for (field, value) in [
+            ("workers", cfg.workers as u64),
+            ("queue_capacity", cfg.queue_capacity as u64),
+            ("quantum", cfg.quantum),
+            ("max_batch", cfg.max_batch),
+        ] {
+            if value == 0 {
+                return Err(StartError::ZeroField(field));
+            }
+        }
+        let mut admission = AdmissionController::new(&cfg.cluster, OVERLOAD_P, FLUSH_EVERY);
         let mut runners: Vec<(Task, Arc<BatchRunner>)> = Vec::new();
         for (i, &shape) in cfg.shapes.iter().enumerate() {
             if admission.supports(&shape) {
@@ -579,30 +523,18 @@ impl TaskService {
             latency_models,
             controller: Mutex::new(JointController::new(cfg.workers)),
             scheduler: cfg.scheduler,
-            brownout: cfg
-                .brownout
-                .map(|b| Mutex::new(BrownoutState::new(b, cfg.workers))),
             started: Instant::now(),
         });
 
-        let wcfg = WorkerCfg {
-            seed: cfg.seed,
-            policy: RecoveryPolicy {
-                max_depth: cfg.ladder_depth,
-            },
-            retry_budget: cfg.retry_budget,
-            backoff: cfg.retry_backoff,
-            backoff_cap: cfg.retry_backoff_cap,
-        };
         let (tx, rx) = crossbeam::channel::bounded::<FormedBatch>(cfg.workers);
         let mut workers = Vec::with_capacity(cfg.workers);
-        for worker in 0..cfg.workers {
+        for _ in 0..cfg.workers {
             let rx = rx.clone();
             let shared = shared.clone();
             let runners = runners.clone();
-            let wcfg = wcfg.clone();
+            let seed = cfg.seed;
             workers.push(std::thread::spawn(move || {
-                worker_loop(&shared, &runners, &wcfg, rx, worker)
+                worker_loop(&shared, &runners, seed, rx)
             }));
         }
         drop(rx);
@@ -669,23 +601,11 @@ impl TaskService {
         }
     }
 
-    /// Largest workload a `shape` batch could carry right now, given
-    /// current residual and in-flight reservations. Errs typed when no
-    /// model is registered for the shape.
-    pub fn admissible_now(&self, shape: &Task) -> Result<u64, AdmissionError> {
-        self.shared.admission.lock().unwrap().max_admissible(shape)
-    }
-
     /// Largest workload a `shape` batch could ever carry (idle, flushed
     /// cluster) — requests above this are rejected outright. Errs typed
     /// when no model is registered for the shape.
     pub fn admissible_max(&self, shape: &Task) -> Result<u64, AdmissionError> {
         self.shared.admission.lock().unwrap().max_possible(shape)
-    }
-
-    /// Live queue-depth gauge (with high-water mark).
-    pub fn queue_depth(&self) -> mtvc_metrics::Gauge {
-        self.shared.queue.depth()
     }
 
     /// Stop accepting requests, drain everything queued and in flight,
@@ -721,12 +641,6 @@ impl TaskService {
             retransmitted_bytes: m.retransmitted_bytes,
             total_spilled_bytes: m.total_spilled_bytes,
             total_loaded_bytes: m.total_loaded_bytes,
-            brownout: self
-                .shared
-                .brownout
-                .as_ref()
-                .map(|b| b.lock().unwrap().report())
-                .unwrap_or_default(),
             class: m.class.clone(),
             queue_depth_series: m.depth_series.clone(),
             controller: self.shared.controller.lock().unwrap().stats(),
@@ -821,13 +735,6 @@ const HEADROOM_POLL: Duration = Duration::from_millis(20);
 fn former_loop(shared: &Shared, max_batch: u64, tx: crossbeam::channel::Sender<FormedBatch>) {
     let mut last_depth = usize::MAX;
     while let Some(shape) = shared.queue.next_shape_blocking() {
-        // Step the brownout ladder once per scheduling iteration. A
-        // closed queue is draining towards shutdown: the mask is
-        // lifted so deferred classes always leave, never hang.
-        let decision = match &shared.brownout {
-            Some(b) if !shared.queue.is_closed() => b.lock().unwrap().former_tick(),
-            _ => BrownoutDecision::normal(),
-        };
         let depth = shared.queue.len();
         if depth != last_depth {
             last_depth = depth;
@@ -884,12 +791,7 @@ fn former_loop(shared: &Shared, max_batch: u64, tx: crossbeam::channel::Sender<F
                     )
                 }
             };
-            // The brownout rung caps the budget (NarrowCaps) and masks
-            // shed classes out of the take.
-            let budget = decision.cap(budget);
-            let round = shared
-                .queue
-                .take_batch_classes(&shape, budget, now, decision.allowed);
+            let round = shared.queue.take_batch(&shape, budget, now);
             if !round.expired.is_empty() {
                 let mut m = shared.metrics.lock().unwrap();
                 for exp in &round.expired {
@@ -923,27 +825,9 @@ fn former_loop(shared: &Shared, max_batch: u64, tx: crossbeam::channel::Sender<F
                     parallel_threshold,
                 };
                 // Bounded channel: backpressure when every worker is
-                // busy. The wait is chunked so the brownout ladder
-                // keeps ticking — a blocking send would freeze the
-                // control loop for the whole length of a slow batch,
-                // exactly when the ladder most needs to move.
-                let mut batch = batch;
-                loop {
-                    use crossbeam::channel::SendTimeoutError;
-                    match tx.send_timeout(batch, HEADROOM_POLL) {
-                        Ok(()) => break,
-                        Err(SendTimeoutError::Timeout(b)) => {
-                            batch = b;
-                            if let Some(br) = &shared.brownout {
-                                if !shared.queue.is_closed() {
-                                    let _ = br.lock().unwrap().former_tick();
-                                }
-                            }
-                        }
-                        Err(SendTimeoutError::Disconnected(_)) => {
-                            return; // workers are gone; shutting down
-                        }
-                    }
+                // busy. A send error means the workers are gone.
+                if tx.send(batch).is_err() {
+                    return;
                 }
                 continue;
             }
@@ -953,17 +837,6 @@ fn former_loop(shared: &Shared, max_batch: u64, tx: crossbeam::channel::Sender<F
         let Some(w_head) = shared.queue.head_workload(&shape) else {
             continue; // head expired away or shape rotated; re-peek
         };
-        if let Some(class) = shared.queue.head_class(&shape) {
-            if !decision.admits(class) {
-                // The head is deferred by the brownout ladder, not by
-                // headroom. Park briefly: worker completions and idle
-                // ticks walk the ladder back down, and shutdown lifts
-                // the mask.
-                let ac = shared.admission.lock().unwrap();
-                let _ = shared.headroom.wait_timeout(ac, HEADROOM_POLL);
-                continue;
-            }
-        }
         let mut ac = shared.admission.lock().unwrap();
         if w_head > ac.max_possible(&shape).unwrap_or(0).min(max_batch) {
             // Cannot fit even an idle, flushed cluster: reject.
@@ -1002,10 +875,10 @@ fn former_loop(shared: &Shared, max_batch: u64, tx: crossbeam::channel::Sender<F
 fn worker_loop(
     shared: &Shared,
     runners: &[(Task, Arc<BatchRunner>)],
-    wcfg: &WorkerCfg,
+    seed: u64,
     rx: crossbeam::channel::Receiver<FormedBatch>,
-    worker: usize,
 ) {
+    let policy = RecoveryPolicy::default();
     while let Ok(batch) = rx.recv() {
         let Some(runner) = runners
             .iter()
@@ -1029,7 +902,7 @@ fn worker_loop(
             }
             continue;
         };
-        let batch_seed = wcfg.seed ^ mix64(batch.id.wrapping_add(0xB42C));
+        let batch_seed = seed ^ mix64(batch.id.wrapping_add(0xB42C));
         let sources = match batch.shape {
             Task::Bppr { .. } => Vec::new(),
             Task::Mssp { .. } | Task::Bkhs { .. } => {
@@ -1043,7 +916,7 @@ fn worker_loop(
             &batch.residual,
             batch_seed,
             OVERLOAD_CUTOFF,
-            &wcfg.policy,
+            &policy,
             batch.parallel_threshold,
         );
         let completed_time = match exec.outcome {
@@ -1104,22 +977,6 @@ fn worker_loop(
                 RunOutcome::Overflow => m.overflow_batches += 1,
             }
         }
-        if let Some(b) = &shared.brownout {
-            // Grade the batch for the health tracker: a terminal
-            // failure is fully bad; otherwise badness grows with the
-            // fault events survived (1 event → 0.5, asymptote 1).
-            let f = &exec.stats.faults;
-            let events = f.injected + f.oom_kills;
-            let failed = completed_time.is_none();
-            let badness = if failed {
-                1.0
-            } else {
-                events as f64 / (events as f64 + 1.0)
-            };
-            b.lock()
-                .unwrap()
-                .observe_batch(worker, badness, failed || events > 0);
-        }
         match completed_time {
             Some(t) => {
                 for req in batch.requests {
@@ -1136,7 +993,7 @@ fn worker_loop(
                     RunOutcome::Overload => "overload",
                     _ => "overflow",
                 };
-                retry_or_fail(shared, batch.requests, reason, batch.dispatched, wcfg);
+                retry_or_fail(shared, batch.requests, reason, batch.dispatched);
             }
         }
     }
@@ -1151,10 +1008,9 @@ fn retry_or_fail(
     requests: Vec<QueuedRequest>,
     reason: &'static str,
     dispatched: Instant,
-    wcfg: &WorkerCfg,
 ) {
     for mut req in requests {
-        if req.attempts >= wcfg.retry_budget {
+        if req.attempts >= RETRY_BUDGET {
             finish(
                 shared,
                 req,
@@ -1172,13 +1028,12 @@ fn retry_or_fail(
         // base · 2^attempt, jittered by up to one base, capped. The
         // jitter is deterministic in (request, attempt) so runs stay
         // reproducible.
-        let base = wcfg
-            .backoff
+        let base = RETRY_BACKOFF
             .saturating_mul(1u32 << req.attempts.min(16))
-            .min(wcfg.backoff_cap);
+            .min(RETRY_BACKOFF_CAP);
         let jitter_ns = mix64(req.id.0 ^ ((u64::from(req.attempts) + 1) << 48))
-            % wcfg.backoff.as_nanos().max(1) as u64;
-        let delay = (base + Duration::from_nanos(jitter_ns)).min(wcfg.backoff_cap);
+            % RETRY_BACKOFF.as_nanos() as u64;
+        let delay = (base + Duration::from_nanos(jitter_ns)).min(RETRY_BACKOFF_CAP);
         std::thread::sleep(delay);
         req.attempts += 1;
         match shared.queue.try_submit(req.clone()) {
@@ -1379,15 +1234,7 @@ mod tests {
             latency_models: vec![Mutex::new(OnlineLatencyModel::new())],
             controller: Mutex::new(JointController::new(2)),
             scheduler: SchedulerPolicy::BaselineDrr,
-            brownout: None,
             started: Instant::now(),
-        };
-        let wcfg = WorkerCfg {
-            seed: 1,
-            policy: RecoveryPolicy::default(),
-            retry_budget: 2,
-            backoff: Duration::from_micros(10),
-            backoff_cap: Duration::from_micros(50),
         };
         let req = |attempts: u32| QueuedRequest {
             id: RequestId(1),
@@ -1396,120 +1243,58 @@ mod tests {
             attempts,
         };
         // Under budget: re-queued with the attempt consumed.
-        retry_or_fail(&shared, vec![req(0)], "overflow", Instant::now(), &wcfg);
+        retry_or_fail(&shared, vec![req(0)], "overflow", Instant::now());
         assert_eq!(shared.queue.len(), 1);
         assert_eq!(shared.metrics.lock().unwrap().retries, 1);
         let requeued = shared.queue.pop_head(&Task::mssp(1)).unwrap();
         assert_eq!(requeued.attempts, 1);
         // Budget exhausted: terminal typed failure.
-        retry_or_fail(&shared, vec![req(2)], "overflow", Instant::now(), &wcfg);
+        retry_or_fail(&shared, vec![req(2)], "overflow", Instant::now());
         assert_eq!(shared.metrics.lock().unwrap().failed, 1);
         assert!(shared.queue.is_empty());
         // Deadline already passed: Deadline, not Failed.
         let mut stale = req(0);
         stale.request.deadline = Some(Duration::from_nanos(1));
         stale.submitted = Instant::now() - Duration::from_millis(5);
-        retry_or_fail(&shared, vec![stale], "overflow", Instant::now(), &wcfg);
+        retry_or_fail(&shared, vec![stale], "overflow", Instant::now());
         assert_eq!(shared.metrics.lock().unwrap().deadline, 1);
         // Closed queue (shutdown): the retry has nowhere to park.
         shared.queue.close();
-        retry_or_fail(&shared, vec![req(0)], "overload", Instant::now(), &wcfg);
+        retry_or_fail(&shared, vec![req(0)], "overload", Instant::now());
         assert_eq!(shared.metrics.lock().unwrap().failed, 2);
     }
 
-    /// The brownout ladder under sustained chaos: every batch carries
-    /// injected faults, so the breaker trips, the ladder climbs and
-    /// defers Batch-class traffic — yet *every* request is still
-    /// served (shedding is deferral; shutdown lifts the mask and
-    /// drains), and the corruption/retransmission counters surface in
-    /// the report.
+    /// A config that could never serve is refused typed, before any
+    /// thread is spawned: zero workers would strand every ticket, a
+    /// zero queue or quantum would panic inside the queue.
     #[test]
-    fn brownout_ladder_sheds_under_chaos_and_still_drains() {
-        use crate::health::BrownoutCfg;
-        let run = |brownout: bool| {
-            let graph = Arc::new(generators::grid(12, 12));
-            let mut cfg = ServiceConfig::new(SystemKind::PregelPlus, ClusterSpec::galaxy(4))
-                .with_workers(1)
-                // Quantum 1 with unit requests: many small batches, so
-                // the former keeps iterating (and ticking the ladder)
-                // long after the first faulted batch reports in.
-                .with_quantum(1)
-                .with_seed(0xB40)
-                .with_checkpoint_every(2)
-                // Off-cadence rounds; corruption exercises the frame
-                // checksum + retransmission path end to end.
-                .with_chaos(FaultPlan::none().with_crash(3, 1).with_corruption(5, 0, 2));
-            if brownout {
-                cfg = cfg.with_brownout(BrownoutCfg {
-                    min_dwell: 1,
-                    breaker_threshold: 1,
-                    breaker_cooldown: 2,
-                    enter_score: 0.3,
-                    exit_score: 0.1,
-                    // Fast idle recovery so a fully-shed ladder cannot
-                    // stall the run for long.
-                    idle_decay: 0.5,
-                    ..BrownoutCfg::default()
-                });
+    fn start_refuses_zero_sizing_fields() {
+        let graph = Arc::new(generators::grid(4, 4));
+        let base = ServiceConfig::new(SystemKind::PregelPlus, ClusterSpec::galaxy(4))
+            .with_shape(Task::mssp(1));
+        let mut no_workers = base.clone();
+        no_workers.workers = 0;
+        let zeroed = [
+            ("workers", no_workers),
+            ("queue_capacity", base.clone().with_queue_capacity(0)),
+            ("quantum", base.clone().with_quantum(0)),
+            ("max_batch", base.with_max_batch(0)),
+        ];
+        for (field, cfg) in zeroed {
+            match TaskService::start(graph.clone(), cfg) {
+                Err(StartError::ZeroField(f)) => assert_eq!(f, field),
+                Err(e) => panic!("{field}: wrong error {e}"),
+                Ok(_) => panic!("{field} = 0 was accepted"),
             }
-            cfg.training_workload = 64;
-            cfg = cfg.with_shape(Task::mssp(1));
-            let svc = TaskService::start(graph, cfg).expect("service starts");
-            // One tenant lane per class, so shedding Batch defers only
-            // tenant 2's lane while the others keep the former busy.
-            let tickets: Vec<Ticket> = (0..24u32)
-                .map(|i| {
-                    let class = match i % 3 {
-                        0 => SloClass::Interactive,
-                        1 => SloClass::Standard,
-                        _ => SloClass::Batch,
-                    };
-                    svc.submit(TaskRequest::new(TenantId(i % 3), Task::mssp(1)).with_class(class))
-                        .unwrap()
-                })
-                .collect();
-            // Wait for every ticket while the service is *live* — the
-            // ladder only sheds on an open queue (shutdown lifts the
-            // mask to drain), so deferred Batch requests resolving
-            // here proves deferral ends in service, not loss.
-            for t in &tickets {
-                let c = t.wait();
-                assert!(c.outcome.is_served(), "{:?}", c.outcome);
-            }
-            svc.shutdown()
-        };
-        let plain = run(false);
-        assert!(!plain.brownout.enabled);
-        assert_eq!(plain.brownout.transitions, 0);
-        let browned = run(true);
-        assert_eq!(browned.served, 24, "shedding must defer, not drop");
-        assert_eq!(browned.failed, 0);
-        assert!(browned.faults_injected > 0, "chaos plan never fired");
-        assert!(
-            browned.corrupted_buckets > 0,
-            "corruption events must surface in the report"
-        );
-        assert_eq!(
-            browned.corrupted_buckets, browned.retransmitted_buckets,
-            "every corrupted bucket is retransmitted exactly once"
-        );
-        assert!(browned.retransmitted_bytes.get() > 0);
-        let b = &browned.brownout;
-        assert!(b.enabled);
-        assert!(
-            b.breaker_opens >= 1,
-            "faulted batches must trip the breaker"
-        );
-        assert!(b.transitions >= 1, "the ladder never climbed");
-        assert!(b.shed_iterations >= 1, "no iteration ran degraded");
-        assert!(b.deepest_level >= 1);
+        }
     }
 
     /// Chaos does not change outcomes: a stream served under injected
-    /// crashes completes every request exactly as a fault-free one
-    /// does (batch-level bit-identity is proven by the engine's chaos
-    /// proptest; here the claim is the service level never degrades an
-    /// outcome). Replay traffic is visible only in the fault counters.
+    /// crashes and payload corruption completes every request exactly
+    /// as a fault-free one does (batch-level bit-identity is proven by
+    /// the engine's chaos proptest; here the claim is the service level
+    /// never degrades an outcome). Replay and retransmission traffic is
+    /// visible only in the fault counters.
     #[test]
     fn chaos_stream_serves_everything_fault_free_does() {
         let run = |chaos: Option<FaultPlan>| {
@@ -1537,12 +1322,29 @@ mod tests {
             svc.shutdown()
         };
         let clean = run(None);
-        let chaos = run(Some(FaultPlan::none().with_crash(1, 0).with_crash(3, 2)));
+        let chaos = run(Some(
+            FaultPlan::none()
+                .with_crash(1, 0)
+                .with_crash(3, 2)
+                .with_corruption(5, 0, 2),
+        ));
         assert_eq!(clean.served, 8);
         assert_eq!(chaos.served, 8);
         assert_eq!(chaos.failed, 0);
         assert!(chaos.faults_injected > 0, "chaos plan never fired");
         assert_eq!(clean.faults_injected, 0);
         assert!(chaos.replayed_rounds > clean.replayed_rounds);
+        assert!(
+            chaos.corrupted_buckets > 0,
+            "corruption events must surface in the report"
+        );
+        assert_eq!(
+            chaos.corrupted_buckets, chaos.retransmitted_buckets,
+            "every corrupted bucket is retransmitted exactly once"
+        );
+        assert!(chaos.retransmitted_bytes.get() > 0);
+        assert_eq!(clean.corrupted_buckets, 0);
+        assert_eq!(clean.retransmitted_buckets, 0);
+        assert_eq!(clean.retransmitted_bytes.get(), 0);
     }
 }

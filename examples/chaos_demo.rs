@@ -129,7 +129,6 @@ fn main() {
         .with_quantum(16)
         .with_seed(0xC0DE)
         .with_checkpoint_every(2)
-        .with_retry_budget(2)
         .with_chaos(chaos_plan);
     cfg.training_workload = 64;
     let svc = TaskService::start(Arc::clone(&graph), cfg).expect("service start");

@@ -20,15 +20,6 @@ pub enum TrySendError<T> {
     Disconnected(T),
 }
 
-/// Error returned by [`Sender::send_timeout`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum SendTimeoutError<T> {
-    /// The channel stayed at capacity for the whole timeout.
-    Timeout(T),
-    /// Every receiver is gone.
-    Disconnected(T),
-}
-
 /// Error returned by [`Receiver::recv`] when the channel is empty and
 /// every sender is gone.
 #[derive(Debug, PartialEq, Eq)]
@@ -151,36 +142,6 @@ impl<T> Sender<T> {
         queue.push_back(msg);
         self.shared.not_empty.notify_one();
         Ok(())
-    }
-
-    /// Block up to `timeout` for capacity, then enqueue.
-    pub fn send_timeout(&self, msg: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
-        let deadline = Instant::now() + timeout;
-        let mut queue = self.shared.queue.lock().unwrap();
-        loop {
-            if self.shared.disconnected_rx() {
-                return Err(SendTimeoutError::Disconnected(msg));
-            }
-            match self.shared.capacity {
-                Some(cap) if queue.len() >= cap => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(SendTimeoutError::Timeout(msg));
-                    }
-                    let (q, _) = self
-                        .shared
-                        .not_full
-                        .wait_timeout(queue, deadline - now)
-                        .unwrap();
-                    queue = q;
-                }
-                _ => {
-                    queue.push_back(msg);
-                    self.shared.not_empty.notify_one();
-                    return Ok(());
-                }
-            }
-        }
     }
 
     /// Number of queued messages.
@@ -348,19 +309,6 @@ mod tests {
             .collect();
         all.sort_unstable();
         assert_eq!(all, (0..1000).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn send_timeout_times_out_when_full_then_succeeds() {
-        let (tx, rx) = bounded(1);
-        tx.send(1).unwrap();
-        let r = tx.send_timeout(2, Duration::from_millis(10));
-        assert_eq!(r, Err(SendTimeoutError::Timeout(2)));
-        rx.recv().unwrap();
-        tx.send_timeout(2, Duration::from_millis(10)).unwrap();
-        drop(rx);
-        let r = tx.send_timeout(3, Duration::from_millis(10));
-        assert_eq!(r, Err(SendTimeoutError::Disconnected(3)));
     }
 
     #[test]
