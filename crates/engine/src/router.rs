@@ -17,9 +17,9 @@
 //!    over source workers.
 //! 2. **Merge** — each *destination* worker folds its column of shards
 //!    (in source order) into a grouped [`Inbox`]: the per-shard
-//!    histograms are summed into per-vertex offsets, and every
-//!    envelope's payload is *moved* (never cloned) straight into its
-//!    vertex's contiguous run of [`Delivery`] slots. Columns of
+//!    histograms are summed into per-vertex offsets, and every bucketed
+//!    [`Delivery`] is *moved* (never cloned) straight into its vertex's
+//!    contiguous run of the inbox. Columns of
 //!    different destinations are independent, so this stage
 //!    parallelizes over destination workers.
 //!
@@ -85,14 +85,16 @@ pub struct RoutingStats {
     pub out_buffer_bytes: Vec<u64>,
     /// Per-worker bytes of message buffers *received* (local + remote).
     pub in_buffer_bytes: Vec<u64>,
-    /// Bytes of envelopes materialised in routing buffers *before*
-    /// encode: every envelope written into a flat outbox at emit time
-    /// plus every envelope appended to a shard bucket. The two-stage
-    /// path writes each surviving envelope twice (outbox, then bucket)
-    /// and each folded envelope once (outbox only); the fold-at-send
-    /// pre-sharded path writes survivors once and folded envelopes
-    /// never — this counter is what the copy-elimination claim is
-    /// measured on. Pure accounting; no other statistic depends on it.
+    /// Bytes materialised in routing buffers between `send()` and the
+    /// merge: one `size_of::<Envelope<M>>()` per entry written into a
+    /// flat outbox at emit time, plus one `size_of::<Delivery<M>>()` per
+    /// entry appended to a shard bucket (buckets drop the destination
+    /// id, which the merge rebuilds from the local index). The
+    /// two-stage path writes each surviving message twice (outbox, then
+    /// bucket) and each folded one once (outbox only); the fold-at-send
+    /// pre-sharded path writes survivors once and folded messages never
+    /// — this counter is what the copy-elimination claim is measured
+    /// on. Pure accounting; no other statistic depends on it.
     pub shard_copy_bytes: u64,
     /// True when this round re-transmitted traffic during
     /// rollback-replay recovery. Replayed wire traffic must never be
@@ -225,13 +227,16 @@ impl<M: Clone> Clone for Inbox<M> {
         }
     }
 
-    /// Buffer-reusing clone: checkpoint snapshots call this every
-    /// cadence round, so the snapshot buffers are recycled instead of
-    /// reallocated.
+    /// Buffer-reusing clone: checkpoint snapshots and rollback call this
+    /// every cadence round, so the snapshot buffers are recycled instead
+    /// of reallocated — and grown, when they must grow, to exactly what
+    /// `src` holds rather than to the next doubling.
     fn clone_from(&mut self, src: &Self) {
         self.deliveries.clear();
+        self.deliveries.reserve_exact(src.deliveries.len());
         self.deliveries.extend(src.deliveries.iter().cloned());
         self.runs.clear();
+        self.runs.reserve_exact(src.runs.len());
         self.runs.extend_from_slice(&src.runs);
     }
 }
@@ -297,24 +302,143 @@ struct PairFlow {
     local_bytes: u64,
     wire: u64,
     tuples: u64,
-    /// Envelope bytes appended to this pair's bucket (the shard-stage
+    /// Delivery bytes appended to this pair's bucket (the shard-stage
     /// half of [`RoutingStats::shard_copy_bytes`]).
     copy_bytes: u64,
 }
 
+/// Entries per [`Bucket`] block, as a power of two: a bucket position
+/// `pos` lives in block `pos >> BLOCK_SHIFT` at `pos & BLOCK_MASK`.
+const BLOCK_SHIFT: u32 = 10;
+const BLOCK: usize = 1 << BLOCK_SHIFT;
+const BLOCK_MASK: usize = BLOCK - 1;
+
+/// A shard's bucket: the round's surviving deliveries, each with its
+/// destination local index, in fixed blocks of [`BLOCK`] entries. The
+/// first block grows like a `Vec` up to one block, so a shard carrying a
+/// few messages stays small; every later block is allocated whole, so
+/// growth never copies an entry and spare capacity stays under one
+/// block. Draining keeps every block for the next round.
+#[derive(Debug)]
+struct Bucket<M> {
+    /// Filled blocks, in append order, [`BLOCK`] entries each.
+    full: Vec<Block<M>>,
+    /// The block appends go to: entry `i` is at position
+    /// `full.len() * BLOCK + i`.
+    open: Block<M>,
+    /// Drained blocks, reused before any new one is allocated.
+    spare: Vec<Block<M>>,
+}
+
+/// One [`Bucket`] block: deliveries and, parallel to them, their
+/// destination local indices — computed once at append time so the
+/// merge scatter reads them sequentially instead of re-deriving each
+/// with a random `LocalIndex` lookup.
+#[derive(Debug)]
+struct Block<M> {
+    deliveries: Vec<Delivery<M>>,
+    lis: Vec<u32>,
+}
+
+impl<M> Block<M> {
+    fn with_capacity(cap: usize) -> Self {
+        Block {
+            deliveries: Vec::with_capacity(cap),
+            lis: Vec::with_capacity(cap),
+        }
+    }
+}
+
+impl<M> Default for Bucket<M> {
+    fn default() -> Self {
+        Bucket {
+            full: Vec::new(),
+            open: Block::with_capacity(0),
+            spare: Vec::new(),
+        }
+    }
+}
+
+impl<M> Bucket<M> {
+    fn len(&self) -> usize {
+        self.full.len() * BLOCK + self.open.deliveries.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    #[inline]
+    fn push(&mut self, li: u32, delivery: Delivery<M>) {
+        if self.open.deliveries.len() == self.open.deliveries.capacity() {
+            self.make_room();
+        }
+        self.open.deliveries.push(delivery);
+        self.open.lis.push(li);
+    }
+
+    /// Room for one more entry when the open block is at capacity: a
+    /// short open block (only a bucket's first is ever short) doubles,
+    /// capped at one block; a full one is closed for a spare or a new
+    /// block.
+    #[cold]
+    fn make_room(&mut self) {
+        let at = self.open.deliveries.len();
+        if at < BLOCK {
+            let extra = (2 * at).clamp(4, BLOCK) - at;
+            self.open.deliveries.reserve_exact(extra);
+            self.open.lis.reserve_exact(extra);
+        } else {
+            let next = self
+                .spare
+                .pop()
+                .unwrap_or_else(|| Block::with_capacity(BLOCK));
+            self.full.push(std::mem::replace(&mut self.open, next));
+        }
+    }
+
+    /// The delivery at bucket position `pos`.
+    #[inline]
+    fn get_mut(&mut self, pos: u32) -> &mut Delivery<M> {
+        let (b, at) = (pos as usize >> BLOCK_SHIFT, pos as usize & BLOCK_MASK);
+        match self.full.get_mut(b) {
+            Some(block) => &mut block.deliveries[at],
+            None => &mut self.open.deliveries[at],
+        }
+    }
+
+    /// The delivery slice of every block in append order.
+    fn slices(&self) -> impl Iterator<Item = &[Delivery<M>]> {
+        self.full
+            .iter()
+            .chain([&self.open])
+            .map(|b| b.deliveries.as_slice())
+    }
+
+    /// Hand every `(local index, delivery)` to `f` in append order,
+    /// leaving the bucket empty with its blocks kept.
+    #[inline]
+    fn drain_with(&mut self, mut f: impl FnMut(u32, Delivery<M>)) {
+        for block in self.full.iter_mut().chain([&mut self.open]) {
+            for (d, li) in block.deliveries.drain(..).zip(block.lis.drain(..)) {
+                f(li, d);
+            }
+        }
+        self.spare.append(&mut self.full);
+    }
+}
+
 /// Messages from one source worker bound for one destination worker:
-/// the (already sender-combined) envelope bucket, a histogram of
-/// destination local indices, the mirror-prepaid wire accounting, and
-/// the pair's measured flow. All buffers are recycled across rounds.
+/// the (already sender-combined) bucket of deliveries, a histogram
+/// of destination local indices, the mirror-prepaid wire accounting,
+/// and the pair's measured flow. A bucket entry is a [`Delivery`], not
+/// an [`Envelope`]: the destination id is dead once the local index is
+/// known, and the merge labels each run from the local index. All
+/// buffers are recycled across rounds.
 #[derive(Debug)]
 pub struct Shard<M> {
-    bucket: Vec<Envelope<M>>,
-    /// Destination local index of each bucket envelope (parallel to
-    /// `bucket`): computed once at append time so the merge scatter
-    /// reads it sequentially instead of re-deriving it with a random
-    /// `LocalIndex` lookup per envelope.
-    lis: Vec<u32>,
-    /// Envelopes per destination local index (len = destination
+    bucket: Bucket<M>,
+    /// Entries per destination local index (len = destination
     /// worker's vertex count; all-zero outside the pipeline).
     hist: Vec<u32>,
     /// Local indices with `hist > 0`, in first-touch order — makes
@@ -323,8 +447,8 @@ pub struct Shard<M> {
     /// Wire messages in the bucket (multiplicity sum; combining folds
     /// envelopes but preserves this total).
     wire: u64,
-    /// Envelope bytes appended to the bucket this round (one
-    /// `size_of::<Envelope<M>>()` per surviving append; folds add
+    /// Delivery bytes appended to the bucket this round (one
+    /// `size_of::<Delivery<M>>()` per surviving append; folds add
     /// nothing) — the shard half of
     /// [`RoutingStats::shard_copy_bytes`].
     copied: u64,
@@ -355,8 +479,7 @@ pub struct Shard<M> {
 impl<M> Default for Shard<M> {
     fn default() -> Self {
         Shard {
-            bucket: Vec::new(),
-            lis: Vec::new(),
+            bucket: Bucket::default(),
             hist: Vec::new(),
             touched: Vec::new(),
             wire: 0,
@@ -392,26 +515,25 @@ pub struct SenderSlots {
     map: FastMap<(VertexId, u64), u32>,
 }
 
-/// Append `env` to `shard`, maintaining the wire count and the
-/// local-index histogram.
+/// Append a delivery for destination local index `li` to `shard`,
+/// maintaining the wire count and the local-index histogram.
 #[inline]
-fn append_env<M>(shard: &mut Shard<M>, li: u32, env: Envelope<M>) {
-    shard.wire += env.mult;
-    shard.copied += std::mem::size_of::<Envelope<M>>() as u64;
+fn append<M>(shard: &mut Shard<M>, li: u32, msg: M, mult: u64) {
+    shard.wire += mult;
+    shard.copied += std::mem::size_of::<Delivery<M>>() as u64;
     let h = &mut shard.hist[li as usize];
     if *h == 0 {
         shard.touched.push(li);
     }
     *h += 1;
-    shard.bucket.push(env);
-    shard.lis.push(li);
+    shard.bucket.push(li, Delivery { msg, mult });
 }
 
 /// Probe the sender-combining structures for `(dest, key)`: the shard's
 /// dense epoch-tagged table when the key's row fits under
 /// [`DENSE_FOLD_SLOTS_MAX`], the sender's hash map otherwise. Returns
-/// the bucket position of an equal-keyed envelope appended earlier this
-/// round, or `None` after recording that the next appended envelope
+/// the bucket position of an equal-keyed delivery appended earlier this
+/// round, or `None` after recording that the next appended delivery
 /// (at `bucket.len()`) owns the slot.
 #[inline]
 fn fold_probe<M>(
@@ -466,7 +588,7 @@ fn push_send<M: Message>(
         if let Some(key) = env.msg.combine_key() {
             let shard = &mut shards[dw];
             if let Some(pos) = fold_probe(shard, &mut slots.map, env.dest, li, key) {
-                let slot = &mut shard.bucket[pos as usize];
+                let slot = shard.bucket.get_mut(pos);
                 slot.msg.merge(&env.msg);
                 slot.mult += env.mult;
                 shard.wire += env.mult;
@@ -474,7 +596,7 @@ fn push_send<M: Message>(
             }
         }
     }
-    append_env(&mut shards[dw], li, env);
+    append(&mut shards[dw], li, env.msg, env.mult);
 }
 
 /// Route one broadcast-expanded message. On a combining hit the clone
@@ -496,7 +618,7 @@ fn push_broadcast<M: Message>(
         if let Some(key) = msg.combine_key() {
             let shard = &mut shards[dw];
             if let Some(pos) = fold_probe(shard, &mut slots.map, dest, li, key) {
-                let slot = &mut shard.bucket[pos as usize];
+                let slot = shard.bucket.get_mut(pos);
                 slot.msg.merge(msg);
                 slot.mult += mult;
                 shard.wire += mult;
@@ -504,7 +626,7 @@ fn push_broadcast<M: Message>(
             }
         }
     }
-    append_env(&mut shards[dw], li, Envelope::new(dest, msg.clone(), mult));
+    append(&mut shards[dw], li, msg.clone(), mult);
 }
 
 /// Reset one source's shard row for a new round of appends: refresh the
@@ -606,12 +728,12 @@ fn shard_outbox<M: Message>(
     (sent_wire, emit_copies)
 }
 
-/// Tuples a (sender-combined) bucket delivers: payload units, not
-/// envelopes, so a folded lane envelope counts once per live lane and
-/// lane-batched traffic is priced exactly like the scalar messages it
-/// stands for. One per envelope for every scalar payload.
-fn bucket_units<M: Message>(bucket: &[Envelope<M>]) -> u64 {
-    bucket.iter().map(|env| env.msg.units()).sum()
+/// Tuples a (sender-combined) bucket's payloads deliver: payload units,
+/// not envelopes, so a folded lane envelope counts once per live lane
+/// and lane-batched traffic is priced exactly like the scalar messages
+/// it stands for. One per envelope for every scalar payload.
+fn bucket_units<'a, M: Message>(payloads: impl Iterator<Item = &'a M>) -> u64 {
+    payloads.map(M::units).sum()
 }
 
 /// Measure one shard's pair traffic after its content is final.
@@ -633,7 +755,11 @@ fn finish_shard<M: Message>(
     let copied = std::mem::take(&mut shard.copied);
     let mut flow = PairFlow::default();
     if !shard.bucket.is_empty() || prepaid_net != 0 {
-        let tuples = bucket_units(&shard.bucket);
+        let tuples = shard
+            .bucket
+            .slices()
+            .map(|s| bucket_units(s.iter().map(|d| &d.msg)))
+            .sum();
         flow.copy_bytes = copied;
         // Bytes on the wire: combining systems transmit tuples,
         // non-combining systems transmit every wire message.
@@ -707,20 +833,19 @@ fn merge_column<M: Message>(
     }
     debug_assert_eq!(running as usize, total);
 
-    // Scatter: move each envelope's payload straight into its run slot.
-    // Iterating shards in source order keeps runs stable by (source,
-    // send order) — the same order the counting sort used to produce.
-    inbox.deliveries.reserve(total);
+    // Scatter: move each delivery straight into its run slot. Iterating
+    // shards in source order keeps runs stable by (source, send order)
+    // — the same order the counting sort used to produce. The inbox
+    // grows in place to exactly `total`, not to the next doubling: it
+    // holds the round's traffic, and its pages stay mapped for reuse.
+    inbox.deliveries.reserve_exact(total);
     let spare = inbox.deliveries.spare_capacity_mut();
     for shard in col.iter_mut() {
-        for (env, li) in shard.bucket.drain(..).zip(shard.lis.drain(..)) {
+        shard.bucket.drain_with(|li, delivery| {
             let slot = counts[li as usize] as usize;
             counts[li as usize] += 1;
-            spare[slot].write(Delivery {
-                msg: env.msg,
-                mult: env.mult,
-            });
-        }
+            spare[slot].write(delivery);
+        });
         // Restore the shard's all-zero histogram for the next round.
         for &li in &shard.touched {
             shard.hist[li as usize] = 0;
@@ -730,12 +855,12 @@ fn merge_column<M: Message>(
     // SAFETY: the cursors partition 0..total into disjoint runs (run li
     // starts at its prefix sum and receives exactly hist-sum(li)
     // writes), so every slot in 0..total was written exactly once
-    // above, and `reserve(total)` guaranteed the spare capacity.
+    // above, and `reserve_exact(total)` guaranteed the spare capacity.
     unsafe { inbox.deliveries.set_len(total) };
 
     // After the scatter each cursor sits at its run's end offset; emit
     // the runs and restore the all-zero offset buffer.
-    inbox.runs.reserve(active.len());
+    inbox.runs.reserve_exact(active.len());
     for &li in active.iter() {
         inbox.runs.push(Run {
             dest: locals.vertex_at(dst, li),
@@ -793,6 +918,7 @@ pub fn route<M: Message>(
         (0..workers).map(|_| Vec::with_capacity(workers)).collect();
 
     let env_bytes = std::mem::size_of::<Envelope<M>>() as u64;
+    let delivery_bytes = std::mem::size_of::<Delivery<M>>() as u64;
     for (src, outbox) in outboxes.iter_mut().enumerate() {
         // Flat-outbox emit materialisation: one envelope write per
         // send/broadcast entry, independently of combining.
@@ -847,10 +973,10 @@ pub fn route<M: Message>(
         for (dw, bucket) in buckets.into_iter().enumerate() {
             let mut flow = PairFlow::default();
             if !bucket.is_empty() || prepaid_net[dw] != 0 {
-                let tuples = bucket_units(&bucket);
-                // Shard-stage appends: merges never append, so the
-                // bucket length is exactly the appended-envelope count.
-                flow.copy_bytes = bucket.len() as u64 * env_bytes;
+                let tuples = bucket_units(bucket.iter().map(|e| &e.msg));
+                // Shard-stage appends, one delivery each: merges never
+                // append, so the bucket length is the appended count.
+                flow.copy_bytes = bucket.len() as u64 * delivery_bytes;
                 let wire: u64 = bucket.iter().map(|e| e.mult).sum();
                 let payload_units = if combine { tuples } else { wire };
                 let buffer_bytes = payload_units * msg_bytes;
@@ -1639,6 +1765,81 @@ mod tests {
                 assert_eq!(inboxes, want_in, "combine={combine} pooled={pooled}");
             }
         }
+    }
+
+    #[test]
+    fn inbox_clone_from_grows_to_exactly_the_source() {
+        // Past a doubling of the short destination's capacity.
+        const N: usize = 1_025;
+        let mut src: Inbox<Src> = Inbox::new();
+        src.deliveries.extend((0..N as u32).map(|i| Delivery {
+            msg: Src(i),
+            mult: 1,
+        }));
+        src.runs.push(Run {
+            dest: 0,
+            local: 0,
+            end: N as u32,
+        });
+        let short = Inbox {
+            deliveries: Vec::with_capacity(600),
+            runs: Vec::new(),
+        };
+        for (case, mut dst) in [("empty", Inbox::new()), ("short", short)] {
+            dst.clone_from(&src);
+            assert_eq!(dst, src, "{case}");
+            assert_eq!(dst.deliveries.capacity(), N, "{case}");
+        }
+    }
+
+    #[test]
+    fn bucket_blocks_hold_under_one_spare_block() {
+        let mut bucket: Bucket<Src> = Bucket::default();
+        let fill = |bucket: &mut Bucket<Src>, range: std::ops::Range<u32>| {
+            for i in range {
+                bucket.push(
+                    i,
+                    Delivery {
+                        msg: Src(i),
+                        mult: 1,
+                    },
+                );
+            }
+        };
+        fill(&mut bucket, 0..3);
+        let cap = bucket.open.deliveries.capacity();
+        assert_eq!(cap, 4, "a short bucket stays small");
+
+        let n = 2 * BLOCK as u32 + 3;
+        fill(&mut bucket, 3..n);
+        assert_eq!(bucket.len(), n as usize);
+        // One position in a closed block, one in the open block.
+        bucket.get_mut(BLOCK as u32 + 1).mult = 7;
+        bucket.get_mut(n - 1).mult = 9;
+        let closed: usize = bucket.full.iter().map(|b| b.deliveries.capacity()).sum();
+        let cap = closed + bucket.open.deliveries.capacity();
+        assert_eq!(cap, 3 * BLOCK, "first block capped, later blocks whole");
+
+        let mut seen = Vec::new();
+        bucket.drain_with(|li, d| seen.push((li, d.msg.0, d.mult)));
+        let mult = |i| match i {
+            i if i == BLOCK as u32 + 1 => 7,
+            i if i == n - 1 => 9,
+            _ => 1,
+        };
+        let want: Vec<(u32, u32, u64)> = (0..n).map(|i| (i, i, mult(i))).collect();
+        assert_eq!(seen, want, "append order across blocks");
+        assert!(bucket.is_empty());
+        assert_eq!(
+            bucket.spare.len(),
+            2,
+            "closed blocks kept for the next round"
+        );
+
+        // The next round refills the kept blocks without allocating one.
+        fill(&mut bucket, 0..n);
+        assert!(bucket.spare.is_empty());
+        assert_eq!(bucket.len(), n as usize);
     }
 
     #[test]

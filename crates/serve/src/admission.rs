@@ -107,7 +107,7 @@ impl AdmissionController {
     }
 
     /// Whether a model for `shape` is registered.
-    pub fn supports(&self, shape: &Task) -> bool {
+    pub(crate) fn supports(&self, shape: &Task) -> bool {
         self.model_of(shape).is_some()
     }
 
@@ -129,7 +129,7 @@ impl AdmissionController {
     /// against measured residual plus reserved in-flight peaks. Zero
     /// when there is no headroom (the former then waits for a
     /// completion or forces a flush).
-    pub fn max_admissible(&self, shape: &Task) -> Result<u64, AdmissionError> {
+    pub(crate) fn max_admissible(&self, shape: &Task) -> Result<u64, AdmissionError> {
         let reserved: f64 = self.inflight.values().sum();
         let residual = self.residual.iter().copied().max().unwrap_or(0) as f64;
         self.invert_peak(shape, self.budget - residual - reserved)
@@ -138,7 +138,7 @@ impl AdmissionController {
     /// Largest workload `shape` could ever be admitted with: an idle,
     /// fully flushed cluster. A request above this can never run and is
     /// rejected outright.
-    pub fn max_possible(&self, shape: &Task) -> Result<u64, AdmissionError> {
+    pub(crate) fn max_possible(&self, shape: &Task) -> Result<u64, AdmissionError> {
         self.invert_peak(shape, self.budget)
     }
 
@@ -188,7 +188,7 @@ impl AdmissionController {
     /// batch's true peak is unknown but at least `peak_lower_bound`
     /// bytes. Feeds [`OnlineMemoryModel::observe_censored`] so the next
     /// refit pulls the curve up where the kill proves it under-predicts.
-    pub fn record_censored(&mut self, shape: &Task, workload: u64, peak_lower_bound: f64) {
+    pub(crate) fn record_censored(&mut self, shape: &Task, workload: u64, peak_lower_bound: f64) {
         if let Some(m) = self.model_of_mut(shape) {
             m.observe_censored(workload, peak_lower_bound);
         }
@@ -208,7 +208,7 @@ impl AdmissionController {
     /// reservation is released and any residual its completed
     /// sub-batches left is absorbed, but no uncensored observation is
     /// fed to the model — the failed attempt's peak belongs in
-    /// [`AdmissionController::record_censored`] instead.
+    /// `AdmissionController::record_censored` instead.
     pub fn complete(
         &mut self,
         id: BatchId,
@@ -244,7 +244,7 @@ impl AdmissionController {
 
     /// Ship aggregated results: residual memory is released (§5 stores
     /// intermediate results only until final aggregation).
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         self.residual.iter_mut().for_each(|r| *r = 0);
         self.accumulated = 0;
         self.completed_since_flush = 0;
@@ -252,17 +252,17 @@ impl AdmissionController {
     }
 
     /// Whether any dispatched batch has not completed yet.
-    pub fn has_inflight(&self) -> bool {
+    pub(crate) fn has_inflight(&self) -> bool {
         !self.inflight.is_empty()
     }
 
     /// Whether unflushed residual memory is held.
-    pub fn has_residual(&self) -> bool {
+    pub(crate) fn has_residual(&self) -> bool {
         self.residual.iter().any(|&r| r > 0)
     }
 
     /// Completed flush epochs.
-    pub fn flushes(&self) -> u64 {
+    pub(crate) fn flushes(&self) -> u64 {
         self.flushes
     }
 

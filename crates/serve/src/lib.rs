@@ -63,7 +63,7 @@ pub mod service;
 
 pub use admission::{AdmissionController, AdmissionError, BatchId};
 pub use controller::{ControllerStats, Decision, JointController, SchedulerPolicy};
-pub use queue::{same_shape, DrrQueue, ExpiredRequest, QueuePolicy, SubmitError, TakenBatch};
+pub use queue::{DrrQueue, ExpiredRequest, QueuePolicy, SubmitError, TakenBatch};
 pub use request::{
     Completion, QueuedRequest, RequestId, RequestOutcome, SloClass, TaskRequest, TenantId,
 };

@@ -108,7 +108,7 @@ pub struct TakenBatch {
 
 /// Two tasks batch together iff they are the same task with the same
 /// parameters, workload aside (same α for BPPR, same k for BKHS).
-pub fn same_shape(a: &Task, b: &Task) -> bool {
+pub(crate) fn same_shape(a: &Task, b: &Task) -> bool {
     a.with_workload(1) == b.with_workload(1)
 }
 
@@ -164,7 +164,7 @@ impl QueuePolicy {
     /// `capacity` requests. Interactive always sees the full
     /// capacity; at least one slot always remains usable by every
     /// class.
-    pub fn class_capacity(&self, capacity: usize, class: SloClass) -> usize {
+    pub(crate) fn class_capacity(&self, capacity: usize, class: SloClass) -> usize {
         if class == SloClass::Interactive {
             return capacity;
         }
@@ -319,7 +319,7 @@ impl DrrQueue {
 
     /// Enqueue without blocking. The capacity a submission sees is
     /// class-dependent under an interactive reservation (see
-    /// [`QueuePolicy::class_capacity`]).
+    /// `QueuePolicy::class_capacity`).
     pub fn try_submit(&self, req: QueuedRequest) -> Result<(), SubmitError> {
         let cap = self.policy.class_capacity(self.capacity, req.request.class);
         let mut st = self.state.lock().unwrap();
@@ -381,7 +381,7 @@ impl DrrQueue {
     }
 
     /// Workload of the front-lane head request if it matches `shape`.
-    pub fn head_workload(&self, shape: &Task) -> Option<u64> {
+    pub(crate) fn head_workload(&self, shape: &Task) -> Option<u64> {
         let st = self.state.lock().unwrap();
         let lane = self.front_lane(&st)?;
         let head = st.lanes[lane].requests.front()?;
@@ -391,7 +391,7 @@ impl DrrQueue {
     /// Remaining deadline slack of the front-lane head at `now`, if it
     /// matches `shape` and carries a deadline. The SLO scheduler sizes
     /// deadline-constrained batches against this.
-    pub fn head_slack(&self, shape: &Task, now: Instant) -> Option<Duration> {
+    pub(crate) fn head_slack(&self, shape: &Task, now: Instant) -> Option<Duration> {
         let st = self.state.lock().unwrap();
         let lane = self.front_lane(&st)?;
         let head = st.lanes[lane].requests.front()?;
@@ -404,7 +404,7 @@ impl DrrQueue {
     /// Remove and return the front-lane head request if it matches
     /// `shape` — the path the former uses to reject a request that can
     /// never be admitted.
-    pub fn pop_head(&self, shape: &Task) -> Option<QueuedRequest> {
+    pub(crate) fn pop_head(&self, shape: &Task) -> Option<QueuedRequest> {
         let mut st = self.state.lock().unwrap();
         let lane = self.front_lane(&st)?;
         let matches = st.lanes[lane]

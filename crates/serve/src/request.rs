@@ -147,7 +147,7 @@ pub struct QueuedRequest {
 
 impl QueuedRequest {
     /// Whether the dispatch deadline has passed at `now`.
-    pub fn expired(&self, now: Instant) -> bool {
+    pub(crate) fn expired(&self, now: Instant) -> bool {
         match self.request.deadline {
             Some(d) => now.duration_since(self.submitted) > d,
             None => false,
@@ -161,13 +161,13 @@ impl QueuedRequest {
 
     /// Absolute instant the dispatch deadline expires (`None` for
     /// deadline-free requests). The EDF ordering key.
-    pub fn deadline_at(&self) -> Option<Instant> {
+    pub(crate) fn deadline_at(&self) -> Option<Instant> {
         self.request.deadline.map(|d| self.submitted + d)
     }
 
     /// Remaining deadline slack at `now`: zero once expired, `None`
     /// without a deadline.
-    pub fn slack(&self, now: Instant) -> Option<Duration> {
+    pub(crate) fn slack(&self, now: Instant) -> Option<Duration> {
         self.deadline_at()
             .map(|at| at.saturating_duration_since(now))
     }
