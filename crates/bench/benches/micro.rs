@@ -9,7 +9,7 @@ use mtvc_engine::{EngineConfig, Runner, SystemProfile};
 use mtvc_graph::partition::{HashPartitioner, Partitioner};
 use mtvc_graph::{generators, Dataset};
 use mtvc_metrics::SimTime;
-use mtvc_tasks::BpprProgram;
+use mtvc_tasks::BpprSlabProgram;
 use mtvc_tune::fit_exponential;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -44,7 +44,10 @@ fn bench_engine_round(c: &mut Criterion) {
                 cfg.cutoff = SimTime::secs(1e12);
                 Runner::new(&g, &HashPartitioner::default(), cfg)
             },
-            |runner| black_box(runner.run(&BpprProgram::new(16, 0.2)).stats.rounds),
+            |runner| {
+                let program = BpprSlabProgram::new(16, 0.2, g.num_vertices());
+                black_box(runner.run_slab(&program).stats.rounds)
+            },
             BatchSize::PerIteration,
         )
     });

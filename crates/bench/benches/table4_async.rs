@@ -20,7 +20,7 @@ fn run_pagerank(sd: &ScaledDataset, machines: usize, kind: SystemKind) -> (SimTi
     let mut cfg = EngineConfig::new(cluster.clone(), kind.profile(&cluster.machine));
     cfg.seed = SEED;
     let runner = Runner::new(&sd.graph, kind.partitioner().as_ref(), cfg);
-    let r = runner.run(&PageRankProgram::default());
+    let r = runner.run_slab(&PageRankProgram::default());
     let bytes = Bytes(r.stats.total_network_bytes.get() / machines as u64);
     (r.outcome.plot_time(), bytes)
 }

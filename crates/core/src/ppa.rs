@@ -140,7 +140,7 @@ mod tests {
         );
         cfg.cutoff = mtvc_metrics::SimTime::secs(1e12);
         let runner = Runner::new(&g, &HashPartitioner::default(), cfg);
-        let result = runner.run(&mtvc_tasks::ConnectedComponentsProgram);
+        let result = runner.run_slab(&mtvc_tasks::ConnectedComponentsProgram);
         assert!(result.outcome.is_completed());
         let report = check_ppa(&g, &result.stats, PpaCriteria::default());
         assert!(report.is_ppa(), "CC should be a PPA: {report:?}");

@@ -37,9 +37,7 @@ pub use mirror::MirrorIndex;
 pub use paging::{PagedLayout, PagerSnapshot, WorkerPager};
 pub use pool::WorkerPool;
 pub use profile::{ExecutionMode, OocConfig, PagingConfig, SyncMode, SystemProfile};
-pub use program::{
-    Context, EmitSink, Outbox, PagedNeighbors, PerVertex, ProgramCore, VertexProgram,
-};
+pub use program::{Context, EmitSink, Outbox, PagedNeighbors, ProgramCore};
 pub use router::{
     route, Inbox, LocalIndex, RouteGrid, RoutePolicy, RoutingStats, Run, ShardedOutbox,
 };

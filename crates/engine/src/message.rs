@@ -67,12 +67,12 @@ impl<M> Envelope<M> {
 }
 
 /// One delivered message run entry: the payload plus the wire
-/// multiplicity it stands for. This is what [`VertexProgram::compute`]
+/// multiplicity it stands for. This is what [`SlabProgram::compute`]
 /// receives — the routing merge stage moves each envelope's payload
 /// into a grouped delivery buffer exactly once, so the compute phase
 /// never clones a message.
 ///
-/// [`VertexProgram::compute`]: crate::program::VertexProgram::compute
+/// [`SlabProgram::compute`]: crate::slab::SlabProgram::compute
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delivery<M> {
     pub msg: M,

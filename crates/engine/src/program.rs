@@ -1,4 +1,8 @@
-//! The vertex-program abstraction (`compute(v)` in the paper's §2.1).
+//! What a vertex program sees and what the round loop drives
+//! (`compute(v)` in the paper's §2.1): the per-activation [`Context`],
+//! the [`EmitSink`]s its sends land in, and the worker-granular
+//! [`ProgramCore`] contract. Programs themselves implement
+//! [`SlabProgram`](crate::slab::SlabProgram).
 
 use crate::message::{Delivery, Envelope, Message};
 use mtvc_graph::csr::EdgeWeights;
@@ -38,9 +42,6 @@ pub trait EmitSink<M> {
     /// Accept one broadcast (origin, payload, per-neighbor
     /// multiplicity); the origin's degree is known non-zero.
     fn emit_broadcast(&mut self, origin: VertexId, msg: M, mult: u64);
-
-    /// Record persistent-state growth declared by a compute call.
-    fn add_state_bytes(&mut self, bytes: u64);
 }
 
 /// Flat per-worker send buffer, reusable across compute calls *and*
@@ -50,7 +51,7 @@ pub trait EmitSink<M> {
 ///
 /// Public so benches and property tests can drive
 /// [`route`](crate::router::route) / [`RouteGrid`](crate::RouteGrid)
-/// with synthetic traffic; vertex programs never see an `Outbox`
+/// with synthetic traffic; programs never see an `Outbox`
 /// directly — they go through [`Context`].
 #[derive(Debug, Default, Clone)]
 pub struct Outbox<M> {
@@ -59,8 +60,6 @@ pub struct Outbox<M> {
     /// Broadcast payloads: (origin vertex, payload, per-neighbor
     /// multiplicity).
     pub broadcasts: Vec<(VertexId, M, u64)>,
-    /// State bytes added by compute calls this round.
-    pub state_bytes_added: u64,
 }
 
 impl<M> Outbox<M> {
@@ -68,7 +67,6 @@ impl<M> Outbox<M> {
         Outbox {
             sends: Vec::new(),
             broadcasts: Vec::new(),
-            state_bytes_added: 0,
         }
     }
 
@@ -76,7 +74,6 @@ impl<M> Outbox<M> {
     pub fn clear(&mut self) {
         self.sends.clear();
         self.broadcasts.clear();
-        self.state_bytes_added = 0;
     }
 }
 
@@ -89,11 +86,6 @@ impl<M> EmitSink<M> for Outbox<M> {
     #[inline]
     fn emit_broadcast(&mut self, origin: VertexId, msg: M, mult: u64) {
         self.broadcasts.push((origin, msg, mult));
-    }
-
-    #[inline]
-    fn add_state_bytes(&mut self, bytes: u64) {
-        self.state_bytes_added += bytes;
     }
 }
 
@@ -231,12 +223,6 @@ impl<'a, M: Message> Context<'a, M> {
         self.sink.emit_broadcast(self.vertex, msg, mult);
     }
 
-    /// Record growth of persistent vertex state (distance tables, walk
-    /// counters, visited sets) for the memory ledger.
-    pub fn add_state_bytes(&mut self, bytes: u64) {
-        self.sink.add_state_bytes(bytes);
-    }
-
     /// Send `count` copies of `msg`, each to an independently uniform
     /// random neighbor — the aggregated random-walk hop. Equivalent to
     /// `count` individual `send`s but allocation-free and `O(min(count,
@@ -253,55 +239,13 @@ impl<'a, M: Message> Context<'a, M> {
     }
 }
 
-/// A vertex-centric program (user-defined `compute` plus metadata).
-///
-/// Programs must be deterministic given the context RNG; the engine
-/// seeds the RNG per `(run seed, round, vertex)` so results do not
-/// depend on thread scheduling.
-pub trait VertexProgram: Sync {
-    /// Wire message payload.
-    type Message: Message;
-    /// Per-vertex persistent state.
-    type State: Default + Clone + Send + 'static;
-
-    /// Bytes of one wire message (the paper's footnote: "a message
-    /// contains a constant number of integers").
-    fn message_bytes(&self) -> u64;
-
-    /// Round 0: activate sources, seed initial messages.
-    fn init(&self, v: VertexId, state: &mut Self::State, ctx: &mut Context<'_, Self::Message>);
-
-    /// Rounds ≥ 1: process the vertex's delivered messages. The slice
-    /// is a contiguous borrowed run inside the worker's grouped
-    /// [`Inbox`](crate::router::Inbox) — deliveries arrive in (source
-    /// worker, send order) and are never cloned on the way here.
-    fn compute(
-        &self,
-        v: VertexId,
-        state: &mut Self::State,
-        inbox: &[Delivery<Self::Message>],
-        ctx: &mut Context<'_, Self::Message>,
-    );
-
-    /// Fixed round bound (BKHS stops after k+1 rounds); `None` runs to
-    /// quiescence.
-    fn max_rounds(&self) -> Option<usize> {
-        None
-    }
-
-    /// Baseline per-vertex state bytes at initialization.
-    fn initial_state_bytes(&self) -> u64 {
-        8
-    }
-}
-
-/// The worker-granular execution contract the round loop actually
-/// runs: one `Store` per worker holding every local vertex's state,
-/// addressed by local index. [`VertexProgram`]s run through the
-/// [`PerVertex`] adapter (`Store = Vec<State>`); slab programs run
-/// through [`PerSlab`](crate::slab::PerSlab) (`Store =
-/// StateSlab<Cell>`). Coherence forbids one blanket impl covering
-/// both, hence two concrete adapters over one shared loop.
+/// The worker-granular execution contract the round loop runs: one
+/// `Store` per worker holding every local vertex's state, addressed by
+/// local index. Its one implementation is
+/// [`PerSlab`](crate::slab::PerSlab) (`Store = StateSlab<Cell>`), which
+/// adapts a [`SlabProgram`](crate::slab::SlabProgram). It stays a trait
+/// because the canonical benchmark drives programs through it, outside
+/// the runner.
 pub trait ProgramCore: Sync {
     /// Wire message payload.
     type Message: Message;
@@ -330,16 +274,6 @@ pub trait ProgramCore: Sync {
     /// listed in local-index order.
     fn make_store(&self, vertices: &[VertexId]) -> Self::Store;
 
-    /// Exact resident state bytes of `store`, if this program accounts
-    /// state exactly (dense layouts know their capacity). Returning
-    /// `None` makes the runner fall back to the `add_state_bytes`
-    /// ledger seeded with [`ProgramCore::initial_state_bytes`] per
-    /// vertex.
-    fn exact_store_bytes(&self, store: &Self::Store) -> Option<u64>;
-
-    /// Ledger baseline per vertex; unused when exact accounting is on.
-    fn initial_state_bytes(&self) -> u64;
-
     /// Round 0 activation of vertex `v` at local index `li`.
     fn init_vertex(
         &self,
@@ -362,8 +296,8 @@ pub trait ProgramCore: Sync {
     /// Extract a worker's final outputs (cold path, once per run): hand
     /// `sink` the `(vertex, output)` pair of every vertex in `vertices`
     /// (the worker's list, local-index order) whose output can differ
-    /// from `Out::default()`, ascending by local index. Stores that
-    /// know which rows were written (slabs) skip the rest.
+    /// from `Out::default()` — the rows a mutator wrote — ascending by
+    /// local index.
     fn take_outs(
         &self,
         vertices: &[VertexId],
@@ -375,71 +309,6 @@ pub trait ProgramCore: Sync {
     /// recycler pool. Default: drop them.
     fn recycle(&self, stores: Vec<Self::Store>) {
         drop(stores);
-    }
-}
-
-/// [`ProgramCore`] adapter for classic [`VertexProgram`]s: the store is
-/// a plain `Vec<State>` in local-index order, state growth is tracked
-/// by the `add_state_bytes` ledger. This is the path
-/// [`Runner::run`](crate::runner::Runner::run) takes; behavior is
-/// identical to the pre-slab engine.
-pub struct PerVertex<'p, P: VertexProgram>(pub &'p P);
-
-impl<P: VertexProgram> ProgramCore for PerVertex<'_, P> {
-    type Message = P::Message;
-    type Store = Vec<P::State>;
-    type Out = P::State;
-
-    fn message_bytes(&self) -> u64 {
-        self.0.message_bytes()
-    }
-
-    fn max_rounds(&self) -> Option<usize> {
-        self.0.max_rounds()
-    }
-
-    fn make_store(&self, vertices: &[VertexId]) -> Self::Store {
-        vec![P::State::default(); vertices.len()]
-    }
-
-    fn exact_store_bytes(&self, _store: &Self::Store) -> Option<u64> {
-        None
-    }
-
-    fn initial_state_bytes(&self) -> u64 {
-        self.0.initial_state_bytes()
-    }
-
-    fn init_vertex(
-        &self,
-        v: VertexId,
-        li: u32,
-        store: &mut Self::Store,
-        ctx: &mut Context<'_, Self::Message>,
-    ) {
-        self.0.init(v, &mut store[li as usize], ctx);
-    }
-
-    fn compute_vertex(
-        &self,
-        v: VertexId,
-        li: u32,
-        store: &mut Self::Store,
-        inbox: &[Delivery<Self::Message>],
-        ctx: &mut Context<'_, Self::Message>,
-    ) {
-        self.0.compute(v, &mut store[li as usize], inbox, ctx);
-    }
-
-    fn take_outs(
-        &self,
-        vertices: &[VertexId],
-        store: &mut Self::Store,
-        mut sink: impl FnMut(VertexId, Self::Out),
-    ) {
-        for (&v, state) in vertices.iter().zip(store) {
-            sink(v, std::mem::take(state));
-        }
     }
 }
 
@@ -470,12 +339,10 @@ mod tests {
         ctx.send(0, Ping(9), 3);
         ctx.send(1, Ping(8), 0); // no-op
         ctx.broadcast(Ping(7), 1);
-        ctx.add_state_bytes(16);
         assert_eq!(outbox.sends.len(), 1);
         assert_eq!(outbox.sends[0].mult, 3);
         assert_eq!(outbox.broadcasts.len(), 1);
         assert_eq!(outbox.broadcasts[0].0, 2);
-        assert_eq!(outbox.state_bytes_added, 16);
     }
 
     #[test]
@@ -496,10 +363,10 @@ mod tests {
         {
             let mut ctx = Context::new(0, 0, &g, &mut rng, &mut outbox);
             ctx.send(1, Ping(1), 1);
-            ctx.add_state_bytes(4);
+            ctx.broadcast(Ping(2), 1);
         }
         outbox.clear();
         assert!(outbox.sends.is_empty());
-        assert_eq!(outbox.state_bytes_added, 0);
+        assert!(outbox.broadcasts.is_empty());
     }
 }

@@ -1255,7 +1255,6 @@ impl<M: Message> RouteGrid<M> {
                 mirrors,
                 combine,
                 msg_bytes,
-                state_bytes_added: 0,
             })
     }
 
@@ -1319,10 +1318,6 @@ pub struct ShardedOutbox<'a, M: Message> {
     /// The round's combining flag.
     combine: bool,
     msg_bytes: u64,
-    /// Exact-store-bytes escape hatch, mirroring
-    /// [`Outbox::state_bytes_added`]: the runner reads it back after
-    /// the compute phase.
-    pub state_bytes_added: u64,
 }
 
 impl<M: Message> EmitSink<M> for ShardedOutbox<'_, M> {
@@ -1383,11 +1378,6 @@ impl<M: Message> EmitSink<M> for ShardedOutbox<'_, M> {
                 }
             }
         }
-    }
-
-    #[inline]
-    fn add_state_bytes(&mut self, bytes: u64) {
-        self.state_bytes_added += bytes;
     }
 }
 

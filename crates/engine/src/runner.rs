@@ -1,11 +1,11 @@
 //! The BSP round loop: execute, route, price, repeat.
 //!
-//! [`Runner::run`] executes a [`VertexProgram`] over a partitioned graph
-//! under a [`SystemProfile`], assembling a [`RoundDemand`] per round and
-//! pricing it with the cluster's [`CostModel`]. Execution is *real* —
-//! states and messages are actually computed, so task outputs can be
-//! validated — while time, memory pressure, spill, and overuse are
-//! simulated (DESIGN.md §4).
+//! [`Runner::run_slab`] executes a [`SlabProgram`] over a partitioned
+//! graph under a [`SystemProfile`], assembling a [`RoundDemand`] per
+//! round and pricing it with the cluster's [`CostModel`]. Execution is
+//! *real* — states and messages are actually computed, so task outputs
+//! can be validated — while time, memory pressure, spill, and overuse
+//! are simulated (DESIGN.md §4).
 //!
 //! Large runs execute on a persistent [`WorkerPool`] owned by the
 //! runner: one long-lived thread per partition worker, onto which both
@@ -18,9 +18,9 @@ use crate::message::Message;
 use crate::paging::{PagedLayout, PagerRound, PagerSnapshot, WorkerPager};
 use crate::pool::{dispatch, WorkerPool};
 use crate::profile::{SyncMode, SystemProfile};
-use crate::program::{Context, EmitSink, PagedNeighbors, PerVertex, ProgramCore, VertexProgram};
+use crate::program::{Context, EmitSink, PagedNeighbors, ProgramCore};
 use crate::router::{Inbox, RouteGrid, RoutingStats};
-use crate::slab::{PerSlab, SlabProgram, SlabRecycler};
+use crate::slab::{PerSlab, SlabProgram, SlabRecycler, StateSlab};
 use crate::topology::Topology;
 use mtvc_cluster::{
     ChargeError, ClusterSpec, CostModel, FaultInjector, FaultKind, FaultPlan, RoundDemand,
@@ -139,9 +139,10 @@ pub struct BatchParams<'a> {
 pub struct RunResult<S> {
     pub outcome: RunOutcome,
     pub stats: RunStats,
-    /// Final per-vertex states, indexed by vertex id. Valid even for
-    /// Overload (partial progress); empty only if the run overflowed
-    /// before round 0 completed.
+    /// Final per-vertex outputs, indexed by vertex id: one per vertex
+    /// of the graph, whatever the outcome (an Overload or Overflow run
+    /// leaves its partial progress). A vertex the run never wrote holds
+    /// `S::default()`.
     pub states: Vec<S>,
 }
 
@@ -174,14 +175,12 @@ impl<S: Default + Clone> SparseRunResult<S> {
 }
 
 /// What one round hands the next besides the vertex states: the
-/// grouped inboxes holding the in-flight messages, the state-size
-/// accumulators, and the previous routing step's delivery aggregates —
-/// those messages are processed (and their buffers are resident) in
-/// the *current* round, so they feed its demand assembly. Checkpoints
-/// copy it whole.
+/// grouped inboxes holding the in-flight messages and the previous
+/// routing step's delivery aggregates — those messages are processed
+/// (and their buffers are resident) in the *current* round, so they
+/// feed its demand assembly. Checkpoints copy it whole.
 struct RoundCarry<M> {
     inboxes: Vec<Inbox<M>>,
-    state_bytes: Vec<u64>,
     prev_in_wire: Vec<u64>,
     prev_in_tuples: Vec<u64>,
     prev_in_bytes: Vec<u64>,
@@ -199,16 +198,14 @@ fn recycle_into<T: Clone>(dst: &mut Vec<T>, src: &[T]) {
 }
 
 impl<M: Clone> RoundCarry<M> {
-    /// The carry into round 0: nothing in flight, nothing delivered,
-    /// and each worker's initial `state_bytes`. The inboxes are
-    /// `inboxes`, emptied, keeping their capacity.
-    fn new(mut inboxes: Vec<Inbox<M>>, state_bytes: Vec<u64>) -> Self {
-        let workers = state_bytes.len();
+    /// The carry into round 0 of `workers` workers: nothing in flight,
+    /// nothing delivered. The inboxes are `inboxes`, emptied, keeping
+    /// their capacity.
+    fn new(mut inboxes: Vec<Inbox<M>>, workers: usize) -> Self {
         inboxes.resize_with(workers, Inbox::new);
         inboxes.iter_mut().for_each(Inbox::clear);
         RoundCarry {
             inboxes,
-            state_bytes,
             prev_in_wire: vec![0; workers],
             prev_in_tuples: vec![0; workers],
             prev_in_bytes: vec![0; workers],
@@ -220,7 +217,6 @@ impl<M: Clone> RoundCarry<M> {
     /// traffic grows.
     fn recycle_from(&mut self, src: &Self) {
         recycle_into(&mut self.inboxes, &src.inboxes);
-        recycle_into(&mut self.state_bytes, &src.state_bytes);
         recycle_into(&mut self.prev_in_wire, &src.prev_in_wire);
         recycle_into(&mut self.prev_in_tuples, &src.prev_in_tuples);
         recycle_into(&mut self.prev_in_bytes, &src.prev_in_bytes);
@@ -246,7 +242,7 @@ impl<S: Clone, M: Clone> Checkpoint<S, M> {
         Checkpoint {
             round: 0,
             states: Vec::new(),
-            carry: RoundCarry::new(Vec::new(), Vec::new()),
+            carry: RoundCarry::new(Vec::new(), 0),
             pagers: Vec::new(),
         }
     }
@@ -412,15 +408,8 @@ impl<'g> Runner<'g> {
     }
 
     /// Execute `program` to completion (quiescence, fixed round bound,
-    /// overload cutoff, or overflow).
-    pub fn run<P: VertexProgram>(&self, program: &P) -> RunResult<P::State> {
-        self.run_core(&PerVertex(program))
-            .into_dense(self.graph.num_vertices())
-    }
-
-    /// Execute a slab-backed program ([`SlabProgram`]): one dense
-    /// [`StateSlab`](crate::slab::StateSlab) per worker instead of
-    /// per-vertex state values, with exact state-byte accounting.
+    /// overload cutoff, or overflow), with one [`StateSlab`] per worker
+    /// holding its vertices' rows.
     pub fn run_slab<P: SlabProgram>(&self, program: &P) -> RunResult<P::Out> {
         self.run_core(&PerSlab::new(program))
             .into_dense(self.graph.num_vertices())
@@ -449,11 +438,9 @@ impl<'g> Runner<'g> {
         self.run_core(&PerSlab::with_recycler(program, recycler))
     }
 
-    /// The round loop, generic over how worker state is stored
-    /// ([`ProgramCore`]). Everything observable — traffic, pricing,
-    /// checkpointing, fault recovery — is identical across store
-    /// shapes; only state addressing and accounting differ.
-    fn run_core<C: ProgramCore>(&self, program: &C) -> SparseRunResult<C::Out> {
+    /// The round loop: compute, route, price, checkpoint and recover,
+    /// round after round, over one slab per worker.
+    fn run_core<P: SlabProgram>(&self, program: &PerSlab<'_, P>) -> SparseRunResult<P::Out> {
         let Topology {
             partition,
             locals,
@@ -468,24 +455,15 @@ impl<'g> Runner<'g> {
         let msg_bytes = program.message_bytes();
 
         let seeds = self.seed_locals(program.seeds());
-        let mut states: Vec<C::Store> = locals
+        let mut states: Vec<StateSlab<P::Cell>> = locals
             .worker_vertices()
             .iter()
             .map(|list| program.make_store(list))
             .collect();
-        // Exactly-accounted programs (slabs) report resident capacity;
-        // ledger programs start from the per-vertex baseline and
-        // accumulate `add_state_bytes` deltas.
-        let state_bytes: Vec<u64> = locals
-            .worker_vertices()
-            .iter()
-            .zip(&states)
-            .map(|(list, store)| {
-                program
-                    .exact_store_bytes(store)
-                    .unwrap_or(list.len() as u64 * program.initial_state_bytes())
-            })
-            .collect();
+        // A slab's charge is its dense capacity, fixed for the run.
+        let state_bytes: Vec<u64> = states.iter().map(StateSlab::resident_bytes).collect();
+        let peak_state_bytes = state_bytes.iter().copied().max().unwrap_or(0);
+        let checkpoint_bytes: u64 = state_bytes.iter().sum();
 
         let mut stats = RunStats::new();
         let mut total = SimTime::ZERO;
@@ -495,12 +473,13 @@ impl<'g> Runner<'g> {
         // Vec keeps the capacity last round's traffic shaped. They start
         // as the buffers the previous run on this thread parked, if it
         // ran over this topology: a drained grid is as good as new.
-        let spare: Option<RoundBuffers<C::Store, C::Message>> = self.topology.take_spare();
+        let spare: Option<RoundBuffers<StateSlab<P::Cell>, P::Message>> =
+            self.topology.take_spare();
         let (mut grid, inboxes, mut spare_checkpoint) = match spare {
             Some(b) => (b.grid, b.inboxes, b.checkpoint),
             None => (RouteGrid::new(workers), Vec::new(), None),
         };
-        let mut carry: RoundCarry<C::Message> = RoundCarry::new(inboxes, state_bytes);
+        let mut carry: RoundCarry<P::Message> = RoundCarry::new(inboxes, workers);
         let mut outcome: Option<RunOutcome> = None;
 
         // Real paging path: fresh (cold) per-worker partition caches
@@ -512,7 +491,7 @@ impl<'g> Runner<'g> {
         let mut injector = self.config.faults.as_ref().map(FaultInjector::new);
         let hard_oom = injector.as_ref().is_some_and(|i| i.hard_oom());
         let ckpt_every = self.config.checkpoint_every.max(1);
-        let mut checkpoint: Option<Checkpoint<C::Store, C::Message>> = None;
+        let mut checkpoint: Option<Checkpoint<StateSlab<P::Cell>, P::Message>> = None;
         // Rounds below this index were already executed (and recorded)
         // before a rollback; re-running them is replay, not first-run.
         let mut replay_until = 0usize;
@@ -549,7 +528,7 @@ impl<'g> Runner<'g> {
                         spare_checkpoint.take().unwrap_or_else(Checkpoint::empty)
                     });
                     ckpt.save(round, &states, &carry, pager_snaps(&pagers));
-                    stats.faults.checkpoint_full_bytes += Bytes(carry.state_bytes.iter().sum());
+                    stats.faults.checkpoint_full_bytes += Bytes(checkpoint_bytes);
                     stats.faults.checkpoints += 1;
                 }
                 // ---- fault firing ----------------------------------
@@ -646,7 +625,7 @@ impl<'g> Runner<'g> {
             // folding at emission time.
             grid.set_replay(replaying);
             grid.begin_round(profile.combiner, locals);
-            let (active, state_added) = self.compute_phase(
+            let active = self.compute_phase(
                 program,
                 round,
                 batch.seed,
@@ -669,23 +648,6 @@ impl<'g> Runner<'g> {
                 .map(WorkerPager::take_round)
                 .collect();
 
-            // Persist state growth before pricing the round: the new
-            // state is resident while the round runs. Exact stores
-            // (slabs) report their capacity directly; ledger stores
-            // accumulate what compute declared.
-            for (w, &added) in state_added.iter().enumerate() {
-                match program.exact_store_bytes(&states[w]) {
-                    Some(exact) => {
-                        debug_assert_eq!(
-                            added, 0,
-                            "exactly-accounted programs must not call add_state_bytes"
-                        );
-                        carry.state_bytes[w] = exact;
-                    }
-                    None => carry.state_bytes[w] += added,
-                }
-            }
-
             // ---- routing phase -------------------------------------
             let routing = grid.route_presharded(
                 self.pool.as_ref(),
@@ -706,6 +668,7 @@ impl<'g> Runner<'g> {
             // ---- demand assembly -----------------------------------
             let demand = self.assemble_demand(
                 &active,
+                &state_bytes,
                 &carry,
                 routing,
                 batch.residual_bytes,
@@ -792,9 +755,7 @@ impl<'g> Runner<'g> {
                             shard_copy_bytes: Bytes(routing.shard_copy_bytes),
                             active_vertices: active.iter().sum(),
                             peak_machine_memory: charge.peak_memory,
-                            state_bytes: Bytes(
-                                carry.state_bytes.iter().copied().max().unwrap_or(0),
-                            ),
+                            state_bytes: Bytes(peak_state_bytes),
                             spilled_bytes: Bytes(demand.spill.iter().map(|b| b.get()).sum()),
                             loaded_bytes: Bytes(loaded),
                             partition_loads: loads,
@@ -892,8 +853,8 @@ impl<'g> Runner<'g> {
     /// inbox and emits through its [`ShardedOutbox`](crate::ShardedOutbox)
     /// sink (obtained from the prepared `grid`), so envelopes land
     /// pre-sharded — and pre-folded — as they are produced. Returns
-    /// per-worker `(active vertices, state bytes added)`. With a pool,
-    /// worker `w` always executes on pool thread `w`.
+    /// per-worker active vertices. With a pool, worker `w` always
+    /// executes on pool thread `w`.
     #[allow(clippy::too_many_arguments)]
     fn compute_phase<C: ProgramCore>(
         &self,
@@ -906,11 +867,10 @@ impl<'g> Runner<'g> {
         states: &mut [C::Store],
         msg_bytes: u64,
         pagers: Option<&mut Vec<WorkerPager>>,
-    ) -> (Vec<u64>, Vec<u64>) {
+    ) -> Vec<u64> {
         let graph = self.graph;
         let worker_vertices = self.topology.locals.worker_vertices();
         let mut active = vec![0u64; states.len()];
-        let mut state_added = vec![0u64; states.len()];
         let sinks = grid.emit_sinks(
             graph,
             &self.topology.partition,
@@ -926,12 +886,11 @@ impl<'g> Runner<'g> {
             .zip(sinks)
             .zip(states.iter_mut())
             .zip(active.iter_mut())
-            .zip(state_added.iter_mut())
             .map(|item| (item, pagers.as_mut().and_then(Iterator::next)));
         dispatch(
             self.pool.as_ref(),
             per_worker,
-            |w, (((((inbox, mut sink), store), slot), added), pager)| {
+            |w, ((((inbox, mut sink), store), slot), pager)| {
                 *slot = worker_pass(
                     program,
                     graph,
@@ -944,19 +903,20 @@ impl<'g> Runner<'g> {
                     store,
                     pager,
                 );
-                *added = sink.state_bytes_added;
             },
         );
-        (active, state_added)
+        active
     }
 
     /// Build the [`RoundDemand`] for the cost model from this round's
-    /// measurements (see DESIGN.md §4 for the formulas). `paged` holds
-    /// each worker's measured pager round, and is empty on a resident
-    /// run.
+    /// measurements (see DESIGN.md §4 for the formulas). `state_bytes`
+    /// is each worker's state charge; `paged` holds each worker's
+    /// measured pager round, and is empty on a resident run.
+    #[allow(clippy::too_many_arguments)]
     fn assemble_demand<M>(
         &self,
         active: &[u64],
+        state_bytes: &[u64],
         carry: &RoundCarry<M>,
         routing: &RoutingStats,
         residual_bytes: &[u64],
@@ -982,7 +942,7 @@ impl<'g> Runner<'g> {
             demand.net_in[w] = Bytes(routing.net_in_bytes[w]);
 
             let msg_buffer = carry.prev_in_bytes[w] + routing.out_buffer_bytes[w];
-            let mut memory = (carry.state_bytes[w] as f64 * profile.mem_overhead_factor) as u64;
+            let mut memory = (state_bytes[w] as f64 * profile.mem_overhead_factor) as u64;
             if !residual_bytes.is_empty() {
                 memory += residual_bytes[w];
             }
@@ -1158,14 +1118,17 @@ mod tests {
     use super::*;
     use crate::message::{Delivery, Message};
     use crate::profile::ExecutionMode;
+    use crate::slab::{SlabRow, SlabRowMut};
     use mtvc_cluster::ChaosMix;
     use mtvc_graph::generators;
     use mtvc_graph::partition::HashPartitioner;
     use std::sync::Mutex;
     use std::thread::ThreadId;
 
-    /// Flood: source 0 broadcasts its id; every vertex forwards once.
-    /// Computes hop levels — checkable against BFS.
+    /// Flood: source 0 sends hop 1 to its neighbors; every vertex
+    /// forwards on each improvement. Computes hop levels — checkable
+    /// against BFS. One `u32` cell per vertex, `u32::MAX` while
+    /// unreached.
     struct Flood;
 
     #[derive(Clone, Debug)]
@@ -1182,17 +1145,39 @@ mod tests {
     #[derive(Clone, Default)]
     struct Level(Option<u32>);
 
-    impl VertexProgram for Flood {
-        type Message = Hop;
-        type State = Level;
+    /// The hop level a flood row holds, if any.
+    fn level(row: SlabRow<'_, u32>) -> Level {
+        Level(row.written().map(|(_, l)| l).find(|&l| l != u32::MAX))
+    }
 
+    /// Lower the row's level to the best delivered hop; `Some(best)`
+    /// iff that improved it.
+    fn improve(row: &mut SlabRowMut<'_, u32>, inbox: &[Delivery<Hop>]) -> Option<u32> {
+        let best = inbox.iter().map(|d| d.msg.0).min().unwrap();
+        (best < row.get(0)).then(|| {
+            row.set(0, best);
+            best
+        })
+    }
+
+    impl SlabProgram for Flood {
+        type Message = Hop;
+        type Cell = u32;
+        type Out = Level;
+
+        fn width(&self) -> usize {
+            1
+        }
+        fn empty_cell(&self) -> u32 {
+            u32::MAX
+        }
         fn message_bytes(&self) -> u64 {
             8
         }
 
-        fn init(&self, v: VertexId, state: &mut Level, ctx: &mut Context<'_, Hop>) {
+        fn init(&self, v: VertexId, mut row: SlabRowMut<'_, u32>, ctx: &mut Context<'_, Hop>) {
             if v == 0 {
-                state.0 = Some(0);
+                row.set(0, 0);
                 for &t in ctx.neighbors() {
                     ctx.send(t, Hop(1), 1);
                 }
@@ -1202,18 +1187,19 @@ mod tests {
         fn compute(
             &self,
             _v: VertexId,
-            state: &mut Level,
+            mut row: SlabRowMut<'_, u32>,
             inbox: &[Delivery<Hop>],
             ctx: &mut Context<'_, Hop>,
         ) {
-            let best = inbox.iter().map(|d| d.msg.0).min().unwrap();
-            if state.0.map(|l| best < l).unwrap_or(true) {
-                state.0 = Some(best);
-                ctx.add_state_bytes(4);
+            if let Some(best) = improve(&mut row, inbox) {
                 for &t in ctx.neighbors() {
                     ctx.send(t, Hop(best + 1), 1);
                 }
             }
+        }
+
+        fn extract(&self, _v: VertexId, row: SlabRow<'_, u32>) -> Level {
+            level(row)
         }
     }
 
@@ -1225,7 +1211,7 @@ mod tests {
     fn flood_levels_match_bfs() {
         let g = generators::grid(8, 9);
         let runner = Runner::new(&g, &HashPartitioner::default(), config(4));
-        let result = runner.run(&Flood);
+        let result = runner.run_slab(&Flood);
         assert!(result.outcome.is_completed());
         let reference = mtvc_graph::reference::bfs_levels(&g, 0);
         for v in g.vertices() {
@@ -1242,8 +1228,8 @@ mod tests {
     #[test]
     fn deterministic_across_runs_and_partitions_counts() {
         let g = generators::power_law(300, 1200, 2.3, 5);
-        let r1 = Runner::new(&g, &HashPartitioner::default(), config(4)).run(&Flood);
-        let r2 = Runner::new(&g, &HashPartitioner::default(), config(4)).run(&Flood);
+        let r1 = Runner::new(&g, &HashPartitioner::default(), config(4)).run_slab(&Flood);
+        let r2 = Runner::new(&g, &HashPartitioner::default(), config(4)).run_slab(&Flood);
         assert_eq!(r1.stats.total_messages_sent, r2.stats.total_messages_sent);
         assert_eq!(r1.outcome, r2.outcome);
     }
@@ -1251,7 +1237,7 @@ mod tests {
     #[test]
     fn stats_record_rounds_and_messages() {
         let g = generators::ring(16, true);
-        let result = Runner::new(&g, &HashPartitioner::default(), config(2)).run(&Flood);
+        let result = Runner::new(&g, &HashPartitioner::default(), config(2)).run_slab(&Flood);
         // Ring of 16: flood takes ~8 forwarding rounds.
         assert!(result.stats.rounds >= 8);
         assert!(result.stats.total_messages_sent > 16);
@@ -1263,8 +1249,8 @@ mod tests {
         let g = generators::complete(24);
         let mut cfg = config(4);
         cfg.profile.combiner = true;
-        let with = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
-        let without = Runner::new(&g, &HashPartitioner::default(), config(4)).run(&Flood);
+        let with = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood);
+        let without = Runner::new(&g, &HashPartitioner::default(), config(4)).run_slab(&Flood);
         assert_eq!(
             with.stats.total_messages_sent,
             without.stats.total_messages_sent
@@ -1282,7 +1268,7 @@ mod tests {
         let g = generators::grid(20, 20);
         let mut cfg = config(2);
         cfg.cutoff = SimTime::secs(0.5);
-        let result = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
+        let result = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood);
         assert!(result.outcome.is_overload());
     }
 
@@ -1292,7 +1278,7 @@ mod tests {
         let mut cfg = config(2);
         // Capacity of ~1 KB cannot hold anything.
         cfg.cluster.machine.memory = Bytes::kib(1);
-        let result = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
+        let result = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood);
         assert!(result.outcome.is_overflow());
     }
 
@@ -1300,13 +1286,13 @@ mod tests {
     fn residual_memory_raises_pressure() {
         let g = generators::ring(64, true);
         let base = Runner::new(&g, &HashPartitioner::default(), config(2))
-            .run(&Flood)
+            .run_slab(&Flood)
             .stats
             .peak_memory;
         let mut cfg = config(2);
         cfg.residual_bytes = vec![1_000_000; 2];
         let with = Runner::new(&g, &HashPartitioner::default(), cfg)
-            .run(&Flood)
+            .run_slab(&Flood)
             .stats
             .peak_memory;
         assert!(with > base);
@@ -1317,8 +1303,8 @@ mod tests {
         let g = generators::ring(64, true);
         let mut cfg = config(4);
         cfg.profile.sync = SyncMode::Asynchronous;
-        let async_run = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
-        let sync_run = Runner::new(&g, &HashPartitioner::default(), config(4)).run(&Flood);
+        let async_run = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood);
+        let sync_run = Runner::new(&g, &HashPartitioner::default(), config(4)).run_slab(&Flood);
         assert!(async_run.outcome.is_completed());
         // Light load: no barrier makes async faster (§4.8's PageRank
         // observation).
@@ -1356,7 +1342,7 @@ mod tests {
         let g = generators::complete(48);
         let mut cfg = config(2);
         cfg.profile.out_of_core = Some(ooc_estimated(64));
-        let result = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
+        let result = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood);
         assert!(result.outcome.is_completed());
         assert!(result.stats.total_spilled_bytes > Bytes::ZERO);
         assert!(result.stats.max_disk_utilization > 0.0);
@@ -1376,12 +1362,12 @@ mod tests {
     #[test]
     fn paged_run_matches_resident_run_bit_identical() {
         let g = generators::grid(12, 12);
-        let resident = Runner::new(&g, &HashPartitioner::default(), config(4)).run(&Flood);
+        let resident = Runner::new(&g, &HashPartitioner::default(), config(4)).run_slab(&Flood);
         let mut cfg = config(4);
         cfg.profile.out_of_core = Some(ooc_paged(1 << 20, 1024, 256));
         let runner = Runner::new(&g, &HashPartitioner::default(), cfg);
         assert!(runner.paged_layout().is_some(), "paging path must engage");
-        let paged = runner.run(&Flood);
+        let paged = runner.run_slab(&Flood);
         assert_eq!(
             resident.outcome.is_completed(),
             paged.outcome.is_completed()
@@ -1412,7 +1398,7 @@ mod tests {
         let make = |threshold: usize| {
             let mut cfg = config(4).with_parallel_threshold(threshold);
             cfg.profile.out_of_core = Some(ooc_paged(1 << 20, 1024, 256));
-            Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood)
+            Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood)
         };
         let serial = make(usize::MAX);
         let again = make(usize::MAX);
@@ -1435,7 +1421,7 @@ mod tests {
         let run = |ooc: crate::profile::OocConfig| {
             let mut cfg = config(2);
             cfg.profile.out_of_core = Some(ooc);
-            Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood)
+            Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood)
         };
         let tiny_est = run(ooc_estimated(64));
         let tiny_paged = run(ooc_paged(64, 4096, 1024));
@@ -1464,13 +1450,13 @@ mod tests {
             cfg.profile.out_of_core = Some(ooc_paged(1 << 20, 1024, 256));
             cfg
         };
-        let clean = Runner::new(&g, &HashPartitioner::default(), base()).run(&Flood);
+        let clean = Runner::new(&g, &HashPartitioner::default(), base()).run_slab(&Flood);
         let plan = FaultPlan::none()
             .with_crash(3, 1)
             .with_delivery_failure(5, 0)
             .with_crash(7, 2);
         let cfg = base().with_checkpoint_every(2).with_faults(plan);
-        let chaos = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
+        let chaos = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood);
         assert_eq!(clean.outcome, chaos.outcome);
         for v in g.vertices() {
             assert_eq!(clean.states[v as usize].0, chaos.states[v as usize].0);
@@ -1489,30 +1475,38 @@ mod tests {
     fn broadcast_mode_runs_flood_equivalently() {
         /// Broadcast flood: same levels via ctx.broadcast.
         struct BFlood;
-        impl VertexProgram for BFlood {
+        impl SlabProgram for BFlood {
             type Message = Hop;
-            type State = Level;
+            type Cell = u32;
+            type Out = Level;
+            fn width(&self) -> usize {
+                1
+            }
+            fn empty_cell(&self) -> u32 {
+                u32::MAX
+            }
             fn message_bytes(&self) -> u64 {
                 8
             }
-            fn init(&self, v: VertexId, state: &mut Level, ctx: &mut Context<'_, Hop>) {
+            fn init(&self, v: VertexId, mut row: SlabRowMut<'_, u32>, ctx: &mut Context<'_, Hop>) {
                 if v == 0 {
-                    state.0 = Some(0);
+                    row.set(0, 0);
                     ctx.broadcast(Hop(1), 1);
                 }
             }
             fn compute(
                 &self,
                 _v: VertexId,
-                state: &mut Level,
+                mut row: SlabRowMut<'_, u32>,
                 inbox: &[Delivery<Hop>],
                 ctx: &mut Context<'_, Hop>,
             ) {
-                let best = inbox.iter().map(|d| d.msg.0).min().unwrap();
-                if state.0.map(|l| best < l).unwrap_or(true) {
-                    state.0 = Some(best);
+                if let Some(best) = improve(&mut row, inbox) {
                     ctx.broadcast(Hop(best + 1), 1);
                 }
+            }
+            fn extract(&self, _v: VertexId, row: SlabRow<'_, u32>) -> Level {
+                level(row)
             }
         }
         let g = generators::power_law(200, 900, 2.2, 3);
@@ -1520,7 +1514,7 @@ mod tests {
         cfg.profile.mode = ExecutionMode::Broadcast {
             mirror_threshold: 8,
         };
-        let result = Runner::new(&g, &HashPartitioner::default(), cfg).run(&BFlood);
+        let result = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&BFlood);
         assert!(result.outcome.is_completed());
         let reference = mtvc_graph::reference::bfs_levels(&g, 0);
         for v in g.vertices() {
@@ -1539,7 +1533,7 @@ mod tests {
         let g = generators::ring(32, true);
         let mut cfg = config(2);
         cfg.max_rounds = 3;
-        let result = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
+        let result = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood);
         assert!(result.outcome.is_overload());
     }
 
@@ -1576,13 +1570,13 @@ mod tests {
             &HashPartitioner::default(),
             config(4).with_parallel_threshold(usize::MAX),
         )
-        .run(&Flood);
+        .run_slab(&Flood);
         let pooled = Runner::new(
             &g,
             &HashPartitioner::default(),
             config(4).with_parallel_threshold(1),
         )
-        .run(&Flood);
+        .run_slab(&Flood);
         assert_eq!(serial.outcome, pooled.outcome);
         assert_eq!(serial.stats, pooled.stats, "RunStats must be bit-identical");
         for v in g.vertices() {
@@ -1602,7 +1596,7 @@ mod tests {
                 &HashPartitioner::default(),
                 config(4).with_parallel_threshold(1),
             )
-            .run(&Flood)
+            .run_slab(&Flood)
         };
         let a = run();
         let b = run();
@@ -1626,13 +1620,13 @@ mod tests {
         // A grid's flood runs ~23 rounds, so every scheduled fault
         // fires well before quiescence.
         let g = generators::grid(12, 12);
-        let clean = Runner::new(&g, &HashPartitioner::default(), config(4)).run(&Flood);
+        let clean = Runner::new(&g, &HashPartitioner::default(), config(4)).run_slab(&Flood);
         let plan = FaultPlan::none()
             .with_crash(3, 1)
             .with_delivery_failure(5, 0)
             .with_crash(5, 2);
         let cfg = config(4).with_checkpoint_every(2).with_faults(plan);
-        let chaos = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
+        let chaos = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood);
 
         assert_eq!(clean.outcome, chaos.outcome);
         for v in g.vertices() {
@@ -1662,8 +1656,8 @@ mod tests {
         let cfg = config(2)
             .with_checkpoint_every(4)
             .with_faults(FaultPlan::none().with_crash(0, 0));
-        let chaos = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
-        let clean = Runner::new(&g, &HashPartitioner::default(), config(2)).run(&Flood);
+        let chaos = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood);
+        let clean = Runner::new(&g, &HashPartitioner::default(), config(2)).run_slab(&Flood);
         assert_eq!(clean.outcome, chaos.outcome);
         assert_eq!(chaos.stats.faults.injected, 1);
         assert_eq!(without_faults(chaos.stats), without_faults(clean.stats));
@@ -1675,8 +1669,8 @@ mod tests {
         let cfg = config(2)
             .with_checkpoint_every(3)
             .with_faults(FaultPlan::none());
-        let armed = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
-        let clean = Runner::new(&g, &HashPartitioner::default(), config(2)).run(&Flood);
+        let armed = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood);
+        let clean = Runner::new(&g, &HashPartitioner::default(), config(2)).run_slab(&Flood);
         assert!(armed.stats.faults.checkpoints > 1);
         assert_eq!(armed.stats.faults.injected, 0);
         assert_eq!(armed.stats.faults.replayed_rounds, 0);
@@ -1687,7 +1681,7 @@ mod tests {
     fn hard_oom_kills_where_soft_model_survives() {
         let g = generators::complete(48);
         let peak = Runner::new(&g, &HashPartitioner::default(), config(2))
-            .run(&Flood)
+            .run_slab(&Flood)
             .stats
             .peak_memory;
         // Capacity just under the observed peak: the soft cost model
@@ -1697,14 +1691,14 @@ mod tests {
         let cap = Bytes((peak.get() as f64 * 0.9) as u64);
         let mut soft = config(2);
         soft.cluster.machine.memory = cap;
-        let soft_run = Runner::new(&g, &HashPartitioner::default(), soft.clone()).run(&Flood);
+        let soft_run = Runner::new(&g, &HashPartitioner::default(), soft.clone()).run_slab(&Flood);
         assert!(
             soft_run.outcome.is_completed(),
             "soft model thrashes through"
         );
 
         let hard = soft.with_faults(FaultPlan::none().with_hard_oom());
-        let hard_run = Runner::new(&g, &HashPartitioner::default(), hard).run(&Flood);
+        let hard_run = Runner::new(&g, &HashPartitioner::default(), hard).run_slab(&Flood);
         assert!(hard_run.outcome.is_overflow(), "hard OOM kill aborts");
         assert_eq!(hard_run.stats.faults.oom_kills, 1);
         assert!(hard_run.stats.peak_memory > cap);
@@ -1723,7 +1717,7 @@ mod tests {
                     .with_checkpoint_every(3)
                     .with_faults(plan.clone()),
             )
-            .run(&Flood)
+            .run_slab(&Flood)
         };
         let serial = make(usize::MAX);
         let pooled = make(1);
@@ -1741,42 +1735,41 @@ mod tests {
         struct TracingFlood {
             log: Mutex<Vec<(usize, ThreadId)>>,
         }
-        impl VertexProgram for TracingFlood {
+        impl TracingFlood {
+            fn trace(&self, round: usize) {
+                let id = std::thread::current().id();
+                self.log.lock().unwrap().push((round, id));
+            }
+        }
+        impl SlabProgram for TracingFlood {
             type Message = Hop;
-            type State = Level;
+            type Cell = u32;
+            type Out = Level;
+            fn width(&self) -> usize {
+                1
+            }
+            fn empty_cell(&self) -> u32 {
+                u32::MAX
+            }
             fn message_bytes(&self) -> u64 {
                 8
             }
-            fn init(&self, v: VertexId, state: &mut Level, ctx: &mut Context<'_, Hop>) {
-                self.log
-                    .lock()
-                    .unwrap()
-                    .push((ctx.round(), std::thread::current().id()));
-                if v == 0 {
-                    state.0 = Some(0);
-                    for &t in ctx.neighbors() {
-                        ctx.send(t, Hop(1), 1);
-                    }
-                }
+            fn init(&self, v: VertexId, row: SlabRowMut<'_, u32>, ctx: &mut Context<'_, Hop>) {
+                self.trace(ctx.round());
+                Flood.init(v, row, ctx);
             }
             fn compute(
                 &self,
-                _v: VertexId,
-                state: &mut Level,
+                v: VertexId,
+                row: SlabRowMut<'_, u32>,
                 inbox: &[Delivery<Hop>],
                 ctx: &mut Context<'_, Hop>,
             ) {
-                self.log
-                    .lock()
-                    .unwrap()
-                    .push((ctx.round(), std::thread::current().id()));
-                let best = inbox.iter().map(|d| d.msg.0).min().unwrap();
-                if state.0.map(|l| best < l).unwrap_or(true) {
-                    state.0 = Some(best);
-                    for &t in ctx.neighbors() {
-                        ctx.send(t, Hop(best + 1), 1);
-                    }
-                }
+                self.trace(ctx.round());
+                Flood.compute(v, row, inbox, ctx);
+            }
+            fn extract(&self, v: VertexId, row: SlabRow<'_, u32>) -> Level {
+                Flood.extract(v, row)
             }
         }
 
@@ -1796,7 +1789,7 @@ mod tests {
         let program = TracingFlood {
             log: Mutex::new(Vec::new()),
         };
-        let result = runner.run(&program);
+        let result = runner.run_slab(&program);
         assert!(result.outcome.is_completed());
 
         let log = program.log.into_inner().unwrap();
@@ -1829,7 +1822,7 @@ mod tests {
     #[test]
     fn co_scheduled_faults_all_fire_and_recover() {
         let g = generators::grid(12, 12);
-        let clean = Runner::new(&g, &HashPartitioner::default(), config(4)).run(&Flood);
+        let clean = Runner::new(&g, &HashPartitioner::default(), config(4)).run_slab(&Flood);
         // Four different fault kinds, all at round 3: one take_all_at
         // call must fire every one of them.
         let plan = FaultPlan::none()
@@ -1838,7 +1831,7 @@ mod tests {
             .with_corruption(3, 2, 1)
             .with_straggler(3, 3, 100_000, 2);
         let cfg = config(4).with_checkpoint_every(2).with_faults(plan);
-        let chaos = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
+        let chaos = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood);
 
         assert_eq!(clean.outcome, chaos.outcome);
         let f = chaos.stats.faults;
@@ -1857,12 +1850,12 @@ mod tests {
     #[test]
     fn corruption_retransmits_without_rollback() {
         let g = generators::grid(12, 12);
-        let clean = Runner::new(&g, &HashPartitioner::default(), config(4)).run(&Flood);
+        let clean = Runner::new(&g, &HashPartitioner::default(), config(4)).run_slab(&Flood);
         let plan = FaultPlan::none()
             .with_corruption(4, 1, 2)
             .with_corruption(6, 3, 1);
         let cfg = config(4).with_checkpoint_every(2).with_faults(plan);
-        let chaos = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
+        let chaos = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood);
 
         assert_eq!(clean.outcome, chaos.outcome);
         let f = chaos.stats.faults;
@@ -1885,14 +1878,14 @@ mod tests {
     #[test]
     fn stragglers_cost_time_without_changing_outputs() {
         let g = generators::grid(12, 12);
-        let clean = Runner::new(&g, &HashPartitioner::default(), config(4)).run(&Flood);
+        let clean = Runner::new(&g, &HashPartitioner::default(), config(4)).run_slab(&Flood);
         // 1000x slowdown guarantees the straggler dominates its rounds'
         // critical path, whatever the compute/network balance.
         let plan = FaultPlan::none()
             .with_straggler(2, 1, 100_000, 3)
             .with_straggler(3, 2, 200, 2);
         let cfg = config(4).with_checkpoint_every(2).with_faults(plan);
-        let chaos = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
+        let chaos = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood);
 
         assert_eq!(clean.outcome, chaos.outcome);
         let f = chaos.stats.faults;
@@ -1909,12 +1902,12 @@ mod tests {
     #[test]
     fn partitions_roll_back_and_recover() {
         let g = generators::grid(12, 12);
-        let clean = Runner::new(&g, &HashPartitioner::default(), config(4)).run(&Flood);
+        let clean = Runner::new(&g, &HashPartitioner::default(), config(4)).run_slab(&Flood);
         // Round 5 is off the checkpoint cadence, so healing the
         // partition really does replay a round.
         let plan = FaultPlan::none().with_partition(5, 2);
         let cfg = config(4).with_checkpoint_every(2).with_faults(plan);
-        let chaos = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
+        let chaos = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood);
 
         assert_eq!(clean.outcome, chaos.outcome);
         let f = chaos.stats.faults;
@@ -1931,7 +1924,7 @@ mod tests {
     #[test]
     fn chaos_mix_recovers_bit_identical() {
         let g = generators::grid(12, 12);
-        let clean = Runner::new(&g, &HashPartitioner::default(), config(4)).run(&Flood);
+        let clean = Runner::new(&g, &HashPartitioner::default(), config(4)).run_slab(&Flood);
         let mix = ChaosMix {
             crashes: 1,
             losses: 1,
@@ -1941,7 +1934,7 @@ mod tests {
         };
         let plan = FaultPlan::chaos(0xC1A0, 4, 8, mix);
         let cfg = config(4).with_checkpoint_every(2).with_faults(plan);
-        let chaos = Runner::new(&g, &HashPartitioner::default(), cfg).run(&Flood);
+        let chaos = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood);
 
         assert_eq!(clean.outcome, chaos.outcome);
         assert_eq!(chaos.stats.faults.injected as usize, mix.total());
@@ -1963,9 +1956,9 @@ mod tests {
                     .with_checkpoint_every(every)
                     .with_faults(plan.clone()),
             )
-            .run(&Flood)
+            .run_slab(&Flood)
         };
-        let clean = Runner::new(&g, &HashPartitioner::default(), config(2)).run(&Flood);
+        let clean = Runner::new(&g, &HashPartitioner::default(), config(2)).run_slab(&Flood);
         let every_round = run(1);
         let zero = run(0);
         let sparse = run(10_000);
@@ -2007,7 +2000,7 @@ mod tests {
         }
     }
 
-    impl crate::slab::SlabProgram for SlabFlood {
+    impl SlabProgram for SlabFlood {
         type Message = LaneHop;
         type Cell = u64;
         /// `(lane, hop distance)` of every lane that reached the vertex.
@@ -2023,12 +2016,7 @@ mod tests {
             12
         }
 
-        fn init(
-            &self,
-            v: VertexId,
-            mut row: crate::slab::SlabRowMut<'_, u64>,
-            ctx: &mut Context<'_, LaneHop>,
-        ) {
+        fn init(&self, v: VertexId, mut row: SlabRowMut<'_, u64>, ctx: &mut Context<'_, LaneHop>) {
             if (v as usize) < self.width {
                 let q = v as usize;
                 row.relax_min(q, 0);
@@ -2048,7 +2036,7 @@ mod tests {
         fn compute(
             &self,
             _v: VertexId,
-            mut row: crate::slab::SlabRowMut<'_, u64>,
+            mut row: SlabRowMut<'_, u64>,
             inbox: &[Delivery<LaneHop>],
             ctx: &mut Context<'_, LaneHop>,
         ) {
@@ -2071,7 +2059,7 @@ mod tests {
             }
         }
 
-        fn extract(&self, _v: VertexId, row: crate::slab::SlabRow<'_, u64>) -> Vec<(usize, u64)> {
+        fn extract(&self, _v: VertexId, row: SlabRow<'_, u64>) -> Vec<(usize, u64)> {
             row.written().filter(|&(_, d)| d != u64::MAX).collect()
         }
     }
@@ -2189,8 +2177,8 @@ mod tests {
     /// `extract`; its output is the default.
     #[test]
     fn slab_flood_unwritten_row_extracts_to_default() {
-        use crate::slab::{SlabProgram, SlabRow};
         let flood = SlabFlood { width: 3 };
         assert!(flood.extract(0, SlabRow::unwritten()).is_empty());
+        assert_eq!(Flood.extract(0, SlabRow::unwritten()).0, None);
     }
 }

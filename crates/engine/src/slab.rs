@@ -15,13 +15,14 @@
 //! walks only the dirty cells — the GraphLab/Ligra layout (DESIGN.md
 //! §4.2) adapted to multi-task batches.
 //!
-//! Programs opt in by implementing [`SlabProgram`] instead of
-//! [`VertexProgram`](crate::program::VertexProgram) and running via
-//! [`Runner::run_slab`](crate::runner::Runner::run_slab). Slab-backed
-//! state is accounted **as the dense layout**: the runner reports
-//! `rows × W` cells plus one frontier bit per cell each superstep
-//! ([`StateSlab::resident_bytes`]), the per-vertex state the paper's
-//! memory model describes, whatever the host allocated.
+//! Every program is a [`SlabProgram`], run via
+//! [`Runner::run_slab`](crate::runner::Runner::run_slab); a task with
+//! one value per vertex (PageRank, connected components) has width one.
+//! State is accounted **as the dense layout**: `rows × W` cells plus
+//! one frontier bit per cell ([`StateSlab::resident_bytes`]), the
+//! per-vertex state the paper's memory model describes, whatever the
+//! host allocated. That charge is fixed for the run, so the runner
+//! reads it once per worker and checkpoints never copy it.
 //!
 //! A bitmap with one bit per word flags the words that have a block,
 //! so the per-batch passes cost what the batch touched, not
@@ -273,8 +274,8 @@ impl<C: Copy> StateSlab<C> {
     /// Resident bytes of this slab as the memory model sees it: the
     /// dense `rows × width` cells plus frontier bits
     /// ([`StateSlab::capacity_bytes`]), however few blocks the host
-    /// allocated. This is what the runner reports to the memory ledger
-    /// each superstep.
+    /// allocated. The runner charges this, read once per worker, to
+    /// every superstep of the run.
     pub fn resident_bytes(&self) -> u64 {
         Self::capacity_bytes(self.rows, self.width)
     }
@@ -606,14 +607,12 @@ impl<'a, C: Copy> SlabRow<'a, C> {
     }
 }
 
-/// A vertex program whose per-vertex state is one slab row of `W`
-/// cells instead of an owned `State` value. Semantics otherwise
-/// match [`VertexProgram`](crate::program::VertexProgram): `init` runs
-/// at round 0, `compute` per delivered run, determinism per the
-/// context RNG.
-///
-/// Slab programs never call `Context::add_state_bytes` — the runner
-/// accounts the slab's dense size, each superstep.
+/// A vertex program (user-defined `compute` plus metadata) whose
+/// per-vertex state is one slab row of `W` cells: `init` runs at round
+/// 0, `compute` per delivered run. Programs must be deterministic given
+/// the context RNG; the engine seeds it per `(run seed, round, vertex)`
+/// so results do not depend on thread scheduling. The runner charges
+/// the slab's dense size as the program's state.
 pub trait SlabProgram: Sync {
     /// Wire message payload.
     type Message: Message;
@@ -629,7 +628,8 @@ pub trait SlabProgram: Sync {
     /// The sentinel stored in untouched cells.
     fn empty_cell(&self) -> Self::Cell;
 
-    /// Bytes of one wire message.
+    /// Bytes of one wire message (the paper's footnote: "a message
+    /// contains a constant number of integers").
     fn message_bytes(&self) -> u64;
 
     /// The vertices whose [`init`](SlabProgram::init) can do anything
@@ -651,6 +651,9 @@ pub trait SlabProgram: Sync {
     );
 
     /// Rounds ≥ 1: fold the vertex's delivered messages into its row.
+    /// The slice is a contiguous borrowed run inside the worker's
+    /// grouped [`Inbox`](crate::router::Inbox) — deliveries arrive in
+    /// (source worker, send order) and are never cloned on the way here.
     fn compute(
         &self,
         v: VertexId,
@@ -780,14 +783,6 @@ impl<P: SlabProgram> ProgramCore for PerSlab<'_, P> {
             }
             None => StateSlab::new(vertices.len(), width, empty),
         }
-    }
-
-    fn exact_store_bytes(&self, store: &Self::Store) -> Option<u64> {
-        Some(store.resident_bytes())
-    }
-
-    fn initial_state_bytes(&self) -> u64 {
-        0 // unused: slab stores are exactly accounted
     }
 
     fn init_vertex(

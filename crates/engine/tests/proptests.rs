@@ -6,10 +6,10 @@ use mtvc_engine::sampling::{binomial, multinomial_uniform};
 use mtvc_engine::{
     route, wire, Context, Delivery, EmitSink, EngineConfig, Envelope, Inbox, LocalIndex, Message,
     MirrorIndex, OocConfig, Outbox, PagingConfig, PayloadCodec, RouteGrid, Runner, SlabProgram,
-    SlabRecycler, SlabRow, SlabRowMut, StateSlab, SystemProfile, VertexProgram, WorkerPool, LANES,
+    SlabRecycler, SlabRow, SlabRowMut, StateSlab, SystemProfile, WorkerPool, LANES,
 };
 use mtvc_graph::partition::{HashPartitioner, Partitioner};
-use mtvc_graph::{generators, VertexId};
+use mtvc_graph::{generators, reference, VertexId};
 use mtvc_metrics::{Bytes, SimTime};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -49,9 +49,9 @@ proptest! {
     }
 }
 
-/// Token-passing program: every vertex sends `tokens` unit messages to
-/// each neighbor for `rounds` rounds; receivers count. Used to check
-/// message conservation through the router.
+/// Token-passing program: every vertex sends 3 tokens to each neighbor
+/// for `rounds` rounds; receivers count them in their one cell. Used to
+/// check message conservation through the router.
 struct TokenFlood {
     rounds: usize,
 }
@@ -68,15 +68,24 @@ impl Message for Token {
 #[derive(Clone, Default)]
 struct Received(u64);
 
-impl VertexProgram for TokenFlood {
+impl SlabProgram for TokenFlood {
     type Message = Token;
-    type State = Received;
+    type Cell = u64;
+    type Out = Received;
+
+    fn width(&self) -> usize {
+        1
+    }
+
+    fn empty_cell(&self) -> u64 {
+        0
+    }
 
     fn message_bytes(&self) -> u64 {
         8
     }
 
-    fn init(&self, _v: VertexId, _state: &mut Received, ctx: &mut Context<'_, Token>) {
+    fn init(&self, _v: VertexId, _row: SlabRowMut<'_, u64>, ctx: &mut Context<'_, Token>) {
         for &t in ctx.neighbors() {
             ctx.send(t, Token, 3);
         }
@@ -85,18 +94,22 @@ impl VertexProgram for TokenFlood {
     fn compute(
         &self,
         _v: VertexId,
-        state: &mut Received,
+        mut row: SlabRowMut<'_, u64>,
         inbox: &[Delivery<Token>],
         ctx: &mut Context<'_, Token>,
     ) {
         for d in inbox {
-            state.0 += d.mult;
+            *row.cell_mut(0) += d.mult;
         }
         if ctx.round() < self.rounds {
             for &t in ctx.neighbors() {
                 ctx.send(t, Token, 3);
             }
         }
+    }
+
+    fn extract(&self, _v: VertexId, row: SlabRow<'_, u64>) -> Received {
+        Received(row.written().map(|(_, count)| count).sum())
     }
 
     fn max_rounds(&self) -> Option<usize> {
@@ -119,7 +132,7 @@ proptest! {
         cfg.cutoff = SimTime::secs(1e12);
         cfg.seed = seed;
         let runner = Runner::new(&g, &HashPartitioner { salt: seed }, cfg);
-        let result = runner.run(&TokenFlood { rounds });
+        let result = runner.run_slab(&TokenFlood { rounds });
         prop_assert!(result.outcome.is_completed());
         // Sending rounds are 0..rounds, each emitting 3 tokens per
         // directed edge; every one is delivered within the horizon.
@@ -144,7 +157,7 @@ proptest! {
             let mut cfg = EngineConfig::new(ClusterSpec::galaxy(workers), SystemProfile::base("t"));
             cfg.cutoff = SimTime::secs(1e12);
             let runner = Runner::new(&g, &HashPartitioner { salt: seed }, cfg);
-            runner.run(&mtvc_tasks_free_mssp(sources.clone()))
+            runner.run_slab(&MiniSlabMssp { sources: sources.clone() })
         };
         let a = run(workers_a);
         let b = run(workers_b);
@@ -527,7 +540,7 @@ proptest! {
             cfg.profile.combiner = combine;
             cfg.parallel_vertex_threshold = threshold;
             let runner = Runner::new(&g, &HashPartitioner { salt: seed }, cfg);
-            runner.run(&mtvc_tasks_free_mssp(sources.clone()))
+            runner.run_slab(&MiniSlabMssp { sources: sources.clone() })
         };
         let serial = run(usize::MAX);
         let pooled = run(0);
@@ -538,68 +551,6 @@ proptest! {
             prop_assert_eq!(&serial.states[v].dist, &pooled.states[v].dist, "vertex {}", v);
         }
     }
-
-    /// Chaos property: a run with injected machine crashes and
-    /// transient delivery failures, recovered via superstep checkpoints
-    /// (rollback + deterministic replay), is indistinguishable from a
-    /// fault-free run — identical outcome, identical per-vertex states,
-    /// and identical non-replay statistics. Replay wire traffic and
-    /// recovery time are segregated into `stats.faults`, which is
-    /// zeroed before the comparison.
-    #[test]
-    fn chaos_run_equals_fault_free_run(
-        n in 16usize..100,
-        workers in 2usize..6,
-        pooled in any::<bool>(),
-        checkpoint_every in 1usize..6,
-        crashes in 0usize..3,
-        losses in 0usize..3,
-        seed in any::<u64>(),
-    ) {
-        let g = generators::power_law(n, n * 4, 2.4, seed);
-        let sources = vec![0 as VertexId, (n / 2) as VertexId];
-        let run = |faults: Option<FaultPlan>| {
-            let mut cfg = EngineConfig::new(
-                ClusterSpec::galaxy(workers),
-                SystemProfile::base("t"),
-            );
-            cfg.cutoff = SimTime::secs(1e12);
-            cfg.parallel_vertex_threshold = if pooled { 0 } else { usize::MAX };
-            cfg.checkpoint_every = checkpoint_every;
-            cfg.faults = faults;
-            let runner = Runner::new(&g, &HashPartitioner { salt: seed }, cfg);
-            runner.run(&mtvc_tasks_free_mssp(sources.clone()))
-        };
-        let clean = run(None);
-        let chaos = run(Some(FaultPlan::random(
-            seed ^ 0xFA11,
-            workers,
-            8,
-            crashes,
-            losses,
-        )));
-        prop_assert!(clean.outcome.is_completed());
-        prop_assert_eq!(&clean.outcome, &chaos.outcome);
-        let scrub = |stats: &mtvc_metrics::RunStats| {
-            let mut s = stats.clone();
-            s.faults = Default::default();
-            s
-        };
-        prop_assert_eq!(scrub(&clean.stats), scrub(&chaos.stats));
-        for v in 0..n {
-            prop_assert_eq!(&clean.states[v].dist, &chaos.states[v].dist, "vertex {}", v);
-        }
-    }
-}
-
-/// A minimal MSSP used here so this crate's tests do not depend on
-/// `mtvc-tasks` (which depends on this crate).
-fn mtvc_tasks_free_mssp(sources: Vec<VertexId>) -> MiniMssp {
-    MiniMssp { sources }
-}
-
-struct MiniMssp {
-    sources: Vec<VertexId>,
 }
 
 #[derive(Clone, Debug)]
@@ -621,54 +572,9 @@ struct DistMap {
     dist: std::collections::BTreeMap<u32, u64>,
 }
 
-impl VertexProgram for MiniMssp {
-    type Message = Dist;
-    type State = DistMap;
-
-    fn message_bytes(&self) -> u64 {
-        16
-    }
-
-    fn init(&self, v: VertexId, state: &mut DistMap, ctx: &mut Context<'_, Dist>) {
-        for (q, &s) in self.sources.iter().enumerate() {
-            if s == v {
-                state.dist.insert(q as u32, 0);
-                for &t in ctx.neighbors() {
-                    ctx.send(t, Dist { q: q as u32, d: 1 }, 1);
-                }
-            }
-        }
-    }
-
-    fn compute(
-        &self,
-        _v: VertexId,
-        state: &mut DistMap,
-        inbox: &[Delivery<Dist>],
-        ctx: &mut Context<'_, Dist>,
-    ) {
-        let mut improved = Vec::new();
-        for d in inbox {
-            let m = &d.msg;
-            let cur = state.dist.get(&m.q).copied().unwrap_or(u64::MAX);
-            if m.d < cur {
-                state.dist.insert(m.q, m.d);
-                improved.push((m.q, m.d));
-            }
-        }
-        improved.sort_unstable();
-        improved.dedup();
-        for (q, d) in improved {
-            for &t in ctx.neighbors() {
-                ctx.send(t, Dist { q, d: d + 1 }, 1);
-            }
-        }
-    }
-}
-
-/// The same MSSP on the dense slab layout: one `u64` distance cell per
-/// (vertex, query), branchless min-relax, frontier-driven drain. Must
-/// emit byte-identical traffic to [`MiniMssp`].
+/// A minimal MSSP, so this crate's tests do not depend on `mtvc-tasks`
+/// (which depends on this crate): one `u64` hop-distance cell per
+/// (vertex, query), branchless min-relax, frontier-driven drain.
 struct MiniSlabMssp {
     sources: Vec<VertexId>,
 }
@@ -843,7 +749,7 @@ fn over_budget_paged_run_restreams_and_stays_within_budget() {
             partition_bytes: Bytes::new(BUDGET / 8),
         }),
     });
-    let run = Runner::new(&g, &HashPartitioner::default(), cfg).run(&TokenFlood { rounds: 3 });
+    let run = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&TokenFlood { rounds: 3 });
     assert!(run.outcome.is_completed(), "{:?}", run.outcome);
     let peak = run.stats.peak_paged_resident_bytes.get();
     assert!(peak > 0, "ledger never observed a resident partition");
@@ -880,30 +786,14 @@ where
     Ok(fresh.outcome)
 }
 
-/// Scrub the state-accounting fields that legitimately differ between
-/// the ledger-tracked hashmap layout and the exactly-accounted slab
-/// layout; everything else (traffic, rounds, timing) must match.
-fn scrub_state_accounting(stats: &mtvc_metrics::RunStats) -> mtvc_metrics::RunStats {
-    let mut s = stats.clone();
-    s.peak_state_bytes = Default::default();
-    s.peak_memory = Default::default();
-    for r in &mut s.per_round {
-        r.state_bytes = Default::default();
-        r.peak_machine_memory = Default::default();
-    }
-    s
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Slab-state tentpole: the dense-slab MSSP produces identical
-    /// outcomes, per-vertex results, and identical traffic/round
-    /// statistics to the hash-map program across random graphs, batch
-    /// widths, combining on/off, and the serial/pooled axis. Only the
-    /// state-byte accounting differs (exact slab capacity vs ledger).
+    /// The slab MSSP computes every query's hop distances — Dijkstra on
+    /// the unit-weight graph — across random graphs, batch widths,
+    /// combining on/off, and the serial/pooled axis.
     #[test]
-    fn slab_run_equals_hashmap_run(
+    fn slab_run_matches_dijkstra(
         n in 16usize..120,
         workers in 1usize..6,
         width in 1usize..9,
@@ -923,20 +813,18 @@ proptest! {
         cfg.parallel_vertex_threshold = if pooled { 0 } else { usize::MAX };
 
         let runner = Runner::new(&g, &HashPartitioner { salt: seed }, cfg);
-        let map = runner.run(&mtvc_tasks_free_mssp(sources.clone()));
-        let slab = runner.run_slab(&MiniSlabMssp { sources });
+        let slab = runner.run_slab(&MiniSlabMssp { sources: sources.clone() });
 
-        prop_assert!(map.outcome.is_completed());
-        prop_assert_eq!(&map.outcome, &slab.outcome);
-        prop_assert_eq!(
-            scrub_state_accounting(&map.stats),
-            scrub_state_accounting(&slab.stats)
-        );
-        for v in 0..n {
-            prop_assert_eq!(&map.states[v].dist, &slab.states[v].dist, "vertex {}", v);
+        prop_assert!(slab.outcome.is_completed());
+        for (q, &s) in sources.iter().enumerate() {
+            let want = reference::dijkstra(&g, s);
+            for (v, &d) in want.iter().enumerate() {
+                let got = slab.states[v].dist.get(&(q as u32)).copied();
+                let expect = (d != u64::MAX).then_some(d);
+                prop_assert_eq!(got, expect, "q={} s={} v={}", q, s, v);
+            }
         }
-        // Exact accounting: the slab's resident bytes are reported
-        // every round and never shrink below one row per vertex.
+        // The slab's dense bytes are charged every round.
         prop_assert!(slab.stats.peak_state_bytes.get() > 0);
     }
 
@@ -1184,7 +1072,7 @@ proptest! {
             cfg.checkpoint_every = every;
             cfg.faults = faults;
             let runner = Runner::new(&g, &HashPartitioner { salt: seed }, cfg);
-            runner.run(&mtvc_tasks_free_mssp(sources.clone()))
+            runner.run_slab(&MiniSlabMssp { sources: sources.clone() })
         };
         let clean = run(8, None);
         let plan = FaultPlan::random(seed ^ 0xCADE, workers, 6, crashes, 0);

@@ -7,22 +7,18 @@
 //! Like MSSP, queries are addressed by query id, so duplicate start
 //! vertices are distinct (independently-charged) unit tasks.
 //!
-//! Two state layouts per variant (see `mssp` module docs for the
-//! rationale): the slab kernels [`BkhsSlabProgram`] /
-//! [`BkhsBroadcastSlabProgram`] keep one reach byte per
-//! `(vertex, query)` in a dense slab row; the hash-set baselines
-//! [`BkhsProgram`] / [`BkhsBroadcastProgram`] remain for benchmarking
-//! and cross-checking. Message traffic is bit-identical between the
-//! layouts. [`BkhsLaneSlabProgram`] additionally batches eight
-//! adjacent queries per envelope ([`ReachLanesMsg`]), the same lane
-//! scheme as MSSP's `DistLanesMsg` — mult-weighted traffic stays
-//! bit-identical to the scalar slab kernel.
+//! The slab kernels [`BkhsSlabProgram`] / [`BkhsBroadcastSlabProgram`]
+//! keep one reach byte per `(vertex, query)` in a dense slab row (see
+//! the `mssp` module docs); property tests pin their reach sets to the
+//! sequential k-hop reference. [`BkhsLaneSlabProgram`] additionally
+//! batches eight adjacent queries per envelope ([`ReachLanesMsg`]), the
+//! same lane scheme as MSSP's `DistLanesMsg` — mult-weighted traffic
+//! stays bit-identical to the scalar slab kernel.
 
 use crate::mssp::QueryId;
 use crate::sources::SourceIndex;
 use mtvc_engine::{
-    Context, Delivery, Message, PayloadCodec, SlabProgram, SlabRow, SlabRowMut, VertexProgram,
-    LANES,
+    Context, Delivery, Message, PayloadCodec, SlabProgram, SlabRow, SlabRowMut, LANES,
 };
 use mtvc_graph::hash::FastSet;
 use mtvc_graph::VertexId;
@@ -106,156 +102,6 @@ pub struct BkhsState {
     pub reached: FastSet<QueryId>,
 }
 
-/// Point-to-point BKHS (hash-set state layout).
-#[derive(Debug, Clone)]
-pub struct BkhsProgram {
-    index: Arc<SourceIndex>,
-    range: Range<usize>,
-    k: u32,
-}
-
-impl BkhsProgram {
-    pub fn new(sources: Vec<VertexId>, k: u32) -> BkhsProgram {
-        assert!(k >= 1, "k-hop search requires k >= 1");
-        let range = 0..sources.len();
-        BkhsProgram {
-            index: SourceIndex::shared(sources),
-            range,
-            k,
-        }
-    }
-
-    /// One batch of a job-wide [`SourceIndex`].
-    pub fn batch(index: Arc<SourceIndex>, range: Range<usize>, k: u32) -> BkhsProgram {
-        assert!(k >= 1, "k-hop search requires k >= 1");
-        assert!(range.end <= index.len(), "batch range exceeds source pool");
-        BkhsProgram { index, range, k }
-    }
-
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
-    pub fn sources(&self) -> &[VertexId] {
-        &self.index.sources()[self.range.clone()]
-    }
-}
-
-/// Mark never-seen queries as reached and forward each one via
-/// `forward`, in inbox arrival order (deterministic: routing delivers
-/// in a fixed order). The set insert already deduplicates, so no
-/// scratch collection is needed.
-fn absorb_and_forward(
-    state: &mut BkhsState,
-    inbox: &[Delivery<ReachMsg>],
-    ctx: &mut Context<'_, ReachMsg>,
-    mut forward: impl FnMut(QueryId, &mut Context<'_, ReachMsg>),
-) {
-    for d in inbox {
-        if state.reached.insert(d.msg.query) {
-            forward(d.msg.query, ctx);
-        }
-    }
-}
-
-impl VertexProgram for BkhsProgram {
-    type Message = ReachMsg;
-    type State = BkhsState;
-
-    fn message_bytes(&self) -> u64 {
-        12 // query id + hop tag
-    }
-
-    fn init(&self, v: VertexId, state: &mut BkhsState, ctx: &mut Context<'_, ReachMsg>) {
-        for q in self.index.batch_queries_at(v, &self.range) {
-            state.reached.insert(q);
-            for &t in ctx.neighbors() {
-                ctx.send(t, ReachMsg { query: q }, 1);
-            }
-        }
-    }
-
-    fn compute(
-        &self,
-        _v: VertexId,
-        state: &mut BkhsState,
-        inbox: &[Delivery<ReachMsg>],
-        ctx: &mut Context<'_, ReachMsg>,
-    ) {
-        absorb_and_forward(state, inbox, ctx, |query, ctx| {
-            for &t in ctx.neighbors() {
-                ctx.send(t, ReachMsg { query }, 1);
-            }
-        });
-    }
-
-    /// §3: stop after k+1 rounds total (init + k forwarding rounds).
-    fn max_rounds(&self) -> Option<usize> {
-        Some(self.k as usize)
-    }
-
-    fn initial_state_bytes(&self) -> u64 {
-        48
-    }
-}
-
-/// Broadcast-interface BKHS (identical semantics; broadcast sends).
-#[derive(Debug, Clone)]
-pub struct BkhsBroadcastProgram {
-    inner: BkhsProgram,
-}
-
-impl BkhsBroadcastProgram {
-    pub fn new(sources: Vec<VertexId>, k: u32) -> BkhsBroadcastProgram {
-        BkhsBroadcastProgram {
-            inner: BkhsProgram::new(sources, k),
-        }
-    }
-
-    /// One batch of a job-wide [`SourceIndex`].
-    pub fn batch(index: Arc<SourceIndex>, range: Range<usize>, k: u32) -> BkhsBroadcastProgram {
-        BkhsBroadcastProgram {
-            inner: BkhsProgram::batch(index, range, k),
-        }
-    }
-}
-
-impl VertexProgram for BkhsBroadcastProgram {
-    type Message = ReachMsg;
-    type State = BkhsState;
-
-    fn message_bytes(&self) -> u64 {
-        8 // query only — receivers handle via the broadcast contract
-    }
-
-    fn init(&self, v: VertexId, state: &mut BkhsState, ctx: &mut Context<'_, ReachMsg>) {
-        for q in self.inner.index.batch_queries_at(v, &self.inner.range) {
-            state.reached.insert(q);
-            ctx.broadcast(ReachMsg { query: q }, 1);
-        }
-    }
-
-    fn compute(
-        &self,
-        _v: VertexId,
-        state: &mut BkhsState,
-        inbox: &[Delivery<ReachMsg>],
-        ctx: &mut Context<'_, ReachMsg>,
-    ) {
-        absorb_and_forward(state, inbox, ctx, |query, ctx| {
-            ctx.broadcast(ReachMsg { query }, 1);
-        });
-    }
-
-    fn max_rounds(&self) -> Option<usize> {
-        self.inner.max_rounds()
-    }
-
-    fn initial_state_bytes(&self) -> u64 {
-        48
-    }
-}
-
 // ---------------------------------------------------------------------
 // Slab kernels
 // ---------------------------------------------------------------------
@@ -272,10 +118,10 @@ fn extract_reached(row: SlabRow<'_, u8>) -> BkhsState {
 }
 
 /// Point-to-point BKHS on a dense state slab: one reach byte per
-/// `(vertex, query)`. Deduplication is a flag test instead of a
-/// hash-set probe; forwarding happens per delivery in inbox order, so
-/// traffic is bit-identical to [`BkhsProgram`]. The frontier bitset is
-/// unused — BKHS forwards inline and never re-scans its row.
+/// `(vertex, query)`. Deduplication is a flag test; forwarding happens
+/// per delivery in inbox order (deterministic: routing delivers in a
+/// fixed order). The frontier bitset is unused — BKHS forwards inline
+/// and never re-scans its row.
 #[derive(Debug, Clone)]
 pub struct BkhsSlabProgram {
     index: Arc<SourceIndex>,
@@ -324,7 +170,7 @@ impl SlabProgram for BkhsSlabProgram {
     }
 
     fn message_bytes(&self) -> u64 {
-        12
+        12 // query id + hop tag
     }
 
     fn seeds(&self) -> Option<&[VertexId]> {
@@ -362,13 +208,14 @@ impl SlabProgram for BkhsSlabProgram {
         extract_reached(row)
     }
 
+    /// §3: stop after k+1 rounds total (init + k forwarding rounds).
     fn max_rounds(&self) -> Option<usize> {
         Some(self.k as usize)
     }
 }
 
-/// Broadcast-interface BKHS on a dense state slab. Traffic-identical
-/// to [`BkhsBroadcastProgram`].
+/// Broadcast-interface BKHS on a dense state slab (identical semantics;
+/// broadcast sends).
 #[derive(Debug, Clone)]
 pub struct BkhsBroadcastSlabProgram {
     inner: BkhsSlabProgram,
@@ -403,7 +250,7 @@ impl SlabProgram for BkhsBroadcastSlabProgram {
     }
 
     fn message_bytes(&self) -> u64 {
-        8
+        8 // query only — receivers handle via the broadcast contract
     }
 
     fn seeds(&self) -> Option<&[VertexId]> {
@@ -584,7 +431,7 @@ mod tests {
 
     #[test]
     fn duplicate_sources_kept_as_queries() {
-        let p = BkhsProgram::new(vec![4, 4, 2], 3);
+        let p = BkhsSlabProgram::new(vec![4, 4, 2], 3);
         assert_eq!(p.sources(), &[4, 4, 2]);
         assert_eq!(p.k(), 3);
         assert_eq!(p.max_rounds(), Some(3));
@@ -594,7 +441,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "k >= 1")]
     fn zero_hops_rejected() {
-        BkhsProgram::new(vec![0], 0);
+        BkhsSlabProgram::new(vec![0], 0);
     }
 
     #[test]

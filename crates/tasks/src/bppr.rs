@@ -6,33 +6,31 @@
 //!
 //! Two algorithms, mirroring §3:
 //!
-//! * **Monte-Carlo** ([`BpprSlabProgram`], hash-map baseline
-//!   [`BpprProgram`]) — the Pregel point-to-point method. Each round is
-//!   one walk step; a message carries the walk's source id. Walks are
-//!   moved in **aggregated form**: an envelope with multiplicity `c`
-//!   stands for `c` individual walks, the stop events are
-//!   `Binomial(c, α)` and the survivors spread over the neighbors with
-//!   a uniform multinomial — exactly the distribution of `c`
-//!   independent walks, while the cost accounting still charges `c`
+//! * **Monte-Carlo** ([`BpprSlabProgram`]) — the Pregel point-to-point
+//!   method. Each round is one walk step; a message carries the walk's
+//!   source id. Walks are moved in **aggregated form**: an envelope
+//!   with multiplicity `c` stands for `c` individual walks, the stop
+//!   events are `Binomial(c, α)` and the survivors spread over the
+//!   neighbors with a uniform multinomial — exactly the distribution of
+//!   `c` independent walks, while the cost accounting still charges `c`
 //!   wire messages.
-//! * **Forward-push** ([`BpprPushSlabProgram`], baseline
-//!   [`BpprPushProgram`]) — the Pregel-Mirror broadcast variant: the
-//!   "generalized random walk" (fractional forward-push) of §3, where a
-//!   vertex broadcasts one common message per source and the walk mass
-//!   is split evenly among neighbors. Deterministic and unbiased.
+//! * **Forward-push** ([`BpprPushSlabProgram`]) — the Pregel-Mirror
+//!   broadcast variant: the "generalized random walk" (fractional
+//!   forward-push) of §3, where a vertex broadcasts one common message
+//!   per source and the walk mass is split evenly among neighbors.
+//!   Deterministic and unbiased.
 //!
 //! The slab kernels store per-source state in a dense row indexed by
 //! **source slot** (see [`SourceSet::slot_of`]): stop counters for the
 //! Monte-Carlo walk, `(mass, residue)` cells for the push. The push is
 //! *in place* — incoming mass accumulates into the residue cell and the
 //! frontier bitset marks which slots to settle, so a round touches only
-//! the sources that actually received mass. Message traffic, RNG
-//! consumption and f64 summation order are bit-identical to the
-//! hash-map baselines.
+//! the sources that actually received mass. Walks draw the context
+//! RNG in inbox order, so no sequential reference reproduces them bit
+//! for bit; property tests check per-source conservation and the
+//! estimates against exact PPR instead.
 
-use mtvc_engine::{
-    Context, Delivery, Message, PayloadCodec, SlabProgram, SlabRow, SlabRowMut, VertexProgram,
-};
+use mtvc_engine::{Context, Delivery, Message, PayloadCodec, SlabProgram, SlabRow, SlabRowMut};
 use mtvc_graph::hash::FastMap;
 use mtvc_graph::VertexId;
 
@@ -74,8 +72,8 @@ impl SourceSet {
 
     /// Dense slab slot of source `v`: its rank in the sorted source
     /// list (`v` itself for [`SourceSet::AllVertices`]). `None` when
-    /// `v` is not a source. Slot order equals source-id order, which
-    /// keeps slab drains aligned with the baselines' sorted pushes.
+    /// `v` is not a source. Slot order equals source-id order, so slab
+    /// drains settle sources in ascending id order.
     pub fn slot_of(&self, v: VertexId) -> Option<usize> {
         match self {
             SourceSet::AllVertices => Some(v as usize),
@@ -135,100 +133,15 @@ pub struct BpprState {
     pub stops: FastMap<VertexId, u64>,
 }
 
-/// Monte-Carlo BPPR for point-to-point systems (hash-map state layout;
-/// the production kernel is [`BpprSlabProgram`]).
+/// Monte-Carlo BPPR on a dense state slab: one `u64` stop counter per
+/// `(vertex, source-slot)`.
 #[derive(Debug, Clone)]
-pub struct BpprProgram {
+pub struct BpprSlabProgram {
     /// Walks per source in this batch (the paper's workload unit).
     pub walks_per_node: u64,
     /// Decay probability α (walk stops with probability α per step).
     pub alpha: f64,
     /// Walk sources.
-    pub sources: SourceSet,
-}
-
-impl BpprProgram {
-    pub fn new(walks_per_node: u64, alpha: f64) -> BpprProgram {
-        assert!((0.0..1.0).contains(&alpha) && alpha > 0.0, "alpha in (0,1)");
-        BpprProgram {
-            walks_per_node,
-            alpha,
-            sources: SourceSet::AllVertices,
-        }
-    }
-
-    pub fn with_sources(mut self, sources: SourceSet) -> Self {
-        self.sources = sources;
-        self
-    }
-
-    /// Step `count` walks of `source` standing at the context vertex:
-    /// stop some, spread the rest.
-    fn step_walks(
-        &self,
-        source: VertexId,
-        count: u64,
-        state: &mut BpprState,
-        ctx: &mut Context<'_, WalkMsg>,
-    ) {
-        if count == 0 {
-            return;
-        }
-        let degree = ctx.degree();
-        let stopped = if degree == 0 {
-            count // dangling vertices absorb their walks
-        } else {
-            crate::sampling::binomial(ctx.rng(), count, self.alpha)
-        };
-        if stopped > 0 {
-            *state.stops.entry(source).or_insert(0) += stopped;
-        }
-        let moving = count - stopped;
-        if moving == 0 {
-            return;
-        }
-        ctx.send_uniform_spread(WalkMsg { source }, moving);
-    }
-}
-
-impl VertexProgram for BpprProgram {
-    type Message = WalkMsg;
-    type State = BpprState;
-
-    fn message_bytes(&self) -> u64 {
-        16 // source id + walk bookkeeping (a constant number of ints)
-    }
-
-    fn init(&self, v: VertexId, state: &mut BpprState, ctx: &mut Context<'_, WalkMsg>) {
-        if self.sources.contains(v) {
-            self.step_walks(v, self.walks_per_node, state, ctx);
-        }
-    }
-
-    fn compute(
-        &self,
-        _v: VertexId,
-        state: &mut BpprState,
-        inbox: &[Delivery<WalkMsg>],
-        ctx: &mut Context<'_, WalkMsg>,
-    ) {
-        for d in inbox {
-            self.step_walks(d.msg.source, d.mult, state, ctx);
-        }
-    }
-
-    fn initial_state_bytes(&self) -> u64 {
-        48 // empty hash map header
-    }
-}
-
-/// Monte-Carlo BPPR on a dense state slab: one `u64` stop counter per
-/// `(vertex, source-slot)`. RNG consumption and message traffic are
-/// bit-identical to [`BpprProgram`], so the sampled walks are the same.
-#[derive(Debug, Clone)]
-pub struct BpprSlabProgram {
-    pub walks_per_node: u64,
-    pub alpha: f64,
     pub sources: SourceSet,
     num_vertices: usize,
 }
@@ -250,6 +163,8 @@ impl BpprSlabProgram {
         self
     }
 
+    /// Step `count` walks of `source` standing at the context vertex:
+    /// stop some, spread the rest.
     fn step_walks(
         &self,
         source: VertexId,
@@ -262,7 +177,7 @@ impl BpprSlabProgram {
         }
         let degree = ctx.degree();
         let stopped = if degree == 0 {
-            count
+            count // dangling vertices absorb their walks
         } else {
             crate::sampling::binomial(ctx.rng(), count, self.alpha)
         };
@@ -292,7 +207,7 @@ impl SlabProgram for BpprSlabProgram {
     }
 
     fn message_bytes(&self) -> u64 {
-        16
+        16 // source id + walk bookkeeping (a constant number of ints)
     }
 
     fn seeds(&self) -> Option<&[VertexId]> {
@@ -431,118 +346,6 @@ pub struct PushState {
     pub mass: FastMap<VertexId, f64>,
 }
 
-/// Fractional-walk BPPR for the broadcast (mirror) interface (hash-map
-/// state layout; the production kernel is [`BpprPushSlabProgram`]).
-#[derive(Debug, Clone)]
-pub struct BpprPushProgram {
-    pub walks_per_node: u64,
-    pub alpha: f64,
-    /// Residues below this many walk units stop propagating and are
-    /// absorbed locally; bounds both rounds and total error.
-    pub epsilon: f64,
-    pub sources: SourceSet,
-}
-
-impl BpprPushProgram {
-    pub fn new(walks_per_node: u64, alpha: f64) -> BpprPushProgram {
-        assert!((0.0..1.0).contains(&alpha) && alpha > 0.0, "alpha in (0,1)");
-        BpprPushProgram {
-            walks_per_node,
-            alpha,
-            epsilon: 0.25,
-            sources: SourceSet::AllVertices,
-        }
-    }
-
-    pub fn with_sources(mut self, sources: SourceSet) -> Self {
-        self.sources = sources;
-        self
-    }
-
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        assert!(epsilon > 0.0);
-        self.epsilon = epsilon;
-        self
-    }
-
-    fn push(
-        &self,
-        source: VertexId,
-        residue: f64,
-        state: &mut PushState,
-        ctx: &mut Context<'_, PushMsg>,
-    ) {
-        if residue <= 0.0 {
-            return;
-        }
-        let degree = ctx.degree();
-        let absorb_here = |state: &mut PushState, amt: f64| {
-            *state.mass.entry(source).or_insert(0.0) += amt;
-        };
-        if degree == 0 {
-            absorb_here(state, residue);
-            return;
-        }
-        let stopped = self.alpha * residue;
-        absorb_here(state, stopped);
-        let forward = residue - stopped;
-        if forward < self.epsilon {
-            // Too small to keep pushing; absorb to conserve mass.
-            absorb_here(state, forward);
-        } else {
-            ctx.broadcast(
-                PushMsg {
-                    source,
-                    amount: forward / degree as f64,
-                },
-                1,
-            );
-        }
-    }
-}
-
-impl VertexProgram for BpprPushProgram {
-    type Message = PushMsg;
-    type State = PushState;
-
-    fn message_bytes(&self) -> u64 {
-        20 // source id + f64 amount + receiver handling tag
-    }
-
-    fn init(&self, v: VertexId, state: &mut PushState, ctx: &mut Context<'_, PushMsg>) {
-        if self.sources.contains(v) {
-            self.push(v, self.walks_per_node as f64, state, ctx);
-        }
-    }
-
-    fn compute(
-        &self,
-        _v: VertexId,
-        state: &mut PushState,
-        inbox: &[Delivery<PushMsg>],
-        ctx: &mut Context<'_, PushMsg>,
-    ) {
-        // Multiple tuples of the same source may arrive (one per sending
-        // worker); accumulate before pushing so the per-source residue
-        // is pushed once.
-        let mut per_source: FastMap<VertexId, f64> = FastMap::default();
-        for d in inbox {
-            // `amount` is the total delivered mass: combiner merges add
-            // amounts, so multiplicity must NOT scale it again.
-            *per_source.entry(d.msg.source).or_insert(0.0) += d.msg.amount;
-        }
-        let mut sources: Vec<(VertexId, f64)> = per_source.into_iter().collect();
-        sources.sort_unstable_by_key(|(s, _)| *s); // deterministic order
-        for (source, residue) in sources {
-            self.push(source, residue, state, ctx);
-        }
-    }
-
-    fn initial_state_bytes(&self) -> u64 {
-        48
-    }
-}
-
 /// Dense push cell: absorbed walk `mass` plus the `residue` delivered
 /// this round and not yet settled.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -551,16 +354,18 @@ pub struct PushCell {
     pub residue: f64,
 }
 
-/// Forward-push BPPR on a dense state slab: `(mass, residue)` per
-/// `(vertex, source-slot)`. Incoming mass accumulates **in place** into
-/// the residue cell (inbox order, so f64 sums match the baseline) and
-/// the frontier bitset marks the slot; settling drains marked slots in
-/// ascending slot order — the same order the baseline's sorted push
-/// uses. Traffic and results are bit-identical to [`BpprPushProgram`].
+/// Fractional-walk BPPR for the broadcast (mirror) interface on a
+/// dense state slab: `(mass, residue)` per `(vertex, source-slot)`.
+/// Incoming mass accumulates **in place** into the residue cell (inbox
+/// order) and the frontier bitset marks the slot; settling drains
+/// marked slots in ascending slot order, so the per-source residue is
+/// pushed once per round, in a deterministic order.
 #[derive(Debug, Clone)]
 pub struct BpprPushSlabProgram {
     pub walks_per_node: u64,
     pub alpha: f64,
+    /// Residues below this many walk units stop propagating and are
+    /// absorbed locally; bounds both rounds and total error.
     pub epsilon: f64,
     pub sources: SourceSet,
     num_vertices: usize,
@@ -591,8 +396,7 @@ impl BpprPushSlabProgram {
     }
 
     /// Settle `residue` units of `source` into `cell`: absorb the
-    /// stopped fraction, broadcast the survivors. Mirrors
-    /// [`BpprPushProgram::push`] operation for operation.
+    /// stopped fraction, broadcast the survivors.
     fn settle(
         &self,
         source: VertexId,
@@ -612,6 +416,7 @@ impl BpprPushSlabProgram {
         cell.mass += stopped;
         let forward = residue - stopped;
         if forward < self.epsilon {
+            // Too small to keep pushing; absorb to conserve mass.
             cell.mass += forward;
         } else {
             ctx.broadcast(
@@ -639,7 +444,7 @@ impl SlabProgram for BpprPushSlabProgram {
     }
 
     fn message_bytes(&self) -> u64 {
-        20
+        20 // source id + f64 amount + receiver handling tag
     }
 
     fn seeds(&self) -> Option<&[VertexId]> {
@@ -660,8 +465,9 @@ impl SlabProgram for BpprPushSlabProgram {
         inbox: &[Delivery<PushMsg>],
         ctx: &mut Context<'_, PushMsg>,
     ) {
-        // Accumulate in place, inbox order: same f64 summation order as
-        // the baseline's scratch map.
+        // Accumulate in place, inbox order. `amount` is the total
+        // delivered mass: combiner merges add amounts, so multiplicity
+        // must NOT scale it again.
         for d in inbox {
             let slot = self.sources.slot_of(d.msg.source).expect("non-source push");
             row.cell_mut(slot).residue += d.msg.amount;
@@ -777,7 +583,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "alpha")]
     fn alpha_must_be_fractional() {
-        BpprProgram::new(10, 1.0);
+        BpprSlabProgram::new(10, 1.0, 4);
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! multi-processing tasks that cannot satisfy the PPA bounds. Each
 //! vertex repeatedly adopts the minimum label seen among itself and its
 //! neighbors; on graphs with small diameter this converges in few
-//! rounds with O(d(v)) communication per vertex per round.
+//! rounds with O(d(v)) communication per vertex per round. The label is
+//! one `u32` slab cell per vertex (width 1), `VertexId::MAX` while
+//! unset.
 
-use mtvc_engine::{Context, Delivery, Message, VertexProgram};
+use mtvc_engine::{Context, Delivery, Message, SlabProgram, SlabRow, SlabRowMut};
 use mtvc_graph::VertexId;
 
 /// Label message: the sender's current component label.
@@ -25,8 +27,8 @@ impl Message for LabelMsg {
     }
 }
 
-/// Per-vertex state: the smallest vertex id seen in its component.
-#[derive(Debug, Clone)]
+/// Per-vertex output: the smallest vertex id seen in its component.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CcState {
     pub label: VertexId,
 }
@@ -43,16 +45,30 @@ impl Default for CcState {
 #[derive(Debug, Clone, Default)]
 pub struct ConnectedComponentsProgram;
 
-impl VertexProgram for ConnectedComponentsProgram {
+impl SlabProgram for ConnectedComponentsProgram {
     type Message = LabelMsg;
-    type State = CcState;
+    type Cell = VertexId;
+    type Out = CcState;
+
+    fn width(&self) -> usize {
+        1
+    }
+
+    fn empty_cell(&self) -> VertexId {
+        VertexId::MAX
+    }
 
     fn message_bytes(&self) -> u64 {
         8
     }
 
-    fn init(&self, v: VertexId, state: &mut CcState, ctx: &mut Context<'_, LabelMsg>) {
-        state.label = v;
+    fn init(
+        &self,
+        v: VertexId,
+        mut row: SlabRowMut<'_, VertexId>,
+        ctx: &mut Context<'_, LabelMsg>,
+    ) {
+        row.set(0, v);
         for &t in ctx.neighbors() {
             ctx.send(t, LabelMsg { label: v }, 1);
         }
@@ -61,16 +77,25 @@ impl VertexProgram for ConnectedComponentsProgram {
     fn compute(
         &self,
         _v: VertexId,
-        state: &mut CcState,
+        mut row: SlabRowMut<'_, VertexId>,
         inbox: &[Delivery<LabelMsg>],
         ctx: &mut Context<'_, LabelMsg>,
     ) {
         let best = inbox.iter().map(|d| d.msg.label).min().unwrap();
-        if best < state.label {
-            state.label = best;
+        if best < row.get(0) {
+            row.set(0, best);
             for &t in ctx.neighbors() {
                 ctx.send(t, LabelMsg { label: best }, 1);
             }
+        }
+    }
+
+    fn extract(&self, _v: VertexId, row: SlabRow<'_, VertexId>) -> CcState {
+        CcState {
+            label: row
+                .written()
+                .next()
+                .map_or(VertexId::MAX, |(_, label)| label),
         }
     }
 }
@@ -93,7 +118,7 @@ mod tests {
         let mut cfg = EngineConfig::new(ClusterSpec::galaxy(machines), SystemProfile::base("cc"));
         cfg.cutoff = SimTime::secs(1e12);
         let runner = Runner::new(g, &HashPartitioner::default(), cfg);
-        let result = runner.run(&ConnectedComponentsProgram);
+        let result = runner.run_slab(&ConnectedComponentsProgram);
         assert!(result.outcome.is_completed());
         labels(&result.states)
     }

@@ -5,21 +5,21 @@
 //! Pregel-Mirror (broadcast) form:
 //!
 //! * **BPPR** — batch personalized PageRank via α-decay random walks
-//!   ([`bppr::BpprProgram`]) and the generalized fractional-walk /
+//!   ([`bppr::BpprSlabProgram`]) and the generalized fractional-walk /
 //!   forward-push variant for the broadcast interface
-//!   ([`bppr::BpprPushProgram`]).
+//!   ([`bppr::BpprPushSlabProgram`]).
 //! * **MSSP** — multi-source shortest path distances
-//!   ([`mssp::MsspProgram`], [`mssp::MsspBroadcastProgram`]).
-//! * **BKHS** — batch k-hop search ([`bkhs::BkhsProgram`],
-//!   [`bkhs::BkhsBroadcastProgram`]).
+//!   ([`mssp::MsspSlabProgram`], [`mssp::MsspLaneSlabProgram`],
+//!   [`mssp::MsspBroadcastSlabProgram`]).
+//! * **BKHS** — batch k-hop search ([`bkhs::BkhsSlabProgram`],
+//!   [`bkhs::BkhsLaneSlabProgram`], [`bkhs::BkhsBroadcastSlabProgram`]).
 //!
-//! Each of the three benchmarks ships two state layouts: a dense
-//! **slab** kernel (`*SlabProgram`, the production path — per-batch
-//! state lives in a [`mtvc_engine::StateSlab`] row per vertex with
-//! frontier-driven compute and exact byte accounting) and the original
-//! hash-map kernel, kept as benchmarking baseline and independent
-//! test oracle. Source-based tasks share a once-per-job
-//! [`sources::SourceIndex`] that batches slice instead of rebuilding.
+//! Every program is a slab program: per-batch state lives in a
+//! [`mtvc_engine::StateSlab`] row per vertex, with frontier-driven
+//! compute and a dense, per-run state charge. Results are checked
+//! against the sequential references, not against a second layout.
+//! Source-based tasks share a once-per-job [`sources::SourceIndex`]
+//! that batches slice instead of rebuilding.
 //!
 //! Plus classic **PageRank** ([`pagerank::PageRankProgram`]) used by the
 //! §4.8 sync-vs-async comparison (Table 4), **Connected Components**
@@ -41,17 +41,11 @@ pub mod sampling {
     pub use mtvc_engine::sampling::*;
 }
 
-pub use bkhs::{
-    BkhsBroadcastProgram, BkhsBroadcastSlabProgram, BkhsLaneSlabProgram, BkhsProgram,
-    BkhsSlabProgram, ReachLanesMsg,
-};
-pub use bppr::{
-    BpprProgram, BpprPushProgram, BpprPushSlabProgram, BpprSlabProgram, PushCell, SourceSet,
-};
+pub use bkhs::{BkhsBroadcastSlabProgram, BkhsLaneSlabProgram, BkhsSlabProgram, ReachLanesMsg};
+pub use bppr::{BpprPushSlabProgram, BpprSlabProgram, PushCell, SourceSet};
 pub use cc::ConnectedComponentsProgram;
 pub use mssp::{
-    DistLanesMsg, DistMsg, MsspBroadcastProgram, MsspBroadcastSlabProgram, MsspLaneSlabProgram,
-    MsspProgram, MsspSlabProgram,
+    DistLanesMsg, DistMsg, MsspBroadcastSlabProgram, MsspLaneSlabProgram, MsspSlabProgram,
 };
 pub use pagerank::PageRankProgram;
 pub use sources::SourceIndex;

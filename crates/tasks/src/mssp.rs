@@ -15,17 +15,11 @@
 //! That form cannot carry per-edge weights, so it computes hop
 //! distances (the paper's datasets are unweighted).
 //!
-//! Two state layouts per variant:
-//!
-//! * [`MsspSlabProgram`] / [`MsspBroadcastSlabProgram`] — the
-//!   production kernels: distances live in a dense
-//!   [`StateSlab`](mtvc_engine::StateSlab) row of `W` cells per vertex,
-//!   relaxed branchlessly and drained via the frontier bitset. Exact
-//!   state accounting, no hashing, no per-compute allocation.
-//! * [`MsspProgram`] / [`MsspBroadcastProgram`] — the hash-map
-//!   baselines, kept for benchmarking the slab layout against and as
-//!   independent oracles in property tests. Message traffic is
-//!   bit-identical to the slab kernels.
+//! [`MsspSlabProgram`] and [`MsspBroadcastSlabProgram`] keep distances
+//! in a [`StateSlab`](mtvc_engine::StateSlab) row of `W` cells per
+//! vertex, relaxed branchlessly and drained via the frontier bitset: no
+//! hashing, no per-compute allocation. Property tests pin them to the
+//! sequential references (Dijkstra, BFS).
 //!
 //! [`MsspLaneSlabProgram`] lane-batches the slab kernel: one
 //! [`DistLanesMsg`] relaxes eight adjacent queries per envelope. BKHS
@@ -38,8 +32,7 @@
 use crate::sources::SourceIndex;
 use mtvc_engine::wire::{read_varint, write_varint};
 use mtvc_engine::{
-    Context, Delivery, Message, PayloadCodec, SlabProgram, SlabRow, SlabRowMut, VertexProgram,
-    LANES,
+    Context, Delivery, Message, PayloadCodec, SlabProgram, SlabRow, SlabRowMut, LANES,
 };
 use mtvc_graph::hash::FastMap;
 use mtvc_graph::VertexId;
@@ -148,198 +141,6 @@ pub struct MsspState {
     pub dist: FastMap<QueryId, u64>,
 }
 
-/// Weighted multi-source shortest paths for point-to-point systems
-/// (hash-map state layout; see module docs).
-#[derive(Debug, Clone)]
-pub struct MsspProgram {
-    index: Arc<SourceIndex>,
-    range: Range<usize>,
-}
-
-impl MsspProgram {
-    /// `sources[q]` is the start vertex of query `q`. Duplicates are
-    /// legal (independent unit tasks).
-    pub fn new(sources: Vec<VertexId>) -> MsspProgram {
-        let range = 0..sources.len();
-        MsspProgram {
-            index: SourceIndex::shared(sources),
-            range,
-        }
-    }
-
-    /// One batch of a job-wide [`SourceIndex`]: queries
-    /// `[range.start, range.end)`, addressed by batch-local id.
-    pub fn batch(index: Arc<SourceIndex>, range: Range<usize>) -> MsspProgram {
-        assert!(range.end <= index.len(), "batch range exceeds source pool");
-        MsspProgram { index, range }
-    }
-
-    pub fn sources(&self) -> &[VertexId] {
-        &self.index.sources()[self.range.clone()]
-    }
-
-    pub fn num_queries(&self) -> usize {
-        self.range.len()
-    }
-}
-
-fn improve(state: &mut MsspState, query: QueryId, dist: u64) -> bool {
-    match state.dist.get_mut(&query) {
-        Some(cur) if *cur <= dist => false,
-        Some(cur) => {
-            *cur = dist;
-            true
-        }
-        None => {
-            state.dist.insert(query, dist);
-            true
-        }
-    }
-}
-
-impl VertexProgram for MsspProgram {
-    type Message = DistMsg;
-    type State = MsspState;
-
-    fn message_bytes(&self) -> u64 {
-        20 // (source, target, dist) — three integers as in §3
-    }
-
-    fn init(&self, v: VertexId, state: &mut MsspState, ctx: &mut Context<'_, DistMsg>) {
-        for q in self.index.batch_queries_at(v, &self.range) {
-            improve(state, q, 0);
-            // `weighted_neighbors` borrows only the graph, so the edge
-            // walk interleaves with `send` without materializing a Vec.
-            for (t, w) in ctx.weighted_neighbors() {
-                ctx.send(
-                    t,
-                    DistMsg {
-                        query: q,
-                        dist: w as u64,
-                    },
-                    1,
-                );
-            }
-        }
-    }
-
-    fn compute(
-        &self,
-        _v: VertexId,
-        state: &mut MsspState,
-        inbox: &[Delivery<DistMsg>],
-        ctx: &mut Context<'_, DistMsg>,
-    ) {
-        // Receiver-side aggregation: keep the best candidate per query
-        // ("if there are multiple messages that have the same source and
-        // target, only the message with the smallest length is
-        // retained" — §3).
-        let mut best: FastMap<QueryId, u64> = FastMap::default();
-        for d in inbox {
-            best.entry(d.msg.query)
-                .and_modify(|x| *x = (*x).min(d.msg.dist))
-                .or_insert(d.msg.dist);
-        }
-        let mut improved: Vec<(QueryId, u64)> = Vec::new();
-        for (query, dist) in best {
-            if improve(state, query, dist) {
-                improved.push((query, dist));
-            }
-        }
-        improved.sort_unstable(); // deterministic send order
-        for (query, dist) in improved {
-            for (t, w) in ctx.weighted_neighbors() {
-                ctx.send(
-                    t,
-                    DistMsg {
-                        query,
-                        dist: dist + w as u64,
-                    },
-                    1,
-                );
-            }
-        }
-    }
-
-    fn initial_state_bytes(&self) -> u64 {
-        48
-    }
-}
-
-/// Broadcast-interface MSSP (hop distances; hash-map baseline).
-#[derive(Debug, Clone)]
-pub struct MsspBroadcastProgram {
-    index: Arc<SourceIndex>,
-    range: Range<usize>,
-}
-
-impl MsspBroadcastProgram {
-    pub fn new(sources: Vec<VertexId>) -> MsspBroadcastProgram {
-        let range = 0..sources.len();
-        MsspBroadcastProgram {
-            index: SourceIndex::shared(sources),
-            range,
-        }
-    }
-
-    /// One batch of a job-wide [`SourceIndex`].
-    pub fn batch(index: Arc<SourceIndex>, range: Range<usize>) -> MsspBroadcastProgram {
-        assert!(range.end <= index.len(), "batch range exceeds source pool");
-        MsspBroadcastProgram { index, range }
-    }
-
-    pub fn sources(&self) -> &[VertexId] {
-        &self.index.sources()[self.range.clone()]
-    }
-}
-
-impl VertexProgram for MsspBroadcastProgram {
-    type Message = DistMsg;
-    type State = MsspState;
-
-    fn message_bytes(&self) -> u64 {
-        12 // (source, dist) — the slimmer broadcast message of §3
-    }
-
-    fn init(&self, v: VertexId, state: &mut MsspState, ctx: &mut Context<'_, DistMsg>) {
-        for q in self.index.batch_queries_at(v, &self.range) {
-            improve(state, q, 0);
-            ctx.broadcast(DistMsg { query: q, dist: 0 }, 1);
-        }
-    }
-
-    fn compute(
-        &self,
-        _v: VertexId,
-        state: &mut MsspState,
-        inbox: &[Delivery<DistMsg>],
-        ctx: &mut Context<'_, DistMsg>,
-    ) {
-        let mut best: FastMap<QueryId, u64> = FastMap::default();
-        for d in inbox {
-            // The sender broadcast its own distance; one hop further.
-            let cand = d.msg.dist + 1;
-            best.entry(d.msg.query)
-                .and_modify(|x| *x = (*x).min(cand))
-                .or_insert(cand);
-        }
-        let mut improved: Vec<(QueryId, u64)> = Vec::new();
-        for (query, dist) in best {
-            if improve(state, query, dist) {
-                improved.push((query, dist));
-            }
-        }
-        improved.sort_unstable();
-        for (query, dist) in improved {
-            ctx.broadcast(DistMsg { query, dist }, 1);
-        }
-    }
-
-    fn initial_state_bytes(&self) -> u64 {
-        48
-    }
-}
-
 // ---------------------------------------------------------------------
 // Slab kernels
 // ---------------------------------------------------------------------
@@ -358,8 +159,7 @@ fn extract_dists(row: SlabRow<'_, u64>) -> MsspState {
 
 /// Weighted point-to-point MSSP on a dense state slab: one `u64`
 /// distance cell per `(vertex, query)`, branchless min-relax per
-/// delivery, frontier-driven edge relaxation. Message traffic is
-/// bit-identical to [`MsspProgram`].
+/// delivery, frontier-driven edge relaxation.
 #[derive(Debug, Clone)]
 pub struct MsspSlabProgram {
     index: Arc<SourceIndex>,
@@ -367,6 +167,8 @@ pub struct MsspSlabProgram {
 }
 
 impl MsspSlabProgram {
+    /// `sources[q]` is the start vertex of query `q`. Duplicates are
+    /// legal (independent unit tasks).
     pub fn new(sources: Vec<VertexId>) -> MsspSlabProgram {
         let range = 0..sources.len();
         MsspSlabProgram {
@@ -404,7 +206,7 @@ impl SlabProgram for MsspSlabProgram {
     }
 
     fn message_bytes(&self) -> u64 {
-        20 // same wire format as the hash-map baseline
+        20 // (source, target, dist) — three integers as in §3
     }
 
     fn seeds(&self) -> Option<&[VertexId]> {
@@ -439,8 +241,7 @@ impl SlabProgram for MsspSlabProgram {
         for d in inbox {
             row.relax_min(d.msg.query as usize, d.msg.dist);
         }
-        // Drain ascending by query id: the same deterministic send
-        // order the baseline's sort produces.
+        // Drain ascending by query id: a deterministic send order.
         row.drain(|q, dist| {
             let dist = *dist;
             for (t, w) in ctx.weighted_neighbors() {
@@ -590,7 +391,6 @@ impl SlabProgram for MsspLaneSlabProgram {
 }
 
 /// Broadcast-interface MSSP on a dense state slab (hop distances).
-/// Traffic-identical to [`MsspBroadcastProgram`].
 #[derive(Debug, Clone)]
 pub struct MsspBroadcastSlabProgram {
     index: Arc<SourceIndex>,
@@ -627,7 +427,7 @@ impl SlabProgram for MsspBroadcastSlabProgram {
     }
 
     fn message_bytes(&self) -> u64 {
-        12
+        12 // (source, dist) — the slimmer broadcast message of §3
     }
 
     fn seeds(&self) -> Option<&[VertexId]> {
@@ -706,7 +506,7 @@ mod tests {
 
     #[test]
     fn duplicate_sources_are_distinct_queries() {
-        let p = MsspProgram::new(vec![9, 3, 9]);
+        let p = MsspSlabProgram::new(vec![9, 3, 9]);
         assert_eq!(p.num_queries(), 3);
         assert_eq!(p.sources(), &[9, 3, 9]);
         // Vertex 9 starts queries 0 and 2.
@@ -716,22 +516,22 @@ mod tests {
     #[test]
     fn batch_programs_slice_a_shared_index() {
         let index = SourceIndex::shared(vec![4, 7, 4, 2]);
-        let b = MsspProgram::batch(Arc::clone(&index), 1..3);
-        assert_eq!(b.sources(), &[7, 4]);
-        assert_eq!(b.num_queries(), 2);
-        let s = MsspSlabProgram::batch(index, 1..3);
+        let s = MsspSlabProgram::batch(Arc::clone(&index), 1..3);
         assert_eq!(s.sources(), &[7, 4]);
+        assert_eq!(s.num_queries(), 2);
         assert_eq!(s.width(), 2);
+        let lanes = MsspLaneSlabProgram::batch(index, 1..3);
+        assert_eq!(lanes.sources(), &[7, 4]);
     }
 
     #[test]
     fn message_sizes_differ_between_variants() {
-        let p2p = MsspProgram::new(vec![0]);
-        let bc = MsspBroadcastProgram::new(vec![0]);
+        let p2p = MsspSlabProgram::new(vec![0]);
+        let bc = MsspBroadcastSlabProgram::new(vec![0]);
         assert!(bc.message_bytes() < p2p.message_bytes());
         assert_eq!(
-            SlabProgram::message_bytes(&MsspSlabProgram::new(vec![0])),
-            VertexProgram::message_bytes(&p2p)
+            MsspLaneSlabProgram::new(vec![0]).message_bytes(),
+            p2p.message_bytes()
         );
     }
 

@@ -6,8 +6,10 @@
 //! single source as input." Standard Pregel formulation: fixed number
 //! of iterations; each round a vertex sets
 //! `rank = (1-d)/n + d · Σ incoming` and sends `rank/degree` onward.
+//! The rank is one `f64` slab cell per vertex (width 1), so the state
+//! charge is the cell plus its frontier word.
 
-use mtvc_engine::{Context, Delivery, Message, VertexProgram};
+use mtvc_engine::{Context, Delivery, Message, SlabProgram, SlabRow, SlabRowMut};
 use mtvc_graph::VertexId;
 
 /// Rank contribution flowing along an edge. All contributions to a
@@ -26,8 +28,8 @@ impl Message for RankMsg {
     }
 }
 
-/// Per-vertex PageRank state.
-#[derive(Debug, Clone, Default)]
+/// Per-vertex PageRank output.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RankState {
     pub rank: f64,
 }
@@ -56,53 +58,64 @@ impl Default for PageRankProgram {
     }
 }
 
-impl VertexProgram for PageRankProgram {
+/// Send each out-neighbor its `rank/degree` share.
+fn send_shares(rank: f64, ctx: &mut Context<'_, RankMsg>) {
+    let degree = ctx.degree();
+    if degree > 0 {
+        let share = rank / degree as f64;
+        for &t in ctx.neighbors() {
+            ctx.send(t, RankMsg { value: share }, 1);
+        }
+    }
+}
+
+impl SlabProgram for PageRankProgram {
     type Message = RankMsg;
-    type State = RankState;
+    type Cell = f64;
+    type Out = RankState;
+
+    fn width(&self) -> usize {
+        1
+    }
+
+    fn empty_cell(&self) -> f64 {
+        0.0
+    }
 
     fn message_bytes(&self) -> u64 {
         12 // f64 contribution + tag
     }
 
-    fn init(&self, _v: VertexId, state: &mut RankState, ctx: &mut Context<'_, RankMsg>) {
-        let n = ctx.num_vertices() as f64;
-        state.rank = 1.0 / n;
-        let degree = ctx.degree();
-        if degree > 0 {
-            let share = state.rank / degree as f64;
-            for &t in ctx.neighbors() {
-                ctx.send(t, RankMsg { value: share }, 1);
-            }
-        }
+    fn init(&self, _v: VertexId, mut row: SlabRowMut<'_, f64>, ctx: &mut Context<'_, RankMsg>) {
+        let rank = 1.0 / ctx.num_vertices() as f64;
+        row.set(0, rank);
+        send_shares(rank, ctx);
     }
 
     fn compute(
         &self,
         _v: VertexId,
-        state: &mut RankState,
+        mut row: SlabRowMut<'_, f64>,
         inbox: &[Delivery<RankMsg>],
         ctx: &mut Context<'_, RankMsg>,
     ) {
         let sum: f64 = inbox.iter().map(|d| d.msg.value).sum();
         let n = ctx.num_vertices() as f64;
-        state.rank = (1.0 - self.damping) / n + self.damping * sum;
+        let rank = (1.0 - self.damping) / n + self.damping * sum;
+        row.set(0, rank);
         if ctx.round() < self.iterations {
-            let degree = ctx.degree();
-            if degree > 0 {
-                let share = state.rank / degree as f64;
-                for &t in ctx.neighbors() {
-                    ctx.send(t, RankMsg { value: share }, 1);
-                }
-            }
+            send_shares(rank, ctx);
+        }
+    }
+
+    fn extract(&self, _v: VertexId, row: SlabRow<'_, f64>) -> RankState {
+        RankState {
+            rank: row.written().next().map_or(0.0, |(_, rank)| rank),
         }
     }
 
     fn max_rounds(&self) -> Option<usize> {
         Some(self.iterations)
-    }
-
-    fn initial_state_bytes(&self) -> u64 {
-        8
     }
 }
 

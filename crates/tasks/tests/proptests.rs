@@ -12,12 +12,12 @@ use mtvc_engine::{
 use mtvc_graph::partition::{HashPartitioner, Partitioner};
 use mtvc_graph::{generators, reference as gref, Graph, VertexId};
 use mtvc_metrics::{Bytes, RunStats, SimTime};
+use mtvc_tasks::bkhs::BkhsState;
 use mtvc_tasks::bppr::{BpprState, PushState};
 use mtvc_tasks::{
-    BkhsBroadcastSlabProgram, BkhsLaneSlabProgram, BkhsProgram, BkhsSlabProgram, BpprProgram,
-    BpprPushProgram, BpprPushSlabProgram, BpprSlabProgram, MsspBroadcastProgram,
-    MsspBroadcastSlabProgram, MsspLaneSlabProgram, MsspProgram, MsspSlabProgram, SourceIndex,
-    SourceSet,
+    BkhsBroadcastSlabProgram, BkhsLaneSlabProgram, BkhsSlabProgram, BpprPushSlabProgram,
+    BpprSlabProgram, ConnectedComponentsProgram, MsspBroadcastSlabProgram, MsspLaneSlabProgram,
+    MsspSlabProgram, PageRankProgram, SourceIndex, SourceSet,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -272,12 +272,32 @@ proptest! {
     }
 }
 
+/// Every query's reach set in `run` is its source's k-hop set.
+fn assert_reach_sets_are_k_hop_sets(
+    g: &Graph,
+    sources: &[VertexId],
+    k: u32,
+    run: &RunResult<BkhsState>,
+) -> Result<(), TestCaseError> {
+    completed(run);
+    for (q, &s) in sources.iter().enumerate() {
+        let mut want = gref::k_hop_set(g, s, k);
+        want.sort_unstable();
+        let got: Vec<VertexId> = g
+            .vertices()
+            .filter(|&v| run.states[v as usize].reached.contains(&(q as u32)))
+            .collect();
+        prop_assert_eq!(got, want, "q={} s={}", q, s);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Slab MSSP == Dijkstra, and bit-identical to the hash-map kernel.
+    /// Slab MSSP == Dijkstra.
     #[test]
-    fn slab_mssp_matches_dijkstra_and_hashmap(
+    fn slab_mssp_matches_dijkstra(
         n in 20usize..110,
         width in 1usize..10,
         workers in 1usize..5,
@@ -299,16 +319,6 @@ proptest! {
                 let expect = (want[v as usize] != u64::MAX).then(|| want[v as usize]);
                 prop_assert_eq!(got, expect, "q={} s={} v={}", q, s, v);
             }
-        }
-        // Bit-identity with the hash-map baseline.
-        let hash = runner(&g, roomy_config(workers, seed, combine))
-            .run(&MsspProgram::new(sources));
-        prop_assert_eq!(&hash.outcome, &slab.outcome);
-        prop_assert_eq!(hash.stats.total_messages_sent, slab.stats.total_messages_sent);
-        prop_assert_eq!(hash.stats.total_messages_delivered, slab.stats.total_messages_delivered);
-        prop_assert_eq!(hash.stats.rounds, slab.stats.rounds);
-        for v in g.vertices() {
-            prop_assert_eq!(&hash.states[v as usize], &slab.states[v as usize], "v={}", v);
         }
     }
 
@@ -382,18 +392,11 @@ proptest! {
                 prop_assert_eq!(got, expect, "q={} s={} v={}", q, s, v);
             }
         }
-        let hash = runner(&g, broadcast_config(workers, seed, combine))
-            .run(&MsspBroadcastProgram::new(sources));
-        prop_assert_eq!(hash.stats.total_messages_sent, slab.stats.total_messages_sent);
-        for v in g.vertices() {
-            prop_assert_eq!(&hash.states[v as usize], &slab.states[v as usize], "v={}", v);
-        }
     }
 
-    /// Slab BKHS == reference k-hop sets, and identical to the hash-set
-    /// kernel.
+    /// Slab BKHS == reference k-hop sets.
     #[test]
-    fn slab_bkhs_matches_k_hop_sets_and_hashmap(
+    fn slab_bkhs_matches_k_hop_sets(
         n in 20usize..100,
         width in 1usize..8,
         k in 1u32..5,
@@ -405,35 +408,31 @@ proptest! {
         let sources = pick_sources(n, width, seed ^ 13);
         let slab = runner(&g, roomy_config(workers, seed, combine))
             .run_slab(&BkhsSlabProgram::new(sources.clone(), k));
-        completed(&slab);
-        for (q, &s) in sources.iter().enumerate() {
-            let mut want = gref::k_hop_set(&g, s, k);
-            want.sort_unstable();
-            let got: Vec<VertexId> = g
-                .vertices()
-                .filter(|&v| slab.states[v as usize].reached.contains(&(q as u32)))
-                .collect();
-            prop_assert_eq!(got, want, "q={} s={}", q, s);
-        }
-        let hash = runner(&g, roomy_config(workers, seed, combine))
-            .run(&BkhsProgram::new(sources, k));
-        prop_assert_eq!(hash.stats.total_messages_sent, slab.stats.total_messages_sent);
-        prop_assert_eq!(hash.stats.rounds, slab.stats.rounds);
-        for v in g.vertices() {
-            prop_assert_eq!(
-                &hash.states[v as usize].reached,
-                &slab.states[v as usize].reached,
-                "v={}", v
-            );
-        }
+        assert_reach_sets_are_k_hop_sets(&g, &sources, k, &slab)?;
     }
 
-    /// Slab Monte-Carlo BPPR consumes the RNG identically to the
-    /// hash-map kernel: the sampled walks — and therefore every stop
-    /// counter and message statistic — are bit-identical. Walk
-    /// conservation holds: every injected walk stops somewhere.
+    /// Broadcast slab BKHS — the kernel every Pregel+(mirror) BKHS batch
+    /// runs — == reference k-hop sets, mirrored or not.
     #[test]
-    fn slab_bppr_mc_is_bit_identical_and_conserves_walks(
+    fn slab_bkhs_broadcast_matches_k_hop_sets(
+        n in 20usize..100,
+        width in 1usize..8,
+        k in 1u32..5,
+        workers in 1usize..5,
+        combine in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let g = generators::power_law(n, n * 4, 2.4, seed);
+        let sources = pick_sources(n, width, seed ^ 31);
+        let slab = runner(&g, broadcast_config(workers, seed, combine))
+            .run_slab(&BkhsBroadcastSlabProgram::new(sources.clone(), k));
+        assert_reach_sets_are_k_hop_sets(&g, &sources, k, &slab)?;
+    }
+
+    /// Slab Monte-Carlo BPPR conserves walks per source: every walk a
+    /// source injects stops somewhere, and only the sources stop any.
+    #[test]
+    fn slab_bppr_mc_conserves_walks_per_source(
         n in 20usize..90,
         walks in 1u64..40,
         workers in 1usize..5,
@@ -451,30 +450,20 @@ proptest! {
             &BpprSlabProgram::new(walks, 0.2, n).with_sources(sources.clone()),
         );
         completed(&slab);
-        let hash = runner(&g, roomy_config(workers, seed, combine)).run(
-            &BpprProgram::new(walks, 0.2).with_sources(sources.clone()),
-        );
-        prop_assert_eq!(hash.stats.total_messages_sent, slab.stats.total_messages_sent);
-        prop_assert_eq!(hash.stats.rounds, slab.stats.rounds);
-        for v in g.vertices() {
-            prop_assert_eq!(
-                &hash.states[v as usize].stops,
-                &slab.states[v as usize].stops,
-                "v={}", v
-            );
+        let mut stopped = vec![0u64; n];
+        for (s, &count) in slab.states.iter().flat_map(|st: &BpprState| &st.stops) {
+            prop_assert!(sources.contains(*s), "walk from non-source {}", s);
+            stopped[*s as usize] += count;
         }
-        let stopped: u64 = slab
-            .states
-            .iter()
-            .flat_map(|st: &BpprState| st.stops.values())
-            .sum();
-        prop_assert_eq!(stopped, walks * sources.len(n) as u64);
+        for s in g.vertices().filter(|&s| sources.contains(s)) {
+            prop_assert_eq!(stopped[s as usize], walks, "source {}", s);
+        }
     }
 
-    /// Slab forward-push BPPR: identical f64 masses to the hash-map
-    /// kernel (same summation order), and total mass is conserved.
+    /// Slab forward-push BPPR conserves mass per source: every source's
+    /// injected walk mass is absorbed somewhere, to within rounding.
     #[test]
-    fn slab_bppr_push_is_bit_identical_and_conserves_mass(
+    fn slab_bppr_push_conserves_mass_per_source(
         n in 20usize..90,
         walks in 1u64..200,
         workers in 1usize..5,
@@ -492,29 +481,19 @@ proptest! {
             &BpprPushSlabProgram::new(walks, 0.2, n).with_sources(sources.clone()),
         );
         completed(&slab);
-        let hash = runner(&g, broadcast_config(workers, seed, combine)).run(
-            &BpprPushProgram::new(walks, 0.2).with_sources(sources.clone()),
-        );
-        prop_assert_eq!(hash.stats.total_messages_sent, slab.stats.total_messages_sent);
-        prop_assert_eq!(hash.stats.rounds, slab.stats.rounds);
-        for v in g.vertices() {
-            // Exact f64 equality: same adds in the same order.
-            prop_assert_eq!(
-                &hash.states[v as usize].mass,
-                &slab.states[v as usize].mass,
-                "v={}", v
+        let mut mass = vec![0.0f64; n];
+        for (s, &m) in slab.states.iter().flat_map(|st: &PushState| &st.mass) {
+            prop_assert!(sources.contains(*s), "mass from non-source {}", s);
+            mass[*s as usize] += m;
+        }
+        let injected = walks as f64;
+        for s in g.vertices().filter(|&s| sources.contains(s)) {
+            let m = mass[s as usize];
+            prop_assert!(
+                (m - injected).abs() < 1e-6 * injected,
+                "source {}: mass {} vs injected {}", s, m, injected
             );
         }
-        let mass: f64 = slab
-            .states
-            .iter()
-            .flat_map(|st: &PushState| st.mass.values())
-            .sum();
-        let injected = walks as f64 * sources.len(n) as f64;
-        prop_assert!(
-            (mass - injected).abs() < 1e-6 * injected.max(1.0),
-            "mass {} vs injected {}", mass, injected
-        );
     }
 
     /// Batch slicing: running the query pool as two batches over one
@@ -575,6 +554,8 @@ fn unwritten_rows_extract_to_the_default_output() {
     assert_unwritten_row_is_default(&BkhsSlabProgram::new(sources.clone(), 2));
     assert_unwritten_row_is_default(&BkhsLaneSlabProgram::new(sources.clone(), 2));
     assert_unwritten_row_is_default(&BkhsBroadcastSlabProgram::new(sources.clone(), 2));
+    assert_unwritten_row_is_default(&PageRankProgram::default());
+    assert_unwritten_row_is_default(&ConnectedComponentsProgram);
     for set in [SourceSet::AllVertices, SourceSet::subset(sources)] {
         assert_unwritten_row_is_default(
             &BpprSlabProgram::new(4, 0.2, 100).with_sources(set.clone()),

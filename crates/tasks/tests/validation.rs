@@ -10,8 +10,8 @@ use mtvc_tasks::bkhs::BkhsCounts;
 use mtvc_tasks::bppr::{BpprEstimates, PushEstimates};
 use mtvc_tasks::mssp::MsspDistances;
 use mtvc_tasks::{
-    reference as tref, BkhsBroadcastProgram, BkhsProgram, BpprProgram, BpprPushProgram,
-    MsspBroadcastProgram, MsspProgram, PageRankProgram, SourceSet,
+    reference as tref, BkhsBroadcastSlabProgram, BkhsSlabProgram, BpprPushSlabProgram,
+    BpprSlabProgram, MsspBroadcastSlabProgram, MsspSlabProgram, PageRankProgram, SourceSet,
 };
 
 /// Roomy config: validation must never hit overload/overflow.
@@ -24,9 +24,9 @@ fn roomy_config(machines: usize) -> EngineConfig {
     cfg
 }
 
-fn run<P: mtvc_engine::VertexProgram>(g: &Graph, machines: usize, p: &P) -> Vec<P::State> {
+fn run<P: mtvc_engine::SlabProgram>(g: &Graph, machines: usize, p: &P) -> Vec<P::Out> {
     let runner = Runner::new(g, &HashPartitioner::default(), roomy_config(machines));
-    let result = runner.run(p);
+    let result = runner.run_slab(p);
     assert!(
         result.outcome.is_completed(),
         "validation run must complete: {:?}",
@@ -40,7 +40,7 @@ fn mssp_matches_dijkstra_weighted() {
     let base = generators::power_law(150, 700, 2.3, 11);
     let g = generators::with_random_weights(&base, 1, 9, 4);
     let sources = vec![0, 3, 77, 149];
-    let states = run(&g, 4, &MsspProgram::new(sources.clone()));
+    let states = run(&g, 4, &MsspSlabProgram::new(sources.clone()));
     let dist = MsspDistances::new(states);
     for (q, &s) in sources.iter().enumerate() {
         let want = gref::dijkstra(&g, s);
@@ -64,7 +64,7 @@ fn mssp_broadcast_matches_bfs_hops() {
         mirror_threshold: 12,
     };
     let runner = Runner::new(&g, &HashPartitioner::default(), cfg);
-    let result = runner.run(&MsspBroadcastProgram::new(sources.clone()));
+    let result = runner.run_slab(&MsspBroadcastSlabProgram::new(sources.clone()));
     assert!(result.outcome.is_completed());
     let dist = MsspDistances::new(result.states);
     for (q, &s) in sources.iter().enumerate() {
@@ -85,7 +85,7 @@ fn bkhs_matches_reference_k_hop_sets() {
     let g = generators::power_law(130, 520, 2.5, 9);
     let sources = vec![1, 42, 99];
     let k = 2;
-    let states = run(&g, 4, &BkhsProgram::new(sources.clone(), k));
+    let states = run(&g, 4, &BkhsSlabProgram::new(sources.clone(), k));
     for (q, &s) in sources.iter().enumerate() {
         let mut want = gref::k_hop_set(&g, s, k);
         want.sort_unstable();
@@ -99,13 +99,13 @@ fn bkhs_broadcast_agrees_with_p2p() {
     let g = generators::power_law(110, 480, 2.2, 13);
     let sources = vec![2, 50];
     let k = 3;
-    let p2p = run(&g, 3, &BkhsProgram::new(sources.clone(), k));
+    let p2p = run(&g, 3, &BkhsSlabProgram::new(sources.clone(), k));
     let mut cfg = roomy_config(3);
     cfg.profile.mode = ExecutionMode::Broadcast {
         mirror_threshold: 10,
     };
     let runner = Runner::new(&g, &HashPartitioner::default(), cfg);
-    let bc = runner.run(&BkhsBroadcastProgram::new(sources.clone(), k));
+    let bc = runner.run_slab(&BkhsBroadcastSlabProgram::new(sources.clone(), k));
     assert!(bc.outcome.is_completed());
     for (q, &s) in sources.iter().enumerate() {
         assert_eq!(
@@ -121,7 +121,7 @@ fn bppr_walk_conservation() {
     // Every injected walk must stop somewhere: total stops == W * n.
     let g = generators::power_law(80, 350, 2.3, 21);
     let w = 64;
-    let states = run(&g, 4, &BpprProgram::new(w, 0.2));
+    let states = run(&g, 4, &BpprSlabProgram::new(w, 0.2, g.num_vertices()));
     let mut est = BpprEstimates::new(g.num_vertices());
     est.absorb(states, w);
     assert_eq!(est.total_stopped(), w * g.num_vertices() as u64);
@@ -135,7 +135,8 @@ fn bppr_estimates_unbiased_vs_exact_ppr() {
     let alpha = 0.2;
     let w = 60_000;
     let source: VertexId = 0;
-    let prog = BpprProgram::new(w, alpha).with_sources(SourceSet::subset(vec![source]));
+    let prog = BpprSlabProgram::new(w, alpha, g.num_vertices())
+        .with_sources(SourceSet::subset(vec![source]));
     let states = run(&g, 4, &prog);
     let mut est = BpprEstimates::new(g.num_vertices());
     est.absorb(states, w);
@@ -153,7 +154,7 @@ fn bppr_push_matches_exact_ppr_closely() {
     let alpha = 0.2;
     let w = 10_000;
     let source: VertexId = 3;
-    let prog = BpprPushProgram::new(w, alpha)
+    let prog = BpprPushSlabProgram::new(w, alpha, g.num_vertices())
         .with_sources(SourceSet::subset(vec![source]))
         .with_epsilon(0.01);
     let mut cfg = roomy_config(4);
@@ -161,7 +162,7 @@ fn bppr_push_matches_exact_ppr_closely() {
         mirror_threshold: 16,
     };
     let runner = Runner::new(&g, &HashPartitioner::default(), cfg);
-    let result = runner.run(&prog);
+    let result = runner.run_slab(&prog);
     assert!(result.outcome.is_completed());
     let mut est = PushEstimates::new(g.num_vertices());
     est.absorb(result.states, w);
@@ -201,9 +202,10 @@ fn bppr_two_half_batches_equal_one_full_batch_statistically() {
     let estimate = |w: u64, seed: u64| {
         let mut cfg = roomy_config(2);
         cfg.seed = seed;
-        let prog = BpprProgram::new(w, alpha).with_sources(SourceSet::subset(vec![source]));
+        let prog = BpprSlabProgram::new(w, alpha, g.num_vertices())
+            .with_sources(SourceSet::subset(vec![source]));
         let runner = Runner::new(&g, &HashPartitioner::default(), cfg);
-        runner.run(&prog).states
+        runner.run_slab(&prog).states
     };
     let mut split = BpprEstimates::new(g.num_vertices());
     split.absorb(estimate(20_000, 1), 20_000);

@@ -13,7 +13,8 @@ use mtvc::tasks::bkhs::BkhsCounts;
 use mtvc::tasks::bppr::BpprEstimates;
 use mtvc::tasks::mssp::MsspDistances;
 use mtvc::tasks::{
-    BkhsProgram, BpprProgram, ConnectedComponentsProgram, MsspProgram, PageRankProgram, SourceSet,
+    BkhsSlabProgram, BpprSlabProgram, ConnectedComponentsProgram, MsspSlabProgram, PageRankProgram,
+    SourceSet,
 };
 use mtvc::tune::{gauge_max_workload, tune, TrialVerdict, TunerConfig};
 
@@ -30,7 +31,9 @@ fn task_result_extractors_compose() {
     let runner = Runner::new(&g, &HashPartitioner::default(), tiny_engine(3));
 
     // BPPR estimates.
-    let bppr = runner.run(&BpprProgram::new(200, 0.2).with_sources(SourceSet::subset(vec![0])));
+    let bppr = runner.run_slab(
+        &BpprSlabProgram::new(200, 0.2, g.num_vertices()).with_sources(SourceSet::subset(vec![0])),
+    );
     assert!(bppr.outcome.is_completed());
     let mut est = BpprEstimates::new(g.num_vertices());
     est.absorb(bppr.states, 200);
@@ -38,24 +41,24 @@ fn task_result_extractors_compose() {
     assert!(est.ppr(0, 0) > 0.0, "source should retain some stop mass");
 
     // MSSP distances.
-    let mssp = runner.run(&MsspProgram::new(vec![5, 9]));
+    let mssp = runner.run_slab(&MsspSlabProgram::new(vec![5, 9]));
     let dist = MsspDistances::new(mssp.states);
     assert_eq!(dist.dist(0, 5), Some(0));
     assert_eq!(dist.dist(1, 9), Some(0));
     assert!(dist.total_entries() > 2);
 
     // BKHS counts.
-    let bkhs = runner.run(&BkhsProgram::new(vec![5], 2));
+    let bkhs = runner.run_slab(&BkhsSlabProgram::new(vec![5], 2));
     let counts = BkhsCounts::from_states(&bkhs.states);
     assert!(counts.count(0) > g.degree(5) as u64);
 
     // Connected components + PageRank run through the same runner.
     assert!(runner
-        .run(&ConnectedComponentsProgram)
+        .run_slab(&ConnectedComponentsProgram)
         .outcome
         .is_completed());
     assert!(runner
-        .run(&PageRankProgram::default())
+        .run_slab(&PageRankProgram::default())
         .outcome
         .is_completed());
 }
