@@ -21,12 +21,10 @@
 //!   and spill over-budget messages; when disk busy time exceeds the
 //!   overlapping compute+network time, the round is disk-bound and
 //!   *disk overuse* (time at 100% utilization) accrues, with the I/O
-//!   queue exploding as utilization saturates (Table 3). When the
-//!   engine runs with partition paging enabled, the `spill`/`stream`
-//!   demand entering these terms is *measured* by the pager (exact
-//!   bytes written out and streamed in per round) instead of the
-//!   whole-graph demand estimate, so the pager's cache budget changes
-//!   the priced disk time.
+//!   queue exploding as utilization saturates (Table 3). The engine's
+//!   out-of-core path feeds these terms the `stream` bytes its
+//!   partition pager *measured* loading this round, so the pager's
+//!   cache budget changes the priced disk time.
 //! * **network overuse** (§4.3, §4.4): a round's message burst saturates
 //!   the NIC for `bytes/bandwidth` seconds; sustained saturation beyond
 //!   a floor counts as overuse, so smaller per-round bursts (more
@@ -55,12 +53,10 @@ pub struct RoundDemand {
     pub spill: Vec<Bytes>,
     /// Number of spilled messages (for I/O queue accounting).
     pub spill_messages: Vec<u64>,
-    /// Unconditional disk streaming per round. Without paging this is
-    /// the estimate-path value (e.g. GraphD streams the whole edge
-    /// list from disk every round); with paging active it is the exact
-    /// partition bytes the pager loaded this round, so a cache that
-    /// keeps more partitions resident shows up directly as a smaller
-    /// disk term.
+    /// Unconditional disk streaming per round: on the engine's
+    /// out-of-core path, the exact partition bytes the pager loaded
+    /// this round, so a cache that keeps more partitions resident shows
+    /// up directly as a smaller disk term.
     pub stream: Vec<Bytes>,
     /// Whether a synchronization barrier ends this round.
     pub barrier: bool,

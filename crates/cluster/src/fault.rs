@@ -61,8 +61,8 @@ pub enum FaultKind {
         rounds: usize,
     },
     /// `flips` encoded message buckets addressed to this machine arrive
-    /// with flipped bits. The checksummed wire frame detects each at
-    /// decode; the sender retransmits the affected buckets from its
+    /// with flipped bits. The engine models the repair rather than
+    /// decoding anything: each bucket is re-sent from the sender's
     /// retained shard buffers — no rollback, only retransmission time.
     PayloadCorruption {
         /// The machine whose inbound buckets are corrupted.

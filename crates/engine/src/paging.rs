@@ -67,10 +67,6 @@ impl PagedLayout {
         PagedLayout { adjacency, config }
     }
 
-    pub fn config(&self) -> PagingConfig {
-        self.config
-    }
-
     pub fn adjacency(&self) -> &Arc<PartitionedAdjacency> {
         &self.adjacency
     }

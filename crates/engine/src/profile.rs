@@ -52,15 +52,11 @@ pub struct OocConfig {
     /// spill to disk ("writes excessive messages whose total size is
     /// greater than a predefined memory budget").
     pub message_budget: Bytes,
-    /// Real paging path: adjacency partitioned onto a backing store and
-    /// moved through a bounded cache, with every load/evict byte
-    /// measured. `None` keeps the historical demand-based accounting
-    /// estimate (retained as an oracle for the measured path), which
-    /// charges a full edge stream from disk every round — GraphD's
-    /// distributed semi-streaming model keeps only vertex state
-    /// resident.
-    #[serde(default)]
-    pub paging: Option<PagingConfig>,
+    /// Adjacency paging: partitioned onto a backing store and moved
+    /// through a bounded cache, with every load/evict byte measured —
+    /// GraphD's distributed semi-streaming model keeps only vertex
+    /// state resident.
+    pub paging: PagingConfig,
 }
 
 /// Configuration of the real adjacency paging path. Every round streams

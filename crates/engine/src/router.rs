@@ -96,11 +96,6 @@ pub struct RoutingStats {
     /// — this counter is what the copy-elimination claim is measured
     /// on. Pure accounting; no other statistic depends on it.
     pub shard_copy_bytes: u64,
-    /// True when this round re-transmitted traffic during
-    /// rollback-replay recovery. Replayed wire traffic must never be
-    /// folded into a run's first-run totals; the runner branches its
-    /// accounting on this flag.
-    pub replay: bool,
 }
 
 impl RoutingStats {
@@ -116,7 +111,6 @@ impl RoutingStats {
             out_buffer_bytes: vec![0; workers],
             in_buffer_bytes: vec![0; workers],
             shard_copy_bytes: 0,
-            replay: false,
         }
     }
 
@@ -126,7 +120,6 @@ impl RoutingStats {
         self.delivered_tuples = 0;
         self.local_bytes = 0;
         self.shard_copy_bytes = 0;
-        self.replay = false;
         for v in [
             &mut self.in_wire,
             &mut self.in_tuples,
@@ -1058,9 +1051,6 @@ pub struct RouteGrid<M> {
     /// Whether the round [`Self::begin_round`] prepared combines: the
     /// sinks fold at emission exactly when it is set.
     combine: bool,
-    /// When set, rounds routed by this grid are tagged as
-    /// rollback-replay retransmissions in their [`RoutingStats`].
-    replay: bool,
 }
 
 impl<M: Message> RouteGrid<M> {
@@ -1083,14 +1073,7 @@ impl<M: Message> RouteGrid<M> {
             active: (0..workers).map(|_| Vec::new()).collect(),
             stats: RoutingStats::new(workers),
             combine: false,
-            replay: false,
         }
-    }
-
-    /// Mark subsequent rounds as replayed (or first-run) traffic; see
-    /// [`RoutingStats::replay`].
-    pub fn set_replay(&mut self, replay: bool) {
-        self.replay = replay;
     }
 
     /// Install a routing policy for subsequent rounds: a no-op, since
@@ -1187,7 +1170,6 @@ impl<M: Message> RouteGrid<M> {
 
         // ---- reduction: fold per-pair flows into round stats -------
         self.stats.reset();
-        self.stats.replay = self.replay;
         self.stats.sent_wire = self.sent.iter().sum();
         self.stats.shard_copy_bytes = self.copied.iter().sum();
         for src in 0..workers {
@@ -1289,7 +1271,16 @@ impl<M: Message> RouteGrid<M> {
             }
         });
 
-        self.merge_and_reduce(pool, inboxes, locals)
+        let stats = self.merge_and_reduce(pool, inboxes, locals);
+        // Conservation pin, matching the two-stage oracle's
+        // property-test guarantee: nothing is dropped between emission
+        // and delivery.
+        debug_assert_eq!(
+            stats.sent_wire,
+            stats.delivered_wire(),
+            "routing must deliver every wire message"
+        );
+        stats
     }
 }
 

@@ -23,13 +23,14 @@ use crate::router::{Inbox, RouteGrid, RoutingStats};
 use crate::slab::{PerSlab, SlabProgram, SlabRecycler, StateSlab};
 use crate::topology::Topology;
 use mtvc_cluster::{
-    ChargeError, ClusterSpec, CostModel, FaultInjector, FaultKind, FaultPlan, RoundDemand,
+    ChargeError, ClusterSpec, CostModel, FaultInjector, FaultKind, FaultPlan, MachineSpec,
+    RoundDemand,
 };
 use mtvc_graph::hash::mix64;
 use mtvc_graph::ooc::DecodedChunk;
 use mtvc_graph::partition::{Partition, Partitioner};
 use mtvc_graph::{Graph, VertexId};
-use mtvc_metrics::{Bytes, RoundStats, RunOutcome, RunStats, SimTime, OVERLOAD_CUTOFF};
+use mtvc_metrics::{Bytes, FaultStats, RoundStats, RunOutcome, RunStats, SimTime, OVERLOAD_CUTOFF};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::borrow::Cow;
@@ -45,7 +46,6 @@ pub const PARALLEL_VERTEX_THRESHOLD: usize = 65_536;
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     pub cluster: ClusterSpec,
-    pub cost: CostModel,
     pub profile: SystemProfile,
     /// Seed for all per-vertex randomness (deterministic runs).
     pub seed: u64,
@@ -61,22 +61,17 @@ pub struct EngineConfig {
     /// and routing phases in parallel. `0` forces the pool on, and
     /// `usize::MAX` forces the serial path.
     pub parallel_vertex_threshold: usize,
-    /// Checkpoint cadence for fault-tolerant runs: with `faults` set, a
-    /// full snapshot of vertex states and in-flight aggregates is taken
-    /// before round 0 and thereafter every `checkpoint_every` rounds
-    /// (values `0` and `1` both mean every round), and a rollback
-    /// restores the latest one. Its bytes are `FaultStats`'s
-    /// `checkpoint_full_bytes`. Fault-free runs never checkpoint, so
-    /// the clean path stays snapshot-free.
+    /// Checkpoint cadence with `faults` set: a full snapshot before
+    /// round 0 and every `checkpoint_every` rounds after (`0` and `1`
+    /// both mean every round); a rollback restores the latest one.
+    /// Fault-free runs never checkpoint.
     pub checkpoint_every: usize,
-    /// Injected-fault schedule; `None` = fault-free run. With a plan
-    /// set, the runner checkpoints and recovers injected crashes,
-    /// delivery failures, and network partitions by rollback-replay;
-    /// payload corruption is repaired by per-bucket retransmission and
-    /// stragglers are priced as slowed rounds — in every case the
-    /// extra work is recorded in `RunStats::faults` only, so every
-    /// other statistic — and the final states and outcome — match the
-    /// fault-free run bit for bit.
+    /// Injected-fault schedule; `None` = fault-free run. Crashes,
+    /// delivery failures and partitions recover by rollback-replay,
+    /// corruption by retransmission, and stragglers cost slowed rounds;
+    /// the extra work is booked to `RunStats::faults` only, so every
+    /// other statistic, the states and the outcome match the fault-free
+    /// run bit for bit.
     pub faults: Option<FaultPlan>,
 }
 
@@ -84,7 +79,6 @@ impl EngineConfig {
     pub fn new(cluster: ClusterSpec, profile: SystemProfile) -> EngineConfig {
         EngineConfig {
             cluster,
-            cost: CostModel::default(),
             profile,
             seed: 0x5EED,
             max_rounds: 10_000,
@@ -176,13 +170,15 @@ impl<S: Default + Clone> SparseRunResult<S> {
 
 /// What one round hands the next besides the vertex states: the
 /// grouped inboxes holding the in-flight messages and the previous
-/// routing step's delivery aggregates — those messages are processed
-/// (and their buffers are resident) in the *current* round, so they
-/// feed its demand assembly. Checkpoints copy it whole.
+/// routing step's per-worker delivery aggregates — those messages are
+/// processed (and their buffers are resident) in the *current* round,
+/// so they feed its demand assembly. Checkpoints copy it whole.
 struct RoundCarry<M> {
     inboxes: Vec<Inbox<M>>,
-    prev_in_wire: Vec<u64>,
-    prev_in_tuples: Vec<u64>,
+    /// Messages each worker processes this round: delivered tuples
+    /// under a combiner, wire messages without one.
+    prev_processed: Vec<u64>,
+    /// Message-buffer bytes each worker received last round.
     prev_in_bytes: Vec<u64>,
 }
 
@@ -206,8 +202,7 @@ impl<M: Clone> RoundCarry<M> {
         inboxes.iter_mut().for_each(Inbox::clear);
         RoundCarry {
             inboxes,
-            prev_in_wire: vec![0; workers],
-            prev_in_tuples: vec![0; workers],
+            prev_processed: vec![0; workers],
             prev_in_bytes: vec![0; workers],
         }
     }
@@ -217,9 +212,20 @@ impl<M: Clone> RoundCarry<M> {
     /// traffic grows.
     fn recycle_from(&mut self, src: &Self) {
         recycle_into(&mut self.inboxes, &src.inboxes);
-        recycle_into(&mut self.prev_in_wire, &src.prev_in_wire);
-        recycle_into(&mut self.prev_in_tuples, &src.prev_in_tuples);
+        recycle_into(&mut self.prev_processed, &src.prev_processed);
         recycle_into(&mut self.prev_in_bytes, &src.prev_in_bytes);
+    }
+
+    /// Carry this round's deliveries into the next: what each worker
+    /// processes (tuples under a `combiner`) and the bytes it holds.
+    fn advance(&mut self, routing: &RoutingStats, combiner: bool) {
+        let processed = if combiner {
+            &routing.in_tuples
+        } else {
+            &routing.in_wire
+        };
+        self.prev_processed.copy_from_slice(processed);
+        self.prev_in_bytes.copy_from_slice(&routing.in_buffer_bytes);
     }
 }
 
@@ -238,26 +244,27 @@ struct Checkpoint<S, M> {
 }
 
 impl<S: Clone, M: Clone> Checkpoint<S, M> {
-    fn empty() -> Self {
-        Checkpoint {
-            round: 0,
-            states: Vec::new(),
-            carry: RoundCarry::new(Vec::new(), 0),
-            pagers: Vec::new(),
-        }
-    }
-
-    fn save(
-        &mut self,
-        round: usize,
-        states: &[S],
-        carry: &RoundCarry<M>,
-        pagers: Vec<PagerSnapshot>,
-    ) {
+    fn save(&mut self, round: usize, states: &[S], carry: &RoundCarry<M>, pagers: &[WorkerPager]) {
         self.round = round;
         recycle_into(&mut self.states, states);
         self.carry.recycle_from(carry);
-        self.pagers = pagers;
+        self.pagers = pagers.iter().map(WorkerPager::snapshot).collect();
+    }
+
+    /// Put `states`, `carry` and the pager caches back as saved;
+    /// returns the round they belong to.
+    fn restore(
+        &self,
+        states: &mut Vec<S>,
+        carry: &mut RoundCarry<M>,
+        pagers: &mut [WorkerPager],
+    ) -> usize {
+        recycle_into(states, &self.states);
+        carry.recycle_from(&self.carry);
+        for (pager, snap) in pagers.iter_mut().zip(&self.pagers) {
+            pager.restore(snap);
+        }
+        self.round
     }
 }
 
@@ -346,30 +353,25 @@ impl<'g> Runner<'g> {
             "partition workers must match cluster machines"
         );
         assert_eq!(topology.partition.num_vertices(), graph.num_vertices());
-        let (residual, threshold) = match &batch {
-            Some(b) => (
-                b.residual_bytes,
-                b.parallel_threshold
-                    .unwrap_or(config.parallel_vertex_threshold),
-            ),
-            None => (
-                config.residual_bytes.as_slice(),
-                config.parallel_vertex_threshold,
-            ),
-        };
-        assert!(
-            residual.is_empty() || residual.len() == workers,
-            "residual_bytes must be empty or per-worker"
-        );
-        let pool =
-            (workers > 1 && graph.num_vertices() >= threshold).then(|| WorkerPool::new(workers));
-        Runner {
+        let runner = Runner {
             graph,
             topology,
             config,
             batch,
-            pool,
-        }
+            pool: None,
+        };
+        let params = runner.batch_params();
+        let residual = params.residual_bytes;
+        assert!(
+            residual.is_empty() || residual.len() == workers,
+            "residual_bytes must be empty or per-worker"
+        );
+        let threshold = params
+            .parallel_threshold
+            .unwrap_or(runner.config.parallel_vertex_threshold);
+        let pool =
+            (workers > 1 && graph.num_vertices() >= threshold).then(|| WorkerPool::new(workers));
+        Runner { pool, ..runner }
     }
 
     /// Seed, cutoff and residual this runner executes under: the
@@ -385,13 +387,6 @@ impl<'g> Runner<'g> {
 
     pub fn partition(&self) -> &Partition {
         &self.topology.partition
-    }
-
-    /// The configuration this runner executes under. A batch runner
-    /// ([`Runner::for_batch`]) returns its job's: the batch's own seed,
-    /// cutoff, residual and pool threshold are not in it.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
     }
 
     /// The persistent worker pool, if this run qualifies for parallel
@@ -438,369 +433,89 @@ impl<'g> Runner<'g> {
         self.run_core(&PerSlab::with_recycler(program, recycler))
     }
 
-    /// The round loop: compute, route, price, checkpoint and recover,
-    /// round after round, over one slab per worker.
+    /// The round loop: stop check → recovery → compute → route →
+    /// account → advance, round after round, over one slab per worker.
     fn run_core<P: SlabProgram>(&self, program: &PerSlab<'_, P>) -> SparseRunResult<P::Out> {
-        let Topology {
-            partition,
-            locals,
-            paged,
-            ..
-        } = &*self.topology;
-        let workers = partition.num_workers();
+        let Topology { locals, paged, .. } = &*self.topology;
         let profile = &self.config.profile;
-        let cost = &self.config.cost;
-        let spec = &self.config.cluster.machine;
         let batch = self.batch_params();
-        let msg_bytes = program.message_bytes();
-
         let seeds = self.seed_locals(program.seeds());
         let mut states: Vec<StateSlab<P::Cell>> = locals
             .worker_vertices()
             .iter()
             .map(|list| program.make_store(list))
             .collect();
-        // A slab's charge is its dense capacity, fixed for the run.
-        let state_bytes: Vec<u64> = states.iter().map(StateSlab::resident_bytes).collect();
-        let peak_state_bytes = state_bytes.iter().copied().max().unwrap_or(0);
-        let checkpoint_bytes: u64 = state_bytes.iter().sum();
-
-        let mut stats = RunStats::new();
-        let mut total = SimTime::ZERO;
-        // Round buffers, all recycled across rounds: the compute phase
+        let mut ledger = Ledger::new(self, batch, &states, program.message_bytes());
+        // Round buffers, all recycled across rounds: the compute stage
         // drains the inboxes in place while emitting into the grid's
-        // shard matrix, and the merge stage refills the inboxes — every
+        // shard matrix, and the route stage refills the inboxes — every
         // Vec keeps the capacity last round's traffic shaped. They start
         // as the buffers the previous run on this thread parked, if it
         // ran over this topology: a drained grid is as good as new.
         let spare: Option<RoundBuffers<StateSlab<P::Cell>, P::Message>> =
             self.topology.take_spare();
-        let (mut grid, inboxes, mut spare_checkpoint) = match spare {
+        let (mut grid, inboxes, mut checkpoint) = match spare {
             Some(b) => (b.grid, b.inboxes, b.checkpoint),
-            None => (RouteGrid::new(workers), Vec::new(), None),
+            None => (RouteGrid::new(states.len()), Vec::new(), None),
         };
-        let mut carry: RoundCarry<P::Message> = RoundCarry::new(inboxes, workers);
-        let mut outcome: Option<RunOutcome> = None;
+        let mut carry = RoundCarry::new(inboxes, states.len());
+        // Fresh (cold) partition caches on a paged run, none on a
+        // resident one.
+        let mut pagers = paged
+            .as_ref()
+            .map_or_else(Vec::new, PagedLayout::make_pagers);
+        let mut recovery = Recovery::arm(&self.config, &ledger, &mut checkpoint);
 
-        // Real paging path: fresh (cold) per-worker partition caches
-        // for this run.
-        let mut pagers: Option<Vec<WorkerPager>> = paged.as_ref().map(|l| l.make_pagers());
-
-        // Fault machinery, armed only when a plan is present — the
-        // clean path takes no snapshots and pays no per-round checks.
-        let mut injector = self.config.faults.as_ref().map(FaultInjector::new);
-        let hard_oom = injector.as_ref().is_some_and(|i| i.hard_oom());
-        let ckpt_every = self.config.checkpoint_every.max(1);
-        let mut checkpoint: Option<Checkpoint<StateSlab<P::Cell>, P::Message>> = None;
-        // Rounds below this index were already executed (and recorded)
-        // before a rollback; re-running them is replay, not first-run.
-        let mut replay_until = 0usize;
-        // Straggler windows: machine `m` runs its compute slowed by
-        // `straggler_factor[m]` until round `straggler_until[m]`.
-        let mut straggler_until: Vec<usize> = vec![0; workers];
-        let mut straggler_factor: Vec<f64> = vec![1.0; workers];
-
+        let mut outcome = None;
         let mut round = 0usize;
         loop {
-            if round > 0 {
-                if carry.inboxes.iter().all(|i| i.is_empty()) {
-                    break; // quiescent
-                }
-                if let Some(max) = program.max_rounds() {
-                    if round > max {
-                        break; // fixed-horizon programs (BKHS)
-                    }
-                }
+            // ---- stop check ----------------------------------------
+            if round > 0
+                && (carry.inboxes.iter().all(Inbox::is_empty)
+                    || program.max_rounds().is_some_and(|max| round > max))
+            {
+                break; // quiescent, or past a fixed horizon (BKHS)
             }
             if round > self.config.max_rounds {
                 outcome = Some(RunOutcome::Overload);
                 break;
             }
-
-            let replaying = round < replay_until;
-            if let Some(inj) = injector.as_mut() {
-                // ---- checkpoint ------------------------------------
-                // Snapshot at the cadence, before this round's compute
-                // touches anything — but never during replay (the saved
-                // snapshot already covers the replay window).
-                if !replaying && round.is_multiple_of(ckpt_every) {
-                    let ckpt = checkpoint.get_or_insert_with(|| {
-                        spare_checkpoint.take().unwrap_or_else(Checkpoint::empty)
-                    });
-                    ckpt.save(round, &states, &carry, pager_snaps(&pagers));
-                    stats.faults.checkpoint_full_bytes += Bytes(checkpoint_bytes);
-                    stats.faults.checkpoints += 1;
-                }
-                // ---- fault firing ----------------------------------
-                // Every event co-scheduled for this round fires in one
-                // call; the rollback (if any of them demands one)
-                // happens once, after all of them are booked.
-                let mut rollback = false;
-                for event in inj.take_all_at(round) {
-                    stats.faults.injected += 1;
-                    match event.kind {
-                        FaultKind::MachineCrash { .. } => {
-                            stats.faults.crashes += 1;
-                            rollback = true;
-                        }
-                        FaultKind::DeliveryFailure { .. } => {
-                            stats.faults.delivery_failures += 1;
-                            rollback = true;
-                        }
-                        FaultKind::Partition { rounds } => {
-                            // Connectivity is gone for `rounds` rounds:
-                            // every machine stalls at the barrier until
-                            // the partition heals, then the lost
-                            // deliveries recover by rollback-replay
-                            // like any other delivery failure.
-                            stats.faults.partitions += 1;
-                            let stall = rounds as f64
-                                * (cost.barrier_base + cost.barrier_per_machine * workers as f64);
-                            stats.faults.recovery_time += SimTime::secs(stall);
-                            rollback = true;
-                        }
-                        FaultKind::Straggler {
-                            machine,
-                            factor_pct,
-                            rounds,
-                        } => {
-                            stats.faults.stragglers += 1;
-                            if machine < workers {
-                                let f = f64::from(factor_pct) / 100.0;
-                                straggler_factor[machine] = if round >= straggler_until[machine] {
-                                    f
-                                } else {
-                                    straggler_factor[machine].max(f)
-                                };
-                                straggler_until[machine] =
-                                    straggler_until[machine].max(round + rounds);
-                            }
-                        }
-                        FaultKind::PayloadCorruption { machine, flips } => {
-                            // Detected at decode by the wire frame
-                            // checksum; repaired by re-sending each
-                            // corrupted bucket from the sender's
-                            // retained shard buffers — no rollback.
-                            // Each flip costs one bucket-sized
-                            // retransfer, modeled as the machine's
-                            // per-peer share of last round's inbound
-                            // buffer bytes.
-                            stats.faults.corrupted_buckets += u64::from(flips);
-                            stats.faults.retransmitted_buckets += u64::from(flips);
-                            let inbound = carry.prev_in_bytes.get(machine).copied().unwrap_or(0);
-                            let peers = (workers as u64 - 1).max(1);
-                            let bytes = u64::from(flips) * (inbound / peers);
-                            stats.faults.retransmitted_bytes += Bytes(bytes);
-                            if spec.network_bandwidth > 0.0 {
-                                stats.faults.recovery_time +=
-                                    SimTime::secs(bytes as f64 / spec.network_bandwidth);
-                            }
-                        }
-                    }
-                }
-                if rollback {
-                    // Global rollback — the canonical Pregel recovery:
-                    // restore the last checkpoint and replay forward.
-                    // The events are consumed (transient semantics), so
-                    // the replayed superstep passes the failure point
-                    // cleanly and recovery terminates.
-                    let ckpt = checkpoint
-                        .as_ref()
-                        .expect("a checkpoint is saved at round 0 before any fault can fire");
-                    replay_until = replay_until.max(round);
-                    recycle_into(&mut states, &ckpt.states);
-                    carry.recycle_from(&ckpt.carry);
-                    if let Some(ps) = pagers.as_mut() {
-                        for (pager, snap) in ps.iter_mut().zip(&ckpt.pagers) {
-                            pager.restore(snap);
-                        }
-                    }
-                    round = ckpt.round;
-                    continue; // re-enter the loop at the restored round
-                }
+            // ---- recovery ------------------------------------------
+            let rollback = recovery
+                .as_mut()
+                .and_then(|rec| rec.begin_round(round, &mut states, &mut carry, &mut pagers));
+            if let Some(restored) = rollback {
+                round = restored;
+                continue;
             }
-
-            // ---- compute phase -------------------------------------
-            // Workers emit straight into the prepared shard matrix,
-            // folding at emission time.
-            grid.set_replay(replaying);
-            grid.begin_round(profile.combiner, locals);
-            let active = self.compute_phase(
+            // ---- compute -------------------------------------------
+            let pass = Pass {
                 program,
+                graph: self.graph,
+                seeds: &seeds,
                 round,
-                batch.seed,
-                &seeds,
-                &mut carry.inboxes,
-                &mut grid,
-                &mut states,
-                msg_bytes,
-                pagers.as_mut(),
-            );
-
-            // Harvest the pagers' measured movement (empty on a
-            // resident run): loaded bytes feed the cost model's disk
-            // terms in place of the demand-based estimate, and the
-            // cache's decoded peak feeds the memory ledger in place of
-            // resident-graph bytes.
-            let paged_rounds: Vec<PagerRound> = pagers
-                .iter_mut()
-                .flatten()
-                .map(WorkerPager::take_round)
-                .collect();
-
-            // ---- routing phase -------------------------------------
+                seed: batch.seed,
+            };
+            let work = self.compute(&pass, &mut carry, &mut grid, &mut states, &mut pagers);
+            // ---- route ---------------------------------------------
             let routing = grid.route_presharded(
                 self.pool.as_ref(),
                 &mut carry.inboxes,
                 locals,
-                msg_bytes,
+                program.message_bytes(),
                 profile.combiner,
             );
-            // Conservation pin, matching the two-stage oracle's
-            // property-test guarantee: nothing is dropped between
-            // emission and delivery.
-            debug_assert_eq!(
-                routing.sent_wire,
-                routing.delivered_wire(),
-                "routing must deliver every wire message"
-            );
-
-            // ---- demand assembly -----------------------------------
-            let demand = self.assemble_demand(
-                &active,
-                &state_bytes,
-                &carry,
-                routing,
-                batch.residual_bytes,
-                msg_bytes,
-                &paged_rounds,
-            );
-
-            // ---- hard OOM kill -------------------------------------
-            // With the hard fault armed, a machine whose memory demand
-            // exceeds physical capacity is killed outright — no
-            // thrashing grace up to the cost model's overflow limit.
-            // Replay rounds completed under capacity on their first
-            // run, so they cannot trip this.
-            let oom_kill = hard_oom && !replaying && demand.memory.iter().any(|&m| m > spec.memory);
-
-            // ---- pricing -------------------------------------------
-            match cost.charge(spec, &demand) {
-                Ok(charge) if !oom_kill => {
-                    let barrier_t = profile.barrier_scale()
-                        * (cost.barrier_base + cost.barrier_per_machine * workers as f64);
-                    let duration = charge.duration + SimTime::secs(barrier_t);
-                    // Straggler windows: re-price the round with the
-                    // slowed machines' compute scaled up and book only
-                    // the *excess* over the healthy charge, to the
-                    // fault record — first-run totals, recorded rounds,
-                    // and the final states stay bit-identical to the
-                    // fault-free run.
-                    if !routing.replay && straggler_until.iter().any(|&until| round < until) {
-                        let mut slow = demand.clone();
-                        for (m, ops) in slow.compute_ops.iter_mut().enumerate() {
-                            if round < straggler_until[m] {
-                                *ops *= straggler_factor[m];
-                            }
-                        }
-                        if let Ok(slow_charge) = cost.charge(spec, &slow) {
-                            let excess = slow_charge.duration - charge.duration;
-                            if excess > SimTime::ZERO {
-                                stats.faults.straggler_time += excess;
-                            }
-                        }
-                    }
-                    if routing.replay {
-                        // Replayed work is pure recovery cost. Its time
-                        // and traffic must not skew the run's first-run
-                        // totals — the original execution of this
-                        // superstep is already on the books — so it is
-                        // accounted to the fault record only.
-                        stats.faults.replayed_rounds += 1;
-                        stats.faults.replayed_wire += routing.sent_wire;
-                        stats.faults.recovery_time += duration;
-                    } else {
-                        total += duration;
-                        // Disk overuse means 100% utilization (§4.4);
-                        // with the barrier included in the round
-                        // duration the disk may no longer dominate.
-                        let disk_overuse = if duration.as_secs() > 0.0
-                            && charge.disk_busy.as_secs() / duration.as_secs() < 0.9
-                        {
-                            SimTime::ZERO
-                        } else {
-                            charge.disk_overuse
-                        };
-                        let delivered = if profile.combiner {
-                            routing.delivered_tuples
-                        } else {
-                            routing.delivered_wire()
-                        };
-                        // Replay rounds never reach this branch, so the
-                        // recorded pager counters are first-run only.
-                        let (loaded, loads, paged_peak) =
-                            paged_rounds.iter().fold((0, 0, 0), |(b, l, m), pr| {
-                                (
-                                    b + pr.loaded_bytes,
-                                    l + pr.partition_loads,
-                                    m.max(pr.peak_resident_bytes),
-                                )
-                            });
-                        stats.record_round(RoundStats {
-                            round,
-                            messages_sent: routing.sent_wire,
-                            messages_delivered: delivered,
-                            network_bytes: Bytes(routing.net_out_bytes.iter().sum()),
-                            local_bytes: Bytes(routing.local_bytes),
-                            shard_copy_bytes: Bytes(routing.shard_copy_bytes),
-                            active_vertices: active.iter().sum(),
-                            peak_machine_memory: charge.peak_memory,
-                            state_bytes: Bytes(peak_state_bytes),
-                            spilled_bytes: Bytes(demand.spill.iter().map(|b| b.get()).sum()),
-                            loaded_bytes: Bytes(loaded),
-                            partition_loads: loads,
-                            paged_resident_bytes: Bytes(paged_peak),
-                            duration,
-                            network_overuse: charge.network_overuse,
-                            disk_overuse,
-                            disk_busy: charge.disk_busy,
-                            io_queue_len: charge.io_queue_len,
-                        });
-                        if total > batch.cutoff {
-                            outcome = Some(RunOutcome::Overload);
-                            break;
-                        }
-                    }
-                }
-                Ok(_) | Err(ChargeError::MemoryOverflow { .. }) => {
-                    // Killed, or over the model's overflow limit:
-                    // record the failed round's memory pressure so
-                    // reports can show what blew up, then abort.
-                    let peak = demand.memory.iter().copied().max().unwrap_or(Bytes::ZERO);
-                    stats.record_round(RoundStats {
-                        round,
-                        peak_machine_memory: peak,
-                        ..RoundStats::default()
-                    });
-                    stats.faults.oom_kills += u64::from(oom_kill);
-                    outcome = Some(RunOutcome::Overflow);
-                    break;
-                }
+            // ---- account -------------------------------------------
+            outcome = ledger.account(round, &work, &carry, routing, recovery.as_mut());
+            if outcome.is_some() {
+                break;
             }
-
             // ---- advance -------------------------------------------
-            carry.prev_in_wire.copy_from_slice(&routing.in_wire);
-            carry.prev_in_tuples.copy_from_slice(&routing.in_tuples);
-            carry
-                .prev_in_bytes
-                .copy_from_slice(&routing.in_buffer_bytes);
+            carry.advance(routing, profile.combiner);
             round += 1;
         }
 
-        let outputs = locals
-            .worker_vertices()
-            .iter()
-            .zip(&mut states)
+        let outputs = (locals.worker_vertices().iter().zip(&mut states))
             .map(|(list, store)| {
                 let mut outs = Vec::new();
                 program.take_outs(list, store, |v, out| outs.push((v, out)));
@@ -808,15 +523,20 @@ impl<'g> Runner<'g> {
             })
             .collect();
         program.recycle(states);
+        let mut stats = ledger.stats;
+        if let Some(rec) = recovery {
+            stats.faults = rec.faults;
+            checkpoint = Some(rec.checkpoint);
+        }
         // Every exit follows a merge (or precedes any compute), so the
         // grid is drained; `RoundCarry::new` empties the inboxes.
         self.topology.park_spare(RoundBuffers {
             grid,
             inboxes: carry.inboxes,
-            checkpoint: checkpoint.or(spare_checkpoint),
+            checkpoint,
         });
         SparseRunResult {
-            outcome: outcome.unwrap_or(RunOutcome::Completed(total)),
+            outcome: outcome.unwrap_or(RunOutcome::Completed(ledger.total)),
             stats,
             outputs,
         }
@@ -849,227 +569,147 @@ impl<'g> Runner<'g> {
         }
     }
 
-    /// Run every worker's compute for one round: each worker drains its
-    /// inbox and emits through its [`ShardedOutbox`](crate::ShardedOutbox)
-    /// sink (obtained from the prepared `grid`), so envelopes land
-    /// pre-sharded — and pre-folded — as they are produced. Returns
-    /// per-worker active vertices. With a pool, worker `w` always
-    /// executes on pool thread `w`.
-    #[allow(clippy::too_many_arguments)]
-    fn compute_phase<C: ProgramCore>(
+    /// The compute stage: every worker's [`Pass`] drains its inbox in
+    /// `carry` into its [`ShardedOutbox`](crate::ShardedOutbox) sink,
+    /// so envelopes land pre-sharded and pre-folded in `grid`. `pagers`
+    /// is empty on a resident run. Worker `w` runs on pool thread `w`.
+    fn compute<C: ProgramCore>(
         &self,
-        program: &C,
-        round: usize,
-        seed: u64,
-        seeds: &[Vec<u32>],
-        inboxes: &mut [Inbox<C::Message>],
+        pass: &Pass<'_, C>,
+        carry: &mut RoundCarry<C::Message>,
         grid: &mut RouteGrid<C::Message>,
         states: &mut [C::Store],
-        msg_bytes: u64,
-        pagers: Option<&mut Vec<WorkerPager>>,
-    ) -> Vec<u64> {
-        let graph = self.graph;
-        let worker_vertices = self.topology.locals.worker_vertices();
-        let mut active = vec![0u64; states.len()];
+        pagers: &mut [WorkerPager],
+    ) -> Work {
+        let topo = &*self.topology;
+        grid.begin_round(self.config.profile.combiner, &topo.locals);
         let sinks = grid.emit_sinks(
-            graph,
-            &self.topology.partition,
-            &self.topology.locals,
-            self.topology.mirrors.as_ref(),
-            msg_bytes,
+            self.graph,
+            &topo.partition,
+            &topo.locals,
+            topo.mirrors.as_ref(),
+            pass.program.message_bytes(),
         );
-        // Each worker's own pager on a paged run, `None` for all on a
-        // resident one.
-        let mut pagers = pagers.map(|ps| ps.iter_mut());
-        let per_worker = inboxes
+        let worker_vertices = topo.locals.worker_vertices();
+        let mut active = vec![0u64; states.len()];
+        let mut worker_pagers = pagers.iter_mut();
+        let per_worker = carry
+            .inboxes
             .iter_mut()
             .zip(sinks)
             .zip(states.iter_mut())
             .zip(active.iter_mut())
-            .map(|item| (item, pagers.as_mut().and_then(Iterator::next)));
+            .map(|item| (item, worker_pagers.next()));
         dispatch(
             self.pool.as_ref(),
             per_worker,
             |w, ((((inbox, mut sink), store), slot), pager)| {
-                *slot = worker_pass(
-                    program,
-                    graph,
-                    round,
-                    seed,
-                    &worker_vertices[w],
-                    &seeds[w],
-                    inbox,
-                    &mut sink,
-                    store,
-                    pager,
-                );
+                *slot = pass.worker(w, &worker_vertices[w], inbox, &mut sink, store, pager);
             },
         );
-        active
-    }
-
-    /// Build the [`RoundDemand`] for the cost model from this round's
-    /// measurements (see DESIGN.md §4 for the formulas). `state_bytes`
-    /// is each worker's state charge; `paged` holds each worker's
-    /// measured pager round, and is empty on a resident run.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_demand<M>(
-        &self,
-        active: &[u64],
-        state_bytes: &[u64],
-        carry: &RoundCarry<M>,
-        routing: &RoutingStats,
-        residual_bytes: &[u64],
-        msg_bytes: u64,
-        paged: &[PagerRound],
-    ) -> RoundDemand {
-        let profile = &self.config.profile;
-        let workers = active.len();
-        let graph_bytes = &self.topology.graph_bytes;
-        let mut demand = RoundDemand::zeros(workers, false);
-        let mut total_processed = 0u64;
-        for w in 0..workers {
-            let processed = if profile.combiner {
-                carry.prev_in_tuples[w]
-            } else {
-                carry.prev_in_wire[w]
-            };
-            total_processed += processed;
-            demand.compute_ops[w] = (active[w] as f64 * profile.per_vertex_ops
-                + processed as f64 * profile.per_msg_ops)
-                * profile.lang_cpu_factor;
-            demand.net_out[w] = Bytes(routing.net_out_bytes[w]);
-            demand.net_in[w] = Bytes(routing.net_in_bytes[w]);
-
-            let msg_buffer = carry.prev_in_bytes[w] + routing.out_buffer_bytes[w];
-            let mut memory = (state_bytes[w] as f64 * profile.mem_overhead_factor) as u64;
-            if !residual_bytes.is_empty() {
-                memory += residual_bytes[w];
-            }
-            match profile.out_of_core {
-                Some(ooc) => {
-                    let budget = ooc.message_budget.get();
-                    let overhead_buf = (msg_buffer as f64 * profile.mem_overhead_factor) as u64;
-                    let resident = overhead_buf.min(budget);
-                    let msg_spill = overhead_buf.saturating_sub(budget);
-                    memory += resident;
-                    demand.spill_messages[w] = msg_spill.checked_div(msg_bytes).unwrap_or(0);
-                    match paged.get(w) {
-                        // Real paging path: the disk terms are fed the
-                        // bytes that actually moved this round, and
-                        // memory is charged the cache's decoded peak —
-                        // measurements, not the demand-based estimate
-                        // of the `None` arm below (kept as the oracle).
-                        Some(pr) => {
-                            demand.spill[w] = Bytes(msg_spill);
-                            demand.stream[w] = Bytes(pr.loaded_bytes);
-                            memory += pr.peak_resident_bytes;
-                        }
-                        None => {
-                            demand.spill[w] = Bytes(msg_spill);
-                            demand.stream[w] = Bytes(graph_bytes[w]);
-                        }
-                    }
-                }
-                None => {
-                    memory += (msg_buffer as f64 * profile.mem_overhead_factor) as u64;
-                    memory += (graph_bytes[w] as f64 * profile.graph_mem_factor) as u64;
-                }
-            }
-            demand.memory[w] = Bytes(memory);
+        Work {
+            active,
+            paged: pagers.iter_mut().map(WorkerPager::take_round).collect(),
         }
-        demand.lock_ops = if matches!(profile.sync, SyncMode::Asynchronous) {
-            total_processed as f64
-        } else {
-            0.0
-        };
-        demand
     }
 }
 
-/// Execute one worker's share of a round. The inbox arrives already
-/// grouped by destination local index (the routing merge stage wrote it
-/// that way), so this is a single pass over its runs — each vertex's
-/// messages are handed to `compute` as a borrowed slice, with no
-/// sorting, no clones, and no per-round allocation. The inbox is
-/// cleared afterwards (capacity retained for the next routing round).
-/// Emissions land in `sink`.
-///
-/// The pass is partition-major: a resident worker (`pager: None`) is
-/// the one-partition case, its single range `0..vertices.len()` served
-/// by the resident [`Graph`]. On the real out-of-core path neighbors
-/// are served from decoded partition chunks streamed through `pager`'s
-/// bounded cache instead. Partitions are visited in ascending
-/// local-index order and the inbox's runs are ascending by local index,
-/// so the compute sequence — and therefore every emission and state
-/// update — is the same either way; the pager only changes which bytes
-/// move. Every round streams every partition, whether or not a run
-/// lands in it: GraphD's full edge pass.
-#[allow(clippy::too_many_arguments)]
-fn worker_pass<C: ProgramCore>(
-    program: &C,
-    graph: &Graph,
+/// What the compute stage measured of one round: per worker, the
+/// vertices it activated and its pager's movement (none on a resident
+/// run), which feed the cost model's disk terms and memory ledger.
+struct Work {
+    active: Vec<u64>,
+    paged: Vec<PagerRound>,
+}
+
+/// What every worker's share of one round reads and none writes: the
+/// program, the graph, each worker's round-0 seeds, the round and the
+/// batch seed.
+struct Pass<'a, C> {
+    program: &'a C,
+    graph: &'a Graph,
+    seeds: &'a [Vec<u32>],
     round: usize,
     seed: u64,
-    vertices: &[VertexId],
-    seeds: &[u32],
-    inbox: &mut Inbox<C::Message>,
-    sink: &mut dyn EmitSink<C::Message>,
-    store: &mut C::Store,
-    mut pager: Option<&mut WorkerPager>,
-) -> u64 {
-    let partitions = pager.as_ref().map_or(1, |p| p.partitions());
-    let all = vertices.len() as u32;
-    if round == 0 {
-        // Round 0 is a full superstep to the model — every vertex
-        // counts as active, and on a paged run every partition streams
-        // through the cache — though only the
-        // seeds (ascending, so one cursor walks them) can do anything
-        // in `init`. A worker's vertex list is in local-index order, so
-        // the local index IS the position.
-        let mut next = seeds.iter().copied().peekable();
+}
+
+impl<C: ProgramCore> Pass<'_, C> {
+    /// Execute worker `w`'s share of the round over its `vertices`
+    /// (local-index order): one pass over the inbox's runs, grouped by
+    /// local index at the merge, each vertex handed its messages as a
+    /// borrowed slice — no sorting, no clones, no allocation. The inbox
+    /// is cleared after (capacity kept); emissions land in `sink`.
+    ///
+    /// The pass is partition-major. A resident worker (`pager: None`)
+    /// is one partition served by the [`Graph`]; an out-of-core one
+    /// streams every partition, whether or not a run lands in it
+    /// (GraphD's full edge pass), through `pager`'s bounded cache.
+    /// Partitions and runs both ascend by local index, so the compute
+    /// sequence is the same either way; the pager only moves bytes.
+    fn worker(
+        &self,
+        w: usize,
+        vertices: &[VertexId],
+        inbox: &mut Inbox<C::Message>,
+        sink: &mut dyn EmitSink<C::Message>,
+        store: &mut C::Store,
+        mut pager: Option<&mut WorkerPager>,
+    ) -> u64 {
+        let (program, graph, round, seed) = (self.program, self.graph, self.round, self.seed);
+        let partitions = pager.as_ref().map_or(1, |p| p.partitions());
+        let all = vertices.len() as u32;
+        if round == 0 {
+            // Round 0 is a full superstep to the model — every vertex
+            // counts as active, and on a paged run every partition
+            // streams through the cache — though only the seeds
+            // (ascending, so one cursor walks them) can do anything in
+            // `init`. A worker's vertex list is in local-index order,
+            // so the local index IS the position.
+            let mut next = self.seeds[w].iter().copied().peekable();
+            for p in 0..partitions {
+                let hi = pager.as_deref_mut().map_or(all, |pager| {
+                    pager.ensure_resident(p);
+                    pager.partition_range(p).1
+                });
+                let chunk = pager.as_deref().map(|pager| pager.chunk(p));
+                while let Some(li) = next.next_if(|&li| li < hi) {
+                    let v = vertices[li as usize];
+                    let mut rng = vertex_rng(seed, round, v);
+                    let mut ctx = vertex_context(v, li, round, graph, chunk, &mut rng, sink);
+                    program.init_vertex(v, li, store, &mut ctx);
+                }
+            }
+            return all as u64;
+        }
+
+        let runs = inbox.runs();
+        let deliveries = inbox.deliveries();
+        let mut ri = 0usize;
+        let mut start = 0usize;
         for p in 0..partitions {
             let hi = pager.as_deref_mut().map_or(all, |pager| {
                 pager.ensure_resident(p);
                 pager.partition_range(p).1
             });
             let chunk = pager.as_deref().map(|pager| pager.chunk(p));
-            while let Some(li) = next.next_if(|&li| li < hi) {
-                let v = vertices[li as usize];
-                let mut rng = vertex_rng(seed, round, v);
-                let mut ctx = vertex_context(v, li, round, graph, chunk, &mut rng, sink);
-                program.init_vertex(v, li, store, &mut ctx);
+            while ri < runs.len() && runs[ri].local < hi {
+                let run = runs[ri];
+                let msgs = &deliveries[start..run.end as usize];
+                start = run.end as usize;
+                ri += 1;
+                let mut rng = vertex_rng(seed, round, run.dest);
+                let mut ctx =
+                    vertex_context(run.dest, run.local, round, graph, chunk, &mut rng, sink);
+                program.compute_vertex(run.dest, run.local, store, msgs, &mut ctx);
             }
         }
-        return all as u64;
+        debug_assert_eq!(ri, runs.len(), "every delivered run must compute");
+        let active = runs.len() as u64;
+        // Recycle: the routing merge stage refills this inbox, reusing
+        // the capacity this round's traffic established.
+        inbox.clear();
+        active
     }
-
-    let runs = inbox.runs();
-    let deliveries = inbox.deliveries();
-    let mut ri = 0usize;
-    let mut start = 0usize;
-    for p in 0..partitions {
-        let hi = pager.as_deref_mut().map_or(all, |pager| {
-            pager.ensure_resident(p);
-            pager.partition_range(p).1
-        });
-        let chunk = pager.as_deref().map(|pager| pager.chunk(p));
-        while ri < runs.len() && runs[ri].local < hi {
-            let run = runs[ri];
-            let msgs = &deliveries[start..run.end as usize];
-            start = run.end as usize;
-            ri += 1;
-            let mut rng = vertex_rng(seed, round, run.dest);
-            let mut ctx = vertex_context(run.dest, run.local, round, graph, chunk, &mut rng, sink);
-            program.compute_vertex(run.dest, run.local, store, msgs, &mut ctx);
-        }
-    }
-    debug_assert_eq!(ri, runs.len(), "every delivered run must compute");
-    let active = runs.len() as u64;
-    // Recycle: the routing merge stage refills this inbox, reusing the
-    // capacity this round's traffic established.
-    inbox.clear();
-    active
 }
 
 /// The [`Context`] of one vertex activation: adjacency from the pinned
@@ -1095,13 +735,376 @@ fn vertex_context<'a, M: Message>(
     }
 }
 
-/// Capture every worker pager's resident set for a checkpoint (empty
-/// when the run is fully resident).
-fn pager_snaps(pagers: &Option<Vec<WorkerPager>>) -> Vec<PagerSnapshot> {
-    pagers
-        .as_ref()
-        .map(|ps| ps.iter().map(WorkerPager::snapshot).collect())
-        .unwrap_or_default()
+/// Everything fault-related in a run with a [`FaultPlan`]; a
+/// fault-free run has none, so it takes no snapshots and makes no
+/// per-round fault checks. Every event, snapshot and replayed round is
+/// booked to `faults` only, so every other statistic — and the final
+/// states and outcome — match the fault-free run bit for bit.
+struct Recovery<S, M> {
+    injector: FaultInjector,
+    hard_oom: bool,
+    /// Checkpoint cadence in rounds, at least 1.
+    every: usize,
+    /// The latest snapshot, refilled in place every cadence round.
+    checkpoint: Checkpoint<S, M>,
+    checkpoint_bytes: u64,
+    /// Rounds below this index were already executed (and booked)
+    /// before a rollback; re-running them is replay, not first run.
+    replay_until: usize,
+    /// Per machine, the straggler window `(until, factor)`: compute
+    /// slowed by `factor` before round `until`.
+    stragglers: Vec<(usize, f64)>,
+    /// Seconds of one unscaled barrier; a partition stalls each round.
+    barrier_secs: f64,
+    network_bandwidth: f64,
+    faults: FaultStats,
+}
+
+impl<S: Clone, M: Clone> Recovery<S, M> {
+    /// Arm `config`'s fault plan, if any, for a run priced by `ledger`,
+    /// snapshotting into the `spare` checkpoint a previous run parked.
+    fn arm(
+        config: &EngineConfig,
+        ledger: &Ledger<'_>,
+        spare: &mut Option<Checkpoint<S, M>>,
+    ) -> Option<Self> {
+        let plan = config.faults.as_ref()?;
+        let workers = ledger.state_bytes.len();
+        let injector = FaultInjector::new(plan);
+        Some(Recovery {
+            hard_oom: injector.hard_oom(),
+            injector,
+            every: config.checkpoint_every.max(1),
+            checkpoint: spare.take().unwrap_or_else(|| Checkpoint {
+                round: 0,
+                states: Vec::new(),
+                carry: RoundCarry::new(Vec::new(), 0),
+                pagers: Vec::new(),
+            }),
+            checkpoint_bytes: ledger.state_bytes.iter().sum(),
+            replay_until: 0,
+            stragglers: vec![(0, 1.0); workers],
+            barrier_secs: ledger.barrier_secs,
+            network_bandwidth: ledger.spec.network_bandwidth,
+            faults: FaultStats::default(),
+        })
+    }
+
+    /// Whether `round` re-runs a round already on the books.
+    fn replaying(&self, round: usize) -> bool {
+        round < self.replay_until
+    }
+
+    /// Open `round`: checkpoint at the cadence, then fire every fault
+    /// scheduled for it and book each. If any of them demands a
+    /// rollback, restore `states`, `carry` and the pager caches from
+    /// the latest checkpoint and return the round to resume from.
+    fn begin_round(
+        &mut self,
+        round: usize,
+        states: &mut Vec<S>,
+        carry: &mut RoundCarry<M>,
+        pagers: &mut [WorkerPager],
+    ) -> Option<usize> {
+        // Snapshot before this round's compute touches anything — but
+        // never during replay (the saved snapshot already covers the
+        // replay window). Round 0 always saves, so a checkpoint exists
+        // before any fault can fire.
+        if !self.replaying(round) && round.is_multiple_of(self.every) {
+            self.checkpoint.save(round, states, carry, pagers);
+            self.faults.checkpoint_full_bytes += Bytes(self.checkpoint_bytes);
+            self.faults.checkpoints += 1;
+        }
+        // Every event co-scheduled for this round fires in one call;
+        // the rollback (if any of them demands one) happens once,
+        // after all of them are booked.
+        let workers = self.stragglers.len();
+        let f = &mut self.faults;
+        let mut rollback = false;
+        for event in self.injector.take_all_at(round) {
+            f.injected += 1;
+            match event.kind {
+                FaultKind::MachineCrash { .. } => {
+                    f.crashes += 1;
+                    rollback = true;
+                }
+                FaultKind::DeliveryFailure { .. } => {
+                    f.delivery_failures += 1;
+                    rollback = true;
+                }
+                FaultKind::Partition { rounds } => {
+                    // Connectivity is gone for `rounds` rounds: every
+                    // machine stalls at the barrier until the partition
+                    // heals, then the lost deliveries recover by
+                    // rollback-replay like any other delivery failure.
+                    f.partitions += 1;
+                    f.recovery_time += SimTime::secs(rounds as f64 * self.barrier_secs);
+                    rollback = true;
+                }
+                FaultKind::Straggler {
+                    machine,
+                    factor_pct,
+                    rounds,
+                } => {
+                    f.stragglers += 1;
+                    if let Some((until, slow)) = self.stragglers.get_mut(machine) {
+                        let factor = f64::from(factor_pct) / 100.0;
+                        *slow = if round < *until {
+                            slow.max(factor)
+                        } else {
+                            factor
+                        };
+                        *until = (*until).max(round + rounds);
+                    }
+                }
+                FaultKind::PayloadCorruption { machine, flips } => {
+                    // Modelled, not decoded: each flip re-sends one
+                    // bucket, the machine's per-peer share of last
+                    // round's inbound bytes, priced as transfer time.
+                    f.corrupted_buckets += u64::from(flips);
+                    f.retransmitted_buckets += u64::from(flips);
+                    let inbound = carry.prev_in_bytes.get(machine).copied().unwrap_or(0);
+                    let peers = (workers as u64 - 1).max(1);
+                    let bytes = u64::from(flips) * (inbound / peers);
+                    f.retransmitted_bytes += Bytes(bytes);
+                    if self.network_bandwidth > 0.0 {
+                        f.recovery_time += SimTime::secs(bytes as f64 / self.network_bandwidth);
+                    }
+                }
+            }
+        }
+        if !rollback {
+            return None;
+        }
+        // Global rollback — the canonical Pregel recovery: restore the
+        // last checkpoint and replay forward. The events are consumed
+        // (transient semantics), so the replayed superstep passes the
+        // failure point cleanly and recovery terminates.
+        self.replay_until = self.replay_until.max(round);
+        Some(self.checkpoint.restore(states, carry, pagers))
+    }
+
+    /// Book the straggler windows open at first-run `round`: re-price
+    /// it with the slowed machines' compute scaled up and book only the
+    /// *excess* over the `healthy` charge.
+    fn book_stragglers(
+        &mut self,
+        round: usize,
+        demand: &RoundDemand,
+        healthy: SimTime,
+        ledger: &Ledger<'_>,
+    ) {
+        if self.stragglers.iter().all(|&(until, _)| round >= until) {
+            return;
+        }
+        let mut slow = demand.clone();
+        for (ops, &(until, factor)) in slow.compute_ops.iter_mut().zip(&self.stragglers) {
+            if round < until {
+                *ops *= factor;
+            }
+        }
+        if let Ok(slow_charge) = ledger.cost.charge(ledger.spec, &slow) {
+            let excess = slow_charge.duration - healthy;
+            if excess > SimTime::ZERO {
+                self.faults.straggler_time += excess;
+            }
+        }
+    }
+}
+
+/// The account stage: the run-constant inputs that price a round
+/// (DESIGN.md §4 has the formulas) and the books it is entered in —
+/// `stats` and first-run `total` time; replays go to the fault record.
+struct Ledger<'r> {
+    profile: &'r SystemProfile,
+    spec: &'r MachineSpec,
+    cost: CostModel,
+    /// Adjacency bytes per worker, charged while resident.
+    graph_bytes: &'r [u64],
+    /// Per worker, its slab's dense charge, fixed for the run.
+    state_bytes: Vec<u64>,
+    /// Residual memory per worker left by earlier batches; empty = 0s.
+    residual: &'r [u64],
+    msg_bytes: u64,
+    /// Seconds of one barrier before the profile scales it.
+    barrier_secs: f64,
+    cutoff: SimTime,
+    stats: RunStats,
+    total: SimTime,
+}
+
+impl<'r> Ledger<'r> {
+    /// Open the books of `runner`'s run of `batch` over `states`,
+    /// whose messages are `msg_bytes` each.
+    fn new<C: Copy>(
+        runner: &'r Runner<'_>,
+        batch: BatchParams<'r>,
+        states: &[StateSlab<C>],
+        msg_bytes: u64,
+    ) -> Self {
+        let cost = CostModel::default();
+        let config = &*runner.config;
+        // A slab's charge is its dense capacity, fixed for the run.
+        let state_bytes: Vec<u64> = states.iter().map(StateSlab::resident_bytes).collect();
+        Ledger {
+            profile: &config.profile,
+            spec: &config.cluster.machine,
+            barrier_secs: cost.barrier_base + cost.barrier_per_machine * states.len() as f64,
+            cost,
+            graph_bytes: &runner.topology.graph_bytes,
+            state_bytes,
+            residual: batch.residual_bytes,
+            msg_bytes,
+            cutoff: batch.cutoff,
+            stats: RunStats::new(),
+            total: SimTime::ZERO,
+        }
+    }
+
+    /// Price and book one executed round from the `work` its compute
+    /// stage measured, the `carry` it processed and its `routing`.
+    /// Returns the outcome if the round ends the run: Overflow when it
+    /// blew memory (or the hard-OOM fault killed it), Overload when
+    /// first-run time passed the cutoff.
+    fn account<S: Clone, M: Clone>(
+        &mut self,
+        round: usize,
+        work: &Work,
+        carry: &RoundCarry<M>,
+        routing: &RoutingStats,
+        recovery: Option<&mut Recovery<S, M>>,
+    ) -> Option<RunOutcome> {
+        let Work { active, paged } = work;
+        let demand = self.demand(active, carry, routing, paged);
+        // The hard-OOM fault kills a first run outright when a machine
+        // exceeds physical memory, with no thrashing grace up to the
+        // cost model's overflow limit (replays ran under it once).
+        let killed = recovery
+            .as_ref()
+            .is_some_and(|r| r.hard_oom && !r.replaying(round))
+            && demand.memory.iter().any(|&m| m > self.spec.memory);
+        let charge = match self.cost.charge(self.spec, &demand) {
+            Ok(charge) if !killed => charge,
+            Ok(_) | Err(ChargeError::MemoryOverflow { .. }) => {
+                // Killed, or over the model's overflow limit: record
+                // the failed round's memory pressure so reports can
+                // show what blew up, then abort.
+                let peak = demand.memory.iter().copied().max().unwrap_or(Bytes::ZERO);
+                self.stats.record_round(RoundStats {
+                    round,
+                    peak_machine_memory: peak,
+                    ..RoundStats::default()
+                });
+                if let Some(rec) = recovery {
+                    rec.faults.oom_kills += u64::from(killed);
+                }
+                return Some(RunOutcome::Overflow);
+            }
+        };
+        let barrier = self.profile.barrier_scale() * self.barrier_secs;
+        let duration = charge.duration + SimTime::secs(barrier);
+        if let Some(rec) = recovery {
+            if rec.replaying(round) {
+                // Replayed work is pure recovery cost: the original
+                // execution of this superstep is already on the books.
+                rec.faults.replayed_rounds += 1;
+                rec.faults.replayed_wire += routing.sent_wire;
+                rec.faults.recovery_time += duration;
+                return None;
+            }
+            rec.book_stragglers(round, &demand, charge.duration, self);
+        }
+        self.total += duration;
+        // Disk overuse means 100% utilization (§4.4); with the barrier
+        // included in the round duration the disk may no longer
+        // dominate.
+        let disk_overuse =
+            if duration.as_secs() > 0.0 && charge.disk_busy.as_secs() / duration.as_secs() < 0.9 {
+                SimTime::ZERO
+            } else {
+                charge.disk_overuse
+            };
+        let delivered = if self.profile.combiner {
+            routing.delivered_tuples
+        } else {
+            routing.delivered_wire()
+        };
+        let paged_peak = paged.iter().map(|p| p.peak_resident_bytes).max();
+        self.stats.record_round(RoundStats {
+            round,
+            messages_sent: routing.sent_wire,
+            messages_delivered: delivered,
+            network_bytes: Bytes(routing.net_out_bytes.iter().sum()),
+            local_bytes: Bytes(routing.local_bytes),
+            shard_copy_bytes: Bytes(routing.shard_copy_bytes),
+            active_vertices: active.iter().sum(),
+            peak_machine_memory: charge.peak_memory,
+            state_bytes: Bytes(self.state_bytes.iter().copied().max().unwrap_or(0)),
+            spilled_bytes: Bytes(demand.spill.iter().map(|b| b.get()).sum()),
+            loaded_bytes: Bytes(paged.iter().map(|p| p.loaded_bytes).sum()),
+            partition_loads: paged.iter().map(|p| p.partition_loads).sum(),
+            paged_resident_bytes: Bytes(paged_peak.unwrap_or(0)),
+            duration,
+            network_overuse: charge.network_overuse,
+            disk_overuse,
+            disk_busy: charge.disk_busy,
+            io_queue_len: charge.io_queue_len,
+        });
+        (self.total > self.cutoff).then_some(RunOutcome::Overload)
+    }
+
+    /// The [`RoundDemand`] of one round's measurements.
+    fn demand<M>(
+        &self,
+        active: &[u64],
+        carry: &RoundCarry<M>,
+        routing: &RoutingStats,
+        paged: &[PagerRound],
+    ) -> RoundDemand {
+        let profile = self.profile;
+        let workers = active.len();
+        let mut demand = RoundDemand::zeros(workers, false);
+        for w in 0..workers {
+            demand.compute_ops[w] = (active[w] as f64 * profile.per_vertex_ops
+                + carry.prev_processed[w] as f64 * profile.per_msg_ops)
+                * profile.lang_cpu_factor;
+            demand.net_out[w] = Bytes(routing.net_out_bytes[w]);
+            demand.net_in[w] = Bytes(routing.net_in_bytes[w]);
+
+            let msg_buffer = carry.prev_in_bytes[w] + routing.out_buffer_bytes[w];
+            let msg_buffer = (msg_buffer as f64 * profile.mem_overhead_factor) as u64;
+            let mut memory = (self.state_bytes[w] as f64 * profile.mem_overhead_factor) as u64;
+            if !self.residual.is_empty() {
+                memory += self.residual[w];
+            }
+            match profile.out_of_core {
+                // Out of core, message bytes over the budget spill to
+                // disk; the disk terms are fed the adjacency bytes the
+                // pager loaded this round, and memory is charged the
+                // cache's decoded peak.
+                Some(ooc) => {
+                    let budget = ooc.message_budget.get();
+                    let msg_spill = msg_buffer.saturating_sub(budget);
+                    memory += msg_buffer.min(budget);
+                    memory += paged[w].peak_resident_bytes;
+                    demand.spill_messages[w] = msg_spill.checked_div(self.msg_bytes).unwrap_or(0);
+                    demand.spill[w] = Bytes(msg_spill);
+                    demand.stream[w] = Bytes(paged[w].loaded_bytes);
+                }
+                None => {
+                    memory += msg_buffer;
+                    memory += (self.graph_bytes[w] as f64 * profile.graph_mem_factor) as u64;
+                }
+            }
+            demand.memory[w] = Bytes(memory);
+        }
+        demand.lock_ops = if matches!(profile.sync, SyncMode::Asynchronous) {
+            carry.prev_processed.iter().sum::<u64>() as f64
+        } else {
+            0.0
+        };
+        demand
+    }
 }
 
 /// Deterministic per-(round, vertex) RNG: thread scheduling cannot
@@ -1311,17 +1314,8 @@ mod tests {
         assert!(async_run.stats.total_time < sync_run.stats.total_time);
     }
 
-    /// An [`OocConfig`](crate::profile::OocConfig) with the estimate
-    /// path (`paging: None`) — the pre-paging oracle.
-    fn ooc_estimated(message_budget: u64) -> crate::profile::OocConfig {
-        crate::profile::OocConfig {
-            message_budget: Bytes::new(message_budget),
-            paging: None,
-        }
-    }
-
-    /// An [`OocConfig`](crate::profile::OocConfig) on the real paging
-    /// path: `message_budget` governs the message-spill arithmetic,
+    /// An [`OocConfig`](crate::profile::OocConfig): `message_budget`
+    /// governs the message-spill arithmetic,
     /// `page_budget`/`partition_bytes` the partition cache.
     fn ooc_paged(
         message_budget: u64,
@@ -1330,10 +1324,10 @@ mod tests {
     ) -> crate::profile::OocConfig {
         crate::profile::OocConfig {
             message_budget: Bytes::new(message_budget),
-            paging: Some(crate::profile::PagingConfig {
+            paging: crate::profile::PagingConfig {
                 budget: Bytes::new(page_budget),
                 partition_bytes: Bytes::new(partition_bytes),
-            }),
+            },
         }
     }
 
@@ -1341,22 +1335,33 @@ mod tests {
     fn ooc_profile_spills_when_budget_tiny() {
         let g = generators::complete(48);
         let mut cfg = config(2);
-        cfg.profile.out_of_core = Some(ooc_estimated(64));
+        cfg.profile.out_of_core = Some(ooc_paged(64, 4096, 1024));
         let result = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood);
         assert!(result.outcome.is_completed());
         assert!(result.stats.total_spilled_bytes > Bytes::ZERO);
         assert!(result.stats.max_disk_utilization > 0.0);
-        // The estimate path never touches the pager counters.
-        assert_eq!(result.stats.total_loaded_bytes, Bytes::ZERO);
-        assert_eq!(result.stats.total_partition_loads, 0);
-        assert_eq!(result.stats.peak_paged_resident_bytes, Bytes::ZERO);
-        // Every round streamed the full worker adjacency (the
-        // demand-based estimate's disk term).
+        assert!(result.stats.total_loaded_bytes > Bytes::ZERO);
+        // Every round's message buffers overflow a 64-byte budget.
         assert!(result
             .stats
             .per_round
             .iter()
             .all(|r| r.spilled_bytes > Bytes::ZERO));
+    }
+
+    /// The pager serves neighbors that broadcast routing would read
+    /// from mirrors, so the topology refuses the combination.
+    #[test]
+    #[should_panic(expected = "out-of-core profile must be point-to-point")]
+    fn ooc_broadcast_topology_panics() {
+        let g = generators::grid(4, 4);
+        let mut profile = SystemProfile::base("test");
+        profile.mode = ExecutionMode::Broadcast {
+            mirror_threshold: 2,
+        };
+        profile.out_of_core = Some(ooc_paged(1 << 20, 1024, 256));
+        let partition = HashPartitioner::default().partition(&g, 2);
+        Topology::build(&g, partition, &profile);
     }
 
     #[test]
@@ -1410,36 +1415,6 @@ mod tests {
         for v in g.vertices() {
             assert_eq!(serial.states[v as usize].0, pooled.states[v as usize].0);
         }
-    }
-
-    #[test]
-    fn measured_spill_matches_estimate_regimes() {
-        // The old demand-based estimate stays alive as the oracle: in
-        // the budget-tiny regime both paths spill, in the ample regime
-        // neither does.
-        let g = generators::complete(48);
-        let run = |ooc: crate::profile::OocConfig| {
-            let mut cfg = config(2);
-            cfg.profile.out_of_core = Some(ooc);
-            Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood)
-        };
-        let tiny_est = run(ooc_estimated(64));
-        let tiny_paged = run(ooc_paged(64, 4096, 1024));
-        assert!(tiny_est.stats.total_spilled_bytes > Bytes::ZERO);
-        assert!(tiny_paged.stats.total_spilled_bytes > Bytes::ZERO);
-        let ample_est = run(ooc_estimated(1 << 30));
-        let ample_paged = run(ooc_paged(1 << 30, 1 << 30, 1 << 16));
-        assert_eq!(ample_est.stats.total_spilled_bytes, Bytes::ZERO);
-        assert_eq!(ample_paged.stats.total_spilled_bytes, Bytes::ZERO);
-        // Same message-overflow arithmetic on both paths.
-        assert_eq!(
-            tiny_est.stats.total_spilled_bytes,
-            tiny_paged.stats.total_spilled_bytes
-        );
-        // Disk streaming differs: measured encoded bytes vs the
-        // resident-size estimate (the estimate path streams the full
-        // adjacency every round; the pager's warm cache loads less).
-        assert!(ample_paged.stats.total_loaded_bytes > Bytes::ZERO);
     }
 
     #[test]
@@ -1942,6 +1917,44 @@ mod tests {
         for v in g.vertices() {
             assert_eq!(clean.states[v as usize].0, chaos.states[v as usize].0);
         }
+    }
+
+    /// The fault record of one fixed plan — every recoverable fault
+    /// kind, checkpoints every 2 rounds — pinned field by field, f64s
+    /// by bit pattern. The chaos tests above scrub `faults` before they
+    /// compare, so only this one sees a refactor that moves recovery
+    /// cost between fields or rounds.
+    #[test]
+    fn fault_record_is_pinned() {
+        let g = generators::grid(12, 12);
+        let plan = FaultPlan::none()
+            .with_straggler(4, 1, 300, 3)
+            .with_crash(5, 1)
+            .with_corruption(6, 2, 2)
+            .with_delivery_failure(9, 0)
+            .with_partition(11, 2);
+        let cfg = config(4).with_checkpoint_every(2).with_faults(plan);
+        let f = Runner::new(&g, &HashPartitioner::default(), cfg)
+            .run_slab(&Flood)
+            .stats
+            .faults;
+        assert_eq!(f.injected, 5);
+        assert_eq!(f.crashes, 1);
+        assert_eq!(f.delivery_failures, 1);
+        assert_eq!(f.stragglers, 1);
+        assert_eq!(f.partitions, 1);
+        assert_eq!(f.oom_kills, 0);
+        assert_eq!(f.checkpoints, 12);
+        assert_eq!(f.checkpoint_full_bytes, Bytes(20_736));
+        assert_eq!(f.checkpoint_delta_bytes, Bytes::ZERO);
+        assert_eq!(f.replayed_rounds, 3);
+        assert_eq!(f.replayed_wire, 94);
+        assert_eq!(f.corrupted_buckets, 2);
+        assert_eq!(f.retransmitted_buckets, 2);
+        assert_eq!(f.retransmitted_bytes, Bytes(26));
+        assert_eq!(f.recovery_time.as_secs().to_bits(), 0x3fd2_8f7f_332d_9b8b);
+        assert_eq!(f.straggler_time.as_secs().to_bits(), 0x3ec0_00ae_d749_2d4d);
+        assert_eq!(f.retries, 0);
     }
 
     #[test]

@@ -36,13 +36,11 @@ pub struct Topology {
     pub(crate) mirrors: Option<MirrorIndex>,
     /// Adjacency bytes per worker (resident unless streamed).
     pub(crate) graph_bytes: Vec<u64>,
-    /// The real out-of-core layout: adjacency partitioned, encoded, and
+    /// The out-of-core layout: adjacency partitioned, encoded, and
     /// written to a backing store. Present iff the profile carries an
-    /// [`OocConfig`](crate::profile::OocConfig) with a `paging` config
-    /// and the mode is point-to-point; each run then streams partitions
-    /// through budget-bounded per-worker caches and the demand assembly
-    /// uses *measured* load bytes instead of the resident-graph
-    /// estimate.
+    /// [`OocConfig`](crate::profile::OocConfig); each run then streams
+    /// partitions through budget-bounded per-worker caches and the
+    /// demand assembly charges the bytes they *measure*.
     pub(crate) paged: Option<PagedLayout>,
     /// Process-unique tag of this topology: spare round buffers carry
     /// the id of the topology they were sized for.
@@ -61,6 +59,7 @@ thread_local! {
 impl Topology {
     /// Index `partition` of `graph` for execution under `profile` (its
     /// execution mode decides mirroring, its out-of-core config paging).
+    /// Panics if `profile` is out-of-core in broadcast mode.
     pub fn build(graph: &Graph, partition: Partition, profile: &SystemProfile) -> Topology {
         assert_eq!(partition.num_vertices(), graph.num_vertices());
         let mirrors = match profile.mode {
@@ -80,14 +79,16 @@ impl Topology {
                     .sum()
             })
             .collect();
-        // Broadcast mode reads mirror adjacency during routing, so the
-        // paged path (which serves neighbors from decoded chunks) is
-        // restricted to point-to-point profiles; anything else keeps
-        // the demand-based estimate.
-        let paged = match (&mirrors, profile.out_of_core.and_then(|o| o.paging)) {
-            (None, Some(pcfg)) => Some(PagedLayout::build(graph, locals.worker_vertices(), pcfg)),
-            _ => None,
-        };
+        // Broadcast mode reads mirror adjacency during routing, which
+        // the pager (serving neighbors from decoded chunks) cannot
+        // supply, so out-of-core profiles are point-to-point.
+        let paged = profile.out_of_core.map(|ooc| {
+            assert!(
+                mirrors.is_none(),
+                "an out-of-core profile must be point-to-point"
+            );
+            PagedLayout::build(graph, locals.worker_vertices(), ooc.paging)
+        });
         Topology {
             partition,
             locals,

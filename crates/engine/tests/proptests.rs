@@ -744,10 +744,10 @@ fn over_budget_paged_run_restreams_and_stays_within_budget() {
     let mut cfg = EngineConfig::new(ClusterSpec::galaxy(workers), SystemProfile::base("t"));
     cfg.profile.out_of_core = Some(OocConfig {
         message_budget: Bytes::mib(64),
-        paging: Some(PagingConfig {
+        paging: PagingConfig {
             budget: Bytes::new(BUDGET),
             partition_bytes: Bytes::new(BUDGET / 8),
-        }),
+        },
     });
     let run = Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&TokenFlood { rounds: 3 });
     assert!(run.outcome.is_completed(), "{:?}", run.outcome);
@@ -1028,10 +1028,10 @@ proptest! {
             cfg.faults = faults;
             cfg.profile.out_of_core = Some(OocConfig {
                 message_budget: Bytes::new(512),
-                paging: Some(PagingConfig {
+                paging: PagingConfig {
                     budget: Bytes::new(1024),
                     partition_bytes: Bytes::new(256),
-                }),
+                },
             });
             let runner = Runner::new(&g, &HashPartitioner { salt: seed }, cfg);
             runner.run_slab(&MiniSlabMssp { sources: sources.clone() })

@@ -46,8 +46,8 @@ pub struct FaultStats {
     /// Wire messages retransmitted during replay (never counted in the
     /// run's first-run traffic totals).
     pub replayed_wire: u64,
-    /// Encoded message buckets that arrived corrupted and were caught
-    /// by the wire-frame checksum at decode.
+    /// Encoded message buckets that arrived corrupted (modelled: one
+    /// per injected flip, never decoded).
     pub corrupted_buckets: u64,
     /// Corrupted buckets repaired by per-bucket retransmission from the
     /// sender's retained shard buffers (no rollback).

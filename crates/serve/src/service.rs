@@ -309,8 +309,8 @@ pub struct ServiceReport {
     pub oom_kills: u64,
     /// Simulated recovery time per faulted batch, milliseconds.
     pub recovery_latency: Histogram,
-    /// Wire buckets whose frame checksum caught injected payload
-    /// corruption, across all batches.
+    /// Wire buckets hit by injected payload corruption, across all
+    /// batches.
     pub corrupted_buckets: u64,
     /// Wire buckets repaired by bounded retransmission (no rollback).
     pub retransmitted_buckets: u64,

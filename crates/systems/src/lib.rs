@@ -112,7 +112,7 @@ impl SystemKind {
                 let budget = m.usable_memory().scaled(0.02);
                 p.out_of_core = Some(OocConfig {
                     message_budget: budget,
-                    paging: Some(PagingConfig::with_budget(budget)),
+                    paging: PagingConfig::with_budget(budget),
                 });
             }
             SystemKind::GraphLab => {
@@ -189,8 +189,7 @@ mod tests {
         let p = SystemKind::GraphD.profile(&spec());
         let ooc = p.out_of_core.unwrap();
         assert_eq!(ooc.message_budget, spec().usable_memory().scaled(0.02));
-        let paging = ooc.paging.expect("GraphD takes the real paging path");
-        assert_eq!(paging.budget, ooc.message_budget);
+        assert_eq!(ooc.paging.budget, ooc.message_budget);
         let small = spec().scaled(256.0);
         let p2 = SystemKind::GraphD.profile(&small);
         assert!(p2.out_of_core.unwrap().message_budget < ooc.message_budget);

@@ -42,10 +42,10 @@ fn paged_config(
         // Roomy message budget: message spill is pure accounting and
         // orthogonal to what this suite pins down.
         message_budget: Bytes::gib(4),
-        paging: Some(PagingConfig {
+        paging: PagingConfig {
             budget: Bytes::new(budget),
             partition_bytes: Bytes::new(partition_bytes),
-        }),
+        },
     });
     cfg
 }

@@ -208,10 +208,10 @@ where
             if let Storage::Paged = storage {
                 cfg.profile.out_of_core = Some(OocConfig {
                     message_budget: Bytes::new(512),
-                    paging: Some(PagingConfig {
+                    paging: PagingConfig {
                         budget: Bytes::new(1024),
                         partition_bytes: Bytes::new(256),
-                    }),
+                    },
                 });
             }
             if faults {
