@@ -14,9 +14,6 @@ use mtvc_graph::hash::mix64;
 use mtvc_graph::{Graph, VertexId};
 use mtvc_metrics::{Bytes, RunOutcome, RunStats, SimTime, OVERLOAD_CUTOFF};
 use mtvc_systems::SystemKind;
-use mtvc_tasks::bkhs::BkhsState;
-use mtvc_tasks::bppr::{BpprState, PushState};
-use mtvc_tasks::mssp::MsspState;
 use mtvc_tasks::{
     BkhsBroadcastSlabProgram, BkhsLaneSlabProgram, BkhsSlabProgram, BpprPushSlabProgram,
     BpprSlabProgram, MsspBroadcastSlabProgram, MsspLaneSlabProgram, MsspSlabProgram, PushCell,
@@ -670,7 +667,7 @@ fn run_one_batch(
                 let prog = BpprPushSlabProgram::new(workload, alpha, n);
                 // Residual: fractional stop masses, one f64 record per
                 // (vertex, source) entry.
-                let residual = |st: &PushState| st.mass.len() as u64 * 16;
+                let residual = |c: PushCell| if c.mass != 0.0 { 16 } else { 0 };
                 execute(graph, engine, params, Row, &prog, &shared.push, residual)
             } else {
                 let prog = BpprSlabProgram::new(workload, alpha, n);
@@ -678,15 +675,14 @@ fn run_one_batch(
                 // random walk computed in each batch" — residual
                 // scales with the walk count, not just distinct
                 // entries.
-                let residual = |st: &BpprState| {
-                    st.stops.values().sum::<u64>() * 8 + st.stops.len() as u64 * 16
-                };
+                let residual = |stops: u64| if stops > 0 { 8 * stops + 16 } else { 0 };
                 execute(graph, engine, params, Row, &prog, &shared.words, residual)
             }
         }
         Task::Mssp { .. } => {
             let (index, range) = sources.resolve();
-            let residual = |st: &MsspState| st.dist.len() as u64 * 16;
+            // Residual: one `(query, distance)` record per reached cell.
+            let residual = |d: u64| if d != u64::MAX { 16 } else { 0 };
             match (broadcast, Kernel::for_width(range.len())) {
                 (true, _) => {
                     let prog = MsspBroadcastSlabProgram::batch(index, range);
@@ -706,7 +702,7 @@ fn run_one_batch(
             let (index, range) = sources.resolve();
             // Residual: bitmap-encoded reach flags, ~1 byte per
             // (query, vertex) flag (see mtvc-tasks::bkhs docs).
-            let residual = |st: &BkhsState| st.reached.len() as u64;
+            let residual = |flag: u8| u64::from(flag != 0);
             match (broadcast, Kernel::for_width(range.len())) {
                 (true, _) => {
                     let prog = BkhsBroadcastSlabProgram::batch(index, range, k);
@@ -726,8 +722,8 @@ fn run_one_batch(
 }
 
 /// Run one batch of `program` on slabs drawn from `pool` and fold the
-/// outputs of the rows it wrote into per-worker residual bytes (an
-/// unwritten row's output is the default, whose residual is zero).
+/// cells of the rows it wrote into per-worker residual bytes (an
+/// unwritten cell holds the empty sentinel, whose residual is zero).
 fn execute<P: SlabProgram>(
     graph: &Graph,
     engine: &JobEngine,
@@ -735,19 +731,18 @@ fn execute<P: SlabProgram>(
     kernel: Kernel,
     program: &P,
     pool: &SlabRecycler<P::Cell>,
-    residual_of: impl Fn(&P::Out) -> u64,
+    residual_of: impl Fn(P::Cell) -> u64,
 ) -> BatchRun {
-    let result = Runner::for_batch(graph, &engine.topology, &engine.config, params)
-        .run_slab_sparse(program, pool);
-    let residual_delta = result
-        .outputs
-        .iter()
-        .map(|outs| outs.iter().map(|(_, state)| residual_of(state)).sum())
-        .collect();
+    let (outcome, stats, residual_delta) =
+        Runner::for_batch(graph, &engine.topology, &engine.config, params).run_slab_fold(
+            program,
+            pool,
+            |row| row.written().map(|(_, c)| residual_of(c)).sum(),
+        );
     BatchRun {
         kernel,
-        outcome: result.outcome,
-        stats: result.stats,
+        outcome,
+        stats,
         residual_delta,
     }
 }
@@ -756,6 +751,9 @@ fn execute<P: SlabProgram>(
 mod tests {
     use super::*;
     use mtvc_graph::generators;
+    use mtvc_tasks::bkhs::BkhsState;
+    use mtvc_tasks::bppr::{BpprState, PushState};
+    use mtvc_tasks::mssp::MsspState;
 
     fn small_graph() -> Graph {
         generators::power_law(200, 900, 2.4, 17)
@@ -1188,5 +1186,130 @@ mod tests {
         let b = run_job(&g, &spec(Task::bppr(16), 2));
         assert_eq!(a.stats.total_messages_sent, b.stats.total_messages_sent);
         assert_eq!(a.plot_time(), b.plot_time());
+    }
+
+    /// Per-worker residual of `program`'s dense `run_slab` outputs under
+    /// `rule`, with the run's outcome and statistics: the reference the
+    /// cell folds of [`run_one_batch`] must equal.
+    fn reference<P: SlabProgram>(
+        graph: &Graph,
+        engine: &JobEngine,
+        params: BatchParams<'_>,
+        program: &P,
+        rule: fn(&P::Out) -> u64,
+    ) -> (RunOutcome, RunStats, Vec<u64>) {
+        let runner = Runner::for_batch(graph, &engine.topology, &engine.config, params);
+        let r = runner.run_slab(program);
+        let mut residual = vec![0u64; engine.config.cluster.machines];
+        for (v, st) in r.states.iter().enumerate() {
+            residual[runner.partition().owner_of(v as VertexId) as usize] += rule(st);
+        }
+        (r.outcome, r.stats, residual)
+    }
+
+    /// The four residual rules as they read extracted outputs: MSSP 16 B
+    /// per distance, BKHS 1 B per reach flag, Monte-Carlo BPPR 8 B per
+    /// stopped walk plus 16 B per entry, push BPPR 16 B per mass entry.
+    fn mssp_rule(st: &MsspState) -> u64 {
+        st.dist.len() as u64 * 16
+    }
+    fn bkhs_rule(st: &BkhsState) -> u64 {
+        st.reached.len() as u64
+    }
+    fn walk_rule(st: &BpprState) -> u64 {
+        st.stops.values().sum::<u64>() * 8 + st.stops.len() as u64 * 16
+    }
+    fn push_rule(st: &PushState) -> u64 {
+        st.mass.len() as u64 * 16
+    }
+
+    /// `run_one_batch` folds residual bytes from slab cells; for every
+    /// program type it dispatches — MSSP and BKHS row, lane and
+    /// broadcast, Monte-Carlo and push BPPR — on both sides of the lane
+    /// cut-over and on one and four workers, that fold equals the
+    /// output-based rule applied to a dense `run_slab` of the same
+    /// program, grouped by owner.
+    #[test]
+    fn residual_fold_equals_the_output_rules() {
+        use Kernel::{Lane, Row};
+        let g = small_graph();
+        let n = g.num_vertices();
+        let shared = BatchShared::default();
+        for machines in [1, 4] {
+            for system in [
+                SystemKind::PregelPlus,
+                SystemKind::GraphLab,
+                SystemKind::PregelPlusMirror,
+            ] {
+                let engine = JobEngine::new(&g, system, ClusterSpec::galaxy(machines));
+                let broadcast = system.is_broadcast();
+                for width in [1u64, 7, 8, 9, 70] {
+                    let sources = select_sources(&g, width, width ^ 0xA5A5);
+                    let (index, range) = (SourceIndex::shared(sources.clone()), 0..sources.len());
+                    for task in [Task::mssp(width), Task::bkhs(width), Task::bppr(width)] {
+                        let label = format!("{system} ×{machines} {task:?}");
+                        let params = BatchParams {
+                            seed: 0x51 + width,
+                            cutoff: OVERLOAD_CUTOFF,
+                            residual_bytes: &[],
+                            parallel_threshold: None,
+                        };
+                        let got = run_one_batch(
+                            &g,
+                            &engine,
+                            params,
+                            system,
+                            task,
+                            width,
+                            BatchSources::Slice(&sources),
+                            &shared,
+                        );
+                        let (index, range) = (Arc::clone(&index), range.clone());
+                        let (kernel, want) = match (task, broadcast, Kernel::for_width(range.len()))
+                        {
+                            (Task::Bppr { alpha, .. }, true, _) => {
+                                let p = BpprPushSlabProgram::new(width, alpha, n);
+                                (Row, reference(&g, &engine, params, &p, push_rule))
+                            }
+                            (Task::Bppr { alpha, .. }, false, _) => {
+                                let p = BpprSlabProgram::new(width, alpha, n);
+                                (Row, reference(&g, &engine, params, &p, walk_rule))
+                            }
+                            (Task::Mssp { .. }, true, _) => {
+                                let p = MsspBroadcastSlabProgram::batch(index, range);
+                                (Row, reference(&g, &engine, params, &p, mssp_rule))
+                            }
+                            (Task::Mssp { .. }, false, Lane) => {
+                                let p = MsspLaneSlabProgram::batch(index, range);
+                                (Lane, reference(&g, &engine, params, &p, mssp_rule))
+                            }
+                            (Task::Mssp { .. }, false, Row) => {
+                                let p = MsspSlabProgram::batch(index, range);
+                                (Row, reference(&g, &engine, params, &p, mssp_rule))
+                            }
+                            (Task::Bkhs { k, .. }, true, _) => {
+                                let p = BkhsBroadcastSlabProgram::batch(index, range, k);
+                                (Row, reference(&g, &engine, params, &p, bkhs_rule))
+                            }
+                            (Task::Bkhs { k, .. }, false, Lane) => {
+                                let p = BkhsLaneSlabProgram::batch(index, range, k);
+                                (Lane, reference(&g, &engine, params, &p, bkhs_rule))
+                            }
+                            (Task::Bkhs { k, .. }, false, Row) => {
+                                let p = BkhsSlabProgram::batch(index, range, k);
+                                (Row, reference(&g, &engine, params, &p, bkhs_rule))
+                            }
+                        };
+                        let (outcome, stats, residual) = want;
+                        assert!(outcome.is_completed(), "{label}");
+                        assert!(residual.iter().sum::<u64>() > 0, "{label}");
+                        assert_eq!(got.kernel, kernel, "{label}");
+                        assert_eq!(got.outcome, outcome, "{label}");
+                        assert_eq!(got.stats, stats, "{label}");
+                        assert_eq!(got.residual_delta, residual, "{label}");
+                    }
+                }
+            }
+        }
     }
 }

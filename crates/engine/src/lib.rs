@@ -42,8 +42,7 @@ pub use router::{
     route, Inbox, LocalIndex, RouteGrid, RoutePolicy, RoutingStats, Run, ShardedOutbox,
 };
 pub use runner::{
-    vertex_rng, BatchParams, EngineConfig, RunResult, Runner, SparseRunResult,
-    PARALLEL_VERTEX_THRESHOLD,
+    vertex_rng, BatchParams, EngineConfig, RunResult, Runner, PARALLEL_VERTEX_THRESHOLD,
 };
 pub use slab::{PerSlab, SlabProgram, SlabRecycler, SlabRow, SlabRowMut, StateSlab, LANES};
 pub use topology::Topology;

@@ -253,8 +253,6 @@ pub trait ProgramCore: Sync {
     /// `clone_from` (checkpointing relies on it), and it owns its data
     /// (`'static`) because checkpoint copies outlive the run.
     type Store: Clone + Send + 'static;
-    /// Per-vertex output extracted after the run.
-    type Out: Default + Clone + Send;
 
     fn message_bytes(&self) -> u64;
 
@@ -293,19 +291,7 @@ pub trait ProgramCore: Sync {
         ctx: &mut Context<'_, Self::Message>,
     );
 
-    /// Extract a worker's final outputs (cold path, once per run): hand
-    /// `sink` the `(vertex, output)` pair of every vertex in `vertices`
-    /// (the worker's list, local-index order) whose output can differ
-    /// from `Out::default()` — the rows a mutator wrote — ascending by
-    /// local index.
-    fn take_outs(
-        &self,
-        vertices: &[VertexId],
-        store: &mut Self::Store,
-        sink: impl FnMut(VertexId, Self::Out),
-    );
-
-    /// Hand the run's stores back after extraction, e.g. to a
+    /// Hand the run's stores back after the run, e.g. to a
     /// recycler pool. Default: drop them.
     fn recycle(&self, stores: Vec<Self::Store>) {
         drop(stores);

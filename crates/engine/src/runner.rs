@@ -20,7 +20,7 @@ use crate::pool::{dispatch, WorkerPool};
 use crate::profile::{SyncMode, SystemProfile};
 use crate::program::{Context, EmitSink, PagedNeighbors, ProgramCore};
 use crate::router::{Inbox, RouteGrid, RoutingStats};
-use crate::slab::{PerSlab, SlabProgram, SlabRecycler, StateSlab};
+use crate::slab::{PerSlab, SlabProgram, SlabRecycler, SlabRow, StateSlab};
 use crate::topology::Topology;
 use mtvc_cluster::{
     ChargeError, ClusterSpec, CostModel, FaultInjector, FaultKind, FaultPlan, MachineSpec,
@@ -138,34 +138,6 @@ pub struct RunResult<S> {
     /// leaves its partial progress). A vertex the run never wrote holds
     /// `S::default()`.
     pub states: Vec<S>,
-}
-
-/// Result of one run with the outputs left sparse: what the dense
-/// [`RunResult`] is scattered from.
-#[derive(Debug, Clone)]
-pub struct SparseRunResult<S> {
-    pub outcome: RunOutcome,
-    pub stats: RunStats,
-    /// Per worker, `(vertex, output)` for every vertex whose output can
-    /// differ from `S::default()` — for slab programs, the rows the
-    /// batch wrote — ascending by local index.
-    pub outputs: Vec<Vec<(VertexId, S)>>,
-}
-
-impl<S: Default + Clone> SparseRunResult<S> {
-    /// Scatter into per-vertex states indexed by vertex id; vertices
-    /// the run never wrote get `S::default()`.
-    pub fn into_dense(self, num_vertices: usize) -> RunResult<S> {
-        let mut states = vec![S::default(); num_vertices];
-        for (v, out) in self.outputs.into_iter().flatten() {
-            states[v as usize] = out;
-        }
-        RunResult {
-            outcome: self.outcome,
-            stats: self.stats,
-            states,
-        }
-    }
 }
 
 /// What one round hands the next besides the vertex states: the
@@ -406,8 +378,7 @@ impl<'g> Runner<'g> {
     /// overload cutoff, or overflow), with one [`StateSlab`] per worker
     /// holding its vertices' rows.
     pub fn run_slab<P: SlabProgram>(&self, program: &P) -> RunResult<P::Out> {
-        self.run_core(&PerSlab::new(program))
-            .into_dense(self.graph.num_vertices())
+        self.run_dense(program, &PerSlab::new(program))
     }
 
     /// [`Runner::run_slab`], drawing worker slabs from (and retiring
@@ -417,25 +388,52 @@ impl<'g> Runner<'g> {
         program: &P,
         recycler: &SlabRecycler<P::Cell>,
     ) -> RunResult<P::Out> {
-        self.run_slab_sparse(program, recycler)
-            .into_dense(self.graph.num_vertices())
+        self.run_dense(program, &PerSlab::with_recycler(program, recycler))
     }
 
-    /// [`Runner::run_slab_recycled`] without the dense scatter: the
-    /// outputs of the rows the batch wrote, per worker. Callers that
-    /// only fold the outputs (residual-memory accounting) never pay for
-    /// one `Out` per vertex.
-    pub fn run_slab_sparse<P: SlabProgram>(
+    /// [`Runner::run_slab_recycled`] with no output extracted: per
+    /// worker, the sum of `fold` over the rows the batch wrote, read
+    /// straight from the slab cells. Callers that only fold the state
+    /// (residual-memory accounting) never build one `Out` per vertex.
+    pub fn run_slab_fold<P: SlabProgram>(
         &self,
         program: &P,
         recycler: &SlabRecycler<P::Cell>,
-    ) -> SparseRunResult<P::Out> {
-        self.run_core(&PerSlab::with_recycler(program, recycler))
+        fold: impl Fn(SlabRow<'_, P::Cell>) -> u64,
+    ) -> (RunOutcome, RunStats, Vec<u64>) {
+        self.run_core(&PerSlab::with_recycler(program, recycler), |_, slab| {
+            let mut sum = 0;
+            slab.for_each_written_row(|_, row| sum += fold(row));
+            sum
+        })
+    }
+
+    /// Run `core`, then extract every written row and scatter it into
+    /// per-vertex states; an unwritten vertex gets `Out::default()`.
+    fn run_dense<P: SlabProgram>(&self, program: &P, core: &PerSlab<'_, P>) -> RunResult<P::Out> {
+        let mut states = vec![P::Out::default(); self.graph.num_vertices()];
+        let (outcome, stats, _) = self.run_core(core, |vertices, slab| {
+            slab.for_each_written_row(|li, row| {
+                let v = vertices[li as usize];
+                states[v as usize] = program.extract(v, row);
+            })
+        });
+        RunResult {
+            outcome,
+            stats,
+            states,
+        }
     }
 
     /// The round loop: stop check → recovery → compute → route →
     /// account → advance, round after round, over one slab per worker.
-    fn run_core<P: SlabProgram>(&self, program: &PerSlab<'_, P>) -> SparseRunResult<P::Out> {
+    /// `finish` sees each worker's vertex list and final slab, in worker
+    /// order, before the slabs are recycled.
+    fn run_core<P: SlabProgram, R>(
+        &self,
+        program: &PerSlab<'_, P>,
+        mut finish: impl FnMut(&[VertexId], &StateSlab<P::Cell>) -> R,
+    ) -> (RunOutcome, RunStats, Vec<R>) {
         let Topology { locals, paged, .. } = &*self.topology;
         let profile = &self.config.profile;
         let batch = self.batch_params();
@@ -515,12 +513,8 @@ impl<'g> Runner<'g> {
             round += 1;
         }
 
-        let outputs = (locals.worker_vertices().iter().zip(&mut states))
-            .map(|(list, store)| {
-                let mut outs = Vec::new();
-                program.take_outs(list, store, |v, out| outs.push((v, out)));
-                outs
-            })
+        let finished = (locals.worker_vertices().iter().zip(&states))
+            .map(|(list, slab)| finish(list, slab))
             .collect();
         program.recycle(states);
         let mut stats = ledger.stats;
@@ -535,11 +529,8 @@ impl<'g> Runner<'g> {
             inboxes: carry.inboxes,
             checkpoint,
         });
-        SparseRunResult {
-            outcome: outcome.unwrap_or(RunOutcome::Completed(ledger.total)),
-            stats,
-            outputs,
-        }
+        let outcome = outcome.unwrap_or(RunOutcome::Completed(ledger.total));
+        (outcome, stats, finished)
     }
 
     /// Per worker, the local indices round 0 initializes, ascending and
@@ -2105,7 +2096,15 @@ mod tests {
                 };
                 let shared = Runner::for_batch(&g, &topology, &base, batch);
                 assert_eq!(shared.pool().is_some(), i == 1);
-                let got = shared.run_slab_sparse(&program, &recycler);
+                // A fingerprint of every reached cell: `(q + 1) · (d + 1)`.
+                let print = |q: usize, d: u64| (q as u64 + 1) * (d + 1);
+                let (outcome, stats, folded) = shared.run_slab_fold(&program, &recycler, |row| {
+                    row.written()
+                        .filter(|&(_, d)| d != u64::MAX)
+                        .map(|(q, d)| print(q, d))
+                        .sum()
+                });
+                let got = shared.run_slab_recycled(&program, &recycler);
 
                 let mut own = base.clone();
                 own.seed = batch.seed;
@@ -2114,8 +2113,14 @@ mod tests {
                 own.parallel_vertex_threshold = threshold;
                 let want = Runner::with_partition(&g, partition.clone(), own).run_slab(&program);
                 assert!(want.outcome.is_completed());
-                assert_eq!(got.outputs.len(), 4, "one output list per worker");
-                let got = got.into_dense(g.num_vertices());
+                assert_eq!(folded.len(), 4, "one fold per worker");
+                let mut want_folded = vec![0u64; 4];
+                for (v, cells) in want.states.iter().enumerate() {
+                    let owner = partition.owner_of(v as VertexId) as usize;
+                    want_folded[owner] += cells.iter().map(|&(q, d)| print(q, d)).sum::<u64>();
+                }
+                assert_eq!(folded, want_folded);
+                assert_eq!((outcome, &stats), (want.outcome, &want.stats));
                 assert_eq!(got.outcome, want.outcome);
                 assert_eq!(got.stats, want.stats);
                 assert_eq!(got.states, want.states);
@@ -2170,8 +2175,7 @@ mod tests {
                 parallel_threshold: None,
             };
             let got = Runner::for_batch(&g, &topology, config, batch)
-                .run_slab_sparse(&SlabFlood { width }, &recycler)
-                .into_dense(g.num_vertices());
+                .run_slab_recycled(&SlabFlood { width }, &recycler);
             assert_eq!(got.outcome, want.outcome, "run {i}");
             assert_eq!(got.stats, want.stats, "run {i}");
             assert_eq!(got.states, want.states, "run {i}");

@@ -26,8 +26,8 @@
 //!
 //! A bitmap with one bit per word flags the words that have a block,
 //! so the per-batch passes cost what the batch touched, not
-//! `rows × width`: output extraction visits written rows and, inside a
-//! row, written words ([`StateSlab::for_each_written_row`]), and a used
+//! `rows × width`: output extraction (or a fold over the cells) visits
+//! written rows and, inside a row, written words ([`StateSlab::for_each_written_row`]), and a used
 //! slab is cleaned by zeroing exactly those words' table entries.
 //! Finding them is a scan of the bitmap — `rows × ⌈width/64⌉ / 64`
 //! loads.
@@ -237,7 +237,8 @@ impl<C: Copy> StateSlab<C> {
     /// Visit every row a mutator touched, in ascending local-index
     /// order, as a [`SlabRow`] that shows the row's written words.
     /// Rows never touched are skipped — they read as nothing but the
-    /// sentinel. This is the output-extraction pass of a finished run.
+    /// sentinel. This is the output-extraction (or cell-fold) pass of a
+    /// finished run.
     pub fn for_each_written_row(&self, mut f: impl FnMut(u32, SlabRow<'_, C>)) {
         let mut from = 0;
         while let Some(word) = next_written(&self.written, from, self.words()) {
@@ -563,9 +564,9 @@ impl SlabRowMut<'_, u8> {
     }
 }
 
-/// Read-only view of one slab row for output extraction: the cells of
-/// the row's written words. Every other cell holds the empty sentinel,
-/// so [`SlabRow::written`] is all an extractor needs to read.
+/// Read-only view of one slab row after a run: the cells of the row's
+/// written words. Every other cell holds the empty sentinel, so
+/// [`SlabRow::written`] is all an extractor or a fold needs to read.
 #[derive(Debug)]
 pub struct SlabRow<'a, C> {
     /// This row's table entries.
@@ -618,8 +619,9 @@ pub trait SlabProgram: Sync {
     type Message: Message;
     /// One `(vertex, query)` state cell.
     type Cell: Copy + PartialEq + Send + Sync + 'static;
-    /// Per-vertex output extracted once after the run (cold path);
-    /// usually the sparse state type downstream consumers already use.
+    /// Per-vertex output, usually the sparse state type downstream
+    /// consumers already use. Only `run_slab*` builds it, once per
+    /// written row; `Runner::run_slab_fold` reads the cells instead.
     type Out: Default + Clone + Send;
 
     /// Batch width `W`: cells per vertex row.
@@ -662,10 +664,10 @@ pub trait SlabProgram: Sync {
         ctx: &mut Context<'_, Self::Message>,
     );
 
-    /// Materialize vertex `v`'s final output from its row. Called once
-    /// per row some mutator touched; a row nobody touched is never
-    /// extracted and its output is `Out::default()`, which is also what
-    /// this must return for a row holding only empty cells.
+    /// Materialize vertex `v`'s final output from its row. `run_slab*`
+    /// calls it once per row some mutator touched; a row nobody touched
+    /// is never extracted and its output is `Out::default()`, which is
+    /// also what this must return for a row holding only empty cells.
     fn extract(&self, v: VertexId, row: SlabRow<'_, Self::Cell>) -> Self::Out;
 
     /// Fixed round bound; `None` runs to quiescence.
@@ -675,11 +677,11 @@ pub trait SlabProgram: Sync {
 }
 
 /// A pool of retired slabs, shared across batches (and safely across
-/// threads). Runs started via
-/// [`Runner::run_slab_recycled`](crate::runner::Runner::run_slab_recycled)
-/// draw their worker slabs from here and return them after output
-/// extraction, so consecutive batches clean and re-shape existing
-/// buffers instead of allocating and stamping new ones.
+/// threads). Runs started via `Runner::run_slab_recycled` or
+/// [`Runner::run_slab_fold`](crate::runner::Runner::run_slab_fold)
+/// draw their worker slabs from here and return them after the run, so
+/// consecutive batches clean and re-shape existing buffers instead of
+/// allocating and stamping new ones.
 pub struct SlabRecycler<C> {
     pool: Mutex<Vec<StateSlab<C>>>,
 }
@@ -759,7 +761,6 @@ impl<'p, P: SlabProgram> PerSlab<'p, P> {
 impl<P: SlabProgram> ProgramCore for PerSlab<'_, P> {
     type Message = P::Message;
     type Store = StateSlab<P::Cell>;
-    type Out = P::Out;
 
     fn message_bytes(&self) -> u64 {
         self.program.message_bytes()
@@ -804,18 +805,6 @@ impl<P: SlabProgram> ProgramCore for PerSlab<'_, P> {
         ctx: &mut Context<'_, Self::Message>,
     ) {
         self.program.compute(v, store.row_mut(li), inbox, ctx);
-    }
-
-    fn take_outs(
-        &self,
-        vertices: &[VertexId],
-        store: &mut Self::Store,
-        mut sink: impl FnMut(VertexId, Self::Out),
-    ) {
-        store.for_each_written_row(|li, row| {
-            let v = vertices[li as usize];
-            sink(v, self.program.extract(v, row));
-        });
     }
 
     fn recycle(&self, stores: Vec<Self::Store>) {
@@ -1037,8 +1026,8 @@ mod tests {
         let mut store = core.make_store(&[0, 1, 2]);
         store.row_mut(1).set(0, 99);
         let mut seen = Vec::new();
-        core.take_outs(&[10, 11, 12], &mut store, |v, ()| seen.push(v));
-        assert_eq!(seen, vec![11], "only the written row is extracted");
+        store.for_each_written_row(|li, _| seen.push(li));
+        assert_eq!(seen, vec![1], "only the written row is extracted");
         core.recycle(vec![store]);
         // The next batch re-shapes the pooled slab; nothing survives.
         let mut store = core.make_store(&[0, 1, 2, 3]);

@@ -484,8 +484,9 @@ impl MsspDistances {
         self.states[target as usize].dist.get(&q).copied()
     }
 
-    /// Total `(query, vertex)` pairs discovered — the residual-memory
-    /// driver for MSSP batches.
+    /// Total `(query, vertex)` pairs discovered: the count of reached
+    /// cells, 16 residual bytes each, that `mtvc-core` folds from the
+    /// slab without building these states.
     pub fn total_entries(&self) -> u64 {
         self.states.iter().map(|s| s.dist.len() as u64).sum()
     }

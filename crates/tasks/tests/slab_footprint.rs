@@ -97,15 +97,11 @@ fn slab_host_bytes_follow_the_words_a_batch_writes() {
     let recycler = SlabRecycler::new();
     let base = live();
     PEAK.store(base, Ordering::Relaxed);
-    let run = runner4.run_slab_sparse(&bppr, &recycler);
+    let (outcome, _, stops) =
+        runner4.run_slab_fold(&bppr, &recycler, |row| row.written().map(|(_, c)| c).sum());
     let peak = PEAK.load(Ordering::Relaxed) - base;
-    assert!(run.outcome.is_completed());
-    let walks: u64 = run
-        .outputs
-        .iter()
-        .flatten()
-        .map(|(_, s)| s.stops.values().sum::<u64>())
-        .sum();
+    assert!(outcome.is_completed());
+    let walks: u64 = stops.iter().sum();
     assert_eq!(walks, N as u64, "every walk stops exactly once");
     let dense = (N * N * 8) as u64;
     assert!(
@@ -122,10 +118,9 @@ fn slab_host_bytes_follow_the_words_a_batch_writes() {
     let sources: Vec<VertexId> = (0..8).map(|i| i * 251).collect();
     let mssp = MsspSlabProgram::new(sources);
     let recycler = SlabRecycler::new();
-    let run = runner1.run_slab_sparse(&mssp, &recycler);
-    assert!(run.outcome.is_completed());
-    assert_eq!(run.outputs[0].len(), rows, "the flood reaches every row");
-    drop(run);
+    let (outcome, _, written) = runner1.run_slab_fold(&mssp, &recycler, |_| 1);
+    assert!(outcome.is_completed());
+    assert_eq!(written, [rows as u64], "the flood reaches every row");
     let held = live();
     drop(recycler);
     let slab = held - live();
