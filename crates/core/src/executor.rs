@@ -49,8 +49,9 @@ impl Default for BatchShared {
 /// What every batch of a job shares, built once (by [`run_job`] or
 /// [`BatchRunner::new`]) and borrowed by each batch's engine runner: the
 /// partition's indexes and the part of the engine configuration that
-/// does not change from batch to batch. Seed, cutoff, residual memory
-/// and the pool threshold travel separately as [`BatchParams`].
+/// does not change from batch to batch, and the worker pool the
+/// topology holds for them. Seed, cutoff and residual memory travel
+/// separately as [`BatchParams`].
 #[derive(Debug, Clone)]
 struct JobEngine {
     topology: Arc<Topology>,
@@ -189,6 +190,12 @@ impl JobResult {
 
 /// Execute a multi-processing job batch by batch.
 pub fn run_job(graph: &Graph, spec: &JobSpec) -> JobResult {
+    let engine = JobEngine::new(graph, spec.system, spec.cluster.clone());
+    run_job_on(graph, spec, &engine)
+}
+
+/// [`run_job`] on `engine`, built for `spec`'s system and cluster.
+fn run_job_on(graph: &Graph, spec: &JobSpec, engine: &JobEngine) -> JobResult {
     assert_eq!(
         spec.schedule.total(),
         spec.task.workload(),
@@ -198,8 +205,6 @@ pub fn run_job(graph: &Graph, spec: &JobSpec) -> JobResult {
         spec.task.workload() <= spec.task.max_workload(graph),
         "workload exceeds the graph's capacity for this task"
     );
-
-    let engine = JobEngine::new(graph, spec.system, spec.cluster.clone());
 
     // Source-based tasks: one global source pool, indexed once here and
     // sliced per batch so batches never repeat a unit task (and never
@@ -225,7 +230,6 @@ pub fn run_job(graph: &Graph, spec: &JobSpec) -> JobResult {
             seed: spec.seed.wrapping_add(i as u64 + 1),
             cutoff: spec.cutoff - elapsed,
             residual_bytes: &residual,
-            parallel_threshold: None,
         };
 
         let batch_sources = match spec.task {
@@ -239,7 +243,7 @@ pub fn run_job(graph: &Graph, spec: &JobSpec) -> JobResult {
 
         let batch = run_one_batch(
             graph,
-            &engine,
+            engine,
             params,
             spec.system,
             spec.task,
@@ -320,9 +324,9 @@ pub struct BatchExecution {
 #[derive(Debug, Clone)]
 pub struct BatchRunner {
     graph: Arc<Graph>,
-    /// Partition indexes and the engine configuration every batch runs
-    /// under (cluster, profile, fault plan, checkpoint cadence, default
-    /// pool threshold).
+    /// Partition indexes, worker pool and the engine configuration every
+    /// batch runs under (cluster, profile, fault plan, checkpoint
+    /// cadence).
     engine: JobEngine,
     system: SystemKind,
     task: Task,
@@ -397,26 +401,6 @@ impl BatchRunner {
         seed: u64,
         cutoff: SimTime,
     ) -> BatchExecution {
-        self.run_batch_at(workload, sources, residual, seed, cutoff, None)
-    }
-
-    /// [`BatchRunner::run_batch`] with a per-batch override of the
-    /// parallel cutover: `parallel_threshold = Some(t)` executes this
-    /// batch on the engine's worker pool from `t` vertices up (see
-    /// [`BatchParams::parallel_threshold`]), without touching the
-    /// runner's configuration. The serve layer's
-    /// joint parallelism controller uses this to widen intra-task
-    /// parallelism for lone wide batches and narrow it when many small
-    /// batches run concurrently.
-    pub fn run_batch_at(
-        &self,
-        workload: u64,
-        sources: &[VertexId],
-        residual: &[u64],
-        seed: u64,
-        cutoff: SimTime,
-        parallel_threshold: Option<usize>,
-    ) -> BatchExecution {
         assert!(workload >= 1, "batch workload must be positive");
         assert_eq!(
             residual.len(),
@@ -434,7 +418,6 @@ impl BatchRunner {
             seed,
             cutoff,
             residual_bytes: residual,
-            parallel_threshold,
         };
         let run = run_one_batch(
             &self.graph,
@@ -478,23 +461,6 @@ impl BatchRunner {
         cutoff: SimTime,
         policy: &RecoveryPolicy,
     ) -> RecoveredBatch {
-        self.run_batch_bisecting_at(workload, sources, residual, seed, cutoff, policy, None)
-    }
-
-    /// [`BatchRunner::run_batch_bisecting`] with a per-batch parallel
-    /// cutover override (see [`BatchRunner::run_batch_at`]); every rung
-    /// of the degradation ladder inherits the override.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_batch_bisecting_at(
-        &self,
-        workload: u64,
-        sources: &[VertexId],
-        residual: &[u64],
-        seed: u64,
-        cutoff: SimTime,
-        policy: &RecoveryPolicy,
-        parallel_threshold: Option<usize>,
-    ) -> RecoveredBatch {
         use std::collections::VecDeque;
         let src_based = !matches!(self.task, Task::Bppr { .. });
         let mut queue: VecDeque<(u64, std::ops::Range<usize>, u32)> = VecDeque::new();
@@ -525,14 +491,7 @@ impl BatchRunner {
             } else {
                 &[]
             };
-            let exec = self.run_batch_at(
-                w,
-                srcs,
-                &residual_state,
-                sub_seed,
-                cutoff,
-                parallel_threshold,
-            );
+            let exec = self.run_batch(w, srcs, &residual_state, sub_seed, cutoff);
             stats.absorb(&exec.stats);
             peak = peak.max(exec.peak_memory);
             ladder.push(LadderStep {
@@ -915,23 +874,93 @@ mod tests {
         runner.run_batch(4, &[], &[0; 4], 1, OVERLOAD_CUTOFF);
     }
 
+    /// A star whose hub reaches 19 999 leaves in one round: every MSSP
+    /// flood on it holds one round past the fan-out cut-over.
+    fn wide_graph() -> Arc<Graph> {
+        Arc::new(generators::star(20_000))
+    }
+
+    /// One pool per runner: ten batches of a `BatchRunner` and eight of
+    /// a `run_job` each fan out to the same four threads, spawned by
+    /// their first wide round; a one-machine runner spawns none.
     #[test]
-    fn parallel_threshold_does_not_change_results() {
+    fn one_pool_serves_every_batch() {
+        let g = wide_graph();
         let runner = BatchRunner::new(
-            Arc::new(small_graph()),
-            Task::bppr(16),
+            Arc::clone(&g),
+            Task::mssp(1),
             SystemKind::PregelPlus,
             ClusterSpec::galaxy(4),
         );
-        let run = |threshold| runner.run_batch_at(16, &[], &[0; 4], 7, OVERLOAD_CUTOFF, threshold);
-        let serial = run(Some(usize::MAX));
-        let pooled = run(Some(1)); // force the pooled pipeline
-        assert!(pooled.outcome.is_completed());
-        assert_eq!(
-            serial.stats.total_messages_sent,
-            pooled.stats.total_messages_sent
+        let topology = &runner.engine.topology;
+        assert!(topology.pool_threads().is_none(), "no round has run");
+        let mut first = None;
+        for seed in 0..10 {
+            let source = select_sources(&g, 1, seed);
+            let exec = runner.run_batch(1, &source, &[0; 4], seed, OVERLOAD_CUTOFF);
+            assert!(exec.outcome.is_completed(), "{:?}", exec.outcome);
+            let ids = topology.pool_threads().expect("a wide round fans out");
+            assert_eq!(ids.len(), 4);
+            assert_eq!(
+                first.get_or_insert_with(|| ids.clone()),
+                &ids,
+                "batch {seed}"
+            );
+        }
+
+        let spec = spec(Task::mssp(8), 8);
+        let engine = JobEngine::new(&g, spec.system, spec.cluster.clone());
+        let job = run_job_on(&g, &spec, &engine);
+        assert_eq!(job.per_batch.len(), 8);
+        let ids = engine
+            .topology
+            .pool_threads()
+            .expect("a wide round fans out");
+        assert_eq!(ids.len(), 4);
+        assert_ne!(Some(ids), first, "each job has its own pool");
+
+        let single = BatchRunner::new(
+            Arc::clone(&g),
+            Task::mssp(1),
+            SystemKind::PregelPlus,
+            ClusterSpec::galaxy(1),
         );
-        assert_eq!(serial.time, pooled.time);
+        single.run_batch(1, &[0], &[0], 1, OVERLOAD_CUTOFF);
+        assert!(single.engine.topology.pool_threads().is_none());
+    }
+
+    /// Batches on clones of one runner, two threads at a time, share
+    /// one pool: whichever round finds it taken runs inline. Every
+    /// batch equals the same batch run alone.
+    #[test]
+    fn concurrent_batches_on_one_runner_equal_sequential_ones() {
+        let g = wide_graph();
+        let runner = BatchRunner::new(
+            Arc::clone(&g),
+            Task::mssp(1),
+            SystemKind::PregelPlus,
+            ClusterSpec::galaxy(4),
+        );
+        let run = |runner: &BatchRunner, seed| {
+            let source = select_sources(&g, 1, seed);
+            let exec = runner.run_batch(1, &source, &[0; 4], seed, OVERLOAD_CUTOFF);
+            (exec.outcome, exec.stats, exec.residual_delta)
+        };
+        let alone: Vec<_> = (0..4).map(|seed| run(&runner.clone(), seed)).collect();
+        let together: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|t| {
+                    let runner = runner.clone();
+                    s.spawn(move || [t, t + 2].map(|seed| run(&runner, seed)))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (t, pair) in together.into_iter().enumerate() {
+            for (i, got) in pair.into_iter().enumerate() {
+                assert!(got == alone[t + 2 * i], "batch {}", t + 2 * i);
+            }
+        }
     }
 
     #[test]
@@ -1252,7 +1281,6 @@ mod tests {
                             seed: 0x51 + width,
                             cutoff: OVERLOAD_CUTOFF,
                             residual_bytes: &[],
-                            parallel_threshold: None,
                         };
                         let got = run_one_batch(
                             &g,

@@ -41,9 +41,7 @@ pub use program::{Context, EmitSink, Outbox, PagedNeighbors, ProgramCore};
 pub use router::{
     route, Inbox, LocalIndex, RouteGrid, RoutePolicy, RoutingStats, Run, ShardedOutbox,
 };
-pub use runner::{
-    vertex_rng, BatchParams, EngineConfig, RunResult, Runner, PARALLEL_VERTEX_THRESHOLD,
-};
+pub use runner::{vertex_rng, BatchParams, EngineConfig, RunResult, Runner};
 pub use slab::{PerSlab, SlabProgram, SlabRecycler, SlabRow, SlabRowMut, StateSlab, LANES};
 pub use topology::Topology;
 pub use wire::{PayloadCodec, WireError, FRAME_HEADER_BYTES};

@@ -4,11 +4,15 @@
 //! The BSP loop used to spawn a fresh set of scoped OS threads every
 //! round, which put thread creation and teardown on the critical path
 //! of every round of every run. [`WorkerPool`] spawns one long-lived
-//! thread per logical worker when the [`Runner`](crate::Runner) is
-//! built, and both the compute stage and the two routing stages
-//! dispatch onto the *same* threads round after round — worker `w`'s
-//! vertices, outbox shards, and inbox merges always execute on pool
-//! thread `w`, preserving cache locality of the per-worker state.
+//! thread per logical worker, once per job: the job's
+//! [`Topology`](crate::Topology) holds it, spawned by the first round
+//! that fans out and joined when the topology drops. Every round that
+//! fans out, of every batch, dispatches its compute stage and both
+//! routing stages onto the *same* threads — worker `w`'s vertices,
+//! outbox shards, and inbox merges always execute on pool thread `w`,
+//! preserving cache locality of the per-worker state. Rounds too small
+//! to pay for the hand-off run inline instead
+//! ([`Runner`](crate::Runner) decides, round by round).
 //!
 //! Dispatch follows the scoped-thread pattern: [`WorkerPool::scope`]
 //! hands out a [`PoolScope`] through which borrowed (non-`'static`)

@@ -7,12 +7,15 @@
 //! can be validated — while time, memory pressure, spill, and overuse
 //! are simulated (DESIGN.md §4).
 //!
-//! Large runs execute on a persistent [`WorkerPool`] owned by the
-//! runner: one long-lived thread per partition worker, onto which both
-//! the compute phase and the routing stages are dispatched each round.
-//! No thread is ever spawned inside the round loop, and the round
-//! buffers (inboxes, routing shards) are recycled across rounds, so a
-//! steady-state round is allocation-free on the envelope path.
+//! Each round decides from the work it holds whether its compute and
+//! routing stages fan out to the job's [`WorkerPool`] — one long-lived
+//! thread per partition worker, owned by the [`Topology`] every batch
+//! of the job shares and spawned by the first round that fans out — or
+//! run inline on the calling thread. A round fans out when it holds at
+//! least `FANOUT_LOAD` (16 384) seeds or delivered messages and no
+//! other batch's round holds the pool. The round buffers (inboxes,
+//! routing shards) are recycled across rounds, so a steady-state round
+//! is allocation-free on the envelope path.
 
 use crate::message::Message;
 use crate::paging::{PagedLayout, PagerRound, PagerSnapshot, WorkerPager};
@@ -36,11 +39,23 @@ use rand::SeedableRng;
 use std::borrow::Cow;
 use std::sync::Arc;
 
-/// Default vertex count below which the thread fan-out costs more than
-/// it saves; smaller graphs run workers sequentially on the calling
-/// thread. Configurable per run via
-/// [`EngineConfig::parallel_vertex_threshold`].
-pub const PARALLEL_VERTEX_THRESHOLD: usize = 65_536;
+/// Work a round must hold — seeds in round 0, delivered messages
+/// after — for its compute and route stages to fan out to the worker
+/// pool. Below it the hand-off, three wake-ups of every pool thread
+/// per round, costs more than it saves. Set by a sweep on 2 vCPUs
+/// (EXPERIMENTS.md row pr36): 4 096 slowed the narrow workloads more,
+/// and 65 536 or more left `job-wide` too little of its gain.
+const FANOUT_LOAD: usize = 16_384;
+
+/// Whether a round holding `load` fans out: the one place the engine
+/// chooses between the pool and the calling thread.
+fn fans_out(load: usize) -> bool {
+    #[cfg(test)]
+    if let Some(forced) = tests::forced_fanout(load) {
+        return forced;
+    }
+    load >= FANOUT_LOAD
+}
 
 /// Everything needed to execute one run.
 #[derive(Debug, Clone)]
@@ -56,11 +71,6 @@ pub struct EngineConfig {
     /// Residual memory per worker left behind by earlier batches
     /// (§4.5/§4.7); empty = zeros.
     pub residual_bytes: Vec<u64>,
-    /// Vertex count at which (with more than one worker) the runner
-    /// builds its persistent [`WorkerPool`] and executes the compute
-    /// and routing phases in parallel. `0` forces the pool on, and
-    /// `usize::MAX` forces the serial path.
-    pub parallel_vertex_threshold: usize,
     /// Checkpoint cadence with `faults` set: a full snapshot before
     /// round 0 and every `checkpoint_every` rounds after (`0` and `1`
     /// both mean every round); a rollback restores the latest one.
@@ -84,16 +94,9 @@ impl EngineConfig {
             max_rounds: 10_000,
             cutoff: OVERLOAD_CUTOFF,
             residual_bytes: Vec::new(),
-            parallel_vertex_threshold: PARALLEL_VERTEX_THRESHOLD,
             checkpoint_every: 8,
             faults: None,
         }
-    }
-
-    /// Set the parallel cutover ([`EngineConfig::parallel_vertex_threshold`]).
-    pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_vertex_threshold = threshold;
-        self
     }
 
     /// Set the checkpoint cadence ([`EngineConfig::checkpoint_every`]).
@@ -123,9 +126,6 @@ pub struct BatchParams<'a> {
     /// Residual memory per worker left behind by earlier batches;
     /// empty = zeros.
     pub residual_bytes: &'a [u64],
-    /// Vertex count at which this batch runs on a worker pool; `None`
-    /// keeps the config's [`EngineConfig::parallel_vertex_threshold`].
-    pub parallel_threshold: Option<usize>,
 }
 
 /// Result of one run.
@@ -256,9 +256,8 @@ struct RoundBuffers<S, M> {
 /// A prepared executor bound to a graph, partition, and configuration.
 ///
 /// The graph-proportional half — partition indexes, mirrors, the paged
-/// layout — lives in a shared [`Topology`]; a runner adds the
-/// configuration and, for large runs, a worker pool, so preparing one
-/// per batch is cheap.
+/// layout, the worker pool — lives in a shared [`Topology`]; a runner
+/// adds only the configuration, so preparing one per batch is cheap.
 pub struct Runner<'g> {
     graph: &'g Graph,
     topology: Arc<Topology>,
@@ -267,9 +266,6 @@ pub struct Runner<'g> {
     /// fields; `None` for a stand-alone runner, which reads its own
     /// config.
     batch: Option<BatchParams<'g>>,
-    /// Persistent worker threads, present iff the run qualifies for
-    /// parallel execution. Spawned once here — never per round.
-    pool: Option<WorkerPool>,
 }
 
 impl<'g> Runner<'g> {
@@ -330,20 +326,13 @@ impl<'g> Runner<'g> {
             topology,
             config,
             batch,
-            pool: None,
         };
-        let params = runner.batch_params();
-        let residual = params.residual_bytes;
+        let residual = runner.batch_params().residual_bytes;
         assert!(
             residual.is_empty() || residual.len() == workers,
             "residual_bytes must be empty or per-worker"
         );
-        let threshold = params
-            .parallel_threshold
-            .unwrap_or(runner.config.parallel_vertex_threshold);
-        let pool =
-            (workers > 1 && graph.num_vertices() >= threshold).then(|| WorkerPool::new(workers));
-        Runner { pool, ..runner }
+        runner
     }
 
     /// Seed, cutoff and residual this runner executes under: the
@@ -353,19 +342,11 @@ impl<'g> Runner<'g> {
             seed: self.config.seed,
             cutoff: self.config.cutoff,
             residual_bytes: &self.config.residual_bytes,
-            parallel_threshold: None,
         })
     }
 
     pub fn partition(&self) -> &Partition {
         &self.topology.partition
-    }
-
-    /// The persistent worker pool, if this run qualifies for parallel
-    /// execution (more than one worker and a graph at or above
-    /// [`EngineConfig::parallel_vertex_threshold`]).
-    pub fn pool(&self) -> Option<&WorkerPool> {
-        self.pool.as_ref()
     }
 
     /// The paged-adjacency layout, if this runner executes the real
@@ -425,8 +406,9 @@ impl<'g> Runner<'g> {
         }
     }
 
-    /// The round loop: stop check → recovery → compute → route →
-    /// account → advance, round after round, over one slab per worker.
+    /// The round loop: stop check → recovery → fan-out → compute →
+    /// route → account → advance, round after round, over one slab per
+    /// worker.
     /// `finish` sees each worker's vertex list and final slab, in worker
     /// order, before the slabs are recycled.
     fn run_core<P: SlabProgram, R>(
@@ -438,6 +420,7 @@ impl<'g> Runner<'g> {
         let profile = &self.config.profile;
         let batch = self.batch_params();
         let seeds = self.seed_locals(program.seeds());
+        let seeded = seeds.iter().map(Vec::len).sum();
         let mut states: Vec<StateSlab<P::Cell>> = locals
             .worker_vertices()
             .iter()
@@ -486,6 +469,15 @@ impl<'g> Runner<'g> {
                 round = restored;
                 continue;
             }
+            // ---- fan-out -------------------------------------------
+            // Decided afresh every round, replays included: the pool
+            // changes where a stage runs, never what it computes.
+            let load = match round {
+                0 => seeded,
+                _ => carry.inboxes.iter().map(Inbox::len).sum(),
+            };
+            let pool = fans_out(load).then(|| self.topology.try_pool()).flatten();
+            let pool = pool.as_deref();
             // ---- compute -------------------------------------------
             let pass = Pass {
                 program,
@@ -494,10 +486,10 @@ impl<'g> Runner<'g> {
                 round,
                 seed: batch.seed,
             };
-            let work = self.compute(&pass, &mut carry, &mut grid, &mut states, &mut pagers);
+            let work = self.compute(pool, &pass, &mut carry, &mut grid, &mut states, &mut pagers);
             // ---- route ---------------------------------------------
             let routing = grid.route_presharded(
-                self.pool.as_ref(),
+                pool,
                 &mut carry.inboxes,
                 locals,
                 program.message_bytes(),
@@ -563,9 +555,11 @@ impl<'g> Runner<'g> {
     /// The compute stage: every worker's [`Pass`] drains its inbox in
     /// `carry` into its [`ShardedOutbox`](crate::ShardedOutbox) sink,
     /// so envelopes land pre-sharded and pre-folded in `grid`. `pagers`
-    /// is empty on a resident run. Worker `w` runs on pool thread `w`.
+    /// is empty on a resident run. With a `pool`, worker `w` runs on
+    /// pool thread `w`.
     fn compute<C: ProgramCore>(
         &self,
+        pool: Option<&WorkerPool>,
         pass: &Pass<'_, C>,
         carry: &mut RoundCarry<C::Message>,
         grid: &mut RouteGrid<C::Message>,
@@ -592,7 +586,7 @@ impl<'g> Runner<'g> {
             .zip(active.iter_mut())
             .map(|item| (item, worker_pagers.next()));
         dispatch(
-            self.pool.as_ref(),
+            pool,
             per_worker,
             |w, ((((inbox, mut sink), store), slot), pager)| {
                 *slot = pass.worker(w, &worker_vertices[w], inbox, &mut sink, store, pager);
@@ -1116,8 +1110,57 @@ mod tests {
     use mtvc_cluster::ChaosMix;
     use mtvc_graph::generators;
     use mtvc_graph::partition::HashPartitioner;
+    use std::cell::RefCell;
     use std::sync::Mutex;
     use std::thread::ThreadId;
+
+    /// A fan-out override: fed each round's load, it decides in place
+    /// of [`FANOUT_LOAD`].
+    type Decide = Box<dyn FnMut(usize) -> bool>;
+
+    thread_local! {
+        /// This thread's fan-out override, if any.
+        static FANOUT: RefCell<Option<Decide>> = const { RefCell::new(None) };
+    }
+
+    /// The override's decision for a round holding `load`, if this
+    /// thread set one.
+    pub(super) fn forced_fanout(load: usize) -> Option<bool> {
+        FANOUT.with_borrow_mut(|decide| decide.as_mut().map(|decide| decide(load)))
+    }
+
+    /// Run `f` with every round it runs on this thread fanning out as
+    /// `decide` says, whatever the round holds.
+    fn with_fanout<T>(decide: impl FnMut(usize) -> bool + 'static, f: impl FnOnce() -> T) -> T {
+        struct Reset;
+        impl Drop for Reset {
+            fn drop(&mut self) {
+                FANOUT.with_borrow_mut(|decide| *decide = None);
+            }
+        }
+        FANOUT.with_borrow_mut(|slot| *slot = Some(Box::new(decide)));
+        let _reset = Reset;
+        f()
+    }
+
+    /// Run `f` with every round on the pool (`true`) or inline.
+    fn forced<T>(pooled: bool, f: impl FnOnce() -> T) -> T {
+        with_fanout(move |_| pooled, f)
+    }
+
+    /// Run `f` with rounds alternating between the pool and inline,
+    /// starting pooled, counted in decisions: a replayed round takes
+    /// the next turn, not the one its first execution took.
+    fn alternating<T>(f: impl FnOnce() -> T) -> T {
+        let mut turn = 0u64;
+        with_fanout(
+            move |_| {
+                turn += 1;
+                turn % 2 == 1
+            },
+            f,
+        )
+    }
 
     /// Flood: source 0 sends hop 1 to its neighbors; every vertex
     /// forwards on each improvement. Computes hop levels — checkable
@@ -1391,14 +1434,16 @@ mod tests {
     #[test]
     fn paged_runs_are_deterministic_and_pool_invariant() {
         let g = generators::grid(12, 12);
-        let make = |threshold: usize| {
-            let mut cfg = config(4).with_parallel_threshold(threshold);
+        let make = |pooled: bool| {
+            let mut cfg = config(4);
             cfg.profile.out_of_core = Some(ooc_paged(1 << 20, 1024, 256));
-            Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood)
+            forced(pooled, || {
+                Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood)
+            })
         };
-        let serial = make(usize::MAX);
-        let again = make(usize::MAX);
-        let pooled = make(1);
+        let serial = make(false);
+        let again = make(false);
+        let pooled = make(true);
         assert_eq!(serial.outcome, again.outcome);
         assert_eq!(serial.stats, again.stats, "paged runs must be repeatable");
         assert_eq!(serial.outcome, pooled.outcome);
@@ -1505,44 +1550,34 @@ mod tests {
 
     #[test]
     fn threshold_controls_pool_creation() {
+        assert!(!fans_out(FANOUT_LOAD - 1));
+        assert!(fans_out(FANOUT_LOAD));
+        // A ring's rounds carry a few messages each: every one runs
+        // inline, and no pool is spawned.
         let g = generators::ring(64, true);
-        let serial = Runner::new(
-            &g,
-            &HashPartitioner::default(),
-            config(4).with_parallel_threshold(usize::MAX),
-        );
-        assert!(serial.pool().is_none());
-        let pooled = Runner::new(
-            &g,
-            &HashPartitioner::default(),
-            config(4).with_parallel_threshold(1),
-        );
-        let pool = pooled.pool().expect("threshold 1 must build the pool");
-        assert_eq!(pool.workers(), 4);
-        // Single worker never pools, regardless of threshold.
-        let single = Runner::new(
-            &g,
-            &HashPartitioner::default(),
-            config(1).with_parallel_threshold(0),
-        );
-        assert!(single.pool().is_none());
+        let small = Runner::new(&g, &HashPartitioner::default(), config(4));
+        assert!(small.run_slab(&Flood).outcome.is_completed());
+        assert!(small.topology.pool_threads().is_none());
+        // The first round that fans out spawns one thread per worker.
+        let pooled = Runner::new(&g, &HashPartitioner::default(), config(4));
+        forced(true, || pooled.run_slab(&Flood));
+        assert_eq!(pooled.topology.pool_threads().map(|ids| ids.len()), Some(4));
+        // A single worker never pools, whatever its rounds hold.
+        let single = Runner::new(&g, &HashPartitioner::default(), config(1));
+        forced(true, || single.run_slab(&Flood));
+        assert!(single.topology.pool_threads().is_none());
     }
 
     #[test]
     fn pooled_pipeline_matches_serial_pipeline() {
         let g = generators::power_law(400, 1600, 2.3, 11);
-        let serial = Runner::new(
-            &g,
-            &HashPartitioner::default(),
-            config(4).with_parallel_threshold(usize::MAX),
-        )
-        .run_slab(&Flood);
-        let pooled = Runner::new(
-            &g,
-            &HashPartitioner::default(),
-            config(4).with_parallel_threshold(1),
-        )
-        .run_slab(&Flood);
+        let run = |pooled| {
+            forced(pooled, || {
+                Runner::new(&g, &HashPartitioner::default(), config(4)).run_slab(&Flood)
+            })
+        };
+        let serial = run(false);
+        let pooled = run(true);
         assert_eq!(serial.outcome, pooled.outcome);
         assert_eq!(serial.stats, pooled.stats, "RunStats must be bit-identical");
         for v in g.vertices() {
@@ -1557,12 +1592,9 @@ mod tests {
     fn threaded_runs_are_deterministic() {
         let g = generators::power_law(300, 1200, 2.4, 17);
         let run = || {
-            Runner::new(
-                &g,
-                &HashPartitioner::default(),
-                config(4).with_parallel_threshold(1),
-            )
-            .run_slab(&Flood)
+            forced(true, || {
+                Runner::new(&g, &HashPartitioner::default(), config(4)).run_slab(&Flood)
+            })
         };
         let a = run();
         let b = run();
@@ -1674,19 +1706,14 @@ mod tests {
     fn pooled_chaos_matches_serial_chaos() {
         let g = generators::power_law(400, 1600, 2.3, 11);
         let plan = FaultPlan::random(7, 4, 12, 2, 2);
-        let make = |threshold: usize| {
-            Runner::new(
-                &g,
-                &HashPartitioner::default(),
-                config(4)
-                    .with_parallel_threshold(threshold)
-                    .with_checkpoint_every(3)
-                    .with_faults(plan.clone()),
-            )
-            .run_slab(&Flood)
+        let make = |pooled| {
+            let cfg = config(4).with_checkpoint_every(3).with_faults(plan.clone());
+            forced(pooled, || {
+                Runner::new(&g, &HashPartitioner::default(), cfg).run_slab(&Flood)
+            })
         };
-        let serial = make(usize::MAX);
-        let pooled = make(1);
+        let serial = make(false);
+        let pooled = make(true);
         assert_eq!(serial.outcome, pooled.outcome);
         assert_eq!(serial.stats, pooled.stats, "fault record included");
         for v in g.vertices() {
@@ -1740,23 +1767,18 @@ mod tests {
         }
 
         let g = generators::ring(64, true);
-        let runner = Runner::new(
-            &g,
-            &HashPartitioner::default(),
-            config(4).with_parallel_threshold(1),
-        );
-        let pool_ids: std::collections::HashSet<ThreadId> = runner
-            .pool()
-            .unwrap()
-            .thread_ids()
-            .iter()
-            .copied()
-            .collect();
+        let runner = Runner::new(&g, &HashPartitioner::default(), config(4));
         let program = TracingFlood {
             log: Mutex::new(Vec::new()),
         };
-        let result = runner.run_slab(&program);
+        let result = forced(true, || runner.run_slab(&program));
         assert!(result.outcome.is_completed());
+        let pool_ids: std::collections::HashSet<ThreadId> = runner
+            .topology
+            .pool_threads()
+            .unwrap()
+            .into_iter()
+            .collect();
 
         let log = program.log.into_inner().unwrap();
         let rounds = log.iter().map(|&(r, _)| r).max().unwrap();
@@ -2069,10 +2091,11 @@ mod tests {
     }
 
     /// Job-scoped topology: batches borrowing one shared [`Topology`]
-    /// (paged layout included) and one config, with seed, cutoff,
-    /// residual and threshold handed over as [`BatchParams`], equal
+    /// (paged layout and pool included) and one config, with seed,
+    /// cutoff and residual handed over as [`BatchParams`], equal
     /// stand-alone runners that each build their own from a config
-    /// carrying the same four values.
+    /// carrying the same three values. The first batch runs inline and
+    /// the second on the pool; their twins the other way round.
     #[test]
     fn for_batch_over_a_shared_topology_equals_with_partition() {
         let g = generators::grid(10, 10);
@@ -2087,31 +2110,33 @@ mod tests {
             assert_eq!(topology.paged.is_some(), base.profile.out_of_core.is_some());
             let recycler = SlabRecycler::new();
             for (i, residual) in [vec![], vec![1 << 20, 0, 3 << 20, 0]].iter().enumerate() {
-                let threshold = if i == 0 { usize::MAX } else { 0 };
+                let pooled = i == 1;
                 let batch = BatchParams {
                     seed: 40 + i as u64,
                     cutoff: SimTime::secs(1e9),
                     residual_bytes: residual,
-                    parallel_threshold: Some(threshold),
                 };
                 let shared = Runner::for_batch(&g, &topology, &base, batch);
-                assert_eq!(shared.pool().is_some(), i == 1);
                 // A fingerprint of every reached cell: `(q + 1) · (d + 1)`.
                 let print = |q: usize, d: u64| (q as u64 + 1) * (d + 1);
-                let (outcome, stats, folded) = shared.run_slab_fold(&program, &recycler, |row| {
-                    row.written()
-                        .filter(|&(_, d)| d != u64::MAX)
-                        .map(|(q, d)| print(q, d))
-                        .sum()
+                let (outcome, stats, folded) = forced(pooled, || {
+                    shared.run_slab_fold(&program, &recycler, |row| {
+                        row.written()
+                            .filter(|&(_, d)| d != u64::MAX)
+                            .map(|(q, d)| print(q, d))
+                            .sum()
+                    })
                 });
-                let got = shared.run_slab_recycled(&program, &recycler);
+                assert_eq!(topology.pool_threads().is_some(), pooled);
+                let got = forced(pooled, || shared.run_slab_recycled(&program, &recycler));
 
                 let mut own = base.clone();
                 own.seed = batch.seed;
                 own.cutoff = batch.cutoff;
                 own.residual_bytes = residual.clone();
-                own.parallel_vertex_threshold = threshold;
-                let want = Runner::with_partition(&g, partition.clone(), own).run_slab(&program);
+                let want = forced(!pooled, || {
+                    Runner::with_partition(&g, partition.clone(), own).run_slab(&program)
+                });
                 assert!(want.outcome.is_completed());
                 assert_eq!(folded.len(), 4, "one fold per worker");
                 let mut want_folded = vec![0u64; 4];
@@ -2172,7 +2197,6 @@ mod tests {
                 seed: 9,
                 cutoff,
                 residual_bytes: &[],
-                parallel_threshold: None,
             };
             let got = Runner::for_batch(&g, &topology, config, batch)
                 .run_slab_recycled(&SlabFlood { width }, &recycler);
@@ -2197,5 +2221,298 @@ mod tests {
         let flood = SlabFlood { width: 3 };
         assert!(flood.extract(0, SlabRow::unwritten()).is_empty());
         assert_eq!(Flood.extract(0, SlabRow::unwritten()).0, None);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Scheduling independence: runs whose rounds all fan out, or
+        /// alternate, or follow a random pattern — replays after a
+        /// rollback included, on a resident or a paged layout, with
+        /// the combiner on or off — equal the all-inline run in
+        /// outcome, statistics (fault record included) and states.
+        #[test]
+        fn pooled_run_equals_serial_run(
+            n in 16usize..120,
+            workers in 2usize..6,
+            width in 1usize..5,
+            combine in proptest::prelude::any::<bool>(),
+            paged in proptest::prelude::any::<bool>(),
+            faults in proptest::prelude::any::<bool>(),
+            pattern in proptest::prelude::any::<u64>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let g = generators::power_law(n, n * 4, 2.4, seed);
+            let mut cfg = config(workers);
+            cfg.cutoff = SimTime::secs(1e12);
+            cfg.profile.combiner = combine;
+            if paged {
+                cfg.profile.out_of_core = Some(ooc_paged(512, 1024, 256));
+            }
+            if faults {
+                let plan = FaultPlan::none().with_crash(2, 0).with_delivery_failure(3, 1);
+                cfg = cfg.with_checkpoint_every(2).with_faults(plan);
+            }
+            let program = SlabFlood { width };
+            let part = HashPartitioner { salt: seed };
+            let run = || Runner::new(&g, &part, cfg.clone()).run_slab(&program);
+            let serial = forced(false, run);
+            let mut bits = pattern;
+            let mixed = with_fanout(
+                move |_| {
+                    bits = bits.rotate_right(1);
+                    bits & 1 == 1
+                },
+                run,
+            );
+            for other in [forced(true, run), alternating(run), mixed] {
+                proptest::prop_assert_eq!(&serial.outcome, &other.outcome);
+                proptest::prop_assert_eq!(&serial.stats, &other.stats);
+                proptest::prop_assert_eq!(&serial.states, &other.states);
+            }
+        }
+    }
+
+    /// Rounds alternating between the pool and inline through a crash
+    /// and a delivery failure. Checkpoints fall on even rounds, so the
+    /// crash at round 5 rolls back to round 4, whose replay runs in
+    /// the other mode than its first execution (pooled, then inline).
+    /// Resident and paged, combiner on and off, the run equals the
+    /// all-inline one bit for bit.
+    #[test]
+    fn alternating_rounds_replay_bit_identical() {
+        let g = generators::grid(12, 12);
+        for combine in [false, true] {
+            for paged in [false, true] {
+                let plan = FaultPlan::none()
+                    .with_crash(5, 1)
+                    .with_delivery_failure(8, 0);
+                let mut cfg = config(4).with_checkpoint_every(2).with_faults(plan);
+                cfg.profile.combiner = combine;
+                if paged {
+                    cfg.profile.out_of_core = Some(ooc_paged(512, 1024, 256));
+                }
+                let run = || {
+                    Runner::new(&g, &HashPartitioner::default(), cfg.clone())
+                        .run_slab(&SlabFlood { width: 3 })
+                };
+                let inline = forced(false, run);
+                let mixed = alternating(run);
+                assert!(inline.outcome.is_completed());
+                assert!(
+                    inline.stats.faults.replayed_rounds > 0,
+                    "a rollback replays"
+                );
+                assert_eq!(inline.outcome, mixed.outcome);
+                assert_eq!(inline.stats, mixed.stats, "combine {combine} paged {paged}");
+                assert_eq!(inline.states, mixed.states);
+            }
+        }
+    }
+
+    thread_local! {
+        /// The token a [`ThreadFlood`] leaves with each thread that
+        /// computes for it, dropped when the thread exits.
+        static KEPT: RefCell<Option<Arc<()>>> = const { RefCell::new(None) };
+    }
+
+    /// Flood that records the threads its vertices compute on and
+    /// leaves its `token` with each of them.
+    #[derive(Default)]
+    struct ThreadFlood {
+        seen: Mutex<std::collections::HashSet<ThreadId>>,
+        token: Arc<()>,
+    }
+
+    impl ThreadFlood {
+        fn note(&self) {
+            let id = std::thread::current().id();
+            self.seen.lock().unwrap().insert(id);
+            KEPT.with_borrow_mut(|kept| *kept = Some(Arc::clone(&self.token)));
+        }
+
+        fn threads(&self) -> std::collections::HashSet<ThreadId> {
+            self.seen.lock().unwrap().clone()
+        }
+    }
+
+    impl SlabProgram for ThreadFlood {
+        type Message = Hop;
+        type Cell = u32;
+        type Out = Level;
+        fn width(&self) -> usize {
+            1
+        }
+        fn empty_cell(&self) -> u32 {
+            u32::MAX
+        }
+        fn message_bytes(&self) -> u64 {
+            8
+        }
+        fn init(&self, v: VertexId, row: SlabRowMut<'_, u32>, ctx: &mut Context<'_, Hop>) {
+            self.note();
+            Flood.init(v, row, ctx);
+        }
+        fn compute(
+            &self,
+            v: VertexId,
+            row: SlabRowMut<'_, u32>,
+            inbox: &[Delivery<Hop>],
+            ctx: &mut Context<'_, Hop>,
+        ) {
+            self.note();
+            Flood.compute(v, row, inbox, ctx);
+        }
+        fn extract(&self, v: VertexId, row: SlabRow<'_, u32>) -> Level {
+            Flood.extract(v, row)
+        }
+    }
+
+    /// One pool per topology: ten batches over one shared topology
+    /// (what a job's batches and a `BatchRunner`'s clones share) fan
+    /// out to the same four threads, spawned once; dropping the
+    /// topology joins them. A one-worker topology spawns none.
+    #[test]
+    fn one_pool_serves_every_batch_and_joins_on_drop() {
+        let g = generators::grid(12, 12);
+        let cfg = config(4);
+        let partition = HashPartitioner::default().partition(&g, 4);
+        let topology = Arc::new(Topology::build(&g, partition, &cfg.profile));
+        let program = ThreadFlood::default();
+        let mut first = None;
+        for seed in 0..10 {
+            let batch = BatchParams {
+                seed,
+                cutoff: SimTime::secs(1e9),
+                residual_bytes: &[],
+            };
+            let run = forced(true, || {
+                Runner::for_batch(&g, &topology, &cfg, batch).run_slab(&program)
+            });
+            assert!(run.outcome.is_completed());
+            let ids = topology
+                .pool_threads()
+                .expect("a pooled round spawns the pool");
+            assert_eq!(ids.len(), 4);
+            assert_eq!(
+                first.get_or_insert_with(|| ids.clone()),
+                &ids,
+                "batch {seed}"
+            );
+        }
+        let pool: std::collections::HashSet<ThreadId> = first.unwrap().into_iter().collect();
+        assert_eq!(program.threads(), pool, "every compute ran on the pool");
+        // The program's own token plus one per pool thread; each
+        // thread drops its copy as it exits.
+        assert_eq!(Arc::strong_count(&program.token), 5);
+        drop(topology);
+        assert_eq!(Arc::strong_count(&program.token), 1, "dropping joins");
+
+        let single = Runner::new(&g, &HashPartitioner::default(), config(1));
+        let program = ThreadFlood::default();
+        forced(true, || single.run_slab(&program));
+        assert!(single.topology.pool_threads().is_none());
+        let here = std::thread::current().id();
+        assert_eq!(program.threads(), [here].into());
+    }
+
+    /// Flood whose first round-1 vertex stops at `held`, then `done`:
+    /// the batch running it holds the pool in between.
+    struct StallFlood {
+        stalled: std::sync::atomic::AtomicBool,
+        held: std::sync::Barrier,
+        done: std::sync::Barrier,
+    }
+
+    impl SlabProgram for StallFlood {
+        type Message = Hop;
+        type Cell = u32;
+        type Out = Level;
+        fn width(&self) -> usize {
+            1
+        }
+        fn empty_cell(&self) -> u32 {
+            u32::MAX
+        }
+        fn message_bytes(&self) -> u64 {
+            8
+        }
+        fn init(&self, v: VertexId, row: SlabRowMut<'_, u32>, ctx: &mut Context<'_, Hop>) {
+            Flood.init(v, row, ctx);
+        }
+        fn compute(
+            &self,
+            v: VertexId,
+            row: SlabRowMut<'_, u32>,
+            inbox: &[Delivery<Hop>],
+            ctx: &mut Context<'_, Hop>,
+        ) {
+            let first = !self.stalled.swap(true, std::sync::atomic::Ordering::SeqCst);
+            if ctx.round() == 1 && first {
+                self.held.wait();
+                self.done.wait();
+            }
+            Flood.compute(v, row, inbox, ctx);
+        }
+        fn extract(&self, v: VertexId, row: SlabRow<'_, u32>) -> Level {
+            Flood.extract(v, row)
+        }
+    }
+
+    /// Two threads run batches over one topology at once. The first
+    /// holds the pool through its round 1 while the second runs its
+    /// whole batch: every round of the second finds the pool taken and
+    /// runs inline, on the calling thread. Both batches' outcomes,
+    /// statistics and per-worker folds equal sequential inline runs.
+    #[test]
+    fn busy_pool_falls_back_to_inline() {
+        let g = generators::grid(12, 12);
+        let cfg = config(4);
+        let partition = HashPartitioner::default().partition(&g, 4);
+        let fold = |row: SlabRow<'_, u32>| row.written().map(|(_, l)| u64::from(l)).sum::<u64>();
+        let batch = |seed| BatchParams {
+            seed,
+            cutoff: SimTime::secs(1e9),
+            residual_bytes: &[],
+        };
+        let twins = Arc::new(Topology::build(&g, partition.clone(), &cfg.profile));
+        let want: Vec<_> = [1, 2]
+            .into_iter()
+            .map(|seed| {
+                forced(false, || {
+                    Runner::for_batch(&g, &twins, &cfg, batch(seed)).run_slab_fold(
+                        &Flood,
+                        &SlabRecycler::new(),
+                        fold,
+                    )
+                })
+            })
+            .collect();
+
+        let topology = Arc::new(Topology::build(&g, partition, &cfg.profile));
+        let stall = StallFlood {
+            stalled: Default::default(),
+            held: std::sync::Barrier::new(2),
+            done: std::sync::Barrier::new(2),
+        };
+        let inline = ThreadFlood::default();
+        let run = |program: &dyn Fn(&Runner<'_>) -> _, seed| {
+            forced(true, || {
+                program(&Runner::for_batch(&g, &topology, &cfg, batch(seed)))
+            })
+        };
+        let (holder, fallback) = std::thread::scope(|s| {
+            let holder =
+                s.spawn(|| run(&|r| r.run_slab_fold(&stall, &SlabRecycler::new(), fold), 1));
+            stall.held.wait();
+            let fallback = run(&|r| r.run_slab_fold(&inline, &SlabRecycler::new(), fold), 2);
+            stall.done.wait();
+            (holder.join().unwrap(), fallback)
+        });
+        let here = std::thread::current().id();
+        assert_eq!(inline.threads(), [here].into(), "the busy pool ran nothing");
+        assert_eq!(topology.pool_threads().map(|ids| ids.len()), Some(4));
+        assert_eq!(holder, want[0]);
+        assert_eq!(fallback, want[1]);
     }
 }

@@ -10,10 +10,13 @@
 //! stand-alone form that builds one and uses it. A run's round buffers
 //! outlive it in a per-thread slot tagged with its topology, so the
 //! next batch of the job on that thread starts from them; dropping the
-//! topology drops them.
+//! topology drops them. The job's [`WorkerPool`] lives here too: the
+//! first round of any batch that fans out spawns it, every later one
+//! reuses its threads, and dropping the topology joins them.
 
 use crate::mirror::MirrorIndex;
 use crate::paging::PagedLayout;
+use crate::pool::WorkerPool;
 use crate::profile::{ExecutionMode, SystemProfile};
 use crate::router::LocalIndex;
 use mtvc_graph::partition::Partition;
@@ -21,11 +24,14 @@ use mtvc_graph::Graph;
 use std::any::Any;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::ThreadId;
 
 /// A graph's partition together with the indexes the round loop reads
 /// every round. Read-only once built, so batches — concurrent ones
 /// included — share it freely: pagers made from the shared
-/// [`PagedLayout`] only read its adjacency partitions.
+/// [`PagedLayout`] only read its adjacency partitions. The one thing
+/// batches take turns at is the worker pool.
 #[derive(Debug)]
 pub struct Topology {
     pub(crate) partition: Partition,
@@ -42,6 +48,9 @@ pub struct Topology {
     /// partitions through budget-bounded per-worker caches and the
     /// demand assembly charges the bytes they *measure*.
     pub(crate) paged: Option<PagedLayout>,
+    /// One thread per worker, spawned by the first round that fans out
+    /// and held by one round at a time.
+    pool: OnceLock<Mutex<WorkerPool>>,
     /// Process-unique tag of this topology: spare round buffers carry
     /// the id of the topology they were sized for.
     id: u64,
@@ -95,8 +104,34 @@ impl Topology {
             mirrors,
             graph_bytes,
             paged,
+            pool: OnceLock::new(),
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// The worker pool, spawned on first use, for one round's compute
+    /// and route stages. `None` on a one-worker partition, and while
+    /// another batch's round holds the pool: this round then runs
+    /// inline rather than oversubscribe the cores.
+    pub(crate) fn try_pool(&self) -> Option<MutexGuard<'_, WorkerPool>> {
+        let workers = self.partition.num_workers();
+        if workers < 2 {
+            return None;
+        }
+        let pool = self
+            .pool
+            .get_or_init(|| Mutex::new(WorkerPool::new(workers)));
+        pool.try_lock().ok()
+    }
+
+    /// The worker pool's threads, indexed by worker; `None` until a
+    /// round has fanned out.
+    pub fn pool_threads(&self) -> Option<Vec<ThreadId>> {
+        let pool = self.pool.get()?;
+        // A job panic poisons the lock but leaves the thread ids as
+        // they were.
+        let pool = pool.lock().unwrap_or_else(PoisonError::into_inner);
+        Some(pool.thread_ids().to_vec())
     }
 
     /// The buffers of type `T` that the last run on this thread parked,

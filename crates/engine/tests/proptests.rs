@@ -517,40 +517,6 @@ proptest! {
             prop_assert_eq!(leftover, 0, "drain must clear the frontier");
         }
     }
-
-    /// Full-run scheduling independence across the combiner axis: the
-    /// pooled pipeline and the serial pipeline must produce identical
-    /// outcomes, statistics, and per-vertex states, with the combiner
-    /// on or off — end-to-end over the sender-combining grouped path.
-    #[test]
-    fn pooled_run_equals_serial_run(
-        n in 16usize..120,
-        workers in 2usize..6,
-        combine in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
-        let g = generators::power_law(n, n * 4, 2.4, seed);
-        let sources = vec![0 as VertexId, (n / 2) as VertexId];
-        let run = |threshold: usize| {
-            let mut cfg = EngineConfig::new(
-                ClusterSpec::galaxy(workers),
-                SystemProfile::base("t"),
-            );
-            cfg.cutoff = SimTime::secs(1e12);
-            cfg.profile.combiner = combine;
-            cfg.parallel_vertex_threshold = threshold;
-            let runner = Runner::new(&g, &HashPartitioner { salt: seed }, cfg);
-            runner.run_slab(&MiniSlabMssp { sources: sources.clone() })
-        };
-        let serial = run(usize::MAX);
-        let pooled = run(0);
-        prop_assert!(serial.outcome.is_completed());
-        prop_assert_eq!(&serial.outcome, &pooled.outcome);
-        prop_assert_eq!(&serial.stats, &pooled.stats);
-        for v in 0..n {
-            prop_assert_eq!(&serial.states[v].dist, &pooled.states[v].dist, "vertex {}", v);
-        }
-    }
 }
 
 #[derive(Clone, Debug)]
@@ -790,15 +756,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The slab MSSP computes every query's hop distances — Dijkstra on
-    /// the unit-weight graph — across random graphs, batch widths,
-    /// combining on/off, and the serial/pooled axis.
+    /// the unit-weight graph — across random graphs, batch widths and
+    /// combining on/off. (`runner::tests::pooled_run_equals_serial_run`
+    /// pins the pooled rounds to the inline ones.)
     #[test]
     fn slab_run_matches_dijkstra(
         n in 16usize..120,
         workers in 1usize..6,
         width in 1usize..9,
         combine in any::<bool>(),
-        pooled in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let g = generators::power_law(n, n * 4, 2.4, seed);
@@ -810,7 +776,6 @@ proptest! {
         );
         cfg.cutoff = SimTime::secs(1e12);
         cfg.profile.combiner = combine;
-        cfg.parallel_vertex_threshold = if pooled { 0 } else { usize::MAX };
 
         let runner = Runner::new(&g, &HashPartitioner { salt: seed }, cfg);
         let slab = runner.run_slab(&MiniSlabMssp { sources: sources.clone() });
@@ -899,7 +864,6 @@ proptest! {
     fn chaos_slab_run_equals_fault_free_run(
         n in 16usize..100,
         workers in 2usize..6,
-        pooled in any::<bool>(),
         checkpoint_every in 1usize..6,
         crashes in 0usize..3,
         losses in 0usize..3,
@@ -913,7 +877,6 @@ proptest! {
                 SystemProfile::base("t"),
             );
             cfg.cutoff = SimTime::secs(1e12);
-            cfg.parallel_vertex_threshold = if pooled { 0 } else { usize::MAX };
             cfg.checkpoint_every = checkpoint_every;
             cfg.faults = faults;
             let runner = Runner::new(&g, &HashPartitioner { salt: seed }, cfg);
@@ -960,7 +923,6 @@ proptest! {
     fn chaos_under_load_recovers_bit_identical(
         n in 16usize..100,
         workers in 2usize..6,
-        pooled in any::<bool>(),
         checkpoint_every in 1usize..6,
         crashes in 0usize..2,
         losses in 0usize..2,
@@ -977,7 +939,6 @@ proptest! {
                 SystemProfile::base("t"),
             );
             cfg.cutoff = SimTime::secs(1e12);
-            cfg.parallel_vertex_threshold = if pooled { 0 } else { usize::MAX };
             cfg.checkpoint_every = checkpoint_every;
             cfg.faults = faults;
             let runner = Runner::new(&g, &HashPartitioner { salt: seed }, cfg);
@@ -1006,7 +967,6 @@ proptest! {
     fn chaos_paged_run_equals_fault_free_paged_run(
         n in 16usize..100,
         workers in 2usize..6,
-        pooled in any::<bool>(),
         checkpoint_every in 1usize..6,
         crashes in 0usize..2,
         losses in 0usize..2,
@@ -1023,7 +983,6 @@ proptest! {
                 SystemProfile::base("t"),
             );
             cfg.cutoff = SimTime::secs(1e12);
-            cfg.parallel_vertex_threshold = if pooled { 0 } else { usize::MAX };
             cfg.checkpoint_every = checkpoint_every;
             cfg.faults = faults;
             cfg.profile.out_of_core = Some(OocConfig {

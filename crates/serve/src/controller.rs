@@ -1,25 +1,19 @@
-//! Joint batching/parallelism controller for the SLO-aware scheduler.
+//! Batch sizing for the SLO-aware scheduler.
 //!
-//! The service has two throughput levers that trade against each other
-//! (the inter-task vs intra-task parallelism tension the multi-task
-//! literature keeps rediscovering):
+//! Batch width trades inter-task against intra-task parallelism (the
+//! tension the multi-task literature keeps rediscovering): wide batches
+//! amortise superstep overhead (the paper's core effect) but serialise
+//! behind each other; narrow batches keep more workers busy
+//! concurrently. The other lever, whether a batch's rounds fan out to
+//! the engine's worker pool, is not the controller's: the engine
+//! decides it per round from the round's traffic, and a round whose
+//! pool another batch holds runs inline.
 //!
-//! * **Batch width** — how much of the admissible headroom one batch
-//!   consumes. Wide batches amortise superstep overhead (the paper's
-//!   core effect) but serialise behind each other; narrow batches keep
-//!   more workers busy concurrently.
-//! * **Intra-task parallelism** — whether a batch may execute on the
-//!   engine's persistent worker pool (wide: the engine's own parallel
-//!   cutover decides) or is forced serial on its own thread (narrow),
-//!   via the per-batch parallel-vertex-threshold override.
-//!
-//! [`JointController`] couples the two to the observed queue depth:
-//! a **deep** queue means latency is dominated by waiting, so it forms
-//! *more, smaller* concurrent batches (cap ≈ headroom / workers) and
-//! runs each serially so the worker threads do not fight over the
-//! engine pool; a **shallow** queue means the cluster is
-//! under-committed, so it forms one wide batch and leaves the engine's
-//! cutover alone. Between the two extremes it interpolates linearly in
+//! [`JointController`] sizes batches from the observed queue depth: a
+//! **deep** queue means latency is dominated by waiting, so it forms
+//! *more, smaller* concurrent batches (cap ≈ headroom / workers); a
+//! **shallow** queue means the cluster is under-committed, so it forms
+//! one wide batch. Between the two extremes it interpolates linearly in
 //! the queue occupancy.
 //!
 //! Independently, when the head request carries a deadline and the
@@ -39,13 +33,11 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerPolicy {
     /// PR-1 behaviour: plain DRR rotation, class-blind quanta, batches
-    /// always sized to the full admissible headroom, engine-default
-    /// parallel cutover.
+    /// always sized to the full admissible headroom.
     #[default]
     BaselineDrr,
     /// EDF-within-DRR ordering, class-weighted quanta, and the
-    /// [`JointController`] sizing batches and picking the per-batch
-    /// parallel cutover.
+    /// [`JointController`] sizing batches.
     SloAware,
 }
 
@@ -53,25 +45,12 @@ pub enum SchedulerPolicy {
 /// `depth / DEEP_DEPTH`, clamped to 1.
 const DEEP_DEPTH: usize = 64;
 
-/// Occupancy at or above which batches run serially (narrow intra-task
-/// parallelism) instead of on the engine pool.
+/// Occupancy at or above which a decision counts as narrowed.
 const NARROW_OCCUPANCY: f64 = 0.5;
 
 /// Fraction of the head request's remaining deadline slack the latency
 /// model may budget for its carrying batch.
 const SLACK_FRACTION: f64 = 0.5;
-
-/// One sizing decision for the batch about to be formed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Decision {
-    /// Workload cap for this batch (≤ the admissible headroom the
-    /// controller was given, ≥ 1).
-    pub batch_cap: u64,
-    /// Per-batch parallel-cutover override: `Some(usize::MAX)` forces
-    /// serial execution (narrow), `None` keeps the engine default
-    /// (wide).
-    pub parallel_threshold: Option<usize>,
-}
 
 /// Counters describing what the controller actually did, folded into
 /// the service report.
@@ -79,19 +58,20 @@ pub struct Decision {
 pub struct ControllerStats {
     /// Decisions taken.
     pub decisions: u64,
-    /// Decisions that forced serial execution (deep queue).
+    /// Decisions taken at or above half occupancy (deep queue). A
+    /// count of queue states only: the controller no longer steers the
+    /// engine's parallelism, which each round picks for itself.
     pub narrowed: u64,
-    /// Decisions that left the engine's own cutover in place (shallow
-    /// queue).
+    /// Decisions taken below half occupancy (shallow queue); a count
+    /// of queue states only, like `narrowed`.
     pub widened: u64,
     /// Decisions where the latency model's deadline cap bound the
     /// batch below the occupancy-interpolated size.
     pub deadline_capped: u64,
 }
 
-/// The joint batching/parallelism controller. Cheap and lock-free on
-/// its own; the caller serialises access (the batch former is the only
-/// consumer).
+/// The batch-sizing controller. Cheap and lock-free on its own; the
+/// caller serialises access (the batch former is the only consumer).
 #[derive(Debug)]
 pub struct JointController {
     /// Worker threads the narrow end divides the headroom across.
@@ -113,11 +93,11 @@ impl JointController {
         self.stats
     }
 
-    /// Size the next batch. `depth` is the current queue depth in
-    /// requests, `w_max` the admissible headroom in workload units,
-    /// `head_slack` the remaining deadline slack of the head request
-    /// (`None` when deadline-free), and `model` the latency model for
-    /// the batch's shape.
+    /// Size the next batch: its workload cap. `depth` is the current
+    /// queue depth in requests, `w_max` the admissible headroom in
+    /// workload units, `head_slack` the remaining deadline slack of the
+    /// head request (`None` when deadline-free), and `model` the
+    /// latency model for the batch's shape.
     ///
     /// The returned cap is in `[1, w_max]`; the *caller* must still
     /// raise it to the head request's workload when that is larger —
@@ -129,7 +109,7 @@ impl JointController {
         w_max: u64,
         head_slack: Option<Duration>,
         model: &OnlineLatencyModel,
-    ) -> Decision {
+    ) -> u64 {
         self.stats.decisions += 1;
         let occupancy = (depth as f64 / DEEP_DEPTH as f64).min(1.0);
         // Interpolate the cap between the wide end (all headroom in
@@ -151,18 +131,12 @@ impl JointController {
             }
         }
 
-        let cap = cap.clamp(1, w_max.max(1));
-        let parallel_threshold = if occupancy >= NARROW_OCCUPANCY {
+        if occupancy >= NARROW_OCCUPANCY {
             self.stats.narrowed += 1;
-            Some(usize::MAX) // serial: keep workers independent
         } else {
             self.stats.widened += 1;
-            None // the engine's own cutover decides
-        };
-        Decision {
-            batch_cap: cap,
-            parallel_threshold,
         }
+        cap.clamp(1, w_max.max(1))
     }
 }
 
@@ -183,9 +157,7 @@ mod tests {
     fn shallow_queue_goes_wide_and_full() {
         let mut c = JointController::new(4);
         let d = c.decide(0, 1000, None, &OnlineLatencyModel::new());
-        assert_eq!(d.batch_cap, 1000);
-        // Widening defers to the engine's own cutover.
-        assert_eq!(d.parallel_threshold, None);
+        assert_eq!(d, 1000);
         assert_eq!(c.stats().widened, 1);
     }
 
@@ -193,8 +165,7 @@ mod tests {
     fn deep_queue_splits_headroom_and_goes_serial() {
         let mut c = JointController::new(4);
         let d = c.decide(500, 1000, None, &OnlineLatencyModel::new());
-        assert_eq!(d.batch_cap, 250); // w_max / workers
-        assert_eq!(d.parallel_threshold, Some(usize::MAX));
+        assert_eq!(d, 250); // w_max / workers
         assert_eq!(c.stats().narrowed, 1);
     }
 
@@ -203,7 +174,7 @@ mod tests {
         let mut c = JointController::new(4);
         let d = c.decide(32, 1000, None, &OnlineLatencyModel::new());
         // Half occupancy: halfway between 1000 and 250.
-        assert_eq!(d.batch_cap, 625);
+        assert_eq!(d, 625);
     }
 
     #[test]
@@ -212,8 +183,8 @@ mod tests {
         let model = fitted_model();
         // Slack 0.4 s, half budgeted → 0.2 s → w ≈ (0.2 − 0.1)/0.01 = 10.
         let d = c.decide(0, 1000, Some(Duration::from_millis(400)), &model);
-        assert!(d.batch_cap <= 12, "cap {} not deadline-bound", d.batch_cap);
-        assert!(d.batch_cap >= 1);
+        assert!(d <= 12, "cap {} not deadline-bound", d);
+        assert!(d >= 1);
         assert_eq!(c.stats().deadline_capped, 1);
     }
 
@@ -226,7 +197,7 @@ mod tests {
             Some(Duration::from_millis(1)),
             &OnlineLatencyModel::new(),
         );
-        assert_eq!(d.batch_cap, 800);
+        assert_eq!(d, 800);
         assert_eq!(c.stats().deadline_capped, 0);
     }
 

@@ -62,7 +62,7 @@ pub mod request;
 pub mod service;
 
 pub use admission::{AdmissionController, AdmissionError, BatchId};
-pub use controller::{ControllerStats, Decision, JointController, SchedulerPolicy};
+pub use controller::{ControllerStats, JointController, SchedulerPolicy};
 pub use queue::{DrrQueue, ExpiredRequest, QueuePolicy, SubmitError, TakenBatch};
 pub use request::{
     Completion, QueuedRequest, RequestId, RequestOutcome, SloClass, TaskRequest, TenantId,

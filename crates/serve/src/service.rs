@@ -87,7 +87,7 @@ pub struct ServiceConfig {
     pub chaos: Option<FaultPlan>,
     /// Which scheduler forms batches: the PR-1 baseline or the
     /// SLO-aware scheduler (EDF-within-DRR, class-weighted quanta, and
-    /// the joint batching/parallelism controller).
+    /// the joint controller sizing batches).
     pub scheduler: SchedulerPolicy,
 }
 
@@ -446,9 +446,6 @@ struct FormedBatch {
     /// Per-machine residual snapshot the batch starts against.
     residual: Vec<u64>,
     dispatched: Instant,
-    /// Per-batch engine parallel-cutover override chosen by the joint
-    /// controller (`None` under the baseline scheduler).
-    parallel_threshold: Option<usize>,
 }
 
 /// The running service. Dropping it shuts down without a report;
@@ -765,15 +762,14 @@ fn former_loop(shared: &Shared, max_batch: u64, tx: crossbeam::channel::Sender<F
         if w_max >= 1 {
             let now = Instant::now();
             // The joint controller may size the batch below the full
-            // headroom (and pick its parallel cutover); the cap is
-            // raised back to the head's workload so a head wider than
-            // the cap cannot wedge the former.
-            let (budget, parallel_threshold) = match shared.scheduler {
-                SchedulerPolicy::BaselineDrr => (w_max, None),
+            // headroom; the cap is raised back to the head's workload so
+            // a head wider than the cap cannot wedge the former.
+            let budget = match shared.scheduler {
+                SchedulerPolicy::BaselineDrr => w_max,
                 SchedulerPolicy::SloAware => {
                     let head_slack = shared.queue.head_slack(&shape, now);
                     let head_w = shared.queue.head_workload(&shape).unwrap_or(1);
-                    let decision = {
+                    let cap = {
                         let model = shared
                             .latency_model_for(&shape)
                             .expect("admissible shape has a latency model")
@@ -785,10 +781,7 @@ fn former_loop(shared: &Shared, max_batch: u64, tx: crossbeam::channel::Sender<F
                             .unwrap()
                             .decide(depth, w_max, head_slack, &model)
                     };
-                    (
-                        decision.batch_cap.max(head_w.min(w_max)),
-                        decision.parallel_threshold,
-                    )
+                    cap.max(head_w.min(w_max))
                 }
             };
             let round = shared.queue.take_batch(&shape, budget, now);
@@ -822,7 +815,6 @@ fn former_loop(shared: &Shared, max_batch: u64, tx: crossbeam::channel::Sender<F
                     requests: round.taken,
                     residual,
                     dispatched: Instant::now(),
-                    parallel_threshold,
                 };
                 // Bounded channel: backpressure when every worker is
                 // busy. A send error means the workers are gone.
@@ -910,14 +902,13 @@ fn worker_loop(
             }
         };
         let run_started = Instant::now();
-        let exec = runner.run_batch_bisecting_at(
+        let exec = runner.run_batch_bisecting(
             batch.workload,
             &sources,
             &batch.residual,
             batch_seed,
             OVERLOAD_CUTOFF,
             &policy,
-            batch.parallel_threshold,
         );
         let completed_time = match exec.outcome {
             RunOutcome::Completed(t) => Some(t),
