@@ -10,14 +10,31 @@
 
 use mtvc_graph::VertexId;
 
-/// Payload trait. Combinable payloads expose a key: the engine merges
-/// envelopes with equal `(destination, key)` when the active system
-/// profile enables combining (GraphLab(sync)-style). Payloads own their
-/// data (`'static`), so a run's message buffers can outlive it and
-/// serve the next batch.
+/// Payload trait. Combinable payloads expose a key: the sender folds
+/// envelopes with equal `(destination, key)` into one. Whether a fold
+/// is *charged* is the system profile's `combiner` flag
+/// (GraphLab(sync)-style); whether it *happens* on the host is that
+/// flag or [`Message::EXACT_MERGE`]. Payloads own their data
+/// (`'static`), so a run's message buffers can outlive it and serve
+/// the next batch.
 pub trait Message: Clone + Send + Sync + 'static {
+    /// Whether [`Message::merge`] is exact: a receiver handed the merged
+    /// envelope ends in the same state, and sends in the same order, as
+    /// one handed both — a min or an OR, whose merged value is all a
+    /// receiver ever acts on. The router then folds
+    /// such payloads at the sender on *every* profile, so the round
+    /// buffers hold one entry per `(destination, key)`; a non-combining
+    /// profile is still charged every envelope it sent, so no simulated
+    /// statistic moves, only host copies. Payloads whose merge sums or
+    /// reorders (float sums, RNG draws per delivery) keep the default
+    /// `false` and fold only under a combiner.
+    const EXACT_MERGE: bool = false;
+
     /// Combining key within a destination vertex; `None` disables
-    /// combining for this payload entirely.
+    /// combining for this payload entirely. Envelopes with equal
+    /// `(destination, key)` from one source worker fold physically
+    /// whenever the round folds (a combiner, or an exact payload on any
+    /// profile); the profile's `combiner` flag only prices the fold.
     fn combine_key(&self) -> Option<u64>;
 
     /// Merge `other` into `self`. Only called for equal
@@ -33,8 +50,9 @@ pub trait Message: Clone + Send + Sync + 'static {
         None
     }
 
-    /// Payload units (tuples) this envelope delivers once combined — the
-    /// unit the router's traffic accounting counts. A lane-batched
+    /// Payload units (tuples) this envelope delivers — the unit the
+    /// router's traffic accounting counts: after the fold under a
+    /// combiner, per sent envelope without one. A lane-batched
     /// payload standing for several scalar messages returns its live
     /// lane count, so the cost model sees the scalar kernel's traffic.
     fn units(&self) -> u64 {

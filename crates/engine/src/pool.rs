@@ -7,9 +7,10 @@
 //! thread per logical worker, once per job: the job's
 //! [`Topology`](crate::Topology) holds it, spawned by the first round
 //! that fans out and joined when the topology drops. Every round that
-//! fans out, of every batch, dispatches its compute stage and both
-//! routing stages onto the *same* threads — worker `w`'s vertices,
-//! outbox shards, and inbox merges always execute on pool thread `w`,
+//! fans out, of every batch, dispatches its compute stage and its
+//! routing merge onto the *same* threads — two hand-offs per round;
+//! worker `w`'s vertices, outbox shards, and inbox merges always
+//! execute on pool thread `w`,
 //! preserving cache locality of the per-worker state. Rounds too small
 //! to pay for the hand-off run inline instead
 //! ([`Runner`](crate::Runner) decides, round by round).

@@ -5,14 +5,18 @@
 //! Routing is a **shard-then-merge** pipeline:
 //!
 //! 1. **Shard** — each *source* worker buckets its emissions into one
-//!    [`Shard`] per destination worker. When the system profile enables
-//!    combining, envelopes with equal `(dest, combine_key)` are folded
-//!    *here*, at the source, through a recycled slot map — before any
-//!    "transmission" — so the shard columns the merge stage sees are
-//!    already combined (sender-side combining, the Pregel+ technique).
-//!    Each shard additionally keeps a histogram of destination local
-//!    indices, and since a shard's content is final after this stage,
-//!    its per-pair traffic is measured here too. Shards of
+//!    [`Shard`] per destination worker. Envelopes with equal
+//!    `(dest, combine_key)` are folded *here*, at the source, through a
+//!    recycled slot map — before any "transmission" — so the shard
+//!    columns the merge stage sees are already combined (sender-side
+//!    combining, the Pregel+ technique). A round folds when the system
+//!    profile enables combining, or on any profile when the payload's
+//!    merge is exact ([`Message::EXACT_MERGE`]); the profile's flag
+//!    alone decides what the fold is *charged*: a non-combining shard
+//!    still counts every envelope it was sent. Each shard additionally
+//!    keeps a histogram of destination local indices and counts its
+//!    pair's wire messages and tuples as envelopes arrive, so its
+//!    per-pair traffic is known the moment the stage ends. Shards of
 //!    different sources are independent, so this stage parallelizes
 //!    over source workers.
 //! 2. **Merge** — each *destination* worker folds its column of shards
@@ -66,9 +70,12 @@ pub struct RoutingStats {
     /// paper's congestion numerator). Broadcasts count one message per
     /// receiving neighbor.
     pub sent_wire: u64,
-    /// Payload units after combining (what a combining system actually
-    /// delivers and processes): one per scalar envelope,
-    /// [`Message::units`] per lane-batched one.
+    /// Payload units delivered as the profile prices them: after the
+    /// fold on a combining round (what a combining system actually
+    /// delivers and processes), one per sent envelope otherwise — a
+    /// host-side fold of an exact payload changes nothing here. One
+    /// unit per scalar envelope, [`Message::units`] per lane-batched
+    /// one.
     pub delivered_tuples: u64,
     /// Per-worker wire messages delivered.
     pub in_wire: Vec<u64>,
@@ -94,7 +101,9 @@ pub struct RoutingStats {
     /// bucket) and each folded one once (outbox only); the fold-at-send
     /// pre-sharded path writes survivors once and folded messages never
     /// — this counter is what the copy-elimination claim is measured
-    /// on. Pure accounting; no other statistic depends on it.
+    /// on. Exact payloads fold on every profile, so this is the one
+    /// statistic a non-combining run of them sees shrink. Pure
+    /// accounting; no other statistic depends on it.
     pub shard_copy_bytes: u64,
 }
 
@@ -400,14 +409,6 @@ impl<M> Bucket<M> {
         }
     }
 
-    /// The delivery slice of every block in append order.
-    fn slices(&self) -> impl Iterator<Item = &[Delivery<M>]> {
-        self.full
-            .iter()
-            .chain([&self.open])
-            .map(|b| b.deliveries.as_slice())
-    }
-
     /// Hand every `(local index, delivery)` to `f` in append order,
     /// leaving the bucket empty with its blocks kept.
     #[inline]
@@ -440,6 +441,11 @@ pub struct Shard<M> {
     /// Wire messages in the bucket (multiplicity sum; combining folds
     /// envelopes but preserves this total).
     wire: u64,
+    /// Tuples the bucket delivers as the round prices them, counted as
+    /// envelopes arrive: [`Message::units`] per append, plus the units
+    /// a fold adds on a combining round or the folded envelope's own
+    /// units on a non-combining one.
+    tuples: u64,
     /// Delivery bytes appended to the bucket this round (one
     /// `size_of::<Delivery<M>>()` per surviving append; folds add
     /// nothing) — the shard half of
@@ -464,8 +470,8 @@ pub struct Shard<M> {
     /// Destination worker's vertex count, refreshed each round (the
     /// dense table's row stride).
     nloc: usize,
-    /// The pair's traffic, measured at the end of the shard stage
-    /// (bucket content is final once combining happened at the source).
+    /// The pair's traffic, taken from the counters at the end of the
+    /// shard stage.
     flow: PairFlow,
 }
 
@@ -476,6 +482,7 @@ impl<M> Default for Shard<M> {
             hist: Vec::new(),
             touched: Vec::new(),
             wire: 0,
+            tuples: 0,
             copied: 0,
             prepaid_net: 0,
             prepaid_wire: 0,
@@ -508,11 +515,21 @@ pub struct SenderSlots {
     map: FastMap<(VertexId, u64), u32>,
 }
 
-/// Append a delivery for destination local index `li` to `shard`,
-/// maintaining the wire count and the local-index histogram.
+/// Whether a round folds equal `(dest, key)` envelopes at the sender:
+/// on every combining round, and on every round for payloads whose
+/// merge is exact. The one rule; `combine` itself then decides only
+/// what the round is charged.
 #[inline]
-fn append<M>(shard: &mut Shard<M>, li: u32, msg: M, mult: u64) {
+fn folds<M: Message>(combine: bool) -> bool {
+    combine || M::EXACT_MERGE
+}
+
+/// Append a delivery for destination local index `li` to `shard`,
+/// maintaining the wire and tuple counts and the local-index histogram.
+#[inline]
+fn append<M: Message>(shard: &mut Shard<M>, li: u32, msg: M, mult: u64) {
     shard.wire += mult;
+    shard.tuples += msg.units();
     shard.copied += std::mem::size_of::<Delivery<M>>() as u64;
     let h = &mut shard.hist[li as usize];
     if *h == 0 {
@@ -563,8 +580,26 @@ fn fold_probe<M>(
     }
 }
 
+/// Merge `msg` into the delivery at bucket position `pos`. A combining
+/// round counts the tuples the merge added; a non-combining one (an
+/// exact payload folded for the host's sake) counts `msg` as if it had
+/// been appended.
+#[inline]
+fn fold_into<M: Message>(shard: &mut Shard<M>, pos: u32, msg: &M, mult: u64, combine: bool) {
+    let slot = shard.bucket.get_mut(pos);
+    let before = slot.msg.units();
+    slot.msg.merge(msg);
+    slot.mult += mult;
+    shard.wire += mult;
+    shard.tuples = if combine {
+        shard.tuples - before + slot.msg.units()
+    } else {
+        shard.tuples + msg.units()
+    };
+}
+
 /// Route one point-to-point envelope into its shard, folding it into an
-/// existing slot when combining is on and an equal `(dest, key)`
+/// existing slot when the round [`folds`] and an equal `(dest, key)`
 /// envelope was already sent this round.
 #[inline]
 fn push_send<M: Message>(
@@ -577,14 +612,11 @@ fn push_send<M: Message>(
 ) {
     let dw = part.owner_of(env.dest) as usize;
     let li = locals.local_of(env.dest);
-    if combine {
+    if folds::<M>(combine) {
         if let Some(key) = env.msg.combine_key() {
             let shard = &mut shards[dw];
             if let Some(pos) = fold_probe(shard, &mut slots.map, env.dest, li, key) {
-                let slot = shard.bucket.get_mut(pos);
-                slot.msg.merge(&env.msg);
-                slot.mult += env.mult;
-                shard.wire += env.mult;
+                fold_into(shard, pos, &env.msg, env.mult, combine);
                 return;
             }
         }
@@ -592,8 +624,8 @@ fn push_send<M: Message>(
     append(&mut shards[dw], li, env.msg, env.mult);
 }
 
-/// Route one broadcast-expanded message. On a combining hit the clone
-/// is skipped entirely — the borrowed payload merges into the slot.
+/// Route one broadcast-expanded message. On a fold hit the clone is
+/// skipped entirely — the borrowed payload merges into the slot.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn push_broadcast<M: Message>(
@@ -607,14 +639,11 @@ fn push_broadcast<M: Message>(
     slots: &mut SenderSlots,
 ) {
     let li = locals.local_of(dest);
-    if combine {
+    if folds::<M>(combine) {
         if let Some(key) = msg.combine_key() {
             let shard = &mut shards[dw];
             if let Some(pos) = fold_probe(shard, &mut slots.map, dest, li, key) {
-                let slot = shard.bucket.get_mut(pos);
-                slot.msg.merge(msg);
-                slot.mult += mult;
-                shard.wire += mult;
+                fold_into(shard, pos, msg, mult, combine);
                 return;
             }
         }
@@ -623,19 +652,19 @@ fn push_broadcast<M: Message>(
 }
 
 /// Reset one source's shard row for a new round of appends: refresh the
-/// destination vertex counts, size the histograms, and (when combining)
-/// advance the dense fold tables' epoch. Shared by the flat
+/// destination vertex counts, size the histograms, and (when the round
+/// [`folds`]) advance the dense fold tables' epoch. Shared by the flat
 /// `shard_outbox` prologue and [`RouteGrid::begin_round`] (the
 /// fold-at-send path, which must prepare the row *before* the compute
 /// phase starts emitting into it).
-fn prepare_shards<M>(shards: &mut [Shard<M>], locals: &LocalIndex, combine: bool) {
+fn prepare_shards<M>(shards: &mut [Shard<M>], locals: &LocalIndex, fold: bool) {
     for (dw, shard) in shards.iter_mut().enumerate() {
         let nloc = locals.count(dw);
         if shard.hist.len() < nloc {
             shard.hist.resize(nloc, 0);
         }
         shard.nloc = nloc;
-        if combine {
+        if fold {
             shard.fold_round = shard.fold_round.wrapping_add(1);
             if shard.fold_round == 0 {
                 // Epoch tag wrapped: stale tags from 2^32 rounds ago
@@ -649,16 +678,16 @@ fn prepare_shards<M>(shards: &mut [Shard<M>], locals: &LocalIndex, combine: bool
 
 /// Reset one source's sender-combining slots for a new round (companion
 /// to [`prepare_shards`], same two call sites).
-fn prepare_slots(slots: &mut SenderSlots, combine: bool) {
-    if combine {
+fn prepare_slots(slots: &mut SenderSlots, fold: bool) {
+    if fold {
         slots.map.clear();
     }
 }
 
 /// Stage 1: drain `outbox` into one shard per destination worker,
-/// sender-combining when `combine` is set, and measure each pair's
-/// flow. Returns `(wire messages produced, emit-materialisation bytes)`
-/// for this source — the latter is the flat-outbox half of
+/// folding when the round [`folds`], and measure each pair's flow.
+/// Returns `(wire messages produced, emit-materialisation bytes)` for
+/// this source — the latter is the flat-outbox half of
 /// [`RoutingStats::shard_copy_bytes`]: every send and broadcast entry
 /// was written once into the outbox at emit time before this re-walk
 /// copies survivors into their buckets. Send/broadcast capacity of the
@@ -676,8 +705,9 @@ fn shard_outbox<M: Message>(
     shards: &mut [Shard<M>],
     slots: &mut SenderSlots,
 ) -> (u64, u64) {
-    prepare_shards(shards, locals, combine);
-    prepare_slots(slots, combine);
+    let fold = folds::<M>(combine);
+    prepare_shards(shards, locals, fold);
+    prepare_slots(slots, fold);
     let emit_copies = (outbox.sends.len() + outbox.broadcasts.len()) as u64
         * std::mem::size_of::<Envelope<M>>() as u64;
 
@@ -721,38 +751,24 @@ fn shard_outbox<M: Message>(
     (sent_wire, emit_copies)
 }
 
-/// Tuples a (sender-combined) bucket's payloads deliver: payload units,
-/// not envelopes, so a folded lane envelope counts once per live lane
-/// and lane-batched traffic is priced exactly like the scalar messages
-/// it stands for. One per envelope for every scalar payload.
-fn bucket_units<'a, M: Message>(payloads: impl Iterator<Item = &'a M>) -> u64 {
-    payloads.map(M::units).sum()
-}
-
-/// Measure one shard's pair traffic after its content is final.
+/// Measure one shard's pair traffic from the counters its appends and
+/// folds kept — O(1), the bucket is never walked.
 ///
-/// Mirrored-broadcast envelopes must not ALSO pay per-envelope network
-/// bytes: the shard tracks how many wire messages were prepaid, and the
-/// remainder of the bucket pays normally. Envelopes from `sends` and
-/// unmirrored broadcasts are never prepaid.
-fn finish_shard<M: Message>(
-    src: usize,
-    dst: usize,
-    shard: &mut Shard<M>,
-    combine: bool,
-    msg_bytes: u64,
-) {
+/// Tuples are payload units, not envelopes, so a folded lane envelope
+/// counts once per live lane and lane-batched traffic is priced exactly
+/// like the scalar messages it stands for. Mirrored-broadcast envelopes
+/// must not ALSO pay per-envelope network bytes: the shard tracks how
+/// many wire messages were prepaid, and the remainder of the bucket
+/// pays normally. Envelopes from `sends` and unmirrored broadcasts are
+/// never prepaid.
+fn finish_shard<M>(src: usize, dst: usize, shard: &mut Shard<M>, combine: bool, msg_bytes: u64) {
     let prepaid_net = std::mem::take(&mut shard.prepaid_net);
     let prepaid_wire = std::mem::take(&mut shard.prepaid_wire);
     let wire = std::mem::take(&mut shard.wire);
+    let tuples = std::mem::take(&mut shard.tuples);
     let copied = std::mem::take(&mut shard.copied);
     let mut flow = PairFlow::default();
     if !shard.bucket.is_empty() || prepaid_net != 0 {
-        let tuples = shard
-            .bucket
-            .slices()
-            .map(|s| bucket_units(s.iter().map(|d| &d.msg)))
-            .sum();
         flow.copy_bytes = copied;
         // Bytes on the wire: combining systems transmit tuples,
         // non-combining systems transmit every wire message.
@@ -889,9 +905,12 @@ fn apply_flow(stats: &mut RoutingStats, src: usize, dst: usize, flow: &PairFlow)
 /// * `mirrors`: `Some` in broadcast (Pregel+(mirror)) mode — mirrored
 ///   vertices pay one wire message per remote mirror worker instead of
 ///   one per remote neighbor.
-/// * `combine`: fold envelopes with equal `(dest, combine_key)` at the
-///   source worker before "transmission", the way sender-side Pregel
-///   combiners work. Multiplicities sum; payloads merge in send order.
+/// * `combine`: the profile's combiner — fold envelopes with equal
+///   `(dest, combine_key)` at the source worker before "transmission",
+///   the way sender-side Pregel combiners work, and charge the folded
+///   traffic. Multiplicities sum; payloads merge in send order. Exact
+///   payloads ([`Message::EXACT_MERGE`]) fold either way, but without
+///   a combiner every sent envelope is still charged.
 /// * `msg_bytes`: wire size of one message.
 pub fn route<M: Message>(
     mut outboxes: Vec<Outbox<M>>,
@@ -919,15 +938,20 @@ pub fn route<M: Message>(
         let mut buckets: Vec<Vec<Envelope<M>>> = (0..workers).map(|_| Vec::new()).collect();
         let mut prepaid_net = vec![0u64; workers];
         let mut prepaid_wire = vec![0u64; workers];
+        // Tuples per destination as the profile charges them: every
+        // deposit's units without a combiner, the folded buckets' units
+        // (summed after the loop) with one.
+        let mut sent_units = vec![0u64; workers];
         let mut slots: HashMap<(VertexId, u64), usize> = HashMap::new();
 
-        let deposit = |buckets: &mut Vec<Vec<Envelope<M>>>,
-                       slots: &mut HashMap<(VertexId, u64), usize>,
-                       dest: VertexId,
-                       msg: &M,
-                       mult: u64| {
+        let mut deposit = |buckets: &mut Vec<Vec<Envelope<M>>>,
+                           slots: &mut HashMap<(VertexId, u64), usize>,
+                           dest: VertexId,
+                           msg: &M,
+                           mult: u64| {
             let dw = part.owner_of(dest) as usize;
-            if combine {
+            sent_units[dw] += msg.units();
+            if folds::<M>(combine) {
                 if let Some(key) = msg.combine_key() {
                     if let Some(&pos) = slots.get(&(dest, key)) {
                         let slot = &mut buckets[dw][pos];
@@ -966,7 +990,11 @@ pub fn route<M: Message>(
         for (dw, bucket) in buckets.into_iter().enumerate() {
             let mut flow = PairFlow::default();
             if !bucket.is_empty() || prepaid_net[dw] != 0 {
-                let tuples = bucket_units(bucket.iter().map(|e| &e.msg));
+                let tuples = if combine {
+                    bucket.iter().map(|e| e.msg.units()).sum()
+                } else {
+                    sent_units[dw]
+                };
                 // Shard-stage appends, one delivery each: merges never
                 // append, so the bucket length is the appended count.
                 flow.copy_bytes = bucket.len() as u64 * delivery_bytes;
@@ -1192,13 +1220,14 @@ impl<M: Message> RouteGrid<M> {
     /// three parts, so their signatures stay as they are.
     pub fn begin_round(&mut self, combine: bool, locals: &LocalIndex) {
         self.combine = combine;
+        let fold = folds::<M>(combine);
         for (row, slots) in self.rows.iter_mut().zip(self.slots.iter_mut()) {
             debug_assert!(
                 row.iter().all(|s| s.bucket.is_empty()),
                 "shard rows must be drained between rounds"
             );
-            prepare_shards(row, locals, combine);
-            prepare_slots(slots, combine);
+            prepare_shards(row, locals, fold);
+            prepare_slots(slots, fold);
         }
         self.sent.iter_mut().for_each(|s| *s = 0);
         // No flat outbox exists on this path, so no emit-
@@ -1242,8 +1271,9 @@ impl<M: Message> RouteGrid<M> {
 
     /// Fold-at-send entry point, part 3 of 3: finish the round after
     /// the compute phase filled the shard matrix through its sinks.
-    /// Measures every pair's flow (the stage-1 epilogue) and runs the
-    /// shared merge + reduction — bit-identical inboxes and statistics
+    /// Takes every pair's flow from its shard's counters (the stage-1
+    /// epilogue, O(1) per pair, so it runs inline) and runs the shared
+    /// merge + reduction — bit-identical inboxes and statistics
     /// to routing the same emissions through [`Self::route_round`],
     /// except that [`RoutingStats::shard_copy_bytes`] reflects the
     /// copies this path never performed. The round combines as
@@ -1262,14 +1292,14 @@ impl<M: Message> RouteGrid<M> {
         debug_assert_eq!(combine, self.combine, "combine flag changed mid-round");
         let combine = self.combine;
 
-        // Stage-1 epilogue: shard content is final once compute ended,
-        // so measure each pair's flow. Parallel over sources, like the
-        // stage it completes.
-        dispatch(pool, self.rows.iter_mut(), |src, row| {
+        // Stage-1 epilogue: the shards counted their traffic as it
+        // arrived, so each pair's flow is a few moves — W² of them,
+        // cheaper inline than one more hand-off to the pool.
+        for (src, row) in self.rows.iter_mut().enumerate() {
             for (dst, shard) in row.iter_mut().enumerate() {
                 finish_shard(src, dst, shard, combine, msg_bytes);
             }
-        });
+        }
 
         let stats = self.merge_and_reduce(pool, inboxes, locals);
         // Conservation pin, matching the two-stage oracle's
@@ -1518,6 +1548,66 @@ mod tests {
         let (_, stats) = route(vec![ob0, Outbox::new()], &g, &p, &l, None, true, 16);
         assert_eq!(stats.delivered_tuples, 1);
         assert_eq!(stats.net_in_bytes[1], 16);
+    }
+
+    /// An exact payload folds on a non-combining round — one delivery
+    /// per `(dest, key)` per source — yet is charged every envelope it
+    /// was sent: its statistics are its plain twin's but for the bucket
+    /// appends the folds saved. Serial oracle and grid alike.
+    #[test]
+    fn exact_payload_folds_but_is_charged_unfolded() {
+        #[derive(Clone, Debug, PartialEq)]
+        struct Min<const EXACT: bool> {
+            key: u32,
+            val: u64,
+        }
+        impl<const EXACT: bool> Message for Min<EXACT> {
+            const EXACT_MERGE: bool = EXACT;
+            fn combine_key(&self) -> Option<u64> {
+                Some(self.key as u64)
+            }
+            fn merge(&mut self, o: &Self) {
+                self.val = self.val.min(o.val);
+            }
+        }
+        fn outboxes<const EXACT: bool>() -> Vec<Outbox<Min<EXACT>>> {
+            let min = |key, val| Min::<EXACT> { key, val };
+            let mut ob0 = Outbox::new();
+            ob0.sends.push(Envelope::new(5, min(7, 9), 2));
+            ob0.sends.push(Envelope::new(5, min(7, 4), 3)); // folds
+            ob0.sends.push(Envelope::new(5, min(8, 1), 1)); // other key
+            ob0.sends.push(Envelope::new(1, min(7, 6), 1)); // local
+            ob0.sends.push(Envelope::new(1, min(7, 2), 1)); // folds
+            let mut ob1 = Outbox::new();
+            ob1.sends.push(Envelope::new(5, min(7, 3), 1)); // other source
+            vec![ob0, ob1]
+        }
+        let (g, p, l) = two_worker_setup();
+        let (plain_in, plain) = route(outboxes::<false>(), &g, &p, &l, None, false, 16);
+        let (exact_in, exact) = route(outboxes::<true>(), &g, &p, &l, None, false, 16);
+        assert_eq!((plain_in[0].len(), plain_in[1].len()), (2, 4));
+        let folded: Vec<(u32, u64, u64)> = exact_in
+            .iter()
+            .flat_map(|i| i.deliveries())
+            .map(|d| (d.msg.key, d.msg.val, d.mult))
+            .collect();
+        assert_eq!(folded, vec![(7, 2, 2), (7, 4, 5), (8, 1, 1), (7, 3, 1)]);
+
+        let saved = 2 * std::mem::size_of::<Delivery<Min<true>>>() as u64;
+        assert_eq!(exact.shard_copy_bytes + saved, plain.shard_copy_bytes);
+        let scrub = |s: &RoutingStats| RoutingStats {
+            shard_copy_bytes: 0,
+            ..s.clone()
+        };
+        assert_eq!(scrub(&exact), scrub(&plain));
+        assert_eq!(exact.delivered_tuples, 6, "every sent envelope");
+
+        let mut grid: RouteGrid<Min<true>> = RouteGrid::new(2);
+        let mut inboxes: Vec<Inbox<Min<true>>> = (0..2).map(|_| Inbox::new()).collect();
+        let mut obs = outboxes::<true>();
+        let stats = grid.route_round(None, &mut obs, &mut inboxes, &g, &p, &l, None, false, 16);
+        assert_eq!(stats, &exact);
+        assert_eq!(inboxes, exact_in);
     }
 
     #[test]

@@ -41,10 +41,12 @@ use std::sync::Arc;
 
 /// Work a round must hold — seeds in round 0, delivered messages
 /// after — for its compute and route stages to fan out to the worker
-/// pool. Below it the hand-off, three wake-ups of every pool thread
-/// per round, costs more than it saves. Set by a sweep on 2 vCPUs
-/// (EXPERIMENTS.md row pr36): 4 096 slowed the narrow workloads more,
-/// and 65 536 or more left `job-wide` too little of its gain.
+/// pool. Below it the hand-off, two wake-ups of every pool thread per
+/// round (compute, then the routing merge), costs more than it saves.
+/// Set by a sweep on 2 vCPUs (EXPERIMENTS.md row pr36), when a pooled
+/// round still paid a third wake-up for the shard epilogue: 4 096
+/// slowed the narrow workloads more, and 65 536 or more left
+/// `job-wide` too little of its gain.
 const FANOUT_LOAD: usize = 16_384;
 
 /// Whether a round holding `load` fans out: the one place the engine
@@ -2006,18 +2008,25 @@ mod tests {
         }
     }
 
-    /// Multi-lane flood over a state slab: lane `q` floods hop counts
-    /// from source vertex `q`.
-    struct SlabFlood {
+    /// Multi-lane flood over a state slab: lane `q` floods distances
+    /// from source vertex `q`, where an edge out of an odd vertex weighs
+    /// 2 — so one round's messages to a vertex differ, and a fold that
+    /// kept the wrong one would show. `EXACT` only declares its
+    /// messages' min merge exact ([`Message::EXACT_MERGE`]).
+    struct LaneFlood<const EXACT: bool> {
         width: usize,
     }
 
+    type SlabFlood = LaneFlood<false>;
+
     #[derive(Clone, Debug)]
-    struct LaneHop {
+    struct LaneMsg<const EXACT: bool> {
         lane: u16,
         dist: u64,
     }
-    impl Message for LaneHop {
+
+    impl<const EXACT: bool> Message for LaneMsg<EXACT> {
+        const EXACT_MERGE: bool = EXACT;
         fn combine_key(&self) -> Option<u64> {
             Some(u64::from(self.lane))
         }
@@ -2026,10 +2035,10 @@ mod tests {
         }
     }
 
-    impl SlabProgram for SlabFlood {
-        type Message = LaneHop;
+    impl<const EXACT: bool> SlabProgram for LaneFlood<EXACT> {
+        type Message = LaneMsg<EXACT>;
         type Cell = u64;
-        /// `(lane, hop distance)` of every lane that reached the vertex.
+        /// `(lane, distance)` of every lane that reached the vertex.
         type Out = Vec<(usize, u64)>;
 
         fn width(&self) -> usize {
@@ -2042,14 +2051,19 @@ mod tests {
             12
         }
 
-        fn init(&self, v: VertexId, mut row: SlabRowMut<'_, u64>, ctx: &mut Context<'_, LaneHop>) {
+        fn init(
+            &self,
+            v: VertexId,
+            mut row: SlabRowMut<'_, u64>,
+            ctx: &mut Context<'_, LaneMsg<EXACT>>,
+        ) {
             if (v as usize) < self.width {
                 let q = v as usize;
                 row.relax_min(q, 0);
                 for &t in ctx.neighbors() {
                     ctx.send(
                         t,
-                        LaneHop {
+                        LaneMsg {
                             lane: q as u16,
                             dist: 1,
                         },
@@ -2061,23 +2075,24 @@ mod tests {
 
         fn compute(
             &self,
-            _v: VertexId,
+            v: VertexId,
             mut row: SlabRowMut<'_, u64>,
-            inbox: &[Delivery<LaneHop>],
-            ctx: &mut Context<'_, LaneHop>,
+            inbox: &[Delivery<LaneMsg<EXACT>>],
+            ctx: &mut Context<'_, LaneMsg<EXACT>>,
         ) {
             for d in inbox {
                 row.relax_min(d.msg.lane as usize, d.msg.dist);
             }
             let mut improved = Vec::new();
             row.drain(|q, cell| improved.push((q, *cell)));
+            let weight = 1 + u64::from(v % 2);
             for (q, dist) in improved {
                 for &t in ctx.neighbors() {
                     ctx.send(
                         t,
-                        LaneHop {
+                        LaneMsg {
                             lane: q as u16,
-                            dist: dist + 1,
+                            dist: dist + weight,
                         },
                         1,
                     );
@@ -2159,7 +2174,7 @@ mod tests {
     /// on a fresh topology. Dropping the topology drops its buffers.
     #[test]
     fn spare_round_buffers_leave_no_trace() {
-        type Spare = RoundBuffers<crate::slab::StateSlab<u64>, LaneHop>;
+        type Spare = RoundBuffers<crate::slab::StateSlab<u64>, LaneMsg<false>>;
         let g = generators::grid(12, 12);
         let clean = config(4);
         let plan = FaultPlan::none()
@@ -2270,6 +2285,63 @@ mod tests {
                 proptest::prop_assert_eq!(&serial.stats, &other.stats);
                 proptest::prop_assert_eq!(&serial.states, &other.states);
             }
+        }
+
+        /// A payload declared [`Message::EXACT_MERGE`] folds at the
+        /// sender on every profile, yet the model never sees it: with
+        /// the combiner on or off, resident or paged, every round on the
+        /// pool or alternating, fault-free or through a crash and a
+        /// lost delivery, the exact run equals its plain twin in
+        /// outcome, states and every statistic but `shard_copy_bytes` —
+        /// which, without a combiner, is the host copy the fold saved.
+        #[test]
+        fn exact_merge_moves_only_host_copies(
+            n in 16usize..120,
+            workers in 2usize..6,
+            width in 1usize..5,
+            combine in proptest::prelude::any::<bool>(),
+            paged in proptest::prelude::any::<bool>(),
+            pooled in proptest::prelude::any::<bool>(),
+            faults in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let g = generators::power_law(n, n * 4, 2.4, seed);
+            let mut cfg = config(workers);
+            cfg.cutoff = SimTime::secs(1e12);
+            cfg.profile.combiner = combine;
+            if paged {
+                cfg.profile.out_of_core = Some(ooc_paged(512, 1024, 256));
+            }
+            if faults {
+                let plan = FaultPlan::none().with_crash(2, 0).with_delivery_failure(3, 1);
+                cfg = cfg.with_checkpoint_every(2).with_faults(plan);
+            }
+            let part = HashPartitioner { salt: seed };
+            let mode = |run: &dyn Fn() -> RunResult<Vec<(usize, u64)>>| {
+                if pooled {
+                    forced(true, run)
+                } else {
+                    alternating(run)
+                }
+            };
+            let runner = Runner::new(&g, &part, cfg);
+            let plain = mode(&|| runner.run_slab(&LaneFlood::<false> { width }));
+            let exact = mode(&|| runner.run_slab(&LaneFlood::<true> { width }));
+            proptest::prop_assert_eq!(&plain.outcome, &exact.outcome);
+            proptest::prop_assert_eq!(&plain.states, &exact.states);
+            let copies = |stats: &RunStats| stats.total_shard_copy_bytes;
+            if combine {
+                // Both fold, and both are charged the fold.
+                proptest::prop_assert_eq!(&plain.stats, &exact.stats);
+            } else {
+                proptest::prop_assert!(copies(&exact.stats) <= copies(&plain.stats));
+            }
+            let scrub = |mut stats: RunStats| {
+                stats.total_shard_copy_bytes = Bytes::ZERO;
+                stats.per_round.iter_mut().for_each(|r| r.shard_copy_bytes = Bytes::ZERO);
+                stats
+            };
+            proptest::prop_assert_eq!(scrub(plain.stats), scrub(exact.stats));
         }
     }
 

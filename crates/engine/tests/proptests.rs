@@ -5,8 +5,8 @@ use mtvc_cluster::{ChaosMix, ClusterSpec, FaultPlan};
 use mtvc_engine::sampling::{binomial, multinomial_uniform};
 use mtvc_engine::{
     route, wire, Context, Delivery, EmitSink, EngineConfig, Envelope, Inbox, LocalIndex, Message,
-    MirrorIndex, OocConfig, Outbox, PagingConfig, PayloadCodec, RouteGrid, Runner, SlabProgram,
-    SlabRecycler, SlabRow, SlabRowMut, StateSlab, SystemProfile, WorkerPool, LANES,
+    MirrorIndex, OocConfig, Outbox, PagingConfig, PayloadCodec, RouteGrid, RoutingStats, Runner,
+    SlabProgram, SlabRecycler, SlabRow, SlabRowMut, StateSlab, SystemProfile, WorkerPool, LANES,
 };
 use mtvc_graph::partition::{HashPartitioner, Partitioner};
 use mtvc_graph::{generators, reference, VertexId};
@@ -197,6 +197,70 @@ impl PayloadCodec for Keyed {
             val: wire::read_varint(buf, pos),
         }
     }
+}
+
+/// Exact-merge twin of [`Keyed`]: the same key, merged by min, so a
+/// receiver handed the fold reads the same minimum per key — and the
+/// router folds it even on a non-combining round.
+#[derive(Clone, Debug, PartialEq)]
+struct MinKeyed {
+    key: Option<u64>,
+    val: u64,
+}
+impl Message for MinKeyed {
+    const EXACT_MERGE: bool = true;
+    fn combine_key(&self) -> Option<u64> {
+        self.key
+    }
+    fn merge(&mut self, o: &Self) {
+        self.val = self.val.min(o.val);
+    }
+}
+
+/// `outboxes` with every payload swapped for its [`MinKeyed`] twin.
+fn as_exact(outboxes: &[Outbox<Keyed>]) -> Vec<Outbox<MinKeyed>> {
+    let twin = |m: &Keyed| MinKeyed {
+        key: m.key,
+        val: m.val,
+    };
+    outboxes
+        .iter()
+        .map(|ob| {
+            let mut out = Outbox::new();
+            out.sends.extend(
+                ob.sends
+                    .iter()
+                    .map(|e| Envelope::new(e.dest, twin(&e.msg), e.mult)),
+            );
+            out.broadcasts.extend(
+                ob.broadcasts
+                    .iter()
+                    .map(|(o, m, mult)| (*o, twin(m), *mult)),
+            );
+            out
+        })
+        .collect()
+}
+
+/// Per run of `inbox`: the vertex, its wire messages, and the minimum
+/// value per combine key — what a min-merging receiver ends with.
+fn min_per_key<M: Message>(
+    inbox: &Inbox<M>,
+    val: impl Fn(&M) -> u64,
+) -> Vec<(VertexId, u64, std::collections::BTreeMap<Option<u64>, u64>)> {
+    inbox
+        .iter_runs()
+        .map(|(dest, _, ds)| {
+            let mut mins = std::collections::BTreeMap::new();
+            for d in ds {
+                let v = val(&d.msg);
+                mins.entry(d.msg.combine_key())
+                    .and_modify(|m: &mut u64| *m = (*m).min(v))
+                    .or_insert(v);
+            }
+            (dest, ds.iter().map(|d| d.mult).sum(), mins)
+        })
+        .collect()
 }
 
 /// Build one synthetic outbox per worker from the RNG: point-to-point
@@ -412,6 +476,92 @@ proptest! {
             prop_assert_eq!(&scrubbed, &flat_stats);
         }
         prop_assert_eq!(&inboxes, &flat_inboxes);
+    }
+
+    /// Exact payloads fold on a non-combining round on every routing
+    /// path, and are charged as if they had not: the serial `route`,
+    /// the two-stage grid and the pre-sharded sinks deliver the same
+    /// folded inboxes — the runs, wire messages and per-key minimum of
+    /// the unfolded plain twin, in no more entries — with every
+    /// statistic but `shard_copy_bytes` equal to the twin's.
+    #[test]
+    fn exact_payload_folds_without_a_combiner_on_every_path(
+        n in 8usize..150,
+        workers in 1usize..9,
+        mirrored in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let g = generators::erdos_renyi(n, n * 3, seed);
+        let part = HashPartitioner { salt: seed }.partition(&g, workers);
+        let locals = LocalIndex::build(&part);
+        let mirrors = mirrored.then(|| MirrorIndex::build(&g, &part, 4));
+        let plain = synthetic_outboxes(&g, &part, seed ^ 0xE8AC, 40, 6);
+        let exact = as_exact(&plain);
+        let msg_bytes = 16;
+        let (plain_in, plain_stats) = route(
+            plain, &g, &part, &locals, mirrors.as_ref(), false, msg_bytes,
+        );
+        let (want_in, want_stats) = route(
+            exact.clone(), &g, &part, &locals, mirrors.as_ref(), false, msg_bytes,
+        );
+
+        let scrub = |stats: &RoutingStats| RoutingStats {
+            shard_copy_bytes: 0,
+            ..stats.clone()
+        };
+        prop_assert_eq!(scrub(&want_stats), scrub(&plain_stats));
+        prop_assert!(want_stats.shard_copy_bytes <= plain_stats.shard_copy_bytes);
+        for (folded, unfolded) in want_in.iter().zip(&plain_in) {
+            prop_assert!(folded.len() <= unfolded.len());
+            prop_assert_eq!(
+                min_per_key(folded, |m| m.val),
+                min_per_key(unfolded, |m| m.val)
+            );
+        }
+
+        let pool = WorkerPool::new(workers.min(4));
+        let mut grid: RouteGrid<MinKeyed> = RouteGrid::new(workers);
+        let mut inboxes: Vec<Inbox<MinKeyed>> = (0..workers).map(|_| Inbox::new()).collect();
+        let mut working = exact.clone();
+        let stats = grid.route_round(
+            Some(&pool),
+            &mut working,
+            &mut inboxes,
+            &g,
+            &part,
+            &locals,
+            mirrors.as_ref(),
+            false,
+            msg_bytes,
+        );
+        prop_assert_eq!(stats, &want_stats);
+        prop_assert_eq!(&inboxes, &want_in);
+
+        // Pre-sharded, twice over the same grid to exercise reuse.
+        let env_bytes = std::mem::size_of::<Envelope<MinKeyed>>() as u64;
+        let emit_copies: u64 = exact
+            .iter()
+            .map(|ob| (ob.sends.len() + ob.broadcasts.len()) as u64 * env_bytes)
+            .sum();
+        for _ in 0..2 {
+            inboxes.iter_mut().for_each(|i| i.clear());
+            grid.begin_round(false, &locals);
+            for (mut sink, ob) in grid
+                .emit_sinks(&g, &part, &locals, mirrors.as_ref(), msg_bytes)
+                .zip(exact.iter())
+            {
+                for env in &ob.sends {
+                    sink.emit(env.clone());
+                }
+                for (origin, msg, mult) in &ob.broadcasts {
+                    sink.emit_broadcast(*origin, msg.clone(), *mult);
+                }
+            }
+            let stats = grid.route_presharded(Some(&pool), &mut inboxes, &locals, msg_bytes, false);
+            prop_assert_eq!(stats.shard_copy_bytes + emit_copies, want_stats.shard_copy_bytes);
+            prop_assert_eq!(scrub(stats), scrub(&want_stats));
+            prop_assert_eq!(&inboxes, &want_in);
+        }
     }
 
     /// The compact codec is lossless: for any envelope bucket, decoding

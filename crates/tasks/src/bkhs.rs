@@ -32,6 +32,10 @@ pub struct ReachMsg {
 }
 
 impl Message for ReachMsg {
+    /// Reaching a query twice is reaching it once; only the first
+    /// delivery of a query marks the cell and sends.
+    const EXACT_MERGE: bool = true;
+
     fn combine_key(&self) -> Option<u64> {
         Some(self.query as u64)
     }
@@ -68,6 +72,9 @@ pub struct ReachLanesMsg {
 }
 
 impl Message for ReachLanesMsg {
+    /// A mask OR: the merged lanes mark the row exactly as both do.
+    const EXACT_MERGE: bool = true;
+
     fn combine_key(&self) -> Option<u64> {
         Some(self.chunk as u64)
     }

@@ -107,6 +107,8 @@ pub struct WalkMsg {
 }
 
 impl Message for WalkMsg {
+    // Not `EXACT_MERGE`: a merged count draws its walks' steps from one
+    // RNG stream where two deliveries would draw from it twice.
     fn combine_key(&self) -> Option<u64> {
         Some(self.source as u64)
     }
@@ -314,6 +316,7 @@ pub struct PushMsg {
 }
 
 impl Message for PushMsg {
+    // Not `EXACT_MERGE`: a merged amount reorders the float sum.
     fn combine_key(&self) -> Option<u64> {
         Some(self.source as u64)
     }

@@ -19,6 +19,9 @@ pub struct LabelMsg {
 }
 
 impl Message for LabelMsg {
+    /// A min: the vertex adopts the same smallest label.
+    const EXACT_MERGE: bool = true;
+
     fn combine_key(&self) -> Option<u64> {
         Some(0) // all labels to a vertex combine to the minimum
     }

@@ -50,6 +50,9 @@ pub struct DistMsg {
 }
 
 impl Message for DistMsg {
+    /// A min: the merged distance relaxes the row exactly as both do.
+    const EXACT_MERGE: bool = true;
+
     fn combine_key(&self) -> Option<u64> {
         Some(self.query as u64)
     }
@@ -89,6 +92,9 @@ pub struct DistLanesMsg {
 }
 
 impl Message for DistLanesMsg {
+    /// A lane-wise min and a mask OR: exact, like [`DistMsg`].
+    const EXACT_MERGE: bool = true;
+
     fn combine_key(&self) -> Option<u64> {
         Some(self.chunk as u64)
     }

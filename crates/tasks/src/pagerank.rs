@@ -20,6 +20,7 @@ pub struct RankMsg {
 }
 
 impl Message for RankMsg {
+    // Not `EXACT_MERGE`: a merged value reorders the float sum.
     fn combine_key(&self) -> Option<u64> {
         Some(0)
     }
