@@ -7,13 +7,19 @@
 //! probe. A row is cut into 64-cell **words**. A word's cells live in a
 //! **block** of `min(W, 64)` cells that is allocated, filled with the
 //! empty sentinel, the first time a [`SlabRowMut`] mutator writes into
-//! the word; a word without a block reads as the sentinel. Host memory
-//! therefore follows what a batch wrote — the k-hop ball of a narrow
-//! MSSP/BKHS batch, the walk support of an all-sources BPPR batch — not
-//! `rows × W`. Each block carries one **frontier** word (one bit per
-//! cell) marking the cells a round improved, so a program's send phase
-//! walks only the dirty cells — the GraphLab/Ligra layout (DESIGN.md
-//! §4.2) adapted to multi-task batches.
+//! the word; a word without a block reads as the sentinel. Each block
+//! carries one **frontier** word (one bit per cell) marking the cells a
+//! round improved, so a program's send phase walks only the dirty cells
+//! — the GraphLab/Ligra layout (DESIGN.md §4.2) adapted to multi-task
+//! batches.
+//!
+//! Blocks are stored in fixed **chunks** of 128 blocks and their
+//! frontier words. A chunk is reserved whole when its first block is
+//! pushed and is never grown or moved, so a slab's host memory is the
+//! blocks a batch wrote plus at most one partly filled chunk — the
+//! k-hop ball of a narrow MSSP/BKHS batch, the walk support of an
+//! all-sources BPPR batch — not `rows × W`, and not the next doubling
+//! of the blocks either.
 //!
 //! Every program is a [`SlabProgram`], run via
 //! [`Runner::run_slab`](crate::runner::Runner::run_slab); a task with
@@ -34,9 +40,11 @@
 //!
 //! Slabs are recycled across batches through a [`SlabRecycler`]: the
 //! next batch's [`StateSlab::reset`] drops what the previous one wrote
-//! and keeps every buffer's capacity, so back-to-back batches of similar
-//! shape perform no state allocation (and a slab nobody reuses is never
-//! cleaned at all).
+//! and keeps every buffer's capacity, chunks included, so back-to-back
+//! batches of similar shape perform no state allocation (and a slab
+//! nobody reuses is never cleaned at all). A kept chunk too small for a
+//! wider block size is re-reserved to exactly one chunk of the new
+//! blocks.
 
 use crate::message::{Delivery, Message};
 use crate::program::{Context, ProgramCore};
@@ -58,18 +66,21 @@ pub const LANES: usize = 8;
 ///
 /// ```text
 /// table:    [ v0: ceil(W/64) entries | v1: ... ]    0 = no block, else 1-based block number
-/// blocks:   [ b0: min(W,64) cells | b1: ... ]       in first-write order
-/// frontier: [ b0 | b1 | ... ]                       one u64 per block (1 bit/cell)
+/// chunks:   [ c0 | c1 | ... ]                       block b in chunk b / 128, slot b % 128
+///   c:      cells    [ slot 0: min(W,64) cells | slot 1: ... ]   reserved whole, filled in first-write order
+///           frontier [ slot 0 | ... | slot 127 ]                 one u64 per block (1 bit/cell)
 /// written:  one bit per word, set iff its table entry is non-zero
 /// ```
 ///
 /// Cell `q` of row `li` is cell `q % 64` of the block that table entry
 /// `li × ⌈W/64⌉ + q / 64` names. Only [`SlabRowMut`] mutators allocate
 /// blocks, so a block exists exactly for the words some mutator wrote.
-/// The block store never grows past one block per word, so a slab's
-/// host bytes are at most the dense layout's (rows rounded up to whole
-/// words) plus the table, whatever it writes. Table and bitmap are host
-/// bookkeeping; [`StateSlab::resident_bytes`] reports the dense layout.
+/// A chunk never grows or moves once reserved, so a slab's block store
+/// holds its written blocks plus at most one partly filled chunk
+/// (127 blocks of slack), beyond what an earlier batch left in it for
+/// reuse. Table, bitmap and chunk list (one 32-byte entry per chunk)
+/// are host bookkeeping; [`StateSlab::resident_bytes`] reports the
+/// dense layout.
 #[derive(Debug)]
 pub struct StateSlab<C> {
     width: usize,
@@ -82,18 +93,58 @@ pub struct StateSlab<C> {
     blocks: Blocks<C>,
 }
 
-/// The cells and frontier words of a slab's allocated blocks.
-#[derive(Debug, Clone)]
+/// Blocks per chunk: a power of two, so block `b` lives at slot
+/// `b & CHUNK_MASK` of chunk `b >> CHUNK_SHIFT`.
+const CHUNK_SHIFT: u32 = 7;
+const CHUNK_BLOCKS: usize = 1 << CHUNK_SHIFT;
+const CHUNK_MASK: usize = CHUNK_BLOCKS - 1;
+
+/// The cells and frontier words of a slab's allocated blocks, in
+/// fixed-size chunks.
+#[derive(Debug)]
 struct Blocks<C> {
     /// Cells per block: `min(W, 64)`.
     size: usize,
-    /// Most blocks the slab's shape can need: one per word.
-    limit: usize,
     empty: C,
-    /// `size` cells per block, block-major.
+    /// Blocks in use.
+    len: usize,
+    /// The chunks in use, then spare ones an earlier batch left behind
+    /// (no cells, capacity kept).
+    chunks: Vec<Chunk<C>>,
+}
+
+/// [`CHUNK_BLOCKS`] blocks and their frontier words. The cells are
+/// reserved whole when the chunk's first block is pushed, so a chunk
+/// never grows or moves while a batch fills it.
+#[derive(Debug)]
+struct Chunk<C> {
+    /// `size` cells per block in use, block-major.
     cells: Vec<C>,
-    /// One frontier word per block.
-    frontier: Vec<u64>,
+    /// One frontier word per block slot.
+    frontier: Box<[u64; CHUNK_BLOCKS]>,
+}
+
+impl<C: Copy> Chunk<C> {
+    fn new() -> Self {
+        Chunk {
+            cells: Vec::new(),
+            frontier: Box::new([0; CHUNK_BLOCKS]),
+        }
+    }
+
+    /// Empty the cells and make room for a whole chunk of `size`-cell
+    /// blocks: exactly that much if the capacity kept from an earlier
+    /// batch is too small. The old cells are stale, so a too-small
+    /// buffer is dropped before its replacement is allocated, never
+    /// copied into it.
+    fn reserve(&mut self, size: usize) {
+        let need = CHUNK_BLOCKS * size;
+        if self.cells.capacity() < need {
+            self.cells = Vec::new();
+        }
+        self.cells.clear();
+        self.cells.reserve_exact(need);
+    }
 }
 
 /// Flag `word` as written.
@@ -130,16 +181,6 @@ fn reshape<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
     }
 }
 
-/// Make room for `extra` more elements, doubling the capacity but never
-/// past `limit` elements.
-fn reserve_capped<T>(buf: &mut Vec<T>, extra: usize, limit: usize) {
-    let need = buf.len() + extra;
-    if need > buf.capacity() {
-        let target = (2 * buf.capacity()).min(limit).max(need);
-        buf.reserve_exact(target - buf.len());
-    }
-}
-
 /// `*dst = src`, reusing `dst`'s allocation and growing it to exactly
 /// what `src` holds when it must grow (`Vec::clone_from` would double).
 fn copy_exact<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
@@ -150,24 +191,95 @@ fn copy_exact<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
 
 impl<C: Copy> Blocks<C> {
     /// Append a block of sentinel cells with a clear frontier word and
-    /// return its index.
+    /// return its index. The first block of a chunk reserves the whole
+    /// chunk; the rest fill it in place.
     fn push(&mut self) -> usize {
-        let b = self.frontier.len();
-        reserve_capped(&mut self.frontier, 1, self.limit);
-        reserve_capped(&mut self.cells, self.size, self.limit * self.size);
-        self.cells.resize(self.cells.len() + self.size, self.empty);
-        self.frontier.push(0);
+        let b = self.len;
+        let slot = b & CHUNK_MASK;
+        if b >> CHUNK_SHIFT == self.chunks.len() {
+            self.chunks.push(Chunk::new());
+        }
+        let chunk = &mut self.chunks[b >> CHUNK_SHIFT];
+        if slot == 0 {
+            chunk.reserve(self.size);
+        }
+        chunk
+            .cells
+            .resize(chunk.cells.len() + self.size, self.empty);
+        chunk.frontier[slot] = 0;
+        self.len += 1;
         b
+    }
+
+    /// Chunks holding at least one block in use.
+    fn used(&self) -> usize {
+        self.len.div_ceil(CHUNK_BLOCKS)
     }
 
     #[inline]
     fn cells(&self, b: usize) -> &[C] {
-        &self.cells[b * self.size..(b + 1) * self.size]
+        let start = (b & CHUNK_MASK) * self.size;
+        &self.chunks[b >> CHUNK_SHIFT].cells[start..start + self.size]
     }
 
     #[inline]
-    fn cells_mut(&mut self, b: usize) -> &mut [C] {
-        &mut self.cells[b * self.size..(b + 1) * self.size]
+    fn frontier_mut(&mut self, b: usize) -> &mut u64 {
+        &mut self.chunks[b >> CHUNK_SHIFT].frontier[b & CHUNK_MASK]
+    }
+
+    /// Block `b`'s cells and frontier word, from one chunk lookup.
+    #[inline]
+    fn block_mut(&mut self, b: usize) -> (&mut [C], &mut u64) {
+        let (size, slot) = (self.size, b & CHUNK_MASK);
+        let chunk = &mut self.chunks[b >> CHUNK_SHIFT];
+        let start = slot * size;
+        (
+            &mut chunk.cells[start..start + size],
+            &mut chunk.frontier[slot],
+        )
+    }
+
+    /// Drop every block, keeping every chunk's capacity.
+    fn clear(&mut self) {
+        let used = self.used();
+        for chunk in &mut self.chunks[..used] {
+            chunk.cells.clear();
+        }
+        self.len = 0;
+    }
+
+    /// `*self = src.clone()`, chunk by chunk, reusing this store's
+    /// chunks: a chunk is reserved whole, as `push` does, only where
+    /// the capacity kept is too small for `src`'s block size.
+    fn copy_from(&mut self, src: &Self) {
+        self.clear();
+        self.size = src.size;
+        self.empty = src.empty;
+        self.len = src.len;
+        for (i, from) in src.chunks[..src.used()].iter().enumerate() {
+            if i == self.chunks.len() {
+                self.chunks.push(Chunk::new());
+            }
+            let to = &mut self.chunks[i];
+            to.reserve(src.size);
+            to.cells.extend_from_slice(&from.cells);
+            let slots = (src.len - i * CHUNK_BLOCKS).min(CHUNK_BLOCKS);
+            to.frontier[..slots].copy_from_slice(&from.frontier[..slots]);
+        }
+    }
+}
+
+impl<C: Copy> Clone for Blocks<C> {
+    /// The chunks in use, each reserved whole; no spare ones.
+    fn clone(&self) -> Self {
+        let mut blocks = Blocks {
+            size: self.size,
+            empty: self.empty,
+            len: 0,
+            chunks: Vec::with_capacity(self.used()),
+        };
+        blocks.copy_from(self);
+        blocks
     }
 }
 
@@ -183,10 +295,9 @@ impl<C: Copy> StateSlab<C> {
             written: Vec::new(),
             blocks: Blocks {
                 size: 0,
-                limit: 0,
                 empty,
-                cells: Vec::new(),
-                frontier: Vec::new(),
+                len: 0,
+                chunks: Vec::new(),
             },
         };
         slab.reset(rows, width, empty);
@@ -195,10 +306,10 @@ impl<C: Copy> StateSlab<C> {
 
     /// Re-shape for a new batch, **reusing the existing allocation**:
     /// the previous batch's blocks are dropped — their table entries
-    /// zeroed, the block store truncated — and no buffer releases
-    /// capacity. A new sentinel needs nothing more, since blocks are
-    /// filled with it when they are allocated. This is what makes slabs
-    /// recyclable across batches.
+    /// zeroed, their chunks emptied — and no buffer releases capacity.
+    /// A new sentinel needs nothing more, since blocks are filled with
+    /// it when they are allocated. This is what makes slabs recyclable
+    /// across batches.
     pub fn reset(&mut self, rows: usize, width: usize, empty: C) {
         self.clean();
         self.width = width;
@@ -210,7 +321,6 @@ impl<C: Copy> StateSlab<C> {
             "a slab of {words} words overflows its block table"
         );
         self.blocks.size = width.min(64);
-        self.blocks.limit = words;
         self.blocks.empty = empty;
         reshape(&mut self.table, words);
         reshape(&mut self.written, words.div_ceil(64));
@@ -222,7 +332,7 @@ impl<C: Copy> StateSlab<C> {
     }
 
     /// Drop every block: zero the written words' table entries and
-    /// flags, and truncate the block store, keeping its capacity.
+    /// flags, and empty the chunks, keeping their capacity.
     fn clean(&mut self) {
         let mut from = 0;
         while let Some(word) = next_written(&self.written, from, self.words()) {
@@ -230,8 +340,7 @@ impl<C: Copy> StateSlab<C> {
             from = word + 1;
         }
         self.written.fill(0);
-        self.blocks.cells.clear();
-        self.blocks.frontier.clear();
+        self.blocks.clear();
     }
 
     /// Visit every row a mutator touched, in ascending local-index
@@ -249,7 +358,7 @@ impl<C: Copy> StateSlab<C> {
                 li as u32,
                 SlabRow {
                     table: &self.table[first_word..from],
-                    cells: &self.blocks.cells,
+                    chunks: &self.blocks.chunks,
                     size: self.blocks.size,
                     width: self.width,
                 },
@@ -321,12 +430,7 @@ impl<C: Copy> Clone for StateSlab<C> {
         self.rows = src.rows;
         copy_exact(&mut self.table, &src.table);
         copy_exact(&mut self.written, &src.written);
-        let (dst, src) = (&mut self.blocks, &src.blocks);
-        dst.size = src.size;
-        dst.limit = src.limit;
-        dst.empty = src.empty;
-        copy_exact(&mut dst.cells, &src.cells);
-        copy_exact(&mut dst.frontier, &src.frontier);
+        self.blocks.copy_from(&src.blocks);
     }
 }
 
@@ -396,14 +500,14 @@ impl<C: Copy> SlabRowMut<'_, C> {
     #[inline]
     pub fn cell_mut(&mut self, q: usize) -> &mut C {
         let b = self.block(q);
-        &mut self.blocks.cells_mut(b)[q & 63]
+        &mut self.blocks.block_mut(b).0[q & 63]
     }
 
     /// Mark cell `q` dirty in the frontier.
     #[inline]
     pub fn mark(&mut self, q: usize) {
         let b = self.block(q);
-        self.blocks.frontier[b] |= 1u64 << (q & 63);
+        *self.blocks.frontier_mut(b) |= 1u64 << (q & 63);
     }
 
     /// Visit every marked cell in ascending `q` order, clearing the
@@ -416,8 +520,8 @@ impl<C: Copy> SlabRowMut<'_, C> {
             let Some(b) = (n as usize).checked_sub(1) else {
                 continue;
             };
-            let mut bits = std::mem::take(&mut self.blocks.frontier[b]);
-            let cells = self.blocks.cells_mut(b);
+            let (cells, frontier) = self.blocks.block_mut(b);
+            let mut bits = std::mem::take(frontier);
             while bits != 0 {
                 let i = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
@@ -439,10 +543,10 @@ impl<C: Copy> SlabRowMut<'_, C> {
             let Some(b) = (n as usize).checked_sub(1) else {
                 continue;
             };
-            let mut bits = std::mem::take(&mut self.blocks.frontier[b]);
+            let (cells, frontier) = self.blocks.block_mut(b);
+            let mut bits = std::mem::take(frontier);
             // Cells of this word: 64, or fewer in a row's last word.
             let len = (self.width - wi * 64).min(64);
-            let cells = self.blocks.cells_mut(b);
             while bits != 0 {
                 // Jump straight to the next dirty byte of the word.
                 let byte = bits.trailing_zeros() as usize >> 3;
@@ -462,11 +566,12 @@ impl SlabRowMut<'_, u64> {
     #[inline]
     pub fn relax_min(&mut self, q: usize, cand: u64) {
         let b = self.block(q);
-        let cell = &mut self.blocks.cells_mut(b)[q & 63];
+        let (cells, frontier) = self.blocks.block_mut(b);
+        let cell = &mut cells[q & 63];
         let cur = *cell;
         let better = cand < cur;
         *cell = if better { cand } else { cur };
-        self.blocks.frontier[b] |= (better as u64) << (q & 63);
+        *frontier |= (better as u64) << (q & 63);
     }
 
     /// Relax one [`LANES`]-wide chunk of cells against `cand`,
@@ -485,7 +590,7 @@ impl SlabRowMut<'_, u64> {
         let b = self.block(base);
         // 8 aligned lanes never straddle a word.
         let off = base & 63;
-        let cells = self.blocks.cells_mut(b);
+        let (cells, frontier) = self.blocks.block_mut(b);
         let mut mask = 0u64;
         if n == LANES {
             // Fixed-width slice: one bounds check, then the compiler
@@ -506,7 +611,7 @@ impl SlabRowMut<'_, u64> {
                 mask |= (better as u64) << l;
             }
         }
-        self.blocks.frontier[b] |= mask << off;
+        *frontier |= mask << off;
     }
 
     /// Relax the whole row against a candidate slice (`cands.len()`
@@ -540,7 +645,7 @@ impl SlabRowMut<'_, u8> {
         let b = self.block(base);
         // 8 aligned lanes never straddle a word.
         let off = base & 63;
-        let cells = self.blocks.cells_mut(b);
+        let (cells, frontier) = self.blocks.block_mut(b);
         let mut fresh = 0u8;
         if n == LANES {
             // Fixed-width slice: one bounds check, branchless body.
@@ -559,7 +664,7 @@ impl SlabRowMut<'_, u8> {
                 fresh |= newly << l;
             }
         }
-        self.blocks.frontier[b] |= (fresh as u64) << off;
+        *frontier |= (fresh as u64) << off;
         fresh
     }
 }
@@ -571,8 +676,8 @@ impl SlabRowMut<'_, u8> {
 pub struct SlabRow<'a, C> {
     /// This row's table entries.
     table: &'a [u32],
-    /// The slab's block cells.
-    cells: &'a [C],
+    /// The slab's chunks.
+    chunks: &'a [Chunk<C>],
     /// Cells per block.
     size: usize,
     width: usize,
@@ -583,7 +688,7 @@ impl<'a, C: Copy> SlabRow<'a, C> {
     pub fn unwritten() -> SlabRow<'a, C> {
         SlabRow {
             table: &[],
-            cells: &[],
+            chunks: &[],
             size: 0,
             width: 0,
         }
@@ -592,14 +697,15 @@ impl<'a, C: Copy> SlabRow<'a, C> {
     /// `(q, cell)` for every cell of every written word, ascending by
     /// `q` — at most 64 cells per written word, whatever the row width.
     pub fn written(&self) -> impl Iterator<Item = (usize, C)> + 'a {
-        let (table, cells, size, width) = (self.table, self.cells, self.size, self.width);
+        let (table, chunks, size, width) = (self.table, self.chunks, self.size, self.width);
         table
             .iter()
             .enumerate()
             .filter_map(|(wi, &n)| Some((wi, (n as usize).checked_sub(1)?)))
             .flat_map(move |(wi, b)| {
                 // A row's last word may hold fewer than 64 cells.
-                let block = &cells[b * size..][..(width - wi * 64).min(64)];
+                let cells = &chunks[b >> CHUNK_SHIFT].cells;
+                let block = &cells[(b & CHUNK_MASK) * size..][..(width - wi * 64).min(64)];
                 block
                     .iter()
                     .enumerate()
@@ -828,7 +934,18 @@ mod tests {
 
     /// Blocks the slab has allocated.
     fn blocks<C>(slab: &StateSlab<C>) -> usize {
-        slab.blocks.frontier.len()
+        slab.blocks.len
+    }
+
+    /// Each chunk's cell buffer, in use or spare: `(address, capacity)`.
+    fn chunks<C>(slab: &StateSlab<C>) -> Vec<(*const C, usize)> {
+        let cells = slab.blocks.chunks.iter().map(|c| &c.cells);
+        cells.map(|c| (c.as_ptr(), c.capacity())).collect()
+    }
+
+    /// Each chunk's cell capacity.
+    fn capacities<C>(slab: &StateSlab<C>) -> Vec<usize> {
+        chunks(slab).into_iter().map(|(_, cap)| cap).collect()
     }
 
     #[test]
@@ -895,15 +1012,19 @@ mod tests {
         let mut slab: StateSlab<u64> = StateSlab::new(100, 64, u64::MAX);
         slab.row_mut(10).set(3, 42);
         slab.row_mut(10).mark(3);
-        let cap_before = slab.blocks.cells.capacity();
+        let before = chunks(&slab);
+        assert_eq!(capacities(&slab), [CHUNK_BLOCKS * 64], "one whole chunk");
         slab.reset(50, 8, u64::MAX);
-        assert_eq!(slab.blocks.cells.capacity(), cap_before, "no reallocation");
+        assert_eq!(chunks(&slab), before, "no reallocation");
         assert_eq!(slab.rows(), 50);
         assert_eq!(slab.width(), 8);
         assert!(cells(&mut slab, 10).iter().all(|&c| c == u64::MAX));
         let mut none = Vec::new();
         slab.row_mut(10).drain(|q, _| none.push(q));
         assert!(none.is_empty(), "frontier cleared by reset");
+        // The narrower blocks fill the kept chunk in place.
+        slab.row_mut(10).set(3, 1);
+        assert_eq!(chunks(&slab), before, "the kept chunk takes the new blocks");
     }
 
     /// `(local index, [(q, cell)])` of every written row.
@@ -948,7 +1069,8 @@ mod tests {
         assert!(slab.written.iter().all(|&w| w == 0));
         assert!(slab.table.iter().all(|&b| b == 0));
         assert_eq!(blocks(&slab), 0);
-        assert!(slab.blocks.cells.is_empty());
+        assert!(slab.blocks.chunks.iter().all(|c| c.cells.is_empty()));
+        assert_eq!(capacities(&slab), [CHUNK_BLOCKS * 64], "capacity kept");
         // A dirty slab re-shaped to another width, then to another
         // sentinel: no cell of the old contents survives either way.
         slab.row_mut(4).relax_min(0, 5);
@@ -983,6 +1105,52 @@ mod tests {
         let mut recycled: StateSlab<u64> = StateSlab::new(1, 1, 0);
         recycled.clone_from(&cur);
         assert_eq!(written_rows(&recycled), want, "clone_from");
+    }
+
+    #[test]
+    fn recycled_chunks_widen_exactly_and_snapshots_reuse_them() {
+        // 8-cell blocks: 130 of them fill one chunk and start a second.
+        let mut slab: StateSlab<u64> = StateSlab::new(200, 8, u64::MAX);
+        for li in 0..130 {
+            slab.row_mut(li).relax_min(li as usize % 8, li as u64);
+        }
+        assert_eq!(capacities(&slab), [CHUNK_BLOCKS * 8; 2]);
+        // Recycled for 40-cell blocks: each chunk is re-reserved to
+        // exactly a whole chunk of the wider blocks, not doubled.
+        slab.reset(200, 40, u64::MAX);
+        for li in 0..=CHUNK_BLOCKS as u32 {
+            slab.row_mut(li).set(39, li as u64);
+        }
+        assert_eq!(capacities(&slab), [CHUNK_BLOCKS * 40; 2]);
+        // Back to narrower blocks: the wider capacity is kept.
+        slab.reset(200, 8, u64::MAX);
+        slab.row_mut(0).set(0, 1);
+        assert_eq!(capacities(&slab), [CHUNK_BLOCKS * 40; 2]);
+
+        // A checkpoint snapshot holds whole chunks; refreshing it after
+        // the slab wrote more blocks moves none of them.
+        slab.reset(200, 40, u64::MAX);
+        slab.row_mut(7).set(3, 7);
+        let mut snapshot = slab.clone();
+        assert_eq!(capacities(&snapshot), [CHUNK_BLOCKS * 40]);
+        for li in 0..=CHUNK_BLOCKS as u32 {
+            slab.row_mut(li).relax_min(0, 100 + li as u64);
+        }
+        snapshot.clone_from(&slab);
+        let kept = chunks(&snapshot);
+        assert_eq!(capacities(&snapshot), [CHUNK_BLOCKS * 40; 2]);
+        assert_eq!(written_rows(&snapshot), written_rows(&slab));
+        for li in 0..200 {
+            slab.row_mut(li).relax_min(1, li as u64);
+        }
+        slab.row_mut(3).drain(|_, c| *c += 1);
+        snapshot.clone_from(&slab);
+        assert_eq!(chunks(&snapshot), kept, "the snapshot reuses its chunks");
+        assert_eq!(written_rows(&snapshot), written_rows(&slab));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        snapshot.row_mut(150).drain(|q, c| a.push((q, *c)));
+        slab.row_mut(150).drain(|q, c| b.push((q, *c)));
+        assert_eq!((a.len(), a), (1, b), "frontier words travel too");
     }
 
     #[test]
@@ -1239,6 +1407,13 @@ mod tests {
             let written = self.written.iter().filter(|&&w| w).count();
             assert_eq!(allocated, written, "one block per written word");
             assert!(allocated <= slab.rows() * words);
+            // Written blocks fill whole chunks but the last.
+            let used = &slab.blocks.chunks[..allocated.div_ceil(CHUNK_BLOCKS)];
+            let held: usize = used.iter().map(|c| c.cells.len()).sum();
+            assert_eq!(held, allocated * slab.blocks.size);
+            assert!(used
+                .iter()
+                .all(|c| c.cells.capacity() >= CHUNK_BLOCKS * slab.blocks.size));
         }
     }
 

@@ -1,8 +1,10 @@
 //! Host-footprint guard for the state slab: an all-sources BPPR batch
-//! holds the words its walks wrote, not `n × n` cells, and a batch that
-//! writes every word holds no more than the dense layout plus the block
-//! table. Bytes, not time — and its own test binary, because the
-//! counting allocator must be the process's only one.
+//! holds the words its walks wrote, not `n × n` cells — counted block
+//! by block, with no more than one partly filled chunk of slack per
+//! worker — and a batch that writes every word holds no more than the
+//! dense layout plus the block table. Bytes, not time — and its own
+//! test binary, because the counting allocator must be the process's
+//! only one.
 
 use mtvc_cluster::ClusterSpec;
 use mtvc_engine::{EngineConfig, Runner, SlabRecycler, StateSlab, SystemProfile};
@@ -78,6 +80,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Blocks per slab chunk.
+const CHUNK: u64 = 128;
+
 fn runner(g: &Graph, machines: usize) -> Runner<'_> {
     let cfg = EngineConfig::new(
         ClusterSpec::galaxy(machines),
@@ -109,9 +114,49 @@ fn slab_host_bytes_follow_the_words_a_batch_writes() {
         "an all-sources BPPR batch peaked {peak} B above its base; the dense slab is {dense} B"
     );
 
-    // W = 8 MSSP over a connected grid on one worker writes every word,
-    // so the block store reaches its cap: 2 070 rows is just past 2 048,
-    // where doubling alone would grow it to 4 096 blocks.
+    // Counted: on two workers, each slab holds its written blocks, the
+    // table, the bitmap and at most one partly filled chunk. At this size
+    // every worker writes just past 2^10 blocks, where a store that grew
+    // by doubling would hold 2^11.
+    const M: usize = 2_176;
+    let g = generators::power_law(M, 4 * M, 2.4, 7);
+    let runner2 = runner(&g, 2);
+    let bppr = BpprSlabProgram::new(1, 0.2, M);
+    let recycler = SlabRecycler::new();
+    // One block per written word; its first cell is a multiple of 64.
+    let (outcome, _, blocks) = runner2.run_slab_fold(&bppr, &recycler, |row| {
+        row.written().filter(|(q, _)| q % 64 == 0).count() as u64
+    });
+    assert!(outcome.is_completed());
+    assert!(
+        blocks
+            .iter()
+            .all(|&b| (1 << 10) < b && b < (1 << 10) + CHUNK),
+        "every worker should write just past 2^10 blocks: {blocks:?}"
+    );
+    let held = live();
+    drop(recycler);
+    let slab = held - live();
+    // A block is 64 `u64` cells and one frontier word.
+    let block = 64 * 8 + 8;
+    let written: u64 = blocks.iter().sum();
+    // Per word, over both workers' rows: a `u32` table entry, and a
+    // bitmap bit in whole `u64`s per worker. A row of M cells has
+    // ⌈M/64⌉ words.
+    let words = M as u64 * (M as u64).div_ceil(64);
+    let table = words * 4 + (words / 64 + 2) * 8;
+    // The chunk list: under 64 B per chunk, growth included.
+    let chunk_list: u64 = blocks.iter().map(|b| b.div_ceil(CHUNK) * 64).sum();
+    let bound = written * block + table + chunk_list + 2 * CHUNK * block;
+    assert!(
+        slab <= bound,
+        "two slabs with {written} written blocks hold {slab} B, over blocks + table + \
+         bitmap + one chunk per worker = {bound} B"
+    );
+
+    // W = 8 MSSP over a connected grid on one worker writes every word:
+    // 2 070 rows, just past 2 048, where a store that grew by doubling
+    // would hold 4 096 blocks.
     let grid = generators::grid(45, 46);
     let rows = grid.num_vertices();
     let runner1 = runner(&grid, 1);
