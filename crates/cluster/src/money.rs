@@ -6,7 +6,7 @@
 //! and reported as a lower bound with a `>` prefix, as in Figure 7.
 
 use crate::topology::ClusterSpec;
-use mtvc_metrics::{RunOutcome, SimTime, OVERLOAD_CUTOFF};
+use mtvc_metrics::{RunOutcome, OVERLOAD_CUTOFF};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
@@ -43,14 +43,6 @@ impl MonetaryCost {
             },
         }
     }
-
-    /// Cost of a raw duration (no overload semantics).
-    pub fn of_time(t: SimTime, cluster: &ClusterSpec) -> MonetaryCost {
-        MonetaryCost {
-            credits: t.as_secs() * cluster.machine.credit_rate * cluster.machines as f64,
-            lower_bound: false,
-        }
-    }
 }
 
 impl Add for MonetaryCost {
@@ -83,6 +75,7 @@ impl fmt::Display for MonetaryCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtvc_metrics::SimTime;
 
     fn cloud() -> ClusterSpec {
         ClusterSpec::docker32()

@@ -27,10 +27,12 @@ pub struct PagedNeighbors<'a> {
 /// routes each emission into its destination shard at emit time and
 /// runs the sender-side combiner's fold probe there, so folded
 /// envelopes are never materialised (fold-at-send). The flat [`Outbox`]
-/// (queue now, shard in a routing stage) is the input of the two-stage
-/// and serial routing oracles and of harnesses driving programs
-/// directly. Programs are oblivious: they call
-/// [`Context::send`]/[`Context::broadcast`] either way.
+/// only queues emissions, for harnesses driving programs directly and
+/// for the routing oracles, which replay it through the same shard
+/// sinks ([`RouteGrid::route_round`](crate::RouteGrid::route_round)) or
+/// through independent code ([`route`](crate::router::route)). Programs
+/// are oblivious: they call [`Context::send`]/[`Context::broadcast`]
+/// either way.
 ///
 /// The methods are raw — multiplicity-0 and degree-0 filtering happens
 /// in [`Context`], so both sinks observe the exact same emission
@@ -46,8 +48,10 @@ pub trait EmitSink<M> {
 
 /// Flat per-worker send buffer, reusable across compute calls *and*
 /// across rounds: [`RouteGrid::route_round`](crate::RouteGrid::route_round)
-/// drains `sends`/`broadcasts` in place, so the vectors keep their
-/// capacity. The runner does not use one (see [`EmitSink`]).
+/// drains `sends`/`broadcasts` in place into the grid's
+/// [`ShardedOutbox`](crate::router::ShardedOutbox) sinks, so the
+/// vectors keep their capacity. The runner does not use one (see
+/// [`EmitSink`]).
 ///
 /// Public so benches and property tests can drive
 /// [`route`](crate::router::route) / [`RouteGrid`](crate::RouteGrid)

@@ -5,7 +5,7 @@
 //! Routing is a **shard-then-merge** pipeline:
 //!
 //! 1. **Shard** — each *source* worker buckets its emissions into one
-//!    [`Shard`] per destination worker. Envelopes with equal
+//!    shard per destination worker. Envelopes with equal
 //!    `(dest, combine_key)` are folded *here*, at the source, through a
 //!    recycled slot map — before any "transmission" — so the shard
 //!    columns the merge stage sees are already combined (sender-side
@@ -38,14 +38,14 @@
 //! across rounds, so a steady-state round performs zero allocations and
 //! zero message clones between `send()` and `compute()`.
 //!
-//! In a run, stage 1 happens *at emission time*: the compute phase
-//! writes through one [`ShardedOutbox`] per worker
-//! ([`RouteGrid::begin_round`] → [`RouteGrid::emit_sinks`] →
-//! [`RouteGrid::route_presharded`]), so no flat outbox is ever
-//! materialised. [`RouteGrid::route_round`], which shards flat
-//! [`Outbox`]es in a stage of its own, is kept as the two-stage oracle:
-//! property tests pin the two bit-identical, and harnesses route
-//! synthetic traffic through it.
+//! Stage 1 happens *at emission time*, in one place: each worker's
+//! [`ShardedOutbox`] sink ([`RouteGrid::begin_round`] →
+//! [`RouteGrid::emit_sinks`] → [`RouteGrid::route_presharded`]). The
+//! runner's compute phase writes straight into the sinks, so no flat
+//! outbox is ever materialised. [`RouteGrid::route_round`] replays flat
+//! [`Outbox`]es through the same sinks for harnesses and the property
+//! tests, and the serial [`route`] stays the independent oracle they
+//! are pinned against.
 
 use crate::message::{Delivery, Envelope, Message};
 use crate::mirror::MirrorIndex;
@@ -93,17 +93,17 @@ pub struct RoutingStats {
     /// Per-worker bytes of message buffers *received* (local + remote).
     pub in_buffer_bytes: Vec<u64>,
     /// Bytes materialised in routing buffers between `send()` and the
-    /// merge: one `size_of::<Envelope<M>>()` per entry written into a
-    /// flat outbox at emit time, plus one `size_of::<Delivery<M>>()` per
-    /// entry appended to a shard bucket (buckets drop the destination
-    /// id, which the merge rebuilds from the local index). The
-    /// two-stage path writes each surviving message twice (outbox, then
-    /// bucket) and each folded one once (outbox only); the fold-at-send
-    /// pre-sharded path writes survivors once and folded messages never
-    /// — this counter is what the copy-elimination claim is measured
-    /// on. Exact payloads fold on every profile, so this is the one
-    /// statistic a non-combining run of them sees shrink. Pure
-    /// accounting; no other statistic depends on it.
+    /// merge: one `size_of::<Delivery<M>>()` per entry appended to a
+    /// shard bucket (buckets drop the destination id, which the merge
+    /// rebuilds from the local index), plus, when the round came in
+    /// flat [`Outbox`]es ([`RouteGrid::route_round`], serial [`route`]),
+    /// one `size_of::<Envelope<M>>()` per entry written into them. The
+    /// runner emits straight into the shards, so its rounds write each
+    /// surviving message once and each folded one never — this counter
+    /// is what the copy-elimination claim is measured on. Exact
+    /// payloads fold on every profile, so this is the one statistic a
+    /// non-combining run of them sees shrink. Pure accounting; no other
+    /// statistic depends on it.
     pub shard_copy_bytes: u64,
 }
 
@@ -430,7 +430,7 @@ impl<M> Bucket<M> {
 /// known, and the merge labels each run from the local index. All
 /// buffers are recycled across rounds.
 #[derive(Debug)]
-pub struct Shard<M> {
+pub(crate) struct Shard<M> {
     bucket: Bucket<M>,
     /// Entries per destination local index (len = destination
     /// worker's vertex count; all-zero outside the pipeline).
@@ -511,7 +511,7 @@ const FOLD_SLOT_EMPTY: u64 = 0;
 /// Recycled across rounds (cleared, never dropped), so steady-state
 /// combining allocates nothing.
 #[derive(Debug, Default)]
-pub struct SenderSlots {
+pub(crate) struct SenderSlots {
     map: FastMap<(VertexId, u64), u32>,
 }
 
@@ -649,106 +649,6 @@ fn push_broadcast<M: Message>(
         }
     }
     append(&mut shards[dw], li, msg.clone(), mult);
-}
-
-/// Reset one source's shard row for a new round of appends: refresh the
-/// destination vertex counts, size the histograms, and (when the round
-/// [`folds`]) advance the dense fold tables' epoch. Shared by the flat
-/// `shard_outbox` prologue and [`RouteGrid::begin_round`] (the
-/// fold-at-send path, which must prepare the row *before* the compute
-/// phase starts emitting into it).
-fn prepare_shards<M>(shards: &mut [Shard<M>], locals: &LocalIndex, fold: bool) {
-    for (dw, shard) in shards.iter_mut().enumerate() {
-        let nloc = locals.count(dw);
-        if shard.hist.len() < nloc {
-            shard.hist.resize(nloc, 0);
-        }
-        shard.nloc = nloc;
-        if fold {
-            shard.fold_round = shard.fold_round.wrapping_add(1);
-            if shard.fold_round == 0 {
-                // Epoch tag wrapped: stale tags from 2^32 rounds ago
-                // would alias the new epoch, so clear them once.
-                shard.fold_slots.fill(FOLD_SLOT_EMPTY);
-                shard.fold_round = 1;
-            }
-        }
-    }
-}
-
-/// Reset one source's sender-combining slots for a new round (companion
-/// to [`prepare_shards`], same two call sites).
-fn prepare_slots(slots: &mut SenderSlots, fold: bool) {
-    if fold {
-        slots.map.clear();
-    }
-}
-
-/// Stage 1: drain `outbox` into one shard per destination worker,
-/// folding when the round [`folds`], and measure each pair's flow.
-/// Returns `(wire messages produced, emit-materialisation bytes)` for
-/// this source — the latter is the flat-outbox half of
-/// [`RoutingStats::shard_copy_bytes`]: every send and broadcast entry
-/// was written once into the outbox at emit time before this re-walk
-/// copies survivors into their buckets. Send/broadcast capacity of the
-/// outbox is retained for the next round.
-#[allow(clippy::too_many_arguments)]
-fn shard_outbox<M: Message>(
-    src_worker: usize,
-    outbox: &mut Outbox<M>,
-    graph: &Graph,
-    part: &Partition,
-    locals: &LocalIndex,
-    mirrors: Option<&MirrorIndex>,
-    combine: bool,
-    msg_bytes: u64,
-    shards: &mut [Shard<M>],
-    slots: &mut SenderSlots,
-) -> (u64, u64) {
-    let fold = folds::<M>(combine);
-    prepare_shards(shards, locals, fold);
-    prepare_slots(slots, fold);
-    let emit_copies = (outbox.sends.len() + outbox.broadcasts.len()) as u64
-        * std::mem::size_of::<Envelope<M>>() as u64;
-
-    let mut sent_wire = 0u64;
-    for env in outbox.sends.drain(..) {
-        sent_wire += env.mult;
-        push_send(env, part, locals, combine, shards, slots);
-    }
-
-    for (origin, msg, mult) in outbox.broadcasts.drain(..) {
-        let degree = graph.degree(origin) as u64;
-        sent_wire += degree * mult;
-        match mirrors.and_then(|m| m.fanout(origin)) {
-            Some(mirror_workers) => {
-                // One wire transfer per remote mirror worker replaces
-                // the per-neighbor wire cost of all remote fan-outs.
-                for &mw in mirror_workers {
-                    shards[mw as usize].prepaid_net += msg_bytes * mult;
-                }
-                for &t in graph.neighbors(origin) {
-                    let dw = part.owner_of(t) as usize;
-                    if dw != src_worker {
-                        shards[dw].prepaid_wire += mult;
-                    }
-                    push_broadcast(t, &msg, mult, dw, locals, combine, shards, slots);
-                }
-            }
-            // Unmirrored broadcast: ordinary per-neighbor sends.
-            None => {
-                for &t in graph.neighbors(origin) {
-                    let dw = part.owner_of(t) as usize;
-                    push_broadcast(t, &msg, mult, dw, locals, combine, shards, slots);
-                }
-            }
-        }
-    }
-
-    for (dw, shard) in shards.iter_mut().enumerate() {
-        finish_shard(src_worker, dw, shard, combine, msg_bytes);
-    }
-    (sent_wire, emit_copies)
 }
 
 /// Measure one shard's pair traffic from the counters its appends and
@@ -1047,7 +947,7 @@ pub fn route<M: Message>(
     (inboxes, stats)
 }
 
-/// Persistent state of the two-stage routing pipeline: the
+/// Persistent state of the shard-then-merge pipeline: the
 /// workers×workers shard matrix, per-pair flow cells, per-source
 /// combining slot maps, and per-destination offset buffers. Owned for
 /// the duration of one run and reused every round, so steady-state
@@ -1065,10 +965,6 @@ pub struct RouteGrid<M> {
     flows: Vec<PairFlow>,
     /// Per-source wire messages produced, written by stage 1.
     sent: Vec<u64>,
-    /// Per-source flat-outbox emit-materialisation bytes, written by
-    /// stage 1 (all-zero on the fold-at-send path, which has no flat
-    /// outbox to materialise).
-    copied: Vec<u64>,
     /// Per-source sender-combining slot maps.
     slots: Vec<SenderSlots>,
     /// Per-destination run-offset buffers (all-zero between rounds).
@@ -1095,7 +991,6 @@ impl<M: Message> RouteGrid<M> {
                 .collect(),
             flows: vec![PairFlow::default(); workers * workers],
             sent: vec![0; workers],
-            copied: vec![0; workers],
             slots: (0..workers).map(|_| SenderSlots::default()).collect(),
             counts: (0..workers).map(|_| Vec::new()).collect(),
             active: (0..workers).map(|_| Vec::new()).collect(),
@@ -1109,13 +1004,18 @@ impl<M: Message> RouteGrid<M> {
     /// replica calls it.
     pub fn set_policy(&mut self, _policy: RoutePolicy) {}
 
-    /// Route one round of traffic: drain `outboxes` into the grouped
-    /// `inboxes` (which must arrive empty; capacity is reused) and
-    /// return the round's statistics. With `pool: Some`, the shard
-    /// stage fans out over source workers and the merge stage over
-    /// destination workers, each job pinned to its worker's pool
-    /// thread; with `None`, both stages run inline. Results are
-    /// identical either way, and bit-identical to [`route`].
+    /// Route one round of flat traffic: replay each worker's `outboxes`
+    /// entry (sends first, then broadcasts) into its
+    /// [`ShardedOutbox`] sink and finish the round as the runner does
+    /// ([`Self::begin_round`] → [`Self::emit_sinks`] →
+    /// [`Self::route_presharded`]). `inboxes` must arrive empty
+    /// (capacity is reused); the outboxes are drained in place and keep
+    /// their capacity. The one difference from the runner's round is
+    /// [`RoutingStats::shard_copy_bytes`], which also counts the flat
+    /// outboxes' own writes, one `size_of::<Envelope<M>>()` per entry.
+    /// With `pool: Some`, the replay fans out over source workers and
+    /// the merge over destination workers; results are identical
+    /// either way, and bit-identical to [`route`].
     #[allow(clippy::too_many_arguments)]
     pub fn route_round(
         &mut self,
@@ -1129,111 +1029,68 @@ impl<M: Message> RouteGrid<M> {
         combine: bool,
         msg_bytes: u64,
     ) -> &RoutingStats {
-        let workers = self.workers;
-        assert_eq!(outboxes.len(), workers, "one outbox per worker");
-        assert_eq!(inboxes.len(), workers, "one inbox per worker");
-
-        // ---- stage 1: shard + combine, parallel over sources --------
-        let sources = outboxes
-            .iter_mut()
-            .zip(self.rows.iter_mut())
-            .zip(self.sent.iter_mut())
-            .zip(self.copied.iter_mut())
-            .zip(self.slots.iter_mut());
+        assert_eq!(outboxes.len(), self.workers, "one outbox per worker");
+        let entries: usize = (outboxes.iter())
+            .map(|ob| ob.sends.len() + ob.broadcasts.len())
+            .sum();
+        self.begin_round(combine, locals);
+        let sinks = self.emit_sinks(graph, part, locals, mirrors, msg_bytes);
         dispatch(
             pool,
-            sources,
-            |src, ((((outbox, row), sent), copied), slots)| {
-                (*sent, *copied) = shard_outbox(
-                    src, outbox, graph, part, locals, mirrors, combine, msg_bytes, row, slots,
-                );
+            outboxes.iter_mut().zip(sinks),
+            |_, (outbox, mut sink)| {
+                for env in outbox.sends.drain(..) {
+                    sink.emit(env);
+                }
+                for (origin, msg, mult) in outbox.broadcasts.drain(..) {
+                    sink.emit_broadcast(origin, msg, mult);
+                }
             },
         );
-
-        self.merge_and_reduce(pool, inboxes, locals)
-    }
-
-    /// Stage 2 plus reduction, shared by both routing paths: transpose
-    /// the shard matrix, merge each destination's column into its
-    /// grouped inbox, transpose back, and fold the per-pair flows into
-    /// the round's [`RoutingStats`].
-    fn merge_and_reduce(
-        &mut self,
-        pool: Option<&WorkerPool>,
-        inboxes: &mut [Inbox<M>],
-        locals: &LocalIndex,
-    ) -> &RoutingStats {
-        let workers = self.workers;
-
-        // ---- transpose: hand each destination its shard column -----
-        for (src, row) in self.rows.iter_mut().enumerate() {
-            for (dst, shard) in row.iter_mut().enumerate() {
-                self.cols[dst][src] = std::mem::take(shard);
-            }
-        }
-
-        // ---- stage 2: grouped merge, parallel over destinations ----
-        let columns = self
-            .cols
-            .iter_mut()
-            .zip(inboxes.iter_mut())
-            .zip(self.flows.chunks_mut(workers))
-            .zip(self.counts.iter_mut())
-            .zip(self.active.iter_mut());
-        dispatch(
-            pool,
-            columns,
-            |dst, ((((col, inbox), flows), counts), active)| {
-                merge_column(dst, col, locals, counts, active, inbox, flows);
-            },
-        );
-
-        // ---- transpose back: return drained shards (and their
-        // capacity) to the stage-1 layout for the next round ---------
-        for (dst, col) in self.cols.iter_mut().enumerate() {
-            for (src, shard) in col.iter_mut().enumerate() {
-                self.rows[src][dst] = std::mem::take(shard);
-            }
-        }
-
-        // ---- reduction: fold per-pair flows into round stats -------
-        self.stats.reset();
-        self.stats.sent_wire = self.sent.iter().sum();
-        self.stats.shard_copy_bytes = self.copied.iter().sum();
-        for src in 0..workers {
-            for dst in 0..workers {
-                let flow = self.flows[dst * workers + src];
-                apply_flow(&mut self.stats, src, dst, &flow);
-            }
-        }
+        self.route_presharded(pool, inboxes, locals, msg_bytes, combine);
+        self.stats.shard_copy_bytes += (entries * std::mem::size_of::<Envelope<M>>()) as u64;
         &self.stats
     }
 
     /// Fold-at-send entry point, part 1 of 3: prepare the grid for a
     /// round whose envelopes will be emitted straight into the shard
-    /// matrix by the compute phase (via [`Self::emit_sinks`]) instead
-    /// of through flat outboxes. Records the round's `combine` flag and
-    /// readies every source's shard row and slot map — work
-    /// `shard_outbox` does lazily at the top of stage 1, which here
-    /// must happen before `compute()` runs. Call once per round, before
-    /// handing out sinks. The benchmark's round-loop replica drives all
-    /// three parts, so their signatures stay as they are.
+    /// matrix (via [`Self::emit_sinks`]). Records the round's `combine`
+    /// flag, refreshes every shard's destination vertex count and
+    /// histogram size, and — when the round folds — advances the
+    /// dense fold tables' epoch and clears the slot maps. Call once per
+    /// round, before handing out sinks. The benchmark's round-loop
+    /// replica drives all three parts, so their signatures stay as
+    /// they are.
     pub fn begin_round(&mut self, combine: bool, locals: &LocalIndex) {
         self.combine = combine;
         let fold = folds::<M>(combine);
         for (row, slots) in self.rows.iter_mut().zip(self.slots.iter_mut()) {
-            debug_assert!(
-                row.iter().all(|s| s.bucket.is_empty()),
-                "shard rows must be drained between rounds"
-            );
-            prepare_shards(row, locals, fold);
-            prepare_slots(slots, fold);
+            for (dw, shard) in row.iter_mut().enumerate() {
+                debug_assert!(
+                    shard.bucket.is_empty(),
+                    "shard rows must be drained between rounds"
+                );
+                let nloc = locals.count(dw);
+                if shard.hist.len() < nloc {
+                    shard.hist.resize(nloc, 0);
+                }
+                shard.nloc = nloc;
+                if fold {
+                    shard.fold_round = shard.fold_round.wrapping_add(1);
+                    if shard.fold_round == 0 {
+                        // Epoch tag wrapped: stale tags from 2^32 rounds
+                        // ago would alias the new epoch, so clear them
+                        // once.
+                        shard.fold_slots.fill(FOLD_SLOT_EMPTY);
+                        shard.fold_round = 1;
+                    }
+                }
+            }
+            if fold {
+                slots.map.clear();
+            }
         }
         self.sent.iter_mut().for_each(|s| *s = 0);
-        // No flat outbox exists on this path, so no emit-
-        // materialisation bytes accrue: survivors are written exactly
-        // once, by `append_env`.
-        self.copied.iter_mut().for_each(|c| *c = 0);
     }
 
     /// Fold-at-send entry point, part 2 of 3: one [`ShardedOutbox`]
@@ -1272,13 +1129,12 @@ impl<M: Message> RouteGrid<M> {
     /// Fold-at-send entry point, part 3 of 3: finish the round after
     /// the compute phase filled the shard matrix through its sinks.
     /// Takes every pair's flow from its shard's counters (the stage-1
-    /// epilogue, O(1) per pair, so it runs inline) and runs the shared
-    /// merge + reduction — bit-identical inboxes and statistics
-    /// to routing the same emissions through [`Self::route_round`],
-    /// except that [`RoutingStats::shard_copy_bytes`] reflects the
-    /// copies this path never performed. The round combines as
-    /// [`Self::begin_round`] said; `combine` must repeat that flag and
-    /// stays in the signature because the benchmark calls it.
+    /// epilogue), transposes the shard matrix, merges each
+    /// destination's column into its grouped inbox (stage 2), transposes
+    /// back and folds the per-pair flows into the round's
+    /// [`RoutingStats`]. The round combines as [`Self::begin_round`]
+    /// said; `combine` must repeat that flag and stays in the signature
+    /// because the benchmark calls it.
     pub fn route_presharded(
         &mut self,
         pool: Option<&WorkerPool>,
@@ -1292,37 +1148,69 @@ impl<M: Message> RouteGrid<M> {
         debug_assert_eq!(combine, self.combine, "combine flag changed mid-round");
         let combine = self.combine;
 
-        // Stage-1 epilogue: the shards counted their traffic as it
-        // arrived, so each pair's flow is a few moves — W² of them,
-        // cheaper inline than one more hand-off to the pool.
+        // ---- stage-1 epilogue + transpose: the shards counted their
+        // traffic as it arrived, so each pair's flow is a few moves —
+        // W² of them, cheaper inline than one more hand-off to the
+        // pool — and each destination gets its shard column ----------
         for (src, row) in self.rows.iter_mut().enumerate() {
             for (dst, shard) in row.iter_mut().enumerate() {
                 finish_shard(src, dst, shard, combine, msg_bytes);
+                self.cols[dst][src] = std::mem::take(shard);
             }
         }
 
-        let stats = self.merge_and_reduce(pool, inboxes, locals);
-        // Conservation pin, matching the two-stage oracle's
-        // property-test guarantee: nothing is dropped between emission
-        // and delivery.
+        // ---- stage 2: grouped merge, parallel over destinations ----
+        let columns = self
+            .cols
+            .iter_mut()
+            .zip(inboxes.iter_mut())
+            .zip(self.flows.chunks_mut(workers))
+            .zip(self.counts.iter_mut())
+            .zip(self.active.iter_mut());
+        dispatch(
+            pool,
+            columns,
+            |dst, ((((col, inbox), flows), counts), active)| {
+                merge_column(dst, col, locals, counts, active, inbox, flows);
+            },
+        );
+
+        // ---- transpose back: return drained shards (and their
+        // capacity) to the stage-1 layout for the next round ---------
+        for (dst, col) in self.cols.iter_mut().enumerate() {
+            for (src, shard) in col.iter_mut().enumerate() {
+                self.rows[src][dst] = std::mem::take(shard);
+            }
+        }
+
+        // ---- reduction: fold per-pair flows into round stats -------
+        self.stats.reset();
+        self.stats.sent_wire = self.sent.iter().sum();
+        for src in 0..workers {
+            for dst in 0..workers {
+                let flow = self.flows[dst * workers + src];
+                apply_flow(&mut self.stats, src, dst, &flow);
+            }
+        }
+        // Conservation: nothing is dropped between emission and
+        // delivery.
         debug_assert_eq!(
-            stats.sent_wire,
-            stats.delivered_wire(),
+            self.stats.sent_wire,
+            self.stats.delivered_wire(),
             "routing must deliver every wire message"
         );
-        stats
+        &self.stats
     }
 }
 
-/// Per-source emit sink for the fold-at-send pre-sharded path: the
-/// compute phase's `send()`/`broadcast()` land here and are routed
-/// straight into the destination worker's [`Shard`] — probing the fold
-/// table at emission time — instead of being materialised in a flat
-/// [`Outbox`] for `shard_outbox` to re-walk. Folded envelopes are
-/// never written anywhere; survivors are written exactly once. All
-/// accounting (`sent_wire`, prepaid mirror bytes) is the same code the
-/// flat path runs, so the two paths stay bit-identical in traffic and
-/// statistics.
+/// Per-source emit sink of the fold-at-send path: `send()`/`broadcast()`
+/// land here and are routed straight into the destination worker's
+/// shard — probing the fold table at emission time — so folded
+/// envelopes are never written anywhere and survivors are written
+/// exactly once. Broadcasts expand here too, mirrored ones paying their
+/// wire cost per mirror worker in advance. The runner's compute phase
+/// and [`RouteGrid::route_round`]'s flat-outbox replay both emit
+/// through it, so it is the one shard stage.
 ///
 /// Obtained from [`RouteGrid::emit_sinks`] after
 /// [`RouteGrid::begin_round`]; handed to the compute phase as its

@@ -613,20 +613,6 @@ impl SlabRowMut<'_, u64> {
         }
         *frontier |= mask << off;
     }
-
-    /// Relax the whole row against a candidate slice (`cands.len()`
-    /// must equal the row width), chunk by chunk. Equivalent to `W`
-    /// scalar [`relax_min`](SlabRowMut::relax_min) calls.
-    #[inline]
-    pub fn relax_min_row(&mut self, cands: &[u64]) {
-        debug_assert_eq!(cands.len(), self.width);
-        let mut chunk = [u64::MAX; LANES];
-        for (ci, block) in cands.chunks(LANES).enumerate() {
-            chunk[..block.len()].copy_from_slice(block);
-            chunk[block.len()..].fill(u64::MAX);
-            self.relax_min_lanes(ci * LANES, &chunk);
-        }
-    }
 }
 
 impl SlabRowMut<'_, u8> {
@@ -1285,26 +1271,6 @@ mod tests {
         let mut again = Vec::new();
         slab.row_mut(0).drain_chunks(|c, _, _| again.push(c));
         assert!(again.is_empty(), "drain_chunks clears the frontier");
-    }
-
-    #[test]
-    fn relax_min_row_equals_scalar_sequence() {
-        let mut lanes: StateSlab<u64> = StateSlab::new(1, 19, u64::MAX);
-        let mut scalar = lanes.clone();
-        let cands: Vec<u64> = (0..19).map(|q| (q as u64 * 37) % 23).collect();
-        lanes.row_mut(0).relax_min_row(&cands);
-        {
-            let mut row = scalar.row_mut(0);
-            for (q, &c) in cands.iter().enumerate() {
-                row.relax_min(q, c);
-            }
-        }
-        assert_eq!(cells(&mut lanes, 0), cells(&mut scalar, 0));
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        lanes.row_mut(0).drain(|q, c| a.push((q, *c)));
-        scalar.row_mut(0).drain(|q, c| b.push((q, *c)));
-        assert_eq!(a, b);
     }
 
     #[test]

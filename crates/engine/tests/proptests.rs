@@ -308,11 +308,12 @@ fn synthetic_outboxes(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Tentpole invariant: the pooled two-stage grid (histogram scatter
-    /// + sender-side slot-map combining) produces grouped inboxes and
-    /// statistics **identical** to the serial reference `route` (stable
-    /// comparison sort + plain-HashMap combining), across random
-    /// graphs, worker counts, combining, and mirroring.
+    /// Tentpole invariant: the pooled grid (the runner's fold-at-send
+    /// `ShardedOutbox` sinks, replayed from flat outboxes by
+    /// `route_round`, then the histogram-scatter merge) produces grouped
+    /// inboxes and statistics **identical** to the serial reference
+    /// `route` (stable comparison sort + plain-HashMap combining),
+    /// across random graphs, worker counts, combining, and mirroring.
     #[test]
     fn parallel_route_equals_serial_route(
         n in 8usize..150,
@@ -399,12 +400,12 @@ proptest! {
         prop_assert_eq!(&grid_inboxes, &serial_inboxes);
     }
 
-    /// Fold-at-send tentpole invariant: replaying the same traffic
-    /// through pre-sharded `ShardedOutbox` sinks (`begin_round` →
-    /// `emit_sinks` → `route_presharded`) produces inboxes and
-    /// statistics identical to the two-stage `route_round` — except
-    /// `shard_copy_bytes`, where folding at emission time must save
-    /// the flat path's per-envelope materialisation copy.
+    /// Pins `route_round`'s replay adapter against driving the sinks by
+    /// hand (`begin_round` → `emit_sinks` → `route_presharded`), as the
+    /// runner does: identical inboxes and statistics, except that
+    /// `shard_copy_bytes` of the flat round also counts the outboxes'
+    /// own writes, one envelope per send/broadcast entry. The hand
+    /// driven grid runs two rounds, so buffer reuse is covered too.
     #[test]
     fn presharded_route_equals_two_stage_route(
         n in 8usize..150,

@@ -45,11 +45,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of raw (pre-dedup) edge insertions so far.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Add a unit-weight edge.
     pub fn add_edge(&mut self, src: VertexId, dst: VertexId) {
         self.add_weighted_edge(src, dst, 1);

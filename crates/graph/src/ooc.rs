@@ -50,16 +50,6 @@ impl MemStore {
         self.read.load(Ordering::Relaxed)
     }
 
-    /// Bytes currently resident in the store.
-    pub fn stored_bytes(&self) -> u64 {
-        self.map
-            .lock()
-            .unwrap()
-            .values()
-            .map(|v| v.len() as u64)
-            .sum()
-    }
-
     /// Store `bytes` under `key`, replacing any previous value.
     pub fn put(&self, key: u64, bytes: &[u8]) {
         self.written

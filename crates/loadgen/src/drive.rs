@@ -67,14 +67,6 @@ impl DriveReport {
     pub fn offered(&self) -> u64 {
         self.submitted + self.shed + self.refused
     }
-
-    /// Fraction of offered load shed at the queue (0 when idle).
-    pub fn shed_fraction(&self) -> f64 {
-        if self.offered() == 0 {
-            return 0.0;
-        }
-        self.shed as f64 / self.offered() as f64
-    }
 }
 
 /// Replay `trace` against `svc` open-loop. Returns once every event

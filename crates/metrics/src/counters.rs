@@ -191,13 +191,6 @@ impl RunStats {
             self.total_messages_sent as f64 / self.rounds as f64
         }
     }
-
-    /// Additional simulated time charged on top of rounds (e.g. final
-    /// aggregation in whole-graph mode). Kept explicit so callers cannot
-    /// silently skew round accounting.
-    pub fn charge_extra(&mut self, t: SimTime) {
-        self.total_time += t;
-    }
 }
 
 #[cfg(test)]

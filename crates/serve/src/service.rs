@@ -29,7 +29,9 @@ use mtvc_cluster::{ClusterSpec, FaultPlan};
 use mtvc_core::{select_sources, BatchRunner, RecoveryPolicy, Task};
 use mtvc_graph::hash::mix64;
 use mtvc_graph::Graph;
-use mtvc_metrics::{Bytes, Histogram, RunOutcome, SimTime, TimedSeries, OVERLOAD_CUTOFF};
+use mtvc_metrics::{
+    Bytes, FaultStats, Histogram, RunOutcome, SimTime, TimedSeries, OVERLOAD_CUTOFF,
+};
 use mtvc_systems::SystemKind;
 use mtvc_tune::{train, FitError, OnlineLatencyModel, OnlineMemoryModel};
 use std::collections::HashMap;
@@ -262,8 +264,9 @@ pub struct ClassReport {
     pub queue_wait: Histogram,
 }
 
-/// Final statistics returned by [`TaskService::shutdown`].
-#[derive(Debug, Clone)]
+/// Final statistics returned by [`TaskService::shutdown`]. A running
+/// service accumulates one as its batches and requests finish.
+#[derive(Debug, Clone, Default)]
 pub struct ServiceReport {
     /// Requests executed to completion.
     pub served: u64,
@@ -301,21 +304,12 @@ pub struct ServiceReport {
     pub retries: u64,
     /// Retried requests that were eventually served.
     pub retried_success: u64,
-    /// Faults injected into batches by the chaos plan.
-    pub faults_injected: u64,
-    /// Supersteps re-executed during rollback-and-replay recovery.
-    pub replayed_rounds: u64,
-    /// Batch attempts hard-killed for exceeding physical memory.
-    pub oom_kills: u64,
+    /// Every batch's fault and recovery record, summed: faults the
+    /// chaos plan injected, replayed supersteps, hard OOM kills,
+    /// corrupted and retransmitted buckets, and so on.
+    pub faults: FaultStats,
     /// Simulated recovery time per faulted batch, milliseconds.
     pub recovery_latency: Histogram,
-    /// Wire buckets hit by injected payload corruption, across all
-    /// batches.
-    pub corrupted_buckets: u64,
-    /// Wire buckets repaired by bounded retransmission (no rollback).
-    pub retransmitted_buckets: u64,
-    /// Bytes re-sent by those retransmissions (simulated traffic).
-    pub retransmitted_bytes: Bytes,
     /// Out-of-core message spill traffic across all batches, summed
     /// from each batch's
     /// `RunStats::total_spilled_bytes`.
@@ -345,65 +339,12 @@ impl ServiceReport {
     pub fn class(&self, class: SloClass) -> &ClassReport {
         &self.class[class.index()]
     }
-}
 
-#[derive(Debug)]
-struct MetricsState {
-    served: u64,
-    deadline: u64,
-    rejected: u64,
-    failed: u64,
-    batches: u64,
-    overload_batches: u64,
-    overflow_batches: u64,
-    retries: u64,
-    retried_success: u64,
-    faults_injected: u64,
-    replayed_rounds: u64,
-    oom_kills: u64,
-    corrupted_buckets: u64,
-    retransmitted_buckets: u64,
-    retransmitted_bytes: Bytes,
-    total_spilled_bytes: Bytes,
-    total_loaded_bytes: Bytes,
-    queue_wait: Histogram,
-    latency: Histogram,
-    service_time: Histogram,
-    batch_workload: Histogram,
-    recovery_latency: Histogram,
-    total_sim_time: SimTime,
-    class: [ClassReport; 3],
-    depth_series: TimedSeries,
-}
-
-impl MetricsState {
-    fn new() -> MetricsState {
-        MetricsState {
-            served: 0,
-            deadline: 0,
-            rejected: 0,
-            failed: 0,
-            batches: 0,
-            overload_batches: 0,
-            overflow_batches: 0,
-            retries: 0,
-            retried_success: 0,
-            faults_injected: 0,
-            replayed_rounds: 0,
-            oom_kills: 0,
-            corrupted_buckets: 0,
-            retransmitted_buckets: 0,
-            retransmitted_bytes: Bytes::ZERO,
-            total_spilled_bytes: Bytes::ZERO,
-            total_loaded_bytes: Bytes::ZERO,
-            queue_wait: Histogram::new(),
-            latency: Histogram::new(),
-            service_time: Histogram::new(),
-            batch_workload: Histogram::new(),
-            recovery_latency: Histogram::new(),
-            total_sim_time: SimTime::ZERO,
-            class: Default::default(),
-            depth_series: TimedSeries::new("queue_depth"),
+    /// The report a service starts from and accumulates into.
+    fn empty() -> ServiceReport {
+        ServiceReport {
+            queue_depth_series: TimedSeries::new("queue_depth"),
+            ..ServiceReport::default()
         }
     }
 }
@@ -414,7 +355,7 @@ struct Shared {
     /// Signalled by workers whenever a completion frees headroom.
     headroom: Condvar,
     pending: Mutex<HashMap<RequestId, Arc<Slot>>>,
-    metrics: Mutex<MetricsState>,
+    metrics: Mutex<ServiceReport>,
     shapes: Vec<Task>,
     /// One online latency model per shape (parallel to `shapes`):
     /// workers feed observed batch wall latencies in; the SLO
@@ -515,7 +456,7 @@ impl TaskService {
             admission: Mutex::new(admission),
             headroom: Condvar::new(),
             pending: Mutex::new(HashMap::new()),
-            metrics: Mutex::new(MetricsState::new()),
+            metrics: Mutex::new(ServiceReport::empty()),
             shapes,
             latency_models,
             controller: Mutex::new(JointController::new(cfg.workers)),
@@ -609,40 +550,14 @@ impl TaskService {
     /// join all threads, and return the final report.
     pub fn shutdown(mut self) -> ServiceReport {
         self.stop();
-        let m = self.shared.metrics.lock().unwrap();
+        let mut report = self.shared.metrics.lock().unwrap().clone();
         let ac = self.shared.admission.lock().unwrap();
-        ServiceReport {
-            served: m.served,
-            deadline: m.deadline,
-            rejected: m.rejected,
-            failed: m.failed,
-            batches: m.batches,
-            flushes: ac.flushes(),
-            refits: ac.refits(),
-            overload_batches: m.overload_batches,
-            overflow_batches: m.overflow_batches,
-            queue_wait: m.queue_wait.clone(),
-            latency: m.latency.clone(),
-            service_time: m.service_time.clone(),
-            batch_workload: m.batch_workload.clone(),
-            max_queue_depth: self.shared.queue.depth().high_water(),
-            total_sim_time: m.total_sim_time,
-            retries: m.retries,
-            retried_success: m.retried_success,
-            faults_injected: m.faults_injected,
-            replayed_rounds: m.replayed_rounds,
-            oom_kills: m.oom_kills,
-            recovery_latency: m.recovery_latency.clone(),
-            corrupted_buckets: m.corrupted_buckets,
-            retransmitted_buckets: m.retransmitted_buckets,
-            retransmitted_bytes: m.retransmitted_bytes,
-            total_spilled_bytes: m.total_spilled_bytes,
-            total_loaded_bytes: m.total_loaded_bytes,
-            class: m.class.clone(),
-            queue_depth_series: m.depth_series.clone(),
-            controller: self.shared.controller.lock().unwrap().stats(),
-            scheduler: self.shared.scheduler,
-        }
+        report.flushes = ac.flushes();
+        report.refits = ac.refits();
+        report.max_queue_depth = self.shared.queue.depth().high_water();
+        report.controller = self.shared.controller.lock().unwrap().stats();
+        report.scheduler = self.shared.scheduler;
+        report
     }
 
     fn stop(&mut self) {
@@ -740,7 +655,7 @@ fn former_loop(shared: &Shared, max_batch: u64, tx: crossbeam::channel::Sender<F
                 .metrics
                 .lock()
                 .unwrap()
-                .depth_series
+                .queue_depth_series
                 .push(t, depth as f64);
         }
         let w_max = {
@@ -950,12 +865,7 @@ fn worker_loop(
             m.service_time
                 .record((exec.time.as_secs() * 1e3).round() as u64);
             let f = &exec.stats.faults;
-            m.faults_injected += f.injected;
-            m.replayed_rounds += f.replayed_rounds;
-            m.oom_kills += f.oom_kills;
-            m.corrupted_buckets += f.corrupted_buckets;
-            m.retransmitted_buckets += f.retransmitted_buckets;
-            m.retransmitted_bytes += f.retransmitted_bytes;
+            m.faults.absorb(f);
             m.total_spilled_bytes += exec.stats.total_spilled_bytes;
             m.total_loaded_bytes += exec.stats.total_loaded_bytes;
             if f.injected > 0 {
@@ -1204,8 +1114,11 @@ mod tests {
             report.served, 16,
             "recoverable faults must not fail requests"
         );
-        assert!(report.faults_injected > 0, "chaos plan never fired");
-        assert!(report.replayed_rounds > 0, "no rollback-replay happened");
+        assert!(report.faults.injected > 0, "chaos plan never fired");
+        assert!(
+            report.faults.replayed_rounds > 0,
+            "no rollback-replay happened"
+        );
         assert!(report.recovery_latency.count() > 0);
         assert_eq!(report.failed, 0);
     }
@@ -1220,7 +1133,7 @@ mod tests {
             admission: Mutex::new(AdmissionController::new(&ClusterSpec::galaxy(2), 0.85, 4)),
             headroom: Condvar::new(),
             pending: Mutex::new(HashMap::new()),
-            metrics: Mutex::new(MetricsState::new()),
+            metrics: Mutex::new(ServiceReport::empty()),
             shapes: vec![Task::mssp(1)],
             latency_models: vec![Mutex::new(OnlineLatencyModel::new())],
             controller: Mutex::new(JointController::new(2)),
@@ -1322,20 +1235,20 @@ mod tests {
         assert_eq!(clean.served, 8);
         assert_eq!(chaos.served, 8);
         assert_eq!(chaos.failed, 0);
-        assert!(chaos.faults_injected > 0, "chaos plan never fired");
-        assert_eq!(clean.faults_injected, 0);
-        assert!(chaos.replayed_rounds > clean.replayed_rounds);
+        assert!(chaos.faults.injected > 0, "chaos plan never fired");
+        assert_eq!(clean.faults.injected, 0);
+        assert!(chaos.faults.replayed_rounds > clean.faults.replayed_rounds);
         assert!(
-            chaos.corrupted_buckets > 0,
+            chaos.faults.corrupted_buckets > 0,
             "corruption events must surface in the report"
         );
         assert_eq!(
-            chaos.corrupted_buckets, chaos.retransmitted_buckets,
+            chaos.faults.corrupted_buckets, chaos.faults.retransmitted_buckets,
             "every corrupted bucket is retransmitted exactly once"
         );
-        assert!(chaos.retransmitted_bytes.get() > 0);
-        assert_eq!(clean.corrupted_buckets, 0);
-        assert_eq!(clean.retransmitted_buckets, 0);
-        assert_eq!(clean.retransmitted_bytes.get(), 0);
+        assert!(chaos.faults.retransmitted_bytes.get() > 0);
+        assert_eq!(clean.faults.corrupted_buckets, 0);
+        assert_eq!(clean.faults.retransmitted_buckets, 0);
+        assert_eq!(clean.faults.retransmitted_bytes.get(), 0);
     }
 }

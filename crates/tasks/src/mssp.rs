@@ -316,31 +316,21 @@ fn send_improved_chunks(row: &mut SlabRowMut<'_, u64>, ctx: &mut Context<'_, Dis
 /// [`StateSlab::drain_chunks`]: mtvc_engine::StateSlab
 #[derive(Debug, Clone)]
 pub struct MsspLaneSlabProgram {
-    index: Arc<SourceIndex>,
-    range: Range<usize>,
+    inner: MsspSlabProgram,
 }
 
 impl MsspLaneSlabProgram {
     pub fn new(sources: Vec<VertexId>) -> MsspLaneSlabProgram {
-        let range = 0..sources.len();
         MsspLaneSlabProgram {
-            index: SourceIndex::shared(sources),
-            range,
+            inner: MsspSlabProgram::new(sources),
         }
     }
 
     /// One batch of a job-wide [`SourceIndex`].
     pub fn batch(index: Arc<SourceIndex>, range: Range<usize>) -> MsspLaneSlabProgram {
-        assert!(range.end <= index.len(), "batch range exceeds source pool");
-        MsspLaneSlabProgram { index, range }
-    }
-
-    pub fn sources(&self) -> &[VertexId] {
-        &self.index.sources()[self.range.clone()]
-    }
-
-    pub fn num_queries(&self) -> usize {
-        self.range.len()
+        MsspLaneSlabProgram {
+            inner: MsspSlabProgram::batch(index, range),
+        }
     }
 }
 
@@ -350,7 +340,7 @@ impl SlabProgram for MsspLaneSlabProgram {
     type Out = MsspState;
 
     fn width(&self) -> usize {
-        self.range.len()
+        self.inner.width()
     }
 
     fn empty_cell(&self) -> u64 {
@@ -362,12 +352,12 @@ impl SlabProgram for MsspLaneSlabProgram {
     }
 
     fn seeds(&self) -> Option<&[VertexId]> {
-        Some(self.sources())
+        self.inner.seeds()
     }
 
     fn init(&self, v: VertexId, mut row: SlabRowMut<'_, u64>, ctx: &mut Context<'_, DistLanesMsg>) {
         let mut any = false;
-        for q in self.index.batch_queries_at(v, &self.range) {
+        for q in self.inner.index.batch_queries_at(v, &self.inner.range) {
             // relax (not set) so the frontier records the lane and the
             // drain below emits it.
             row.relax_min(q as usize, 0);
@@ -399,23 +389,21 @@ impl SlabProgram for MsspLaneSlabProgram {
 /// Broadcast-interface MSSP on a dense state slab (hop distances).
 #[derive(Debug, Clone)]
 pub struct MsspBroadcastSlabProgram {
-    index: Arc<SourceIndex>,
-    range: Range<usize>,
+    inner: MsspSlabProgram,
 }
 
 impl MsspBroadcastSlabProgram {
     pub fn new(sources: Vec<VertexId>) -> MsspBroadcastSlabProgram {
-        let range = 0..sources.len();
         MsspBroadcastSlabProgram {
-            index: SourceIndex::shared(sources),
-            range,
+            inner: MsspSlabProgram::new(sources),
         }
     }
 
     /// One batch of a job-wide [`SourceIndex`].
     pub fn batch(index: Arc<SourceIndex>, range: Range<usize>) -> MsspBroadcastSlabProgram {
-        assert!(range.end <= index.len(), "batch range exceeds source pool");
-        MsspBroadcastSlabProgram { index, range }
+        MsspBroadcastSlabProgram {
+            inner: MsspSlabProgram::batch(index, range),
+        }
     }
 }
 
@@ -425,7 +413,7 @@ impl SlabProgram for MsspBroadcastSlabProgram {
     type Out = MsspState;
 
     fn width(&self) -> usize {
-        self.range.len()
+        self.inner.width()
     }
 
     fn empty_cell(&self) -> u64 {
@@ -437,11 +425,11 @@ impl SlabProgram for MsspBroadcastSlabProgram {
     }
 
     fn seeds(&self) -> Option<&[VertexId]> {
-        Some(&self.index.sources()[self.range.clone()])
+        self.inner.seeds()
     }
 
     fn init(&self, v: VertexId, mut row: SlabRowMut<'_, u64>, ctx: &mut Context<'_, DistMsg>) {
-        for q in self.index.batch_queries_at(v, &self.range) {
+        for q in self.inner.index.batch_queries_at(v, &self.inner.range) {
             row.set(q as usize, 0);
             ctx.broadcast(DistMsg { query: q, dist: 0 }, 1);
         }
@@ -528,7 +516,7 @@ mod tests {
         assert_eq!(s.num_queries(), 2);
         assert_eq!(s.width(), 2);
         let lanes = MsspLaneSlabProgram::batch(index, 1..3);
-        assert_eq!(lanes.sources(), &[7, 4]);
+        assert_eq!(lanes.inner.sources(), &[7, 4]);
     }
 
     #[test]

@@ -151,7 +151,7 @@ fn main() {
     );
     println!(
         "    faults injected: {}, rounds replayed: {}, OOM kills: {}",
-        report.faults_injected, report.replayed_rounds, report.oom_kills
+        report.faults.injected, report.faults.replayed_rounds, report.faults.oom_kills
     );
     let (p50, p95, _) = report.recovery_latency.p50_p95_p99();
     println!(
