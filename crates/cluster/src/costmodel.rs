@@ -147,62 +147,50 @@ impl std::fmt::Display for ChargeError {
 
 impl std::error::Error for ChargeError {}
 
-/// Tunable pricing constants. Defaults are calibrated so the benchmark
-/// harness reproduces the paper's figure shapes at the default dataset
-/// scale (see EXPERIMENTS.md).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CostModel {
-    /// Fixed barrier latency per synchronous round (seconds).
-    pub barrier_base: f64,
-    /// Additional barrier latency per machine (seconds) — sync cost
-    /// grows with the cluster (§4.8).
-    pub barrier_per_machine: f64,
-    /// NIC saturation below this many seconds per round does not count
-    /// as overuse (short bursts; see module docs).
-    pub net_overuse_floor: f64,
-    /// Thrash multiplier slope within (usable, capacity]: factor at
-    /// exactly full physical capacity is `1 + swap_mild`.
-    pub swap_mild: f64,
-    /// Super-linear exponent once demand exceeds physical capacity.
-    pub swap_exponent: f64,
-    /// Demand above `overflow_limit × capacity` is a hard Overflow.
-    pub overflow_limit: f64,
-    /// Spilled bytes are written then read back: amplification 2.0.
-    pub disk_rw_amplification: f64,
-    /// Throughput degradation once the disk is the round's bottleneck:
-    /// a saturated disk serving queued concurrent streams loses
-    /// sequential bandwidth to seeks, so disk-bound time is multiplied
-    /// by this factor (drives Table 3's saturated rows).
-    pub disk_saturation_penalty: f64,
-    /// Seconds per distributed-lock acquisition (async engines).
-    pub lock_cost_per_op: f64,
-    /// Lock cost growth per machine (more fibers ⇒ more contention).
-    pub lock_machine_coeff: f64,
-    /// Baseline in-flight I/O queue length when the disk is unsaturated.
-    pub io_queue_base: f64,
-}
+/// Fixed barrier latency per synchronous round (seconds).
+pub const BARRIER_BASE: f64 = 0.05;
+/// Additional barrier latency per machine (seconds) — sync cost grows
+/// with the cluster (§4.8).
+pub const BARRIER_PER_MACHINE: f64 = 0.002;
+/// NIC saturation below this many seconds per round does not count as
+/// overuse (short bursts; see module docs).
+pub const NET_OVERUSE_FLOOR: f64 = 2.0;
+/// Thrash multiplier slope within (usable, capacity]: the factor at
+/// exactly full physical capacity is `1 + SWAP_MILD`.
+pub const SWAP_MILD: f64 = 2.0;
+/// Super-linear exponent once demand exceeds physical capacity.
+pub const SWAP_EXPONENT: f64 = 8.0;
+/// Demand above `OVERFLOW_LIMIT × capacity` is a hard Overflow.
+pub const OVERFLOW_LIMIT: f64 = 1.4;
+/// Spilled bytes are written then read back: amplification 2.0.
+pub const DISK_RW_AMPLIFICATION: f64 = 2.0;
+/// Throughput degradation once the disk is the round's bottleneck: a
+/// saturated disk serving queued concurrent streams loses sequential
+/// bandwidth to seeks, so disk-bound time is multiplied by this factor
+/// (drives Table 3's saturated rows).
+pub const DISK_SATURATION_PENALTY: f64 = 3.0;
+/// Seconds per distributed-lock acquisition (async engines).
+pub const LOCK_COST_PER_OP: f64 = 6.0e-7;
+/// Lock cost growth per machine (more fibers ⇒ more contention).
+pub const LOCK_MACHINE_COEFF: f64 = 0.25;
+/// Baseline in-flight I/O queue length when the disk is unsaturated.
+pub const IO_QUEUE_BASE: f64 = 15.0;
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            barrier_base: 0.05,
-            barrier_per_machine: 0.002,
-            net_overuse_floor: 2.0,
-            swap_mild: 2.0,
-            swap_exponent: 8.0,
-            overflow_limit: 1.4,
-            disk_rw_amplification: 2.0,
-            disk_saturation_penalty: 3.0,
-            lock_cost_per_op: 6.0e-7,
-            lock_machine_coeff: 0.25,
-            io_queue_base: 15.0,
-        }
-    }
-}
+/// The pricing function. Its constants (above) were calibrated once so
+/// the benchmark harness reproduces the paper's figure shapes at the
+/// default dataset scale (see EXPERIMENTS.md) and are held fixed.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct CostModel {}
 
 impl CostModel {
+    /// Seconds of one synchronous barrier across `machines` machines,
+    /// before any system profile scales it.
+    pub fn barrier_secs(machines: usize) -> f64 {
+        BARRIER_BASE + BARRIER_PER_MACHINE * machines as f64
+    }
+
     /// Thrashing multiplier for memory demand `m` on `spec`.
-    /// Piecewise: 1 below usable memory; linear ramp to `1+swap_mild`
+    /// Piecewise: 1 below usable memory; linear ramp to `1 + SWAP_MILD`
     /// at physical capacity; power-law blow-up beyond.
     pub fn thrash_factor(&self, m: Bytes, spec: &MachineSpec) -> f64 {
         let usable = spec.usable_memory().as_f64();
@@ -212,9 +200,9 @@ impl CostModel {
             1.0
         } else if m <= cap {
             let span = (cap - usable).max(1.0);
-            1.0 + self.swap_mild * (m - usable) / span
+            1.0 + SWAP_MILD * (m - usable) / span
         } else {
-            (1.0 + self.swap_mild) * (m / cap).powf(self.swap_exponent)
+            (1.0 + SWAP_MILD) * (m / cap).powf(SWAP_EXPONENT)
         }
     }
 
@@ -244,7 +232,7 @@ impl CostModel {
             // fails the whole round.
             let mem = demand.memory[w];
             let cap = spec.memory;
-            if mem.as_f64() > cap.as_f64() * self.overflow_limit {
+            if mem.as_f64() > cap.as_f64() * OVERFLOW_LIMIT {
                 return Err(ChargeError::MemoryOverflow {
                     worker: w,
                     demand: mem,
@@ -255,7 +243,7 @@ impl CostModel {
 
             let compute_t = demand.compute_ops[w] / ops_rate;
             let net_t = demand.net_out[w].as_f64().max(demand.net_in[w].as_f64()) / net_bw;
-            let mut disk_t = (demand.spill[w].as_f64() * self.disk_rw_amplification
+            let mut disk_t = (demand.spill[w].as_f64() * DISK_RW_AMPLIFICATION
                 + demand.stream[w].as_f64())
                 / disk_bw;
 
@@ -264,13 +252,13 @@ impl CostModel {
             // saturated disk additionally loses throughput to seeks.
             let cpu_net = compute_t + net_t;
             if disk_t > cpu_net && disk_t > 0.0 {
-                disk_t *= self.disk_saturation_penalty;
+                disk_t *= DISK_SATURATION_PENALTY;
             }
             let thrash = self.thrash_factor(mem, spec);
             let worker_t = cpu_net.max(disk_t) * thrash;
 
-            if net_t > self.net_overuse_floor {
-                net_overuse = net_overuse.max(net_t - self.net_overuse_floor);
+            if net_t > NET_OVERUSE_FLOOR {
+                net_overuse = net_overuse.max(net_t - NET_OVERUSE_FLOOR);
             }
             if disk_t > max_disk_busy {
                 max_disk_busy = disk_t;
@@ -286,13 +274,12 @@ impl CostModel {
         }
 
         let barrier_t = if demand.barrier {
-            self.barrier_base + self.barrier_per_machine * machines as f64
+            Self::barrier_secs(machines)
         } else {
             0.0
         };
-        let lock_t = demand.lock_ops
-            * self.lock_cost_per_op
-            * (1.0 + self.lock_machine_coeff * machines as f64);
+        let lock_t =
+            demand.lock_ops * LOCK_COST_PER_OP * (1.0 + LOCK_MACHINE_COEFF * machines as f64);
 
         let duration = slowest + barrier_t + lock_t;
 
@@ -312,9 +299,9 @@ impl CostModel {
                 if util >= 0.999 {
                     // Saturated: roughly half of the spilled messages
                     // wait in queue on average.
-                    (msgs * 0.5).max(self.io_queue_base)
+                    (msgs * 0.5).max(IO_QUEUE_BASE)
                 } else {
-                    self.io_queue_base + (util * util / (1.0 - util)) * msgs.sqrt()
+                    IO_QUEUE_BASE + (util * util / (1.0 - util)) * msgs.sqrt()
                 }
             }
             _ => 0.0,
@@ -354,7 +341,7 @@ mod tests {
         let d = demand_one(16.0e6, 0, Bytes::gib(1));
         let c = m.charge(&spec(), &d).unwrap();
         let expect = 16.0e6 / spec().total_ops_per_sec();
-        let barrier = m.barrier_base + m.barrier_per_machine;
+        let barrier = CostModel::barrier_secs(1);
         assert!((c.duration.as_secs() - (expect + barrier)).abs() < 1e-9);
         assert_eq!(c.thrash_factor, 1.0);
         assert_eq!(c.network_overuse, SimTime::ZERO);
@@ -381,9 +368,9 @@ mod tests {
         let just_above = Bytes(usable.get() + 1024);
         assert!(m.thrash_factor(just_above, &s) > 1.0);
         assert!(m.thrash_factor(just_above, &s) < 1.01);
-        // At capacity: exactly 1 + swap_mild.
+        // At capacity: exactly 1 + SWAP_MILD.
         let at_cap = m.thrash_factor(s.memory, &s);
-        assert!((at_cap - (1.0 + m.swap_mild)).abs() < 1e-9);
+        assert!((at_cap - (1.0 + SWAP_MILD)).abs() < 1e-9);
         // Beyond capacity grows super-linearly but continuously.
         let above = m.thrash_factor(s.memory.scaled(1.01), &s);
         assert!(above > at_cap && above < at_cap * 1.2);
@@ -438,8 +425,8 @@ mod tests {
         d.spill_messages[0] = 10_000;
         let c = m.charge(&spec(), &d).unwrap();
         assert_eq!(c.disk_overuse, SimTime::ZERO);
-        assert!(c.io_queue_len >= m.io_queue_base);
-        assert!(c.io_queue_len < m.io_queue_base + 5.0);
+        assert!(c.io_queue_len >= IO_QUEUE_BASE);
+        assert!(c.io_queue_len < IO_QUEUE_BASE + 5.0);
     }
 
     #[test]

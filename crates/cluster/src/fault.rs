@@ -216,7 +216,9 @@ impl FaultPlan {
     /// Enable the hard OOM kill: the run is terminated the moment any
     /// machine's simulated memory demand exceeds its physical capacity,
     /// instead of entering the cost model's thrashing regime and only
-    /// overflowing at `overflow_limit × capacity`.
+    /// overflowing at [`OVERFLOW_LIMIT`] × capacity.
+    ///
+    /// [`OVERFLOW_LIMIT`]: crate::costmodel::OVERFLOW_LIMIT
     pub fn with_hard_oom(mut self) -> FaultPlan {
         self.hard_oom = true;
         self

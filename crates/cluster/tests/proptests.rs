@@ -1,6 +1,7 @@
 //! Property-based tests for the cost model: monotonicity and regime
 //! invariants that every figure implicitly relies on.
 
+use mtvc_cluster::costmodel::OVERFLOW_LIMIT;
 use mtvc_cluster::{ChargeError, CostModel, MachineSpec, RoundDemand};
 use mtvc_metrics::Bytes;
 use proptest::prelude::*;
@@ -64,7 +65,7 @@ proptest! {
         let spec = MachineSpec::galaxy();
         let mem = Bytes::gib(1).scaled(mem_gb);
         let result = m.charge(&spec, &demand(1, 0.0, 0, mem.get(), 0));
-        let limit = spec.memory.as_f64() * m.overflow_limit;
+        let limit = spec.memory.as_f64() * OVERFLOW_LIMIT;
         let overflowed = matches!(result, Err(ChargeError::MemoryOverflow { .. }));
         if mem.as_f64() > limit {
             prop_assert!(overflowed);

@@ -447,7 +447,7 @@ impl BatchRunner {
     /// narrower batches trade rounds for congestion (the paper's
     /// central tradeoff), so the failed width is split in half and each
     /// half re-executed against the live residual state, recursively
-    /// down to width 1 or [`RecoveryPolicy::max_depth`]. Every kill is
+    /// down to width 1 or [`MAX_BISECT_DEPTH`]. Every kill is
     /// also reported in [`RecoveredBatch::censored`] as a `(width,
     /// peak-lower-bound)` pair for the memory model's censored refit.
     /// Overload (time cutoff) is terminal — narrowing raises rounds,
@@ -459,7 +459,6 @@ impl BatchRunner {
         residual: &[u64],
         seed: u64,
         cutoff: SimTime,
-        policy: &RecoveryPolicy,
     ) -> RecoveredBatch {
         use std::collections::VecDeque;
         let src_based = !matches!(self.task, Task::Bppr { .. });
@@ -511,7 +510,7 @@ impl BatchRunner {
                 }
                 RunOutcome::Overflow => {
                     censored.push((w, exec.peak_memory.get() as f64));
-                    if w == 1 || depth >= policy.max_depth {
+                    if w == 1 || depth >= MAX_BISECT_DEPTH {
                         outcome = RunOutcome::Overflow;
                         break;
                     }
@@ -548,19 +547,9 @@ impl BatchRunner {
 }
 
 /// How far [`BatchRunner::run_batch_bisecting`] degrades before giving
-/// up on an OOM-killed batch.
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryPolicy {
-    /// Maximum bisection depth: a batch of width `w` shrinks to at most
-    /// `w / 2^max_depth` before an overflow becomes terminal.
-    pub max_depth: u32,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy { max_depth: 4 }
-    }
-}
+/// up on an OOM-killed batch: a batch of width `w` shrinks to at most
+/// `w / 2^MAX_BISECT_DEPTH` before an overflow becomes terminal.
+pub const MAX_BISECT_DEPTH: u32 = 4;
 
 /// One rung of the degradation ladder: a width that was attempted and
 /// how it ended.
@@ -973,14 +962,7 @@ mod tests {
             ClusterSpec::galaxy(4),
         );
         let plain = runner.run_batch(8, &[], &[0; 4], 7, OVERLOAD_CUTOFF);
-        let rec = runner.run_batch_bisecting(
-            8,
-            &[],
-            &[0; 4],
-            7,
-            OVERLOAD_CUTOFF,
-            &RecoveryPolicy::default(),
-        );
+        let rec = runner.run_batch_bisecting(8, &[], &[0; 4], 7, OVERLOAD_CUTOFF);
         assert_eq!(rec.outcome, plain.outcome);
         assert_eq!(rec.stats, plain.stats, "single rung = identical run");
         assert_eq!(rec.residual_delta, plain.residual_delta);
@@ -1026,14 +1008,7 @@ mod tests {
             cluster,
         )
         .with_faults(FaultPlan::none().with_hard_oom());
-        let rec = runner.run_batch_bisecting(
-            8,
-            &sources,
-            &[0; 4],
-            1,
-            OVERLOAD_CUTOFF,
-            &RecoveryPolicy::default(),
-        );
+        let rec = runner.run_batch_bisecting(8, &sources, &[0; 4], 1, OVERLOAD_CUTOFF);
         assert!(rec.outcome.is_completed(), "{:?}", rec.outcome);
         assert!(rec.ladder.len() >= 3, "ladder: {:?}", rec.ladder);
         assert_eq!(rec.ladder[0].width, 8);
@@ -1058,14 +1033,7 @@ mod tests {
             cluster,
         )
         .with_faults(FaultPlan::none().with_hard_oom());
-        let rec = runner.run_batch_bisecting(
-            8,
-            &sources,
-            &[0; 4],
-            1,
-            OVERLOAD_CUTOFF,
-            &RecoveryPolicy::default(),
-        );
+        let rec = runner.run_batch_bisecting(8, &sources, &[0; 4], 1, OVERLOAD_CUTOFF);
         assert!(rec.outcome.is_overflow(), "typed terminal failure");
         // The ladder shrinks 8 → 4 → 2 → 1 and stops at width 1.
         let widths: Vec<u64> = rec.ladder.iter().map(|s| s.width).collect();

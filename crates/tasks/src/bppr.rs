@@ -30,7 +30,7 @@
 //! for bit; property tests check per-source conservation and the
 //! estimates against exact PPR instead.
 
-use mtvc_engine::{Context, Delivery, Message, PayloadCodec, SlabProgram, SlabRow, SlabRowMut};
+use mtvc_engine::{Context, Delivery, Message, SlabProgram, SlabRow, SlabRowMut};
 use mtvc_graph::hash::FastMap;
 use mtvc_graph::VertexId;
 
@@ -113,20 +113,6 @@ impl Message for WalkMsg {
         Some(self.source as u64)
     }
     fn merge(&mut self, _other: &Self) {}
-    fn wire_query(&self) -> Option<u64> {
-        Some(self.source as u64)
-    }
-}
-
-impl PayloadCodec for WalkMsg {
-    fn encode_payload(&self, _out: &mut Vec<u8>) {
-        // The source id *is* the walk token — it rides the query stream.
-    }
-    fn decode_payload(wire_query: Option<u64>, _buf: &[u8], _pos: &mut usize) -> Self {
-        WalkMsg {
-            source: wire_query.expect("WalkMsg always carries its source") as VertexId,
-        }
-    }
 }
 
 /// Per-vertex BPPR state: how many walks of each source stopped here.
@@ -322,24 +308,6 @@ impl Message for PushMsg {
     }
     fn merge(&mut self, other: &Self) {
         self.amount += other.amount;
-    }
-    fn wire_query(&self) -> Option<u64> {
-        Some(self.source as u64)
-    }
-}
-
-impl PayloadCodec for PushMsg {
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        // Fractional residue: fixed-width f64 bits, never varint.
-        out.extend_from_slice(&self.amount.to_le_bytes());
-    }
-    fn decode_payload(wire_query: Option<u64>, buf: &[u8], pos: &mut usize) -> Self {
-        let amount = f64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
-        *pos += 8;
-        PushMsg {
-            source: wire_query.expect("PushMsg always carries its source") as VertexId,
-            amount,
-        }
     }
 }
 

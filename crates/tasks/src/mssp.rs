@@ -30,11 +30,11 @@
 //! traffic accounting.
 
 use crate::sources::SourceIndex;
-use mtvc_engine::wire::{read_varint, write_varint};
 use mtvc_engine::{
     Context, Delivery, Message, PayloadCodec, SlabProgram, SlabRow, SlabRowMut, LANES,
 };
 use mtvc_graph::hash::FastMap;
+use mtvc_graph::varint::{read_varint, write_varint};
 use mtvc_graph::VertexId;
 use std::ops::Range;
 use std::sync::Arc;
@@ -68,11 +68,11 @@ impl PayloadCodec for DistMsg {
     fn encode_payload(&self, out: &mut Vec<u8>) {
         write_varint(out, self.dist);
     }
-    fn decode_payload(wire_query: Option<u64>, buf: &[u8], pos: &mut usize) -> Self {
-        DistMsg {
-            query: wire_query.expect("DistMsg always carries a query id") as QueryId,
+    fn decode_payload(wire_query: Option<u64>, buf: &[u8], pos: &mut usize) -> Option<Self> {
+        Some(DistMsg {
+            query: QueryId::try_from(wire_query?).ok()?,
             dist: read_varint(buf, pos),
-        }
+        })
     }
 }
 
@@ -106,37 +106,8 @@ impl Message for DistLanesMsg {
             *a = (*a).min(*b);
         }
     }
-    fn wire_query(&self) -> Option<u64> {
-        Some(self.chunk as u64)
-    }
     fn units(&self) -> u64 {
         self.mask.count_ones() as u64 // live lanes
-    }
-}
-
-impl PayloadCodec for DistLanesMsg {
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        out.push(self.mask);
-        for l in 0..LANES {
-            if self.mask & (1 << l) != 0 {
-                write_varint(out, self.dist[l]);
-            }
-        }
-    }
-    fn decode_payload(wire_query: Option<u64>, buf: &[u8], pos: &mut usize) -> Self {
-        let mask = buf[*pos];
-        *pos += 1;
-        let mut dist = [u64::MAX; LANES];
-        for (l, d) in dist.iter_mut().enumerate() {
-            if mask & (1 << l) != 0 {
-                *d = read_varint(buf, pos);
-            }
-        }
-        DistLanesMsg {
-            chunk: wire_query.expect("DistLanesMsg always carries its chunk") as u32,
-            mask,
-            dist,
-        }
     }
 }
 
@@ -191,10 +162,6 @@ impl MsspSlabProgram {
 
     pub fn sources(&self) -> &[VertexId] {
         &self.index.sources()[self.range.clone()]
-    }
-
-    pub fn num_queries(&self) -> usize {
-        self.range.len()
     }
 }
 
@@ -502,7 +469,7 @@ mod tests {
     #[test]
     fn duplicate_sources_are_distinct_queries() {
         let p = MsspSlabProgram::new(vec![9, 3, 9]);
-        assert_eq!(p.num_queries(), 3);
+        assert_eq!(p.width(), 3);
         assert_eq!(p.sources(), &[9, 3, 9]);
         // Vertex 9 starts queries 0 and 2.
         assert_eq!(p.index.queries_at(9), &[0, 2]);
@@ -513,7 +480,6 @@ mod tests {
         let index = SourceIndex::shared(vec![4, 7, 4, 2]);
         let s = MsspSlabProgram::batch(Arc::clone(&index), 1..3);
         assert_eq!(s.sources(), &[7, 4]);
-        assert_eq!(s.num_queries(), 2);
         assert_eq!(s.width(), 2);
         let lanes = MsspLaneSlabProgram::batch(index, 1..3);
         assert_eq!(lanes.inner.sources(), &[7, 4]);
@@ -566,32 +532,40 @@ mod tests {
         assert_eq!(a.units(), 3);
     }
 
+    /// `DistMsg` through the framed codec, exactly as the benchmark's
+    /// wire probe calls it: the decode is the destination-sorted source
+    /// bucket, and one flipped bit is an error, not a wrong decode.
     #[test]
-    fn lane_msg_codec_roundtrips() {
-        use mtvc_engine::wire::encode_bucket;
-        use mtvc_engine::Envelope;
-        let msg = DistLanesMsg {
-            chunk: 9,
-            mask: 0b1000_0010,
-            dist: [
-                u64::MAX,
-                300,
-                u64::MAX,
-                u64::MAX,
-                u64::MAX,
-                u64::MAX,
-                u64::MAX,
-                2,
-            ],
-        };
-        // mask byte + varint(300)=2 + varint(2)=1
-        let mut payload = Vec::new();
-        msg.encode_payload(&mut payload);
-        assert_eq!(payload.len(), 4);
-        let envs = vec![Envelope::new(5, msg, 2)];
-        let buf = encode_bucket(&envs, |v| v);
-        let back = mtvc_engine::wire::decode_bucket::<DistLanesMsg>(&buf, |li| li as VertexId);
-        assert_eq!(back, envs);
+    fn dist_msg_frame_roundtrips() {
+        use mtvc_engine::wire::{decode_frame, encode_frame, try_decode_bucket};
+        use mtvc_engine::{Envelope, WireError};
+        let verts: [VertexId; 3] = [3, 7, 10];
+        let li_of = |v: VertexId| verts.binary_search(&v).unwrap() as u32;
+        let vertex_of = |li: u32| verts[li as usize];
+        let env = |dest, query, dist, mult| Envelope::new(dest, DistMsg { query, dist }, mult);
+        let envs = vec![
+            env(10, 2, 300, 1),
+            env(3, 0, 0, 2),
+            env(10, 5, u64::MAX, 1),
+            env(7, 2, 9, 3),
+        ];
+        let frame = encode_frame(&envs, li_of);
+        let mut want = envs.clone();
+        want.sort_by_key(|e| e.dest);
+        assert_eq!(decode_frame::<DistMsg>(&frame, vertex_of), Ok(want));
+        let mut bad = frame.clone();
+        *bad.last_mut().unwrap() ^= 1;
+        assert!(decode_frame::<DistMsg>(&bad, vertex_of).is_err());
+        // A well-formed bucket whose query a `DistMsg` cannot carry (no
+        // query, or one past `u32`) is malformed, not a panic.
+        let no_query = [1, 1, 0, 1, 1, 1, 0, 5];
+        let wide_query = [1, 1, 0, 1, 1, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x10, 5];
+        for body in [&no_query[..], &wide_query[..]] {
+            assert_eq!(
+                try_decode_bucket::<DistMsg>(body, vertex_of),
+                Err(WireError::Malformed)
+            );
+        }
     }
 
     #[test]

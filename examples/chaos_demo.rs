@@ -19,7 +19,7 @@
 use mtvc::cluster::{ClusterSpec, FaultPlan};
 use mtvc::graph::generators;
 use mtvc::metrics::{Bytes, OVERLOAD_CUTOFF};
-use mtvc::multitask::{BatchRunner, RecoveryPolicy, Task};
+use mtvc::multitask::{BatchRunner, Task};
 use mtvc::serve::{ServiceConfig, TaskRequest, TaskService, TenantId};
 use mtvc::systems::SystemKind;
 use std::sync::Arc;
@@ -96,14 +96,7 @@ fn main() {
 
     let ladder_runner = BatchRunner::new(Arc::clone(&graph), shape, system, small)
         .with_faults(FaultPlan::none().with_hard_oom());
-    let rec = ladder_runner.run_batch_bisecting(
-        walks,
-        &[],
-        &[0; 4],
-        42,
-        OVERLOAD_CUTOFF,
-        &RecoveryPolicy::default(),
-    );
+    let rec = ladder_runner.run_batch_bisecting(walks, &[], &[0; 4], 42, OVERLOAD_CUTOFF);
     for step in &rec.ladder {
         println!("    width {:>3} -> {}", step.width, step.outcome);
     }

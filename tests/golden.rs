@@ -34,7 +34,7 @@ use mtvc::graph::{generators, Graph};
 use mtvc::metrics::{Bytes, FaultStats, RoundStats, RunOutcome, RunStats, SimTime};
 use mtvc::multitask::{
     run_job, select_sources, BatchOutcome, BatchRunner, BatchSchedule, JobSpec, LadderStep,
-    RecoveredBatch, RecoveryPolicy, Task,
+    RecoveredBatch, Task,
 };
 use mtvc::systems::SystemKind;
 use std::fmt::Write as _;
@@ -204,7 +204,6 @@ impl Render<'_> {
             retransmitted_bytes,
             recovery_time,
             straggler_time,
-            retries,
         } = f;
         self.line("faults.injected", injected);
         self.line("faults.crashes", crashes);
@@ -222,7 +221,6 @@ impl Render<'_> {
         self.bytes("faults.retransmitted_bytes", *retransmitted_bytes);
         self.time("faults.recovery_time", *recovery_time);
         self.time("faults.straggler_time", *straggler_time);
-        self.line("faults.retries", retries);
     }
 
     /// Each per-round field as one line: the series over every round,
@@ -418,14 +416,7 @@ fn render_bisect(out: &mut String, g: &Graph) {
     cluster.machine.memory = Bytes::new((wide.peak_memory.get() + half.peak_memory.get()) / 2);
     let runner = BatchRunner::new(graph, task, system, cluster)
         .with_faults(FaultPlan::none().with_hard_oom());
-    let rec = runner.run_batch_bisecting(
-        8,
-        &sources,
-        &[0; MACHINES],
-        1,
-        cutoff,
-        &RecoveryPolicy::default(),
-    );
+    let rec = runner.run_batch_bisecting(8, &sources, &[0; MACHINES], 1, cutoff);
     // Destructured exhaustively, like `Render::run_stats`; the workload
     // is the input above.
     let RecoveredBatch {
