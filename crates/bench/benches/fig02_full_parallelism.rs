@@ -35,7 +35,7 @@ fn main() {
                 system.name(),
                 b,
                 fmt_outcome(&results[i]),
-                mark_optimal(&times, i)
+                mark_optimal(&results, i)
             ));
         }
         assert!(

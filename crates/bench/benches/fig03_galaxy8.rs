@@ -35,7 +35,7 @@ fn sweep_panel(
             system.name(),
             b,
             fmt_outcome(&results[i]),
-            mark_optimal(&times, i)
+            mark_optimal(&results, i)
         ));
     }
     let monotone = Series::with_values("", times.clone()).is_monotone_non_decreasing();

@@ -38,7 +38,7 @@ fn main() {
                 w,
                 b,
                 fmt_outcome(&results[i]),
-                mark_optimal(&times, i)
+                mark_optimal(&results, i)
             ));
         }
     }

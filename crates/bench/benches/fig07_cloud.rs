@@ -39,7 +39,6 @@ impl Panel {
 
     fn emit(&self, t: &mut Table) -> (Vec<MonetaryCost>, MonetaryCost) {
         for (name, results) in &self.lines {
-            let times: Vec<f64> = results.iter().map(|r| r.plot_time().as_secs()).collect();
             for (i, &b) in BATCH_AXIS.iter().enumerate() {
                 t.row(row!(
                     self.label,
@@ -47,7 +46,7 @@ impl Panel {
                     b,
                     fmt_outcome(&results[i]),
                     results[i].cost,
-                    mark_optimal(&times, i)
+                    mark_optimal(results, i)
                 ));
             }
         }

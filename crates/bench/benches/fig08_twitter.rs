@@ -57,7 +57,7 @@ fn main() {
                 b,
                 fmt_outcome(&results[i]),
                 mtvc_metrics::Bytes(resid),
-                mark_optimal(&times, i)
+                mark_optimal(&results, i)
             ));
         }
     }

@@ -42,7 +42,7 @@ fn main() {
             format!("{:.0}%", r.stats.max_disk_utilization * 100.0),
             format!("{:.0}", r.stats.max_io_queue_len),
             fmt_outcome(r),
-            mark_optimal(&times, i)
+            mark_optimal(&results, i)
         ));
     }
     emit("table3", &t);

@@ -154,19 +154,25 @@ pub fn fmt_outcome(r: &JobResult) -> String {
     }
 }
 
-/// Mark the best (minimum plot-time) entry with the paper's arrow.
-pub fn mark_optimal(times: &[f64], idx: usize) -> &'static str {
-    let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
-    if (times[idx] - min).abs() < 1e-9 {
-        " <== optimal"
-    } else {
-        ""
+/// Mark the best (minimum completed-time) entry of a sweep with the
+/// paper's arrow. A failed run (Overload/Overflow) is never optimal, so
+/// a sweep whose runs all failed marks none.
+pub fn mark_optimal(results: &[JobResult], idx: usize) -> &'static str {
+    let time = |r: &JobResult| r.outcome.time().map(|t| t.as_secs());
+    let min = results
+        .iter()
+        .filter_map(time)
+        .fold(f64::INFINITY, f64::min);
+    match time(&results[idx]) {
+        Some(t) if (t - min).abs() < 1e-9 => " <== optimal",
+        _ => "",
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtvc_metrics::{RunOutcome, SimTime};
 
     #[test]
     fn scaled_dataset_translates_workloads() {
@@ -189,10 +195,44 @@ mod tests {
         assert!(c.machine.memory < mtvc_metrics::Bytes::gib(1));
     }
 
+    fn job_result(outcome: RunOutcome) -> JobResult {
+        JobResult {
+            outcome,
+            stats: Default::default(),
+            per_batch: Vec::new(),
+            cost: mtvc_cluster::MonetaryCost::ZERO,
+        }
+    }
+
+    fn completed(secs: f64) -> JobResult {
+        job_result(RunOutcome::Completed(SimTime::secs(secs)))
+    }
+
     #[test]
     fn mark_optimal_finds_minimum() {
-        let times = [5.0, 2.0, 7.0];
-        assert_eq!(mark_optimal(&times, 1), " <== optimal");
-        assert_eq!(mark_optimal(&times, 0), "");
+        let results = [completed(5.0), completed(2.0), completed(7.0)];
+        assert_eq!(mark_optimal(&results, 1), " <== optimal");
+        assert_eq!(mark_optimal(&results, 0), "");
+    }
+
+    /// Failed runs share the cutoff as their plot time, yet none of them
+    /// is optimal: beside a completed run, or with every run failed.
+    #[test]
+    fn mark_optimal_never_flags_failed_runs() {
+        use RunOutcome::{Overflow, Overload};
+        let mixed = [
+            job_result(Overflow),
+            completed(6000.0),
+            job_result(Overload),
+        ];
+        assert_eq!(mark_optimal(&mixed, 1), " <== optimal");
+        assert_eq!(mark_optimal(&mixed, 0), "");
+        assert_eq!(mark_optimal(&mixed, 2), "");
+        let failed = [
+            job_result(Overload),
+            job_result(Overflow),
+            job_result(Overload),
+        ];
+        assert!((0..3).all(|i| mark_optimal(&failed, i).is_empty()));
     }
 }

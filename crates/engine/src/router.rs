@@ -13,18 +13,18 @@
 //!    profile enables combining, or on any profile when the payload's
 //!    merge is exact ([`Message::EXACT_MERGE`]); the profile's flag
 //!    alone decides what the fold is *charged*: a non-combining shard
-//!    still counts every envelope it was sent. Each shard additionally
-//!    keeps a histogram of destination local indices and counts its
+//!    still counts every envelope it was sent. Each shard stores every
+//!    delivery's destination local index beside it and counts its
 //!    pair's wire messages and tuples as envelopes arrive, so its
 //!    per-pair traffic is known the moment the stage ends. Shards of
 //!    different sources are independent, so this stage parallelizes
 //!    over source workers.
 //! 2. **Merge** — each *destination* worker folds its column of shards
-//!    (in source order) into a grouped [`Inbox`]: the per-shard
-//!    histograms are summed into per-vertex offsets, and every bucketed
-//!    [`Delivery`] is *moved* (never cloned) straight into its vertex's
-//!    contiguous run of the inbox. Columns of
-//!    different destinations are independent, so this stage
+//!    (in source order) into a grouped [`Inbox`]: per-vertex counts of
+//!    the stored local indices become offsets along an ascending walk
+//!    of a bitmap of touched vertices (no sort), and every [`Delivery`]
+//!    is *moved* (never cloned) into its vertex's contiguous run. Columns
+//!    of different destinations are independent, so this stage
 //!    parallelizes over destination workers.
 //!
 //! The grouped inbox hands `compute` a borrowed `&[Delivery<M>]` run
@@ -149,8 +149,9 @@ impl RoutingStats {
 
 /// Vertex ↔ (worker, local index) addressing for one partition.
 ///
-/// The shard stage uses `local_of` to histogram destinations; the merge
-/// stage uses `vertex_at` to label the grouped runs. Built once per
+/// The shard stage uses `local_of` to tag deliveries with local
+/// indices; the merge stage uses `vertex_at` to label the grouped runs.
+/// Built once per
 /// partition (a [`Topology`](crate::Topology) owns one) and shared
 /// read-only by every routing stage of every run over it.
 #[derive(Debug, Clone)]
@@ -370,6 +371,11 @@ impl<M> Bucket<M> {
         self.len() == 0
     }
 
+    /// Every entry's destination local index, in append order.
+    fn lis(&self) -> impl Iterator<Item = u32> + '_ {
+        (self.full.iter().chain([&self.open])).flat_map(|b| b.lis.iter().copied())
+    }
+
     #[inline]
     fn push(&mut self, li: u32, delivery: Delivery<M>) {
         if self.open.deliveries.len() == self.open.deliveries.capacity() {
@@ -423,8 +429,8 @@ impl<M> Bucket<M> {
 }
 
 /// Messages from one source worker bound for one destination worker:
-/// the (already sender-combined) bucket of deliveries, a histogram
-/// of destination local indices, the mirror-prepaid wire accounting,
+/// the (already sender-combined) bucket of deliveries with their
+/// destination local indices, the mirror-prepaid wire accounting,
 /// and the pair's measured flow. A bucket entry is a [`Delivery`], not
 /// an [`Envelope`]: the destination id is dead once the local index is
 /// known, and the merge labels each run from the local index. All
@@ -432,12 +438,6 @@ impl<M> Bucket<M> {
 #[derive(Debug)]
 pub(crate) struct Shard<M> {
     bucket: Bucket<M>,
-    /// Entries per destination local index (len = destination
-    /// worker's vertex count; all-zero outside the pipeline).
-    hist: Vec<u32>,
-    /// Local indices with `hist > 0`, in first-touch order — makes
-    /// re-zeroing `hist` O(distinct destinations), not O(n).
-    touched: Vec<u32>,
     /// Wire messages in the bucket (multiplicity sum; combining folds
     /// envelopes but preserves this total).
     wire: u64,
@@ -479,8 +479,6 @@ impl<M> Default for Shard<M> {
     fn default() -> Self {
         Shard {
             bucket: Bucket::default(),
-            hist: Vec::new(),
-            touched: Vec::new(),
             wire: 0,
             tuples: 0,
             copied: 0,
@@ -525,17 +523,12 @@ fn folds<M: Message>(combine: bool) -> bool {
 }
 
 /// Append a delivery for destination local index `li` to `shard`,
-/// maintaining the wire and tuple counts and the local-index histogram.
+/// maintaining the wire and tuple counts.
 #[inline]
 fn append<M: Message>(shard: &mut Shard<M>, li: u32, msg: M, mult: u64) {
     shard.wire += mult;
     shard.tuples += msg.units();
     shard.copied += std::mem::size_of::<Delivery<M>>() as u64;
-    let h = &mut shard.hist[li as usize];
-    if *h == 0 {
-        shard.touched.push(li);
-    }
-    *h += 1;
     shard.bucket.push(li, Delivery { msg, mult });
 }
 
@@ -689,41 +682,51 @@ fn finish_shard<M>(src: usize, dst: usize, shard: &mut Shard<M>, combine: bool, 
     shard.flow = flow;
 }
 
+/// Call `f` with the index of every set bit of `words`, ascending.
+#[inline]
+fn for_each_bit(words: &[u64], mut f: impl FnMut(u32)) {
+    for (w, mut bits) in words.iter().copied().enumerate() {
+        while bits != 0 {
+            f((w as u32) << 6 | bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+}
+
 /// Stage 2: fold one destination's shard column (in source order) into
 /// its grouped [`Inbox`].
 ///
-/// The per-shard histograms are summed into per-vertex offsets, every
-/// envelope payload is moved into its vertex's delivery run, and the
-/// runs are emitted in ascending local-index order — the exact grouping
-/// the compute phase used to derive with a per-round counting sort.
+/// Count the column's local indices into `counts` and the `touched`
+/// bitmap, turn the counts into cursors along an ascending bit walk,
+/// scatter, then walk again to emit the runs and re-zero both buffers.
+/// No sort; a walk costs O(nloc / 64) words, not O(nloc).
 fn merge_column<M: Message>(
     dst: usize,
     col: &mut [Shard<M>],
     locals: &LocalIndex,
     counts: &mut Vec<u32>,
-    active: &mut Vec<u32>,
+    touched: &mut Vec<u64>,
     inbox: &mut Inbox<M>,
     flows: &mut [PairFlow],
 ) {
     let nloc = locals.count(dst);
     if counts.len() < nloc {
         counts.resize(nloc, 0);
+        touched.resize(nloc.div_ceil(64), 0);
     }
     debug_assert!(inbox.is_empty(), "inboxes must arrive empty");
     debug_assert!(counts.iter().all(|&c| c == 0), "offset buffer not reset");
-    active.clear();
+    debug_assert!(touched.iter().all(|&w| w == 0), "bitmap not reset");
+    let touched = &mut touched[..nloc.div_ceil(64)];
 
-    // Sum the shard histograms; `active` collects the distinct local
-    // indices so nothing here is O(worker vertex count).
+    // Count: per-vertex entries and the bitmap of touched vertices.
     let mut total = 0usize;
     for (src, shard) in col.iter_mut().enumerate() {
         flows[src] = std::mem::take(&mut shard.flow);
         total += shard.bucket.len();
-        for &li in &shard.touched {
-            if counts[li as usize] == 0 {
-                active.push(li);
-            }
-            counts[li as usize] += shard.hist[li as usize];
+        for li in shard.bucket.lis() {
+            counts[li as usize] += 1;
+            touched[li as usize >> 6] |= 1 << (li & 63);
         }
     }
     if total == 0 {
@@ -733,20 +736,21 @@ fn merge_column<M: Message>(
 
     // Prefix-sum in ascending local order: counts[li] becomes the write
     // cursor of li's run.
-    active.sort_unstable();
     let mut running = 0u32;
-    for &li in active.iter() {
+    let mut distinct = 0usize;
+    for_each_bit(touched, |li| {
         let c = counts[li as usize];
         counts[li as usize] = running;
         running += c;
-    }
+        distinct += 1;
+    });
     debug_assert_eq!(running as usize, total);
 
     // Scatter: move each delivery straight into its run slot. Iterating
-    // shards in source order keeps runs stable by (source, send order)
-    // — the same order the counting sort used to produce. The inbox
-    // grows in place to exactly `total`, not to the next doubling: it
-    // holds the round's traffic, and its pages stay mapped for reuse.
+    // shards in source order keeps runs stable by (source, send order).
+    // The inbox grows in place to exactly `total`, not to the next
+    // doubling: it holds the round's traffic, and its pages stay mapped
+    // for reuse.
     inbox.deliveries.reserve_exact(total);
     let spare = inbox.deliveries.spare_capacity_mut();
     for shard in col.iter_mut() {
@@ -755,29 +759,25 @@ fn merge_column<M: Message>(
             counts[li as usize] += 1;
             spare[slot].write(delivery);
         });
-        // Restore the shard's all-zero histogram for the next round.
-        for &li in &shard.touched {
-            shard.hist[li as usize] = 0;
-        }
-        shard.touched.clear();
     }
     // SAFETY: the cursors partition 0..total into disjoint runs (run li
-    // starts at its prefix sum and receives exactly hist-sum(li)
-    // writes), so every slot in 0..total was written exactly once
-    // above, and `reserve_exact(total)` guaranteed the spare capacity.
+    // starts at its prefix sum and receives exactly counts(li) writes),
+    // so every slot in 0..total was written exactly once above, and
+    // `reserve_exact(total)` guaranteed the spare capacity.
     unsafe { inbox.deliveries.set_len(total) };
 
-    // After the scatter each cursor sits at its run's end offset; emit
-    // the runs and restore the all-zero offset buffer.
-    inbox.runs.reserve_exact(active.len());
-    for &li in active.iter() {
+    // Emit: after the scatter each cursor sits at its run's end offset;
+    // push the runs and restore the all-zero offsets and bitmap.
+    inbox.runs.reserve_exact(distinct);
+    for_each_bit(touched, |li| {
         inbox.runs.push(Run {
             dest: locals.vertex_at(dst, li),
             local: li,
             end: counts[li as usize],
         });
         counts[li as usize] = 0;
-    }
+    });
+    touched.fill(0);
 }
 
 /// Fold one pair's flow into the round statistics.
@@ -919,7 +919,7 @@ pub fn route<M: Message>(
 
     // Grouped delivery: concatenate each column in source order and
     // stable-sort by local index (the grid derives the same order from
-    // histograms instead).
+    // per-vertex counts and a bitmap of touched local indices instead).
     let inboxes = columns
         .into_iter()
         .map(|column| {
@@ -969,8 +969,9 @@ pub struct RouteGrid<M> {
     slots: Vec<SenderSlots>,
     /// Per-destination run-offset buffers (all-zero between rounds).
     counts: Vec<Vec<u32>>,
-    /// Per-destination active-local-index scratch.
-    active: Vec<Vec<u32>>,
+    /// Per-destination bitmaps of touched local indices (all-zero
+    /// between rounds).
+    touched: Vec<Vec<u64>>,
     stats: RoutingStats,
     /// Whether the round [`Self::begin_round`] prepared combines: the
     /// sinks fold at emission exactly when it is set.
@@ -993,7 +994,7 @@ impl<M: Message> RouteGrid<M> {
             sent: vec![0; workers],
             slots: (0..workers).map(|_| SenderSlots::default()).collect(),
             counts: (0..workers).map(|_| Vec::new()).collect(),
-            active: (0..workers).map(|_| Vec::new()).collect(),
+            touched: (0..workers).map(|_| Vec::new()).collect(),
             stats: RoutingStats::new(workers),
             combine: false,
         }
@@ -1055,8 +1056,8 @@ impl<M: Message> RouteGrid<M> {
     /// Fold-at-send entry point, part 1 of 3: prepare the grid for a
     /// round whose envelopes will be emitted straight into the shard
     /// matrix (via [`Self::emit_sinks`]). Records the round's `combine`
-    /// flag, refreshes every shard's destination vertex count and
-    /// histogram size, and — when the round folds — advances the
+    /// flag, refreshes every shard's destination vertex count, and —
+    /// when the round folds — advances the
     /// dense fold tables' epoch and clears the slot maps. Call once per
     /// round, before handing out sinks. The benchmark's round-loop
     /// replica drives all three parts, so their signatures stay as
@@ -1070,11 +1071,7 @@ impl<M: Message> RouteGrid<M> {
                     shard.bucket.is_empty(),
                     "shard rows must be drained between rounds"
                 );
-                let nloc = locals.count(dw);
-                if shard.hist.len() < nloc {
-                    shard.hist.resize(nloc, 0);
-                }
-                shard.nloc = nloc;
+                shard.nloc = locals.count(dw);
                 if fold {
                     shard.fold_round = shard.fold_round.wrapping_add(1);
                     if shard.fold_round == 0 {
@@ -1166,12 +1163,12 @@ impl<M: Message> RouteGrid<M> {
             .zip(inboxes.iter_mut())
             .zip(self.flows.chunks_mut(workers))
             .zip(self.counts.iter_mut())
-            .zip(self.active.iter_mut());
+            .zip(self.touched.iter_mut());
         dispatch(
             pool,
             columns,
-            |dst, ((((col, inbox), flows), counts), active)| {
-                merge_column(dst, col, locals, counts, active, inbox, flows);
+            |dst, ((((col, inbox), flows), counts), touched)| {
+                merge_column(dst, col, locals, counts, touched, inbox, flows);
             },
         );
 
@@ -1722,6 +1719,60 @@ mod tests {
                 );
                 assert_eq!(stats, &want_stats, "combine={combine} pooled={pooled}");
                 assert_eq!(inboxes, want_in, "combine={combine} pooled={pooled}");
+            }
+        }
+    }
+
+    /// The merge's bitmap at its word edges: local indices 0, 63, 64,
+    /// 127 and `nloc - 1` on workers whose vertex counts (65, 130) are
+    /// not multiples of 64, beside a worker that owns nothing. Each
+    /// round matches the serial oracle, and every round — an empty one
+    /// included — leaves the offsets and bitmaps all-zero, so a stale
+    /// bit cannot leak a run into a later round.
+    #[test]
+    fn grid_bitmap_edges_match_serial_route() {
+        let g = generators::ring(195, true);
+        // w0 owns 0..65 (nloc 65), w1 nothing, w2 owns 65..195 (nloc 130).
+        let owners = (0..195).map(|v| if v < 65 { 0 } else { 2 }).collect();
+        let p = Partition::from_owners(owners, 3);
+        let l = LocalIndex::build(&p);
+        assert_eq!((l.count(0), l.count(1), l.count(2)), (65, 0, 130));
+        let busy = || {
+            let mut obs: Vec<Outbox<Src>> = (0..3).map(|_| Outbox::new()).collect();
+            for (src, ob) in obs.iter_mut().enumerate() {
+                // w2's local indices 129, 127, 64, 63, 0, then w0's 64,
+                // 63, 0: descending, so the merge cannot lean on send
+                // order.
+                for (i, d) in [194, 192, 129, 128, 65, 64, 63, 0].into_iter().enumerate() {
+                    let key = (src + i % 2) as u32;
+                    ob.sends.push(Envelope::new(d, Src(key), 1 + src as u64));
+                }
+            }
+            obs[1].broadcasts.push((64, Src(9), 2)); // neighbors 63 and 65
+            obs
+        };
+        let sparse = || {
+            let mut obs: Vec<Outbox<Src>> = (0..3).map(|_| Outbox::new()).collect();
+            obs[2].sends.push(Envelope::new(65 + 128, Src(1), 1));
+            obs[0].sends.push(Envelope::new(1, Src(1), 1));
+            obs
+        };
+        let empty = || (0..3).map(|_| Outbox::new()).collect::<Vec<Outbox<Src>>>();
+        let rounds: [&dyn Fn() -> Vec<Outbox<Src>>; 4] = [&busy, &empty, &sparse, &busy];
+        for combine in [false, true] {
+            let mut grid: RouteGrid<Src> = RouteGrid::new(3);
+            let mut inboxes: Vec<Inbox<Src>> = (0..3).map(|_| Inbox::new()).collect();
+            for (round, make) in rounds.iter().enumerate() {
+                let (want_in, want_stats) = route(make(), &g, &p, &l, None, combine, 8);
+                let mut obs = make();
+                let stats =
+                    grid.route_round(None, &mut obs, &mut inboxes, &g, &p, &l, None, combine, 8);
+                let at = format!("combine={combine} round {round}");
+                assert_eq!(stats, &want_stats, "{at}");
+                assert_eq!(inboxes, want_in, "{at}");
+                assert!(grid.counts.iter().flatten().all(|&c| c == 0), "{at}");
+                assert!(grid.touched.iter().flatten().all(|&w| w == 0), "{at}");
+                inboxes.iter_mut().for_each(|i| i.clear());
             }
         }
     }

@@ -47,6 +47,15 @@ use std::sync::Arc;
 /// round still paid a third wake-up for the shard epilogue: 4 096
 /// slowed the narrow workloads more, and 65 536 or more left
 /// `job-wide` too little of its gain.
+///
+/// The load counts deliveries, not the messages a round will emit.
+/// Width-1 BKHS rounds emit many wire messages per delivery (a median
+/// of 56 per round in `job-narrow`'s BKHS(512)×512 cell; 11.9 M against
+/// 388 264 deliveries over its 1 508 rounds), yet none holds more than
+/// 9 227 deliveries, so none fans out. Counting each delivered vertex's
+/// out-degree as well pooled 257 of those rounds and made the cell
+/// slower, 395 → 419 ms in 6 of 6 alternating blocks (the fan-out
+/// negative result in EXPERIMENTS.md), so the load stays at deliveries.
 const FANOUT_LOAD: usize = 16_384;
 
 /// Whether a round holding `load` fans out: the one place the engine
