@@ -277,6 +277,9 @@ fn run_job_on(graph: &Graph, spec: &JobSpec, engine: &JobEngine) -> JobResult {
         outcome = RunOutcome::Completed(elapsed);
     }
 
+    // `absorb` grows the per-round log by doubling; a kept result holds
+    // only the rounds it ran.
+    stats.per_round.shrink_to_fit();
     let cost = MonetaryCost::of_run(outcome, &spec.cluster);
     JobResult {
         outcome,
@@ -698,8 +701,10 @@ fn execute<P: SlabProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtvc_engine::PagingConfig;
     use mtvc_graph::generators;
-    use mtvc_tasks::bkhs::BkhsState;
+    use mtvc_metrics::RoundStats;
+    use mtvc_tasks::bkhs::{BkhsCounts, BkhsState};
     use mtvc_tasks::bppr::{BpprState, PushState};
     use mtvc_tasks::mssp::MsspState;
 
@@ -1173,6 +1178,157 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Each batch's last entry of a job's `per_round` log (a batch's
+    /// rounds count from 0 again).
+    fn batch_final_rounds(stats: &RunStats) -> Vec<&RoundStats> {
+        let rounds = &stats.per_round;
+        (rounds.iter().enumerate())
+            .filter(|&(i, _)| rounds.get(i + 1).is_none_or(|next| next.round == 0))
+            .map(|(_, r)| r)
+            .collect()
+    }
+
+    /// BKHS's last superstep is counted, not routed, on every
+    /// non-combining system: the row, lane and broadcast kernels,
+    /// resident and through GraphD's pager (with a roomy cache and with
+    /// one that evicts every round), still reach exactly the sequential
+    /// k-hop sets, and the final round sends messages yet copies no
+    /// bytes into a shard. Under GraphLab's combiner the final round
+    /// folds, so it still routes and copies.
+    #[test]
+    fn bkhs_final_round_is_counted_without_a_combiner() {
+        let g = small_graph();
+        let cluster = ClusterSpec::galaxy(4);
+        let k = 3;
+        let sources = select_sources(&g, 10, 0xB4);
+        let evicting = PagingConfig {
+            budget: Bytes::new(768),
+            partition_bytes: Bytes::new(192),
+        };
+        for system in SystemKind::ALL {
+            let profile = system.profile(&cluster.machine);
+            let partition = system.partitioner().partition(&g, cluster.machines);
+            let pagings = match profile.out_of_core {
+                Some(_) => vec![None, Some(evicting)],
+                None => vec![None],
+            };
+            for paging in pagings {
+                let mut cfg = EngineConfig::new(cluster.clone(), profile.clone());
+                cfg.cutoff = SimTime::secs(1e12);
+                if let (Some(ooc), Some(paging)) = (cfg.profile.out_of_core.as_mut(), paging) {
+                    ooc.paging = paging;
+                }
+                let runner = Runner::with_partition(&g, partition.clone(), cfg);
+                let check = |kernel: &str, states: &[BkhsState], stats: &RunStats| {
+                    let label = format!("{system} {kernel} evicting={}", paging.is_some());
+                    for (q, &s) in sources.iter().enumerate() {
+                        let mut want = mtvc_graph::reference::k_hop_set(&g, s, k);
+                        want.sort_unstable();
+                        let got = BkhsCounts::members(states, q as u32);
+                        assert_eq!(got, want, "{label}: source {s}");
+                    }
+                    let last = stats.per_round.last().expect("rounds ran");
+                    assert_eq!(last.round, k as usize, "{label}: runs to the horizon");
+                    assert!(last.messages_sent > 0, "{label}: the last round sends");
+                    let copied = last.shard_copy_bytes > Bytes::ZERO;
+                    assert_eq!(copied, profile.combiner, "{label}: {last:?}");
+                };
+                let row = runner.run_slab(&BkhsSlabProgram::new(sources.clone(), k));
+                check("row", &row.states, &row.stats);
+                let lane = runner.run_slab(&BkhsLaneSlabProgram::new(sources.clone(), k));
+                check("lane", &lane.states, &lane.stats);
+                let bc = runner.run_slab(&BkhsBroadcastSlabProgram::new(sources.clone(), k));
+                check("broadcast", &bc.states, &bc.stats);
+            }
+        }
+        // And through `run_job`'s batches: every batch's last round.
+        for (system, copies) in [
+            (SystemKind::PregelPlus, false),
+            (SystemKind::GraphLab, true),
+        ] {
+            let mut job = spec(Task::bkhs(24), 3);
+            job.system = system;
+            let r = run_job(&g, &job);
+            let finals = batch_final_rounds(&r.stats);
+            assert_eq!(finals.len(), 3, "{system}");
+            for last in finals {
+                assert_eq!(
+                    last.shard_copy_bytes > Bytes::ZERO,
+                    copies,
+                    "{system}: {last:?}"
+                );
+            }
+        }
+    }
+
+    /// Faults on BKHS's counted last round (k) and on the routed round
+    /// before it (k − 1), for the row and the lane kernel: a crash rolls
+    /// back and replays into the counted round, a corruption resends a
+    /// share of the previous round's inbound bytes, and a straggler
+    /// re-prices the round. Every statistic outside `faults`, the
+    /// outcome and the residual stay the fault-free run's.
+    #[test]
+    fn faults_at_the_counted_round_change_only_the_fault_record() {
+        let g = Arc::new(small_graph());
+        let k = 3;
+        for width in [4u64, 16] {
+            let task = Task::Bkhs {
+                num_sources: width,
+                k,
+            };
+            let sources = select_sources(&g, width, 0xFA);
+            let runner = BatchRunner::new(
+                Arc::clone(&g),
+                task,
+                SystemKind::PregelPlus,
+                ClusterSpec::galaxy(4),
+            );
+            let clean = runner.run_batch(width, &sources, &[0; 4], 7, OVERLOAD_CUTOFF);
+            let last = clean.stats.per_round.last().expect("rounds ran");
+            assert_eq!(last.round, k as usize, "width {width}");
+            for at in [k as usize, k as usize - 1] {
+                let label = format!("width {width}, faults at round {at}");
+                let plan = FaultPlan::none()
+                    .with_crash(at, 0)
+                    .with_corruption(at, 1, 2)
+                    .with_straggler(at, 2, 300, 2);
+                let chaotic = runner
+                    .clone()
+                    .with_faults(plan)
+                    // Only round 0 checkpoints, so the crash replays.
+                    .with_checkpoint_every(8)
+                    .run_batch(width, &sources, &[0; 4], 7, OVERLOAD_CUTOFF);
+                let f = &chaotic.stats.faults;
+                assert_eq!(
+                    (f.crashes, f.corrupted_buckets, f.stragglers),
+                    (1, 2, 1),
+                    "{label}"
+                );
+                assert!(f.replayed_rounds > 0, "{label}: the crash must roll back");
+                assert!(f.retransmitted_bytes > Bytes::ZERO, "{label}");
+                assert_eq!(clean.outcome, chaotic.outcome, "{label}");
+                assert_eq!(clean.time, chaotic.time, "{label}");
+                assert_eq!(clean.residual_delta, chaotic.residual_delta, "{label}");
+                let mut scrubbed = chaotic.stats.clone();
+                scrubbed.faults = Default::default();
+                assert_eq!(scrubbed, clean.stats, "{label}");
+            }
+        }
+    }
+
+    /// A kept `JobResult` holds only the rounds it ran: `absorb`'s
+    /// doubling slack is trimmed.
+    #[test]
+    fn run_job_trims_the_per_round_log() {
+        let g = small_graph();
+        for task in [Task::bkhs(12), Task::mssp(12), Task::bppr(12)] {
+            let r = run_job(&g, &spec(task, 3));
+            let log = &r.stats.per_round;
+            assert!(log.len() > 3, "{task:?}");
+            assert_eq!(log.capacity(), log.len(), "{task:?}");
         }
     }
 

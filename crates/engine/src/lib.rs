@@ -39,7 +39,8 @@ pub use pool::WorkerPool;
 pub use profile::{ExecutionMode, OocConfig, PagingConfig, SyncMode, SystemProfile};
 pub use program::{Context, EmitSink, Outbox, PagedNeighbors, ProgramCore};
 pub use router::{
-    route, Inbox, LocalIndex, RouteGrid, RoutePolicy, RoutingStats, Run, ShardedOutbox,
+    route, CountingOutbox, Inbox, LocalIndex, RouteGrid, RoutePolicy, RoutingStats, Run,
+    ShardedOutbox,
 };
 pub use runner::{vertex_rng, BatchParams, EngineConfig, RunResult, Runner};
 pub use slab::{PerSlab, SlabProgram, SlabRecycler, SlabRow, SlabRowMut, StateSlab, LANES};

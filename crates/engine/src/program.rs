@@ -26,7 +26,11 @@ pub struct PagedNeighbors<'a> {
 /// router's [`ShardedOutbox`](crate::router::ShardedOutbox), which
 /// routes each emission into its destination shard at emit time and
 /// runs the sender-side combiner's fold probe there, so folded
-/// envelopes are never materialised (fold-at-send). The flat [`Outbox`]
+/// envelopes are never materialised (fold-at-send). In a *counted*
+/// round — the last of a fixed-horizon program on a non-combining
+/// profile, whose messages no compute reads — the runner hands out a
+/// [`CountingOutbox`](crate::router::CountingOutbox) instead, which
+/// bumps the same per-pair counters and stores nothing. The flat [`Outbox`]
 /// only queues emissions, for harnesses driving programs directly and
 /// for the routing oracles, which replay it through the same shard
 /// sinks ([`RouteGrid::route_round`](crate::RouteGrid::route_round)) or
@@ -44,6 +48,19 @@ pub trait EmitSink<M> {
     /// Accept one broadcast (origin, payload, per-neighbor
     /// multiplicity); the origin's degree is known non-zero.
     fn emit_broadcast(&mut self, origin: VertexId, msg: M, mult: u64);
+
+    /// Accept one envelope of `msg` per target, in target order, each
+    /// of multiplicity `mult`: exactly the sequence of [`Self::emit`]s
+    /// the default makes. One dynamic call per fan-out instead of one
+    /// per message; the counting sink overrides it with one tight loop.
+    fn emit_each(&mut self, targets: &[VertexId], msg: &M, mult: u64)
+    where
+        M: Clone,
+    {
+        for &t in targets {
+            self.emit(Envelope::new(t, msg.clone(), mult));
+        }
+    }
 }
 
 /// Flat per-worker send buffer, reusable across compute calls *and*
@@ -215,6 +232,18 @@ impl<'a, M: Message> Context<'a, M> {
             return;
         }
         self.sink.emit(Envelope::new(dest, msg, mult));
+    }
+
+    /// Send `msg` to every vertex of `targets`, in order, each as
+    /// `mult` wire messages: the same emissions as one
+    /// [`Context::send`] per target, handed to the sink in one call
+    /// ([`EmitSink::emit_each`]). In a counted round (see [`EmitSink`])
+    /// they are only counted, and none reaches an inbox.
+    pub fn send_each(&mut self, targets: &[VertexId], msg: M, mult: u64) {
+        if mult == 0 || targets.is_empty() {
+            return;
+        }
+        self.sink.emit_each(targets, &msg, mult);
     }
 
     /// Broadcast `msg` to every out-neighbor (the only interface

@@ -46,6 +46,17 @@
 //! [`Outbox`]es through the same sinks for harnesses and the property
 //! tests, and the serial [`route`] stays the independent oracle they
 //! are pinned against.
+//!
+//! A **counted** round skips both stages' data movement. The last round
+//! of a fixed-horizon program sends messages that no compute reads, so
+//! on a non-combining profile — whose statistics count every sent
+//! envelope, folded or not — the runner hands out [`CountingOutbox`]
+//! sinks ([`RouteGrid::count_sinks`]) instead: each bumps its pairs'
+//! wire, tuple and mirror-prepaid counters exactly as a
+//! [`ShardedOutbox`] would and writes no bucket, so the merge finds
+//! every column empty and every [`RoutingStats`] field but
+//! `shard_copy_bytes` (0) equals the routed round's. A combining round
+//! always routes: its tuple count is the fold's, which needs the bucket.
 
 use crate::message::{Delivery, Envelope, Message};
 use crate::mirror::MirrorIndex;
@@ -102,8 +113,9 @@ pub struct RoutingStats {
     /// surviving message once and each folded one never — this counter
     /// is what the copy-elimination claim is measured on. Exact
     /// payloads fold on every profile, so this is the one statistic a
-    /// non-combining run of them sees shrink. Pure accounting; no other
-    /// statistic depends on it.
+    /// non-combining run of them sees shrink. A counted round
+    /// ([`CountingOutbox`]) appends nothing and reads 0. Pure
+    /// accounting; no other statistic depends on it.
     pub shard_copy_bytes: u64,
 }
 
@@ -438,8 +450,9 @@ impl<M> Bucket<M> {
 #[derive(Debug)]
 pub(crate) struct Shard<M> {
     bucket: Bucket<M>,
-    /// Wire messages in the bucket (multiplicity sum; combining folds
-    /// envelopes but preserves this total).
+    /// Wire messages sent to this pair this round (multiplicity sum;
+    /// combining folds envelopes but preserves this total, and a
+    /// counted round counts them without filling the bucket).
     wire: u64,
     /// Tuples the bucket delivers as the round prices them, counted as
     /// envelopes arrive: [`Message::units`] per append, plus the units
@@ -644,8 +657,11 @@ fn push_broadcast<M: Message>(
     append(&mut shards[dw], li, msg.clone(), mult);
 }
 
-/// Measure one shard's pair traffic from the counters its appends and
-/// folds kept — O(1), the bucket is never walked.
+/// Measure one shard's pair traffic from the counters its appends,
+/// folds or counting sink kept — O(1), the bucket is never walked. A
+/// pair that saw no traffic has all-zero counters, so its flow comes
+/// out all-zero with no test of the bucket: a counted round leaves the
+/// bucket empty however much it counted.
 ///
 /// Tuples are payload units, not envelopes, so a folded lane envelope
 /// counts once per live lane and lane-batched traffic is priced exactly
@@ -660,24 +676,24 @@ fn finish_shard<M>(src: usize, dst: usize, shard: &mut Shard<M>, combine: bool, 
     let wire = std::mem::take(&mut shard.wire);
     let tuples = std::mem::take(&mut shard.tuples);
     let copied = std::mem::take(&mut shard.copied);
-    let mut flow = PairFlow::default();
-    if !shard.bucket.is_empty() || prepaid_net != 0 {
-        flow.copy_bytes = copied;
-        // Bytes on the wire: combining systems transmit tuples,
-        // non-combining systems transmit every wire message.
-        let payload_units = if combine { tuples } else { wire };
-        let buffer_bytes = payload_units * msg_bytes;
-        flow.buffer_bytes = buffer_bytes;
-        flow.wire = wire;
-        flow.tuples = tuples;
-        if dst != src {
-            // Replace the prepaid portion: those wire messages crossed
-            // as mirror transfers already counted.
-            let prepaid_units = prepaid_wire.min(payload_units);
-            flow.net_bytes = buffer_bytes.saturating_sub(prepaid_units * msg_bytes) + prepaid_net;
-        } else {
-            flow.local_bytes = buffer_bytes;
-        }
+    // Bytes on the wire: combining systems transmit tuples,
+    // non-combining systems transmit every wire message.
+    let payload_units = if combine { tuples } else { wire };
+    let buffer_bytes = payload_units * msg_bytes;
+    let mut flow = PairFlow {
+        buffer_bytes,
+        wire,
+        tuples,
+        copy_bytes: copied,
+        ..PairFlow::default()
+    };
+    if dst != src {
+        // Replace the prepaid portion: those wire messages crossed as
+        // mirror transfers already counted.
+        let prepaid_units = prepaid_wire.min(payload_units);
+        flow.net_bytes = buffer_bytes.saturating_sub(prepaid_units * msg_bytes) + prepaid_net;
+    } else {
+        flow.local_bytes = buffer_bytes;
     }
     shard.flow = flow;
 }
@@ -1123,6 +1139,35 @@ impl<M: Message> RouteGrid<M> {
             })
     }
 
+    /// Part 2 of a counted round, in place of [`Self::emit_sinks`]: one
+    /// [`CountingOutbox`] per source worker, in worker order, over the
+    /// same shard rows and wire counters. Nothing it is handed reaches a
+    /// bucket, so [`Self::route_presharded`] then delivers nothing and
+    /// reports the round's traffic as the routed round would, with
+    /// [`RoutingStats::shard_copy_bytes`] 0. Only for a round
+    /// [`Self::begin_round`] opened without combining: a combining
+    /// round's tuples are counted after the fold.
+    pub fn count_sinks<'a>(
+        &'a mut self,
+        graph: &'a Graph,
+        part: &'a Partition,
+        mirrors: Option<&'a MirrorIndex>,
+        msg_bytes: u64,
+    ) -> impl Iterator<Item = CountingOutbox<'a, M>> + 'a {
+        assert!(!self.combine, "a combining round must route its buckets");
+        (self.rows.iter_mut().zip(self.sent.iter_mut()))
+            .enumerate()
+            .map(move |(src, (row, sent))| CountingOutbox {
+                src,
+                shards: row.as_mut_slice(),
+                sent,
+                graph,
+                part,
+                mirrors,
+                msg_bytes,
+            })
+    }
+
     /// Fold-at-send entry point, part 3 of 3: finish the round after
     /// the compute phase filled the shard matrix through its sinks.
     /// Takes every pair's flow from its shard's counters (the stage-1
@@ -1284,6 +1329,72 @@ impl<M: Message> EmitSink<M> for ShardedOutbox<'_, M> {
                 }
             }
         }
+    }
+}
+
+/// Per-source emit sink of a counted round ([`RouteGrid::count_sinks`]):
+/// the last round of a fixed-horizon program on a non-combining
+/// profile, whose messages no round reads. Each emission bumps the
+/// source's wire counter and its destination pair's wire and tuple
+/// counts — and a mirrored broadcast its pairs' prepaid counters —
+/// exactly as [`ShardedOutbox`] counts an append or a non-combining
+/// fold, but nothing is stored and no fold table is probed.
+pub struct CountingOutbox<'a, M: Message> {
+    src: usize,
+    shards: &'a mut [Shard<M>],
+    sent: &'a mut u64,
+    graph: &'a Graph,
+    part: &'a Partition,
+    mirrors: Option<&'a MirrorIndex>,
+    msg_bytes: u64,
+}
+
+impl<M: Message> CountingOutbox<'_, M> {
+    /// Count one envelope of `units` payload units and multiplicity
+    /// `mult` per target, in the targets' pairs.
+    #[inline]
+    fn count(&mut self, targets: &[VertexId], units: u64, mult: u64) {
+        *self.sent += targets.len() as u64 * mult;
+        for &t in targets {
+            let shard = &mut self.shards[self.part.owner_of(t) as usize];
+            shard.wire += mult;
+            shard.tuples += units;
+        }
+    }
+}
+
+impl<M: Message> EmitSink<M> for CountingOutbox<'_, M> {
+    #[inline]
+    fn emit(&mut self, env: Envelope<M>) {
+        self.count(&[env.dest], env.msg.units(), env.mult);
+    }
+
+    fn emit_each(&mut self, targets: &[VertexId], msg: &M, mult: u64) {
+        self.count(targets, msg.units(), mult);
+    }
+
+    fn emit_broadcast(&mut self, origin: VertexId, msg: M, mult: u64) {
+        let targets = self.graph.neighbors(origin);
+        if let Some(mirror_workers) = self.mirrors.and_then(|m| m.fanout(origin)) {
+            for &mw in mirror_workers {
+                self.shards[mw as usize].prepaid_net += self.msg_bytes * mult;
+            }
+            for &t in targets {
+                let dw = self.part.owner_of(t) as usize;
+                if dw != self.src {
+                    self.shards[dw].prepaid_wire += mult;
+                }
+            }
+        }
+        self.count(targets, msg.units(), mult);
+    }
+}
+
+impl<M: Message> std::fmt::Debug for CountingOutbox<'_, M> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CountingOutbox")
+            .field("src", &self.src)
+            .finish()
     }
 }
 
@@ -1850,6 +1961,206 @@ mod tests {
         fill(&mut bucket, 0..n);
         assert!(bucket.spare.is_empty());
         assert_eq!(bucket.len(), n as usize);
+    }
+
+    /// A lane-style payload: `units()` is the live-lane count, and the
+    /// merge is exact (so routed non-combining rounds fold) or not.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Lanes<const EXACT: bool> {
+        chunk: u32,
+        mask: u8,
+    }
+    impl<const EXACT: bool> Message for Lanes<EXACT> {
+        const EXACT_MERGE: bool = EXACT;
+        fn combine_key(&self) -> Option<u64> {
+            Some(self.chunk as u64)
+        }
+        fn merge(&mut self, o: &Self) {
+            self.mask |= o.mask;
+        }
+        fn units(&self) -> u64 {
+            self.mask.count_ones() as u64
+        }
+    }
+
+    /// One emission, replayed into any [`EmitSink`].
+    enum Emission<M> {
+        Send(VertexId, M, u64),
+        Each(Vec<VertexId>, M, u64),
+        Broadcast(VertexId, M, u64),
+    }
+
+    /// Seeded random traffic per source worker over `g`: sends,
+    /// `emit_each` fan-outs (duplicate targets included), broadcasts
+    /// from owned vertices (mirrored or not, as `mirrors` says), with
+    /// multiplicities 1–3 and masks of 1–8 live lanes. A worker owning
+    /// no vertex still sends.
+    fn random_traffic<const EXACT: bool>(
+        g: &Graph,
+        p: &Partition,
+        seed: u64,
+    ) -> Vec<Vec<Emission<Lanes<EXACT>>>> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let n = g.num_vertices() as VertexId;
+        let owned = p.worker_vertices();
+        (0..p.num_workers())
+            .map(|w| {
+                let mut out = Vec::new();
+                for _ in 0..60 {
+                    let msg = Lanes {
+                        chunk: rng.gen_range(0..3),
+                        mask: rng.gen_range(1..=255u8),
+                    };
+                    let mult = rng.gen_range(1..=3u64);
+                    match rng.gen_range(0..3) {
+                        0 => out.push(Emission::Send(rng.gen_range(0..n), msg, mult)),
+                        1 => {
+                            let len = rng.gen_range(1..6);
+                            let targets = (0..len).map(|_| rng.gen_range(0..n)).collect();
+                            out.push(Emission::Each(targets, msg, mult));
+                        }
+                        _ if !owned[w].is_empty() => {
+                            let origin = owned[w][rng.gen_range(0..owned[w].len())];
+                            if g.degree(origin) > 0 {
+                                out.push(Emission::Broadcast(origin, msg, mult));
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                out
+            })
+            .collect()
+    }
+
+    fn replay<M: Message>(emissions: &[Emission<M>], sink: &mut dyn EmitSink<M>) {
+        for e in emissions {
+            match e {
+                Emission::Send(dest, msg, mult) => {
+                    sink.emit(Envelope::new(*dest, msg.clone(), *mult))
+                }
+                Emission::Each(targets, msg, mult) => sink.emit_each(targets, msg, *mult),
+                Emission::Broadcast(origin, msg, mult) => {
+                    sink.emit_broadcast(*origin, msg.clone(), *mult)
+                }
+            }
+        }
+    }
+
+    /// One non-combining round of `traffic` through `grid`: routed
+    /// through [`ShardedOutbox`] sinks, or only counted.
+    fn grid_round<M: Message>(
+        grid: &mut RouteGrid<M>,
+        counted: bool,
+        traffic: &[Vec<Emission<M>>],
+        inboxes: &mut [Inbox<M>],
+        (g, p, l, mirrors): (&Graph, &Partition, &LocalIndex, Option<&MirrorIndex>),
+    ) -> RoutingStats {
+        grid.begin_round(false, l);
+        if counted {
+            for (mut sink, emissions) in grid.count_sinks(g, p, mirrors, 8).zip(traffic) {
+                replay(emissions, &mut sink);
+            }
+        } else {
+            for (mut sink, emissions) in grid.emit_sinks(g, p, l, mirrors, 8).zip(traffic) {
+                replay(emissions, &mut sink);
+            }
+        }
+        grid.route_presharded(None, inboxes, l, 8, false).clone()
+    }
+
+    /// What a round leaves in a grid between rounds must be nothing:
+    /// offsets, bitmaps, buckets and per-pair counters all zero.
+    fn assert_drained<M>(grid: &RouteGrid<M>, at: &str) {
+        assert!(
+            grid.counts.iter().flatten().all(|&c| c == 0),
+            "{at}: counts"
+        );
+        assert!(
+            grid.touched.iter().flatten().all(|&w| w == 0),
+            "{at}: bitmap"
+        );
+        for shard in grid.rows.iter().flatten() {
+            assert!(shard.bucket.is_empty(), "{at}: bucket");
+            let counters = [shard.wire, shard.tuples, shard.copied];
+            assert_eq!(counters, [0; 3], "{at}: counters");
+            assert_eq!((shard.prepaid_net, shard.prepaid_wire), (0, 0), "{at}");
+        }
+    }
+
+    /// A counted round reports exactly the routed round's statistics —
+    /// every field but `shard_copy_bytes`, which it reads as 0 — and
+    /// delivers nothing; interleaved with routed rounds it leaves no
+    /// trace in the grid. Random traffic over 4 workers, one owning no
+    /// vertex, with mirrored and unmirrored broadcasts, for exact and
+    /// inexact payloads.
+    #[test]
+    fn counted_round_counts_what_the_routed_round_routes() {
+        fn check<const EXACT: bool>() {
+            let g = generators::power_law(160, 900, 2.2, 0xC0DE);
+            let owners = (0..160).map(|v| [0, 2, 3][v % 3]).collect();
+            let p = Partition::from_owners(owners, 4);
+            let l = LocalIndex::build(&p);
+            assert_eq!(l.count(1), 0, "worker 1 owns nothing");
+            let mirrors = MirrorIndex::build(&g, &p, 8);
+            let mirrored = g
+                .vertices()
+                .filter(|&v| mirrors.fanout(v).is_some())
+                .count();
+            assert!(mirrored > 0 && mirrored < 160, "both broadcast kinds occur");
+            let fresh = || {
+                (0..4)
+                    .map(|_| Inbox::new())
+                    .collect::<Vec<Inbox<Lanes<EXACT>>>>()
+            };
+            for seed in 0..8u64 {
+                for mirrors in [None, Some(&mirrors)] {
+                    let at = format!("exact={EXACT} seed={seed} mirrored={}", mirrors.is_some());
+                    let topo = (&g, &p, &l, mirrors);
+                    let traffic = random_traffic::<EXACT>(&g, &p, seed);
+                    let mut grid = RouteGrid::new(4);
+                    let mut inboxes = fresh();
+                    let routed = grid_round(&mut grid, false, &traffic, &mut inboxes, topo);
+                    assert!(inboxes.iter().any(|i| !i.is_empty()), "{at}");
+                    assert!(routed.shard_copy_bytes > 0, "{at}");
+
+                    let mut counted_in = fresh();
+                    let counted = grid_round(&mut grid, true, &traffic, &mut counted_in, topo);
+                    assert!(counted_in.iter().all(Inbox::is_empty), "{at}: delivered");
+                    assert_eq!(counted.shard_copy_bytes, 0, "{at}");
+                    let want = RoutingStats {
+                        shard_copy_bytes: 0,
+                        ..routed.clone()
+                    };
+                    assert_eq!(counted, want, "{at}");
+                    assert_drained(&grid, &at);
+
+                    // routed → counted → routed on one grid: the third
+                    // round is a fresh grid's.
+                    inboxes.iter_mut().for_each(Inbox::clear);
+                    let again = grid_round(&mut grid, false, &traffic, &mut inboxes, topo);
+                    assert_drained(&grid, &at);
+                    let mut fresh_grid = RouteGrid::new(4);
+                    let mut fresh_in = fresh();
+                    let want = grid_round(&mut fresh_grid, false, &traffic, &mut fresh_in, topo);
+                    assert_eq!(again, want, "{at}: third round");
+                    assert_eq!(again, routed, "{at}");
+                    assert_eq!(inboxes, fresh_in, "{at}: third round inboxes");
+                }
+            }
+        }
+        check::<true>();
+        check::<false>();
+    }
+
+    #[test]
+    #[should_panic(expected = "combining round")]
+    fn a_combining_round_cannot_be_counted() {
+        let (g, p, l) = two_worker_setup();
+        let mut grid: RouteGrid<Src> = RouteGrid::new(2);
+        grid.begin_round(true, &l);
+        let _ = grid.count_sinks(&g, &p, None, 8).count();
     }
 
     #[test]

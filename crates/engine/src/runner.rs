@@ -568,6 +568,12 @@ impl<'g> Runner<'g> {
     /// so envelopes land pre-sharded and pre-folded in `grid`. `pagers`
     /// is empty on a resident run. With a `pool`, worker `w` runs on
     /// pool thread `w`.
+    ///
+    /// The last round of a fixed horizon sends messages that the stop
+    /// check drops unread. Without a combiner its statistics are known
+    /// at emission, so it is a *counted* round: the workers emit into
+    /// [`CountingOutbox`](crate::CountingOutbox) sinks, which count
+    /// exactly what the routed round would and store nothing.
     fn compute<C: ProgramCore>(
         &self,
         pool: Option<&WorkerPool>,
@@ -578,31 +584,18 @@ impl<'g> Runner<'g> {
         pagers: &mut [WorkerPager],
     ) -> Work {
         let topo = &*self.topology;
-        grid.begin_round(self.config.profile.combiner, &topo.locals);
-        let sinks = grid.emit_sinks(
-            self.graph,
-            &topo.partition,
-            &topo.locals,
-            topo.mirrors.as_ref(),
-            pass.program.message_bytes(),
-        );
-        let worker_vertices = topo.locals.worker_vertices();
-        let mut active = vec![0u64; states.len()];
-        let mut worker_pagers = pagers.iter_mut();
-        let per_worker = carry
-            .inboxes
-            .iter_mut()
-            .zip(sinks)
-            .zip(states.iter_mut())
-            .zip(active.iter_mut())
-            .map(|item| (item, worker_pagers.next()));
-        dispatch(
-            pool,
-            per_worker,
-            |w, ((((inbox, mut sink), store), slot), pager)| {
-                *slot = pass.worker(w, &worker_vertices[w], inbox, &mut sink, store, pager);
-            },
-        );
+        let combine = self.config.profile.combiner;
+        let (graph, mirrors) = (self.graph, topo.mirrors.as_ref());
+        let msg_bytes = pass.program.message_bytes();
+        grid.begin_round(combine, &topo.locals);
+        let counted = !combine && pass.program.max_rounds() == Some(pass.round);
+        let active = if counted {
+            let sinks = grid.count_sinks(graph, &topo.partition, mirrors, msg_bytes);
+            pass.run(pool, topo, &mut carry.inboxes, sinks, states, pagers)
+        } else {
+            let sinks = grid.emit_sinks(graph, &topo.partition, &topo.locals, mirrors, msg_bytes);
+            pass.run(pool, topo, &mut carry.inboxes, sinks, states, pagers)
+        };
         Work {
             active,
             paged: pagers.iter_mut().map(WorkerPager::take_round).collect(),
@@ -630,6 +623,35 @@ struct Pass<'a, C> {
 }
 
 impl<C: ProgramCore> Pass<'_, C> {
+    /// Run every worker's share of the round, worker `w` draining
+    /// `inboxes[w]` into the `w`-th of `sinks`; returns each worker's
+    /// active-vertex count.
+    fn run<S: EmitSink<C::Message> + Send>(
+        &self,
+        pool: Option<&WorkerPool>,
+        topo: &Topology,
+        inboxes: &mut [Inbox<C::Message>],
+        sinks: impl Iterator<Item = S>,
+        states: &mut [C::Store],
+        pagers: &mut [WorkerPager],
+    ) -> Vec<u64> {
+        let worker_vertices = topo.locals.worker_vertices();
+        let mut active = vec![0u64; states.len()];
+        let mut worker_pagers = pagers.iter_mut();
+        let per_worker = (inboxes.iter_mut().zip(sinks))
+            .zip(states.iter_mut())
+            .zip(active.iter_mut())
+            .map(|item| (item, worker_pagers.next()));
+        dispatch(
+            pool,
+            per_worker,
+            |w, ((((inbox, mut sink), store), slot), pager)| {
+                *slot = self.worker(w, &worker_vertices[w], inbox, &mut sink, store, pager);
+            },
+        );
+        active
+    }
+
     /// Execute worker `w`'s share of the round over its `vertices`
     /// (local-index order): one pass over the inbox's runs, grouped by
     /// local index at the merge, each vertex handed its messages as a

@@ -26,7 +26,9 @@ pub struct RoundStats {
     pub local_bytes: Bytes,
     /// Bytes of surviving envelopes appended to shard buckets this
     /// round (an envelope folded into an earlier one at send appends
-    /// nothing).
+    /// nothing). 0 in a counted round — the last of a fixed-horizon
+    /// program without a combiner — whose messages are counted and
+    /// never stored. A host-work counter: no simulated figure reads it.
     pub shard_copy_bytes: Bytes,
     /// Vertices whose `compute` ran this round.
     pub active_vertices: u64,

@@ -152,9 +152,7 @@ impl SlabProgram for BkhsSlabProgram {
     fn init(&self, v: VertexId, mut row: SlabRowMut<'_, u8>, ctx: &mut Context<'_, ReachMsg>) {
         for q in self.index.batch_queries_at(v, &self.range) {
             *row.cell_mut(q as usize) = 1;
-            for &t in ctx.neighbors() {
-                ctx.send(t, ReachMsg { query: q }, 1);
-            }
+            ctx.send_each(ctx.neighbors(), ReachMsg { query: q }, 1);
         }
     }
 
@@ -169,9 +167,7 @@ impl SlabProgram for BkhsSlabProgram {
             let cell = row.cell_mut(d.msg.query as usize);
             if *cell == 0 {
                 *cell = 1;
-                for &t in ctx.neighbors() {
-                    ctx.send(t, ReachMsg { query: d.msg.query }, 1);
-                }
+                ctx.send_each(ctx.neighbors(), ReachMsg { query: d.msg.query }, 1);
             }
         }
     }
@@ -267,17 +263,11 @@ impl SlabProgram for BkhsBroadcastSlabProgram {
 /// scalar program's one-unit-per-query sends.
 fn send_reached_chunks(row: &mut SlabRowMut<'_, u8>, ctx: &mut Context<'_, ReachLanesMsg>) {
     row.drain_chunks(|chunk, mask, _cells| {
-        let units = mask.count_ones() as u64;
-        for &t in ctx.neighbors() {
-            ctx.send(
-                t,
-                ReachLanesMsg {
-                    chunk: chunk as u32,
-                    mask,
-                },
-                units,
-            );
-        }
+        let msg = ReachLanesMsg {
+            chunk: chunk as u32,
+            mask,
+        };
+        ctx.send_each(ctx.neighbors(), msg, mask.count_ones() as u64);
     });
 }
 
