@@ -979,7 +979,10 @@ pub struct RouteGrid<M> {
     /// Flow cells, `flows[dst * workers + src]`, written by stage 2 in
     /// disjoint per-destination chunks.
     flows: Vec<PairFlow>,
-    /// Per-source wire messages produced, written by stage 1.
+    /// Per-source wire messages produced. The words share a cache line,
+    /// so each sink counts in a field of its own and publishes its total
+    /// here once, when it drops: pool threads never write this line
+    /// while they emit.
     sent: Vec<u64>,
     /// Per-source sender-combining slot maps.
     slots: Vec<SenderSlots>,
@@ -1109,8 +1112,10 @@ impl<M: Message> RouteGrid<M> {
     /// Fold-at-send entry point, part 2 of 3: one [`ShardedOutbox`]
     /// emit sink per source worker, in worker order. Each sink borrows
     /// its worker's shard row, slot map, and wire counter disjointly,
-    /// so the compute phase can drive all of them in parallel. Valid
-    /// for one round, after [`Self::begin_round`].
+    /// so the compute phase can drive all of them in parallel; it
+    /// counts its wire messages privately and writes the counter once,
+    /// when it drops. Valid for one round, after
+    /// [`Self::begin_round`].
     pub fn emit_sinks<'a>(
         &'a mut self,
         graph: &'a Graph,
@@ -1129,7 +1134,8 @@ impl<M: Message> RouteGrid<M> {
                 src,
                 shards: row.as_mut_slice(),
                 slots,
-                sent,
+                sent: 0,
+                publish: sent,
                 graph,
                 part,
                 locals,
@@ -1160,7 +1166,8 @@ impl<M: Message> RouteGrid<M> {
             .map(move |(src, (row, sent))| CountingOutbox {
                 src,
                 shards: row.as_mut_slice(),
-                sent,
+                sent: 0,
+                publish: sent,
                 graph,
                 part,
                 mirrors,
@@ -1235,8 +1242,9 @@ impl<M: Message> RouteGrid<M> {
             }
         }
         // Conservation: nothing is dropped between emission and
-        // delivery.
-        debug_assert_eq!(
+        // delivery. `sent` is the sinks' own count, independent of the
+        // shards' counters, so a sink that failed to publish fails here.
+        assert_eq!(
             self.stats.sent_wire,
             self.stats.delivered_wire(),
             "routing must deliver every wire message"
@@ -1256,12 +1264,16 @@ impl<M: Message> RouteGrid<M> {
 ///
 /// Obtained from [`RouteGrid::emit_sinks`] after
 /// [`RouteGrid::begin_round`]; handed to the compute phase as its
-/// [`EmitSink`].
+/// [`EmitSink`]. Its wire count is published to the grid when it drops.
 pub struct ShardedOutbox<'a, M: Message> {
     src: usize,
     shards: &'a mut [Shard<M>],
     slots: &'a mut SenderSlots,
-    sent: &'a mut u64,
+    /// Wire messages emitted so far, kept in the sink (on the emitting
+    /// thread's stack) rather than in the grid's shared counter line.
+    sent: u64,
+    /// The grid's counter for this source, written once, on drop.
+    publish: &'a mut u64,
     graph: &'a Graph,
     part: &'a Partition,
     locals: &'a LocalIndex,
@@ -1274,7 +1286,7 @@ pub struct ShardedOutbox<'a, M: Message> {
 impl<M: Message> EmitSink<M> for ShardedOutbox<'_, M> {
     #[inline]
     fn emit(&mut self, env: Envelope<M>) {
-        *self.sent += env.mult;
+        self.sent += env.mult;
         push_send(
             env,
             self.part,
@@ -1287,7 +1299,7 @@ impl<M: Message> EmitSink<M> for ShardedOutbox<'_, M> {
 
     fn emit_broadcast(&mut self, origin: VertexId, msg: M, mult: u64) {
         let degree = self.graph.degree(origin) as u64;
-        *self.sent += degree * mult;
+        self.sent += degree * mult;
         match self.mirrors.and_then(|m| m.fanout(origin)) {
             Some(mirror_workers) => {
                 // One wire transfer per remote mirror worker replaces
@@ -1338,11 +1350,13 @@ impl<M: Message> EmitSink<M> for ShardedOutbox<'_, M> {
 /// source's wire counter and its destination pair's wire and tuple
 /// counts — and a mirrored broadcast its pairs' prepaid counters —
 /// exactly as [`ShardedOutbox`] counts an append or a non-combining
-/// fold, but nothing is stored and no fold table is probed.
+/// fold, but nothing is stored and no fold table is probed. Like
+/// [`ShardedOutbox`], it publishes its wire count when it drops.
 pub struct CountingOutbox<'a, M: Message> {
     src: usize,
     shards: &'a mut [Shard<M>],
-    sent: &'a mut u64,
+    sent: u64,
+    publish: &'a mut u64,
     graph: &'a Graph,
     part: &'a Partition,
     mirrors: Option<&'a MirrorIndex>,
@@ -1354,7 +1368,7 @@ impl<M: Message> CountingOutbox<'_, M> {
     /// `mult` per target, in the targets' pairs.
     #[inline]
     fn count(&mut self, targets: &[VertexId], units: u64, mult: u64) {
-        *self.sent += targets.len() as u64 * mult;
+        self.sent += targets.len() as u64 * mult;
         for &t in targets {
             let shard = &mut self.shards[self.part.owner_of(t) as usize];
             shard.wire += mult;
@@ -1387,6 +1401,18 @@ impl<M: Message> EmitSink<M> for CountingOutbox<'_, M> {
             }
         }
         self.count(targets, msg.units(), mult);
+    }
+}
+
+impl<M: Message> Drop for ShardedOutbox<'_, M> {
+    fn drop(&mut self) {
+        *self.publish = self.sent;
+    }
+}
+
+impl<M: Message> Drop for CountingOutbox<'_, M> {
+    fn drop(&mut self) {
+        *self.publish = self.sent;
     }
 }
 
@@ -2049,9 +2075,12 @@ mod tests {
     }
 
     /// One non-combining round of `traffic` through `grid`: routed
-    /// through [`ShardedOutbox`] sinks, or only counted.
+    /// through [`ShardedOutbox`] sinks, or only counted. With a `pool`,
+    /// each source's sink is driven, and dropped, on its pool thread,
+    /// as the runner's compute stage does, and the merge fans out too.
     fn grid_round<M: Message>(
         grid: &mut RouteGrid<M>,
+        pool: Option<&WorkerPool>,
         counted: bool,
         traffic: &[Vec<Emission<M>>],
         inboxes: &mut [Inbox<M>],
@@ -2059,15 +2088,17 @@ mod tests {
     ) -> RoutingStats {
         grid.begin_round(false, l);
         if counted {
-            for (mut sink, emissions) in grid.count_sinks(g, p, mirrors, 8).zip(traffic) {
-                replay(emissions, &mut sink);
-            }
+            let sinks = grid.count_sinks(g, p, mirrors, 8).zip(traffic);
+            dispatch(pool, sinks, |_, (mut sink, emissions)| {
+                replay(emissions, &mut sink)
+            });
         } else {
-            for (mut sink, emissions) in grid.emit_sinks(g, p, l, mirrors, 8).zip(traffic) {
-                replay(emissions, &mut sink);
-            }
+            let sinks = grid.emit_sinks(g, p, l, mirrors, 8).zip(traffic);
+            dispatch(pool, sinks, |_, (mut sink, emissions)| {
+                replay(emissions, &mut sink)
+            });
         }
-        grid.route_presharded(None, inboxes, l, 8, false).clone()
+        grid.route_presharded(pool, inboxes, l, 8, false).clone()
     }
 
     /// What a round leaves in a grid between rounds must be nothing:
@@ -2094,10 +2125,12 @@ mod tests {
     /// delivers nothing; interleaved with routed rounds it leaves no
     /// trace in the grid. Random traffic over 4 workers, one owning no
     /// vertex, with mirrored and unmirrored broadcasts, for exact and
-    /// inexact payloads.
+    /// inexact payloads, driven inline and from pool threads (where
+    /// each sink publishes its wire count as it drops); the third
+    /// round's reference is always an inline one.
     #[test]
     fn counted_round_counts_what_the_routed_round_routes() {
-        fn check<const EXACT: bool>() {
+        fn check<const EXACT: bool>(pool: Option<&WorkerPool>) {
             let g = generators::power_law(160, 900, 2.2, 0xC0DE);
             let owners = (0..160).map(|v| [0, 2, 3][v % 3]).collect();
             let p = Partition::from_owners(owners, 4);
@@ -2116,17 +2149,22 @@ mod tests {
             };
             for seed in 0..8u64 {
                 for mirrors in [None, Some(&mirrors)] {
-                    let at = format!("exact={EXACT} seed={seed} mirrored={}", mirrors.is_some());
+                    let at = format!(
+                        "exact={EXACT} seed={seed} mirrored={} pooled={}",
+                        mirrors.is_some(),
+                        pool.is_some()
+                    );
                     let topo = (&g, &p, &l, mirrors);
                     let traffic = random_traffic::<EXACT>(&g, &p, seed);
                     let mut grid = RouteGrid::new(4);
                     let mut inboxes = fresh();
-                    let routed = grid_round(&mut grid, false, &traffic, &mut inboxes, topo);
+                    let routed = grid_round(&mut grid, pool, false, &traffic, &mut inboxes, topo);
                     assert!(inboxes.iter().any(|i| !i.is_empty()), "{at}");
                     assert!(routed.shard_copy_bytes > 0, "{at}");
 
                     let mut counted_in = fresh();
-                    let counted = grid_round(&mut grid, true, &traffic, &mut counted_in, topo);
+                    let counted =
+                        grid_round(&mut grid, pool, true, &traffic, &mut counted_in, topo);
                     assert!(counted_in.iter().all(Inbox::is_empty), "{at}: delivered");
                     assert_eq!(counted.shard_copy_bytes, 0, "{at}");
                     let want = RoutingStats {
@@ -2139,19 +2177,23 @@ mod tests {
                     // routed → counted → routed on one grid: the third
                     // round is a fresh grid's.
                     inboxes.iter_mut().for_each(Inbox::clear);
-                    let again = grid_round(&mut grid, false, &traffic, &mut inboxes, topo);
+                    let again = grid_round(&mut grid, pool, false, &traffic, &mut inboxes, topo);
                     assert_drained(&grid, &at);
                     let mut fresh_grid = RouteGrid::new(4);
                     let mut fresh_in = fresh();
-                    let want = grid_round(&mut fresh_grid, false, &traffic, &mut fresh_in, topo);
+                    let want =
+                        grid_round(&mut fresh_grid, None, false, &traffic, &mut fresh_in, topo);
                     assert_eq!(again, want, "{at}: third round");
                     assert_eq!(again, routed, "{at}");
                     assert_eq!(inboxes, fresh_in, "{at}: third round inboxes");
                 }
             }
         }
-        check::<true>();
-        check::<false>();
+        let pool = WorkerPool::new(4);
+        for pool in [None, Some(&pool)] {
+            check::<true>(pool);
+            check::<false>(pool);
+        }
     }
 
     #[test]
@@ -2161,6 +2203,23 @@ mod tests {
         let mut grid: RouteGrid<Src> = RouteGrid::new(2);
         grid.begin_round(true, &l);
         let _ = grid.count_sinks(&g, &p, None, 8).count();
+    }
+
+    /// A sink publishes its wire count only when it drops; one that
+    /// never does leaves `sent_wire` short of what the shards deliver,
+    /// and the conservation check stops the round in every build.
+    #[test]
+    #[should_panic(expected = "routing must deliver every wire message")]
+    fn a_sink_that_never_publishes_fails_conservation() {
+        let (g, p, l) = two_worker_setup();
+        let mut grid: RouteGrid<Src> = RouteGrid::new(2);
+        let mut inboxes: Vec<Inbox<Src>> = (0..2).map(|_| Inbox::new()).collect();
+        grid.begin_round(false, &l);
+        for mut sink in grid.emit_sinks(&g, &p, &l, None, 8) {
+            sink.emit(Envelope::new(5, Src(0), 1));
+            std::mem::forget(sink);
+        }
+        grid.route_presharded(None, &mut inboxes, &l, 8, false);
     }
 
     #[test]

@@ -43,10 +43,15 @@ use std::sync::Arc;
 /// after — for its compute and route stages to fan out to the worker
 /// pool. Below it the hand-off, two wake-ups of every pool thread per
 /// round (compute, then the routing merge), costs more than it saves.
-/// Set by a sweep on 2 vCPUs (EXPERIMENTS.md row pr36), when a pooled
-/// round still paid a third wake-up for the shard epilogue: 4 096
-/// slowed the narrow workloads more, and 65 536 or more left
-/// `job-wide` too little of its gain.
+/// Set by a sweep on 2 vCPUs, when a pooled round still paid a third
+/// wake-up for the shard epilogue: 4 096 slowed the narrow workloads
+/// more, and 65 536 or more left `job-wide` too little of its gain.
+/// That sweep also ran while the pool threads' sinks bumped one shared
+/// wire-counter cache line on every emit. Re-swept on `job-narrow`
+/// without it, 2 048 and 4 096 each beat 16 384 in 8 of 10 blocks, by
+/// −0.6 % and −7.4 % in the median: not the 9 of 10 a move needs, so
+/// the constant stays (EXPERIMENTS.md, the cut-over sweep and its
+/// re-sweep).
 ///
 /// The load counts deliveries, not the messages a round will emit.
 /// Width-1 BKHS rounds emit many wire messages per delivery (a median
