@@ -15,9 +15,9 @@ use mtvc_graph::{Graph, VertexId};
 use mtvc_metrics::{Bytes, RunOutcome, RunStats, SimTime, OVERLOAD_CUTOFF};
 use mtvc_systems::SystemKind;
 use mtvc_tasks::{
-    BkhsBroadcastSlabProgram, BkhsLaneSlabProgram, BkhsSlabProgram, BpprPushSlabProgram,
-    BpprSlabProgram, MsspBroadcastSlabProgram, MsspLaneSlabProgram, MsspSlabProgram, PushCell,
-    SourceIndex,
+    lane_distances_fit, BkhsBroadcastSlabProgram, BkhsLaneSlabProgram, BkhsSlabProgram,
+    BpprPushSlabProgram, BpprSlabProgram, MsspBroadcastSlabProgram, MsspLaneSlabProgram,
+    MsspSlabProgram, PushCell, SourceIndex,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -125,12 +125,15 @@ impl JobSpec {
 
 /// Which slab kernel executed a batch.
 ///
-/// For point-to-point MSSP and BKHS the executor picks by the batch's
-/// width — a property of the input, not a setting: at least [`LANES`]
-/// queries run the lane-batched kernel (one envelope per eight adjacent
-/// queries), fewer the row kernel, which is faster there (a lone query
-/// would ship seven dead lanes per envelope). Every other program runs
-/// its row kernel. Both kernels put the same payload units on the wire
+/// For point-to-point MSSP and BKHS the executor picks by properties of
+/// the input, not by a setting. A batch of at least [`LANES`] queries
+/// runs the lane-batched kernel (one envelope per eight adjacent
+/// queries), a narrower one the row kernel, which is faster there (a
+/// lone query would ship seven dead lanes per envelope). MSSP's lanes
+/// carry 32-bit distances, so on a graph past the
+/// [`lane_distances_fit`] bound (`n × max_weight ≥ u32::MAX`) every
+/// MSSP batch runs the row kernel, whatever its width. Every other
+/// program runs its row kernel. Both kernels put the same payload units on the wire
 /// and the router prices units, not envelopes, so under the shipped
 /// system profiles every other field of [`RunStats`] except the
 /// `shard_copy_bytes` counters is identical either way; this tag is
@@ -145,9 +148,11 @@ pub enum Kernel {
 
 impl Kernel {
     /// The kernel for a point-to-point MSSP/BKHS batch of `width`
-    /// queries.
-    fn for_width(width: usize) -> Kernel {
-        if width >= LANES {
+    /// queries whose lane messages can carry every value the batch
+    /// sends (`lanes_fit`: always for BKHS's reach masks, and for MSSP
+    /// on a graph where [`lane_distances_fit`]).
+    fn choose(width: usize, lanes_fit: bool) -> Kernel {
+        if width >= LANES && lanes_fit {
             Kernel::Lane
         } else {
             Kernel::Row
@@ -634,7 +639,10 @@ fn run_one_batch(
             let (index, range) = sources.resolve();
             // Residual: one `(query, distance)` record per reached cell.
             let residual = |d: u64| if d != u64::MAX { 16 } else { 0 };
-            match (broadcast, Kernel::for_width(range.len())) {
+            match (
+                broadcast,
+                Kernel::choose(range.len(), lane_distances_fit(graph)),
+            ) {
                 (true, _) => {
                     let prog = MsspBroadcastSlabProgram::batch(index, range);
                     execute(graph, engine, params, Row, &prog, &shared.words, residual)
@@ -654,7 +662,7 @@ fn run_one_batch(
             // Residual: bitmap-encoded reach flags, ~1 byte per
             // (query, vertex) flag (see mtvc-tasks::bkhs docs).
             let residual = |flag: u8| u64::from(flag != 0);
-            match (broadcast, Kernel::for_width(range.len())) {
+            match (broadcast, Kernel::choose(range.len(), true)) {
                 (true, _) => {
                     let prog = BkhsBroadcastSlabProgram::batch(index, range, k);
                     execute(graph, engine, params, Row, &prog, &shared.flags, residual)
@@ -702,7 +710,7 @@ fn execute<P: SlabProgram>(
 mod tests {
     use super::*;
     use mtvc_engine::PagingConfig;
-    use mtvc_graph::generators;
+    use mtvc_graph::{generators, GraphBuilder};
     use mtvc_metrics::RoundStats;
     use mtvc_tasks::bkhs::{BkhsCounts, BkhsState};
     use mtvc_tasks::bppr::{BpprState, PushState};
@@ -1181,6 +1189,91 @@ mod tests {
         }
     }
 
+    /// An undirected path of `n` vertices, every edge weighing `w`.
+    fn heavy_path(n: usize, w: u32) -> Graph {
+        let mut b = GraphBuilder::new(n).undirected(true).force_weighted();
+        for v in 1..n as VertexId {
+            b.add_weighted_edge(v - 1, v, w);
+        }
+        b.build()
+    }
+
+    /// MSSP's lane kernel carries 32-bit distances, so on a graph past
+    /// the `n × max_weight < u32::MAX` bound every MSSP batch runs the
+    /// row kernel, whatever its width; BKHS's reach masks know no such
+    /// bound. Each batch's statistics equal a direct `run_slab` of the
+    /// kernel it reports (shard copies included, where row and lane
+    /// differ), and that run's distances are Dijkstra's.
+    #[test]
+    fn lane_dispatch_respects_the_32_bit_distance_bound() {
+        let cluster = ClusterSpec::galaxy(4);
+        let system = SystemKind::PregelPlus;
+        let profile = system.profile(&cluster.machine);
+        let seed = 0x0B58;
+        // 10 × 429_496_729 = u32::MAX - 5: just under the bound. At 2³¹
+        // a weight, vertices two hops apart lie 2³² > u32::MAX apart.
+        for (w, lanes) in [(429_496_729, true), (1 << 31, false)] {
+            let g = Arc::new(heavy_path(10, w));
+            assert_eq!(lane_distances_fit(&g), lanes, "w = {w}");
+            let partition = system.partitioner().partition(&g, cluster.machines);
+            for width in [8u64, 16] {
+                let label = format!("w = {w}, width {width}");
+                let sources = select_sources(&g, width, seed ^ width);
+                let exec =
+                    BatchRunner::new(Arc::clone(&g), Task::mssp(width), system, cluster.clone())
+                        .run_batch(width, &sources, &[0; 4], seed, OVERLOAD_CUTOFF);
+                let mut cfg = EngineConfig::new(cluster.clone(), profile.clone());
+                cfg.seed = seed;
+                cfg.cutoff = OVERLOAD_CUTOFF;
+                cfg.residual_bytes = vec![0; cluster.machines];
+                let runner = Runner::with_partition(&g, partition.clone(), cfg);
+                let (kernel, run) = if lanes {
+                    let p = MsspLaneSlabProgram::new(sources.clone());
+                    (Kernel::Lane, runner.run_slab(&p))
+                } else {
+                    (
+                        Kernel::Row,
+                        runner.run_slab(&MsspSlabProgram::new(sources.clone())),
+                    )
+                };
+                assert_eq!(exec.kernel, kernel, "{label}");
+                assert!(run.outcome.is_completed(), "{label}");
+                assert_eq!(exec.outcome, run.outcome, "{label}");
+                assert_eq!(exec.stats, run.stats, "{label}");
+                let mut farthest = 0;
+                for (q, &s) in sources.iter().enumerate() {
+                    let want = mtvc_graph::reference::dijkstra(&g, s);
+                    for (v, &d) in want.iter().enumerate() {
+                        let got = run.states[v].dist.get(&(q as u32)).copied();
+                        assert_eq!(got, Some(d), "{label}: source {s}, vertex {v}");
+                        farthest = farthest.max(d);
+                    }
+                }
+                assert_eq!(farthest > u64::from(u32::MAX), !lanes, "{label}");
+            }
+            let bkhs = BatchRunner::new(Arc::clone(&g), Task::bkhs(8), system, cluster.clone());
+            let sources = select_sources(&g, 8, seed);
+            let exec = bkhs.run_batch(8, &sources, &[0; 4], seed, OVERLOAD_CUTOFF);
+            assert_eq!(exec.kernel, Kernel::Lane, "BKHS, w = {w}");
+            assert!(exec.outcome.is_completed(), "BKHS, w = {w}");
+        }
+    }
+
+    /// The lane kernel run directly, past the executor's gate, refuses
+    /// to send a distance its 32-bit lanes cannot carry: it panics,
+    /// naming the bound, in debug and release builds alike.
+    #[test]
+    #[should_panic(expected = "n * max_weight < u32::MAX")]
+    fn lane_kernel_panics_past_the_distance_bound() {
+        let g = heavy_path(10, 1 << 31);
+        let cluster = ClusterSpec::galaxy(4);
+        let system = SystemKind::PregelPlus;
+        let partition = system.partitioner().partition(&g, cluster.machines);
+        let cfg = EngineConfig::new(cluster.clone(), system.profile(&cluster.machine));
+        let runner = Runner::with_partition(&g, partition, cfg);
+        runner.run_slab(&MsspLaneSlabProgram::new(select_sources(&g, 8, 7)));
+    }
+
     /// Each batch's last entry of a job's `per_round` log (a batch's
     /// rounds count from 0 again).
     fn batch_final_rounds(stats: &RunStats) -> Vec<&RoundStats> {
@@ -1386,6 +1479,8 @@ mod tests {
     fn residual_fold_equals_the_output_rules() {
         use Kernel::{Lane, Row};
         let g = small_graph();
+        // Under the 32-bit lane bound, so width alone picks the kernel.
+        assert!(lane_distances_fit(&g));
         let n = g.num_vertices();
         let shared = BatchShared::default();
         for machines in [1, 4] {
@@ -1417,8 +1512,8 @@ mod tests {
                             &shared,
                         );
                         let (index, range) = (Arc::clone(&index), range.clone());
-                        let (kernel, want) = match (task, broadcast, Kernel::for_width(range.len()))
-                        {
+                        let by_width = Kernel::choose(range.len(), true);
+                        let (kernel, want) = match (task, broadcast, by_width) {
                             (Task::Bppr { alpha, .. }, true, _) => {
                                 let p = BpprPushSlabProgram::new(width, alpha, n);
                                 (Row, reference(&g, &engine, params, &p, push_rule))

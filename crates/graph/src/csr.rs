@@ -23,6 +23,9 @@ pub struct Graph {
     targets: Vec<VertexId>,
     /// One weight per target when present. Empty means unit weights.
     weights: Vec<u32>,
+    /// Largest edge weight (0 without edges), fixed at construction so
+    /// a per-batch distance bound costs no edge scan.
+    max_weight: u32,
 }
 
 impl Graph {
@@ -50,10 +53,15 @@ impl Graph {
             weights.is_empty() || weights.len() == targets.len(),
             "weights must be empty or match targets"
         );
+        let max_weight = match weights.iter().max() {
+            Some(&w) => w,
+            None => u32::from(!targets.is_empty()),
+        };
         Graph {
             offsets,
             targets,
             weights,
+            max_weight,
         }
     }
 
@@ -63,6 +71,7 @@ impl Graph {
             offsets: vec![0; n + 1],
             targets: Vec::new(),
             weights: Vec::new(),
+            max_weight: 0,
         }
     }
 
@@ -102,6 +111,13 @@ impl Graph {
     /// True when per-edge weights are attached.
     pub fn is_weighted(&self) -> bool {
         !self.weights.is_empty()
+    }
+
+    /// Largest edge weight: 1 for an unweighted graph with edges, 0 for
+    /// an edgeless one. Every shortest-path distance is at most
+    /// `num_vertices() * max_weight()`.
+    pub fn max_weight(&self) -> u32 {
+        self.max_weight
     }
 
     /// Weights parallel to [`Self::neighbors`]; unit weights otherwise.
@@ -216,6 +232,8 @@ mod tests {
         assert!(!g.is_weighted());
         let pairs: Vec<_> = g.weighted_neighbors(0).collect();
         assert_eq!(pairs, vec![(1, 1), (2, 1)]);
+        assert_eq!(g.max_weight(), 1);
+        assert_eq!(Graph::empty(3).max_weight(), 0);
     }
 
     #[test]
@@ -224,6 +242,7 @@ mod tests {
         assert!(g.is_weighted());
         let pairs: Vec<_> = g.weighted_neighbors(0).collect();
         assert_eq!(pairs, vec![(1, 7), (1, 9)]);
+        assert_eq!(g.max_weight(), 9);
     }
 
     #[test]

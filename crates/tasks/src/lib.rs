@@ -45,7 +45,8 @@ pub use bkhs::{BkhsBroadcastSlabProgram, BkhsLaneSlabProgram, BkhsSlabProgram, R
 pub use bppr::{BpprPushSlabProgram, BpprSlabProgram, PushCell, SourceSet};
 pub use cc::ConnectedComponentsProgram;
 pub use mssp::{
-    DistLanesMsg, DistMsg, MsspBroadcastSlabProgram, MsspLaneSlabProgram, MsspSlabProgram,
+    lane_distances_fit, DistLanesMsg, DistMsg, MsspBroadcastSlabProgram, MsspLaneSlabProgram,
+    MsspSlabProgram,
 };
 pub use pagerank::PageRankProgram;
 pub use sources::SourceIndex;

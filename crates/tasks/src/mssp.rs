@@ -24,8 +24,9 @@
 //! [`MsspLaneSlabProgram`] lane-batches the slab kernel: one
 //! [`DistLanesMsg`] relaxes eight adjacent queries per envelope. BKHS
 //! uses the same scheme (`ReachLanesMsg` in its module); BPPR has no
-//! lane kernel. `mtvc-core`'s executor runs the lane kernel on batches
-//! of at least `LANES` queries and the row kernel below;
+//! lane kernel. Lanes carry 32-bit distances, so `mtvc-core`'s executor
+//! runs the lane kernel on batches of at least `LANES` queries over a
+//! graph where [`lane_distances_fit`], and the row kernel otherwise;
 //! [`Message::units`] keeps the two indistinguishable to the router's
 //! traffic accounting.
 
@@ -35,7 +36,7 @@ use mtvc_engine::{
 };
 use mtvc_graph::hash::FastMap;
 use mtvc_graph::varint::{read_varint, write_varint};
-use mtvc_graph::VertexId;
+use mtvc_graph::{Graph, VertexId};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -78,17 +79,20 @@ impl PayloadCodec for DistMsg {
 
 /// Lane-batched distance message: one envelope relaxes a whole
 /// LANES-aligned chunk of the receiver's distance row. `mask` flags
-/// which lanes carry a live candidate; unset lanes hold `u64::MAX` and
-/// never relax anything. Multiplicity at emission and [`Message::units`]
-/// after any fold are `mask.count_ones()`, so wire and tuple accounting
-/// match the scalar [`DistMsg`] traffic unit for unit.
+/// which lanes carry a live candidate; unset lanes hold `u32::MAX` and
+/// never relax anything. Lanes are 32-bit, which keeps a bucket or inbox
+/// entry (`Delivery<DistLanesMsg>`) at 48 bytes, so a live distance must
+/// stay below `u32::MAX`: see [`lane_distances_fit`]. Multiplicity at
+/// emission and [`Message::units`] after any fold are
+/// `mask.count_ones()`, so wire and tuple accounting match the scalar
+/// [`DistMsg`] traffic unit for unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistLanesMsg {
     /// Chunk index: lanes cover queries `[chunk*LANES, chunk*LANES+LANES)`.
     pub chunk: u32,
     /// Bit `l` set = lane `l` carries a candidate distance.
     pub mask: u8,
-    pub dist: [u64; LANES],
+    pub dist: [u32; LANES],
 }
 
 impl Message for DistLanesMsg {
@@ -235,23 +239,44 @@ impl SlabProgram for MsspSlabProgram {
     }
 }
 
+/// True when every distance the lane kernel can send fits a 32-bit
+/// lane below the dead-lane `u32::MAX`: `n × max_weight < u32::MAX`.
+/// A relaxation propagates only a strict improvement, so with
+/// non-negative weights every value sent is the length of a simple path
+/// plus one edge, at most `n × max_weight`. Constant time: the graph
+/// caches its largest weight.
+pub fn lane_distances_fit(graph: &Graph) -> bool {
+    graph.num_vertices() as u64 * u64::from(graph.max_weight()) < u64::from(u32::MAX)
+}
+
 /// Relax out-edges for every improved chunk of `row`, one lane-batched
 /// message per (chunk, edge). Shared by init and compute so both emit
 /// the identical traffic shape.
+///
+/// # Panics
+///
+/// If a live lane plus an edge weight reaches `u32::MAX`: the graph is
+/// past the [`lane_distances_fit`] bound, and a sent distance would
+/// have saturated into the dead-lane sentinel.
 fn send_improved_chunks(row: &mut SlabRowMut<'_, u64>, ctx: &mut Context<'_, DistLanesMsg>) {
     row.drain_chunks(|chunk, mask, cells| {
         let units = mask.count_ones() as u64;
-        // Masked chunk snapshot, built once; dead lanes stay at MAX
-        // and saturating_add keeps them there, so the per-edge loop
+        // Masked 32-bit chunk snapshot, built once; dead lanes stay at
+        // MAX and saturating_add keeps them there, so the per-edge loop
         // below is branchless and fixed-width (autovectorizes).
-        let mut base = [u64::MAX; LANES];
+        let mut base = [u32::MAX; LANES];
+        let mut top = 0u64;
         for (l, &c) in cells.iter().enumerate() {
             if mask & (1 << l) != 0 {
-                base[l] = c;
+                base[l] = c as u32;
+                top = top.max(c);
             }
         }
+        // Overflow is checked once per chunk, from the largest live
+        // lane and the heaviest edge the loop relaxed.
+        let mut heaviest = 0u32;
         for (t, w) in ctx.weighted_neighbors() {
-            let w = w as u64;
+            heaviest = heaviest.max(w);
             let mut dist = base;
             for d in dist.iter_mut() {
                 *d = d.saturating_add(w);
@@ -266,7 +291,25 @@ fn send_improved_chunks(row: &mut SlabRowMut<'_, u64>, ctx: &mut Context<'_, Dis
                 units,
             );
         }
+        assert!(
+            top.saturating_add(u64::from(heaviest)) < u64::from(u32::MAX),
+            "lane distance reached u32::MAX: the graph is past the lane \
+             kernel's n * max_weight < u32::MAX bound (use MsspSlabProgram)"
+        );
     });
+}
+
+/// A 32-bit lane candidate as a `u64` cell candidate: the dead-lane
+/// `u32::MAX` becomes the slab's empty `u64::MAX`, so it relaxes nothing.
+#[inline]
+fn widen(dist: &[u32; LANES]) -> [u64; LANES] {
+    dist.map(|d| {
+        if d == u32::MAX {
+            u64::MAX
+        } else {
+            u64::from(d)
+        }
+    })
 }
 
 /// Weighted point-to-point MSSP with **lane-batched** messages and
@@ -279,6 +322,11 @@ fn send_improved_chunks(row: &mut SlabRowMut<'_, u64>, ctx: &mut Context<'_, Dis
 /// model prices is bit-identical to [`MsspSlabProgram`]; final
 /// distances and whole-run statistics are pinned equal by property
 /// tests.
+///
+/// Messages carry 32-bit lanes while the slab keeps `u64` cells, so the
+/// program is exact only on a graph where [`lane_distances_fit`]; past
+/// that bound a drained chunk panics rather than send a wrapped or
+/// saturated distance.
 ///
 /// [`StateSlab::drain_chunks`]: mtvc_engine::StateSlab
 #[derive(Debug, Clone)]
@@ -343,7 +391,7 @@ impl SlabProgram for MsspLaneSlabProgram {
         ctx: &mut Context<'_, DistLanesMsg>,
     ) {
         for d in inbox {
-            row.relax_min_lanes(d.msg.chunk as usize * LANES, &d.msg.dist);
+            row.relax_min_lanes(d.msg.chunk as usize * LANES, &widen(&d.msg.dist));
         }
         send_improved_chunks(&mut row, ctx);
     }
@@ -498,38 +546,49 @@ mod tests {
 
     #[test]
     fn lane_msg_merge_is_masked_elementwise_min() {
+        const DEAD: u32 = u32::MAX;
         let mut a = DistLanesMsg {
             chunk: 3,
             mask: 0b0000_0101,
-            dist: [
-                7,
-                u64::MAX,
-                9,
-                u64::MAX,
-                u64::MAX,
-                u64::MAX,
-                u64::MAX,
-                u64::MAX,
-            ],
+            dist: [7, DEAD, 9, DEAD, DEAD, DEAD, DEAD, DEAD],
         };
         let b = DistLanesMsg {
             chunk: 3,
             mask: 0b0000_0110,
-            dist: [
-                u64::MAX,
-                4,
-                5,
-                u64::MAX,
-                u64::MAX,
-                u64::MAX,
-                u64::MAX,
-                u64::MAX,
-            ],
+            dist: [DEAD, 4, 5, DEAD, DEAD, DEAD, DEAD, DEAD],
         };
         a.merge(&b);
         assert_eq!(a.mask, 0b0000_0111);
         assert_eq!(&a.dist[..3], &[7, 4, 5]);
         assert_eq!(a.units(), 3);
+        // Dead lanes widen to the slab's empty cell, live ones exactly.
+        let cand = widen(&a.dist);
+        assert_eq!(&cand[..4], &[7, 4, 5, u64::MAX]);
+        assert_eq!(widen(&[DEAD - 1; LANES])[0], u64::from(DEAD - 1));
+    }
+
+    /// 32-bit lanes keep a bucket or inbox entry at 48 bytes (80 with
+    /// `u64` lanes): the size the fold-hit merge reads and writes.
+    #[test]
+    fn lane_delivery_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<DistLanesMsg>(), 40);
+        assert_eq!(std::mem::size_of::<Delivery<DistLanesMsg>>(), 48);
+    }
+
+    #[test]
+    fn lane_bound_is_n_times_max_weight() {
+        use mtvc_graph::GraphBuilder;
+        let path = |n: usize, w: u32| {
+            let mut b = GraphBuilder::new(n).force_weighted();
+            for v in 1..n as VertexId {
+                b.add_weighted_edge(v - 1, v, w);
+            }
+            b.build()
+        };
+        // 10 × 429_496_729 = u32::MAX - 5; 10 × 429_496_730 > u32::MAX.
+        assert!(lane_distances_fit(&path(10, 429_496_729)));
+        assert!(!lane_distances_fit(&path(10, 429_496_730)));
+        assert!(lane_distances_fit(&Graph::empty(1 << 20)));
     }
 
     /// `DistMsg` through the framed codec, exactly as the benchmark's

@@ -15,9 +15,9 @@ use mtvc_metrics::{Bytes, RunStats, SimTime};
 use mtvc_tasks::bkhs::BkhsState;
 use mtvc_tasks::bppr::{BpprState, PushState};
 use mtvc_tasks::{
-    BkhsBroadcastSlabProgram, BkhsLaneSlabProgram, BkhsSlabProgram, BpprPushSlabProgram,
-    BpprSlabProgram, ConnectedComponentsProgram, MsspBroadcastSlabProgram, MsspLaneSlabProgram,
-    MsspSlabProgram, PageRankProgram, SourceIndex, SourceSet,
+    lane_distances_fit, BkhsBroadcastSlabProgram, BkhsLaneSlabProgram, BkhsSlabProgram,
+    BpprPushSlabProgram, BpprSlabProgram, ConnectedComponentsProgram, MsspBroadcastSlabProgram,
+    MsspLaneSlabProgram, MsspSlabProgram, PageRankProgram, SourceIndex, SourceSet,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -325,24 +325,37 @@ proptest! {
     /// Lane-batched MSSP (chunked envelopes, `relax_min_lanes`) must be
     /// indistinguishable from the scalar slab kernel in everything but
     /// envelope copies (see `assert_lane_matches_scalar`) at every width
-    /// on and off the `LANES` boundary.
+    /// on and off the `LANES` boundary: with small weights, and with
+    /// weights that put `n × max_weight` in `[2³¹, u32::MAX)`. On a
+    /// directed ring, whose far end lies `n - 1` heavy hops away, such
+    /// weights set the top bit of the 32-bit lanes.
     #[test]
     fn lane_mssp_matches_scalar_slab(
         n in 20usize..110,
         workers in 1usize..5,
         seed in any::<u64>(),
     ) {
-        let base = generators::power_law(n, n * 4, 2.3, seed);
-        let g = generators::with_random_weights(&base, 1, 9, seed ^ 3);
-        for width in LANE_WIDTHS {
-            let sources = pick_sources(n, width, seed ^ 7);
-            assert_lane_matches_scalar(
-                &g,
-                workers,
-                seed,
-                &MsspSlabProgram::new(sources.clone()),
-                &MsspLaneSlabProgram::new(sources),
-            )?;
+        let power = generators::power_law(n, n * 4, 2.3, seed);
+        let ring = generators::ring(n, false);
+        let heavy = ((1u32 << 31) / n as u32 + 1, (u32::MAX - 1) / n as u32);
+        let cases = [(&power, (1, 9), false), (&power, heavy, false), (&ring, heavy, true)];
+        for (base, (lo, hi), top_bit) in cases {
+            let g = generators::with_random_weights(base, lo, hi, seed ^ 3);
+            prop_assert!(lane_distances_fit(&g), "n={} hi={}", n, hi);
+            if top_bit {
+                let far = gref::dijkstra(&g, 0).into_iter().max();
+                prop_assert!(far >= Some(1 << 31), "{:?}", far);
+            }
+            for width in LANE_WIDTHS {
+                let sources = pick_sources(n, width, seed ^ 7);
+                assert_lane_matches_scalar(
+                    &g,
+                    workers,
+                    seed,
+                    &MsspSlabProgram::new(sources.clone()),
+                    &MsspLaneSlabProgram::new(sources),
+                )?;
+            }
         }
     }
 
